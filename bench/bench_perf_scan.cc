@@ -5,8 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/random.h"
+#include "core/cell_sampler_bank.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
@@ -330,6 +332,42 @@ void BM_LabelsSampling(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_LabelsSampling)->Range(1 << 12, 1 << 18);
+
+void BM_LabelsSamplingSparseView(benchmark::State& state) {
+  // One Bernoulli null world as the sparse annulus backend reads it: the
+  // label bytes plus the ascending positive ids, on a pooled instance.
+  const size_t n = 8192;
+  Rng rng(17);
+  core::Labels labels;
+  for (auto _ : state) {
+    labels.ResampleBernoulli(n, 0.54, &rng);
+    benchmark::DoNotOptimize(labels.positive_indices().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_LabelsSamplingSparseView);
+
+void BM_CellSamplerBank(benchmark::State& state) {
+  // One closed-form Bernoulli world over a 100x50 grid on 8,192 points:
+  // a Binomial(n_c, 0.54) draw for every non-empty cell.
+  const auto pts = Cloud(8192);
+  auto family = core::GridPartitionFamily::Create(pts, 100, 50);
+  if (!family.ok()) {
+    state.SkipWithError(family.status().ToString().c_str());
+    return;
+  }
+  const core::CellSamplerBank bank(*(*family)->cell_decomposition(), 0.54);
+  std::vector<uint32_t> cell_positives(bank.num_cells());
+  Rng rng(25);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bank.Draw(&rng, cell_positives.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bank.num_cells()));
+}
+BENCHMARK(BM_CellSamplerBank);
 
 }  // namespace
 }  // namespace sfa

@@ -6,61 +6,17 @@
 
 namespace sfa {
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.Next();
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits → [0, 1) on the double grid.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
-
-uint64_t Rng::NextUint64(uint64_t n) {
-  SFA_DCHECK(n > 0);
-  // Lemire's unbiased bounded generation.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < n) {
-    uint64_t t = -n % n;
-    while (l < t) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   SFA_DCHECK(lo <= hi);
   return lo + static_cast<int64_t>(
                   NextUint64(static_cast<uint64_t>(hi - lo) + 1ULL));
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 double Rng::Normal() {

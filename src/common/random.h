@@ -8,10 +8,13 @@
 #ifndef SFA_COMMON_RANDOM_H_
 #define SFA_COMMON_RANDOM_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "common/macros.h"
 
 namespace sfa {
 
@@ -47,25 +50,68 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  /// Next 64 uniformly random bits.
-  uint64_t Next();
+  /// Equal generators produce equal streams from here on.
+  bool operator==(const Rng&) const = default;
+
+  /// Next 64 uniformly random bits. Inline, like the other per-draw helpers
+  /// below: the null-world samplers call them once per point, so an
+  /// out-of-line call would cost more than the arithmetic.
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
   result_type operator()() { return Next(); }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble();
+  double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
 
   /// Uniform integer in [0, n). Uses Lemire's multiply-shift rejection method
   /// (unbiased). n must be > 0.
-  uint64_t NextUint64(uint64_t n);
+  uint64_t NextUint64(uint64_t n) {
+    SFA_DCHECK(n > 0);
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < n) {
+      const uint64_t t = -n % n;
+      while (l < t) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool Bernoulli(double p);
+  /// Bernoulli trial with success probability p (clamped to [0,1]). Consumes
+  /// one draw unless p <= 0 or p >= 1 (a NaN p draws and returns false).
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
+
+  /// The integer form of the trial above for p in (0, 1) or NaN:
+  /// NextDouble() < p exactly when (Next() >> 11) < BernoulliThreshold(p),
+  /// because NextDouble() is (Next() >> 11)·2^-53 and scaling by 2^53 is
+  /// exact. NaN maps to 0, so the trial always fails, as above.
+  static uint64_t BernoulliThreshold(double p) {
+    return std::isnan(p) ? 0
+                         : static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
+  }
 
   /// Standard normal via Marsaglia polar method (cached spare deviate).
   double Normal();
@@ -108,6 +154,8 @@ class Rng {
   Rng Split(uint64_t index) const;
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;

@@ -6,7 +6,7 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "stats/distributions.h"
+#include "core/cell_sampler_bank.h"
 
 namespace sfa::core {
 
@@ -43,41 +43,6 @@ double MaxLlrFromCounts(const uint64_t* positives,
     if (llr > max_llr) max_llr = llr;
   }
   return max_llr;
-}
-
-/// Per-cell Binomial(n_c, ρ) samplers, built once per simulation: (n_c, ρ)
-/// never change across worlds, so each cell's alias table turns every world's
-/// draw into one uniform + two loads (stats::FixedBinomialSampler). The last
-/// sampler covers the points outside every cell (they shift total P only).
-struct CellSamplerBank {
-  std::vector<stats::FixedBinomialSampler> cells;
-  stats::FixedBinomialSampler outside;
-
-  CellSamplerBank(const CellDecomposition& decomposition, double rho) {
-    cells.reserve(decomposition.cell_counts.size());
-    for (uint32_t n_c : decomposition.cell_counts) {
-      cells.emplace_back(n_c, rho);
-    }
-    if (decomposition.num_outside > 0) {
-      outside = stats::FixedBinomialSampler(decomposition.num_outside, rho);
-    }
-  }
-};
-
-/// Draws one closed-form Bernoulli null world over a cell decomposition.
-/// Returns the world's total positive count. Cell order is fixed, so for a
-/// given per-world RNG the draw is identical in every engine.
-uint64_t DrawCellWorld(const CellSamplerBank& bank, Rng* rng,
-                       uint32_t* cell_positives) {
-  uint64_t total_p = 0;
-  const size_t num_cells = bank.cells.size();
-  for (size_t c = 0; c < num_cells; ++c) {
-    const auto p = static_cast<uint32_t>(bank.cells[c].Draw(rng));
-    cell_positives[c] = p;
-    total_p += p;
-  }
-  total_p += bank.outside.Draw(rng);
-  return total_p;
 }
 
 /// Thread-local buffer pool: label worlds, count rows, cell draws, and the
@@ -137,7 +102,7 @@ class BernoulliSimulation : public StatisticSimulation {
     if (cells_ != nullptr) {
       std::vector<uint32_t> cell_positives(cells_->cell_counts.size());
       const uint64_t total_p =
-          DrawCellWorld(*samplers_, &rng, cell_positives.data());
+          samplers_->Draw(&rng, cell_positives.data());
       std::vector<uint64_t> counts(num_regions);
       family_.CountPositivesFromCells(cell_positives.data(), counts.data());
       return MaxLlrFromCounts(counts.data(), region_n_, total_n, total_p,
@@ -168,7 +133,7 @@ class BernoulliSimulation : public StatisticSimulation {
       for (size_t w = w_lo; w < w_hi; ++w) {
         Rng rng = root_.Split(w);
         const uint64_t total_p =
-            DrawCellWorld(*samplers_, &rng, arena.cell_positives.data());
+            samplers_->Draw(&rng, arena.cell_positives.data());
         family_.CountPositivesFromCells(arena.cell_positives.data(),
                                         arena.region_counts.data());
         out[w] = MaxLlrFromCounts(arena.region_counts.data(), region_n_,

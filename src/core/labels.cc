@@ -1,5 +1,6 @@
 #include "core/labels.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/macros.h"
@@ -8,13 +9,18 @@ namespace sfa::core {
 
 namespace {
 
-/// Shared validate-and-count pass over a 0/1 byte span.
+/// Shared validate-and-count pass over a 0/1 byte span. The check holds in
+/// every build: a stray byte of 2 would count twice in positive_count() but
+/// once in bits() and positive_indices(), and the branch-free compaction
+/// would step past it.
 uint64_t CountPositiveBytes(const uint8_t* bytes, size_t n) {
   uint64_t positives = 0;
+  uint8_t seen = 0;
   for (size_t i = 0; i < n; ++i) {
-    SFA_DCHECK(bytes[i] <= 1);
+    seen |= bytes[i];
     positives += bytes[i];
   }
+  SFA_CHECK_MSG(seen <= 1, "labels must be 0/1 bytes");
   return positives;
 }
 
@@ -50,13 +56,37 @@ void Labels::ResampleBernoulli(size_t n, double rho, Rng* rng) {
   SFA_CHECK(rng != nullptr);
   bytes_.resize(n);
   bits_valid_ = false;
-  positives_valid_ = false;
-  uint64_t positives = 0;
+  positives_valid_ = true;
+  // Point masses consume no draws, exactly as Rng::Bernoulli.
+  if (rho <= 0.0 || rho >= 1.0) {
+    const uint8_t b = rho >= 1.0 ? 1 : 0;
+    std::fill(bytes_.begin(), bytes_.end(), b);
+    positive_indices_.resize(b ? n : 0);
+    std::iota(positive_indices_.begin(), positive_indices_.end(), 0u);
+    positive_count_ = b ? n : 0;
+    return;
+  }
+  // Same draws, same bytes as Rng::Bernoulli(rho), as one integer compare.
+  const uint64_t threshold = Rng::BernoulliThreshold(rho);
+  // The generator runs on a local copy so its state stays in registers
+  // despite the byte stores. The positive ids are compacted in the same pass
+  // (write the slot, advance by the label) into a per-thread buffer of n
+  // slots, then copied out, so the sparse view keeps only ~rho·n capacity on
+  // each pooled instance.
+  static thread_local std::vector<uint32_t> compacted;
+  if (compacted.size() < n) compacted.resize(n);
+  Rng local = *rng;
+  uint8_t* out = bytes_.data();
+  uint32_t* ids = compacted.data();
+  size_t positives = 0;
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t b = rng->Bernoulli(rho) ? 1 : 0;
-    bytes_[i] = b;
+    const uint8_t b = (local.Next() >> 11) < threshold;
+    out[i] = b;
+    ids[positives] = static_cast<uint32_t>(i);
     positives += b;
   }
+  *rng = local;
+  positive_indices_.assign(ids, ids + positives);
   positive_count_ = positives;
 }
 
@@ -87,11 +117,17 @@ void Labels::BuildBits() const {
 }
 
 void Labels::BuildPositiveIndices() const {
-  positive_indices_.clear();
-  positive_indices_.reserve(positive_count_);
+  // Branch-free compaction: every step writes slot k, and k never exceeds
+  // the positive count, so positive_count_ + 1 slots suffice.
+  positive_indices_.resize(positive_count_ + 1);
+  const uint8_t* bytes = bytes_.data();
+  uint32_t* ids = positive_indices_.data();
+  size_t k = 0;
   for (size_t i = 0; i < bytes_.size(); ++i) {
-    if (bytes_[i]) positive_indices_.push_back(static_cast<uint32_t>(i));
+    ids[k] = static_cast<uint32_t>(i);
+    k += bytes[i];
   }
+  positive_indices_.resize(k);
   positives_valid_ = true;
 }
 

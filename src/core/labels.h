@@ -22,13 +22,15 @@ class Labels {
  public:
   Labels() = default;
 
-  /// Builds from a 0/1 byte vector (the bit view stays lazy).
+  /// Builds from a 0/1 byte vector (the bit view stays lazy). Aborts on any
+  /// other byte value, in every build.
   static Labels FromBytes(std::vector<uint8_t> bytes);
 
   /// In-place copy-assignment from a 0/1 byte span, reusing existing storage
   /// and invalidating the cached bit/sparse views — the pooled-scratch
   /// counterpart of FromBytes for contexts (e.g. the audit pipeline) that
-  /// materialize many observed worlds on one recycled instance.
+  /// materialize many observed worlds on one recycled instance. Aborts on any
+  /// byte other than 0/1, like FromBytes.
   void AssignBytes(const uint8_t* bytes, size_t n);
 
   /// Null-world generator, unconditional variant (the paper's §3): each
@@ -42,7 +44,10 @@ class Labels {
 
   /// In-place Bernoulli resampling reusing existing storage: after the first
   /// call on a pooled instance, drawing a world allocates nothing. Consumes
-  /// exactly the same RNG stream as SampleBernoulli.
+  /// exactly the same RNG stream as SampleBernoulli, and the same as n calls
+  /// of rng->Bernoulli(rho): one draw per point for rho in (0, 1) or NaN
+  /// (NaN labels every point 0), none for rho <= 0 or rho >= 1. The sparse
+  /// view is built in the same pass.
   void ResampleBernoulli(size_t n, double rho, Rng* rng);
 
   /// In-place permutation resampling (same stream as SamplePermutation).
@@ -69,13 +74,14 @@ class Labels {
     return bits_;
   }
 
-  /// The sparse view: ascending ids of the positive points, built lazily from
-  /// the byte view and cached until the next resample, reusing its capacity
-  /// across resamples on pooled instances. This is the input of the sparse
-  /// annulus scatter backend (core/annulus_index.h) — families counting
-  /// through it never materialize dense label bits at all. Same thread-safety
-  /// contract as bits(): pre-materialize before sharing one instance across
-  /// threads.
+  /// The sparse view: ascending ids of the positive points, cached until the
+  /// next resample and reusing its capacity across resamples on pooled
+  /// instances. Bernoulli worlds build it while sampling; other sources build
+  /// it from the byte view on first use, in one branch-free pass. This is the
+  /// input of the sparse annulus scatter backend (core/annulus_index.h) —
+  /// families counting through it never materialize dense label bits at all.
+  /// Same thread-safety contract as bits(): pre-materialize before sharing one
+  /// instance across threads.
   const std::vector<uint32_t>& positive_indices() const {
     if (!positives_valid_) BuildPositiveIndices();
     return positive_indices_;

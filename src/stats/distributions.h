@@ -73,6 +73,13 @@ class FixedBinomialSampler {
   uint64_t n() const { return n_; }
   double p() const { return p_; }
 
+  /// The alias structure Draw reads: outcome first() + i is kept with
+  /// probability thresholds()[i], else aliased to first() + aliases()[i].
+  /// Both are empty for a point mass at first().
+  uint64_t first() const { return first_; }
+  const std::vector<double>& thresholds() const { return threshold_; }
+  const std::vector<uint32_t>& aliases() const { return alias_; }
+
  private:
   uint64_t n_ = 0;
   double p_ = 0.0;

@@ -25,7 +25,10 @@
 
 #include "common/macros.h"
 #include "core/audit_pipeline.h"
+#include "core/calibration_cache.h"
 #include "core/grid_family.h"
+#include "core/knn_circle_family.h"
+#include "core/square_family.h"
 #include "testing_util.h"
 
 namespace sfa::core {
@@ -95,6 +98,41 @@ std::vector<AuditResponse> RunOrDie(AuditPipeline& pipeline,
 CalibrationKey KeyFor(const StoreBatch& b, const AuditRequest& req) {
   return MakeCalibrationKey(*b.family, b.city.size(), b.city.PositiveCount(),
                             req.options.direction, req.options.monte_carlo);
+}
+
+// Persisted frames are found by key, and every key hashes the family
+// fingerprint, whose probe worlds are drawn through Labels::SampleBernoulli.
+// A drift in the RNG, the Bernoulli sampler or the counting of any family
+// would silently orphan every frame already on disk; these pins make it loud.
+TEST(CalibrationStore, KeysOfPersistedFramesArePinned) {
+  const data::OutcomeDataset city = MakePlantedCity(2024, 600, 0.85);
+  const std::vector<geo::Point> centers = {
+      {2.0, 2.0}, {7.5, 7.5}, {5.0, 1.0}, {1.0, 8.0}, {8.0, 3.0}};
+  auto grid = GridPartitionFamily::Create(city.locations(), 8, 4);
+  SquareScanOptions square_options;
+  square_options.centers = centers;
+  square_options.side_lengths = {1.0, 2.0, 3.5};
+  auto squares = SquareScanFamily::Create(city.locations(), square_options);
+  KnnCircleOptions knn_options;
+  knn_options.centers = centers;
+  auto knn = KnnCircleFamily::Create(city.locations(), knn_options);
+  ASSERT_TRUE(grid.ok() && squares.ok() && knn.ok());
+  MonteCarloOptions options;
+  options.num_worlds = 99;
+  options.seed = 17;
+  const RegionFamily* families[] = {grid->get(), squares->get(), knn->get()};
+  const uint64_t fingerprints[] = {0x021474f09c72fb51ULL, 0xbae7e6e35f996022ULL,
+                                   0xcd4792b7cb1b3baeULL};
+  const uint64_t hashes[] = {0x2b13222cdbcad7d7ULL, 0x997a70baecc7b6cbULL,
+                             0xd03c992614462eceULL};
+  for (size_t i = 0; i < std::size(families); ++i) {
+    SCOPED_TRACE(families[i]->Name());
+    EXPECT_EQ(FamilyFingerprint(*families[i]), fingerprints[i]);
+    const CalibrationKey key =
+        MakeCalibrationKey(*families[i], city.size(), city.PositiveCount(),
+                           stats::ScanDirection::kHigh, options);
+    EXPECT_EQ(key.hash, hashes[i]);
+  }
 }
 
 TEST(CalibrationStore, RoundTripsNullDistributionExactly) {

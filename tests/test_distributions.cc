@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
+
+#include "core/cell_sampler_bank.h"
+#include "core/grid_family.h"
+#include "testing_util.h"
 
 namespace sfa::stats {
 namespace {
@@ -238,4 +245,61 @@ TEST(FixedBinomialSampler, LargeNMomentsMatch) {
 }
 
 }  // namespace
+// The flat cell bank against one FixedBinomialSampler per cell on the same
+// stream: same cell draws, same totals, the generator left in the same state,
+// world after world.
+void ExpectBankMatchesSamplers(const core::CellDecomposition& decomposition,
+                               double rho) {
+  SCOPED_TRACE(::testing::Message() << "rho=" << rho);
+  const core::CellSamplerBank bank(decomposition, rho);
+  const core::testing::ReferenceCellSamplers reference(decomposition, rho);
+  const size_t num_cells = decomposition.cell_counts.size();
+  ASSERT_EQ(bank.num_cells(), num_cells);
+  std::vector<uint32_t> got(num_cells, 7), want(num_cells);
+  sfa::Rng kernel(91), oracle(91);
+  for (int world = 0; world < 20; ++world) {
+    const uint64_t got_p = bank.Draw(&kernel, got.data());
+    const uint64_t want_p = reference.Draw(&oracle, want.data());
+    ASSERT_EQ(got, want) << "world " << world;
+    ASSERT_EQ(got_p, want_p) << "world " << world;
+    ASSERT_TRUE(kernel == oracle) << "world " << world;
+  }
+}
+
+const double kBankRhos[] = {0.0,  1e-300, 0x1.0p-53, 0.5,
+                            0.54, std::nextafter(1.0, 0.0), 1.0};
+
+TEST(CellSamplerBank, MatchesPerCellSamplers) {
+  for (uint64_t outside : {0ull, 1ull, 7ull, 5000ull}) {
+    core::CellDecomposition decomposition;
+    decomposition.cell_counts = {0, 1, 2, 0, 5, 100, 3000, 0, 1, 2, 64};
+    decomposition.num_outside = outside;
+    for (double rho : kBankRhos) ExpectBankMatchesSamplers(decomposition, rho);
+  }
+  ExpectBankMatchesSamplers(core::CellDecomposition{}, 0.5);
+}
+
+TEST(CellSamplerBank, MatchesPerCellSamplersOnGrid) {
+  // Points clustered in one corner of a wider extent leave most cells
+  // empty, and a few points fall outside the grid entirely.
+  sfa::Rng rng(92);
+  std::vector<geo::Point> points;
+  for (int i = 0; i < 2000; ++i) {
+    points.emplace_back(rng.Uniform(0.0, 3.0), rng.Uniform(0.0, 2.0));
+  }
+  for (int i = 0; i < 25; ++i) {
+    points.emplace_back(rng.Uniform(20.0, 30.0), 1.0);
+  }
+  auto family = core::GridPartitionFamily::CreateWithExtent(
+      points, geo::Rect(0.0, 0.0, 10.0, 5.0), 100, 50);
+  ASSERT_TRUE(family.ok()) << family.status().ToString();
+  const core::CellDecomposition& decomposition =
+      *(*family)->cell_decomposition();
+  ASSERT_EQ(decomposition.num_outside, 25u);
+  ASSERT_GT(std::count(decomposition.cell_counts.begin(),
+                       decomposition.cell_counts.end(), 0u),
+            1000);
+  for (double rho : kBankRhos) ExpectBankMatchesSamplers(decomposition, rho);
+}
+
 }  // namespace sfa::stats

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "testing_util.h"
 
 namespace sfa::core {
 namespace {
@@ -157,6 +161,94 @@ TEST(Labels, BitsAreLazyAndConsistentAfterEachResample) {
       ASSERT_EQ(bits.Get(i), pooled.bytes()[i] != 0) << "round " << round;
     }
   }
+}
+
+// The fused Bernoulli kernel against the per-point oracle: same bytes, same
+// sparse and bit views, same count, and the generator left in the same state.
+// One pooled instance runs every case of a size in turn, so stale views from
+// the previous world would show.
+class BernoulliStreamIdentity : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BernoulliStreamIdentity, MatchesPerPointOracle) {
+  const size_t n = GetParam();
+  const double rhos[] = {0.0,
+                         1e-300,
+                         0x1.0p-53,
+                         0.5,
+                         0.54,
+                         std::nextafter(1.0, 0.0),
+                         1.0,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         0.54};
+  Labels pooled;
+  for (size_t k = 0; k < std::size(rhos); ++k) {
+    const double rho = rhos[k];
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " rho=" << rho);
+    sfa::Rng kernel(1000 + k), oracle(1000 + k);
+    pooled.ResampleBernoulli(n, rho, &kernel);
+    const std::vector<uint8_t> bytes =
+        testing::ReferenceBernoulliBytes(n, rho, &oracle);
+    const std::vector<uint32_t> ids = testing::ReferencePositiveIndices(bytes);
+    ASSERT_EQ(pooled.bytes(), bytes);
+    ASSERT_EQ(pooled.positive_indices(), ids);
+    ASSERT_EQ(pooled.positive_count(), ids.size());
+    ASSERT_EQ(pooled.bits().size(), n);
+    ASSERT_EQ(pooled.bits().Popcount(), ids.size());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(pooled.bits().Get(i), bytes[i] != 0) << i;
+    }
+    ASSERT_TRUE(kernel == oracle);
+
+    sfa::Rng fresh(1000 + k);
+    const Labels sampled = Labels::SampleBernoulli(n, rho, &fresh);
+    ASSERT_EQ(sampled.bytes(), bytes);
+    ASSERT_EQ(sampled.positive_indices(), ids);
+    ASSERT_TRUE(fresh == oracle);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BernoulliStreamIdentity,
+                         ::testing::Values<size_t>(0, 1, 63, 64, 65, 8192));
+
+TEST(Labels, BernoulliDrawCountsArePinned) {
+  // rho in (0, 1) and NaN draw once per point; rho <= 0 and rho >= 1 draw
+  // nothing.
+  const size_t n = 100;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, size_t> cases[] = {
+      {-0.5, 0}, {0.0, 0}, {0.3, n}, {1.0, 0}, {1.5, 0}, {nan, n}};
+  for (const auto& [rho, draws] : cases) {
+    sfa::Rng rng(7), expected(7);
+    for (size_t i = 0; i < draws; ++i) expected.Next();
+    Labels::SampleBernoulli(n, rho, &rng);
+    EXPECT_TRUE(rng == expected) << "rho=" << rho;
+  }
+  // The extremes clamp; a NaN rho labels every point 0.
+  sfa::Rng rng(8);
+  EXPECT_EQ(Labels::SampleBernoulli(n, -0.5, &rng).positive_count(), 0u);
+  EXPECT_EQ(Labels::SampleBernoulli(n, 1.5, &rng).positive_count(), n);
+  EXPECT_EQ(Labels::SampleBernoulli(n, nan, &rng).positive_count(), 0u);
+}
+
+TEST(Labels, AssignBytesSparseViewMatchesOracle) {
+  sfa::Rng rng(45);
+  Labels pooled;
+  for (size_t n : {0, 1, 63, 64, 65, 8192, 7}) {
+    std::vector<uint8_t> bytes(n);
+    for (auto& b : bytes) b = rng.Bernoulli(0.4) ? 1 : 0;
+    pooled.AssignBytes(bytes.data(), n);
+    ASSERT_EQ(pooled.positive_indices(),
+              testing::ReferencePositiveIndices(bytes))
+        << n;
+    ASSERT_EQ(pooled.positive_count(), pooled.positive_indices().size());
+  }
+}
+
+TEST(LabelsDeathTest, RejectsNonBinaryBytes) {
+  EXPECT_DEATH(Labels::FromBytes({1, 0, 2, 1}), "0/1");
+  const uint8_t bytes[] = {0, 1, 1, 255};
+  Labels pooled;
+  EXPECT_DEATH(pooled.AssignBytes(bytes, 4), "0/1");
 }
 
 }  // namespace

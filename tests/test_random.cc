@@ -92,6 +92,24 @@ TEST(Rng, BernoulliMatchesRate) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+TEST(Rng, BernoulliThresholdIsExactAtItsBoundary) {
+  // For every 53-bit draw m, m·2^-53 < p must hold exactly when
+  // m < BernoulliThreshold(p); it suffices to check the two draws around the
+  // threshold, where rounding would show.
+  const double rhos[] = {1e-300, 0x1.0p-53, 0x1.8p-53,
+                         1e-9,   0.3,       0.5,
+                         0.54,   0.62,      std::nextafter(0.5, 1.0),
+                         std::nextafter(1.0, 0.0)};
+  for (double p : rhos) {
+    const uint64_t t = Rng::BernoulliThreshold(p);
+    ASSERT_GE(t, 1u) << p;
+    ASSERT_LE(t, uint64_t{1} << 53) << p;
+    EXPECT_TRUE(static_cast<double>(t - 1) * 0x1.0p-53 < p) << p;
+    EXPECT_FALSE(static_cast<double>(t) * 0x1.0p-53 < p) << p;
+  }
+  EXPECT_EQ(Rng::BernoulliThreshold(std::nan("")), 0u);
+}
+
 TEST(Rng, NormalMomentsMatch) {
   Rng rng(14);
   const int n = 200000;

@@ -15,14 +15,17 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/audit.h"
 #include "core/partitioning_family.h"
 #include "data/dataset.h"
+#include "core/region_family.h"
 #include "geo/partitioning.h"
 #include "geo/rect.h"
+#include "stats/distributions.h"
 
 namespace sfa::core::testing {
 
@@ -107,6 +110,55 @@ inline void ExpectIdenticalResult(const AuditResult& a, const AuditResult& b,
     EXPECT_EQ(a.findings[i].p, b.findings[i].p);
   }
 }
+
+/// Reference Bernoulli null world: one rng->Bernoulli(rho) per point, the
+/// per-point loop Labels::ResampleBernoulli must match draw for draw.
+inline std::vector<uint8_t> ReferenceBernoulliBytes(size_t n, double rho,
+                                                    Rng* rng) {
+  std::vector<uint8_t> bytes(n);
+  for (size_t i = 0; i < n; ++i) bytes[i] = rng->Bernoulli(rho) ? 1 : 0;
+  return bytes;
+}
+
+/// Reference sparse view: the ascending ids of the set bytes.
+inline std::vector<uint32_t> ReferencePositiveIndices(
+    const std::vector<uint8_t>& bytes) {
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i]) ids.push_back(static_cast<uint32_t>(i));
+  }
+  return ids;
+}
+
+/// Reference closed-form cell world: one stats::FixedBinomialSampler per
+/// cell, drawn in cell order, then one for the points outside every cell —
+/// the per-sampler loop CellSamplerBank must match draw for draw.
+class ReferenceCellSamplers {
+ public:
+  ReferenceCellSamplers(const CellDecomposition& decomposition, double rho) {
+    for (uint32_t n_c : decomposition.cell_counts) {
+      cells_.emplace_back(n_c, rho);
+    }
+    if (decomposition.num_outside > 0) {
+      outside_ = stats::FixedBinomialSampler(decomposition.num_outside, rho);
+    }
+  }
+
+  /// Writes each cell's positives; returns the world's total positives.
+  uint64_t Draw(Rng* rng, uint32_t* cell_positives) const {
+    uint64_t total_p = 0;
+    for (size_t c = 0; c < cells_.size(); ++c) {
+      const auto p = static_cast<uint32_t>(cells_[c].Draw(rng));
+      cell_positives[c] = p;
+      total_p += p;
+    }
+    return total_p + outside_.Draw(rng);
+  }
+
+ private:
+  std::vector<stats::FixedBinomialSampler> cells_;
+  stats::FixedBinomialSampler outside_;
+};
 
 }  // namespace sfa::core::testing
 

@@ -298,6 +298,72 @@ BENCHMARK(BM_MonteCarloKnnFamilyDense)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// Counting kernel of the default sparse-annulus backend on the sfabench
+// family shapes: N = 8,192 uniform points and 100 uniform centers on a
+// 10 x 10 domain, with either 20 square sides 0.1-2.0 or the default 7-rung
+// kNN ladder. Each iteration counts one batch of `state.range(0)` pre-drawn
+// worlds (8 = one packed walk, 1 = the one-world path); squares_k3 counts
+// 3-class worlds through CountClassesBatch. items_per_second is worlds/s.
+enum class AnnulusShape { kSquares, kKnn, kSquaresK3 };
+
+void BM_AnnulusCountBatch(benchmark::State& state, AnnulusShape shape) {
+  const size_t n = 8192;
+  const size_t batch = static_cast<size_t>(state.range(0));
+  Rng rng(29);
+  std::vector<geo::Point> pts(n);
+  for (auto& p : pts) p = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
+  std::vector<geo::Point> centers(100);
+  for (auto& c : centers) c = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
+  std::unique_ptr<core::RegionFamily> family;
+  if (shape == AnnulusShape::kKnn) {
+    core::KnnCircleOptions opts;
+    opts.centers = centers;
+    auto knn = core::KnnCircleFamily::Create(pts, opts);
+    if (knn.ok()) family = std::move(*knn);
+  } else {
+    core::SquareScanOptions opts;
+    opts.centers = centers;
+    opts.side_lengths = core::SquareScanOptions::DefaultSideLengths();
+    auto squares = core::SquareScanFamily::Create(pts, opts);
+    if (squares.ok()) family = std::move(*squares);
+  }
+  if (!family) {
+    state.SkipWithError("family creation failed");
+    return;
+  }
+  std::vector<core::Labels> worlds;
+  std::vector<std::vector<uint8_t>> class_worlds;
+  for (size_t w = 0; w < batch; ++w) {
+    worlds.push_back(core::Labels::SampleBernoulli(n, 0.54, &rng));
+    class_worlds.emplace_back(n);
+    for (uint8_t& c : class_worlds.back()) {
+      c = static_cast<uint8_t>(rng.Categorical({0.5, 0.3, 0.2}));
+    }
+  }
+  std::vector<const core::Labels*> world_ptrs;
+  for (const core::Labels& w : worlds) world_ptrs.push_back(&w);
+  std::vector<const uint8_t*> class_ptrs;
+  for (const auto& w : class_worlds) class_ptrs.push_back(w.data());
+  std::vector<uint64_t> out(2 * batch * family->num_regions());
+  for (auto _ : state) {
+    if (shape == AnnulusShape::kSquaresK3) {
+      family->CountClassesBatch(class_ptrs.data(), batch, 3, out.data());
+    } else {
+      family->CountPositivesBatch(world_ptrs.data(), batch, out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
+}
+BENCHMARK_CAPTURE(BM_AnnulusCountBatch, squares, AnnulusShape::kSquares)
+    ->Arg(1)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_AnnulusCountBatch, knn, AnnulusShape::kKnn)->Arg(1)->Arg(8);
+BENCHMARK_CAPTURE(BM_AnnulusCountBatch, squares_k3, AnnulusShape::kSquaresK3)
+    ->Arg(1)
+    ->Arg(8);
+
 void BM_RngBinomial(benchmark::State& state) {
   // One-off Binomial draws across regimes: small n·p (CDF inversion) and
   // large n·p (BTRS rejection).
@@ -334,8 +400,8 @@ void BM_LabelsSampling(benchmark::State& state) {
 BENCHMARK(BM_LabelsSampling)->Range(1 << 12, 1 << 18);
 
 void BM_LabelsSamplingSparseView(benchmark::State& state) {
-  // One Bernoulli null world as the sparse annulus backend reads it: the
-  // label bytes plus the ascending positive ids, on a pooled instance.
+  // One Bernoulli null world plus its ascending positive ids, built lazily
+  // from the label bytes, on a pooled instance.
   const size_t n = 8192;
   Rng rng(17);
   core::Labels labels;

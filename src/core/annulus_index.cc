@@ -1,13 +1,106 @@
 #include "core/annulus_index.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <limits>
-#include <numeric>
 
 #include "common/macros.h"
-#include "core/region_family.h"
 
 namespace sfa::core {
+
+namespace {
+
+/// kSpread[m] carries bit b of m into byte lane b, so adding kSpread[mask]
+/// to a 64-bit word counts one point in each of the 8 planes at once.
+constexpr std::array<uint64_t, 256> MakeSpreadTable() {
+  std::array<uint64_t, 256> table{};
+  for (uint32_t m = 0; m < 256; ++m) {
+    for (uint32_t b = 0; b < 8; ++b) {
+      table[m] |= static_cast<uint64_t>((m >> b) & 1u) << (8 * b);
+    }
+  }
+  return table;
+}
+constexpr std::array<uint64_t, 256> kSpread = MakeSpreadTable();
+
+/// Entries a byte lane can absorb before it must be flushed.
+constexpr size_t kLaneCapacity = 255;
+
+/// Walks every center's ladder once, in chunks of at most kLaneCapacity
+/// entries. Within a chunk `lanes` sums gather(id) over the entries and its
+/// running value after each entry is kept, so every rung that ends inside
+/// the chunk is emitted from it as emit(slot, carried, lanes_at_rung_end).
+/// fold(&carried, lanes) then carries the chunk into the totals of the
+/// center. Rung ends cost no branch of their own: the walk takes one
+/// data-dependent exit per chunk instead of one per rung.
+template <typename Totals, typename Gather, typename Fold, typename Emit>
+void WalkLadders(const spatial::Csr32& csr, size_t num_centers,
+                 size_t num_rungs, Gather gather, Fold fold, Emit emit) {
+  const uint32_t* offsets = csr.offsets.data();
+  const uint32_t* ids = csr.values.data();
+  uint64_t running[kLaneCapacity + 1];
+  running[0] = 0;
+  for (size_t c = 0; c < num_centers; ++c) {
+    Totals carried{};
+    size_t slot = c * num_rungs;
+    const size_t last = slot + num_rungs;
+    const size_t end = offsets[last];
+    for (size_t chunk = offsets[slot];; chunk += kLaneCapacity) {
+      const size_t chunk_end = std::min(end, chunk + kLaneCapacity);
+      uint64_t lanes = 0;
+      for (size_t j = chunk; j < chunk_end; ++j) {
+        lanes += gather(ids[j]);
+        running[j - chunk + 1] = lanes;
+      }
+      for (; slot < last && offsets[slot + 1] <= chunk_end; ++slot) {
+        emit(slot, carried, running[offsets[slot + 1] - chunk]);
+      }
+      if (slot == last) break;
+      fold(&carried, lanes);
+    }
+  }
+}
+
+/// Thread-local mask bytes of the batch kernels (one per point), live only
+/// within one counting call on the owning thread.
+uint8_t* LocalPlaneMasks(size_t num_points) {
+  static thread_local std::vector<uint8_t> masks;
+  masks.resize(num_points);
+  return masks.data();
+}
+
+constexpr uint64_t kByteOnes = 0x0101010101010101ULL;
+constexpr uint64_t kByteLow7 = 0x7F7F7F7F7F7F7F7FULL;
+constexpr uint64_t kByteHigh = 0x8080808080808080ULL;
+
+/// Byte j of the result is p[j] for j < count and 0 above it.
+inline uint64_t LoadBytes(const uint8_t* p, size_t count) {
+  uint64_t word = 0;
+  std::memcpy(&word, p, count);
+  return word;
+}
+
+/// Packs `num_planes` planes into bit b of masks[i], 8 points per word:
+/// plane_bytes(b, i, count) returns a word whose byte j is 1 when point i + j
+/// lies in plane b and 0 otherwise (bytes at j >= count are don't-care).
+/// Every step is lane-local, so the byte order of the word never matters.
+template <typename PlaneBytes>
+void PackPlanes(size_t n, size_t num_planes, PlaneBytes plane_bytes,
+                uint8_t* masks) {
+  const auto pack = [&](size_t i, size_t count) {
+    uint64_t word = 0;
+    for (size_t b = 0; b < num_planes; ++b) {
+      word |= plane_bytes(b, i, count) << b;
+    }
+    std::memcpy(masks + i, &word, count);
+  };
+  const size_t full = n - n % 8;
+  for (size_t i = 0; i < full; i += 8) pack(i, 8);
+  if (full < n) pack(full, n - full);
+}
+
+}  // namespace
 
 std::vector<uint32_t> CollapseEmptyAnnuli(size_t num_rungs,
                                           std::vector<AnnulusEntry>* entries) {
@@ -37,174 +130,95 @@ AnnulusIndex::AnnulusIndex(size_t num_points, size_t num_centers,
                            const std::vector<AnnulusEntry>& entries)
     : num_points_(num_points), num_centers_(num_centers), num_rungs_(num_rungs) {
   SFA_CHECK(num_centers >= 1 && num_rungs >= 1);
-  SFA_CHECK_MSG(num_centers * num_rungs <=
+  SFA_CHECK_MSG(num_centers * num_rungs <
                     std::numeric_limits<uint32_t>::max(),
                 "region slots " << num_centers * num_rungs
-                                << " exceed uint32 histogram addressing");
+                                << " exceed uint32 CSR row addressing");
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   pairs.reserve(entries.size());
   for (const AnnulusEntry& e : entries) {
     SFA_DCHECK(e.point < num_points && e.center < num_centers &&
                e.rank < num_rungs);
-    pairs.emplace_back(
-        e.point, static_cast<uint32_t>(e.center * num_rungs + e.rank));
+    pairs.emplace_back(static_cast<uint32_t>(e.center * num_rungs + e.rank),
+                       e.point);
   }
-  csr_ = spatial::BuildCsr32(num_points, pairs);
-
-  // n(R): the all-positive world, via the same annulus histogram + prefix sum
-  // the per-world counting path uses.
-  region_point_counts_.assign(num_regions(), 0);
-  std::vector<uint64_t> hist(num_regions(), 0);
-  for (uint32_t slot : csr_.values) ++hist[slot];
-  for (size_t c = 0; c < num_centers_; ++c) {
-    uint64_t acc = 0;
-    const size_t base = c * num_rungs_;
-    for (size_t l = 0; l < num_rungs_; ++l) {
-      acc += hist[base + l];
-      region_point_counts_[base + l] = acc;
-    }
-  }
+  csr_ = spatial::BuildCsr32(num_regions(), pairs);
 }
 
-size_t AnnulusIndex::MemoryBytes() const {
-  return csr_.MemoryBytes() + region_point_counts_.capacity() * sizeof(uint64_t);
-}
-
-void AnnulusIndex::CountPositives(const uint32_t* positives,
-                                  size_t num_positives, uint32_t* hist,
-                                  uint64_t* out) const {
-  SFA_CHECK(hist != nullptr && out != nullptr);
-  std::fill_n(hist, num_regions(), 0u);
+std::vector<uint64_t> AnnulusIndex::region_point_counts() const {
+  // A center's rungs are cumulative: rung ℓ holds every id from the center's
+  // first annulus through the end of annulus ℓ.
+  std::vector<uint64_t> counts(num_regions());
   const uint32_t* offsets = csr_.offsets.data();
-  const uint32_t* slots = csr_.values.data();
-  for (size_t i = 0; i < num_positives; ++i) {
-    const uint32_t p = positives[i];
-    SFA_DCHECK(p < num_points_);
-    const uint32_t end = offsets[p + 1];
-    for (uint32_t j = offsets[p]; j < end; ++j) ++hist[slots[j]];
-  }
   for (size_t c = 0; c < num_centers_; ++c) {
-    uint64_t acc = 0;
     const size_t base = c * num_rungs_;
     for (size_t l = 0; l < num_rungs_; ++l) {
-      acc += hist[base + l];
-      out[base + l] = acc;
+      counts[base + l] = offsets[base + l + 1] - offsets[base];
     }
   }
+  return counts;
 }
 
-void AnnulusIndex::CountClasses(const uint8_t* classes,
-                                uint32_t classes_counted, uint32_t* hist,
-                                uint64_t* out) const {
-  SFA_CHECK(classes != nullptr && hist != nullptr && out != nullptr);
-  const size_t slots = num_regions();
-  const uint32_t* offsets = csr_.offsets.data();
-  const uint32_t* values = csr_.values.data();
-
-  // The scatter may skip ONE class entirely and recover its row from the
-  // exact integer identity h_skip(R) = n(R) − Σ_{k≠skip} h_k(R). Skipping the
-  // MODAL class minimizes scattered points (for the last class the identity
-  // is applied by the caller, so skipping it is free; for any other class the
-  // derivation costs O(K x regions), trivially amortized at N >> regions).
-  // The identity needs every point to carry a valid code, so one cheap O(N)
-  // byte pass both finds the mode and screens for out-of-range codes; junk
-  // codes (> classes_counted, which the K−1 indicator construction silently
-  // drops) force the plain skip-the-last scatter.
-  const uint32_t num_classes = classes_counted + 1;
-  uint64_t freq[256] = {0};
-  for (size_t p = 0; p < num_points_; ++p) ++freq[classes[p]];
-  uint32_t skip = classes_counted;  // default: derived-last semantics
-  bool junk = false;
-  for (uint32_t k = 0; k < 256; ++k) {
-    if (k < num_classes) {
-      // Ties prefer the last class: its skip needs no derivation pass.
-      if (freq[k] > freq[skip]) skip = k;
-    } else if (freq[k] != 0) {
-      junk = true;
-    }
-  }
-  if (junk) skip = classes_counted;
-
-  // Scatter every class but `skip` into an injective slice mapping
-  // s(k) = k − (k > skip): when skip == classes_counted this is the identity
-  // over the counted classes; otherwise class classes_counted borrows the
-  // freed slice so the scratch footprint never grows.
-  std::fill_n(hist, static_cast<size_t>(classes_counted) * slots, 0u);
-  for (size_t p = 0; p < num_points_; ++p) {
-    const uint8_t k = classes[p];
-    if (k == skip || k >= num_classes) continue;
-    const uint32_t s = k - (k > skip ? 1u : 0u);
-    uint32_t* slice = hist + static_cast<size_t>(s) * slots;
-    const uint32_t end = offsets[p + 1];
-    for (uint32_t j = offsets[p]; j < end; ++j) ++slice[values[j]];
-  }
-
-  // Cumulate each scattered class into its output row (annulus slots are
-  // per-rung increments; regions are their per-center prefix sums).
-  for (uint32_t k = 0; k < classes_counted; ++k) {
-    if (k == skip) continue;
-    const uint32_t* slice = hist + static_cast<size_t>(k - (k > skip)) * slots;
-    uint64_t* row = out + static_cast<size_t>(k) * slots;
-    for (size_t c = 0; c < num_centers_; ++c) {
-      uint64_t acc = 0;
-      const size_t base = c * num_rungs_;
-      for (size_t l = 0; l < num_rungs_; ++l) {
-        acc += slice[base + l];
-        row[base + l] = acc;
-      }
-    }
-  }
-  if (skip >= classes_counted) return;
-
-  // Derive the skipped modal row: n(R) minus every other class, where class
-  // classes_counted's cumulative counts come from its borrowed slice.
-  const uint64_t* n = region_point_counts_.data();
-  const uint32_t* last_slice =
-      hist + static_cast<size_t>(classes_counted - 1) * slots;
-  uint64_t* modal_row = out + static_cast<size_t>(skip) * slots;
-  for (size_t c = 0; c < num_centers_; ++c) {
-    uint64_t acc = 0;
-    const size_t base = c * num_rungs_;
-    for (size_t l = 0; l < num_rungs_; ++l) {
-      acc += last_slice[base + l];
-      modal_row[base + l] = n[base + l] - acc;
-    }
-  }
-  for (uint32_t k = 0; k < classes_counted; ++k) {
-    if (k == skip) continue;
-    const uint64_t* row = out + static_cast<size_t>(k) * slots;
-    for (size_t r = 0; r < slots; ++r) modal_row[r] -= row[r];
-  }
+void AnnulusIndex::CountPositives(const uint8_t* labels, uint64_t* out) const {
+  SFA_CHECK(labels != nullptr && out != nullptr);
+  WalkLadders<uint64_t>(
+      csr_, num_centers_, num_rungs_,
+      [labels](uint32_t id) -> uint64_t { return labels[id]; },
+      [](uint64_t* carried, uint64_t sum) { *carried += sum; },
+      [out](size_t slot, uint64_t carried, uint64_t sum) {
+        out[slot] = carried + sum;
+      });
 }
 
-std::vector<uint32_t>& LocalAnnulusHistogram() {
-  static thread_local std::vector<uint32_t> hist;
-  return hist;
-}
-
-void CountPositivesWithAnnulus(const AnnulusIndex& index, const Labels& labels,
-                               uint64_t* out) {
-  SFA_CHECK(out != nullptr);
-  std::vector<uint32_t>& hist = LocalAnnulusHistogram();
-  hist.resize(index.num_regions());
-  const std::vector<uint32_t>& positives = labels.positive_indices();
-  index.CountPositives(positives.data(), positives.size(), hist.data(), out);
+void AnnulusIndex::CountPlanes(const uint8_t* masks, size_t num_planes,
+                               uint64_t* out) const {
+  SFA_CHECK(masks != nullptr && out != nullptr);
+  SFA_CHECK(num_planes >= 1 && num_planes <= kPlanesPerPass);
+  using Totals = std::array<uint64_t, kPlanesPerPass>;
+  const size_t stride = num_regions();
+  // Byte lane b of the chunk sum counts plane b; a chunk of at most
+  // kLaneCapacity entries cannot overflow it.
+  WalkLadders<Totals>(
+      csr_, num_centers_, num_rungs_,
+      [masks](uint32_t id) { return kSpread[masks[id]]; },
+      [](Totals* carried, uint64_t lanes) {
+        for (size_t b = 0; b < kPlanesPerPass; ++b) {
+          (*carried)[b] += (lanes >> (8 * b)) & 0xFF;
+        }
+      },
+      [out, stride, num_planes](size_t slot, const Totals& carried,
+                                uint64_t lanes) {
+        for (size_t b = 0; b < num_planes; ++b) {
+          out[b * stride + slot] = carried[b] + ((lanes >> (8 * b)) & 0xFF);
+        }
+      });
 }
 
 void CountPositivesBatchWithAnnulus(const AnnulusIndex& index,
-                                    size_t num_points,
                                     const Labels* const* batch,
                                     size_t num_worlds, uint64_t* out) {
   SFA_CHECK(batch != nullptr && out != nullptr);
+  const size_t n = index.num_points();
   const size_t stride = index.num_regions();
-  std::vector<uint32_t>& hist = LocalAnnulusHistogram();
-  hist.resize(stride);
   for (size_t b = 0; b < num_worlds; ++b) {
-    SFA_CHECK_MSG(batch[b]->size() == num_points,
-                  "labels " << batch[b]->size() << " != points " << num_points);
-    const std::vector<uint32_t>& positives = batch[b]->positive_indices();
-    index.CountPositives(positives.data(), positives.size(), hist.data(),
-                         out + b * stride);
+    SFA_CHECK_MSG(batch[b]->size() == n,
+                  "labels " << batch[b]->size() << " != points " << n);
+  }
+  uint8_t* masks = LocalPlaneMasks(n);
+  for (size_t g = 0; g < num_worlds; g += AnnulusIndex::kPlanesPerPass) {
+    const size_t planes =
+        std::min(AnnulusIndex::kPlanesPerPass, num_worlds - g);
+    const uint8_t* labels[AnnulusIndex::kPlanesPerPass];
+    for (size_t b = 0; b < planes; ++b) {
+      labels[b] = batch[g + b]->bytes().data();
+    }
+    PackPlanes(
+        n, planes,
+        [&labels](size_t b, size_t i, size_t count) {
+          return LoadBytes(labels[b] + i, count);
+        },
+        masks);
+    index.CountPlanes(masks, planes, out + g * stride);
   }
 }
 
@@ -216,12 +230,36 @@ void CountClassesBatchWithAnnulus(const AnnulusIndex& index,
   SFA_CHECK_MSG(num_classes >= 2,
                 "CountClassesBatchWithAnnulus needs at least 2 classes");
   const uint32_t counted = num_classes - 1;
+  const size_t n = index.num_points();
   const size_t stride = index.num_regions();
-  std::vector<uint32_t>& hist = LocalAnnulusHistogram();
-  hist.resize(static_cast<size_t>(counted) * stride);
-  for (size_t w = 0; w < num_worlds; ++w) {
-    index.CountClasses(class_worlds[w], counted, hist.data(),
-                       out + ClassCountRowOffset(w, 0, counted, stride));
+  // Plane p is (world p / counted, class p % counted): the output rows of
+  // ClassCountRowOffset are exactly p * stride, so groups of consecutive
+  // planes land in consecutive rows.
+  const size_t num_planes = num_worlds * counted;
+  uint8_t* masks = LocalPlaneMasks(n);
+  for (size_t g = 0; g < num_planes; g += AnnulusIndex::kPlanesPerPass) {
+    const size_t planes =
+        std::min(AnnulusIndex::kPlanesPerPass, num_planes - g);
+    const uint8_t* codes[AnnulusIndex::kPlanesPerPass];
+    uint64_t pattern[AnnulusIndex::kPlanesPerPass];
+    uint64_t keep[AnnulusIndex::kPlanesPerPass];
+    for (size_t b = 0; b < planes; ++b) {
+      const size_t klass = (g + b) % counted;
+      codes[b] = class_worlds[(g + b) / counted];
+      pattern[b] = kByteOnes * (klass & 0xFF);
+      keep[b] = klass <= 0xFF ? ~0ULL : 0;  // no byte code names class 256+
+    }
+    PackPlanes(
+        n, planes,
+        [&](size_t b, size_t i, size_t count) {
+          // Bytes equal to the class become 0; the high bit of `nonzero`
+          // is then set exactly in the other bytes (no carry crosses lanes).
+          const uint64_t diff = LoadBytes(codes[b] + i, count) ^ pattern[b];
+          const uint64_t nonzero = ((diff & kByteLow7) + kByteLow7) | diff;
+          return ((~nonzero & kByteHigh) >> 7) & keep[b];
+        },
+        masks);
+    index.CountPlanes(masks, planes, out + g * stride);
   }
 }
 

@@ -10,15 +10,25 @@
 // The index therefore stores each center's membership ONCE, as (point, rank)
 // entries over the largest rung, instead of L dense bit vectors — an L-fold
 // cut in membership memory and construction work. Entries are laid out as a
-// point-major CSR (spatial::Csr32) whose payload is the flat histogram slot
-// center * L + rank, so counting a world is a scatter over only its POSITIVE
-// points:
+// center-major CSR (spatial::Csr32) keyed by region slot center * L + rank
+// whose payload is the member point ids of that annulus. A center's ladder
+// is one contiguous run of ids, and the CSR offsets are the rank boundaries,
+// so n(R) falls out of the offsets. Counting walks each ladder once and
+// gathers the points' labels:
 //
-//   for each positive point p:  for each slot s of p:  ++hist[s]
-//   per center: prefix-sum hist over ranks  =>  p(R) for all L rungs at once
+//   for each center:  acc = 0
+//     for each rank ℓ:  for each id in annulus ℓ:  acc += label[id]
+//                       p(R_ℓ) = acc               (every rung at once)
 //
-// O(positive entries) per world, no dense label bits, no per-region
-// AND+popcount pass. The dense bit-vector path remains available in the
+// The batch kernel gathers up to 8 worlds per walk. Their labels are packed
+// into one mask byte per point (bit b = world b), and each gathered mask adds
+// a 256-entry spread-table word carrying bit b into byte lane b, so one
+// 64-bit add counts 8 worlds. Byte lanes are flushed into 64-bit totals
+// before they can overflow, and every rank end emits the running totals.
+// K-class worlds pack (world, class) indicator planes the same way.
+//
+// O(entries) per 8 worlds, no dense label bits, no per-region AND+popcount
+// pass, portable C++. The dense bit-vector path remains available in the
 // families as the bit-identical reference (core::CountingBackend).
 #ifndef SFA_CORE_ANNULUS_INDEX_H_
 #define SFA_CORE_ANNULUS_INDEX_H_
@@ -52,9 +62,13 @@ std::vector<uint32_t> CollapseEmptyAnnuli(size_t num_rungs,
 
 class AnnulusIndex {
  public:
+  /// Planes (worlds, or (world, class) indicators) one CountPlanes walk
+  /// counts: one per bit of a mask byte.
+  static constexpr size_t kPlanesPerPass = 8;
+
   AnnulusIndex() = default;
 
-  /// Builds the point-major scatter index. `num_rungs` is the ladder length
+  /// Builds the center-major gather index. `num_rungs` is the ladder length
   /// (after any dedup); every entry's rank must be < num_rungs and its
   /// center < num_centers. Region index convention matches the families:
   /// region r = center * num_rungs + rank-prefix.
@@ -67,67 +81,46 @@ class AnnulusIndex {
   size_t num_regions() const { return num_centers_ * num_rungs_; }
   size_t num_entries() const { return csr_.num_entries(); }
 
-  /// Heap bytes held by the index (CSR arrays + cached point counts) — the
-  /// sparse side of the family memory comparison.
-  size_t MemoryBytes() const;
+  /// Heap bytes held by the index (the CSR arrays) — the sparse side of the
+  /// family memory comparison.
+  size_t MemoryBytes() const { return csr_.MemoryBytes(); }
 
-  /// n(R) for every region, precomputed at build (all labels positive).
-  const std::vector<uint64_t>& region_point_counts() const {
-    return region_point_counts_;
-  }
+  /// n(R) for every region, read off the CSR rank boundaries.
+  std::vector<uint64_t> region_point_counts() const;
 
-  /// p(R) for one world given the ids of its positive points. `hist` is
-  /// caller-owned scratch of num_regions() uint32 slots (zeroed here), `out`
-  /// caller-owned with num_regions() slots. Thread-safe for distinct
-  /// scratch/out buffers.
-  void CountPositives(const uint32_t* positives, size_t num_positives,
-                      uint32_t* hist, uint64_t* out) const;
+  /// p(R) for one world given its 0/1 label bytes (num_points() of them).
+  /// `out` is caller-owned with num_regions() slots. Thread-safe.
+  void CountPositives(const uint8_t* labels, uint64_t* out) const;
 
-  /// Per-class p(R) for one packed K-class world in a single scatter pass:
-  /// every point with class k < classes_counted adds its CSR row into the
-  /// k-th histogram slice (points of the derived last class are skipped, as
-  /// in the K−1 indicator construction). `hist` is caller-owned scratch of
-  /// classes_counted * num_regions() uint32 slots (zeroed here), `out` is
-  /// caller-owned with the same extent, row-major [class x region]. Thread-
-  /// safe for distinct scratch/out buffers.
-  void CountClasses(const uint8_t* classes, uint32_t classes_counted,
-                    uint32_t* hist, uint64_t* out) const;
+  /// Counts `num_planes` (1..kPlanesPerPass) worlds in one walk: bit b of
+  /// masks[i] is point i's label in plane b (higher bits are ignored).
+  /// Plane b's p(R) row goes to out + b * num_regions(). Thread-safe.
+  void CountPlanes(const uint8_t* masks, size_t num_planes,
+                   uint64_t* out) const;
 
  private:
-  spatial::Csr32 csr_;  // row = point, value = center * num_rungs + rank
-  std::vector<uint64_t> region_point_counts_;
+  spatial::Csr32 csr_;  // row = center * num_rungs + rank, value = point id
   size_t num_points_ = 0;
   size_t num_centers_ = 0;
   size_t num_rungs_ = 0;
 };
 
-/// Thread-local annulus histogram scratch shared by the scatter paths of all
-/// families on a thread (only live within one counting call).
-std::vector<uint32_t>& LocalAnnulusHistogram();
-
-/// Scalar kernel of the sparse backend: p(R) for one world through `index`
-/// via the world's sparse positive view, histogram scratch pooled
-/// thread-locally. `out` is caller-owned with index.num_regions() slots.
-void CountPositivesWithAnnulus(const AnnulusIndex& index, const Labels& labels,
-                               uint64_t* out);
-
 /// Batch kernel of the sparse backend: counts `num_worlds` worlds through
-/// `index` via each world's sparse positive view (Labels::positive_indices),
-/// scatter scratch pooled thread-locally. `out` is row-major
+/// `index` in groups of AnnulusIndex::kPlanesPerPass, each group packed into
+/// thread-local mask bytes from the worlds' label bytes. `out` is row-major
 /// [num_worlds x index.num_regions()], caller-owned. Never materializes
-/// dense label bits.
+/// dense label bits or sparse positive views.
 void CountPositivesBatchWithAnnulus(const AnnulusIndex& index,
-                                    size_t num_points,
                                     const Labels* const* batch,
                                     size_t num_worlds, uint64_t* out);
 
 /// Multi-class batch kernel of the sparse backend: per-class counts for
-/// `num_worlds` packed K-class worlds (class_worlds[w][i] in [0, num_classes))
-/// through one scatter pass per world — the K−1 indicator materializations
-/// and repeated passes of the legacy path disappear. `out` follows the
+/// `num_worlds` packed K-class worlds (class_worlds[w][i] in [0, num_classes);
+/// codes outside it count in no class, as in the K−1 indicator construction).
+/// The (world, class < K−1) indicator planes are taken in output order and
+/// counted kPlanesPerPass per walk. `out` follows the
 /// RegionFamily::CountClassesBatch layout
-/// [num_worlds x (num_classes−1) x num_regions], caller-owned; histogram
-/// scratch pooled thread-locally.
+/// [num_worlds x (num_classes−1) x num_regions], caller-owned.
 void CountClassesBatchWithAnnulus(const AnnulusIndex& index,
                                   const uint8_t* const* class_worlds,
                                   size_t num_worlds, uint32_t num_classes,

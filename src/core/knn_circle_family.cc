@@ -91,6 +91,8 @@ Result<std::unique_ptr<KnnCircleFamily>> KnnCircleFamily::Create(
   if (options.population_fractions.empty()) {
     return Status::InvalidArgument("kNN circle family needs a population ladder");
   }
+  SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
+  SFA_RETURN_NOT_OK(RequireFinitePoints(options.centers, "center"));
   std::vector<size_t> ladder;
   for (double fraction : options.population_fractions) {
     if (!(fraction > 0.0) || fraction > 1.0) {
@@ -129,7 +131,7 @@ void KnnCircleFamily::CountPositives(const Labels& labels,
                 "labels " << labels.size() << " != points " << num_points_);
   out->resize(num_regions());
   if (backend_ == CountingBackend::kSparseAnnulus) {
-    CountPositivesWithAnnulus(annulus_, labels, out->data());
+    annulus_.CountPositives(labels.bytes().data(), out->data());
     return;
   }
   for (size_t r = 0; r < memberships_.size(); ++r) {
@@ -141,8 +143,7 @@ void KnnCircleFamily::CountPositivesBatch(const Labels* const* batch,
                                           size_t num_worlds,
                                           uint64_t* out) const {
   if (backend_ == CountingBackend::kSparseAnnulus) {
-    CountPositivesBatchWithAnnulus(annulus_, num_points_, batch, num_worlds,
-                                   out);
+    CountPositivesBatchWithAnnulus(annulus_, batch, num_worlds, out);
     return;
   }
   CountPositivesBatchWithMemberships(memberships_, num_points_, batch, num_worlds,

@@ -10,9 +10,10 @@
 // backends (core::CountingBackend):
 //
 //   kSparseAnnulus (default)  one kNN query per center; the nearest list is
-//                             stored once as point-major CSR (point, rank)
-//                             entries (core/annulus_index.h) and worlds are
-//                             counted by scattering only positive points;
+//                             stored once as a center-major CSR of annulus
+//                             member ids (core/annulus_index.h) and worlds
+//                             are counted by walking each ladder once,
+//                             8 packed worlds per walk;
 //   kDenseBits                one membership bit vector per region, each
 //                             world costing one AND+popcount pass per region
 //                             — the bit-identical reference.
@@ -57,7 +58,7 @@ class KnnCircleFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// Sparse backend: per-world positive scatter through the annulus CSR.
+  /// Sparse backend: 8 packed worlds per walk of the annulus CSR.
   /// Dense backend: word-blocked batch recounting, identical to
   /// SquareScanFamily.
   void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,

@@ -56,37 +56,27 @@ void Labels::ResampleBernoulli(size_t n, double rho, Rng* rng) {
   SFA_CHECK(rng != nullptr);
   bytes_.resize(n);
   bits_valid_ = false;
-  positives_valid_ = true;
+  positives_valid_ = false;
   // Point masses consume no draws, exactly as Rng::Bernoulli.
   if (rho <= 0.0 || rho >= 1.0) {
     const uint8_t b = rho >= 1.0 ? 1 : 0;
     std::fill(bytes_.begin(), bytes_.end(), b);
-    positive_indices_.resize(b ? n : 0);
-    std::iota(positive_indices_.begin(), positive_indices_.end(), 0u);
     positive_count_ = b ? n : 0;
     return;
   }
   // Same draws, same bytes as Rng::Bernoulli(rho), as one integer compare.
   const uint64_t threshold = Rng::BernoulliThreshold(rho);
   // The generator runs on a local copy so its state stays in registers
-  // despite the byte stores. The positive ids are compacted in the same pass
-  // (write the slot, advance by the label) into a per-thread buffer of n
-  // slots, then copied out, so the sparse view keeps only ~rho·n capacity on
-  // each pooled instance.
-  static thread_local std::vector<uint32_t> compacted;
-  if (compacted.size() < n) compacted.resize(n);
+  // despite the byte stores.
   Rng local = *rng;
   uint8_t* out = bytes_.data();
-  uint32_t* ids = compacted.data();
-  size_t positives = 0;
+  uint64_t positives = 0;
   for (size_t i = 0; i < n; ++i) {
     const uint8_t b = (local.Next() >> 11) < threshold;
     out[i] = b;
-    ids[positives] = static_cast<uint32_t>(i);
     positives += b;
   }
   *rng = local;
-  positive_indices_.assign(ids, ids + positives);
   positive_count_ = positives;
 }
 

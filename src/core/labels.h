@@ -46,8 +46,7 @@ class Labels {
   /// call on a pooled instance, drawing a world allocates nothing. Consumes
   /// exactly the same RNG stream as SampleBernoulli, and the same as n calls
   /// of rng->Bernoulli(rho): one draw per point for rho in (0, 1) or NaN
-  /// (NaN labels every point 0), none for rho <= 0 or rho >= 1. The sparse
-  /// view is built in the same pass.
+  /// (NaN labels every point 0), none for rho <= 0 or rho >= 1.
   void ResampleBernoulli(size_t n, double rho, Rng* rng);
 
   /// In-place permutation resampling (same stream as SamplePermutation).
@@ -74,12 +73,11 @@ class Labels {
     return bits_;
   }
 
-  /// The sparse view: ascending ids of the positive points, cached until the
+  /// The sparse view: ascending ids of the positive points, built from the
+  /// byte view on first access in one branch-free pass, cached until the
   /// next resample and reusing its capacity across resamples on pooled
-  /// instances. Bernoulli worlds build it while sampling; other sources build
-  /// it from the byte view on first use, in one branch-free pass. This is the
-  /// input of the sparse annulus scatter backend (core/annulus_index.h) —
-  /// families counting through it never materialize dense label bits at all.
+  /// instances. No counting path needs it (the sparse annulus backend reads
+  /// the bytes); it serves callers that want the positive ids themselves.
   /// Same thread-safety contract as bits(): pre-materialize before sharing one
   /// instance across threads.
   const std::vector<uint32_t>& positive_indices() const {

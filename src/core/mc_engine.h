@@ -12,7 +12,7 @@
 //                               helping WaitGroup.
 //
 // The statistic-specific levers — closed-form per-cell null sampling, the
-// shared k·log k LLR table, sparse positive scatter — live inside the
+// shared k·log k LLR table, batched annulus gathers — live inside the
 // StatisticSimulation implementations (core/bernoulli_statistic.cc,
 // core/multinomial_statistic.cc).
 //

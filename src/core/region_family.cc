@@ -1,8 +1,10 @@
 #include "core/region_family.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 
 namespace sfa::core {
 
@@ -14,6 +16,18 @@ const char* CountingBackendToString(CountingBackend backend) {
       return "dense-bits";
   }
   return "?";
+}
+
+Status RequireFinitePoints(const std::vector<geo::Point>& points,
+                           const char* what) {
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (!std::isfinite(points[i].x) || !std::isfinite(points[i].y)) {
+      return Status::InvalidArgument(
+          StrFormat("%s %zu has a non-finite coordinate (%g, %g)", what, i,
+                    points[i].x, points[i].y));
+    }
+  }
+  return Status::OK();
 }
 
 void RegionFamily::CountPositivesBatch(const Labels* const* batch,

@@ -30,7 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/labels.h"
+#include "geo/point.h"
 #include "geo/rect.h"
 
 namespace sfa::core {
@@ -41,11 +43,11 @@ namespace sfa::core {
 /// the choice trades memory and per-world cost only
 /// (tests/test_annulus_index.cc enforces the equivalence).
 enum class CountingBackend {
-  /// Per-center nested ladders stored once as a point-major sparse CSR of
-  /// (point, annulus-rank) entries (core/annulus_index.h); worlds are counted
-  /// by scattering only their positive points into per-center annulus
-  /// histograms. ~L× less membership memory and construction work for an
-  /// L-rung ladder, no dense label bits touched. The default.
+  /// Per-center nested ladders stored once as a center-major sparse CSR of
+  /// annulus member ids (core/annulus_index.h); worlds are counted by walking
+  /// each ladder once and gathering 8 worlds' packed labels per entry. ~L×
+  /// less membership memory and construction work for an L-rung ladder, no
+  /// dense label bits touched. The default.
   kSparseAnnulus,
   /// One dense membership bit vector per region, AND+popcount against the
   /// world's label bits — the reference path.
@@ -53,6 +55,13 @@ enum class CountingBackend {
 };
 
 const char* CountingBackendToString(CountingBackend backend);
+
+/// OK when every point of `points` has finite coordinates; otherwise
+/// InvalidArgument naming the first offender as "<what> <index>". Families
+/// call it at Create: a NaN coordinate fails every containment test, so such
+/// a point would silently fall out of some regions but not others.
+Status RequireFinitePoints(const std::vector<geo::Point>& points,
+                           const char* what);
 
 /// Static description of one region in a family.
 struct RegionDescriptor {

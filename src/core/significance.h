@@ -128,7 +128,7 @@ struct MonteCarloOptions {
   McEngine engine = McEngine::kBatched;
   /// Worlds per batch in the kBatched engine. Affects performance only,
   /// never results — for every family counting backend (partition/closed-form
-  /// cells, overlapping sparse-annulus scatter, dense bit vectors; see
+  /// cells, overlapping sparse-annulus gather, dense bit vectors; see
   /// core::CountingBackend) counts are exact integers, so batch boundaries
   /// cannot shift the null distribution.
   uint32_t batch_size = 8;

@@ -1,6 +1,7 @@
 #include "core/square_family.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -123,11 +124,13 @@ Result<std::unique_ptr<SquareScanFamily>> SquareScanFamily::Create(
     return Status::InvalidArgument("square scan family needs side lengths");
   }
   for (double side : options.side_lengths) {
-    if (!(side > 0.0)) {
+    if (!(side > 0.0) || !std::isfinite(side)) {
       return Status::InvalidArgument(
-          StrFormat("side length %.6f must be positive", side));
+          StrFormat("side length %.6f must be positive and finite", side));
     }
   }
+  SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
+  SFA_RETURN_NOT_OK(RequireFinitePoints(options.centers, "center"));
   return std::unique_ptr<SquareScanFamily>(new SquareScanFamily(points, options));
 }
 
@@ -151,7 +154,7 @@ void SquareScanFamily::CountPositives(const Labels& labels,
                 "labels " << labels.size() << " != points " << num_points_);
   out->resize(num_regions());
   if (backend_ == CountingBackend::kSparseAnnulus) {
-    CountPositivesWithAnnulus(annulus_, labels, out->data());
+    annulus_.CountPositives(labels.bytes().data(), out->data());
     return;
   }
   for (size_t r = 0; r < memberships_.size(); ++r) {
@@ -163,8 +166,7 @@ void SquareScanFamily::CountPositivesBatch(const Labels* const* batch,
                                            size_t num_worlds,
                                            uint64_t* out) const {
   if (backend_ == CountingBackend::kSparseAnnulus) {
-    CountPositivesBatchWithAnnulus(annulus_, num_points_, batch, num_worlds,
-                                   out);
+    CountPositivesBatchWithAnnulus(annulus_, batch, num_worlds, out);
     return;
   }
   CountPositivesBatchWithMemberships(memberships_, num_points_, batch, num_worlds,

@@ -13,9 +13,10 @@
 //
 //   kSparseAnnulus (default)  one KD-tree range report per center over the
 //                             largest square; members are stored once as a
-//                             point-major CSR of (point, annulus-rank)
-//                             entries (core/annulus_index.h) and worlds are
-//                             counted by scattering only positive points;
+//                             center-major CSR of annulus member ids
+//                             (core/annulus_index.h) and worlds are counted
+//                             by walking each ladder once, 8 packed worlds
+//                             per walk;
 //   kDenseBits                one membership bit vector per region, each
 //                             world costing one AND+popcount pass per region
 //                             — the bit-identical reference.
@@ -68,14 +69,14 @@ class SquareScanFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// Sparse backend: per-world positive scatter through the annulus CSR.
+  /// Sparse backend: 8 packed worlds per walk of the annulus CSR.
   /// Dense backend: memberships intersected against all B label bit vectors
   /// word-blocked, so membership words are streamed once per batch.
   void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
                            uint64_t* out) const override;
-  /// Sparse backend: one class-tagged scatter per world through the annulus
-  /// CSR. Dense backend: per-(world, class) indicator bit planes through the
-  /// word-blocked SIMD popcount kernel.
+  /// Sparse backend: (world, class) indicator planes packed 8 per walk of
+  /// the annulus CSR. Dense backend: per-(world, class) indicator bit planes
+  /// through the word-blocked SIMD popcount kernel.
   void CountClassesBatch(const uint8_t* const* class_worlds, size_t num_worlds,
                          uint32_t num_classes, uint64_t* out) const override;
   std::string Name() const override;

@@ -2,9 +2,10 @@
 // sort from unordered (row, value) pairs.
 //
 // This is the storage backbone of the sparse annulus counting backend
-// (core/annulus_index.h): one CSR row per point, holding the region slots the
-// point scatters into. Kept generic — any bipartite incidence whose rows and
-// values fit in 32 bits can use it.
+// (core/annulus_index.h): one CSR row per region slot (center, annulus rank),
+// holding the ids of the points in that annulus, so the offsets double as
+// the ladder's rank boundaries. Kept generic — any bipartite incidence whose
+// rows and values fit in 32 bits can use it.
 #ifndef SFA_SPATIAL_CSR_H_
 #define SFA_SPATIAL_CSR_H_
 

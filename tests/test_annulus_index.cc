@@ -15,12 +15,15 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
+#include "core/multinomial_statistic.h"
 #include "core/scan.h"
+#include "core/scan_statistic.h"
 #include "core/significance.h"
 #include "core/square_family.h"
 #include "spatial/csr.h"
@@ -83,17 +86,16 @@ TEST(AnnulusIndex, HandExampleCountsAllRungsAtOnce) {
   EXPECT_EQ(index.region_point_counts(),
             (std::vector<uint64_t>{1, 3, 4, 1, 1, 2}));
 
-  const std::vector<uint32_t> positives = {2, 3, 4};  // labels 0,1 negative
-  std::vector<uint32_t> hist(index.num_regions());
+  const std::vector<uint8_t> labels = {0, 0, 1, 1, 1, 0};  // positives 2,3,4
   std::vector<uint64_t> out(index.num_regions());
-  index.CountPositives(positives.data(), positives.size(), hist.data(),
-                       out.data());
+  index.CountPositives(labels.data(), out.data());
   // Center 0: rung0 {0} -> 0, rung1 {0,1,2} -> 1, rung2 {0..3} -> 2.
   // Center 1: rung0 {2} -> 1, rung1 same -> 1, rung2 {2,4} -> 2.
   EXPECT_EQ(out, (std::vector<uint64_t>{0, 1, 2, 1, 1, 2}));
 
   // No positives.
-  index.CountPositives(nullptr, 0, hist.data(), out.data());
+  const std::vector<uint8_t> none(6, 0);
+  index.CountPositives(none.data(), out.data());
   EXPECT_EQ(out, (std::vector<uint64_t>{0, 0, 0, 0, 0, 0}));
 }
 
@@ -114,6 +116,232 @@ TEST(CollapseEmptyAnnuli, KeepsEmptyRungZero) {
   const std::vector<uint32_t> kept = CollapseEmptyAnnuli(2, &entries);
   EXPECT_EQ(kept, (std::vector<uint32_t>{0, 1}));
   EXPECT_EQ(entries[0].rank, 1u);
+}
+
+// ------------------------------------------ gather kernel vs entry oracle ---
+
+/// Batch sizes the equivalence tests sweep: one world (the unpacked path),
+/// partial and full 8-plane groups, and groups spilling into a remainder.
+constexpr size_t kBatchSizes[] = {1, 2, 7, 8, 9, 17, 64};
+
+/// Hand-rolled counter straight from the entries: a point of rank ℓ at
+/// center c counts toward every rung ℓ' >= ℓ of c, weighted by `weight`.
+std::vector<uint64_t> OracleCounts(const std::vector<AnnulusEntry>& entries,
+                                   size_t num_centers, size_t num_rungs,
+                                   const std::vector<uint8_t>& weight) {
+  std::vector<uint64_t> out(num_centers * num_rungs, 0);
+  for (const AnnulusEntry& e : entries) {
+    for (size_t l = e.rank; l < num_rungs; ++l) {
+      out[e.center * num_rungs + l] += weight[e.point];
+    }
+  }
+  return out;
+}
+
+/// Random entries: each point joins each center's ladder with probability
+/// `density` at a uniform rank. Center 1 duplicates center 0 and the last
+/// center stays empty, so duplicate centers and empty regions always occur.
+std::vector<AnnulusEntry> RandomEntries(size_t num_points, size_t num_centers,
+                                        size_t num_rungs, double density,
+                                        Rng* rng) {
+  std::vector<AnnulusEntry> entries;
+  for (size_t c = 0; c + 1 < num_centers; ++c) {
+    if (c == 1) {
+      const size_t center0 = entries.size();
+      for (size_t i = 0; i < center0; ++i) {
+        AnnulusEntry copy = entries[i];
+        copy.center = 1;
+        entries.push_back(copy);
+      }
+      continue;
+    }
+    for (size_t p = 0; p < num_points; ++p) {
+      if (!rng->Bernoulli(density)) continue;
+      const auto rank = static_cast<uint32_t>(rng->NextUint64(num_rungs));
+      entries.push_back({static_cast<uint32_t>(p), static_cast<uint32_t>(c),
+                         rank});
+    }
+  }
+  rng->Shuffle(entries.begin(), entries.end());
+  return entries;
+}
+
+struct IndexShape {
+  size_t points, centers, rungs;
+  double density;
+};
+
+// L = 1, a long ladder, and an index with no entries at all.
+constexpr IndexShape kIndexShapes[] = {
+    {300, 6, 5, 0.3}, {257, 4, 1, 0.5}, {90, 3, 20, 0.8}, {40, 2, 3, 0.0}};
+
+std::vector<uint8_t> RandomBytes(size_t n, uint32_t bound, Rng* rng) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng->NextUint64(bound));
+  return bytes;
+}
+
+TEST(AnnulusIndex, GatherMatchesEntryOracleForEveryBatchSize) {
+  Rng rng(71);
+  for (const IndexShape& shape : kIndexShapes) {
+    const auto entries = RandomEntries(shape.points, shape.centers,
+                                       shape.rungs, shape.density, &rng);
+    const AnnulusIndex index(shape.points, shape.centers, shape.rungs,
+                             entries);
+    const size_t stride = index.num_regions();
+    EXPECT_EQ(index.region_point_counts(),
+              OracleCounts(entries, shape.centers, shape.rungs,
+                           std::vector<uint8_t>(shape.points, 1)));
+
+    for (const size_t batch : kBatchSizes) {
+      SCOPED_TRACE(::testing::Message() << "points=" << shape.points
+                                        << " rungs=" << shape.rungs
+                                        << " batch=" << batch);
+      std::vector<Labels> worlds;
+      for (size_t w = 0; w < batch; ++w) {
+        // Includes the all-negative and all-positive worlds.
+        worlds.push_back(Labels::SampleBernoulli(
+            shape.points, static_cast<double>(w % 6) / 5.0, &rng));
+      }
+      std::vector<const Labels*> ptrs;
+      for (const Labels& l : worlds) ptrs.push_back(&l);
+      std::vector<uint64_t> out(batch * stride, ~0ULL);
+      CountPositivesBatchWithAnnulus(index, ptrs.data(), batch, out.data());
+      std::vector<uint64_t> one(stride, ~0ULL);
+      for (size_t w = 0; w < batch; ++w) {
+        const auto expected = OracleCounts(entries, shape.centers, shape.rungs,
+                                           worlds[w].bytes());
+        ASSERT_EQ(std::vector<uint64_t>(out.begin() + w * stride,
+                                        out.begin() + (w + 1) * stride),
+                  expected)
+            << "world " << w;
+        index.CountPositives(worlds[w].bytes().data(), one.data());
+        ASSERT_EQ(one, expected) << "world " << w;
+      }
+    }
+  }
+}
+
+TEST(AnnulusIndex, ClassGatherMatchesEntryOracleWithJunkCodes) {
+  Rng rng(72);
+  for (const IndexShape& shape : kIndexShapes) {
+    const auto entries = RandomEntries(shape.points, shape.centers,
+                                       shape.rungs, shape.density, &rng);
+    const AnnulusIndex index(shape.points, shape.centers, shape.rungs,
+                             entries);
+    const size_t stride = index.num_regions();
+    for (const uint32_t k : {2u, 3u, 5u, 9u}) {
+      for (const size_t batch : kBatchSizes) {
+        SCOPED_TRACE(::testing::Message() << "points=" << shape.points
+                                          << " K=" << k << " batch=" << batch);
+        // Codes K and K+1 are junk and must count in no class; so is 255.
+        std::vector<std::vector<uint8_t>> worlds;
+        for (size_t w = 0; w < batch; ++w) {
+          worlds.push_back(RandomBytes(shape.points, k + 2, &rng));
+          worlds.back()[w % shape.points] = 255;
+        }
+        std::vector<const uint8_t*> ptrs;
+        for (const auto& w : worlds) ptrs.push_back(w.data());
+        std::vector<uint64_t> out(ClassCountBufferSize(batch, k - 1, stride),
+                                  ~0ULL);
+        CountClassesBatchWithAnnulus(index, ptrs.data(), batch, k, out.data());
+        for (size_t w = 0; w < batch; ++w) {
+          for (uint32_t c = 0; c + 1 < k; ++c) {
+            std::vector<uint8_t> indicator(shape.points);
+            for (size_t i = 0; i < shape.points; ++i) {
+              indicator[i] = worlds[w][i] == c;
+            }
+            const size_t row = ClassCountRowOffset(w, c, k - 1, stride);
+            ASSERT_EQ(std::vector<uint64_t>(out.begin() + row,
+                                            out.begin() + row + stride),
+                      OracleCounts(entries, shape.centers, shape.rungs,
+                                   indicator))
+                << "world " << w << " class " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AnnulusIndex, ClassesBeyondTheByteRangeCountNothing) {
+  // K = 258 counts classes 0..256; no byte code names class 256, so its
+  // plane is empty even though code 0 (which class 256 aliases mod 256)
+  // is present.
+  Rng rng(74);
+  const auto entries = RandomEntries(300, 4, 3, 0.5, &rng);
+  const AnnulusIndex index(300, 4, 3, entries);
+  const size_t stride = index.num_regions();
+  const std::vector<uint8_t> codes = RandomBytes(300, 256, &rng);
+  const uint8_t* ptr = codes.data();
+  const uint32_t k = 258;
+  std::vector<uint64_t> out(ClassCountBufferSize(1, k - 1, stride), ~0ULL);
+  CountClassesBatchWithAnnulus(index, &ptr, 1, k, out.data());
+  for (uint32_t c = 0; c + 1 < k; ++c) {
+    std::vector<uint8_t> indicator(300);
+    for (size_t i = 0; i < 300; ++i) indicator[i] = codes[i] == c;
+    const size_t row = ClassCountRowOffset(0, c, k - 1, stride);
+    ASSERT_EQ(std::vector<uint64_t>(out.begin() + row,
+                                    out.begin() + row + stride),
+              OracleCounts(entries, 4, 3, indicator))
+        << "class " << c;
+  }
+}
+
+TEST(AnnulusIndex, AnnulusLongerThanLaneFlushPeriod) {
+  // 70,000 points, more than a 16-bit lane (and far more than a byte lane)
+  // can count. Center 0 puts every point in annulus 1 (annulus 0 empty);
+  // center 1 spreads them over ranks 0..2. All-positive worlds drive every
+  // lane to its limit between flushes.
+  const size_t n = 70000;
+  std::vector<AnnulusEntry> entries;
+  for (uint32_t p = 0; p < n; ++p) {
+    entries.push_back({p, 0, 1});
+    entries.push_back({p, 1, p % 3});
+  }
+  const AnnulusIndex index(n, 2, 3, entries);
+  const size_t stride = index.num_regions();
+  EXPECT_EQ(index.region_point_counts(),
+            (std::vector<uint64_t>{0, n, n, 23334, 46667, n}));
+
+  Rng rng(73);
+  const size_t batch = 9;  // one full group plus the one-world path
+  std::vector<Labels> worlds;
+  for (size_t w = 0; w < batch; ++w) {
+    const double rho = (w == 0 || w == 8) ? 1.0 : (w == 1 ? 0.0 : 0.5);
+    worlds.push_back(Labels::SampleBernoulli(n, rho, &rng));
+  }
+  std::vector<const Labels*> ptrs;
+  for (const Labels& l : worlds) ptrs.push_back(&l);
+  std::vector<uint64_t> out(batch * stride, ~0ULL);
+  CountPositivesBatchWithAnnulus(index, ptrs.data(), batch, out.data());
+  for (size_t w = 0; w < batch; ++w) {
+    ASSERT_EQ(std::vector<uint64_t>(out.begin() + w * stride,
+                                    out.begin() + (w + 1) * stride),
+              OracleCounts(entries, 2, 3, worlds[w].bytes()))
+        << "world " << w;
+  }
+
+  // K = 3: world 0 is all class 0, world 1 all class 1, world 2 mixed.
+  std::vector<std::vector<uint8_t>> classes = {
+      std::vector<uint8_t>(n, 0), std::vector<uint8_t>(n, 1),
+      RandomBytes(n, 3, &rng)};
+  std::vector<const uint8_t*> class_ptrs;
+  for (const auto& w : classes) class_ptrs.push_back(w.data());
+  std::vector<uint64_t> class_out(ClassCountBufferSize(3, 2, stride), ~0ULL);
+  CountClassesBatchWithAnnulus(index, class_ptrs.data(), 3, 3,
+                               class_out.data());
+  for (size_t w = 0; w < 3; ++w) {
+    for (uint32_t c = 0; c < 2; ++c) {
+      std::vector<uint8_t> indicator(n);
+      for (size_t i = 0; i < n; ++i) indicator[i] = classes[w][i] == c;
+      const size_t row = ClassCountRowOffset(w, c, 2, stride);
+      ASSERT_EQ(std::vector<uint64_t>(class_out.begin() + row,
+                                      class_out.begin() + row + stride),
+                OracleCounts(entries, 2, 3, indicator))
+          << "world " << w << " class " << c;
+    }
+  }
 }
 
 // ----------------------------------------------- cross-backend equivalence ---
@@ -151,9 +379,9 @@ FamilyPair MakeKnnPair(const std::vector<geo::Point>& points,
   return pair;
 }
 
-/// Asserts the two backends agree with each other on n(R), p(R) (scalar and
-/// batched), and ScanMaxStatistic under every direction, for `worlds` random
-/// label assignments.
+/// Asserts the two backends agree with each other on n(R), p(R) (scalar, and
+/// batched at every kBatchSizes size), and ScanMaxStatistic under every
+/// direction, for random label assignments.
 void CheckBackendsAgree(const FamilyPair& pair, size_t worlds, uint64_t seed) {
   const RegionFamily& sparse = *pair.sparse;
   const RegionFamily& dense = *pair.dense;
@@ -179,12 +407,30 @@ void CheckBackendsAgree(const FamilyPair& pair, size_t worlds, uint64_t seed) {
     ASSERT_EQ(from_sparse, from_dense) << "world " << w;
   }
 
+  // Batched, across batch sizes: sparse == dense, and every row == the
+  // dense one-world AND+popcount.
   const size_t stride = sparse.num_regions();
-  std::vector<uint64_t> batch_sparse(worlds * stride);
-  std::vector<uint64_t> batch_dense(worlds * stride);
-  sparse.CountPositivesBatch(ptrs.data(), worlds, batch_sparse.data());
-  dense.CountPositivesBatch(ptrs.data(), worlds, batch_dense.data());
-  ASSERT_EQ(batch_sparse, batch_dense);
+  for (const size_t batch : kBatchSizes) {
+    std::vector<Labels> batch_labels;
+    std::vector<const Labels*> batch_ptrs;
+    for (size_t w = 0; w < batch; ++w) {
+      batch_labels.push_back(Labels::SampleBernoulli(
+          sparse.num_points(), 0.05 + 0.1 * (w % 9), &rng));
+    }
+    for (const Labels& l : batch_labels) batch_ptrs.push_back(&l);
+    std::vector<uint64_t> batch_sparse(batch * stride, ~0ULL);
+    std::vector<uint64_t> batch_dense(batch * stride, ~0ULL);
+    sparse.CountPositivesBatch(batch_ptrs.data(), batch, batch_sparse.data());
+    dense.CountPositivesBatch(batch_ptrs.data(), batch, batch_dense.data());
+    ASSERT_EQ(batch_sparse, batch_dense) << "batch " << batch;
+    for (size_t w = 0; w < batch; ++w) {
+      dense.CountPositives(batch_labels[w], &from_dense);
+      ASSERT_EQ(std::vector<uint64_t>(batch_sparse.begin() + w * stride,
+                                      batch_sparse.begin() + (w + 1) * stride),
+                from_dense)
+          << "batch " << batch << " world " << w;
+    }
+  }
 
   std::vector<uint64_t> scratch;
   for (stats::ScanDirection direction :
@@ -437,44 +683,56 @@ std::vector<std::vector<uint8_t>> MakeClassWorlds(size_t n, uint32_t k,
   return out;
 }
 
-/// Asserts sparse CSR class scatter == dense bit-plane popcounts == the base
-/// class's K-1 indicator reference, for both null-model draw styles and a
-/// K ladder covering binary-degenerate (K=2) through byte-size classes.
+/// Asserts sparse CSR class gather == dense bit-plane popcounts == the base
+/// class's K-1 indicator reference, for both null-model draw styles, every
+/// kBatchSizes size, junk codes (>= K, counted in no class), and a K ladder
+/// covering binary-degenerate (K=2) through 8 planes per world (K=9), so
+/// plane groups cross world boundaries.
 void CheckClassCountingAgrees(const FamilyPair& pair, uint64_t seed) {
   const size_t n = pair.sparse->num_points();
   const size_t stride = pair.sparse->num_regions();
   Rng rng(seed);
-  for (const uint32_t k : {2u, 3u, 5u}) {
+  for (const uint32_t k : {2u, 3u, 5u, 9u}) {
     for (const bool permute : {false, true}) {
-      const size_t worlds = 5;
-      const auto class_worlds = MakeClassWorlds(n, k, worlds, permute, &rng);
-      std::vector<const uint8_t*> ptrs;
-      for (const auto& w : class_worlds) ptrs.push_back(w.data());
-
-      const size_t total = ClassCountBufferSize(worlds, k - 1, stride);
-      std::vector<uint64_t> from_sparse(total, ~0ULL);
-      std::vector<uint64_t> from_dense(total, ~0ULL);
-      std::vector<uint64_t> reference(total, ~0ULL);
-      pair.sparse->CountClassesBatch(ptrs.data(), worlds, k,
-                                     from_sparse.data());
-      pair.dense->CountClassesBatch(ptrs.data(), worlds, k, from_dense.data());
-      // Qualified call: the RegionFamily base implementation is the
-      // indicator-labels reference oracle every override must match exactly.
-      pair.sparse->RegionFamily::CountClassesBatch(ptrs.data(), worlds, k,
-                                                   reference.data());
-      ASSERT_EQ(from_sparse, reference)
-          << "sparse vs reference, K=" << k << " permute=" << permute;
-      ASSERT_EQ(from_dense, reference)
-          << "dense vs reference, K=" << k << " permute=" << permute;
-
-      // Consistency pin on one world: the K-1 counted classes can never
-      // exceed n(R) — the last class is derived as the remainder.
-      for (size_t r = 0; r < stride; ++r) {
-        uint64_t counted_sum = 0;
-        for (uint32_t c = 0; c + 1 < k; ++c) {
-          counted_sum += reference[ClassCountRowOffset(0, c, k - 1, stride) + r];
+      for (const size_t worlds : kBatchSizes) {
+        auto class_worlds = MakeClassWorlds(n, k, worlds, permute, &rng);
+        for (size_t w = 0; w < worlds; ++w) {
+          for (size_t i = w % 7; i < n; i += 7) {
+            class_worlds[w][i] = static_cast<uint8_t>(i % 3 == 0 ? 255 : k);
+          }
         }
-        ASSERT_LE(counted_sum, pair.sparse->PointCount(r)) << "region " << r;
+        std::vector<const uint8_t*> ptrs;
+        for (const auto& w : class_worlds) ptrs.push_back(w.data());
+
+        const size_t total = ClassCountBufferSize(worlds, k - 1, stride);
+        std::vector<uint64_t> from_sparse(total, ~0ULL);
+        std::vector<uint64_t> from_dense(total, ~0ULL);
+        std::vector<uint64_t> reference(total, ~0ULL);
+        pair.sparse->CountClassesBatch(ptrs.data(), worlds, k,
+                                       from_sparse.data());
+        pair.dense->CountClassesBatch(ptrs.data(), worlds, k,
+                                      from_dense.data());
+        // Qualified call: the RegionFamily base implementation is the
+        // indicator-labels reference oracle every override must match exactly.
+        pair.sparse->RegionFamily::CountClassesBatch(ptrs.data(), worlds, k,
+                                                     reference.data());
+        ASSERT_EQ(from_sparse, reference) << "sparse vs reference, K=" << k
+                                          << " permute=" << permute
+                                          << " batch=" << worlds;
+        ASSERT_EQ(from_dense, reference) << "dense vs reference, K=" << k
+                                         << " permute=" << permute
+                                         << " batch=" << worlds;
+
+        // Consistency pin on one world: the K-1 counted classes can never
+        // exceed n(R) — the last class is derived as the remainder.
+        for (size_t r = 0; r < stride; ++r) {
+          uint64_t counted_sum = 0;
+          for (uint32_t c = 0; c + 1 < k; ++c) {
+            counted_sum +=
+                reference[ClassCountRowOffset(0, c, k - 1, stride) + r];
+          }
+          ASSERT_LE(counted_sum, pair.sparse->PointCount(r)) << "region " << r;
+        }
       }
     }
   }
@@ -507,6 +765,14 @@ TEST(AnnulusBackend, ClassCountsCoverDegenerateShapes) {
   one_opts.centers = {{1.0, 1.0}};
   one_opts.side_lengths = {0.5, 2.0};
   CheckClassCountingAgrees(MakeSquarePair(one, one_opts), 63);
+
+  // L = 1, and duplicate centers.
+  opts.centers = RandomCenters(4, 64);
+  opts.side_lengths = {1.5};
+  CheckClassCountingAgrees(MakeSquarePair(pts, opts), 65);
+  opts.centers = {{3, 7}, {3, 7}, {5, 5}};
+  opts.side_lengths = {0.5, 2.0, 3.0};
+  CheckClassCountingAgrees(MakeSquarePair(pts, opts), 66);
 }
 
 // ------------------------------------- bit-identical null distributions ---
@@ -543,7 +809,7 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToDenseReference) {
 
       for (bool parallel : {false, true}) {
         for (McEngine engine : {McEngine::kBatched, McEngine::kReference}) {
-          for (uint32_t batch_size : {1u, 3u, 64u}) {
+          for (uint32_t batch_size : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
             mc.parallel = parallel;
             mc.engine = engine;
             mc.batch_size = batch_size;
@@ -559,6 +825,42 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToDenseReference) {
                 << parallel << " / batch=" << batch_size;
           }
         }
+      }
+    }
+  }
+}
+
+TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToDense) {
+  // The K-class calibration path: CountClassesBatch under the multinomial
+  // statistic, 3 classes, across batch sizes and parallel on/off.
+  const auto pts = Cloud(600, 91);
+  SquareScanOptions sq_opts;
+  sq_opts.centers = RandomCenters(9, 92);
+  sq_opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
+  KnnCircleOptions knn_opts;
+  knn_opts.centers = RandomCenters(8, 93);
+
+  std::vector<std::pair<std::string, FamilyPair>> pairs;
+  pairs.emplace_back("square", MakeSquarePair(pts, sq_opts));
+  pairs.emplace_back("knn-circle", MakeKnnPair(pts, knn_opts));
+  const MultinomialScanStatistic statistic({300, 200, 100});
+
+  for (const auto& [name, pair] : pairs) {
+    MonteCarloOptions mc;
+    mc.num_worlds = 40;
+    mc.seed = 778;
+    mc.parallel = false;
+    auto reference = SimulateNull(statistic, *pair.dense, mc);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    for (bool parallel : {false, true}) {
+      for (uint32_t batch_size : {1u, 2u, 7u, 8u, 9u, 17u, 64u}) {
+        mc.parallel = parallel;
+        mc.batch_size = batch_size;
+        auto sparse_run = SimulateNull(statistic, *pair.sparse, mc);
+        ASSERT_TRUE(sparse_run.ok()) << sparse_run.status().ToString();
+        EXPECT_EQ(sparse_run->MaximaVector(), reference->MaximaVector())
+            << name << " / parallel=" << parallel
+            << " / batch=" << batch_size;
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "common/random.h"
@@ -74,6 +75,31 @@ TEST(KnnCircleFamily, RejectsBadOptions) {
   EXPECT_FALSE(core::KnnCircleFamily::Create(pts, opts).ok());
   opts.population_fractions = {0.1};
   EXPECT_FALSE(core::KnnCircleFamily::Create({}, opts).ok());
+}
+
+TEST(KnnCircleFamily, RejectsNonFiniteInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto pts = RandomPoints(100, 7);
+  core::KnnCircleOptions opts;
+  opts.centers = {{5, 5}};
+  opts.population_fractions = {0.1};
+  ASSERT_TRUE(core::KnnCircleFamily::Create(pts, opts).ok());
+
+  for (const geo::Point bad : {geo::Point{nan, 5}, geo::Point{5, nan},
+                               geo::Point{-inf, 5}, geo::Point{5, inf}}) {
+    std::vector<geo::Point> points = pts;
+    points[42] = bad;
+    const auto bad_point = core::KnnCircleFamily::Create(points, opts);
+    ASSERT_FALSE(bad_point.ok());
+    EXPECT_EQ(bad_point.status().code(), StatusCode::kInvalidArgument);
+
+    core::KnnCircleOptions bad_center = opts;
+    bad_center.centers.push_back(bad);
+    const auto family = core::KnnCircleFamily::Create(pts, bad_center);
+    ASSERT_FALSE(family.ok());
+    EXPECT_EQ(family.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(KnnCircleFamily, RegionsHoldExactPopulationShares) {

@@ -2,6 +2,7 @@
 // brute-force geometry for both n(R) and p(R), across label assignments.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "common/random.h"
@@ -166,6 +167,40 @@ TEST(SquareScanFamily, RejectsBadOptions) {
   EXPECT_FALSE(SquareScanFamily::Create(cloud.points, opts).ok());  // zero side
   opts.side_lengths = {1.0};
   EXPECT_FALSE(SquareScanFamily::Create({}, opts).ok());  // no points
+}
+
+TEST(SquareScanFamily, RejectsNonFiniteInputs) {
+  // Five points, one of them NaN: before validation the NaN point fell out
+  // of every finite square but into an infinite-side one (n = 5 of 5).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<geo::Point> finite = {{1, 1}, {2, 2}, {3, 3}, {4, 4}};
+  SquareScanOptions opts;
+  opts.centers = {{2, 2}};
+  opts.side_lengths = {1.0, 2.0};
+  ASSERT_TRUE(SquareScanFamily::Create(finite, opts).ok());
+
+  const auto expect_invalid = [](const std::vector<geo::Point>& points,
+                                 const SquareScanOptions& options,
+                                 const char* what) {
+    const auto family = SquareScanFamily::Create(points, options);
+    ASSERT_FALSE(family.ok()) << what;
+    EXPECT_EQ(family.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  for (const geo::Point bad : {geo::Point{nan, 1}, geo::Point{1, nan},
+                               geo::Point{inf, 1}, geo::Point{1, -inf}}) {
+    std::vector<geo::Point> points = finite;
+    points.push_back(bad);
+    expect_invalid(points, opts, "non-finite point");
+    SquareScanOptions bad_center = opts;
+    bad_center.centers.push_back(bad);
+    expect_invalid(finite, bad_center, "non-finite center");
+  }
+  for (const double side : {inf, nan, -inf}) {
+    SquareScanOptions bad_side = opts;
+    bad_side.side_lengths.push_back(side);
+    expect_invalid(finite, bad_side, "non-finite side");
+  }
 }
 
 TEST(SquareScanFamily, DefaultSideLengthsMatchPaper) {

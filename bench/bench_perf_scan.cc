@@ -1,7 +1,7 @@
 // Performance microbenchmarks for the audit substrate (google-benchmark).
 // Backs the paper's O(M * N_R * Q) complexity discussion (§3): measures the
-// per-world cost Q of each counting backend and the end-to-end Monte Carlo
-// throughput.
+// per-world cost Q of each family's counting path and the end-to-end Monte
+// Carlo throughput.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -198,7 +198,7 @@ BENCHMARK(BM_MonteCarloEndToEndReference)
 void RunOverlappingFamilyBench(benchmark::State& state,
                                const core::RegionFamily& family, size_t n) {
   // Overlapping-family calibration: batched (range 1) vs reference (range 0)
-  // engines; the counting backend is fixed by the family instance.
+  // engines.
   core::MonteCarloOptions mc;
   mc.num_worlds = 49;
   mc.engine = state.range(0) == 0 ? core::McEngine::kReference
@@ -216,8 +216,7 @@ void RunOverlappingFamilyBench(benchmark::State& state,
                           mc.num_worlds);
 }
 
-std::unique_ptr<core::SquareScanFamily> BenchSquareFamily(
-    size_t n, core::CountingBackend backend) {
+std::unique_ptr<core::SquareScanFamily> BenchSquareFamily(size_t n) {
   const auto pts = Cloud(n);
   core::SquareScanOptions opts;
   Rng rng(13);
@@ -225,29 +224,25 @@ std::unique_ptr<core::SquareScanFamily> BenchSquareFamily(
     opts.centers.push_back({rng.Uniform(0, 10), rng.Uniform(0, 10)});
   }
   opts.side_lengths = core::SquareScanOptions::DefaultSideLengths(0.2, 4.0, 20);
-  opts.backend = backend;
   auto family = core::SquareScanFamily::Create(pts, opts);
   return family.ok() ? std::move(*family) : nullptr;
 }
 
-std::unique_ptr<core::KnnCircleFamily> BenchKnnFamily(
-    size_t n, core::CountingBackend backend) {
+std::unique_ptr<core::KnnCircleFamily> BenchKnnFamily(size_t n) {
   const auto pts = Cloud(n);
   core::KnnCircleOptions opts;
   Rng rng(13);
   for (int i = 0; i < 100; ++i) {
     opts.centers.push_back({rng.Uniform(0, 10), rng.Uniform(0, 10)});
   }
-  opts.backend = backend;
   auto family = core::KnnCircleFamily::Create(pts, opts);
   return family.ok() ? std::move(*family) : nullptr;
 }
 
 void BM_MonteCarloSquareFamily(benchmark::State& state) {
-  // 2,000 square regions at N = 2^15 through the default sparse-annulus
-  // scatter backend.
+  // 2,000 square regions at N = 2^15, counted by the annulus gather.
   const size_t n = 1 << 15;
-  const auto family = BenchSquareFamily(n, core::CountingBackend::kSparseAnnulus);
+  const auto family = BenchSquareFamily(n);
   if (!family) {
     state.SkipWithError("family creation failed");
     return;
@@ -256,26 +251,11 @@ void BM_MonteCarloSquareFamily(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloSquareFamily)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_MonteCarloSquareFamilyDense(benchmark::State& state) {
-  // Same configuration through the dense AND+popcount reference backend.
-  const size_t n = 1 << 15;
-  const auto family = BenchSquareFamily(n, core::CountingBackend::kDenseBits);
-  if (!family) {
-    state.SkipWithError("family creation failed");
-    return;
-  }
-  RunOverlappingFamilyBench(state, *family, n);
-}
-BENCHMARK(BM_MonteCarloSquareFamilyDense)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_MonteCarloKnnFamily(benchmark::State& state) {
   // 700 kNN circles (100 centers x 7-rung SaTScan ladder) at N = 2^15,
-  // sparse-annulus scatter backend.
+  // counted by the annulus gather.
   const size_t n = 1 << 15;
-  const auto family = BenchKnnFamily(n, core::CountingBackend::kSparseAnnulus);
+  const auto family = BenchKnnFamily(n);
   if (!family) {
     state.SkipWithError("family creation failed");
     return;
@@ -284,21 +264,7 @@ void BM_MonteCarloKnnFamily(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloKnnFamily)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_MonteCarloKnnFamilyDense(benchmark::State& state) {
-  const size_t n = 1 << 15;
-  const auto family = BenchKnnFamily(n, core::CountingBackend::kDenseBits);
-  if (!family) {
-    state.SkipWithError("family creation failed");
-    return;
-  }
-  RunOverlappingFamilyBench(state, *family, n);
-}
-BENCHMARK(BM_MonteCarloKnnFamilyDense)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Counting kernel of the default sparse-annulus backend on the sfabench
+// Annulus gather counting kernel on the sfabench
 // family shapes: N = 8,192 uniform points and 100 uniform centers on a
 // 10 x 10 domain, with either 20 square sides 0.1-2.0 or the default 7-rung
 // kNN ladder. Each iteration counts one batch of `state.range(0)` pre-drawn

@@ -263,8 +263,8 @@ BENCHMARK(BM_PipelineMultinomial)->Unit(benchmark::kMillisecond)->UseRealTime();
 // Binary-vs-multinomial over the SAME overlapping square family: unlike the
 // grid bench above there is no closed-form cell shortcut here, so every
 // multinomial null world is a full vector of packed class codes counted
-// through RegionFamily::CountClassesBatch (sparse annulus class scatter /
-// SIMD bit planes). The tracked ratio BM_PipelineMultinomialSquares /
+// through RegionFamily::CountClassesBatch (the annulus class gather). The
+// tracked ratio BM_PipelineMultinomialSquares /
 // BM_PipelineBinarySquares is the ISSUE 9 acceptance metric: the native
 // K-class kernel must keep K=3 calibration within ~1.5x of the binary path
 // instead of the ~(K-1)x the per-class indicator re-labeling used to cost.

@@ -1,4 +1,4 @@
-// Sparse nested-ladder counting backend for overlapping region families.
+// Nested-ladder counting index of the overlapping region families.
 //
 // SquareScanFamily and KnnCircleFamily share one structure: per scan center,
 // the size ladder is a chain R_1 ⊂ R_2 ⊂ … ⊂ R_L (kNN circles by
@@ -28,8 +28,8 @@
 // K-class worlds pack (world, class) indicator planes the same way.
 //
 // O(entries) per 8 worlds, no dense label bits, no per-region AND+popcount
-// pass, portable C++. The dense bit-vector path remains available in the
-// families as the bit-identical reference (core::CountingBackend).
+// pass, portable C++. This is the only counting path of both families; the
+// test suites check it against a reference family built from the geometry.
 #ifndef SFA_CORE_ANNULUS_INDEX_H_
 #define SFA_CORE_ANNULUS_INDEX_H_
 
@@ -56,7 +56,7 @@ struct AnnulusEntry {
 /// (ℓ-1) set, so such rungs are duplicate regions. Entry ranks are remapped
 /// in place to the surviving ladder; returns the surviving original rung
 /// indices, ascending (rung 0 always survives). Families use this to dedup
-/// their size ladders identically in both counting backends.
+/// their size ladders.
 std::vector<uint32_t> CollapseEmptyAnnuli(size_t num_rungs,
                                           std::vector<AnnulusEntry>* entries);
 
@@ -81,8 +81,7 @@ class AnnulusIndex {
   size_t num_regions() const { return num_centers_ * num_rungs_; }
   size_t num_entries() const { return csr_.num_entries(); }
 
-  /// Heap bytes held by the index (the CSR arrays) — the sparse side of the
-  /// family memory comparison.
+  /// Heap bytes held by the index (the CSR arrays).
   size_t MemoryBytes() const { return csr_.MemoryBytes(); }
 
   /// n(R) for every region, read off the CSR rank boundaries.
@@ -105,17 +104,17 @@ class AnnulusIndex {
   size_t num_rungs_ = 0;
 };
 
-/// Batch kernel of the sparse backend: counts `num_worlds` worlds through
-/// `index` in groups of AnnulusIndex::kPlanesPerPass, each group packed into
-/// thread-local mask bytes from the worlds' label bytes. `out` is row-major
+/// Batch kernel: counts `num_worlds` worlds through `index` in groups of
+/// AnnulusIndex::kPlanesPerPass, each group packed into thread-local mask
+/// bytes from the worlds' label bytes. `out` is row-major
 /// [num_worlds x index.num_regions()], caller-owned. Never materializes
 /// dense label bits or sparse positive views.
 void CountPositivesBatchWithAnnulus(const AnnulusIndex& index,
                                     const Labels* const* batch,
                                     size_t num_worlds, uint64_t* out);
 
-/// Multi-class batch kernel of the sparse backend: per-class counts for
-/// `num_worlds` packed K-class worlds (class_worlds[w][i] in [0, num_classes);
+/// Multi-class batch kernel: per-class counts for `num_worlds` packed K-class
+/// worlds (class_worlds[w][i] in [0, num_classes);
 /// codes outside it count in no class, as in the K−1 indicator construction).
 /// The (world, class < K−1) indicator planes are taken in output order and
 /// counted kPlanesPerPass per walk. `out` follows the

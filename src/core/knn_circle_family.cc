@@ -6,7 +6,6 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/membership_batch.h"
 #include "spatial/kdtree.h"
 
 namespace sfa::core {
@@ -18,12 +17,10 @@ std::vector<double> KnnCircleOptions::DefaultPopulationFractions() {
 KnnCircleFamily::KnnCircleFamily(const std::vector<geo::Point>& points,
                                  std::vector<geo::Point> centers,
                                  std::vector<size_t> ladder,
-                                 size_t num_requested_fractions,
-                                 CountingBackend backend)
+                                 size_t num_requested_fractions)
     : centers_(std::move(centers)),
       ladder_(std::move(ladder)),
       num_requested_fractions_(num_requested_fractions),
-      backend_(backend),
       num_points_(points.size()) {
   const size_t num_centers = centers_.size();
   const size_t num_rungs = ladder_.size();
@@ -64,20 +61,7 @@ KnnCircleFamily::KnnCircleFamily(const std::vector<geo::Point>& points,
     chunk.shrink_to_fit();
   }
 
-  if (backend_ == CountingBackend::kSparseAnnulus) {
-    annulus_ = AnnulusIndex(num_points_, num_centers, num_rungs, entries);
-    return;
-  }
-  memberships_.assign(total, spatial::BitVector());
-  DefaultThreadPool().ParallelFor(num_centers, [&](size_t c) {
-    spatial::BitVector cumulative(num_points_);
-    for (size_t rung = 0; rung < num_rungs; ++rung) {
-      for (size_t i = c * max_k; i < (c + 1) * max_k; ++i) {
-        if (entries[i].rank == rung) cumulative.Set(entries[i].point);
-      }
-      memberships_[c * num_rungs + rung] = cumulative;
-    }
-  });
+  annulus_ = AnnulusIndex(num_points_, num_centers, num_rungs, entries);
 }
 
 Result<std::unique_ptr<KnnCircleFamily>> KnnCircleFamily::Create(
@@ -107,7 +91,7 @@ Result<std::unique_ptr<KnnCircleFamily>> KnnCircleFamily::Create(
   ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
   return std::unique_ptr<KnnCircleFamily>(new KnnCircleFamily(
       points, options.centers, std::move(ladder),
-      options.population_fractions.size(), options.backend));
+      options.population_fractions.size()));
 }
 
 RegionDescriptor KnnCircleFamily::Describe(size_t r) const {
@@ -130,42 +114,20 @@ void KnnCircleFamily::CountPositives(const Labels& labels,
   SFA_CHECK_MSG(labels.size() == num_points_,
                 "labels " << labels.size() << " != points " << num_points_);
   out->resize(num_regions());
-  if (backend_ == CountingBackend::kSparseAnnulus) {
-    annulus_.CountPositives(labels.bytes().data(), out->data());
-    return;
-  }
-  for (size_t r = 0; r < memberships_.size(); ++r) {
-    (*out)[r] = spatial::BitVector::AndPopcount(memberships_[r], labels.bits());
-  }
+  annulus_.CountPositives(labels.bytes().data(), out->data());
 }
 
 void KnnCircleFamily::CountPositivesBatch(const Labels* const* batch,
                                           size_t num_worlds,
                                           uint64_t* out) const {
-  if (backend_ == CountingBackend::kSparseAnnulus) {
-    CountPositivesBatchWithAnnulus(annulus_, batch, num_worlds, out);
-    return;
-  }
-  CountPositivesBatchWithMemberships(memberships_, num_points_, batch, num_worlds,
-                                     out);
+  CountPositivesBatchWithAnnulus(annulus_, batch, num_worlds, out);
 }
 
 void KnnCircleFamily::CountClassesBatch(const uint8_t* const* class_worlds,
                                         size_t num_worlds, uint32_t num_classes,
                                         uint64_t* out) const {
-  if (backend_ == CountingBackend::kSparseAnnulus) {
-    CountClassesBatchWithAnnulus(annulus_, class_worlds, num_worlds,
-                                 num_classes, out);
-    return;
-  }
-  CountClassesBatchWithMemberships(memberships_, num_points_, class_worlds,
-                                   num_worlds, num_classes, out);
-}
-
-size_t KnnCircleFamily::MembershipBytes() const {
-  return backend_ == CountingBackend::kSparseAnnulus
-             ? annulus_.MemoryBytes()
-             : DenseMembershipBytes(memberships_);
+  CountClassesBatchWithAnnulus(annulus_, class_worlds, num_worlds, num_classes,
+                               out);
 }
 
 std::string KnnCircleFamily::Name() const {
@@ -173,11 +135,11 @@ std::string KnnCircleFamily::Name() const {
       ladder_.size() == num_requested_fractions_
           ? ""
           : StrFormat(", deduped from %zu fractions", num_requested_fractions_);
+  // FamilyFingerprint hashes Name(): dropping the tag re-keys every frame.
   return StrFormat(
       "%zu kNN circles (%zu centers x %zu population rungs%s) over %zu points "
-      "[%s]",
-      num_regions(), centers_.size(), ladder_.size(), dedup.c_str(), num_points_,
-      CountingBackendToString(backend_));
+      "[sparse-annulus]",
+      num_regions(), centers_.size(), ladder_.size(), dedup.c_str(), num_points_);
 }
 
 }  // namespace sfa::core

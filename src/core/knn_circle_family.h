@@ -6,17 +6,10 @@
 // the population, which the paper's fixed-side squares do not.
 //
 // Per center the ladder is nested by construction (the k nearest are a
-// prefix of the (k+1) nearest), so the family supports both counting
-// backends (core::CountingBackend):
-//
-//   kSparseAnnulus (default)  one kNN query per center; the nearest list is
-//                             stored once as a center-major CSR of annulus
-//                             member ids (core/annulus_index.h) and worlds
-//                             are counted by walking each ladder once,
-//                             8 packed worlds per walk;
-//   kDenseBits                one membership bit vector per region, each
-//                             world costing one AND+popcount pass per region
-//                             — the bit-identical reference.
+// prefix of the (k+1) nearest): one kNN query per center serves every rung,
+// the nearest list is stored once as a center-major CSR of annulus member
+// ids (core/annulus_index.h), and worlds are counted by walking each ladder
+// once, 8 packed worlds per walk.
 //
 // Duplicate ladder entries (fractions mapping to the same k) are collapsed
 // at Create; the dedup is reported by Name().
@@ -30,7 +23,6 @@
 #include "core/annulus_index.h"
 #include "core/region_family.h"
 #include "geo/point.h"
-#include "spatial/bitvector.h"
 
 namespace sfa::core {
 
@@ -40,8 +32,6 @@ struct KnnCircleOptions {
   /// Population ladder: each entry is a fraction of N; the region holds
   /// ceil(fraction * N) nearest observations. Entries in (0, max_fraction].
   std::vector<double> population_fractions = DefaultPopulationFractions();
-  /// Counting backend; results are identical either way.
-  CountingBackend backend = CountingBackend::kSparseAnnulus;
 
   /// SaTScan-like default ladder up to 10% of the population.
   static std::vector<double> DefaultPopulationFractions();
@@ -58,12 +48,10 @@ class KnnCircleFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// Sparse backend: 8 packed worlds per walk of the annulus CSR.
-  /// Dense backend: word-blocked batch recounting, identical to
-  /// SquareScanFamily.
+  /// 8 packed worlds per walk of the annulus CSR.
   void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
                            uint64_t* out) const override;
-  /// Multi-class counterpart, identical backend split to SquareScanFamily.
+  /// (world, class) indicator planes packed 8 per walk of the annulus CSR.
   void CountClassesBatch(const uint8_t* const* class_worlds, size_t num_worlds,
                          uint32_t num_classes, uint64_t* out) const override;
   std::string Name() const override;
@@ -72,22 +60,18 @@ class KnnCircleFamily : public RegionFamily {
   size_t CenterOfRegion(size_t r) const { return r / ladder_.size(); }
   /// Radius (distance to the farthest member) of region `r`.
   double RadiusOfRegion(size_t r) const { return radii_[r]; }
-  CountingBackend backend() const { return backend_; }
-  /// Heap bytes of the active membership representation (CSR index or dense
-  /// bit vectors).
-  size_t MembershipBytes() const;
+  /// Heap bytes of the annulus index (see SquareScanFamily::MembershipBytes).
+  size_t MembershipBytes() const { return annulus_.MemoryBytes(); }
 
  private:
   KnnCircleFamily(const std::vector<geo::Point>& points,
                   std::vector<geo::Point> centers, std::vector<size_t> ladder,
-                  size_t num_requested_fractions, CountingBackend backend);
+                  size_t num_requested_fractions);
 
   std::vector<geo::Point> centers_;
   std::vector<size_t> ladder_;  // k values, ascending, deduped
   size_t num_requested_fractions_ = 0;
-  CountingBackend backend_ = CountingBackend::kSparseAnnulus;
-  AnnulusIndex annulus_;                          // sparse backend
-  std::vector<spatial::BitVector> memberships_;   // dense backend
+  AnnulusIndex annulus_;
   std::vector<uint64_t> point_counts_;
   std::vector<double> radii_;
   size_t num_points_ = 0;

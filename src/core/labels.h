@@ -76,8 +76,8 @@ class Labels {
   /// The sparse view: ascending ids of the positive points, built from the
   /// byte view on first access in one branch-free pass, cached until the
   /// next resample and reusing its capacity across resamples on pooled
-  /// instances. No counting path needs it (the sparse annulus backend reads
-  /// the bytes); it serves callers that want the positive ids themselves.
+  /// instances. No counting path needs it (the annulus gather reads the
+  /// bytes); it serves callers that want the positive ids themselves.
   /// Same thread-safety contract as bits(): pre-materialize before sharing one
   /// instance across threads.
   const std::vector<uint32_t>& positive_indices() const {

@@ -8,16 +8,6 @@
 
 namespace sfa::core {
 
-const char* CountingBackendToString(CountingBackend backend) {
-  switch (backend) {
-    case CountingBackend::kSparseAnnulus:
-      return "sparse-annulus";
-    case CountingBackend::kDenseBits:
-      return "dense-bits";
-  }
-  return "?";
-}
-
 Status RequireFinitePoints(const std::vector<geo::Point>& points,
                            const char* what) {
   for (size_t i = 0; i < points.size(); ++i) {

@@ -10,8 +10,9 @@
 //   GridPartitionFamily        cells of one regular grid       O(N) / world
 //   PartitioningCollectionFamily  all partitions of many
 //                              rectangular partitionings       O(T·N) / world
-//   SquareScanFamily           k-means-centered squares of
-//                              several side lengths            popcount / world
+//   SquareScanFamily,          nested per-center ladders,
+//   KnnCircleFamily            counted by the annulus gather   O(entries) /
+//                              (core/annulus_index.h)          8 worlds
 //
 // Two optional fast paths serve the batched Monte Carlo engine:
 //
@@ -36,25 +37,6 @@
 #include "geo/rect.h"
 
 namespace sfa::core {
-
-/// Counting backend of the memoized overlapping families (SquareScanFamily,
-/// KnnCircleFamily). Both backends produce identical integer counts — and
-/// therefore bit-identical Monte Carlo null distributions for a fixed seed —
-/// the choice trades memory and per-world cost only
-/// (tests/test_annulus_index.cc enforces the equivalence).
-enum class CountingBackend {
-  /// Per-center nested ladders stored once as a center-major sparse CSR of
-  /// annulus member ids (core/annulus_index.h); worlds are counted by walking
-  /// each ladder once and gathering 8 worlds' packed labels per entry. ~L×
-  /// less membership memory and construction work for an L-rung ladder, no
-  /// dense label bits touched. The default.
-  kSparseAnnulus,
-  /// One dense membership bit vector per region, AND+popcount against the
-  /// world's label bits — the reference path.
-  kDenseBits,
-};
-
-const char* CountingBackendToString(CountingBackend backend);
 
 /// OK when every point of `points` has finite coordinates; otherwise
 /// InvalidArgument naming the first offender as "<what> <index>". Families

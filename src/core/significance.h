@@ -127,10 +127,9 @@ struct MonteCarloOptions {
   bool parallel = true;
   McEngine engine = McEngine::kBatched;
   /// Worlds per batch in the kBatched engine. Affects performance only,
-  /// never results — for every family counting backend (partition/closed-form
-  /// cells, overlapping sparse-annulus gather, dense bit vectors; see
-  /// core::CountingBackend) counts are exact integers, so batch boundaries
-  /// cannot shift the null distribution.
+  /// never results — on every family counting path (partition/closed-form
+  /// cells, the overlapping families' annulus gather) counts are exact
+  /// integers, so batch boundaries cannot shift the null distribution.
   uint32_t batch_size = 8;
   /// When the family exposes a cell decomposition (grid, rectangle sweep,
   /// single partitioning) and the null is Bernoulli, draw per-cell positives

@@ -6,7 +6,6 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/membership_batch.h"
 
 namespace sfa::core {
 
@@ -30,7 +29,6 @@ SquareScanFamily::SquareScanFamily(const std::vector<geo::Point>& points,
     : centers_(options.centers),
       side_lengths_(options.side_lengths),
       num_requested_sides_(options.side_lengths.size()),
-      backend_(options.backend),
       num_points_(points.size()) {
   std::sort(side_lengths_.begin(), side_lengths_.end());
   const size_t num_centers = centers_.size();
@@ -67,18 +65,14 @@ SquareScanFamily::SquareScanFamily(const std::vector<geo::Point>& points,
         });
   });
   std::vector<AnnulusEntry> entries;
-  std::vector<size_t> center_offsets(num_centers + 1, 0);
-  for (size_t c = 0; c < num_centers; ++c) {
-    center_offsets[c] = entries.size();
-    entries.insert(entries.end(), per_center[c].begin(), per_center[c].end());
-    per_center[c].clear();
-    per_center[c].shrink_to_fit();
+  for (std::vector<AnnulusEntry>& chunk : per_center) {
+    entries.insert(entries.end(), chunk.begin(), chunk.end());
+    chunk.clear();
+    chunk.shrink_to_fit();
   }
-  center_offsets[num_centers] = entries.size();
 
   // Collapse sides that capture identical member sets to their predecessor at
-  // every center (their annulus rank is globally empty). Both backends apply
-  // the same collapse, so their region sets are identical.
+  // every center (their annulus rank is globally empty).
   const std::vector<uint32_t> kept =
       CollapseEmptyAnnuli(full_ladder, &entries);
   if (kept.size() != full_ladder) {
@@ -86,30 +80,9 @@ SquareScanFamily::SquareScanFamily(const std::vector<geo::Point>& points,
     for (size_t i = 0; i < kept.size(); ++i) deduped[i] = side_lengths_[kept[i]];
     side_lengths_ = std::move(deduped);
   }
-  const size_t num_sides = side_lengths_.size();
-
-  if (backend_ == CountingBackend::kSparseAnnulus) {
-    annulus_ = AnnulusIndex(num_points_, num_centers, num_sides, entries);
-    point_counts_ = annulus_.region_point_counts();
-    return;
-  }
-
-  // Dense reference: expand each center's annulus entries into cumulative
-  // membership bit vectors, one per rung.
-  const size_t total = num_centers * num_sides;
-  memberships_.assign(total, spatial::BitVector());
-  point_counts_.assign(total, 0);
-  DefaultThreadPool().ParallelFor(num_centers, [&](size_t c) {
-    spatial::BitVector cumulative(num_points_);
-    for (size_t rung = 0; rung < num_sides; ++rung) {
-      for (size_t i = center_offsets[c]; i < center_offsets[c + 1]; ++i) {
-        if (entries[i].rank == rung) cumulative.Set(entries[i].point);
-      }
-      const size_t r = c * num_sides + rung;
-      point_counts_[r] = cumulative.Popcount();
-      memberships_[r] = cumulative;
-    }
-  });
+  annulus_ = AnnulusIndex(num_points_, num_centers, side_lengths_.size(),
+                          entries);
+  point_counts_ = annulus_.region_point_counts();
 }
 
 Result<std::unique_ptr<SquareScanFamily>> SquareScanFamily::Create(
@@ -153,42 +126,20 @@ void SquareScanFamily::CountPositives(const Labels& labels,
   SFA_CHECK_MSG(labels.size() == num_points_,
                 "labels " << labels.size() << " != points " << num_points_);
   out->resize(num_regions());
-  if (backend_ == CountingBackend::kSparseAnnulus) {
-    annulus_.CountPositives(labels.bytes().data(), out->data());
-    return;
-  }
-  for (size_t r = 0; r < memberships_.size(); ++r) {
-    (*out)[r] = spatial::BitVector::AndPopcount(memberships_[r], labels.bits());
-  }
+  annulus_.CountPositives(labels.bytes().data(), out->data());
 }
 
 void SquareScanFamily::CountPositivesBatch(const Labels* const* batch,
                                            size_t num_worlds,
                                            uint64_t* out) const {
-  if (backend_ == CountingBackend::kSparseAnnulus) {
-    CountPositivesBatchWithAnnulus(annulus_, batch, num_worlds, out);
-    return;
-  }
-  CountPositivesBatchWithMemberships(memberships_, num_points_, batch, num_worlds,
-                                     out);
+  CountPositivesBatchWithAnnulus(annulus_, batch, num_worlds, out);
 }
 
 void SquareScanFamily::CountClassesBatch(const uint8_t* const* class_worlds,
                                          size_t num_worlds, uint32_t num_classes,
                                          uint64_t* out) const {
-  if (backend_ == CountingBackend::kSparseAnnulus) {
-    CountClassesBatchWithAnnulus(annulus_, class_worlds, num_worlds,
-                                 num_classes, out);
-    return;
-  }
-  CountClassesBatchWithMemberships(memberships_, num_points_, class_worlds,
-                                   num_worlds, num_classes, out);
-}
-
-size_t SquareScanFamily::MembershipBytes() const {
-  return backend_ == CountingBackend::kSparseAnnulus
-             ? annulus_.MemoryBytes()
-             : DenseMembershipBytes(memberships_);
+  CountClassesBatchWithAnnulus(annulus_, class_worlds, num_worlds, num_classes,
+                               out);
 }
 
 std::string SquareScanFamily::Name() const {
@@ -196,11 +147,11 @@ std::string SquareScanFamily::Name() const {
       num_sides() == num_requested_sides_
           ? ""
           : StrFormat(", deduped from %zu", num_requested_sides_);
+  // FamilyFingerprint hashes Name(): dropping the tag re-keys every frame.
   return StrFormat(
       "%zu square regions (%zu centers x %zu side lengths%s) over %zu points "
-      "[%s]",
-      num_regions(), centers_.size(), num_sides(), dedup.c_str(), num_points_,
-      CountingBackendToString(backend_));
+      "[sparse-annulus]",
+      num_regions(), centers_.size(), num_sides(), dedup.c_str(), num_points_);
 }
 
 }  // namespace sfa::core

@@ -9,17 +9,10 @@
 // side at EVERY center are collapsed away (duplicate regions; the dedup is
 // reported by Name()).
 //
-// Two counting backends (core::CountingBackend, identical integer counts):
-//
-//   kSparseAnnulus (default)  one KD-tree range report per center over the
-//                             largest square; members are stored once as a
-//                             center-major CSR of annulus member ids
-//                             (core/annulus_index.h) and worlds are counted
-//                             by walking each ladder once, 8 packed worlds
-//                             per walk;
-//   kDenseBits                one membership bit vector per region, each
-//                             world costing one AND+popcount pass per region
-//                             — the bit-identical reference.
+// Counting: one KD-tree range report per center over the largest square;
+// members are stored once as a center-major CSR of annulus member ids
+// (core/annulus_index.h) and worlds are counted by walking each ladder once,
+// 8 packed worlds per walk.
 #ifndef SFA_CORE_SQUARE_FAMILY_H_
 #define SFA_CORE_SQUARE_FAMILY_H_
 
@@ -30,7 +23,6 @@
 #include "core/annulus_index.h"
 #include "core/region_family.h"
 #include "geo/point.h"
-#include "spatial/bitvector.h"
 #include "spatial/kdtree.h"
 
 namespace sfa::core {
@@ -43,8 +35,6 @@ struct SquareScanOptions {
   /// ascending at construction; sides capturing duplicate member sets at
   /// every center are collapsed.
   std::vector<double> side_lengths;
-  /// Counting backend; results are identical either way.
-  CountingBackend backend = CountingBackend::kSparseAnnulus;
 
   /// The paper's default ladder: `count` side lengths evenly spaced in
   /// [min_side, max_side] (20 lengths from 0.1 to 2.0 degrees).
@@ -69,14 +59,10 @@ class SquareScanFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// Sparse backend: 8 packed worlds per walk of the annulus CSR.
-  /// Dense backend: memberships intersected against all B label bit vectors
-  /// word-blocked, so membership words are streamed once per batch.
+  /// 8 packed worlds per walk of the annulus CSR.
   void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
                            uint64_t* out) const override;
-  /// Sparse backend: (world, class) indicator planes packed 8 per walk of
-  /// the annulus CSR. Dense backend: per-(world, class) indicator bit planes
-  /// through the word-blocked SIMD popcount kernel.
+  /// (world, class) indicator planes packed 8 per walk of the annulus CSR.
   void CountClassesBatch(const uint8_t* const* class_worlds, size_t num_worlds,
                          uint32_t num_classes, uint64_t* out) const override;
   std::string Name() const override;
@@ -90,10 +76,9 @@ class SquareScanFamily : public RegionFamily {
   const std::vector<geo::Point>& centers() const { return centers_; }
   /// Surviving side lengths, ascending.
   const std::vector<double>& side_lengths() const { return side_lengths_; }
-  CountingBackend backend() const { return backend_; }
-  /// Heap bytes of the active membership representation (CSR index or dense
-  /// bit vectors) — the quantity the sparse-vs-dense memory claims compare.
-  size_t MembershipBytes() const;
+  /// Heap bytes of the annulus index — compared against the dense size
+  /// num_regions() x ceil(N / 64) x 8 bytes of one bit vector per region.
+  size_t MembershipBytes() const { return annulus_.MemoryBytes(); }
 
  private:
   SquareScanFamily(const std::vector<geo::Point>& points,
@@ -102,9 +87,7 @@ class SquareScanFamily : public RegionFamily {
   std::vector<geo::Point> centers_;
   std::vector<double> side_lengths_;   // post-dedup, ascending
   size_t num_requested_sides_ = 0;     // pre-dedup ladder length
-  CountingBackend backend_ = CountingBackend::kSparseAnnulus;
-  AnnulusIndex annulus_;                          // sparse backend
-  std::vector<spatial::BitVector> memberships_;   // dense backend
+  AnnulusIndex annulus_;
   std::vector<uint64_t> point_counts_;
   size_t num_points_ = 0;
 };

@@ -49,42 +49,6 @@ void BitVector::AssignFromBytes(const uint8_t* bytes, size_t n) {
   }
 }
 
-void BitVector::AssignFromByteValue(const uint8_t* bytes, size_t n,
-                                    uint8_t value) {
-  if (size_ != n) {
-    size_ = n;
-    words_.assign((n + 63) / 64, 0ULL);
-  }
-  // Per-byte equality without cross-byte borrows: after XOR with the
-  // broadcast value, byte b equals `value` iff b == 0, and
-  // ((b & 0x7f) + 0x7f) | b has its high bit clear exactly when b == 0 (the
-  // 7-bit add cannot carry out of the byte). The same multiply as
-  // AssignFromBytes then gathers the eight per-byte flags into bit lanes.
-  const uint64_t broadcast = 0x0101010101010101ULL * value;
-  const size_t full_words = n / 64;
-  for (size_t w = 0; w < full_words; ++w) {
-    uint64_t word = 0;
-    const uint8_t* chunk_base = bytes + w * 64;
-    for (size_t g = 0; g < 8; ++g) {
-      uint64_t chunk;
-      std::memcpy(&chunk, chunk_base + g * 8, 8);
-      const uint64_t x = chunk ^ broadcast;
-      const uint64_t nonzero_high =
-          ((x & 0x7f7f7f7f7f7f7f7fULL) + 0x7f7f7f7f7f7f7f7fULL) | x;
-      const uint64_t eq = ~nonzero_high & 0x8080808080808080ULL;
-      word |= (((eq >> 7) * 0x0102040810204080ULL) >> 56) << (g * 8);
-    }
-    words_[w] = word;
-  }
-  if (n % 64 != 0) {
-    uint64_t word = 0;
-    for (size_t i = full_words * 64; i < n; ++i) {
-      word |= static_cast<uint64_t>(bytes[i] == value ? 1 : 0) << (i & 63);
-    }
-    words_[full_words] = word;  // tail bits beyond size_ stay zero
-  }
-}
-
 size_t BitVector::Popcount() const {
   size_t total = 0;
   for (uint64_t w : words_) total += static_cast<size_t>(std::popcount(w));
@@ -95,31 +59,6 @@ size_t BitVector::AndPopcount(const BitVector& a, const BitVector& b) {
   SFA_DCHECK(a.size_ == b.size_);
   return static_cast<size_t>(
       AndPopcountWords(a.words_.data(), b.words_.data(), a.words_.size()));
-}
-
-void BitVector::AndPopcountMany(const BitVector& a, const BitVector* const* batch,
-                                size_t count, uint64_t* out) {
-  // Validate every entry up front, and unconditionally: a mis-sized vector
-  // anywhere in the batch would make the word-blocked kernel read past its
-  // storage, so this must hold in release builds too (the check loop is
-  // O(count), noise next to the O(count * words) popcount work).
-  for (size_t b = 0; b < count; ++b) {
-    SFA_CHECK_MSG(batch[b]->size_ == a.size_,
-                  "AndPopcountMany: batch entry size mismatch");
-  }
-  const size_t num_words = a.words_.size();
-  const uint64_t* aw = a.words_.data();
-  // Process worlds in blocks of 4 so each word of `a` is loaded once per block
-  // while four accumulators stay in registers (SIMD-dispatched kernel).
-  size_t b = 0;
-  for (; b + 4 <= count; b += 4) {
-    AndPopcountWords4(aw, batch[b]->words_.data(), batch[b + 1]->words_.data(),
-                      batch[b + 2]->words_.data(), batch[b + 3]->words_.data(),
-                      num_words, out + b);
-  }
-  for (; b < count; ++b) {
-    out[b] = AndPopcountWords(aw, batch[b]->words_.data(), num_words);
-  }
 }
 
 size_t BitVector::AndNotPopcount(const BitVector& a, const BitVector& b) {

@@ -1,10 +1,9 @@
 // Dynamic fixed-length bit vector with hardware popcount.
 //
-// This is the workhorse of Monte Carlo recounting for memoized region
-// families: a region's membership is a BitVector over point ids, a world's
-// labels are another, and p(R) = AndPopcount(membership, labels) — one AND +
-// POPCNT per 64 points, so re-evaluating 2,000 regions over 200k points costs
-// a few milliseconds per world.
+// User-defined region families can memoize a region's membership as a
+// BitVector over point ids and count a world through Labels::bits():
+// p(R) = AndPopcount(membership, labels) — one AND + POPCNT per 64 points,
+// through the runtime-dispatched kernel of spatial/simd_popcount.h.
 #ifndef SFA_SPATIAL_BITVECTOR_H_
 #define SFA_SPATIAL_BITVECTOR_H_
 
@@ -29,12 +28,6 @@ class BitVector {
   /// word storage when the size already matches — the allocation-free refill
   /// path of the Monte Carlo label pool.
   void AssignFromBytes(const uint8_t* bytes, size_t n);
-
-  /// Rebuilds the vector as the equality indicator of a class-code array:
-  /// bit i = (bytes[i] == value). Same SWAR/no-allocation contract as
-  /// AssignFromBytes — this is how the dense counting backend packs one class
-  /// of a packed K-class world into a bit plane.
-  void AssignFromByteValue(const uint8_t* bytes, size_t n, uint8_t value);
 
   size_t size() const { return size_; }
   size_t num_words() const { return words_.size(); }
@@ -61,13 +54,6 @@ class BitVector {
 
   /// Number of positions set in both `a` and `b`. Sizes must match.
   static size_t AndPopcount(const BitVector& a, const BitVector& b);
-
-  /// Batched intersection counts: out[b] = AndPopcount(a, *batch[b]) for all
-  /// `count` vectors, word-blocked so each word of `a` is loaded once and
-  /// intersected against every world — the memory-traffic-amortized kernel of
-  /// batched Monte Carlo recounting. All sizes must match `a`.
-  static void AndPopcountMany(const BitVector& a, const BitVector* const* batch,
-                              size_t count, uint64_t* out);
 
   /// Number of positions set in `a` but not in `b`. Sizes must match.
   static size_t AndNotPopcount(const BitVector& a, const BitVector& b);

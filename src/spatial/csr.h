@@ -1,7 +1,7 @@
 // Compressed-sparse-row storage over uint32 payloads, built by counting
 // sort from unordered (row, value) pairs.
 //
-// This is the storage backbone of the sparse annulus counting backend
+// This is the storage backbone of the annulus counting index
 // (core/annulus_index.h): one CSR row per region slot (center, annulus rank),
 // holding the ids of the points in that annulus, so the offsets double as
 // the ladder's rank boundaries. Kept generic — any bipartite incidence whose
@@ -24,7 +24,7 @@ struct Csr32 {
 
   size_t num_rows() const { return offsets.empty() ? 0 : offsets.size() - 1; }
   size_t num_entries() const { return values.size(); }
-  /// Heap footprint of the two arrays (the quantity the sparse backend's
+  /// Heap footprint of the two arrays (the quantity the annulus index's
   /// memory claims are stated in).
   size_t MemoryBytes() const {
     return offsets.capacity() * sizeof(uint32_t) +

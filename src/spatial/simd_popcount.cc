@@ -22,23 +22,6 @@ uint64_t ScalarAndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
-void ScalarAndPopcount4(const uint64_t* a, const uint64_t* b0,
-                        const uint64_t* b1, const uint64_t* b2,
-                        const uint64_t* b3, size_t n, uint64_t* out4) {
-  uint64_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t aw = a[i];
-    acc0 += static_cast<uint64_t>(std::popcount(aw & b0[i]));
-    acc1 += static_cast<uint64_t>(std::popcount(aw & b1[i]));
-    acc2 += static_cast<uint64_t>(std::popcount(aw & b2[i]));
-    acc3 += static_cast<uint64_t>(std::popcount(aw & b3[i]));
-  }
-  out4[0] = acc0;
-  out4[1] = acc1;
-  out4[2] = acc2;
-  out4[3] = acc3;
-}
-
 #if defined(SFA_X86_SIMD)
 
 // -------------------------------------------------------------------- AVX2 ---
@@ -84,51 +67,6 @@ __attribute__((target("avx2"))) uint64_t Avx2AndPopcount(const uint64_t* a,
   return total;
 }
 
-__attribute__((target("avx2"))) void Avx2AndPopcount4(
-    const uint64_t* a, const uint64_t* b0, const uint64_t* b1,
-    const uint64_t* b2, const uint64_t* b3, size_t n, uint64_t* out4) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    acc0 = _mm256_add_epi64(
-        acc0, Popcount256(_mm256_and_si256(
-                  av, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(b0 + i)))));
-    acc1 = _mm256_add_epi64(
-        acc1, Popcount256(_mm256_and_si256(
-                  av, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(b1 + i)))));
-    acc2 = _mm256_add_epi64(
-        acc2, Popcount256(_mm256_and_si256(
-                  av, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(b2 + i)))));
-    acc3 = _mm256_add_epi64(
-        acc3, Popcount256(_mm256_and_si256(
-                  av, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(b3 + i)))));
-  }
-  uint64_t t0 = HorizontalSum256(acc0);
-  uint64_t t1 = HorizontalSum256(acc1);
-  uint64_t t2 = HorizontalSum256(acc2);
-  uint64_t t3 = HorizontalSum256(acc3);
-  for (; i < n; ++i) {
-    const uint64_t aw = a[i];
-    t0 += static_cast<uint64_t>(std::popcount(aw & b0[i]));
-    t1 += static_cast<uint64_t>(std::popcount(aw & b1[i]));
-    t2 += static_cast<uint64_t>(std::popcount(aw & b2[i]));
-    t3 += static_cast<uint64_t>(std::popcount(aw & b3[i]));
-  }
-  out4[0] = t0;
-  out4[1] = t1;
-  out4[2] = t2;
-  out4[3] = t3;
-}
-
 // ------------------------------------------------------------------ AVX-512 ---
 // VPOPCNTDQ gives a native 64-bit-lane popcount, so the kernel is a pure
 // load/AND/popcount/add chain over 8-word chunks.
@@ -155,69 +93,23 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) uint64_t Avx512AndPopcount(
   return total;
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) void Avx512AndPopcount4(
-    const uint64_t* a, const uint64_t* b0, const uint64_t* b1,
-    const uint64_t* b2, const uint64_t* b3, size_t n, uint64_t* out4) {
-  __m512i acc0 = _mm512_setzero_si512();
-  __m512i acc1 = _mm512_setzero_si512();
-  __m512i acc2 = _mm512_setzero_si512();
-  __m512i acc3 = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i av = _mm512_loadu_si512(a + i);
-    acc0 = _mm512_add_epi64(
-        acc0, _mm512_popcnt_epi64(
-                  _mm512_and_si512(av, _mm512_loadu_si512(b0 + i))));
-    acc1 = _mm512_add_epi64(
-        acc1, _mm512_popcnt_epi64(
-                  _mm512_and_si512(av, _mm512_loadu_si512(b1 + i))));
-    acc2 = _mm512_add_epi64(
-        acc2, _mm512_popcnt_epi64(
-                  _mm512_and_si512(av, _mm512_loadu_si512(b2 + i))));
-    acc3 = _mm512_add_epi64(
-        acc3, _mm512_popcnt_epi64(
-                  _mm512_and_si512(av, _mm512_loadu_si512(b3 + i))));
-  }
-  uint64_t t0 = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc0));
-  uint64_t t1 = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc1));
-  uint64_t t2 = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc2));
-  uint64_t t3 = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc3));
-  for (; i < n; ++i) {
-    const uint64_t aw = a[i];
-    t0 += static_cast<uint64_t>(std::popcount(aw & b0[i]));
-    t1 += static_cast<uint64_t>(std::popcount(aw & b1[i]));
-    t2 += static_cast<uint64_t>(std::popcount(aw & b2[i]));
-    t3 += static_cast<uint64_t>(std::popcount(aw & b3[i]));
-  }
-  out4[0] = t0;
-  out4[1] = t1;
-  out4[2] = t2;
-  out4[3] = t3;
-}
-
 #pragma GCC diagnostic pop
 
 #endif  // SFA_X86_SIMD
 
 // ---------------------------------------------------------------- dispatch ---
 
-using Fn1 = uint64_t (*)(const uint64_t*, const uint64_t*, size_t);
-using Fn4 = void (*)(const uint64_t*, const uint64_t*, const uint64_t*,
-                     const uint64_t*, const uint64_t*, size_t, uint64_t*);
-
 struct KernelTable {
   PopcountKernel kind;
-  Fn1 one;
-  Fn4 four;
+  uint64_t (*and_popcount)(const uint64_t*, const uint64_t*, size_t);
 };
 
 constexpr KernelTable kScalarTable = {PopcountKernel::kScalar,
-                                      ScalarAndPopcount, ScalarAndPopcount4};
+                                      ScalarAndPopcount};
 #if defined(SFA_X86_SIMD)
-constexpr KernelTable kAvx2Table = {PopcountKernel::kAvx2, Avx2AndPopcount,
-                                    Avx2AndPopcount4};
+constexpr KernelTable kAvx2Table = {PopcountKernel::kAvx2, Avx2AndPopcount};
 constexpr KernelTable kAvx512Table = {PopcountKernel::kAvx512,
-                                      Avx512AndPopcount, Avx512AndPopcount4};
+                                      Avx512AndPopcount};
 #endif
 
 PopcountKernel BestSupportedKernel() {
@@ -300,13 +192,7 @@ const char* PopcountKernelName(PopcountKernel kernel) {
 }
 
 uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b, size_t n) {
-  return ActiveTable()->one(a, b, n);
-}
-
-void AndPopcountWords4(const uint64_t* a, const uint64_t* b0,
-                       const uint64_t* b1, const uint64_t* b2,
-                       const uint64_t* b3, size_t n, uint64_t* out4) {
-  ActiveTable()->four(a, b0, b1, b2, b3, n, out4);
+  return ActiveTable()->and_popcount(a, b, n);
 }
 
 }  // namespace sfa::spatial

@@ -1,10 +1,10 @@
 // Runtime-dispatched AND+popcount kernels over 64-bit word arrays.
 //
-// This is the instruction-level layer under BitVector::AndPopcountMany: the
-// batched Monte Carlo recount spends nearly all of its dense-backend time in
-// popcount(a[i] & b[i]) reductions, so the word loop is worth vectorizing.
-// Three implementations share one contract and are bit-identical (popcounts
-// are integer-exact, so "identical" here is a hard guarantee, not a tolerance):
+// This is the instruction-level layer under BitVector::AndPopcount, the
+// counting primitive of user-defined region families that memoize bit-vector
+// memberships (examples/custom_regions.cpp). Three implementations share one
+// contract and are bit-identical (popcounts are integer-exact, so "identical"
+// here is a hard guarantee, not a tolerance):
 //
 //   kScalar  — portable std::popcount loop, 4 accumulators (the reference).
 //   kAvx2    — 256-bit AND + vpshufb nibble-LUT popcount + psadbw reduce.
@@ -44,13 +44,6 @@ const char* PopcountKernelName(PopcountKernel kernel);
 
 /// sum_i popcount(a[i] & b[i]) over `n` words, via the active kernel.
 uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b, size_t n);
-
-/// Four-stream variant: out4[s] = sum_i popcount(a[i] & b_s[i]). Each word of
-/// `a` is loaded once and intersected against all four streams — the
-/// register-blocked inner kernel of BitVector::AndPopcountMany.
-void AndPopcountWords4(const uint64_t* a, const uint64_t* b0,
-                       const uint64_t* b1, const uint64_t* b2,
-                       const uint64_t* b3, size_t n, uint64_t* out4);
 
 }  // namespace sfa::spatial
 

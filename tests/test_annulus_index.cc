@@ -1,19 +1,19 @@
-// Cross-backend equivalence suite for the sparse annulus counting backend
-// (core/annulus_index.h): for both overlapping families (SquareScanFamily,
-// KnnCircleFamily) the sparse CSR scatter counts must equal the dense
-// AND+popcount counts and a hand-rolled scalar loop, across random seeds,
-// both ScanDirections, and degenerate ladders (L=1, duplicate centers, empty
-// regions); the sparse backend's Monte Carlo null distribution must be
-// bit-identical to the dense reference for both null models, any batch size,
-// and parallel on/off. Also covers the CSR builder, the annulus collapse
-// helper, the ladder dedup both families report in Name(), and the sparse
-// backend's membership-memory advantage.
+// Equivalence suite for the annulus gather (core/annulus_index.h), the
+// counting path of both overlapping families (SquareScanFamily,
+// KnnCircleFamily): the gather must equal an entry-level oracle, the
+// geometry-built member-list reference family (testing::MemberListFamily)
+// and a hand-rolled scalar loop, across random seeds, all three
+// ScanDirections, and degenerate ladders (L=1, duplicate centers, empty
+// regions); the families' Monte Carlo null distributions must be
+// bit-identical to the reference family's for both null models, any batch
+// size, and parallel on/off. Also covers the CSR builder, the annulus
+// collapse helper, the ladder dedup both families report in Name(), and the
+// index's membership memory against one dense bit vector per region.
 #include "core/annulus_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,7 +27,7 @@
 #include "core/significance.h"
 #include "core/square_family.h"
 #include "spatial/csr.h"
-#include "spatial/kdtree.h"
+#include "testing_util.h"
 
 namespace sfa::core {
 namespace {
@@ -344,51 +344,46 @@ TEST(AnnulusIndex, AnnulusLongerThanLaneFlushPeriod) {
   }
 }
 
-// ----------------------------------------------- cross-backend equivalence ---
+// ------------------------------------------ family vs reference family ---
 
+/// A family under test and the geometry-built member-list family it must
+/// match count for count.
 struct FamilyPair {
   std::unique_ptr<RegionFamily> sparse;
-  std::unique_ptr<RegionFamily> dense;
+  std::unique_ptr<RegionFamily> reference;
 };
 
 FamilyPair MakeSquarePair(const std::vector<geo::Point>& points,
-                          SquareScanOptions opts) {
-  FamilyPair pair;
-  opts.backend = CountingBackend::kSparseAnnulus;
+                          const SquareScanOptions& opts) {
   auto sparse = SquareScanFamily::Create(points, opts);
   EXPECT_TRUE(sparse.ok());
+  FamilyPair pair;
+  pair.reference = testing::MemberListFamily::Squares(points, **sparse);
   pair.sparse = std::move(*sparse);
-  opts.backend = CountingBackend::kDenseBits;
-  auto dense = SquareScanFamily::Create(points, opts);
-  EXPECT_TRUE(dense.ok());
-  pair.dense = std::move(*dense);
   return pair;
 }
 
 FamilyPair MakeKnnPair(const std::vector<geo::Point>& points,
-                       KnnCircleOptions opts) {
-  FamilyPair pair;
-  opts.backend = CountingBackend::kSparseAnnulus;
+                       const KnnCircleOptions& opts) {
   auto sparse = KnnCircleFamily::Create(points, opts);
   EXPECT_TRUE(sparse.ok());
+  FamilyPair pair;
   pair.sparse = std::move(*sparse);
-  opts.backend = CountingBackend::kDenseBits;
-  auto dense = KnnCircleFamily::Create(points, opts);
-  EXPECT_TRUE(dense.ok());
-  pair.dense = std::move(*dense);
+  pair.reference = testing::MemberListFamily::KnnCircles(points, opts);
   return pair;
 }
 
-/// Asserts the two backends agree with each other on n(R), p(R) (scalar, and
+/// Asserts the family agrees with its reference on n(R), p(R) (scalar, and
 /// batched at every kBatchSizes size), and ScanMaxStatistic under every
 /// direction, for random label assignments.
-void CheckBackendsAgree(const FamilyPair& pair, size_t worlds, uint64_t seed) {
+void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
+                           uint64_t seed) {
   const RegionFamily& sparse = *pair.sparse;
-  const RegionFamily& dense = *pair.dense;
-  ASSERT_EQ(sparse.num_regions(), dense.num_regions());
-  ASSERT_EQ(sparse.num_points(), dense.num_points());
+  const RegionFamily& reference = *pair.reference;
+  ASSERT_EQ(sparse.num_regions(), reference.num_regions());
+  ASSERT_EQ(sparse.num_points(), reference.num_points());
   for (size_t r = 0; r < sparse.num_regions(); ++r) {
-    ASSERT_EQ(sparse.PointCount(r), dense.PointCount(r)) << "region " << r;
+    ASSERT_EQ(sparse.PointCount(r), reference.PointCount(r)) << "region " << r;
   }
 
   Rng rng(seed);
@@ -400,15 +395,15 @@ void CheckBackendsAgree(const FamilyPair& pair, size_t worlds, uint64_t seed) {
   }
   for (const Labels& l : labels) ptrs.push_back(&l);
 
-  std::vector<uint64_t> from_sparse, from_dense;
+  std::vector<uint64_t> from_sparse, from_reference;
   for (size_t w = 0; w < worlds; ++w) {
     sparse.CountPositives(labels[w], &from_sparse);
-    dense.CountPositives(labels[w], &from_dense);
-    ASSERT_EQ(from_sparse, from_dense) << "world " << w;
+    reference.CountPositives(labels[w], &from_reference);
+    ASSERT_EQ(from_sparse, from_reference) << "world " << w;
   }
 
-  // Batched, across batch sizes: sparse == dense, and every row == the
-  // dense one-world AND+popcount.
+  // Batched, across batch sizes: the gather's batch == the reference's
+  // base-class batch, and every row == the reference's one-world count.
   const size_t stride = sparse.num_regions();
   for (const size_t batch : kBatchSizes) {
     std::vector<Labels> batch_labels;
@@ -419,15 +414,16 @@ void CheckBackendsAgree(const FamilyPair& pair, size_t worlds, uint64_t seed) {
     }
     for (const Labels& l : batch_labels) batch_ptrs.push_back(&l);
     std::vector<uint64_t> batch_sparse(batch * stride, ~0ULL);
-    std::vector<uint64_t> batch_dense(batch * stride, ~0ULL);
+    std::vector<uint64_t> batch_reference(batch * stride, ~0ULL);
     sparse.CountPositivesBatch(batch_ptrs.data(), batch, batch_sparse.data());
-    dense.CountPositivesBatch(batch_ptrs.data(), batch, batch_dense.data());
-    ASSERT_EQ(batch_sparse, batch_dense) << "batch " << batch;
+    reference.CountPositivesBatch(batch_ptrs.data(), batch,
+                                  batch_reference.data());
+    ASSERT_EQ(batch_sparse, batch_reference) << "batch " << batch;
     for (size_t w = 0; w < batch; ++w) {
-      dense.CountPositives(batch_labels[w], &from_dense);
+      reference.CountPositives(batch_labels[w], &from_reference);
       ASSERT_EQ(std::vector<uint64_t>(batch_sparse.begin() + w * stride,
                                       batch_sparse.begin() + (w + 1) * stride),
-                from_dense)
+                from_reference)
           << "batch " << batch << " world " << w;
     }
   }
@@ -439,79 +435,34 @@ void CheckBackendsAgree(const FamilyPair& pair, size_t worlds, uint64_t seed) {
     for (size_t w = 0; w < std::min<size_t>(worlds, 3); ++w) {
       const double tau_sparse =
           ScanMaxStatistic(sparse, labels[w], direction, &scratch);
-      const double tau_dense =
-          ScanMaxStatistic(dense, labels[w], direction, &scratch);
-      ASSERT_EQ(tau_sparse, tau_dense)
+      const double tau_reference =
+          ScanMaxStatistic(reference, labels[w], direction, &scratch);
+      ASSERT_EQ(tau_sparse, tau_reference)
           << "direction " << static_cast<int>(direction) << " world " << w;
     }
   }
 }
 
-TEST(AnnulusBackend, SquareCountsMatchDenseAndScalarLoop) {
+// The reference families are the scalar counters promoted into
+// testing_util.h: squares count the points each Describe(r).rect contains,
+// kNN circles count prefixes of one KNearest list per center.
+TEST(AnnulusBackend, SquareCountsMatchReference) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const auto pts = Cloud(400 + 150 * seed, seed);
     SquareScanOptions opts;
     opts.centers = RandomCenters(8, seed + 100);
     opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.4, 3.5, 6);
-    const FamilyPair pair = MakeSquarePair(pts, opts);
-    CheckBackendsAgree(pair, 6, seed + 200);
-
-    // Scalar loop over the described rects, the third independent counter.
-    Rng rng(seed + 300);
-    const Labels labels = Labels::SampleBernoulli(pts.size(), 0.37, &rng);
-    std::vector<uint64_t> counts;
-    pair.sparse->CountPositives(labels, &counts);
-    for (size_t r = 0; r < pair.sparse->num_regions(); ++r) {
-      const geo::Rect rect = pair.sparse->Describe(r).rect;
-      uint64_t expected_n = 0, expected_p = 0;
-      for (size_t i = 0; i < pts.size(); ++i) {
-        if (rect.Contains(pts[i])) {
-          ++expected_n;
-          expected_p += labels.bytes()[i];
-        }
-      }
-      ASSERT_EQ(pair.sparse->PointCount(r), expected_n) << "region " << r;
-      ASSERT_EQ(counts[r], expected_p) << "region " << r;
-    }
+    CheckMatchesReference(MakeSquarePair(pts, opts), 6, seed + 200);
   }
 }
 
-TEST(AnnulusBackend, KnnCountsMatchDenseAndScalarLoop) {
+TEST(AnnulusBackend, KnnCountsMatchReference) {
   for (uint64_t seed : {4u, 5u}) {
     const auto pts = Cloud(500, seed);
     KnnCircleOptions opts;
     opts.centers = RandomCenters(7, seed + 100);
     opts.population_fractions = {0.01, 0.03, 0.08, 0.15};
-    const FamilyPair pair = MakeKnnPair(pts, opts);
-    CheckBackendsAgree(pair, 6, seed + 200);
-
-    // Scalar loop: recompute the ladder and each center's nearest list
-    // directly and count positives by hand.
-    std::vector<size_t> ladder;
-    for (double f : opts.population_fractions) {
-      ladder.push_back(std::clamp<size_t>(
-          static_cast<size_t>(std::ceil(f * static_cast<double>(pts.size()))),
-          1, pts.size()));
-    }
-    std::sort(ladder.begin(), ladder.end());
-    ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
-
-    Rng rng(seed + 300);
-    const Labels labels = Labels::SampleBernoulli(pts.size(), 0.42, &rng);
-    std::vector<uint64_t> counts;
-    pair.sparse->CountPositives(labels, &counts);
-    const spatial::KdTree tree(pts);
-    for (size_t c = 0; c < opts.centers.size(); ++c) {
-      const auto nearest = tree.KNearest(opts.centers[c], ladder.back());
-      for (size_t rung = 0; rung < ladder.size(); ++rung) {
-        uint64_t expected_p = 0;
-        for (size_t i = 0; i < ladder[rung]; ++i) {
-          expected_p += labels.bytes()[nearest[i]];
-        }
-        ASSERT_EQ(counts[c * ladder.size() + rung], expected_p)
-            << "center " << c << " rung " << rung;
-      }
-    }
+    CheckMatchesReference(MakeKnnPair(pts, opts), 6, seed + 200);
   }
 }
 
@@ -523,11 +474,11 @@ TEST(AnnulusBackend, DegenerateLadders) {
     SquareScanOptions opts;
     opts.centers = RandomCenters(5, 1);
     opts.side_lengths = {1.25};
-    CheckBackendsAgree(MakeSquarePair(pts, opts), 4, 10);
+    CheckMatchesReference(MakeSquarePair(pts, opts), 4, 10);
     KnnCircleOptions kopts;
     kopts.centers = RandomCenters(5, 2);
     kopts.population_fractions = {0.05};
-    CheckBackendsAgree(MakeKnnPair(pts, kopts), 4, 11);
+    CheckMatchesReference(MakeKnnPair(pts, kopts), 4, 11);
   }
 
   // Duplicate centers (overlap is total across the duplicated groups).
@@ -535,11 +486,11 @@ TEST(AnnulusBackend, DegenerateLadders) {
     SquareScanOptions opts;
     opts.centers = {{3, 7}, {3, 7}, {5, 5}};
     opts.side_lengths = {0.5, 2.0, 3.0};
-    CheckBackendsAgree(MakeSquarePair(pts, opts), 4, 12);
+    CheckMatchesReference(MakeSquarePair(pts, opts), 4, 12);
     KnnCircleOptions kopts;
     kopts.centers = {{3, 7}, {3, 7}};
     kopts.population_fractions = {0.02, 0.10};
-    CheckBackendsAgree(MakeKnnPair(pts, kopts), 4, 13);
+    CheckMatchesReference(MakeKnnPair(pts, kopts), 4, 13);
   }
 
   // Empty regions: centers far outside the cloud capture nothing at small
@@ -549,7 +500,7 @@ TEST(AnnulusBackend, DegenerateLadders) {
     opts.centers = {{120, 120}, {5, 5}};
     opts.side_lengths = {0.5, 1.0};
     const FamilyPair pair = MakeSquarePair(pts, opts);
-    CheckBackendsAgree(pair, 4, 14);
+    CheckMatchesReference(pair, 4, 14);
     EXPECT_EQ(pair.sparse->PointCount(0), 0u);
   }
 
@@ -559,7 +510,7 @@ TEST(AnnulusBackend, DegenerateLadders) {
     SquareScanOptions opts;
     opts.centers = {{1.0, 1.0}};
     opts.side_lengths = {0.5, 2.0};
-    CheckBackendsAgree(MakeSquarePair(one, opts), 2, 15);
+    CheckMatchesReference(MakeSquarePair(one, opts), 2, 15);
   }
 }
 
@@ -576,16 +527,12 @@ TEST(AnnulusBackend, SquareLadderDedupCollapsesIdenticalMemberSets) {
   SquareScanOptions opts;
   opts.centers = {{4, 4}, {7, 2}};
   opts.side_lengths = {0.5, 0.9, 2.5, 2.5};
-  for (CountingBackend backend :
-       {CountingBackend::kSparseAnnulus, CountingBackend::kDenseBits}) {
-    opts.backend = backend;
-    auto family = SquareScanFamily::Create(pts, opts);
-    ASSERT_TRUE(family.ok());
-    EXPECT_EQ((*family)->num_sides(), 2u) << (*family)->Name();
-    EXPECT_EQ((*family)->num_regions(), 4u);
-    EXPECT_NE((*family)->Name().find("deduped from 4"), std::string::npos)
-        << (*family)->Name();
-  }
+  auto family = SquareScanFamily::Create(pts, opts);
+  ASSERT_TRUE(family.ok());
+  EXPECT_EQ((*family)->num_sides(), 2u) << (*family)->Name();
+  EXPECT_EQ((*family)->num_regions(), 4u);
+  EXPECT_NE((*family)->Name().find("deduped from 4"), std::string::npos)
+      << (*family)->Name();
 }
 
 TEST(AnnulusBackend, KnnLadderDedupReportedInName) {
@@ -602,50 +549,58 @@ TEST(AnnulusBackend, KnnLadderDedupReportedInName) {
 }
 
 TEST(AnnulusBackend, NameReportsBackend) {
+  // FamilyFingerprint hashes Name(), so the tag is part of every persisted
+  // calibration key of these families.
   const auto pts = Cloud(200, 22);
   SquareScanOptions opts;
   opts.centers = RandomCenters(3, 23);
   opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 2.0, 4);
-  const FamilyPair pair = MakeSquarePair(pts, opts);
-  EXPECT_NE(pair.sparse->Name().find("sparse-annulus"), std::string::npos);
-  EXPECT_NE(pair.dense->Name().find("dense-bits"), std::string::npos);
+  auto squares = SquareScanFamily::Create(pts, opts);
+  ASSERT_TRUE(squares.ok());
+  EXPECT_NE((*squares)->Name().find("[sparse-annulus]"), std::string::npos);
+  KnnCircleOptions kopts;
+  kopts.centers = RandomCenters(3, 24);
+  auto knn = KnnCircleFamily::Create(pts, kopts);
+  ASSERT_TRUE(knn.ok());
+  EXPECT_NE((*knn)->Name().find("[sparse-annulus]"), std::string::npos);
 }
 
 // -------------------------------------------------------------- memory win ---
 
+/// Bytes of one dense membership bit vector per region: the representation
+/// the annulus index replaces.
+double DenseMembershipBytes(const RegionFamily& family) {
+  return static_cast<double>(family.num_regions() *
+                             ((family.num_points() + 63) / 64) *
+                             sizeof(uint64_t));
+}
+
 TEST(AnnulusBackend, SparseMembershipMemoryBeatsDenseByLadderFactor) {
   // Representative paper-style configuration: 20-rung ladder, sides well
-  // below the domain size. The sparse index must undercut the dense bit
-  // vectors by at least L/3 (ISSUE 2 acceptance bar).
+  // below the domain size. The index must undercut the dense bit vectors by
+  // at least L/3.
   const auto pts = Cloud(4096, 31);
   SquareScanOptions opts;
   opts.centers = RandomCenters(100, 32);
   opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.1, 1.5, 20);
-  auto sparse_family = SquareScanFamily::Create(pts, opts);
-  ASSERT_TRUE(sparse_family.ok());
-  opts.backend = CountingBackend::kDenseBits;
-  auto dense_family = SquareScanFamily::Create(pts, opts);
-  ASSERT_TRUE(dense_family.ok());
+  auto squares = SquareScanFamily::Create(pts, opts);
+  ASSERT_TRUE(squares.ok());
 
-  const double ladder = static_cast<double>((*sparse_family)->num_sides());
-  const auto sparse_bytes =
-      static_cast<double>((*sparse_family)->MembershipBytes());
-  const auto dense_bytes =
-      static_cast<double>((*dense_family)->MembershipBytes());
+  const double ladder = static_cast<double>((*squares)->num_sides());
+  const auto sparse_bytes = static_cast<double>((*squares)->MembershipBytes());
+  const double dense_bytes = DenseMembershipBytes(**squares);
   EXPECT_GT(sparse_bytes, 0.0);
   EXPECT_GE(dense_bytes / sparse_bytes, ladder / 3.0)
       << "sparse " << sparse_bytes << "B vs dense " << dense_bytes << "B, L="
       << ladder;
 
-  // kNN circles: the ladder is shallower but sparse must still win.
+  // kNN circles: the ladder is shallower but the index must still win.
   KnnCircleOptions kopts;
   kopts.centers = RandomCenters(50, 33);
-  auto knn_sparse = KnnCircleFamily::Create(pts, kopts);
-  ASSERT_TRUE(knn_sparse.ok());
-  kopts.backend = CountingBackend::kDenseBits;
-  auto knn_dense = KnnCircleFamily::Create(pts, kopts);
-  ASSERT_TRUE(knn_dense.ok());
-  EXPECT_LT((*knn_sparse)->MembershipBytes(), (*knn_dense)->MembershipBytes());
+  auto knn = KnnCircleFamily::Create(pts, kopts);
+  ASSERT_TRUE(knn.ok());
+  EXPECT_LT(static_cast<double>((*knn)->MembershipBytes()),
+            DenseMembershipBytes(**knn));
 }
 
 // --------------------------------------- multi-class counting equivalence ---
@@ -683,8 +638,8 @@ std::vector<std::vector<uint8_t>> MakeClassWorlds(size_t n, uint32_t k,
   return out;
 }
 
-/// Asserts sparse CSR class gather == dense bit-plane popcounts == the base
-/// class's K-1 indicator reference, for both null-model draw styles, every
+/// Asserts the family's class gather == the reference family's base-class
+/// K-1 indicator oracle, for both null-model draw styles, every
 /// kBatchSizes size, junk codes (>= K, counted in no class), and a K ladder
 /// covering binary-degenerate (K=2) through 8 planes per world (K=9), so
 /// plane groups cross world boundaries.
@@ -706,22 +661,16 @@ void CheckClassCountingAgrees(const FamilyPair& pair, uint64_t seed) {
 
         const size_t total = ClassCountBufferSize(worlds, k - 1, stride);
         std::vector<uint64_t> from_sparse(total, ~0ULL);
-        std::vector<uint64_t> from_dense(total, ~0ULL);
         std::vector<uint64_t> reference(total, ~0ULL);
         pair.sparse->CountClassesBatch(ptrs.data(), worlds, k,
                                        from_sparse.data());
-        pair.dense->CountClassesBatch(ptrs.data(), worlds, k,
-                                      from_dense.data());
-        // Qualified call: the RegionFamily base implementation is the
-        // indicator-labels reference oracle every override must match exactly.
-        pair.sparse->RegionFamily::CountClassesBatch(ptrs.data(), worlds, k,
-                                                     reference.data());
+        // The reference family keeps the RegionFamily base implementation,
+        // the indicator-labels oracle every override must match exactly.
+        pair.reference->CountClassesBatch(ptrs.data(), worlds, k,
+                                          reference.data());
         ASSERT_EQ(from_sparse, reference) << "sparse vs reference, K=" << k
                                           << " permute=" << permute
                                           << " batch=" << worlds;
-        ASSERT_EQ(from_dense, reference) << "dense vs reference, K=" << k
-                                         << " permute=" << permute
-                                         << " batch=" << worlds;
 
         // Consistency pin on one world: the K-1 counted classes can never
         // exceed n(R) — the last class is derived as the remainder.
@@ -738,7 +687,7 @@ void CheckClassCountingAgrees(const FamilyPair& pair, uint64_t seed) {
   }
 }
 
-TEST(AnnulusBackend, ClassCountsMatchDenseAndReferenceOracle) {
+TEST(AnnulusBackend, ClassCountsMatchReferenceOracle) {
   const auto pts = Cloud(450, 51);
   SquareScanOptions sq_opts;
   sq_opts.centers = RandomCenters(7, 52);
@@ -784,7 +733,7 @@ NullDistribution MustSimulate(const RegionFamily& family,
   return *dist;
 }
 
-TEST(AnnulusBackend, NullDistributionBitIdenticalToDenseReference) {
+TEST(AnnulusBackend, NullDistributionBitIdenticalToReference) {
   const auto pts = Cloud(600, 41);
   SquareScanOptions sq_opts;
   sq_opts.centers = RandomCenters(9, 42);
@@ -805,7 +754,7 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToDenseReference) {
       mc.null_model = null_model;
       mc.parallel = false;
       mc.engine = McEngine::kReference;
-      const NullDistribution reference = MustSimulate(*pair.dense, mc);
+      const NullDistribution reference = MustSimulate(*pair.reference, mc);
 
       for (bool parallel : {false, true}) {
         for (McEngine engine : {McEngine::kBatched, McEngine::kReference}) {
@@ -814,15 +763,10 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToDenseReference) {
             mc.engine = engine;
             mc.batch_size = batch_size;
             const NullDistribution sparse_run = MustSimulate(*pair.sparse, mc);
-            const NullDistribution dense_run = MustSimulate(*pair.dense, mc);
             EXPECT_EQ(sparse_run.MaximaVector(), reference.MaximaVector())
-                << name << " sparse / " << NullModelToString(null_model)
-                << " / " << McEngineToString(engine) << " / parallel="
-                << parallel << " / batch=" << batch_size;
-            EXPECT_EQ(dense_run.MaximaVector(), reference.MaximaVector())
-                << name << " dense / " << NullModelToString(null_model)
-                << " / " << McEngineToString(engine) << " / parallel="
-                << parallel << " / batch=" << batch_size;
+                << name << " / " << NullModelToString(null_model) << " / "
+                << McEngineToString(engine) << " / parallel=" << parallel
+                << " / batch=" << batch_size;
           }
         }
       }
@@ -830,7 +774,7 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToDenseReference) {
   }
 }
 
-TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToDense) {
+TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToReference) {
   // The K-class calibration path: CountClassesBatch under the multinomial
   // statistic, 3 classes, across batch sizes and parallel on/off.
   const auto pts = Cloud(600, 91);
@@ -850,7 +794,7 @@ TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToDense) {
     mc.num_worlds = 40;
     mc.seed = 778;
     mc.parallel = false;
-    auto reference = SimulateNull(statistic, *pair.dense, mc);
+    auto reference = SimulateNull(statistic, *pair.reference, mc);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (bool parallel : {false, true}) {
       for (uint32_t batch_size : {1u, 2u, 7u, 8u, 9u, 17u, 64u}) {

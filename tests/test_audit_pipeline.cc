@@ -14,8 +14,11 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/grid_family.h"
+#include "core/knn_circle_family.h"
 #include "core/measure.h"
+#include "core/square_family.h"
 #include "data/dataset.h"
+#include "spatial/simd_popcount.h"
 #include "testing_util.h"
 
 namespace sfa::core {
@@ -296,6 +299,38 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
   engine.batch_size = 3;
   engine.parallel = false;
   EXPECT_EQ(base, key(engine)) << "execution-only knobs must not split keys";
+
+  // Repeat the execution-only sweep over every counting path (grid cells,
+  // and the annulus gather of squares and kNN circles) at both ends of the
+  // popcount tier range: the best arm the CPU supports (forcing avx512 clamps
+  // down to it) and scalar. The active tier is restored afterwards.
+  SquareScanOptions square_opts;
+  square_opts.centers = {{2.0, 2.0}, {5.0, 5.0}, {7.5, 7.5}};
+  square_opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
+  auto squares = SquareScanFamily::Create(b.city_a.locations(), square_opts);
+  ASSERT_TRUE(squares.ok());
+  KnnCircleOptions knn_opts;
+  knn_opts.centers = square_opts.centers;
+  auto knn = KnnCircleFamily::Create(b.city_a.locations(), knn_opts);
+  ASSERT_TRUE(knn.ok());
+  const std::vector<const RegionFamily*> families = {
+      b.family_a.get(), squares->get(), knn->get()};
+  for (const RegionFamily* family : families) {
+    const auto family_key = [&](const MonteCarloOptions& m) {
+      return MakeCalibrationKey(*family, b.city_a.size(),
+                                b.city_a.PositiveCount(),
+                                stats::ScanDirection::kTwoSided, m);
+    };
+    const CalibrationKey family_base = family_key(mc);
+    const spatial::PopcountKernel previous = spatial::ActivePopcountKernel();
+    for (const spatial::PopcountKernel tier :
+         {spatial::PopcountKernel::kAvx512, spatial::PopcountKernel::kScalar}) {
+      spatial::ForcePopcountKernel(tier);
+      EXPECT_EQ(family_base, family_key(mc)) << family->Name();
+      EXPECT_EQ(family_base, family_key(engine)) << family->Name();
+    }
+    spatial::ForcePopcountKernel(previous);
+  }
 
   MonteCarloOptions seeded = mc;
   seeded.seed = 8;

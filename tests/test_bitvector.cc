@@ -164,56 +164,5 @@ INSTANTIATE_TEST_SUITE_P(Sizes, AssignFromBytesSweep,
                          ::testing::Values(0, 1, 8, 63, 64, 65, 100, 128, 500,
                                            4096, 10001));
 
-TEST(BitVector, AndPopcountManyMatchesPairwise) {
-  sfa::Rng rng(29);
-  const size_t n = 777;
-  BitVector membership(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.3)) membership.Set(i);
-  }
-  // 7 worlds exercises the 4-wide register block plus the scalar tail.
-  std::vector<BitVector> worlds;
-  std::vector<const BitVector*> ptrs;
-  for (int b = 0; b < 7; ++b) {
-    BitVector w(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.Bernoulli(0.5)) w.Set(i);
-    }
-    worlds.push_back(std::move(w));
-  }
-  for (const auto& w : worlds) ptrs.push_back(&w);
-  std::vector<uint64_t> batched(worlds.size());
-  BitVector::AndPopcountMany(membership, ptrs.data(), worlds.size(),
-                             batched.data());
-  for (size_t b = 0; b < worlds.size(); ++b) {
-    EXPECT_EQ(batched[b], BitVector::AndPopcount(membership, worlds[b])) << b;
-  }
-}
-
-// Regression for the batch-validation bug: the old 4-wide block checked only
-// batch[b] per block, so a mis-sized vector in positions 1..3 of a block read
-// out of bounds undetected. Validation is now upfront, over EVERY entry, and
-// always-on (release builds included) — a mis-sized entry anywhere must abort
-// before the kernel touches a word.
-TEST(BitVectorDeathTest, AndPopcountManyValidatesEveryBatchEntry) {
-  const BitVector a(256);
-  const BitVector ok(256);
-  const BitVector mis_sized(64);
-  std::vector<uint64_t> out(4);
-  for (size_t bad_pos = 0; bad_pos < 4; ++bad_pos) {
-    std::vector<const BitVector*> batch(4, &ok);
-    batch[bad_pos] = &mis_sized;
-    EXPECT_DEATH(
-        BitVector::AndPopcountMany(a, batch.data(), batch.size(), out.data()),
-        "size mismatch")
-        << "bad position " << bad_pos;
-  }
-  // The remainder path (count < 4) must validate too.
-  std::vector<const BitVector*> tail = {&ok, &mis_sized};
-  EXPECT_DEATH(
-      BitVector::AndPopcountMany(a, tail.data(), tail.size(), out.data()),
-      "size mismatch");
-}
-
 }  // namespace
 }  // namespace sfa::spatial

@@ -21,6 +21,7 @@
 #include "core/square_family.h"
 #include "geo/partitioning.h"
 #include "stats/bernoulli_scan.h"
+#include "testing_util.h"
 
 namespace sfa::core {
 namespace {
@@ -69,8 +70,8 @@ std::vector<NamedFamily> AllFamilies() {
   EXPECT_TRUE(single_family.ok());
   out.push_back({"single-partitioning", std::move(*single_family)});
 
-  // Both counting backends of the overlapping families ride through the
-  // whole engine equivalence suite.
+  // The overlapping families ride through the whole engine equivalence
+  // suite, each next to its geometry-built member-list reference.
   SquareScanOptions square_opts;
   Rng crng(13);
   for (int i = 0; i < 12; ++i) {
@@ -79,11 +80,9 @@ std::vector<NamedFamily> AllFamilies() {
   square_opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
   auto square = SquareScanFamily::Create(pts, square_opts);
   EXPECT_TRUE(square.ok());
+  auto square_reference = testing::MemberListFamily::Squares(pts, **square);
   out.push_back({"square", std::move(*square)});
-  square_opts.backend = CountingBackend::kDenseBits;
-  auto square_dense = SquareScanFamily::Create(pts, square_opts);
-  EXPECT_TRUE(square_dense.ok());
-  out.push_back({"square-dense", std::move(*square_dense)});
+  out.push_back({"square-reference", std::move(square_reference)});
 
   KnnCircleOptions knn_opts;
   for (int i = 0; i < 10; ++i) {
@@ -92,10 +91,8 @@ std::vector<NamedFamily> AllFamilies() {
   auto knn = KnnCircleFamily::Create(pts, knn_opts);
   EXPECT_TRUE(knn.ok());
   out.push_back({"knn-circle", std::move(*knn)});
-  knn_opts.backend = CountingBackend::kDenseBits;
-  auto knn_dense = KnnCircleFamily::Create(pts, knn_opts);
-  EXPECT_TRUE(knn_dense.ok());
-  out.push_back({"knn-circle-dense", std::move(*knn_dense)});
+  out.push_back({"knn-circle-reference",
+                 testing::MemberListFamily::KnnCircles(pts, knn_opts)});
 
   auto sweep = RectangleSweepFamily::Create(pts, 6, 5);
   EXPECT_TRUE(sweep.ok());
@@ -163,7 +160,7 @@ TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
 TEST(McEngineEquivalence, BatchCountingMatchesScalarCounting) {
   const auto families = AllFamilies();
   Rng rng(77);
-  constexpr size_t kWorlds = 7;  // exercises the 4-wide block + tail kernels
+  constexpr size_t kWorlds = 7;  // a partial 8-world gather group
   std::vector<Labels> labels;
   std::vector<const Labels*> ptrs;
   for (size_t b = 0; b < kWorlds; ++b) {

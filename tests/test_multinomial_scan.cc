@@ -16,6 +16,7 @@
 #include "core/square_family.h"
 #include "geo/partitioning.h"
 #include "stats/bernoulli_scan.h"
+#include "testing_util.h"
 
 namespace sfa {
 namespace {
@@ -152,8 +153,8 @@ TEST(MulticlassAudit, BinaryCaseAgreesWithBinaryAuditDirectionally) {
 
 /// All five region family types over one point cloud, sized small enough for
 /// tier-1 but covering every CountClassesBatch override (grid scatter,
-/// per-partitioning scatter, prefix-sum fold, sparse annulus CSR, and the
-/// dense SIMD bit-plane path).
+/// per-partitioning scatter, prefix-sum fold, and the annulus gather), plus
+/// the geometry-built member-list references of the two overlapping families.
 std::vector<std::unique_ptr<core::RegionFamily>> MakeAllFamilies(
     const std::vector<geo::Point>& pts, Rng* rng) {
   std::vector<std::unique_ptr<core::RegionFamily>> families;
@@ -178,24 +179,20 @@ std::vector<std::unique_ptr<core::RegionFamily>> MakeAllFamilies(
   core::SquareScanOptions sq;
   sq.centers = centers;
   sq.side_lengths = core::SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
-  for (core::CountingBackend backend :
-       {core::CountingBackend::kSparseAnnulus, core::CountingBackend::kDenseBits}) {
-    sq.backend = backend;
-    auto square = core::SquareScanFamily::Create(pts, sq);
-    EXPECT_TRUE(square.ok());
-    families.push_back(std::move(*square));
-  }
+  auto square = core::SquareScanFamily::Create(pts, sq);
+  EXPECT_TRUE(square.ok());
+  auto square_reference =
+      core::testing::MemberListFamily::Squares(pts, **square);
+  families.push_back(std::move(*square));
+  families.push_back(std::move(square_reference));
 
   core::KnnCircleOptions knn;
   knn.centers = centers;
   knn.population_fractions = {0.01, 0.04, 0.10};
-  for (core::CountingBackend backend :
-       {core::CountingBackend::kSparseAnnulus, core::CountingBackend::kDenseBits}) {
-    knn.backend = backend;
-    auto circles = core::KnnCircleFamily::Create(pts, knn);
-    EXPECT_TRUE(circles.ok());
-    families.push_back(std::move(*circles));
-  }
+  auto circles = core::KnnCircleFamily::Create(pts, knn);
+  EXPECT_TRUE(circles.ok());
+  families.push_back(std::move(*circles));
+  families.push_back(core::testing::MemberListFamily::KnnCircles(pts, knn));
   return families;
 }
 

@@ -216,14 +216,10 @@ TEST(SquareScanFamily, CountsMatchBruteForce) {
   SquareScanOptions opts;
   opts.centers = {{3, 7}, {5, 5}, {9, 1}};
   opts.side_lengths = {0.5, 1.5, 4.0};
-  for (CountingBackend backend :
-       {CountingBackend::kSparseAnnulus, CountingBackend::kDenseBits}) {
-    opts.backend = backend;
-    auto family = SquareScanFamily::Create(cloud.points, opts);
-    ASSERT_TRUE(family.ok());
-    EXPECT_EQ((*family)->num_regions(), 9u);
-    CheckFamilyAgainstBruteForce(**family, cloud);
-  }
+  auto family = SquareScanFamily::Create(cloud.points, opts);
+  ASSERT_TRUE(family.ok());
+  EXPECT_EQ((*family)->num_regions(), 9u);
+  CheckFamilyAgainstBruteForce(**family, cloud);
 }
 
 TEST(SquareScanFamily, RegionIndexingAndGroups) {

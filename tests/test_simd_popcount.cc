@@ -1,12 +1,10 @@
 // Bit-identity suite for the runtime-dispatched AND+popcount kernels
 // (spatial/simd_popcount.h): every vector arm (avx2, avx512) must produce
 // EXACTLY the scalar reference's counts — popcounts are integer-exact, so any
-// difference is a kernel bug, not noise. Fuzzes across awkward tail lengths
-// (word boundaries ±1, sub-word, and a multi-megabit size) and mixed batch
-// counts so both the 4-stream blocked path and the remainder path of
-// BitVector::AndPopcountMany are exercised, plus the force/env override
-// semantics and the SWAR class-indicator packer the dense multi-class
-// counting backend builds its bit planes with.
+// difference is a kernel bug, not noise. Fuzzes BitVector::AndPopcount
+// across awkward tail lengths (word boundaries ±1, sub-word, and a
+// multi-megabit size) and the raw word kernel across chunk remainders, plus
+// the force/env override semantics.
 #include "spatial/simd_popcount.h"
 
 #include <gtest/gtest.h>
@@ -72,47 +70,36 @@ TEST(SimdPopcount, ForceReturnsPreviousAndClampsToSupported) {
   EXPECT_EQ(ActivePopcountKernel(), original);
 }
 
-// The core bit-identity fuzz of the ISSUE: for every vector arm the CPU
-// supports, AndPopcountMany must equal the scalar arm exactly across tail
-// lengths straddling the 64-bit word and 256/512-bit chunk boundaries, and
-// across batch counts covering the 4-stream blocks plus every remainder.
-TEST(SimdPopcount, FuzzBitIdentityAcrossTailLengthsAndBatchCounts) {
+// The core bit-identity fuzz: for every vector arm the CPU supports,
+// AndPopcount must equal the scalar arm exactly across tail lengths
+// straddling the 64-bit word and 256/512-bit chunk boundaries.
+TEST(SimdPopcount, FuzzBitIdentityAcrossTailLengths) {
   const size_t kLengths[] = {0, 1, 63, 64, 65, 127, 128, 1000003};
   Rng rng(20230707);
   for (const size_t n : kLengths) {
     const BitVector membership = RandomBits(n, 0.4, &rng);
     std::vector<BitVector> worlds;
-    std::vector<const BitVector*> ptrs;
     for (size_t b = 0; b < 9; ++b) {
       worlds.push_back(RandomBits(n, 0.1 + 0.1 * static_cast<double>(b), &rng));
     }
-    for (const BitVector& w : worlds) ptrs.push_back(&w);
-
-    for (size_t count = 1; count <= worlds.size(); ++count) {
-      std::vector<uint64_t> expected(count);
-      {
-        ScopedKernel scalar(PopcountKernel::kScalar);
-        BitVector::AndPopcountMany(membership, ptrs.data(), count,
-                                   expected.data());
-      }
-      for (size_t b = 0; b < count; ++b) {
+    std::vector<uint64_t> expected(worlds.size());
+    {
+      ScopedKernel scalar(PopcountKernel::kScalar);
+      for (size_t b = 0; b < worlds.size(); ++b) {
+        expected[b] = BitVector::AndPopcount(membership, worlds[b]);
         ASSERT_EQ(expected[b], NaiveAndPopcount(membership, worlds[b]))
             << "scalar kernel vs naive loop, n=" << n << " world=" << b;
       }
-      for (const PopcountKernel kernel :
-           {PopcountKernel::kAvx2, PopcountKernel::kAvx512}) {
-        ScopedKernel forced(kernel);
-        if (ActivePopcountKernel() == PopcountKernel::kScalar) {
-          continue;  // arm unavailable on this CPU/build; clamped to scalar
-        }
-        std::vector<uint64_t> got(count, ~0ULL);
-        BitVector::AndPopcountMany(membership, ptrs.data(), count, got.data());
-        ASSERT_EQ(got, expected)
-            << PopcountKernelName(kernel) << " n=" << n << " count=" << count;
-        for (size_t b = 0; b < count; ++b) {
-          ASSERT_EQ(BitVector::AndPopcount(membership, worlds[b]), expected[b])
-              << PopcountKernelName(kernel) << " single-stream, n=" << n;
-        }
+    }
+    for (const PopcountKernel kernel :
+         {PopcountKernel::kAvx2, PopcountKernel::kAvx512}) {
+      ScopedKernel forced(kernel);
+      if (ActivePopcountKernel() == PopcountKernel::kScalar) {
+        continue;  // arm unavailable on this CPU/build; clamped to scalar
+      }
+      for (size_t b = 0; b < worlds.size(); ++b) {
+        ASSERT_EQ(BitVector::AndPopcount(membership, worlds[b]), expected[b])
+            << PopcountKernelName(kernel) << " n=" << n << " world=" << b;
       }
     }
   }
@@ -121,64 +108,22 @@ TEST(SimdPopcount, FuzzBitIdentityAcrossTailLengthsAndBatchCounts) {
 TEST(SimdPopcount, WordKernelsAgreeOnRawArrays) {
   Rng rng(99);
   for (const size_t words : {0u, 1u, 3u, 4u, 5u, 17u, 64u, 1021u}) {
-    std::vector<uint64_t> a(words), b0(words), b1(words), b2(words), b3(words);
+    std::vector<uint64_t> a(words), b(words);
     for (size_t i = 0; i < words; ++i) {
       a[i] = rng.Next();
-      b0[i] = rng.Next();
-      b1[i] = rng.Next();
-      b2[i] = rng.Next();
-      b3[i] = rng.Next();
+      b[i] = rng.Next();
     }
-    uint64_t expected1;
-    uint64_t expected4[4];
+    uint64_t expected;
     {
       ScopedKernel scalar(PopcountKernel::kScalar);
-      expected1 = AndPopcountWords(a.data(), b0.data(), words);
-      AndPopcountWords4(a.data(), b0.data(), b1.data(), b2.data(), b3.data(),
-                        words, expected4);
+      expected = AndPopcountWords(a.data(), b.data(), words);
     }
-    EXPECT_EQ(expected1, expected4[0]);
     for (const PopcountKernel kernel :
          {PopcountKernel::kAvx2, PopcountKernel::kAvx512}) {
       ScopedKernel forced(kernel);
       if (ActivePopcountKernel() == PopcountKernel::kScalar) continue;
-      EXPECT_EQ(AndPopcountWords(a.data(), b0.data(), words), expected1)
+      EXPECT_EQ(AndPopcountWords(a.data(), b.data(), words), expected)
           << PopcountKernelName(kernel) << " words=" << words;
-      uint64_t got4[4];
-      AndPopcountWords4(a.data(), b0.data(), b1.data(), b2.data(), b3.data(),
-                        words, got4);
-      for (int s = 0; s < 4; ++s) {
-        EXPECT_EQ(got4[s], expected4[s])
-            << PopcountKernelName(kernel) << " words=" << words
-            << " stream=" << s;
-      }
-    }
-  }
-}
-
-// The dense multi-class backend packs class-indicator bit planes with
-// AssignFromByteValue; pin its SWAR equality detection against the naive
-// per-bit construction, including codes above 0x7f (high-bit bytes are where
-// sloppy zero-detection tricks break).
-TEST(SimdPopcount, AssignFromByteValueMatchesNaive) {
-  Rng rng(7);
-  for (const size_t n : {0u, 1u, 63u, 64u, 65u, 129u, 1000u}) {
-    std::vector<uint8_t> codes(n);
-    for (size_t i = 0; i < n; ++i) {
-      codes[i] = static_cast<uint8_t>(rng.Next() & 0xff);
-    }
-    BitVector packed;
-    for (const uint8_t value : {0, 1, 2, 127, 128, 255}) {
-      packed.AssignFromByteValue(codes.data(), n, value);
-      ASSERT_EQ(packed.size(), n);
-      BitVector naive(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (codes[i] == value) naive.Set(i);
-      }
-      ASSERT_TRUE(packed == naive) << "n=" << n << " value=" << int{value};
-      // Reassignment on the same instance must fully overwrite stale words.
-      packed.AssignFromByteValue(codes.data(), n, value);
-      ASSERT_TRUE(packed == naive);
     }
   }
 }

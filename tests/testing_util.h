@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,11 +22,14 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/audit.h"
+#include "core/knn_circle_family.h"
 #include "core/partitioning_family.h"
 #include "data/dataset.h"
 #include "core/region_family.h"
+#include "core/square_family.h"
 #include "geo/partitioning.h"
 #include "geo/rect.h"
+#include "spatial/kdtree.h"
 #include "stats/distributions.h"
 
 namespace sfa::core::testing {
@@ -158,6 +163,93 @@ class ReferenceCellSamplers {
  private:
   std::vector<stats::FixedBinomialSampler> cells_;
   stats::FixedBinomialSampler outside_;
+};
+
+/// Reference counter for the overlapping families: one explicit member-id
+/// list per region, built straight from the geometry, counted by summing
+/// label bytes. It keeps the RegionFamily base-class batch and K-class
+/// oracles, so it shares no counting code with the annulus gather.
+class MemberListFamily : public RegionFamily {
+ public:
+  /// Region r of `family` holds the points family.Describe(r).rect contains.
+  static std::unique_ptr<MemberListFamily> Squares(
+      const std::vector<geo::Point>& points, const SquareScanFamily& family) {
+    auto ref = std::unique_ptr<MemberListFamily>(new MemberListFamily(points));
+    for (size_t r = 0; r < family.num_regions(); ++r) {
+      const RegionDescriptor desc = family.Describe(r);
+      std::vector<uint32_t> members;
+      for (size_t i = 0; i < points.size(); ++i) {
+        if (desc.rect.Contains(points[i])) {
+          members.push_back(static_cast<uint32_t>(i));
+        }
+      }
+      ref->Add(desc, std::move(members));
+    }
+    return ref;
+  }
+
+  /// Region (center c, rung l) holds the first k_l ids of one
+  /// KdTree::KNearest(c, largest k) query, with the ladder k_l = ceil(f * N)
+  /// of `options.population_fractions`, clamped to [1, N], sorted, deduped.
+  static std::unique_ptr<MemberListFamily> KnnCircles(
+      const std::vector<geo::Point>& points, const KnnCircleOptions& options) {
+    auto ref = std::unique_ptr<MemberListFamily>(new MemberListFamily(points));
+    std::vector<size_t> ladder;
+    const auto n = static_cast<double>(points.size());
+    for (double f : options.population_fractions) {
+      ladder.push_back(std::clamp<size_t>(static_cast<size_t>(std::ceil(f * n)),
+                                          1, points.size()));
+    }
+    std::sort(ladder.begin(), ladder.end());
+    ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
+    const spatial::KdTree tree(points);
+    for (size_t c = 0; c < options.centers.size(); ++c) {
+      const geo::Point& center = options.centers[c];
+      const std::vector<uint32_t> nearest =
+          tree.KNearest(center, ladder.back());
+      for (const size_t k : ladder) {
+        RegionDescriptor desc;
+        desc.rect = geo::Rect::CenteredSquare(
+            center, 2.0 * center.DistanceTo(points[nearest[k - 1]]));
+        desc.label = "reference knn(center " + std::to_string(c) + ", k=" +
+                     std::to_string(k) + ")";
+        desc.group = static_cast<uint32_t>(c);
+        ref->Add(std::move(desc),
+                 std::vector<uint32_t>(nearest.begin(), nearest.begin() + k));
+      }
+    }
+    return ref;
+  }
+
+  size_t num_regions() const override { return members_.size(); }
+  size_t num_points() const override { return num_points_; }
+  RegionDescriptor Describe(size_t r) const override { return descriptors_[r]; }
+  uint64_t PointCount(size_t r) const override { return members_[r].size(); }
+  void CountPositives(const Labels& labels,
+                      std::vector<uint64_t>* out) const override {
+    SFA_CHECK(labels.size() == num_points_);
+    const std::vector<uint8_t>& bytes = labels.bytes();
+    out->assign(members_.size(), 0);
+    for (size_t r = 0; r < members_.size(); ++r) {
+      for (const uint32_t id : members_[r]) (*out)[r] += bytes[id];
+    }
+  }
+  std::string Name() const override {
+    return std::to_string(members_.size()) + " member-list reference regions";
+  }
+
+ private:
+  explicit MemberListFamily(const std::vector<geo::Point>& points)
+      : num_points_(points.size()) {}
+
+  void Add(RegionDescriptor desc, std::vector<uint32_t> members) {
+    descriptors_.push_back(std::move(desc));
+    members_.push_back(std::move(members));
+  }
+
+  size_t num_points_;
+  std::vector<RegionDescriptor> descriptors_;
+  std::vector<std::vector<uint32_t>> members_;
 };
 
 }  // namespace sfa::core::testing

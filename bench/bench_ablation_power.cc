@@ -8,9 +8,9 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/rectangle_sweep_family.h"
 #include "core/scan.h"
-#include "core/significance.h"
 
 namespace sfa {
 
@@ -32,8 +32,9 @@ int Main() {
   core::MonteCarloOptions mc;
   mc.num_worlds = 199;
   mc.seed = 77;
-  auto null_dist = core::SimulateNull(**family, 0.5, n / 2,
-                                      stats::ScanDirection::kTwoSided, mc);
+  const core::BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                               n, n / 2);
+  auto null_dist = core::SimulateNull(statistic, **family, mc);
   SFA_CHECK_OK(null_dist.status());
 
   const std::vector<double> deltas = {0.0, 0.03, 0.06, 0.1, 0.15};
@@ -47,7 +48,7 @@ int Main() {
   for (size_t i = 0; i < fractions.size(); ++i) std::printf("-----------+");
   std::printf("\n");
 
-  std::vector<uint64_t> scratch;
+  const stats::LogLikelihoodTable table(n);
   for (double delta : deltas) {
     std::printf("  %8.2f |", delta);
     for (double fraction : fractions) {
@@ -62,8 +63,10 @@ int Main() {
           bytes[i] = rng.Bernoulli(rate) ? 1 : 0;
         }
         const core::Labels labels = core::Labels::FromBytes(std::move(bytes));
-        const double tau = core::ScanMaxStatistic(
-            **family, labels, stats::ScanDirection::kTwoSided, &scratch);
+        const double tau =
+            core::ScanAllRegions(**family, labels,
+                                 stats::ScanDirection::kTwoSided, table)
+                .max_llr;
         if (null_dist->PValue(tau) <= alpha) ++rejections;
       }
       std::printf("   %6.2f   |", static_cast<double>(rejections) / trials);

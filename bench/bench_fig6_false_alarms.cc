@@ -10,9 +10,9 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "core/audit.h"
+#include "core/bernoulli_statistic.h"
 #include "core/scan.h"
 #include "core/square_family.h"
-#include "core/significance.h"
 
 namespace sfa {
 namespace {
@@ -60,8 +60,9 @@ int Main() {
   // Null calibration once (shared across the audit trials below).
   core::MonteCarloOptions mc;
   mc.num_worlds = bench::NumWorlds();
-  auto null_dist = core::SimulateNull(**family, kRho, kOutcomes / 2,
-                                      stats::ScanDirection::kTwoSided, mc);
+  const core::BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                               kOutcomes, kOutcomes / 2);
+  auto null_dist = core::SimulateNull(statistic, **family, mc);
   SFA_CHECK_OK(null_dist.status());
   const double critical = null_dist->CriticalValue(bench::kAlpha);
 
@@ -69,7 +70,7 @@ int Main() {
   const int worlds = bench::QuickMode() ? 100 : 400;
   int with_cluster = 0;
   int audit_rejections = 0;
-  std::vector<uint64_t> scratch;
+  const stats::LogLikelihoodTable table(kOutcomes);
   for (int w = 0; w < worlds; ++w) {
     const core::Labels labels = core::Labels::SampleBernoulli(kOutcomes, kRho, &rng);
     // (1) Does a >=5-negative, 0-positive region exist?
@@ -82,8 +83,10 @@ int Main() {
     }
     with_cluster += found;
     // (2) Does the audit (correctly) decline to call the world unfair?
-    const double tau = core::ScanMaxStatistic(
-        **family, labels, stats::ScanDirection::kTwoSided, &scratch);
+    const double tau =
+        core::ScanAllRegions(**family, labels, stats::ScanDirection::kTwoSided,
+                             table)
+            .max_llr;
     if (null_dist->PValue(tau) <= bench::kAlpha) ++audit_rejections;
   }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/cell_sampler_bank.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
@@ -101,11 +102,13 @@ void BM_GridFamilyWorld(benchmark::State& state) {
     return;
   }
   Rng rng(9);
-  std::vector<uint64_t> scratch;
+  const stats::LogLikelihoodTable table(n);
   for (auto _ : state) {
     const core::Labels labels = core::Labels::SampleBernoulli(n, 0.62, &rng);
-    benchmark::DoNotOptimize(core::ScanMaxStatistic(
-        **family, labels, stats::ScanDirection::kTwoSided, &scratch));
+    benchmark::DoNotOptimize(
+        core::ScanAllRegions(**family, labels, stats::ScanDirection::kTwoSided,
+                             table)
+            .max_llr);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
@@ -128,11 +131,13 @@ void BM_SquareFamilyWorld(benchmark::State& state) {
     state.SkipWithError("family creation failed");
     return;
   }
-  std::vector<uint64_t> scratch;
+  const stats::LogLikelihoodTable table(n);
   for (auto _ : state) {
     const core::Labels labels = core::Labels::SampleBernoulli(n, 0.62, &rng);
-    benchmark::DoNotOptimize(core::ScanMaxStatistic(
-        **family, labels, stats::ScanDirection::kTwoSided, &scratch));
+    benchmark::DoNotOptimize(
+        core::ScanAllRegions(**family, labels, stats::ScanDirection::kTwoSided,
+                             table)
+            .max_llr);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
@@ -151,9 +156,10 @@ void RunMonteCarloBench(benchmark::State& state, const core::MonteCarloOptions& 
   }
   core::MonteCarloOptions mc = base;
   mc.num_worlds = static_cast<uint32_t>(state.range(0));
+  const core::BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                               n, n * 62 / 100);
   for (auto _ : state) {
-    auto dist = core::SimulateNull(**family, 0.62, n * 62 / 100,
-                                   stats::ScanDirection::kTwoSided, mc);
+    auto dist = core::SimulateNull(statistic, **family, mc);
     if (!dist.ok()) {
       state.SkipWithError("simulation failed");
       return;
@@ -203,9 +209,10 @@ void RunOverlappingFamilyBench(benchmark::State& state,
   mc.num_worlds = 49;
   mc.engine = state.range(0) == 0 ? core::McEngine::kReference
                                   : core::McEngine::kBatched;
+  const core::BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                               n, n * 62 / 100);
   for (auto _ : state) {
-    auto dist = core::SimulateNull(family, 0.62, n * 62 / 100,
-                                   stats::ScanDirection::kTwoSided, mc);
+    auto dist = core::SimulateNull(statistic, family, mc);
     if (!dist.ok()) {
       state.SkipWithError("simulation failed");
       return;

@@ -10,12 +10,13 @@
 
 #include "common/macros.h"
 #include "common/random.h"
-#include "core/multiclass.h"
+#include "core/audit.h"
+#include "core/grid_family.h"
 
 int main() {
   sfa::Rng rng(2718);
-  std::vector<sfa::geo::Point> customers;
-  std::vector<uint8_t> tier;  // 0 = standard, 1 = express, 2 = premium
+  // Predicted slot = tier id: 0 = standard, 1 = express, 2 = premium.
+  sfa::data::OutcomeDataset orders("orders");
   const std::vector<double> global_mix = {0.6, 0.3, 0.1};
 
   // A planted district where premium service is quietly withheld: its orders
@@ -32,17 +33,18 @@ int main() {
     }
     const auto& mix =
         underserved.Contains(home) ? underserved_mix : global_mix;
-    customers.push_back(home);
-    tier.push_back(static_cast<uint8_t>(rng.Categorical(mix)));
+    orders.Add(home, static_cast<uint8_t>(rng.Categorical(mix)));
   }
 
-  sfa::core::MulticlassAuditOptions options;
+  auto family =
+      sfa::core::GridPartitionFamily::Create(orders.locations(), 12, 12);
+  SFA_CHECK_OK(family.status());
+  sfa::core::AuditOptions options;
   options.alpha = 0.005;
-  options.grid_x = 12;
-  options.grid_y = 12;
+  options.statistic = sfa::core::StatisticKind::kMultinomial;
+  options.num_classes = 3;
   options.monte_carlo.num_worlds = 499;
-  auto result =
-      sfa::core::AuditMulticlassGrid(customers, tier, 3, options);
+  auto result = sfa::core::Auditor(options).AuditView(orders, **family);
   SFA_CHECK_OK(result.status());
 
   std::printf("global tier mix: standard %.2f, express %.2f, premium %.2f\n",

@@ -182,16 +182,12 @@ class BernoulliSimulation : public StatisticSimulation {
 BernoulliScanStatistic::BernoulliScanStatistic(stats::ScanDirection direction,
                                                uint64_t total_n,
                                                uint64_t total_p)
-    : BernoulliScanStatistic(
-          direction, total_n, total_p,
-          total_n == 0 ? 0.0
-                       : static_cast<double>(total_p) /
-                             static_cast<double>(total_n)) {}
-
-BernoulliScanStatistic::BernoulliScanStatistic(stats::ScanDirection direction,
-                                               uint64_t total_n,
-                                               uint64_t total_p, double rho)
-    : direction_(direction), total_n_(total_n), total_p_(total_p), rho_(rho) {}
+    : direction_(direction),
+      total_n_(total_n),
+      total_p_(total_p),
+      rho_(total_n == 0 ? 0.0
+                        : static_cast<double>(total_p) /
+                              static_cast<double>(total_n)) {}
 
 std::string BernoulliScanStatistic::Name() const {
   return StrFormat("Bernoulli scan statistic (%s)",
@@ -228,9 +224,6 @@ Status BernoulliScanStatistic::ValidateForFamily(
         "region family is bound to %zu points but the statistic's view has "
         "%llu",
         family.num_points(), static_cast<unsigned long long>(total_n_)));
-  }
-  if (rho_ < 0.0 || rho_ > 1.0) {
-    return Status::InvalidArgument("rho must be in [0, 1]");
   }
   if (total_p_ > total_n_) {
     return Status::InvalidArgument("more positives than points");

@@ -1,7 +1,7 @@
 // The Bernoulli (binary-outcome) scan statistic behind the pluggable
 // ScanStatistic interface — the paper's spatial-fairness likelihood-ratio
-// test (§3), re-seated from the original hardwired scan/engine path with its
-// arithmetic and RNG streams preserved bit-for-bit:
+// test (§3), and the one entry point for scanning, calibrating and keying a
+// binary audit:
 //
 //   observed scan    per-region Λ through the shared k·log k table
 //                    (core/scan.h's ScanAllRegions — the exact-tie contract);
@@ -16,7 +16,7 @@
 //                    calibration key proper.
 //
 // The golden-figure, determinism, and stat calibration suites pin this
-// path's exact outputs across the refactor.
+// path's exact outputs.
 #ifndef SFA_CORE_BERNOULLI_STATISTIC_H_
 #define SFA_CORE_BERNOULLI_STATISTIC_H_
 
@@ -34,13 +34,6 @@ class BernoulliScanStatistic : public ScanStatistic {
   /// positive; the Bernoulli null rate is ρ = P/N.
   BernoulliScanStatistic(stats::ScanDirection direction, uint64_t total_n,
                          uint64_t total_p);
-
-  /// Ablation variant with an explicit null rate decoupled from P/N (e.g.
-  /// simulating at a hypothesized ρ). Not used by the audit/pipeline path,
-  /// and `rho` is NOT part of Fingerprint() — do not key calibrations built
-  /// this way unless rho == P/N.
-  BernoulliScanStatistic(stats::ScanDirection direction, uint64_t total_n,
-                         uint64_t total_p, double rho);
 
   StatisticKind kind() const override { return StatisticKind::kBernoulli; }
   std::string Name() const override;

@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/bernoulli_statistic.h"
 #include "core/calibration_store.h"
 #include "core/labels.h"
 #include "core/scan_statistic.h"
@@ -150,23 +149,6 @@ CalibrationKey MakeCalibrationKey(const RegionFamily& family,
         options.adaptive.z);
   }
   return key;
-}
-
-CalibrationKey MakeCalibrationKey(const RegionFamily& family, uint64_t total_n,
-                                  uint64_t total_p,
-                                  stats::ScanDirection direction,
-                                  const MonteCarloOptions& options) {
-  return MakeCalibrationKey(family, FamilyFingerprint(family), total_n,
-                            total_p, direction, options);
-}
-
-CalibrationKey MakeCalibrationKey(const RegionFamily& family,
-                                  uint64_t fingerprint, uint64_t total_n,
-                                  uint64_t total_p,
-                                  stats::ScanDirection direction,
-                                  const MonteCarloOptions& options) {
-  const BernoulliScanStatistic statistic(direction, total_n, total_p);
-  return MakeCalibrationKey(family, fingerprint, statistic, options);
 }
 
 CalibrationCache::~CalibrationCache() { FlushStore(); }

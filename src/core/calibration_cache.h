@@ -37,7 +37,6 @@
 #include "common/thread_pool.h"
 #include "core/region_family.h"
 #include "core/significance.h"
-#include "stats/bernoulli_scan.h"
 
 namespace sfa::core {
 
@@ -80,18 +79,6 @@ CalibrationKey MakeCalibrationKey(const RegionFamily& family,
 CalibrationKey MakeCalibrationKey(const RegionFamily& family,
                                   uint64_t fingerprint,
                                   const ScanStatistic& statistic,
-                                  const MonteCarloOptions& options);
-
-/// Bernoulli convenience overloads (the pre-statistic-layer signatures):
-/// key the binary statistic over (N, P, direction).
-CalibrationKey MakeCalibrationKey(const RegionFamily& family, uint64_t total_n,
-                                  uint64_t total_p,
-                                  stats::ScanDirection direction,
-                                  const MonteCarloOptions& options);
-CalibrationKey MakeCalibrationKey(const RegionFamily& family,
-                                  uint64_t fingerprint, uint64_t total_n,
-                                  uint64_t total_p,
-                                  stats::ScanDirection direction,
                                   const MonteCarloOptions& options);
 
 /// Execution-only context handed to a calibration computation by

@@ -41,6 +41,7 @@ Result<std::unique_ptr<GridPartitionFamily>> GridPartitionFamily::Create(
 Result<std::unique_ptr<GridPartitionFamily>> GridPartitionFamily::CreateWithExtent(
     const std::vector<geo::Point>& points, const geo::Rect& extent, uint32_t g_x,
     uint32_t g_y) {
+  SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
   SFA_ASSIGN_OR_RETURN(geo::GridSpec grid, geo::GridSpec::Create(extent, g_x, g_y));
   return std::unique_ptr<GridPartitionFamily>(
       new GridPartitionFamily(grid, points));

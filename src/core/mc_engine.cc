@@ -7,7 +7,6 @@
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
-#include "core/bernoulli_statistic.h"
 
 namespace sfa::core {
 
@@ -244,17 +243,6 @@ std::vector<double> RunMonteCarloWorlds(const StatisticSimulation& simulation,
 std::vector<double> RunMonteCarloWorlds(const StatisticSimulation& simulation,
                                         const MonteCarloOptions& options) {
   return RunMonteCarloWorlds(simulation, options, nullptr);
-}
-
-std::vector<double> RunMonteCarloWorlds(const RegionFamily& family, double rho,
-                                        uint64_t total_positives,
-                                        stats::ScanDirection direction,
-                                        const MonteCarloOptions& options) {
-  const BernoulliScanStatistic statistic(direction, family.num_points(),
-                                         total_positives, rho);
-  const std::unique_ptr<StatisticSimulation> simulation =
-      statistic.MakeSimulation(family, options);
-  return RunMonteCarloWorlds(*simulation, options);
 }
 
 }  // namespace sfa::core

@@ -29,10 +29,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/region_family.h"
 #include "core/scan_statistic.h"
 #include "core/significance.h"
-#include "stats/bernoulli_scan.h"
 
 namespace sfa::core {
 
@@ -83,14 +81,6 @@ std::vector<double> RunMonteCarloWorlds(const StatisticSimulation& simulation,
                                         McRunOutcome* outcome);
 
 std::vector<double> RunMonteCarloWorlds(const StatisticSimulation& simulation,
-                                        const MonteCarloOptions& options);
-
-/// Bernoulli convenience wrapper (the pre-statistic-layer signature, kept
-/// for the ablation harnesses and engine tests): simulates the binary
-/// statistic at an explicit null rate `rho`.
-std::vector<double> RunMonteCarloWorlds(const RegionFamily& family, double rho,
-                                        uint64_t total_positives,
-                                        stats::ScanDirection direction,
                                         const MonteCarloOptions& options);
 
 }  // namespace sfa::core

@@ -32,9 +32,8 @@ double MultinomialNullLogLikelihood(const std::vector<uint64_t>& totals,
 /// with t[k] = k log k, d_k = W_k − c_k, m = N − n, and null_term =
 /// Σ_k t[W_k] − t[N] hoisted per world (W_k are that world's class totals).
 /// counts_by_class[k] points at the per-region counts of class k for
-/// k < K−1; the last class is derived from n(R). The clamp at 0 matches
-/// stats::MultinomialLogLikelihoodRatio's (nested hypotheses: Λ >= 0
-/// mathematically; floating-point residue only). The observed scan and every
+/// k < K−1; the last class is derived from n(R). The clamp at 0 drops
+/// floating-point residue only (nested hypotheses: Λ >= 0 mathematically). The observed scan and every
 /// null world share this exact operation order, so rank-p-value ties are
 /// exact (the Bernoulli arithmetic contract, core/scan.h).
 double RegionLlrFromTable(const uint64_t* const* counts_by_class, size_t r,

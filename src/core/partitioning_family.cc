@@ -40,6 +40,7 @@ PartitioningCollectionFamily::Create(const std::vector<geo::Point>& points,
   if (points.empty()) {
     return Status::InvalidArgument("partitioning family needs points");
   }
+  SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
   if (partitionings.empty()) {
     return Status::InvalidArgument("partitioning family needs >= 1 partitioning");
   }

@@ -52,6 +52,7 @@ Result<std::unique_ptr<RectangleSweepFamily>> RectangleSweepFamily::Create(
   if (points.empty()) {
     return Status::InvalidArgument("rectangle sweep family needs points");
   }
+  SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
   const size_t x_intervals = static_cast<size_t>(g_x) * (g_x + 1) / 2;
   const size_t y_intervals = static_cast<size_t>(g_y) * (g_y + 1) / 2;
   if (g_x == 0 || g_y == 0) {

@@ -49,39 +49,4 @@ ScanResult ScanAllRegions(const RegionFamily& family, const Labels& labels,
   return ScanAllRegions(family, labels, direction, table);
 }
 
-double ScanMaxStatistic(const RegionFamily& family, const Labels& labels,
-                        stats::ScanDirection direction,
-                        std::vector<uint64_t>* scratch,
-                        const stats::LogLikelihoodTable& table) {
-  SFA_CHECK(scratch != nullptr);
-  family.CountPositives(labels, scratch);
-  const uint64_t total_n = labels.size();
-  const uint64_t total_p = labels.positive_count();
-  double max_llr = 0.0;
-  for (size_t r = 0; r < family.num_regions(); ++r) {
-    const stats::ScanCounts counts =
-        MakeCounts(family, r, (*scratch)[r], total_n, total_p);
-    const double llr = stats::BernoulliLogLikelihoodRatio(counts, direction, table);
-    if (llr > max_llr) max_llr = llr;
-  }
-  return max_llr;
-}
-
-double ScanMaxStatistic(const RegionFamily& family, const Labels& labels,
-                        stats::ScanDirection direction,
-                        std::vector<uint64_t>* scratch) {
-  SFA_CHECK(scratch != nullptr);
-  family.CountPositives(labels, scratch);
-  const uint64_t total_n = labels.size();
-  const uint64_t total_p = labels.positive_count();
-  double max_llr = 0.0;
-  for (size_t r = 0; r < family.num_regions(); ++r) {
-    const stats::ScanCounts counts =
-        MakeCounts(family, r, (*scratch)[r], total_n, total_p);
-    const double llr = stats::BernoulliLogLikelihoodRatio(counts, direction);
-    if (llr > max_llr) max_llr = llr;
-  }
-  return max_llr;
-}
-
 }  // namespace sfa::core

@@ -4,11 +4,9 @@
 // Arithmetic contract: ScanAllRegions evaluates Λ through the same
 // k·log k table (stats::LogLikelihoodTable) the Monte Carlo world engine
 // uses, so an observed world and a simulated null world with identical
-// counts produce bit-identical statistics. This matters for the rank
-// p-value: exact ties between the observed max and null maxima must count
-// toward #{null >= observed} (the conservative side); with mixed arithmetic
-// (std::log observed vs table nulls) a tie can land an ulp on either side,
-// which test_pvalue_calibration.cc showed as a small anti-conservative bias.
+// counts produce bit-identical statistics. Exact ties between the observed
+// max and the null maxima therefore count toward #{null >= observed}, the
+// conservative side of the rank p-value.
 #ifndef SFA_CORE_SCAN_H_
 #define SFA_CORE_SCAN_H_
 
@@ -46,22 +44,6 @@ ScanResult ScanAllRegions(const RegionFamily& family, const Labels& labels,
                           const stats::LogLikelihoodTable& table);
 ScanResult ScanAllRegions(const RegionFamily& family, const Labels& labels,
                           stats::ScanDirection direction);
-
-/// Max-only evaluation with caller-provided counting buffer (`scratch` is
-/// resized as needed) and log-table. Bit-identical to
-/// ScanAllRegions(...).max_llr for the same inputs.
-double ScanMaxStatistic(const RegionFamily& family, const Labels& labels,
-                        stats::ScanDirection direction,
-                        std::vector<uint64_t>* scratch,
-                        const stats::LogLikelihoodTable& table);
-
-/// Max-only evaluation via direct std::log arithmetic — no table build, so
-/// per-world loops over very large N (ablation harnesses) stay cheap. May
-/// differ from the table paths by ~1 ulp; do not mix it with table-evaluated
-/// statistics where exact tie semantics matter.
-double ScanMaxStatistic(const RegionFamily& family, const Labels& labels,
-                        stats::ScanDirection direction,
-                        std::vector<uint64_t>* scratch);
 
 }  // namespace sfa::core
 

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/region_family.h"
-#include "stats/bernoulli_scan.h"
 
 namespace sfa {
 class CancellationToken;  // common/thread_pool.h
@@ -328,16 +326,8 @@ using NullDistributionView = NullDistribution;
 
 /// Validates the decision-relevant Monte Carlo options: the world count
 /// and, when enabled, the adaptive sequential-stopping configuration.
-/// Shared by both SimulateNull entry points.
+/// SimulateNull (core/scan_statistic.h) runs it before every simulation.
 Status ValidateMonteCarloOptions(const MonteCarloOptions& options);
-
-/// Simulates the null distribution for `family`. `rho` is the global
-/// positive rate and `total_positives` the observed P (used by the
-/// permutation null).
-Result<NullDistribution> SimulateNull(const RegionFamily& family, double rho,
-                                      uint64_t total_positives,
-                                      stats::ScanDirection direction,
-                                      const MonteCarloOptions& options);
 
 }  // namespace sfa::core
 

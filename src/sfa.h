@@ -28,10 +28,8 @@
 #include "stats/descriptive.h"       // IWYU pragma: export
 #include "stats/distributions.h"     // IWYU pragma: export
 #include "stats/gumbel.h"            // IWYU pragma: export
-#include "stats/histogram.h"         // IWYU pragma: export
 #include "stats/join_count.h"        // IWYU pragma: export
 #include "stats/kmeans.h"            // IWYU pragma: export
-#include "stats/multinomial_scan.h"  // IWYU pragma: export
 
 #include "data/crime_sim.h"     // IWYU pragma: export
 #include "data/csv.h"           // IWYU pragma: export
@@ -58,7 +56,6 @@
 #include "core/labels.h"                  // IWYU pragma: export
 #include "core/meanvar.h"                 // IWYU pragma: export
 #include "core/measure.h"                 // IWYU pragma: export
-#include "core/multiclass.h"              // IWYU pragma: export
 #include "core/multinomial_statistic.h"   // IWYU pragma: export
 #include "core/partitioning_family.h"     // IWYU pragma: export
 #include "core/rectangle_sweep_family.h"  // IWYU pragma: export

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
 #include "core/multinomial_statistic.h"
@@ -374,8 +375,8 @@ FamilyPair MakeKnnPair(const std::vector<geo::Point>& points,
 }
 
 /// Asserts the family agrees with its reference on n(R), p(R) (scalar, and
-/// batched at every kBatchSizes size), and ScanMaxStatistic under every
-/// direction, for random label assignments.
+/// batched at every kBatchSizes size), and the scan's max statistic under
+/// every direction, for random label assignments.
 void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
                            uint64_t seed) {
   const RegionFamily& sparse = *pair.sparse;
@@ -428,15 +429,15 @@ void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
     }
   }
 
-  std::vector<uint64_t> scratch;
+  const stats::LogLikelihoodTable table(sparse.num_points());
   for (stats::ScanDirection direction :
        {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
         stats::ScanDirection::kLow}) {
     for (size_t w = 0; w < std::min<size_t>(worlds, 3); ++w) {
       const double tau_sparse =
-          ScanMaxStatistic(sparse, labels[w], direction, &scratch);
+          ScanAllRegions(sparse, labels[w], direction, table).max_llr;
       const double tau_reference =
-          ScanMaxStatistic(reference, labels[w], direction, &scratch);
+          ScanAllRegions(reference, labels[w], direction, table).max_llr;
       ASSERT_EQ(tau_sparse, tau_reference)
           << "direction " << static_cast<int>(direction) << " world " << w;
     }
@@ -728,7 +729,10 @@ TEST(AnnulusBackend, ClassCountsCoverDegenerateShapes) {
 
 NullDistribution MustSimulate(const RegionFamily& family,
                               const MonteCarloOptions& mc) {
-  auto dist = SimulateNull(family, 0.41, 120, stats::ScanDirection::kTwoSided, mc);
+  // ρ = 246/600, the double 0.41.
+  const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                         family.num_points(), 246);
+  auto dist = SimulateNull(statistic, family, mc);
   EXPECT_TRUE(dist.ok());
   return *dist;
 }

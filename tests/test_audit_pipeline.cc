@@ -13,6 +13,7 @@
 
 #include "common/macros.h"
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/measure.h"
@@ -287,10 +288,11 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
   MonteCarloOptions mc;
   mc.num_worlds = 99;
   mc.seed = 7;
+  const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                         b.city_a.size(),
+                                         b.city_a.PositiveCount());
   const auto key = [&](const MonteCarloOptions& m) {
-    return MakeCalibrationKey(*b.family_a, b.city_a.size(),
-                              b.city_a.PositiveCount(),
-                              stats::ScanDirection::kTwoSided, m);
+    return MakeCalibrationKey(*b.family_a, statistic, m);
   };
   const CalibrationKey base = key(mc);
 
@@ -317,9 +319,7 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
       b.family_a.get(), squares->get(), knn->get()};
   for (const RegionFamily* family : families) {
     const auto family_key = [&](const MonteCarloOptions& m) {
-      return MakeCalibrationKey(*family, b.city_a.size(),
-                                b.city_a.PositiveCount(),
-                                stats::ScanDirection::kTwoSided, m);
+      return MakeCalibrationKey(*family, statistic, m);
     };
     const CalibrationKey family_base = family_key(mc);
     const spatial::PopcountKernel previous = spatial::ActivePopcountKernel();
@@ -346,11 +346,11 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
   EXPECT_NE(base, key(closed_form));
 
   // Different family, same totals → different fingerprint.
+  const BernoulliScanStatistic statistic_eo(stats::ScanDirection::kTwoSided,
+                                            b.city_a_eo_view.size(),
+                                            b.city_a_eo_view.PositiveCount());
   EXPECT_NE(base.hash,
-            MakeCalibrationKey(*b.family_a_eo, b.city_a_eo_view.size(),
-                               b.city_a_eo_view.PositiveCount(),
-                               stats::ScanDirection::kTwoSided, mc)
-                .hash);
+            MakeCalibrationKey(*b.family_a_eo, statistic_eo, mc).hash);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 
 #include "common/macros.h"
 #include "core/audit_pipeline.h"
+#include "core/bernoulli_statistic.h"
 #include "core/calibration_cache.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
@@ -95,9 +96,15 @@ std::vector<AuditResponse> RunOrDie(AuditPipeline& pipeline,
   return std::move(responses).value();
 }
 
+BernoulliScanStatistic StatisticFor(const StoreBatch& b,
+                                    stats::ScanDirection direction) {
+  return BernoulliScanStatistic(direction, b.city.size(),
+                                b.city.PositiveCount());
+}
+
 CalibrationKey KeyFor(const StoreBatch& b, const AuditRequest& req) {
-  return MakeCalibrationKey(*b.family, b.city.size(), b.city.PositiveCount(),
-                            req.options.direction, req.options.monte_carlo);
+  return MakeCalibrationKey(*b.family, StatisticFor(b, req.options.direction),
+                            req.options.monte_carlo);
 }
 
 // Persisted frames are found by key, and every key hashes the family
@@ -120,6 +127,8 @@ TEST(CalibrationStore, KeysOfPersistedFramesArePinned) {
   MonteCarloOptions options;
   options.num_worlds = 99;
   options.seed = 17;
+  const BernoulliScanStatistic statistic(stats::ScanDirection::kHigh,
+                                         city.size(), city.PositiveCount());
   const RegionFamily* families[] = {grid->get(), squares->get(), knn->get()};
   const uint64_t fingerprints[] = {0x021474f09c72fb51ULL, 0xbae7e6e35f996022ULL,
                                    0xcd4792b7cb1b3baeULL};
@@ -129,8 +138,7 @@ TEST(CalibrationStore, KeysOfPersistedFramesArePinned) {
     SCOPED_TRACE(families[i]->Name());
     EXPECT_EQ(FamilyFingerprint(*families[i]), fingerprints[i]);
     const CalibrationKey key =
-        MakeCalibrationKey(*families[i], city.size(), city.PositiveCount(),
-                           stats::ScanDirection::kHigh, options);
+        MakeCalibrationKey(*families[i], statistic, options);
     EXPECT_EQ(key.hash, hashes[i]);
   }
 }
@@ -141,10 +149,9 @@ TEST(CalibrationStore, RoundTripsNullDistributionExactly) {
   StoreBatch b;
   const CalibrationKey key = KeyFor(b, b.requests[0]);
 
-  auto simulated = SimulateNull(*b.family, b.city.PositiveRate(),
-                                b.city.PositiveCount(),
-                                b.requests[0].options.direction,
-                                b.requests[0].options.monte_carlo);
+  auto simulated =
+      SimulateNull(StatisticFor(b, b.requests[0].options.direction), *b.family,
+                   b.requests[0].options.monte_carlo);
   ASSERT_TRUE(simulated.ok()) << simulated.status();
 
   ASSERT_TRUE(store->Store(key, *simulated).ok());
@@ -415,9 +422,8 @@ TEST(CalibrationStore, EvictToBudgetSweepsLeastRecentlyUsedFirst) {
   for (uint64_t seed : {101u, 102u, 103u}) {
     MonteCarloOptions mc = b.requests[0].options.monte_carlo;
     mc.seed = seed;
-    keys.push_back(MakeCalibrationKey(*b.family, b.city.size(),
-                                      b.city.PositiveCount(),
-                                      stats::ScanDirection::kTwoSided, mc));
+    keys.push_back(MakeCalibrationKey(
+        *b.family, StatisticFor(b, stats::ScanDirection::kTwoSided), mc));
     NullDistribution dist(std::vector<double>{1.0 + static_cast<double>(seed)});
     ASSERT_TRUE(store->Store(keys.back(), dist).ok());
     // Stagger mtimes into the past, first-written oldest (seed 101 → -99h).
@@ -459,8 +465,7 @@ TEST(CalibrationStore, SweepOnOpenBoundsALongLivedDirectory) {
       MonteCarloOptions mc = b.requests[0].options.monte_carlo;
       mc.seed = seed;
       const CalibrationKey key = MakeCalibrationKey(
-          *b.family, b.city.size(), b.city.PositiveCount(),
-          stats::ScanDirection::kTwoSided, mc);
+          *b.family, StatisticFor(b, stats::ScanDirection::kTwoSided), mc);
       NullDistribution dist(std::vector<double>{0.5});
       ASSERT_TRUE(store->Store(key, dist).ok());
       const auto stamp = std::filesystem::file_time_type::clock::now() -
@@ -583,9 +588,8 @@ TEST(CalibrationStore, EvictSweepRacingConcurrentLoadsAndStoresStaysSafe) {
   for (uint64_t seed = 900; seed < 916; ++seed) {
     MonteCarloOptions mc = b.requests[0].options.monte_carlo;
     mc.seed = seed;
-    keys.push_back(MakeCalibrationKey(*b.family, b.city.size(),
-                                      b.city.PositiveCount(),
-                                      stats::ScanDirection::kTwoSided, mc));
+    keys.push_back(MakeCalibrationKey(
+        *b.family, StatisticFor(b, stats::ScanDirection::kTwoSided), mc));
     dists.emplace_back(
         std::vector<double>{static_cast<double>(seed), 1.0, 0.5});
   }

@@ -38,6 +38,7 @@
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "core/bernoulli_statistic.h"
 #include "core/calibration_cache.h"
 #include "core/calibration_store.h"
 #include "core/grid_family.h"
@@ -67,15 +68,18 @@ struct Fixture {
     family = std::move(f).value();
     mc.num_worlds = 149;
     mc.seed = 13;
-    key = MakeCalibrationKey(*family, city.size(), city.PositiveCount(),
-                             stats::ScanDirection::kTwoSided, mc);
+    key = MakeCalibrationKey(*family, Statistic(), mc);
+  }
+
+  BernoulliScanStatistic Statistic() const {
+    return BernoulliScanStatistic(stats::ScanDirection::kTwoSided, city.size(),
+                                  city.PositiveCount());
   }
 
   Result<NullDistribution> Simulate(const ComputeContext& context) const {
     MonteCarloOptions options = mc;
     options.heartbeat = context.heartbeat;  // execution-only: key-invisible
-    return SimulateNull(*family, city.PositiveRate(), city.PositiveCount(),
-                        stats::ScanDirection::kTwoSided, options);
+    return SimulateNull(Statistic(), *family, options);
   }
 };
 

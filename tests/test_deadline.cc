@@ -69,7 +69,7 @@ struct DeadlineFixture {
 
   BernoulliScanStatistic Statistic() const {
     return BernoulliScanStatistic(stats::ScanDirection::kTwoSided, city.size(),
-                                  city.PositiveCount(), city.PositiveRate());
+                                  city.PositiveCount());
   }
 };
 

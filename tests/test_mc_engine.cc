@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/partitioning_family.h"
 #include "core/rectangle_sweep_family.h"
+#include "core/scan.h"
 #include "core/significance.h"
 #include "core/square_family.h"
 #include "geo/partitioning.h"
@@ -27,8 +29,9 @@ namespace sfa::core {
 namespace {
 
 constexpr size_t kPoints = 700;
-constexpr double kRho = 0.43;
-constexpr uint64_t kPositives = 300;
+constexpr uint64_t kPositives = 301;
+// The null rate ρ = P/N (301/700 is the double 0.43).
+constexpr double kRho = static_cast<double>(kPositives) / kPoints;
 
 std::vector<geo::Point> Cloud(uint64_t seed) {
   Rng rng(seed);
@@ -101,9 +104,13 @@ std::vector<NamedFamily> AllFamilies() {
   return out;
 }
 
+BernoulliScanStatistic Statistic() {
+  return BernoulliScanStatistic(stats::ScanDirection::kTwoSided, kPoints,
+                                kPositives);
+}
+
 NullDistribution Simulate(const RegionFamily& family, const MonteCarloOptions& mc) {
-  auto dist = SimulateNull(family, kRho, kPositives,
-                           stats::ScanDirection::kTwoSided, mc);
+  auto dist = SimulateNull(Statistic(), family, mc);
   EXPECT_TRUE(dist.ok());
   return *dist;
 }
@@ -181,41 +188,48 @@ TEST(McEngineEquivalence, BatchCountingMatchesScalarCounting) {
   }
 }
 
-// With closed-form sampling off, the engine's per-world maxima must equal a
-// hand-rolled oracle: sample the same labels, count with the scalar
-// interface, evaluate every region through the stats-layer table LLR.
+// With closed-form sampling off, every family's per-world engine maxima must
+// equal two oracles exactly: a hand-rolled one (sample the same labels, count
+// with the scalar interface, evaluate every region through the stats-layer
+// table LLR) and the observed-world scan, ScanAllRegions. The second pins the
+// rank p-value's tie contract: an observed world and a null world with the
+// same labels produce the same double.
 TEST(McEngineEquivalence, EngineMatchesStatsLayerOracle) {
-  const auto pts = Cloud(41);
-  auto family = GridPartitionFamily::Create(pts, 8, 6);
-  ASSERT_TRUE(family.ok());
-
   MonteCarloOptions mc;
   mc.num_worlds = 25;
   mc.seed = 99;
   mc.closed_form_cells = false;
-  const NullDistribution dist = Simulate(**family, mc);
-
   const stats::LogLikelihoodTable table(kPoints);
-  Rng root(mc.seed);
-  std::vector<double> oracle(mc.num_worlds);
-  for (size_t w = 0; w < mc.num_worlds; ++w) {
-    Rng rng = root.Split(w);
-    const Labels labels = Labels::SampleBernoulli(kPoints, kRho, &rng);
-    std::vector<uint64_t> positives;
-    (*family)->CountPositives(labels, &positives);
-    double max_llr = 0.0;
-    for (size_t r = 0; r < (*family)->num_regions(); ++r) {
-      stats::ScanCounts counts;
-      counts.n = (*family)->PointCount(r);
-      counts.p = positives[r];
-      counts.total_n = kPoints;
-      counts.total_p = labels.positive_count();
-      max_llr = std::max(max_llr, stats::BernoulliLogLikelihoodRatio(
-                                      counts, stats::ScanDirection::kTwoSided, table));
+  const auto families = AllFamilies();
+  for (const auto& [name, family] : families) {
+    const std::vector<double> engine =
+        RunMonteCarloWorlds(*Statistic().MakeSimulation(*family, mc), mc);
+    ASSERT_EQ(engine.size(), mc.num_worlds) << name;
+    Rng root(mc.seed);
+    for (size_t w = 0; w < mc.num_worlds; ++w) {
+      Rng rng = root.Split(w);
+      const Labels labels = Labels::SampleBernoulli(kPoints, kRho, &rng);
+      std::vector<uint64_t> positives;
+      family->CountPositives(labels, &positives);
+      double max_llr = 0.0;
+      for (size_t r = 0; r < family->num_regions(); ++r) {
+        stats::ScanCounts counts;
+        counts.n = family->PointCount(r);
+        counts.p = positives[r];
+        counts.total_n = kPoints;
+        counts.total_p = labels.positive_count();
+        max_llr = std::max(max_llr, stats::BernoulliLogLikelihoodRatio(
+                                        counts, stats::ScanDirection::kTwoSided,
+                                        table));
+      }
+      EXPECT_EQ(engine[w], max_llr) << name << " world " << w;
+      EXPECT_EQ(engine[w],
+                ScanAllRegions(*family, labels, stats::ScanDirection::kTwoSided,
+                               table)
+                    .max_llr)
+          << name << " world " << w;
     }
-    oracle[w] = max_llr;
   }
-  EXPECT_EQ(dist.MaximaVector(), NullDistribution(oracle).MaximaVector());
 }
 
 // Closed-form cell sampling draws a different RNG stream but the same

@@ -1,9 +1,5 @@
-// Multiclass audits through the unified serving stack: the legacy
-// AuditMulticlassGrid entry point is now a thin adapter over the
-// Auditor/AuditPipeline path with StatisticKind::kMultinomial, so this suite
-// pins the equivalence (adapter == pipeline == direct AuditView on a grid
-// family) and exercises what the adapter could never do before the
-// statistic layer: calibration cache sharing with Bernoulli requests in the
+// Multiclass audits (StatisticKind::kMultinomial) through the unified
+// serving stack: calibration cache sharing with Bernoulli requests in the
 // same batch, persistent-store round-trips, and streaming Submit() — all
 // byte-identical per the pipeline determinism contract.
 #include <gtest/gtest.h>
@@ -19,7 +15,6 @@
 #include "core/audit_pipeline.h"
 #include "core/calibration_store.h"
 #include "core/grid_family.h"
-#include "core/multiclass.h"
 #include "testing_util.h"
 
 namespace sfa::core {
@@ -58,59 +53,6 @@ AuditOptions MultinomialOptions(uint32_t num_classes, double alpha = 0.01,
   options.num_classes = num_classes;
   options.monte_carlo.num_worlds = worlds;
   return options;
-}
-
-TEST(MulticlassPipeline, AdapterMatchesUnifiedPathOnGridFamily) {
-  const MulticlassCity city = MakeCity(41, 3000, /*planted=*/true);
-
-  MulticlassAuditOptions adapter_options;
-  adapter_options.alpha = 0.01;
-  adapter_options.grid_x = 8;
-  adapter_options.grid_y = 8;
-  adapter_options.monte_carlo.num_worlds = 99;
-  auto adapter = AuditMulticlassGrid(city.locations, city.classes, 3,
-                                     adapter_options);
-  ASSERT_TRUE(adapter.ok()) << adapter.status();
-
-  // The same audit spelled as an ordinary pipeline request over an explicit
-  // grid family (the adapter builds exactly this family internally).
-  auto family = GridPartitionFamily::Create(city.locations, 8, 8);
-  ASSERT_TRUE(family.ok());
-  AuditRequest request;
-  request.id = "multiclass";
-  request.dataset = &city.view;
-  request.family = family->get();
-  request.options = MultinomialOptions(3);
-  AuditPipeline pipeline;
-  auto responses = pipeline.Run({request});
-  ASSERT_TRUE(responses.ok());
-  ASSERT_TRUE((*responses)[0].status.ok()) << (*responses)[0].status;
-  const AuditResult& unified = (*responses)[0].result;
-
-  EXPECT_EQ(adapter->spatially_fair, unified.spatially_fair);
-  EXPECT_EQ(adapter->p_value, unified.p_value);
-  EXPECT_EQ(adapter->tau, unified.tau);
-  EXPECT_EQ(adapter->critical_value, unified.critical_value);
-  EXPECT_EQ(adapter->total_n, unified.total_n);
-  EXPECT_EQ(adapter->class_distribution, unified.class_distribution);
-  ASSERT_EQ(adapter->findings.size(), unified.findings.size());
-  for (size_t i = 0; i < adapter->findings.size(); ++i) {
-    EXPECT_EQ(adapter->findings[i].cell, unified.findings[i].region_index);
-    EXPECT_EQ(adapter->findings[i].llr, unified.findings[i].llr);
-    EXPECT_EQ(adapter->findings[i].n, unified.findings[i].n);
-    EXPECT_EQ(adapter->findings[i].class_counts,
-              unified.findings[i].class_counts);
-  }
-  // The planted corner is recovered with the shifted mix on top.
-  EXPECT_FALSE(adapter->spatially_fair);
-  ASSERT_FALSE(adapter->findings.empty());
-  EXPECT_GT(adapter->findings[0].class_counts[2],
-            adapter->findings[0].class_counts[0]);
-
-  // ToMulticlassResult is the adapter's own conversion.
-  const MulticlassAuditResult converted = ToMulticlassResult(unified);
-  EXPECT_EQ(converted.p_value, adapter->p_value);
-  EXPECT_EQ(converted.findings.size(), adapter->findings.size());
 }
 
 TEST(MulticlassPipeline, MixedStatisticBatchSharesNothingAcrossStatistics) {
@@ -211,21 +153,6 @@ TEST(MulticlassPipeline, StreamedEqualsBatchAndSurvivesStoreRestart) {
     EXPECT_EQ(manifest.calibrations_computed, 0u);
   }
   std::filesystem::remove_all(dir);
-}
-
-TEST(MulticlassPipeline, LegacyAdapterValidationSurvives) {
-  const std::vector<geo::Point> pts = {{0, 0}, {1, 1}};
-  MulticlassAuditOptions options;
-  options.monte_carlo.num_worlds = 9;
-  EXPECT_FALSE(AuditMulticlassGrid({}, {}, 3, options).ok());
-  EXPECT_FALSE(AuditMulticlassGrid(pts, {0}, 3, options).ok());
-  EXPECT_FALSE(AuditMulticlassGrid(pts, {0, 1}, 1, options).ok());
-  EXPECT_FALSE(AuditMulticlassGrid(pts, {0, 5}, 3, options).ok());
-  options.alpha = 1.5;
-  EXPECT_FALSE(AuditMulticlassGrid(pts, {0, 1}, 2, options).ok());
-  options.alpha = 0.05;
-  options.monte_carlo.num_worlds = 0;
-  EXPECT_FALSE(AuditMulticlassGrid(pts, {0, 1}, 2, options).ok());
 }
 
 }  // namespace

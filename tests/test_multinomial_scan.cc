@@ -1,16 +1,15 @@
-// Tests for the multinomial scan statistic and the multi-class grid audit.
-#include "stats/multinomial_scan.h"
-
+// Tests for the multinomial scan LLR oracle, K-class counting, and
+// multi-class audits over a grid family.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "common/random.h"
+#include "core/audit.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
-#include "core/multiclass.h"
 #include "core/partitioning_family.h"
 #include "core/rectangle_sweep_family.h"
 #include "core/square_family.h"
@@ -21,24 +20,26 @@
 namespace sfa {
 namespace {
 
+using core::testing::MultinomialLogLikelihoodRatio;
+
 TEST(MultinomialLlr, ZeroForDegenerateRegions) {
   // Empty region.
   EXPECT_DOUBLE_EQ(
-      stats::MultinomialLogLikelihoodRatio({0, 0}, {10, 10}), 0.0);
+      MultinomialLogLikelihoodRatio({0, 0}, {10, 10}), 0.0);
   // Region == everything.
   EXPECT_DOUBLE_EQ(
-      stats::MultinomialLogLikelihoodRatio({10, 10}, {10, 10}), 0.0);
+      MultinomialLogLikelihoodRatio({10, 10}, {10, 10}), 0.0);
 }
 
 TEST(MultinomialLlr, ZeroWhenProportionsMatch) {
   // Inside is a perfect miniature of the totals.
-  EXPECT_NEAR(stats::MultinomialLogLikelihoodRatio({5, 10, 15}, {10, 20, 30}),
+  EXPECT_NEAR(MultinomialLogLikelihoodRatio({5, 10, 15}, {10, 20, 30}),
               0.0, 1e-12);
 }
 
 TEST(MultinomialLlr, PositiveForDeviations) {
-  EXPECT_GT(stats::MultinomialLogLikelihoodRatio({10, 0}, {20, 20}), 0.0);
-  EXPECT_GT(stats::MultinomialLogLikelihoodRatio({1, 9, 0}, {10, 10, 10}), 0.0);
+  EXPECT_GT(MultinomialLogLikelihoodRatio({10, 0}, {20, 20}), 0.0);
+  EXPECT_GT(MultinomialLogLikelihoodRatio({1, 9, 0}, {10, 10, 10}), 0.0);
 }
 
 TEST(MultinomialLlr, TwoClassesReduceToBernoulli) {
@@ -51,7 +52,7 @@ TEST(MultinomialLlr, TwoClassesReduceToBernoulli) {
       const stats::ScanCounts counts{.n = n, .p = p, .total_n = big_n,
                                      .total_p = big_p};
       const double bernoulli = stats::BernoulliLogLikelihoodRatio(counts);
-      const double multinomial = stats::MultinomialLogLikelihoodRatio(
+      const double multinomial = MultinomialLogLikelihoodRatio(
           {p, n - p}, {big_p, big_n - big_p});
       ASSERT_NEAR(bernoulli, multinomial, 1e-10)
           << "p=" << p << " P=" << big_p;
@@ -61,32 +62,39 @@ TEST(MultinomialLlr, TwoClassesReduceToBernoulli) {
 
 TEST(MultinomialLlr, GrowsWithEffectSize) {
   const double mild =
-      stats::MultinomialLogLikelihoodRatio({12, 8, 10}, {100, 100, 100});
+      MultinomialLogLikelihoodRatio({12, 8, 10}, {100, 100, 100});
   const double strong =
-      stats::MultinomialLogLikelihoodRatio({28, 1, 1}, {100, 100, 100});
+      MultinomialLogLikelihoodRatio({28, 1, 1}, {100, 100, 100});
   EXPECT_GT(strong, mild);
 }
 
 TEST(MultinomialLlrDeathTest, RejectsEmptyAndMismatched) {
-  EXPECT_DEATH(stats::MultinomialLogLikelihoodRatio({}, {}), "class");
-  EXPECT_DEATH(stats::MultinomialLogLikelihoodRatio({1}, {1, 2}), "classes");
+  EXPECT_DEATH(MultinomialLogLikelihoodRatio({}, {}), "class");
+  EXPECT_DEATH(MultinomialLogLikelihoodRatio({1}, {1, 2}), "classes");
 }
 
-core::MulticlassAuditOptions FastOptions() {
-  core::MulticlassAuditOptions opts;
-  opts.alpha = 0.01;
-  opts.grid_x = 6;
-  opts.grid_y = 6;
-  opts.monte_carlo.num_worlds = 199;
-  return opts;
+/// A multinomial audit of `classes` at `pts` over a 6x6 grid family, at
+/// alpha = 0.01 with 199 null worlds.
+Result<core::AuditResult> AuditGrid(const std::vector<geo::Point>& pts,
+                                    const std::vector<uint8_t>& classes,
+                                    uint32_t num_classes) {
+  data::OutcomeDataset view("multiclass");
+  for (size_t i = 0; i < pts.size(); ++i) view.Add(pts[i], classes[i]);
+  SFA_ASSIGN_OR_RETURN(std::unique_ptr<core::GridPartitionFamily> family,
+                       core::GridPartitionFamily::Create(pts, 6, 6));
+  core::AuditOptions options;
+  options.alpha = 0.01;
+  options.statistic = core::StatisticKind::kMultinomial;
+  options.num_classes = num_classes;
+  options.monte_carlo.num_worlds = 199;
+  return core::Auditor(options).AuditView(view, *family);
 }
 
 TEST(MulticlassAudit, RejectsBadInputs) {
   const std::vector<geo::Point> pts = {{0, 0}, {1, 1}};
-  EXPECT_FALSE(core::AuditMulticlassGrid({}, {}, 3, FastOptions()).ok());
-  EXPECT_FALSE(core::AuditMulticlassGrid(pts, {0}, 3, FastOptions()).ok());
-  EXPECT_FALSE(core::AuditMulticlassGrid(pts, {0, 1}, 1, FastOptions()).ok());
-  EXPECT_FALSE(core::AuditMulticlassGrid(pts, {0, 5}, 3, FastOptions()).ok());
+  EXPECT_FALSE(AuditGrid({}, {}, 3).ok());
+  EXPECT_FALSE(AuditGrid(pts, {0, 1}, 1).ok());
+  EXPECT_FALSE(AuditGrid(pts, {0, 5}, 3).ok());
 }
 
 TEST(MulticlassAudit, FairMixtureIsDeclaredFair) {
@@ -98,7 +106,7 @@ TEST(MulticlassAudit, FairMixtureIsDeclaredFair) {
     pts[i] = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
     classes[i] = static_cast<uint8_t>(rng.Categorical(mix));
   }
-  auto result = core::AuditMulticlassGrid(pts, classes, 3, FastOptions());
+  auto result = AuditGrid(pts, classes, 3);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->spatially_fair) << "p=" << result->p_value;
   EXPECT_NEAR(result->class_distribution[0], 0.5, 0.03);
@@ -118,7 +126,7 @@ TEST(MulticlassAudit, DetectsPlantedMixtureShift) {
                 : std::vector<double>{0.5, 0.3, 0.2};
     classes[i] = static_cast<uint8_t>(rng.Categorical(mix));
   }
-  auto result = core::AuditMulticlassGrid(pts, classes, 3, FastOptions());
+  auto result = AuditGrid(pts, classes, 3);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->spatially_fair);
   ASSERT_FALSE(result->findings.empty());
@@ -144,7 +152,7 @@ TEST(MulticlassAudit, BinaryCaseAgreesWithBinaryAuditDirectionally) {
     pts[i] = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
     classes[i] = rng.Bernoulli(zone.Contains(pts[i]) ? 0.75 : 0.5) ? 1 : 0;
   }
-  auto result = core::AuditMulticlassGrid(pts, classes, 2, FastOptions());
+  auto result = AuditGrid(pts, classes, 2);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->spatially_fair);
 }
@@ -282,8 +290,8 @@ TEST(MulticlassAudit, DeterministicForSeed) {
     pts[i] = {rng.Uniform(0, 1), rng.Uniform(0, 1)};
     classes[i] = static_cast<uint8_t>(rng.NextUint64(4));
   }
-  auto a = core::AuditMulticlassGrid(pts, classes, 4, FastOptions());
-  auto b = core::AuditMulticlassGrid(pts, classes, 4, FastOptions());
+  auto a = AuditGrid(pts, classes, 4);
+  auto b = AuditGrid(pts, classes, 4);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->p_value, b->p_value);
   EXPECT_EQ(a->tau, b->tau);

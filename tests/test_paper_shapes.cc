@@ -7,10 +7,12 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/audit.h"
+#include "core/bernoulli_statistic.h"
 #include "core/evidence.h"
 #include "core/grid_family.h"
 #include "core/meanvar.h"
 #include "core/partitioning_family.h"
+#include "core/scan.h"
 #include "core/square_family.h"
 #include "data/crime_sim.h"
 #include "data/lar_sim.h"
@@ -241,13 +243,14 @@ TEST(PaperShapes, Fig6ExtremeClustersAreNotEvidence) {
 
   core::MonteCarloOptions mc;
   mc.num_worlds = 199;
-  auto null_dist = core::SimulateNull(**family, 0.5, 500,
-                                      stats::ScanDirection::kTwoSided, mc);
+  const core::BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                               1000, 500);
+  auto null_dist = core::SimulateNull(statistic, **family, mc);
   ASSERT_TRUE(null_dist.ok());
 
   int with_cluster = 0, rejections = 0;
   const int worlds = 40;
-  std::vector<uint64_t> scratch;
+  const stats::LogLikelihoodTable table(1000);
   for (int w = 0; w < worlds; ++w) {
     const core::Labels labels = core::Labels::SampleBernoulli(1000, 0.5, &rng);
     std::vector<uint64_t> positives;
@@ -258,8 +261,10 @@ TEST(PaperShapes, Fig6ExtremeClustersAreNotEvidence) {
         break;
       }
     }
-    const double tau = core::ScanMaxStatistic(
-        **family, labels, stats::ScanDirection::kTwoSided, &scratch);
+    const double tau =
+        core::ScanAllRegions(**family, labels, stats::ScanDirection::kTwoSided,
+                             table)
+            .max_llr;
     if (null_dist->PValue(tau) <= 0.005) ++rejections;
   }
   // Extreme-looking clusters are common in fair data...

@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "core/grid_family.h"
 #include "core/partitioning_family.h"
+#include "core/rectangle_sweep_family.h"
 #include "core/square_family.h"
 #include "stats/kmeans.h"
 
@@ -200,6 +201,39 @@ TEST(SquareScanFamily, RejectsNonFiniteInputs) {
     SquareScanOptions bad_side = opts;
     bad_side.side_lengths.push_back(side);
     expect_invalid(finite, bad_side, "non-finite side");
+  }
+}
+
+TEST(CellFamilies, RejectNonFinitePoints) {
+  // A NaN coordinate fails every containment test, so a NaN point would be
+  // counted in no cell; the cell families must reject it, and ±inf, at
+  // Create like squares and kNN do.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const TestCloud cloud = MakeCloud(100, 51);
+  const geo::Rect extent(0, 0, 10, 10);
+  auto partitioning = geo::Partitioning::Regular(extent, 2, 2);
+  ASSERT_TRUE(partitioning.ok());
+  const auto create_all = [&](const std::vector<geo::Point>& points) {
+    return std::vector<Status>{
+        GridPartitionFamily::Create(points, 4, 4).status(),
+        GridPartitionFamily::CreateWithExtent(points, extent, 4, 4).status(),
+        RectangleSweepFamily::Create(points, 4, 4).status(),
+        PartitioningCollectionFamily::Create(points, {*partitioning}).status()};
+  };
+  for (const Status& status : create_all(cloud.points)) {
+    ASSERT_TRUE(status.ok()) << status;
+  }
+
+  for (const geo::Point bad : {geo::Point{nan, 5}, geo::Point{5, nan},
+                               geo::Point{-inf, 5}, geo::Point{5, inf}}) {
+    std::vector<geo::Point> points = cloud.points;
+    points[42] = bad;
+    const std::vector<Status> statuses = create_all(points);
+    for (size_t f = 0; f < statuses.size(); ++f) {
+      EXPECT_EQ(statuses[f].code(), StatusCode::kInvalidArgument)
+          << "family " << f << ": " << statuses[f];
+    }
   }
 }
 

@@ -1,5 +1,5 @@
-// Tests for the scan pass: per-region LLRs, the max statistic, and the
-// equivalence of the full and max-only paths.
+// Tests for the scan pass: per-region LLRs, the max statistic, and their
+// agreement with the stats-layer std::log oracle.
 #include "core/scan.h"
 
 #include <gtest/gtest.h>
@@ -79,23 +79,29 @@ TEST(ScanAllRegions, PositivesAreReported) {
   EXPECT_EQ(result.total_p, 100u);
 }
 
-TEST(ScanMaxStatistic, AgreesWithFullScan) {
+TEST(ScanAllRegions, AgreesWithStdLogOracle) {
+  // The table arithmetic reassociates the log terms of the direct std::log
+  // evaluation, so agreement is to rounding, not bitwise.
   ScanWorld s = BiasedHalves(1000, 0.7, 0.4, 65);
   const Labels labels = Labels::FromBytes(s.labels);
   for (auto direction :
        {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
         stats::ScanDirection::kLow}) {
     const ScanResult full = ScanAllRegions(*s.family, labels, direction);
-    std::vector<uint64_t> scratch;
-    const double max_only = ScanMaxStatistic(*s.family, labels, direction, &scratch);
-    // The table-free overload reassociates the log terms, so agreement is
-    // to rounding, not bitwise (the bitwise contract binds the table paths;
-    // see TableOverloadIsBitIdenticalToFullScan).
-    EXPECT_NEAR(full.max_llr, max_only, 1e-9 * (1.0 + std::fabs(full.max_llr)));
+    for (size_t r = 0; r < full.llr.size(); ++r) {
+      stats::ScanCounts counts;
+      counts.n = s.family->PointCount(r);
+      counts.p = full.positives[r];
+      counts.total_n = full.total_n;
+      counts.total_p = full.total_p;
+      const double oracle =
+          stats::BernoulliLogLikelihoodRatio(counts, direction);
+      EXPECT_NEAR(full.llr[r], oracle, 1e-9 * (1.0 + std::fabs(oracle)));
+    }
   }
 }
 
-TEST(ScanMaxStatistic, DirectionalScansSplitTheSignal) {
+TEST(ScanAllRegions, DirectionalScansSplitTheSignal) {
   ScanWorld s = BiasedHalves(1500, 0.8, 0.3, 66);
   const Labels labels = Labels::FromBytes(s.labels);
   const ScanResult high =
@@ -108,25 +114,6 @@ TEST(ScanMaxStatistic, DirectionalScansSplitTheSignal) {
   EXPECT_EQ(low.argmax, 1u);
   EXPECT_GT(high.max_llr, 0.0);
   EXPECT_GT(low.max_llr, 0.0);
-}
-
-TEST(ScanMaxStatistic, TableOverloadIsBitIdenticalToFullScan) {
-  // The tie contract of the rank p-value: observed statistics (full scan)
-  // and table-driven evaluations of the same counts must agree bit-for-bit,
-  // not just to a tolerance — an ulp of daylight turns exact ties into
-  // coin flips (see scan.h).
-  ScanWorld s = BiasedHalves(1000, 0.7, 0.4, 68);
-  const Labels labels = Labels::FromBytes(s.labels);
-  const stats::LogLikelihoodTable table(labels.size());
-  for (auto direction :
-       {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
-        stats::ScanDirection::kLow}) {
-    const ScanResult full = ScanAllRegions(*s.family, labels, direction);
-    std::vector<uint64_t> scratch;
-    const double max_only =
-        ScanMaxStatistic(*s.family, labels, direction, &scratch, table);
-    EXPECT_EQ(full.max_llr, max_only);  // exact, no tolerance
-  }
 }
 
 TEST(ScanAllRegions, AllSameLabelGivesZeroStatistic) {

@@ -1,8 +1,7 @@
 // Tests of the pluggable ScanStatistic layer (core/scan_statistic.h):
 //
-//   * the Bernoulli statistic is a faithful re-seat of the legacy scan and
-//     Monte Carlo paths — byte-identical observed scans and null
-//     distributions against the pre-statistic-layer entry points;
+//   * the Bernoulli statistic's observed scan is byte-identical to
+//     ScanAllRegions, the scan the Monte Carlo engine's arithmetic matches;
 //   * statistic-fingerprint keying: calibrations of different statistics
 //     (or differently-configured instances of one statistic) over the SAME
 //     family, N, and Monte Carlo options never collide;
@@ -27,7 +26,6 @@
 #include "core/multinomial_statistic.h"
 #include "core/scan.h"
 #include "core/significance.h"
-#include "stats/multinomial_scan.h"
 #include "testing_util.h"
 
 namespace sfa::core {
@@ -86,29 +84,6 @@ TEST(BernoulliStatistic, ObservedScanMatchesLegacyScanBitForBit) {
   EXPECT_TRUE(via_statistic.class_counts.empty());
 }
 
-TEST(BernoulliStatistic, SimulateNullMatchesLegacyEntryPointBitForBit) {
-  const auto ds = MakeFairDataset(12, 500, 0.35);
-  auto family = GridPartitionFamily::Create(ds.locations(), 6, 6);
-  ASSERT_TRUE(family.ok());
-
-  for (const NullModel null_model :
-       {NullModel::kBernoulli, NullModel::kPermutation}) {
-    MonteCarloOptions mc;
-    mc.num_worlds = 120;
-    mc.seed = 77;
-    mc.null_model = null_model;
-
-    const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
-                                           ds.size(), ds.PositiveCount());
-    auto via_statistic = SimulateNull(statistic, **family, mc);
-    auto legacy = SimulateNull(**family, ds.PositiveRate(), ds.PositiveCount(),
-                               stats::ScanDirection::kTwoSided, mc);
-    ASSERT_TRUE(via_statistic.ok() && legacy.ok());
-    EXPECT_EQ(via_statistic->MaximaVector(), legacy->MaximaVector())
-        << NullModelToString(null_model);
-  }
-}
-
 // ------------------------------------------------ statistic-aware keying ---
 
 TEST(ScanStatisticKeying, DifferentStatisticsNeverCollide) {
@@ -157,21 +132,6 @@ TEST(ScanStatisticKeying, DifferentStatisticsNeverCollide) {
   }
 }
 
-TEST(ScanStatisticKeying, LegacyBernoulliOverloadAgrees) {
-  const auto ds = MakeFairDataset(22, 300, 0.5);
-  auto family = GridPartitionFamily::Create(ds.locations(), 4, 4);
-  ASSERT_TRUE(family.ok());
-  const MonteCarloOptions mc;
-  const BernoulliScanStatistic statistic(stats::ScanDirection::kHigh,
-                                         ds.size(), ds.PositiveCount());
-  const CalibrationKey via_statistic =
-      MakeCalibrationKey(**family, statistic, mc);
-  const CalibrationKey legacy =
-      MakeCalibrationKey(**family, ds.size(), ds.PositiveCount(),
-                         stats::ScanDirection::kHigh, mc);
-  EXPECT_TRUE(via_statistic == legacy);
-}
-
 // ------------------------------------------------------------ multinomial --
 
 TEST(MultinomialStatistic, ObservedScanMatchesBruteForce) {
@@ -204,7 +164,7 @@ TEST(MultinomialStatistic, ObservedScanMatchesBruteForce) {
           << "region " << r << " class " << k;
     }
     const double expected =
-        stats::MultinomialLogLikelihoodRatio(inside, totals);
+        testing::MultinomialLogLikelihoodRatio(inside, totals);
     EXPECT_NEAR(scan.llr[r], expected, 1e-8) << "region " << r;
     max_llr = std::max(max_llr, scan.llr[r]);
   }
@@ -327,6 +287,21 @@ TEST(MakeScanStatistic, ValidatesOutcomeModel) {
   EXPECT_FALSE(MakeScanStatistic(multinomial, city.view).ok());
   multinomial.num_classes = 3;
   EXPECT_TRUE(MakeScanStatistic(multinomial, city.view).ok());
+
+  // The audit itself rejects an empty view, an alpha outside (0, 1) and a
+  // zero world budget before any scan.
+  auto family = GridPartitionFamily::Create(city.locations, 6, 6);
+  ASSERT_TRUE(family.ok());
+  multinomial.monte_carlo.num_worlds = 9;
+  EXPECT_TRUE(Auditor(multinomial).AuditView(city.view, **family).ok());
+  const data::OutcomeDataset empty("empty");
+  EXPECT_FALSE(Auditor(multinomial).AuditView(empty, **family).ok());
+  AuditOptions bad_alpha = multinomial;
+  bad_alpha.alpha = 1.5;
+  EXPECT_FALSE(Auditor(bad_alpha).AuditView(city.view, **family).ok());
+  AuditOptions no_worlds = multinomial;
+  no_worlds.monte_carlo.num_worlds = 0;
+  EXPECT_FALSE(Auditor(no_worlds).AuditView(city.view, **family).ok());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
 #include "core/scan.h"
 
@@ -198,17 +199,27 @@ std::unique_ptr<GridPartitionFamily> UniformFamily(size_t n, uint64_t seed,
   return std::move(*family);
 }
 
+/// The two-sided Bernoulli null of `family` with `positives` of its points
+/// positive (ρ = P/N).
+Result<NullDistribution> SimulateTwoSided(const RegionFamily& family,
+                                          uint64_t positives,
+                                          const MonteCarloOptions& opts) {
+  const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                         family.num_points(), positives);
+  return SimulateNull(statistic, family, opts);
+}
+
 TEST(SimulateNull, RejectsBadOptions) {
   auto family = UniformFamily(100, 71);
   MonteCarloOptions opts;
   opts.num_worlds = 0;
-  EXPECT_FALSE(SimulateNull(*family, 0.5, 50, stats::ScanDirection::kTwoSided, opts)
-                   .ok());
+  EXPECT_FALSE(SimulateTwoSided(*family, 50, opts).ok());
   opts.num_worlds = 10;
-  EXPECT_FALSE(SimulateNull(*family, 1.5, 50, stats::ScanDirection::kTwoSided, opts)
-                   .ok());
-  EXPECT_FALSE(
-      SimulateNull(*family, 0.5, 200, stats::ScanDirection::kTwoSided, opts).ok());
+  EXPECT_FALSE(SimulateTwoSided(*family, 200, opts).ok());
+  // A statistic bound to a different view size than the family.
+  const BernoulliScanStatistic mismatched(stats::ScanDirection::kTwoSided, 99,
+                                          50);
+  EXPECT_FALSE(SimulateNull(mismatched, *family, opts).ok());
 }
 
 TEST(SimulateNull, DeterministicAcrossParallelism) {
@@ -219,9 +230,8 @@ TEST(SimulateNull, DeterministicAcrossParallelism) {
   serial.parallel = false;
   MonteCarloOptions parallel = serial;
   parallel.parallel = true;
-  auto a = SimulateNull(*family, 0.4, 200, stats::ScanDirection::kTwoSided, serial);
-  auto b =
-      SimulateNull(*family, 0.4, 200, stats::ScanDirection::kTwoSided, parallel);
+  auto a = SimulateTwoSided(*family, 200, serial);
+  auto b = SimulateTwoSided(*family, 200, parallel);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->MaximaVector(), b->MaximaVector());
 }
@@ -231,9 +241,9 @@ TEST(SimulateNull, DifferentSeedsGiveDifferentDistributions) {
   MonteCarloOptions opts;
   opts.num_worlds = 20;
   opts.seed = 1;
-  auto a = SimulateNull(*family, 0.5, 250, stats::ScanDirection::kTwoSided, opts);
+  auto a = SimulateTwoSided(*family, 250, opts);
   opts.seed = 2;
-  auto b = SimulateNull(*family, 0.5, 250, stats::ScanDirection::kTwoSided, opts);
+  auto b = SimulateTwoSided(*family, 250, opts);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a->MaximaVector(), b->MaximaVector());
 }
@@ -242,7 +252,7 @@ TEST(SimulateNull, NullMaximaArePositiveAndFinite) {
   auto family = UniformFamily(1000, 74);
   MonteCarloOptions opts;
   opts.num_worlds = 100;
-  auto dist = SimulateNull(*family, 0.62, 620, stats::ScanDirection::kTwoSided, opts);
+  auto dist = SimulateTwoSided(*family, 620, opts);
   ASSERT_TRUE(dist.ok());
   for (double v : dist->sorted_max()) {
     ASSERT_GT(v, 0.0);  // some cell always deviates a little
@@ -255,7 +265,7 @@ TEST(SimulateNull, PermutationNullWorksToo) {
   MonteCarloOptions opts;
   opts.num_worlds = 50;
   opts.null_model = NullModel::kPermutation;
-  auto dist = SimulateNull(*family, 0.5, 250, stats::ScanDirection::kTwoSided, opts);
+  auto dist = SimulateTwoSided(*family, 250, opts);
   ASSERT_TRUE(dist.ok());
   EXPECT_EQ(dist->num_worlds(), 50u);
 }
@@ -266,9 +276,9 @@ TEST(SimulateNull, BernoulliAndPermutationNullsAgreeRoughly) {
   MonteCarloOptions opts;
   opts.num_worlds = 199;
   opts.null_model = NullModel::kBernoulli;
-  auto bern = SimulateNull(*family, 0.5, 1000, stats::ScanDirection::kTwoSided, opts);
+  auto bern = SimulateTwoSided(*family, 1000, opts);
   opts.null_model = NullModel::kPermutation;
-  auto perm = SimulateNull(*family, 0.5, 1000, stats::ScanDirection::kTwoSided, opts);
+  auto perm = SimulateTwoSided(*family, 1000, opts);
   ASSERT_TRUE(bern.ok() && perm.ok());
   const double c_bern = bern->CriticalValue(0.05);
   const double c_perm = perm->CriticalValue(0.05);
@@ -283,17 +293,18 @@ TEST(SimulateNull, FairWorldsAreRarelySignificant) {
   MonteCarloOptions opts;
   opts.num_worlds = 99;
   opts.seed = 31;
-  auto dist = SimulateNull(*family, 0.5, 400, stats::ScanDirection::kTwoSided, opts);
+  auto dist = SimulateTwoSided(*family, 400, opts);
   ASSERT_TRUE(dist.ok());
 
   sfa::Rng rng(32);
   int significant = 0;
   const int trials = 60;
+  const stats::LogLikelihoodTable table(800);
   for (int trial = 0; trial < trials; ++trial) {
     const Labels labels = Labels::SampleBernoulli(800, 0.5, &rng);
-    std::vector<uint64_t> scratch;
     const double observed =
-        ScanMaxStatistic(*family, labels, stats::ScanDirection::kTwoSided, &scratch);
+        ScanAllRegions(*family, labels, stats::ScanDirection::kTwoSided, table)
+            .max_llr;
     if (dist->PValue(observed) <= 0.05) ++significant;
   }
   // Expect about 5% of 60 ≈ 3; allow generous slack.

@@ -116,6 +116,46 @@ inline void ExpectIdenticalResult(const AuditResult& a, const AuditResult& b,
   }
 }
 
+/// Reference multinomial scan LLR (Jung, Kulldorff & Richard 2010), evaluated
+/// directly through std::log:
+///
+///   Λ(R) = Σ_k [ c_k log(c_k/n) + d_k log(d_k/m) − C_k log(C_k/N) ]
+///
+/// with c_k/d_k/C_k the inside/outside/total counts of class k (`inside[k]`,
+/// `total[k] - inside[k]`, `total[k]`), n/m/N the inside/outside/total sizes
+/// and 0·log 0 := 0. Returns 0 for degenerate regions (empty or everything).
+/// The oracle for MultinomialScanStatistic's table arithmetic, which agrees
+/// to reassociation ulps.
+inline double MultinomialLogLikelihoodRatio(
+    const std::vector<uint64_t>& inside, const std::vector<uint64_t>& total) {
+  SFA_CHECK_MSG(!inside.empty(), "need at least one class");
+  SFA_CHECK_MSG(inside.size() == total.size(),
+                "inside has " << inside.size() << " classes, total "
+                              << total.size());
+  // k log(k/m) with the 0 log 0 convention.
+  const auto x_log_x_over_m = [](uint64_t k, uint64_t m) {
+    if (k == 0) return 0.0;
+    return static_cast<double>(k) *
+           std::log(static_cast<double>(k) / static_cast<double>(m));
+  };
+  uint64_t n = 0, big_n = 0;
+  for (size_t k = 0; k < inside.size(); ++k) {
+    SFA_CHECK(inside[k] <= total[k]);
+    n += inside[k];
+    big_n += total[k];
+  }
+  const uint64_t m = big_n - n;
+  if (n == 0 || m == 0) return 0.0;  // degenerate: alternative collapses
+  double llr = 0.0;
+  for (size_t k = 0; k < inside.size(); ++k) {
+    const uint64_t c = inside[k];
+    llr += x_log_x_over_m(c, n) + x_log_x_over_m(total[k] - c, m) -
+           x_log_x_over_m(total[k], big_n);
+  }
+  // Nested hypotheses: mathematically >= 0; clamp floating-point residue.
+  return llr < 0.0 ? 0.0 : llr;
+}
+
 /// Reference Bernoulli null world: one rng->Bernoulli(rho) per point, the
 /// per-point loop Labels::ResampleBernoulli must match draw for draw.
 inline std::vector<uint8_t> ReferenceBernoulliBytes(size_t n, double rho,

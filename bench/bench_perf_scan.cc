@@ -13,6 +13,7 @@
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
+#include "core/multinomial_statistic.h"
 #include "core/scan.h"
 #include "core/significance.h"
 #include "core/square_family.h"
@@ -270,6 +271,84 @@ void BM_MonteCarloKnnFamily(benchmark::State& state) {
   RunOverlappingFamilyBench(state, *family, n);
 }
 BENCHMARK(BM_MonteCarloKnnFamily)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The null-world layers the Bernoulli LLR max and the K-class draw dominate,
+// at N = 8,192 uniform points on a 10 x 10 domain.
+std::vector<geo::Point> UniformCloud(size_t n, Rng* rng) {
+  std::vector<geo::Point> pts(n);
+  for (auto& p : pts) p = {rng->Uniform(0, 10), rng->Uniform(0, 10)};
+  return pts;
+}
+
+void BM_MonteCarloGridDirection(benchmark::State& state) {
+  // 99 closed-form worlds on a 100 x 50 grid (5,000 regions): per-cell
+  // binomial draws are cheap, so the size-grouped LLR max is most of each
+  // world. Arg: 0 two-sided, 1 high, 2 low.
+  const size_t n = 8192;
+  Rng rng(31);
+  auto family =
+      core::GridPartitionFamily::Create(UniformCloud(n, &rng), 100, 50);
+  if (!family.ok()) {
+    state.SkipWithError("family creation failed");
+    return;
+  }
+  const stats::ScanDirection direction =
+      state.range(0) == 1   ? stats::ScanDirection::kHigh
+      : state.range(0) == 2 ? stats::ScanDirection::kLow
+                            : stats::ScanDirection::kTwoSided;
+  const core::BernoulliScanStatistic statistic(direction, n, n * 54 / 100);
+  core::MonteCarloOptions mc;
+  mc.num_worlds = 99;
+  mc.parallel = false;  // one thread: time per world is the layer's cost
+  for (auto _ : state) {
+    auto dist = core::SimulateNull(statistic, **family, mc);
+    if (!dist.ok()) {
+      state.SkipWithError("simulation failed");
+      return;
+    }
+    benchmark::DoNotOptimize(dist->sorted_max());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          mc.num_worlds);
+}
+BENCHMARK(BM_MonteCarloGridDirection)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_MonteCarloSquaresK3(benchmark::State& state) {
+  // 49 point-level K = 3 worlds on the annulus squares shape (100 centers,
+  // 20 sides): one integer-threshold class draw per point, then one
+  // CountClassesBatch gather per batch.
+  const size_t n = 8192;
+  Rng rng(29);
+  const auto pts = UniformCloud(n, &rng);
+  core::SquareScanOptions opts;
+  opts.centers = UniformCloud(100, &rng);
+  opts.side_lengths = core::SquareScanOptions::DefaultSideLengths();
+  auto family = core::SquareScanFamily::Create(pts, opts);
+  const core::MultinomialScanStatistic statistic(
+      {n * 50 / 100, n * 30 / 100, n - n * 50 / 100 - n * 30 / 100});
+  if (!family.ok()) {
+    state.SkipWithError("family creation failed");
+    return;
+  }
+  core::MonteCarloOptions mc;
+  mc.num_worlds = 49;
+  mc.parallel = false;
+  for (auto _ : state) {
+    auto dist = core::SimulateNull(statistic, **family, mc);
+    if (!dist.ok()) {
+      state.SkipWithError("simulation failed");
+      return;
+    }
+    benchmark::DoNotOptimize(dist->sorted_max());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          mc.num_worlds);
+}
+BENCHMARK(BM_MonteCarloSquaresK3)->Unit(benchmark::kMillisecond);
 
 // Annulus gather counting kernel on the sfabench
 // family shapes: N = 8,192 uniform points and 100 uniform centers on a

@@ -1,6 +1,8 @@
 #include "core/bernoulli_statistic.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/macros.h"
@@ -11,39 +13,6 @@
 namespace sfa::core {
 
 namespace {
-
-/// Max Λ over all regions from a row of positive counts, using the shared
-/// k·log k table. Region point counts are pre-gathered into `region_n` so the
-/// hot loop makes no virtual calls.
-double MaxLlrFromCounts(const uint64_t* positives,
-                        const std::vector<uint64_t>& region_n, uint64_t total_n,
-                        uint64_t total_p, stats::ScanDirection direction,
-                        const stats::LogLikelihoodTable& table) {
-  double max_llr = 0.0;
-  const size_t num_regions = region_n.size();
-  // Inlined table LLR with the per-world constant null term hoisted out of
-  // the region loop. Operation order matches
-  // stats::BernoulliLogLikelihoodRatio(counts, direction, table) exactly —
-  // (ll_in + ll_out) - null with the same gating — so maxima are bit-equal
-  // to the stats-layer evaluation (asserted by test_mc_engine.cc).
-  const double null_ll = table.MaxBernoulliLogLikelihood(total_p, total_n);
-  for (size_t r = 0; r < num_regions; ++r) {
-    const uint64_t n = region_n[r];
-    const uint64_t p = positives[r];
-    const uint64_t n_out = total_n - n;
-    const uint64_t p_out = total_p - p;
-    if (n == 0 || n_out == 0) continue;
-    const auto lhs = static_cast<unsigned __int128>(p) * n_out;
-    const auto rhs = static_cast<unsigned __int128>(p_out) * n;
-    if (lhs == rhs) continue;
-    if (direction == stats::ScanDirection::kHigh && lhs < rhs) continue;
-    if (direction == stats::ScanDirection::kLow && lhs > rhs) continue;
-    const double llr = table.MaxBernoulliLogLikelihood(p, n) +
-                       table.MaxBernoulliLogLikelihood(p_out, n_out) - null_ll;
-    if (llr > max_llr) max_llr = llr;
-  }
-  return max_llr;
-}
 
 /// Thread-local buffer pool: label worlds, count rows, cell draws, and the
 /// permutation shuffle buffer all live here, so after a worker's first batch
@@ -60,6 +29,12 @@ struct BatchArena {
 BatchArena& LocalArena() {
   static thread_local BatchArena arena;
   return arena;
+}
+
+std::vector<uint64_t> RegionSizes(const RegionFamily& family) {
+  std::vector<uint64_t> sizes(family.num_regions());
+  for (size_t r = 0; r < sizes.size(); ++r) sizes[r] = family.PointCount(r);
+  return sizes;
 }
 
 /// Everything per-world execution needs, precomputed once per simulation and
@@ -82,11 +57,8 @@ class BernoulliSimulation : public StatisticSimulation {
                        options.null_model == NullModel::kBernoulli
                    ? family.cell_decomposition()
                    : nullptr),
+        plan_(RegionSizes(family), family.num_points()),
         root_(options.seed) {
-    region_n_.resize(family_.num_regions());
-    for (size_t r = 0; r < region_n_.size(); ++r) {
-      region_n_[r] = family_.PointCount(r);
-    }
     if (cells_ != nullptr) {
       samplers_ = std::make_unique<CellSamplerBank>(*cells_, rho_);
     }
@@ -105,8 +77,7 @@ class BernoulliSimulation : public StatisticSimulation {
           samplers_->Draw(&rng, cell_positives.data());
       std::vector<uint64_t> counts(num_regions);
       family_.CountPositivesFromCells(cell_positives.data(), counts.data());
-      return MaxLlrFromCounts(counts.data(), region_n_, total_n, total_p,
-                              direction_, table_);
+      return plan_.Max(counts.data(), total_p, direction_, table_);
     }
     const Labels labels =
         options_.null_model == NullModel::kBernoulli
@@ -114,8 +85,8 @@ class BernoulliSimulation : public StatisticSimulation {
             : Labels::SamplePermutation(total_n, total_positives_, &rng);
     std::vector<uint64_t> counts;
     family_.CountPositives(labels, &counts);
-    return MaxLlrFromCounts(counts.data(), region_n_, total_n,
-                            labels.positive_count(), direction_, table_);
+    return plan_.Max(counts.data(), labels.positive_count(), direction_,
+                     table_);
   }
 
   void RunWorldBatch(size_t w_lo, size_t w_hi, double* out) const override {
@@ -136,8 +107,8 @@ class BernoulliSimulation : public StatisticSimulation {
             samplers_->Draw(&rng, arena.cell_positives.data());
         family_.CountPositivesFromCells(arena.cell_positives.data(),
                                         arena.region_counts.data());
-        out[w] = MaxLlrFromCounts(arena.region_counts.data(), region_n_,
-                                  total_n, total_p, direction_, table_);
+        out[w] = plan_.Max(arena.region_counts.data(), total_p, direction_,
+                           table_);
       }
       return;
     }
@@ -158,9 +129,9 @@ class BernoulliSimulation : public StatisticSimulation {
     family_.CountPositivesBatch(arena.label_ptrs.data(), worlds,
                                 arena.counts.data());
     for (size_t j = 0; j < worlds; ++j) {
-      out[w_lo + j] = MaxLlrFromCounts(
-          arena.counts.data() + j * num_regions, region_n_, total_n,
-          arena.labels[j].positive_count(), direction_, table_);
+      out[w_lo + j] =
+          plan_.Max(arena.counts.data() + j * num_regions,
+                    arena.labels[j].positive_count(), direction_, table_);
     }
   }
 
@@ -171,13 +142,124 @@ class BernoulliSimulation : public StatisticSimulation {
   stats::ScanDirection direction_;
   MonteCarloOptions options_;
   stats::LogLikelihoodTable table_;
-  std::vector<uint64_t> region_n_;
   const CellDecomposition* cells_;  // non-null => closed-form sampling
+  internal::LlrMaxPlan plan_;
   std::unique_ptr<CellSamplerBank> samplers_;  // non-null iff cells_ is
   Rng root_;
 };
 
 }  // namespace
+
+namespace internal {
+
+LlrMaxPlan::LlrMaxPlan(const std::vector<uint64_t>& region_n,
+                       uint64_t total_n)
+    : total_n_(total_n) {
+  SFA_CHECK(region_n.size() <= UINT32_MAX);
+  // Regions of size 0 or N never contribute.
+  std::vector<uint32_t> order;
+  order.reserve(region_n.size());
+  for (size_t r = 0; r < region_n.size(); ++r) {
+    if (region_n[r] > 0 && region_n[r] < total_n) {
+      order.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  if (total_n > kMaxGroupedPoints) {
+    for (uint32_t r : order) direct_.push_back({region_n[r], r});
+    return;
+  }
+  // One stable sort of the ids by n turns every size group into a run with
+  // ascending ids. As n < 2^22 it takes two counting passes over 11-bit
+  // digits, where a comparison sort mispredicts on nearly every compare.
+  constexpr uint32_t kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
+  std::vector<uint32_t> sorted(order.size());
+  std::vector<size_t> slot(kDigitMask + 2);
+  for (const uint32_t shift : {0u, kDigitBits}) {
+    std::fill(slot.begin(), slot.end(), 0);
+    for (uint32_t r : order) ++slot[((region_n[r] >> shift) & kDigitMask) + 1];
+    std::partial_sum(slot.begin(), slot.end(), slot.begin());
+    for (uint32_t r : order) {
+      sorted[slot[(region_n[r] >> shift) & kDigitMask]++] = r;
+    }
+    order.swap(sorted);
+  }
+  // Runs of 3+ become reduced groups, the rest stay direct.
+  std::vector<bool> is_direct(region_n.size(), false);
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    const uint64_t n = region_n[order[begin]];
+    end = begin + 1;
+    while (end < order.size() && region_n[order[end]] == n) ++end;
+    if (end - begin >= 3) {
+      groups_.push_back({n, grouped_.size(), grouped_.size() + end - begin});
+      grouped_.insert(grouped_.end(), order.begin() + begin,
+                      order.begin() + end);
+    } else {
+      for (size_t i = begin; i < end; ++i) is_direct[order[i]] = true;
+    }
+  }
+  for (size_t r = 0; r < region_n.size(); ++r) {
+    if (is_direct[r]) direct_.push_back({region_n[r], r});
+  }
+}
+
+double LlrMaxPlan::Max(const uint64_t* positives, uint64_t total_p,
+                       stats::ScanDirection direction,
+                       const stats::LogLikelihoodTable& table) const {
+  // One instance per direction keeps the direction tests out of the loops.
+  switch (direction) {
+    case stats::ScanDirection::kHigh:
+      return MaxIn<stats::ScanDirection::kHigh>(positives, total_p, table);
+    case stats::ScanDirection::kLow:
+      return MaxIn<stats::ScanDirection::kLow>(positives, total_p, table);
+    case stats::ScanDirection::kTwoSided:
+      break;
+  }
+  return MaxIn<stats::ScanDirection::kTwoSided>(positives, total_p, table);
+}
+
+template <stats::ScanDirection kDirection>
+double LlrMaxPlan::MaxIn(const uint64_t* positives, uint64_t total_p,
+                         const stats::LogLikelihoodTable& table) const {
+  const uint64_t total_n = total_n_;
+  // Inlined table LLR with the per-world constant null term hoisted out of
+  // the region loops. Operation order matches
+  // stats::BernoulliLogLikelihoodRatio(counts, direction, table) exactly —
+  // (ll_in + ll_out) - null with the same gating — so maxima are bit-equal
+  // to the stats-layer evaluation (asserted by test_mc_engine.cc).
+  const double null_ll = table.MaxBernoulliLogLikelihood(total_p, total_n);
+  double max_llr = 0.0;
+  const auto consider = [&](uint64_t n, uint64_t p) {
+    const uint64_t n_out = total_n - n;
+    const uint64_t p_out = total_p - p;
+    const auto lhs = static_cast<unsigned __int128>(p) * n_out;
+    const auto rhs = static_cast<unsigned __int128>(p_out) * n;
+    if (lhs == rhs) return;
+    if (kDirection == stats::ScanDirection::kHigh && lhs < rhs) return;
+    if (kDirection == stats::ScanDirection::kLow && lhs > rhs) return;
+    const double llr = table.MaxBernoulliLogLikelihood(p, n) +
+                       table.MaxBernoulliLogLikelihood(p_out, n_out) - null_ll;
+    max_llr = llr > max_llr ? llr : max_llr;
+  };
+  for (const Group& group : groups_) {
+    uint64_t lo = positives[grouped_[group.begin]];
+    uint64_t hi = lo;
+    for (size_t i = group.begin + 1; i < group.end; ++i) {
+      const uint64_t p = positives[grouped_[i]];
+      lo = std::min(lo, p);
+      hi = std::max(hi, p);
+    }
+    if (kDirection != stats::ScanDirection::kLow) consider(group.n, hi);
+    if (kDirection == stats::ScanDirection::kLow ||
+        (kDirection == stats::ScanDirection::kTwoSided && lo != hi)) {
+      consider(group.n, lo);
+    }
+  }
+  for (const Direct& d : direct_) consider(d.n, positives[d.region]);
+  return max_llr;
+}
+
+}  // namespace internal
 
 BernoulliScanStatistic::BernoulliScanStatistic(stats::ScanDirection direction,
                                                uint64_t total_n,

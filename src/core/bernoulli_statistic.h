@@ -9,7 +9,10 @@
 //                    cell-decomposable families, pooled label worlds +
 //                    CountPositivesBatch otherwise, per-world RNG substreams
 //                    Rng::Split(w) from options.seed (core/mc_engine.h's
-//                    three cost levers, unchanged);
+//                    cost levers); each world's max Λ comes from the
+//                    size-grouped internal::LlrMaxPlan below, which
+//                    evaluates Λ only at the ends of each n(R) group and is
+//                    bit-identical to evaluating every region;
 //   identity         "bernoulli dir=<direction> P=<positives>" — the view's
 //                    positive count and the scan direction are part of the
 //                    calibration identity; N and the family live in the
@@ -23,8 +26,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/scan_statistic.h"
+#include "stats/bernoulli_scan.h"
 
 namespace sfa::core {
 
@@ -59,6 +64,84 @@ class BernoulliScanStatistic : public ScanStatistic {
   uint64_t total_p_ = 0;
   double rho_ = 0.0;
 };
+
+namespace internal {
+
+/// The max Λ over a family's regions in one Bernoulli null world — the only
+/// LLR max of both engine strategies — computed from the regions' sizes n(R)
+/// grouped once at construction.
+///
+/// Fix N, P and n. Then Λ(p) = t(p) + t(n−p) + t(P−p) + t(N−n−P+p) + const,
+/// t(x) = x·log x, is convex in p with minimum 0 at p* = nP/N. So among the
+/// regions of one size, the two-sided max sits at the group's smallest or
+/// largest count, the kHigh max (regions with p > p*) at the largest and the
+/// kLow max (p < p*) at the smallest. A group of 3 or more regions is
+/// therefore reduced per world to (min p, max p), read in group-contiguous
+/// order, and Λ is evaluated at those ends only (once when they coincide).
+/// Groups of 1 or 2 have no more members than ends and are evaluated region
+/// by region, as are all regions when N > kMaxGroupedPoints.
+///
+/// The result is bit-identical to evaluating every region with the table
+/// arithmetic of stats::BernoulliLogLikelihoodRatio (same gating, same
+/// operation order), not just close to it:
+///
+///   gap    Λ'' = 1/p + 1/(n−p) + 1/(P−p) + 1/(N−n−P+p)
+///              ≥ 4/n + 4/(N−n) ≥ 16/N          (harmonic mean, per pair)
+///          so an interior count lo < p < hi has Λ(p) ≤ max(Λ(lo), Λ(hi))
+///          − (8/N)·(p−lo)(hi−p) ≤ max − 8/N, and on the one-sided side
+///          p* < p < hi, Λ(hi) − Λ(p) ≥ Λ(hi) − Λ(hi−1) > 8/N as Λ' ≥
+///          (16/N)(x − p*) there (and symmetrically for lo under kLow);
+///   error  with std::log within 1 ulp, each table entry t[k] = fl(k·log k)
+///          is within 3.01u·T of k·log k (u = 2⁻⁵³, T = N·log N ≥ every
+///          |t[k]|, N ≥ 2). One Λ reads 9 entries (the null term included)
+///          and rounds 8 sums whose magnitudes total ≤ 14T, so it is off by
+///          E ≤ 27.1uT + 14uT < 48u·N·log N;
+///   bound  an interior count can tie or beat an evaluated end only if
+///          8/N ≤ 2E, i.e. N²·log N ≥ 2⁵³/12 ≈ 7.5e14, that is N ≳ 6.9
+///          million. kMaxGroupedPoints = 2²² keeps a margin of 2.8 (2²²
+///          gives N²·log N ≈ 2.7e14). Regions whose count equals p* are
+///          gated out in both forms and the max starts at 0, so a gated
+///          end never hides a larger interior value either.
+class LlrMaxPlan {
+ public:
+  static constexpr uint64_t kMaxGroupedPoints = uint64_t{1} << 22;
+
+  /// Plans the max for a family of `total_n` points whose region r holds
+  /// region_n[r] of them. Regions with n(R) = 0 or N never contribute and
+  /// are dropped.
+  LlrMaxPlan(const std::vector<uint64_t>& region_n, uint64_t total_n);
+
+  /// max(0, max_R Λ(R)) for one world: `positives[r]` is p(R) and
+  /// `total_p` the world's P. `table` must cover total_n.
+  double Max(const uint64_t* positives, uint64_t total_p,
+             stats::ScanDirection direction,
+             const stats::LogLikelihoodTable& table) const;
+
+  /// Size groups reduced to their ends (0 when N > kMaxGroupedPoints).
+  size_t num_groups() const { return groups_.size(); }
+
+ private:
+  struct Group {
+    uint64_t n;
+    size_t begin;  // the group's entries in grouped_
+    size_t end;
+  };
+  struct Direct {
+    uint64_t n;
+    size_t region;
+  };
+
+  template <stats::ScanDirection kDirection>
+  double MaxIn(const uint64_t* positives, uint64_t total_p,
+               const stats::LogLikelihoodTable& table) const;
+
+  uint64_t total_n_;
+  std::vector<uint32_t> grouped_;  // region ids, group-contiguous
+  std::vector<Group> groups_;
+  std::vector<Direct> direct_;     // ascending region order
+};
+
+}  // namespace internal
 
 }  // namespace sfa::core
 

@@ -11,8 +11,10 @@
 //                               pipeline-level parallelism via the pool's
 //                               helping WaitGroup.
 //
-// The statistic-specific levers — closed-form per-cell null sampling, the
-// shared k·log k LLR table, batched annulus gathers — live inside the
+// The statistic-specific levers — closed-form per-cell null sampling,
+// integer-threshold per-point draws (Bernoulli labels and K-class
+// Categorical classes), the shared k·log k LLR table, the size-grouped
+// Bernoulli LLR max, batched annulus gathers — live inside the
 // StatisticSimulation implementations (core/bernoulli_statistic.cc,
 // core/multinomial_statistic.cc).
 //

@@ -126,20 +126,11 @@ class MultinomialSimulation : public StatisticSimulation {
                        options.null_model == NullModel::kBernoulli
                    ? family.cell_decomposition()
                    : nullptr),
+        draw_(q_),
         root_(options.seed) {
     region_n_.resize(family_.num_regions());
     for (size_t r = 0; r < region_n_.size(); ++r) {
       region_n_[r] = family_.PointCount(r);
-    }
-    // Cumulative class thresholds for the branchless per-point draw in
-    // DrawPointClasses: class k wins when the uniform lands in
-    // [prefix[k-1], prefix[k]). The last threshold is the exact weight total,
-    // so u = NextDouble() * total < prefix[K-1] always classifies.
-    q_prefix_.resize(q_.size());
-    double acc = 0.0;
-    for (size_t k = 0; k < q_.size(); ++k) {
-      acc += q_[k];
-      q_prefix_[k] = acc;
     }
   }
 
@@ -305,25 +296,7 @@ class MultinomialSimulation : public StatisticSimulation {
                         uint64_t* world_totals) const {
     const uint32_t num_classes = static_cast<uint32_t>(q_.size());
     if (options_.null_model == NullModel::kBernoulli) {
-      // Branchless Categorical(q): one uniform per point compared against the
-      // precomputed cumulative thresholds. Data-dependent branches are poison
-      // here — with q near uniform every compare is a coin flip, and the
-      // mispredict cost dwarfs the arithmetic — so the class index is a sum
-      // of comparison results instead (K-1 flagless adds; for the paper's
-      // K=3 that is two cmovs per point). The scaled uniform is strictly
-      // below the last threshold (an exact weight total) by construction, so
-      // the sum always lands in [0, K).
-      const double* prefix = q_prefix_.data();
-      const double total = q_prefix_[num_classes - 1];
-      for (uint64_t i = 0; i < total_n; ++i) {
-        const double u = rng->NextDouble() * total;
-        uint32_t k = 0;
-        for (uint32_t c = 0; c + 1 < num_classes; ++c) {
-          k += u >= prefix[c] ? 1u : 0u;
-        }
-        classes[i] = static_cast<uint8_t>(k);
-        ++world_totals[k];
-      }
+      draw_.Draw(rng, classes, total_n, world_totals);
       return;
     }
     uint64_t at = 0;
@@ -354,15 +327,105 @@ class MultinomialSimulation : public StatisticSimulation {
   const RegionFamily& family_;
   std::vector<uint64_t> class_totals_;
   std::vector<double> q_;
-  std::vector<double> q_prefix_;
   MonteCarloOptions options_;
   stats::LogLikelihoodTable table_;
   std::vector<uint64_t> region_n_;
   const CellDecomposition* cells_;  // non-null => closed-form sampling
+  internal::CategoricalDraw draw_;
   Rng root_;
 };
 
 }  // namespace
+
+namespace internal {
+
+CategoricalDraw::CategoricalDraw(const std::vector<double>& q) {
+  SFA_CHECK(q.size() >= 2 && q.size() <= 256);
+  double total = 0.0;
+  for (double w : q) total += w;
+  double prefix = 0.0;
+  for (size_t c = 0; c + 1 < q.size(); ++c) {
+    prefix += q[c];
+    // Smallest m in [0, 2^53] with fl(m·2^-53·total) >= prefix; the
+    // product is formed exactly as NextDouble() * total forms it.
+    uint64_t lo = 0;
+    uint64_t hi = uint64_t{1} << 53;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (static_cast<double>(mid) * 0x1.0p-53 * total >= prefix) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    thresholds_.push_back(lo);
+  }
+}
+
+namespace {
+
+/// CategoricalDraw::Draw with kCounted thresholds when kCounted > 0, or
+/// with `counted` of them when kCounted == 0.
+template <uint32_t kCounted>
+void DrawClasses(const uint64_t* thresholds, uint32_t counted, Rng* rng,
+                 uint8_t* classes, uint64_t n, uint64_t* totals) {
+  // The class is a sum of compare results, not a branch: with q near
+  // uniform every compare is a coin flip. The generator, the thresholds and
+  // the class counts live in locals, so the byte stores (which may alias
+  // anything) force none of them back to memory. With few thresholds
+  // (kCounted > 0), count[c] counts the points at or above threshold c and
+  // stays in a register; the thresholds are non-decreasing, so class k's
+  // total is count[k−1] − count[k]. Otherwise count[k] is a per-class
+  // histogram.
+  constexpr uint32_t kSlots = kCounted > 0 ? kCounted : 255;
+  if constexpr (kCounted > 0) counted = kCounted;
+  uint64_t threshold[kSlots];
+  std::copy(thresholds, thresholds + counted, threshold);
+  uint64_t count[kSlots + 1] = {};
+  Rng local = *rng;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t x = local.Next() >> 11;
+    uint32_t k = 0;
+    for (uint32_t c = 0; c < counted; ++c) {
+      const uint32_t above = x >= threshold[c] ? 1u : 0u;
+      k += above;
+      if constexpr (kCounted > 0) count[c] += above;
+    }
+    classes[i] = static_cast<uint8_t>(k);
+    if constexpr (kCounted == 0) ++count[k];
+  }
+  *rng = local;
+  if constexpr (kCounted > 0) {
+    uint64_t at_least = n;
+    for (uint32_t c = 0; c < counted; ++c) {
+      totals[c] += at_least - count[c];
+      at_least = count[c];
+    }
+    totals[counted] += at_least;
+  } else {
+    for (uint32_t k = 0; k <= counted; ++k) totals[k] += count[k];
+  }
+}
+
+}  // namespace
+
+void CategoricalDraw::Draw(Rng* rng, uint8_t* classes, uint64_t n,
+                           uint64_t* totals) const {
+  const uint32_t counted = static_cast<uint32_t>(thresholds_.size());
+  switch (counted) {
+    case 1:
+      return DrawClasses<1>(thresholds_.data(), counted, rng, classes, n,
+                            totals);
+    case 2:
+      return DrawClasses<2>(thresholds_.data(), counted, rng, classes, n,
+                            totals);
+    default:
+      return DrawClasses<0>(thresholds_.data(), counted, rng, classes, n,
+                            totals);
+  }
+}
+
+}  // namespace internal
 
 MultinomialScanStatistic::MultinomialScanStatistic(
     std::vector<uint64_t> class_totals)
@@ -439,6 +502,9 @@ Status MultinomialScanStatistic::ValidateForFamily(
     const RegionFamily& family) const {
   if (class_totals_.size() < 2) {
     return Status::InvalidArgument("need at least 2 outcome classes");
+  }
+  if (class_totals_.size() > 256) {
+    return Status::InvalidArgument("at most 256 outcome classes (uint8 ids)");
   }
   if (family.num_points() != total_n_) {
     return Status::InvalidArgument(StrFormat(

@@ -21,6 +21,7 @@
 //                  distribution q (NullModel::kBernoulli — closed-form
 //                  chained-binomial Multinomial(n_c, q) per cell for
 //                  cell-decomposable families, per-point Categorical draws
+//                  on integer thresholds, internal::CategoricalDraw,
 //                  otherwise) or permuted exactly (kPermutation);
 //   counting       per-class region counts reuse the family's binary
 //                  counting paths: K−1 indicator label worlds per drawn
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/scan_statistic.h"
 
 namespace sfa::core {
@@ -79,6 +81,38 @@ class MultinomialScanStatistic : public ScanStatistic {
   std::vector<double> class_distribution_;  ///< q_k = C_k / N
   uint64_t total_n_ = 0;
 };
+
+namespace internal {
+
+/// The per-point Categorical(q) draw of the multinomial label worlds under
+/// NullModel::kBernoulli, on integer thresholds.
+///
+/// The draw is defined as: u = NextDouble() · Σq, and the class is the number
+/// of cumulative weights prefix[c] = q_0 + … + q_c (c < K−1, summed in
+/// order) with u >= prefix[c]. NextDouble() is x·2⁻⁵³ for x = Next() >> 11,
+/// an exact product, and rounding is monotone, so u >= prefix[c] holds
+/// exactly when x >= m_c, the smallest m with fl(m·2⁻⁵³·Σq) >= prefix[c]
+/// (2⁵³, never reached, when there is none). The m_c are found by binary
+/// search at construction; a point then costs one generator step and K−1
+/// integer compares, with the same classes, totals and generator state as
+/// the floating-point form (tests/testing_util.h keeps it as the oracle).
+class CategoricalDraw {
+ public:
+  /// `q` holds K in [2, 256] non-negative class weights.
+  explicit CategoricalDraw(const std::vector<double>& q);
+
+  /// Draws `n` classes into `classes`, adds each class's count to
+  /// totals[k] (K entries) and advances *rng by n steps.
+  void Draw(Rng* rng, uint8_t* classes, uint64_t n, uint64_t* totals) const;
+
+  /// m_c for c < K−1, non-decreasing.
+  const std::vector<uint64_t>& thresholds() const { return thresholds_; }
+
+ private:
+  std::vector<uint64_t> thresholds_;
+};
+
+}  // namespace internal
 
 }  // namespace sfa::core
 

@@ -3,19 +3,23 @@
 // NullDistribution for the same seed — across every bundled region family,
 // both null models, any batch size, and parallel on/off. Also checks the
 // batch counting interface against scalar counting directly, the engine's
-// inlined table LLR against the stats layer, and the closed-form cell
-// sampler's distributional agreement with point-level labeling.
+// size-grouped LLR max against the stats layer (per world, and exhaustively
+// at small N), the closed-form cell sampler's distributional agreement with
+// point-level labeling, and a table of null maxima pinned as constants.
 #include "core/mc_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
+#include "core/multinomial_statistic.h"
 #include "core/partitioning_family.h"
 #include "core/rectangle_sweep_family.h"
 #include "core/scan.h"
@@ -189,11 +193,13 @@ TEST(McEngineEquivalence, BatchCountingMatchesScalarCounting) {
 }
 
 // With closed-form sampling off, every family's per-world engine maxima must
-// equal two oracles exactly: a hand-rolled one (sample the same labels, count
-// with the scalar interface, evaluate every region through the stats-layer
-// table LLR) and the observed-world scan, ScanAllRegions. The second pins the
-// rank p-value's tie contract: an observed world and a null world with the
-// same labels produce the same double.
+// equal two oracles exactly, in every scan direction: a hand-rolled one
+// (sample the same labels, count with the scalar interface, evaluate every
+// region through the stats-layer table LLR) and the observed-world scan,
+// ScanAllRegions. The first pins the size-grouped LLR max against the
+// per-region definition; the second pins the rank p-value's tie contract: an
+// observed world and a null world with the same labels produce the same
+// double.
 TEST(McEngineEquivalence, EngineMatchesStatsLayerOracle) {
   MonteCarloOptions mc;
   mc.num_worlds = 25;
@@ -201,35 +207,137 @@ TEST(McEngineEquivalence, EngineMatchesStatsLayerOracle) {
   mc.closed_form_cells = false;
   const stats::LogLikelihoodTable table(kPoints);
   const auto families = AllFamilies();
-  for (const auto& [name, family] : families) {
-    const std::vector<double> engine =
-        RunMonteCarloWorlds(*Statistic().MakeSimulation(*family, mc), mc);
-    ASSERT_EQ(engine.size(), mc.num_worlds) << name;
-    Rng root(mc.seed);
-    for (size_t w = 0; w < mc.num_worlds; ++w) {
-      Rng rng = root.Split(w);
-      const Labels labels = Labels::SampleBernoulli(kPoints, kRho, &rng);
-      std::vector<uint64_t> positives;
-      family->CountPositives(labels, &positives);
-      double max_llr = 0.0;
-      for (size_t r = 0; r < family->num_regions(); ++r) {
-        stats::ScanCounts counts;
-        counts.n = family->PointCount(r);
-        counts.p = positives[r];
-        counts.total_n = kPoints;
-        counts.total_p = labels.positive_count();
-        max_llr = std::max(max_llr, stats::BernoulliLogLikelihoodRatio(
-                                        counts, stats::ScanDirection::kTwoSided,
-                                        table));
+  for (const stats::ScanDirection direction :
+       {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
+        stats::ScanDirection::kLow}) {
+    const BernoulliScanStatistic statistic(direction, kPoints, kPositives);
+    for (const auto& [name, family] : families) {
+      const std::vector<double> engine =
+          RunMonteCarloWorlds(*statistic.MakeSimulation(*family, mc), mc);
+      ASSERT_EQ(engine.size(), mc.num_worlds) << name;
+      Rng root(mc.seed);
+      for (size_t w = 0; w < mc.num_worlds; ++w) {
+        Rng rng = root.Split(w);
+        const Labels labels = Labels::SampleBernoulli(kPoints, kRho, &rng);
+        std::vector<uint64_t> positives;
+        family->CountPositives(labels, &positives);
+        double max_llr = 0.0;
+        for (size_t r = 0; r < family->num_regions(); ++r) {
+          stats::ScanCounts counts;
+          counts.n = family->PointCount(r);
+          counts.p = positives[r];
+          counts.total_n = kPoints;
+          counts.total_p = labels.positive_count();
+          max_llr = std::max(max_llr, stats::BernoulliLogLikelihoodRatio(
+                                          counts, direction, table));
+        }
+        const char* dir = stats::ScanDirectionToString(direction);
+        EXPECT_EQ(engine[w], max_llr) << name << " / " << dir << " world " << w;
+        EXPECT_EQ(engine[w],
+                  ScanAllRegions(*family, labels, direction, table).max_llr)
+            << name << " / " << dir << " world " << w;
       }
-      EXPECT_EQ(engine[w], max_llr) << name << " world " << w;
-      EXPECT_EQ(engine[w],
-                ScanAllRegions(*family, labels, stats::ScanDirection::kTwoSided,
-                               table)
-                    .max_llr)
-          << name << " world " << w;
     }
   }
+}
+
+// The size-grouped max against the per-region definition, exhaustively at
+// small N: for every N <= 48, P <= N, region size n in [1, N-1] and feasible
+// count range [lo, hi], a group of three regions holding lo, hi and a count
+// between them must give exactly the max of Λ over EVERY count in [lo, hi],
+// in all three directions. That is the convexity claim the plan rests on
+// (no interior count beats both ends, after table rounding) plus the
+// group's min/max reduction.
+TEST(LlrMaxPlan, GroupedMaxEqualsPerRegionMaxExhaustively) {
+  using stats::ScanDirection;
+  size_t checked = 0;
+  for (uint64_t total_n = 2; total_n <= 48; ++total_n) {
+    const stats::LogLikelihoodTable table(total_n);
+    for (uint64_t n = 1; n < total_n; ++n) {
+      const internal::LlrMaxPlan plan({n, n, n}, total_n);
+      ASSERT_EQ(plan.num_groups(), 1u);
+      for (uint64_t total_p = 0; total_p <= total_n; ++total_p) {
+        const uint64_t p_min =
+            total_p > total_n - n ? total_p - (total_n - n) : 0;
+        const uint64_t p_max = std::min(n, total_p);
+        for (const ScanDirection direction :
+             {ScanDirection::kTwoSided, ScanDirection::kHigh,
+              ScanDirection::kLow}) {
+          for (uint64_t lo = p_min; lo <= p_max; ++lo) {
+            double per_region = 0.0;  // max of Λ over every count in [lo, hi]
+            for (uint64_t hi = lo; hi <= p_max; ++hi) {
+              stats::ScanCounts counts;
+              counts.n = n;
+              counts.p = hi;
+              counts.total_n = total_n;
+              counts.total_p = total_p;
+              per_region = std::max(
+                  per_region,
+                  stats::BernoulliLogLikelihoodRatio(counts, direction, table));
+              const uint64_t positives[3] = {(lo + hi) / 2, hi, lo};
+              ASSERT_EQ(plan.Max(positives, total_p, direction, table),
+                        per_region)
+                  << "N=" << total_n << " P=" << total_p << " n=" << n
+                  << " lo=" << lo << " hi=" << hi << " "
+                  << stats::ScanDirectionToString(direction);
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000000u);
+}
+
+// Only size groups of 3+ regions with 0 < n < N are reduced, and none once N
+// passes the exactness bound; a family mixing reduced groups, directly
+// evaluated regions and dropped regions of size 0 or N gives the per-region
+// max in every direction.
+TEST(LlrMaxPlan, ReducesOnlyGroupsOfThreeOrMoreBelowTheBound) {
+  EXPECT_EQ(internal::LlrMaxPlan({4, 4, 5, 5, 6}, 20).num_groups(), 0u);
+  EXPECT_EQ(internal::LlrMaxPlan({0, 0, 0, 20, 20, 20}, 20).num_groups(), 0u);
+  EXPECT_EQ(internal::LlrMaxPlan({4, 5, 4, 4, 5}, 20).num_groups(), 1u);
+  constexpr uint64_t kLarge = internal::LlrMaxPlan::kMaxGroupedPoints;
+  EXPECT_EQ(internal::LlrMaxPlan({9, 9, 9}, kLarge).num_groups(), 1u);
+  EXPECT_EQ(internal::LlrMaxPlan({9, 9, 9}, kLarge + 1).num_groups(), 0u);
+
+  const auto expect_per_region_max = [](const std::vector<uint64_t>& sizes,
+                                        const std::vector<uint64_t>& positives,
+                                        uint64_t total_n, uint64_t total_p,
+                                        size_t groups) {
+    const internal::LlrMaxPlan plan(sizes, total_n);
+    EXPECT_EQ(plan.num_groups(), groups);
+    const stats::LogLikelihoodTable table(total_n);
+    for (const stats::ScanDirection direction :
+         {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
+          stats::ScanDirection::kLow}) {
+      double expected = 0.0;
+      for (size_t r = 0; r < sizes.size(); ++r) {
+        stats::ScanCounts counts;
+        counts.n = sizes[r];
+        counts.p = positives[r];
+        counts.total_n = total_n;
+        counts.total_p = total_p;
+        expected = std::max(expected, stats::BernoulliLogLikelihoodRatio(
+                                          counts, direction, table));
+      }
+      EXPECT_GT(expected, 0.0);
+      EXPECT_EQ(plan.Max(positives.data(), total_p, direction, table),
+                expected)
+          << "N=" << total_n << " " << stats::ScanDirectionToString(direction);
+    }
+  };
+  // N = 20, P = 8: group {5, 5, 5}, direct {3} and {7, 7}, dropped 0 and 20.
+  expect_per_region_max({5, 3, 5, 7, 5, 7, 0, 20}, {4, 0, 1, 7, 2, 3, 0, 8},
+                        20, 8, 1);
+  // Sizes on both sides of the sort's 11-bit digit boundary, interleaved so
+  // that sizes sharing a low digit (2047 and 4095) only separate on the
+  // high one: groups 2047, 2048 and 4095, direct 3000.
+  expect_per_region_max(
+      {2047, 4095, 2048, 2047, 4095, 2048, 2047, 4095, 2048, 3000},
+      {1100, 2100, 900, 1000, 1900, 1024, 1023, 2300, 1200, 1600}, 10000,
+      5000, 3);
 }
 
 // Closed-form cell sampling draws a different RNG stream but the same
@@ -291,6 +399,123 @@ TEST(McEngine, Reproducible) {
     const NullDistribution a = Simulate(*family, mc);
     const NullDistribution b = Simulate(*family, mc);
     EXPECT_EQ(a.MaximaVector(), b.MaximaVector()) << name;
+  }
+}
+
+// Null maxima pinned as constants. The equivalence tests above compare one
+// engine against the other, so a change that moves both engines together
+// (the LLR max, the class draw, the samplers) would pass them; only these
+// values catch such drift. Each row holds the first kPinnedWorlds maxima of
+// one configuration and must hold for both engines.
+constexpr size_t kPinnedWorlds = 3;
+
+struct PinnedMaxima {
+  const char* family;
+  const char* statistic;  // "two-sided", "high", "low" or "multinomial"
+  NullModel null_model;
+  bool closed_form_cells;
+  double maxima[kPinnedWorlds];
+};
+
+constexpr PinnedMaxima kPinnedMaxima[] = {
+    {"grid", "two-sided", NullModel::kBernoulli, true,
+     {0x1.cdebeb2cbac8p+1, 0x1.895f9065714p+1, 0x1.a2d968d9698p+1}},
+    {"grid", "two-sided", NullModel::kPermutation, true,
+     {0x1.9385cb02e9p+1, 0x1.0f98f491788p+2, 0x1.452e3419d08p+1}},
+    {"grid", "high", NullModel::kBernoulli, true,
+     {0x1.cdebeb2cbac8p+1, 0x1.895f9065714p+1, 0x1.1b1bd4d42ddp+1}},
+    {"grid", "high", NullModel::kPermutation, true,
+     {0x1.452e3419d08p+1, 0x1.0f98f491788p+2, 0x1.452e3419d08p+1}},
+    {"grid", "low", NullModel::kBernoulli, true,
+     {0x1.719d25cf4d8p+1, 0x1.72e42ef45cp+0, 0x1.a2d968d9698p+1}},
+    {"grid", "low", NullModel::kPermutation, true,
+     {0x1.9385cb02e9p+1, 0x1.fb11cecb3f8p+1, 0x1.33e5401ea2a8p+1}},
+    {"grid", "two-sided", NullModel::kBernoulli, false,
+     {0x1.40c09ea5c5ap+2, 0x1.23800a3ab58p+1, 0x1.5cb50b2a228p+1}},
+    {"grid", "high", NullModel::kBernoulli, false,
+     {0x1.8c1ed14682cp+1, 0x1.08a2d9dc611p+1, 0x1.4f93bfd614cp+1}},
+    {"grid", "low", NullModel::kBernoulli, false,
+     {0x1.40c09ea5c5ap+2, 0x1.23800a3ab58p+1, 0x1.5cb50b2a228p+1}},
+    {"square", "two-sided", NullModel::kBernoulli, true,
+     {0x1.28c4c28e9ap+1, 0x1.5c9b51cfdc88p+1, 0x1.14997c07e0dp+1}},
+    {"square", "two-sided", NullModel::kPermutation, true,
+     {0x1.c77c6ff2e38p+1, 0x1.469b78b2f3p+2, 0x1.5f18b343d68cp+2}},
+    {"square", "high", NullModel::kBernoulli, true,
+     {0x1.28c4c28e9ap+1, 0x1.c3a0e4dc1aep+0, 0x1.438ec98ee1cp+0}},
+    {"square", "high", NullModel::kPermutation, true,
+     {0x1.c77c6ff2e38p+1, 0x1.c78c74f9a9p+1, 0x1.5f18b343d68cp+2}},
+    {"square", "low", NullModel::kBernoulli, true,
+     {0x1.debaab435ap+0, 0x1.5c9b51cfdc88p+1, 0x1.14997c07e0dp+1}},
+    {"square", "low", NullModel::kPermutation, true,
+     {0x1.261ef609ae4p+1, 0x1.469b78b2f3p+2, 0x1.70e631e4f1ap+0}},
+    {"knn-circle", "two-sided", NullModel::kBernoulli, true,
+     {0x1.3f78904fb98p+1, 0x1.063c94e1749p+1, 0x1.46a6a3988178p+1}},
+    {"knn-circle", "two-sided", NullModel::kPermutation, true,
+     {0x1.fb11cecb3f8p+1, 0x1.630c73449c78p+1, 0x1.2af930f2784p+0}},
+    {"knn-circle", "high", NullModel::kBernoulli, true,
+     {0x1.32893df7fc4p+1, 0x1.063c94e1749p+1, 0x1.438ec98ee1cp+0}},
+    {"knn-circle", "high", NullModel::kPermutation, true,
+     {0x1.b2106ea83fp+1, 0x1.630c73449c78p+1, 0x1.2af930f2784p+0}},
+    {"knn-circle", "low", NullModel::kBernoulli, true,
+     {0x1.3f78904fb98p+1, 0x1.8118ff2d8f3p+0, 0x1.46a6a3988178p+1}},
+    {"knn-circle", "low", NullModel::kPermutation, true,
+     {0x1.fb11cecb3f8p+1, 0x1.3aa9f4c0aa2p+0, 0x1.09a980865fp+0}},
+    {"square", "multinomial", NullModel::kBernoulli, true,
+     {0x1.1e95dc07126p+2, 0x1.2f5de8cb1788p+2, 0x1.aec4955f62cp+1}},
+    {"square", "multinomial", NullModel::kPermutation, true,
+     {0x1.e4a4d02a437p+1, 0x1.6ddafdc84d7p+1, 0x1.aa64749bf7ap+1}},
+    {"grid", "multinomial", NullModel::kBernoulli, false,
+     {0x1.33d294120228p+2, 0x1.90d0d7d7717p+1, 0x1.1f8f522d222p+2}},
+    {"grid", "multinomial", NullModel::kBernoulli, true,
+     {0x1.3bd2d0f6aefp+2, 0x1.fd90e338241p+1, 0x1.1b168776f7p+2}},
+};
+
+std::unique_ptr<ScanStatistic> PinnedStatistic(const std::string& name) {
+  if (name == "multinomial") {
+    Rng rng(23);
+    std::vector<uint8_t> classes(kPoints);
+    for (auto& c : classes) c = static_cast<uint8_t>(rng.NextUint64(3));
+    auto statistic =
+        MultinomialScanStatistic::FromOutcomes(classes.data(), kPoints, 3);
+    EXPECT_TRUE(statistic.ok());
+    return std::move(*statistic);
+  }
+  const stats::ScanDirection direction =
+      name == "high"  ? stats::ScanDirection::kHigh
+      : name == "low" ? stats::ScanDirection::kLow
+                      : stats::ScanDirection::kTwoSided;
+  return std::make_unique<BernoulliScanStatistic>(direction, kPoints,
+                                                  kPositives);
+}
+
+TEST(McEngine, NullMaximaArePinned) {
+  const auto families = AllFamilies();
+  for (const PinnedMaxima& pin : kPinnedMaxima) {
+    const RegionFamily* family = nullptr;
+    for (const auto& [name, candidate] : families) {
+      if (name == pin.family) family = candidate.get();
+    }
+    ASSERT_NE(family, nullptr) << pin.family;
+    const auto statistic = PinnedStatistic(pin.statistic);
+    for (McEngine engine : {McEngine::kBatched, McEngine::kReference}) {
+      MonteCarloOptions mc;
+      mc.num_worlds = kPinnedWorlds;
+      mc.seed = 1234;
+      mc.null_model = pin.null_model;
+      mc.closed_form_cells = pin.closed_form_cells;
+      mc.engine = engine;
+      mc.parallel = false;
+      const std::vector<double> maxima =
+          RunMonteCarloWorlds(*statistic->MakeSimulation(*family, mc), mc);
+      ASSERT_EQ(maxima.size(), kPinnedWorlds);
+      for (size_t w = 0; w < kPinnedWorlds; ++w) {
+        EXPECT_EQ(maxima[w], pin.maxima[w])
+            << pin.family << " / " << pin.statistic << " / "
+            << NullModelToString(pin.null_model)
+            << " / cells=" << pin.closed_form_cells << " / "
+            << McEngineToString(engine) << " / world " << w;
+      }
+    }
   }
 }
 

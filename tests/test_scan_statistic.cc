@@ -200,6 +200,81 @@ TEST(MultinomialStatistic, TwoClassCaseTracksBernoulliTau) {
   }
 }
 
+// The integer-threshold class draw against the floating-point form it
+// replaced: identical class bytes, class totals and final generator state
+// for every N around the 8-point and 64-point boundaries, K at both ends of
+// its range, and weights with a zero-mass first, middle or last class or a
+// class holding a single count. Random draws almost never land on a
+// threshold, so each m_c is also checked to be exactly the first m whose
+// scaled uniform reaches the cumulative weight; uniform weights make that
+// boundary an exact tie.
+TEST(MultinomialStatistic, CategoricalDrawMatchesFloatingPointOracle) {
+  for (const uint32_t num_classes : {2u, 3u, 256u}) {
+    std::vector<std::vector<uint64_t>> weight_counts;
+    weight_counts.emplace_back(num_classes, 1);
+    std::vector<uint64_t> spread(num_classes);
+    for (uint32_t k = 0; k < num_classes; ++k) spread[k] = 1 + (k * 37) % 11;
+    weight_counts.push_back(spread);
+    for (const uint32_t zero : {0u, num_classes / 2, num_classes - 1}) {
+      std::vector<uint64_t> counts = spread;
+      counts[zero] = 0;
+      weight_counts.push_back(counts);
+    }
+    // One class holds 1 of 8192, the rest share the remainder.
+    std::vector<uint64_t> single(num_classes, 8191 / (num_classes - 1));
+    single[num_classes / 2] = 1;
+    single[0] += 8191 % (num_classes - 1);
+    weight_counts.push_back(single);
+
+    for (const std::vector<uint64_t>& counts : weight_counts) {
+      uint64_t base = 0;
+      for (uint64_t c : counts) base += c;
+      std::vector<double> q(num_classes);
+      for (uint32_t k = 0; k < num_classes; ++k) {
+        q[k] = static_cast<double>(counts[k]) / static_cast<double>(base);
+      }
+      const internal::CategoricalDraw draw(q);
+      ASSERT_EQ(draw.thresholds().size(), num_classes - 1);
+      double total = 0.0;
+      for (double w : q) total += w;
+      double prefix = 0.0;
+      for (uint32_t c = 0; c + 1 < num_classes; ++c) {
+        prefix += q[c];
+        const uint64_t m = draw.thresholds()[c];
+        const auto scaled = [&](uint64_t x) {
+          return static_cast<double>(x) * 0x1.0p-53 * total;
+        };
+        if (m < (uint64_t{1} << 53)) {
+          EXPECT_GE(scaled(m), prefix) << c;
+        }
+        if (m > 0) {
+          EXPECT_LT(scaled(m - 1), prefix) << c;
+        }
+      }
+      for (const uint64_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 8192u}) {
+        for (const uint64_t seed : {1u, 77u}) {
+          Rng rng(seed);
+          Rng reference_rng(seed);
+          std::vector<uint8_t> classes(n), reference(n);
+          // Totals accumulate: start both from the same non-zero values.
+          std::vector<uint64_t> totals(num_classes, 5);
+          std::vector<uint64_t> reference_totals(num_classes, 5);
+          draw.Draw(&rng, classes.data(), n, totals.data());
+          testing::ReferenceCategoricalDraw(q, &reference_rng,
+                                            reference.data(), n,
+                                            reference_totals.data());
+          const std::string context =
+              "K=" + std::to_string(num_classes) + " N=" + std::to_string(n) +
+              " base=" + std::to_string(base) + " seed=" + std::to_string(seed);
+          ASSERT_EQ(classes, reference) << context;
+          ASSERT_EQ(totals, reference_totals) << context;
+          ASSERT_TRUE(rng == reference_rng) << context;
+        }
+      }
+    }
+  }
+}
+
 TEST(MultinomialStatistic, EngineStrategiesBitIdentical) {
   auto city = MakeMulticlassCity(33, 900, {0.4, 0.35, 0.25});
   auto family = GridPartitionFamily::Create(city.locations, 5, 4);
@@ -302,6 +377,15 @@ TEST(MakeScanStatistic, ValidatesOutcomeModel) {
   AuditOptions no_worlds = multinomial;
   no_worlds.monte_carlo.num_worlds = 0;
   EXPECT_FALSE(Auditor(no_worlds).AuditView(city.view, **family).ok());
+
+  // Class ids are bytes: a statistic built from more than 256 class totals
+  // is rejected before any world is drawn.
+  std::vector<uint64_t> wide(257, 0);
+  wide[0] = city.view.size();
+  const MultinomialScanStatistic too_many_classes(wide);
+  MonteCarloOptions mc;
+  mc.num_worlds = 9;
+  EXPECT_FALSE(SimulateNull(too_many_classes, **family, mc).ok());
 }
 
 }  // namespace

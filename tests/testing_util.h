@@ -165,6 +165,27 @@ inline std::vector<uint8_t> ReferenceBernoulliBytes(size_t n, double rho,
   return bytes;
 }
 
+/// Reference per-point Categorical(q) draw of the multinomial label worlds:
+/// u = NextDouble() · Σq compared against the in-order cumulative weights,
+/// the class being the number of them u reaches, and one ++ per point on
+/// its total — the floating-point loop core::internal::CategoricalDraw must
+/// match draw for draw.
+inline void ReferenceCategoricalDraw(const std::vector<double>& q, Rng* rng,
+                                     uint8_t* classes, uint64_t n,
+                                     uint64_t* totals) {
+  std::vector<double> prefix(q.size());
+  double acc = 0.0;
+  for (size_t k = 0; k < q.size(); ++k) prefix[k] = acc += q[k];
+  const double total = prefix.back();
+  for (uint64_t i = 0; i < n; ++i) {
+    const double u = rng->NextDouble() * total;
+    uint32_t k = 0;
+    for (size_t c = 0; c + 1 < q.size(); ++c) k += u >= prefix[c] ? 1u : 0u;
+    classes[i] = static_cast<uint8_t>(k);
+    ++totals[k];
+  }
+}
+
 /// Reference sparse view: the ascending ids of the set bytes.
 inline std::vector<uint32_t> ReferencePositiveIndices(
     const std::vector<uint8_t>& bytes) {

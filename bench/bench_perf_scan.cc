@@ -13,12 +13,16 @@
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
+#include "core/lane_sampler.h"
 #include "core/multinomial_statistic.h"
+#include "core/partitioning_family.h"
 #include "core/scan.h"
 #include "core/significance.h"
 #include "core/square_family.h"
+#include "geo/partitioning.h"
 #include "spatial/bitvector.h"
 #include "spatial/kdtree.h"
+#include "spatial/simd_popcount.h"
 #include "stats/bernoulli_scan.h"
 #include "stats/distributions.h"
 
@@ -319,8 +323,8 @@ BENCHMARK(BM_MonteCarloGridDirection)
 
 void BM_MonteCarloSquaresK3(benchmark::State& state) {
   // 49 point-level K = 3 worlds on the annulus squares shape (100 centers,
-  // 20 sides): one integer-threshold class draw per point, then one
-  // CountClassesBatch gather per batch.
+  // 20 sides): 8 worlds per lane-sampler call, then one CountPlanes gather
+  // per counted class.
   const size_t n = 8192;
   Rng rng(29);
   const auto pts = UniformCloud(n, &rng);
@@ -354,8 +358,9 @@ BENCHMARK(BM_MonteCarloSquaresK3)->Unit(benchmark::kMillisecond);
 // family shapes: N = 8,192 uniform points and 100 uniform centers on a
 // 10 x 10 domain, with either 20 square sides 0.1-2.0 or the default 7-rung
 // kNN ladder. Each iteration counts one batch of `state.range(0)` pre-drawn
-// worlds (8 = one packed walk, 1 = the one-world path); squares_k3 counts
-// 3-class worlds through CountClassesBatch. items_per_second is worlds/s.
+// worlds (8 = one packed walk, 1 = the one-world path), packed into planes
+// and counted by CountPlanes; squares_k3 counts 3-class worlds through
+// CountClassesBatch. items_per_second is worlds/s.
 enum class AnnulusShape { kSquares, kKnn, kSquaresK3 };
 
 void BM_AnnulusCountBatch(benchmark::State& state, AnnulusShape shape) {
@@ -416,6 +421,53 @@ BENCHMARK_CAPTURE(BM_AnnulusCountBatch, squares_k3, AnnulusShape::kSquaresK3)
     ->Arg(1)
     ->Arg(8);
 
+// Cell-scatter counting of the grid and partitioning families: 8 Bernoulli
+// label worlds (the permutation null's path) on N = 8,192 points of the
+// sfabench cloud shape, packed into planes and counted by one CountPlanes
+// scatter; the grid is 100 x 50 cells, the partitioning family 20 random
+// partitionings of 4-12 splits per axis. items_per_second is worlds/s.
+enum class CellShape { kGrid, kPartitionings };
+
+void BM_CellCountBatch(benchmark::State& state, CellShape shape) {
+  const size_t n = 8192;
+  const size_t batch = 8;
+  Rng rng(37);
+  std::vector<geo::Point> pts(n);
+  for (auto& p : pts) p = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
+  std::unique_ptr<core::RegionFamily> family;
+  if (shape == CellShape::kGrid) {
+    auto grid = core::GridPartitionFamily::Create(pts, 100, 50);
+    if (grid.ok()) family = std::move(*grid);
+  } else {
+    auto parts = geo::MakeRandomResolutionPartitionings(
+        geo::Rect::BoundingBox(pts).Expanded(1e-6), 20, 4, 12, &rng);
+    if (parts.ok()) {
+      auto collection =
+          core::PartitioningCollectionFamily::Create(pts, std::move(*parts));
+      if (collection.ok()) family = std::move(*collection);
+    }
+  }
+  if (!family) {
+    state.SkipWithError("family creation failed");
+    return;
+  }
+  std::vector<core::Labels> worlds;
+  for (size_t w = 0; w < batch; ++w) {
+    worlds.push_back(core::Labels::SampleBernoulli(n, 0.54, &rng));
+  }
+  std::vector<const core::Labels*> world_ptrs;
+  for (const core::Labels& w : worlds) world_ptrs.push_back(&w);
+  std::vector<uint64_t> out(batch * family->num_regions());
+  for (auto _ : state) {
+    family->CountPositivesBatch(world_ptrs.data(), batch, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
+}
+BENCHMARK_CAPTURE(BM_CellCountBatch, grid, CellShape::kGrid);
+BENCHMARK_CAPTURE(BM_CellCountBatch, partitionings, CellShape::kPartitionings);
+
 void BM_RngBinomial(benchmark::State& state) {
   // One-off Binomial draws across regimes: small n·p (CDF inversion) and
   // large n·p (BTRS rejection).
@@ -450,6 +502,56 @@ void BM_LabelsSampling(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_LabelsSampling)->Range(1 << 12, 1 << 18);
+
+// The null-world lane sampler on one SIMD tier: 8 worlds of N = 8,192
+// points per call, Bernoulli(0.54) labels or K = 3 classes with mix
+// {0.5, 0.3, 0.2}, written as mask planes. items_per_second is worlds/s.
+// A tier the CPU lacks is skipped (forcing it would clamp down).
+enum class LaneDraw { kBernoulli, kK3 };
+
+void BM_LaneSampler(benchmark::State& state, LaneDraw draw,
+                    spatial::PopcountKernel tier) {
+  const spatial::PopcountKernel previous = spatial::ForcePopcountKernel(tier);
+  if (spatial::ActiveSamplerKernel() != tier) {
+    spatial::ForcePopcountKernel(previous);
+    state.SkipWithError("sampler tier not supported on this CPU");
+    return;
+  }
+  const size_t n = 8192;
+  const core::internal::CategoricalDraw categorical({0.5, 0.3, 0.2});
+  std::vector<uint8_t> masks(2 * n);
+  std::vector<uint64_t> totals(3 * core::kLaneWorlds);
+  Rng root(31);
+  std::vector<Rng> rngs;
+  for (size_t w = 0; w < core::kLaneWorlds; ++w) rngs.push_back(root.Split(w));
+  for (auto _ : state) {
+    if (draw == LaneDraw::kBernoulli) {
+      core::SampleBernoulliLanes(0.54, n, core::kLaneWorlds, rngs.data(),
+                                 masks.data(), totals.data());
+    } else {
+      core::SampleCategoricalLanes(categorical.thresholds(), n,
+                                   core::kLaneWorlds, rngs.data(),
+                                   masks.data(), totals.data());
+    }
+    benchmark::DoNotOptimize(masks.data());
+    benchmark::ClobberMemory();
+  }
+  spatial::ForcePopcountKernel(previous);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(core::kLaneWorlds));
+}
+BENCHMARK_CAPTURE(BM_LaneSampler, bernoulli/scalar, LaneDraw::kBernoulli,
+                  spatial::PopcountKernel::kScalar);
+BENCHMARK_CAPTURE(BM_LaneSampler, bernoulli/avx2, LaneDraw::kBernoulli,
+                  spatial::PopcountKernel::kAvx2);
+BENCHMARK_CAPTURE(BM_LaneSampler, bernoulli/avx512, LaneDraw::kBernoulli,
+                  spatial::PopcountKernel::kAvx512);
+BENCHMARK_CAPTURE(BM_LaneSampler, k3/scalar, LaneDraw::kK3,
+                  spatial::PopcountKernel::kScalar);
+BENCHMARK_CAPTURE(BM_LaneSampler, k3/avx2, LaneDraw::kK3,
+                  spatial::PopcountKernel::kAvx2);
+BENCHMARK_CAPTURE(BM_LaneSampler, k3/avx512, LaneDraw::kK3,
+                  spatial::PopcountKernel::kAvx512);
 
 void BM_LabelsSamplingSparseView(benchmark::State& state) {
   // One Bernoulli null world plus its ascending positive ids, built lazily

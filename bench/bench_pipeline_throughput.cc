@@ -262,8 +262,8 @@ BENCHMARK(BM_PipelineMultinomial)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Binary-vs-multinomial over the SAME overlapping square family: unlike the
 // grid bench above there is no closed-form cell shortcut here, so every
-// multinomial null world is a full vector of packed class codes counted
-// through RegionFamily::CountClassesBatch (the annulus class gather). The
+// multinomial null world is drawn point by point into class mask planes
+// and counted through RegionFamily::CountPlanes (the annulus gather). The
 // tracked ratio BM_PipelineMultinomialSquares /
 // BM_PipelineBinarySquares is the ISSUE 9 acceptance metric: the native
 // K-class kernel must keep K=3 calibration within ~1.5x of the binary path

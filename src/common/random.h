@@ -8,6 +8,7 @@
 #ifndef SFA_COMMON_RANDOM_H_
 #define SFA_COMMON_RANDOM_H_
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -146,6 +147,15 @@ class Rng {
       uint64_t j = NextUint64(i);
       std::swap(first[i - 1], first[j]);
     }
+  }
+
+  /// The four Xoshiro256++ state words. The null-world lane sampler
+  /// (core/lane_sampler.h) steps up to 8 generators side by side in SIMD
+  /// lanes from these words and writes the advanced words back.
+  using State = std::array<uint64_t, 4>;
+  State state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
+  void set_state(const State& state) {
+    for (size_t i = 0; i < 4; ++i) s_[i] = state[i];
   }
 
   /// Derives an independent substream generator for task `index`. Two

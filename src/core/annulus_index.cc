@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <limits>
 
 #include "common/macros.h"
@@ -60,44 +59,6 @@ void WalkLadders(const spatial::Csr32& csr, size_t num_centers,
       fold(&carried, lanes);
     }
   }
-}
-
-/// Thread-local mask bytes of the batch kernels (one per point), live only
-/// within one counting call on the owning thread.
-uint8_t* LocalPlaneMasks(size_t num_points) {
-  static thread_local std::vector<uint8_t> masks;
-  masks.resize(num_points);
-  return masks.data();
-}
-
-constexpr uint64_t kByteOnes = 0x0101010101010101ULL;
-constexpr uint64_t kByteLow7 = 0x7F7F7F7F7F7F7F7FULL;
-constexpr uint64_t kByteHigh = 0x8080808080808080ULL;
-
-/// Byte j of the result is p[j] for j < count and 0 above it.
-inline uint64_t LoadBytes(const uint8_t* p, size_t count) {
-  uint64_t word = 0;
-  std::memcpy(&word, p, count);
-  return word;
-}
-
-/// Packs `num_planes` planes into bit b of masks[i], 8 points per word:
-/// plane_bytes(b, i, count) returns a word whose byte j is 1 when point i + j
-/// lies in plane b and 0 otherwise (bytes at j >= count are don't-care).
-/// Every step is lane-local, so the byte order of the word never matters.
-template <typename PlaneBytes>
-void PackPlanes(size_t n, size_t num_planes, PlaneBytes plane_bytes,
-                uint8_t* masks) {
-  const auto pack = [&](size_t i, size_t count) {
-    uint64_t word = 0;
-    for (size_t b = 0; b < num_planes; ++b) {
-      word |= plane_bytes(b, i, count) << b;
-    }
-    std::memcpy(masks + i, &word, count);
-  };
-  const size_t full = n - n % 8;
-  for (size_t i = 0; i < full; i += 8) pack(i, 8);
-  if (full < n) pack(full, n - full);
 }
 
 }  // namespace
@@ -171,11 +132,12 @@ void AnnulusIndex::CountPositives(const uint8_t* labels, uint64_t* out) const {
 }
 
 void AnnulusIndex::CountPlanes(const uint8_t* masks, size_t num_planes,
-                               uint64_t* out) const {
-  SFA_CHECK(masks != nullptr && out != nullptr);
+                               uint64_t* out, size_t out_stride) const {
+  SFA_CHECK((masks != nullptr || num_points_ == 0) && out != nullptr);
   SFA_CHECK(num_planes >= 1 && num_planes <= kPlanesPerPass);
+  SFA_CHECK(out_stride >= num_regions());
   using Totals = std::array<uint64_t, kPlanesPerPass>;
-  const size_t stride = num_regions();
+  const size_t stride = out_stride;
   // Byte lane b of the chunk sum counts plane b; a chunk of at most
   // kLaneCapacity entries cannot overflow it.
   WalkLadders<Totals>(
@@ -192,75 +154,6 @@ void AnnulusIndex::CountPlanes(const uint8_t* masks, size_t num_planes,
           out[b * stride + slot] = carried[b] + ((lanes >> (8 * b)) & 0xFF);
         }
       });
-}
-
-void CountPositivesBatchWithAnnulus(const AnnulusIndex& index,
-                                    const Labels* const* batch,
-                                    size_t num_worlds, uint64_t* out) {
-  SFA_CHECK(batch != nullptr && out != nullptr);
-  const size_t n = index.num_points();
-  const size_t stride = index.num_regions();
-  for (size_t b = 0; b < num_worlds; ++b) {
-    SFA_CHECK_MSG(batch[b]->size() == n,
-                  "labels " << batch[b]->size() << " != points " << n);
-  }
-  uint8_t* masks = LocalPlaneMasks(n);
-  for (size_t g = 0; g < num_worlds; g += AnnulusIndex::kPlanesPerPass) {
-    const size_t planes =
-        std::min(AnnulusIndex::kPlanesPerPass, num_worlds - g);
-    const uint8_t* labels[AnnulusIndex::kPlanesPerPass];
-    for (size_t b = 0; b < planes; ++b) {
-      labels[b] = batch[g + b]->bytes().data();
-    }
-    PackPlanes(
-        n, planes,
-        [&labels](size_t b, size_t i, size_t count) {
-          return LoadBytes(labels[b] + i, count);
-        },
-        masks);
-    index.CountPlanes(masks, planes, out + g * stride);
-  }
-}
-
-void CountClassesBatchWithAnnulus(const AnnulusIndex& index,
-                                  const uint8_t* const* class_worlds,
-                                  size_t num_worlds, uint32_t num_classes,
-                                  uint64_t* out) {
-  SFA_CHECK(class_worlds != nullptr && out != nullptr);
-  SFA_CHECK_MSG(num_classes >= 2,
-                "CountClassesBatchWithAnnulus needs at least 2 classes");
-  const uint32_t counted = num_classes - 1;
-  const size_t n = index.num_points();
-  const size_t stride = index.num_regions();
-  // Plane p is (world p / counted, class p % counted): the output rows of
-  // ClassCountRowOffset are exactly p * stride, so groups of consecutive
-  // planes land in consecutive rows.
-  const size_t num_planes = num_worlds * counted;
-  uint8_t* masks = LocalPlaneMasks(n);
-  for (size_t g = 0; g < num_planes; g += AnnulusIndex::kPlanesPerPass) {
-    const size_t planes =
-        std::min(AnnulusIndex::kPlanesPerPass, num_planes - g);
-    const uint8_t* codes[AnnulusIndex::kPlanesPerPass];
-    uint64_t pattern[AnnulusIndex::kPlanesPerPass];
-    uint64_t keep[AnnulusIndex::kPlanesPerPass];
-    for (size_t b = 0; b < planes; ++b) {
-      const size_t klass = (g + b) % counted;
-      codes[b] = class_worlds[(g + b) / counted];
-      pattern[b] = kByteOnes * (klass & 0xFF);
-      keep[b] = klass <= 0xFF ? ~0ULL : 0;  // no byte code names class 256+
-    }
-    PackPlanes(
-        n, planes,
-        [&](size_t b, size_t i, size_t count) {
-          // Bytes equal to the class become 0; the high bit of `nonzero`
-          // is then set exactly in the other bytes (no carry crosses lanes).
-          const uint64_t diff = LoadBytes(codes[b] + i, count) ^ pattern[b];
-          const uint64_t nonzero = ((diff & kByteLow7) + kByteLow7) | diff;
-          return ((~nonzero & kByteHigh) >> 7) & keep[b];
-        },
-        masks);
-    index.CountPlanes(masks, planes, out + g * stride);
-  }
 }
 
 }  // namespace sfa::core

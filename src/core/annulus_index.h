@@ -20,12 +20,13 @@
 //     for each rank ℓ:  for each id in annulus ℓ:  acc += label[id]
 //                       p(R_ℓ) = acc               (every rung at once)
 //
-// The batch kernel gathers up to 8 worlds per walk. Their labels are packed
-// into one mask byte per point (bit b = world b), and each gathered mask adds
-// a 256-entry spread-table word carrying bit b into byte lane b, so one
-// 64-bit add counts 8 worlds. Byte lanes are flushed into 64-bit totals
-// before they can overflow, and every rank end emits the running totals.
-// K-class worlds pack (world, class) indicator planes the same way.
+// CountPlanes gathers up to 8 planes per walk from one mask byte per point
+// (bit b = plane b's label), the format the null-world lane sampler writes
+// (core/lane_sampler.h). Each gathered mask adds a 256-entry spread-table
+// word carrying bit b into byte lane b, so one 64-bit add counts 8 worlds.
+// Byte lanes are flushed into 64-bit totals before they can overflow, and
+// every rank end emits the running totals. An output stride lets the K−1
+// class planes of 8 worlds land straight in their ClassCountRowOffset rows.
 //
 // O(entries) per 8 worlds, no dense label bits, no per-region AND+popcount
 // pass, portable C++. This is the only counting path of both families; the
@@ -37,7 +38,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/labels.h"
 #include "spatial/csr.h"
 
 namespace sfa::core {
@@ -93,9 +93,11 @@ class AnnulusIndex {
 
   /// Counts `num_planes` (1..kPlanesPerPass) worlds in one walk: bit b of
   /// masks[i] is point i's label in plane b (higher bits are ignored).
-  /// Plane b's p(R) row goes to out + b * num_regions(). Thread-safe.
-  void CountPlanes(const uint8_t* masks, size_t num_planes,
-                   uint64_t* out) const;
+  /// Plane b's p(R) row goes to out + b * out_stride (out_stride >=
+  /// num_regions()). Thread-safe. The body of RegionFamily::CountPlanes for
+  /// both families.
+  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+                   size_t out_stride) const;
 
  private:
   spatial::Csr32 csr_;  // row = center * num_rungs + rank, value = point id
@@ -103,27 +105,6 @@ class AnnulusIndex {
   size_t num_centers_ = 0;
   size_t num_rungs_ = 0;
 };
-
-/// Batch kernel: counts `num_worlds` worlds through `index` in groups of
-/// AnnulusIndex::kPlanesPerPass, each group packed into thread-local mask
-/// bytes from the worlds' label bytes. `out` is row-major
-/// [num_worlds x index.num_regions()], caller-owned. Never materializes
-/// dense label bits or sparse positive views.
-void CountPositivesBatchWithAnnulus(const AnnulusIndex& index,
-                                    const Labels* const* batch,
-                                    size_t num_worlds, uint64_t* out);
-
-/// Multi-class batch kernel: per-class counts for `num_worlds` packed K-class
-/// worlds (class_worlds[w][i] in [0, num_classes);
-/// codes outside it count in no class, as in the K−1 indicator construction).
-/// The (world, class < K−1) indicator planes are taken in output order and
-/// counted kPlanesPerPass per walk. `out` follows the
-/// RegionFamily::CountClassesBatch layout
-/// [num_worlds x (num_classes−1) x num_regions], caller-owned.
-void CountClassesBatchWithAnnulus(const AnnulusIndex& index,
-                                  const uint8_t* const* class_worlds,
-                                  size_t num_worlds, uint32_t num_classes,
-                                  uint64_t* out);
 
 }  // namespace sfa::core
 

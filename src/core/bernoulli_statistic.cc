@@ -9,18 +9,23 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/cell_sampler_bank.h"
+#include "core/lane_sampler.h"
 
 namespace sfa::core {
 
+// One lane-sampler call fills exactly the planes one CountPlanes call counts.
+static_assert(kLaneWorlds == RegionFamily::kMaxPlanes);
+
 namespace {
 
-/// Thread-local buffer pool: label worlds, count rows, cell draws, and the
-/// permutation shuffle buffer all live here, so after a worker's first batch
-/// the steady state allocates nothing.
+/// Thread-local buffer pool: mask planes, permutation label worlds, count
+/// rows, cell draws, and the permutation shuffle buffer all live here, so
+/// after a worker's first batch the steady state allocates nothing.
 struct BatchArena {
-  std::vector<Labels> labels;
+  std::vector<uint8_t> masks;            // one mask byte per point
+  std::vector<Labels> labels;            // permutation worlds
   std::vector<const Labels*> label_ptrs;
-  std::vector<uint64_t> counts;          // batch x num_regions, row-major
+  std::vector<uint64_t> counts;          // worlds x num_regions, row-major
   std::vector<uint32_t> cell_positives;  // one world's cell draws
   std::vector<uint64_t> region_counts;   // one world's folded region counts
   std::vector<uint32_t> perm_scratch;
@@ -113,17 +118,37 @@ class BernoulliSimulation : public StatisticSimulation {
       return;
     }
 
+    if (options_.null_model == NullModel::kBernoulli) {
+      // i.i.d. point worlds, kLaneWorlds at a time: the lane sampler writes
+      // their labels as mask planes, which CountPlanes counts directly.
+      arena.masks.resize(total_n);
+      arena.counts.resize(kLaneWorlds * num_regions);
+      for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
+        const size_t lanes = std::min(kLaneWorlds, w_hi - g);
+        Rng rngs[kLaneWorlds];
+        for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(g + j);
+        uint64_t positives[kLaneWorlds];
+        SampleBernoulliLanes(rho_, total_n, lanes, rngs, arena.masks.data(),
+                             positives);
+        family_.CountPlanes(arena.masks.data(), lanes, arena.counts.data(),
+                            num_regions);
+        for (size_t j = 0; j < lanes; ++j) {
+          out[g + j] = plan_.Max(arena.counts.data() + j * num_regions,
+                                 positives[j], direction_, table_);
+        }
+      }
+      return;
+    }
+
+    // Permutation worlds keep their scalar shuffles; their label bytes are
+    // packed into planes by CountPositivesBatch.
     if (arena.labels.size() < worlds) arena.labels.resize(worlds);
     arena.label_ptrs.resize(worlds);
     arena.counts.resize(worlds * num_regions);
     for (size_t j = 0; j < worlds; ++j) {
       Rng rng = root_.Split(w_lo + j);
-      if (options_.null_model == NullModel::kBernoulli) {
-        arena.labels[j].ResampleBernoulli(total_n, rho_, &rng);
-      } else {
-        arena.labels[j].ResamplePermutation(total_n, total_positives_, &rng,
-                                            &arena.perm_scratch);
-      }
+      arena.labels[j].ResamplePermutation(total_n, total_positives_, &rng,
+                                          &arena.perm_scratch);
       arena.label_ptrs[j] = &arena.labels[j];
     }
     family_.CountPositivesBatch(arena.label_ptrs.data(), worlds,

@@ -6,10 +6,13 @@
 //   observed scan    per-region Λ through the shared k·log k table
 //                    (core/scan.h's ScanAllRegions — the exact-tie contract);
 //   null worlds      closed-form per-cell Binomial(n_c, ρ) draws for
-//                    cell-decomposable families, pooled label worlds +
-//                    CountPositivesBatch otherwise, per-world RNG substreams
-//                    Rng::Split(w) from options.seed (core/mc_engine.h's
-//                    cost levers); each world's max Λ comes from the
+//                    cell-decomposable families; otherwise 8 i.i.d. worlds
+//                    per lane-sampler call (core/lane_sampler.h) written as
+//                    mask planes and counted by RegionFamily::CountPlanes,
+//                    or pooled permutation label worlds packed into planes;
+//                    per-world RNG substreams Rng::Split(w) from
+//                    options.seed (core/mc_engine.h's cost levers); each
+//                    world's max Λ comes from the
 //                    size-grouped internal::LlrMaxPlan below, which
 //                    evaluates Λ only at the ends of each n(R) group and is
 //                    bit-identical to evaluating every region;

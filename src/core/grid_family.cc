@@ -71,57 +71,15 @@ void GridPartitionFamily::CountPositives(const Labels& labels,
   }
 }
 
-void GridPartitionFamily::CountPositivesBatch(const Labels* const* batch,
-                                              size_t num_worlds,
-                                              uint64_t* out) const {
-  SFA_CHECK(batch != nullptr && out != nullptr);
+void GridPartitionFamily::CountPlanes(const uint8_t* masks, size_t num_planes,
+                                      uint64_t* out, size_t out_stride) const {
+  SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
+  SFA_CHECK(out_stride >= num_regions());
+  // Regions are the cells; points outside the extent (kInvalidCell) count
+  // nowhere.
   const std::vector<uint32_t>& cells = index_.cell_assignments();
-  const size_t stride = num_regions();
-  std::fill(out, out + num_worlds * stride, 0ULL);
-  // The assignment array (the large stream) is read once for the whole
-  // batch; per-world count rows stay cache-resident.
-  std::vector<const uint8_t*> bytes(num_worlds);
-  std::vector<uint64_t*> rows(num_worlds);
-  for (size_t b = 0; b < num_worlds; ++b) {
-    SFA_CHECK_MSG(batch[b]->size() == num_points(),
-                  "labels " << batch[b]->size() << " != points " << num_points());
-    bytes[b] = batch[b]->bytes().data();
-    rows[b] = out + b * stride;
-  }
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const uint32_t cell = cells[i];
-    if (cell == geo::GridSpec::kInvalidCell) continue;
-    for (size_t b = 0; b < num_worlds; ++b) {
-      rows[b][cell] += bytes[b][i];
-    }
-  }
-}
-
-void GridPartitionFamily::CountClassesBatch(const uint8_t* const* class_worlds,
-                                            size_t num_worlds,
-                                            uint32_t num_classes,
-                                            uint64_t* out) const {
-  SFA_CHECK(class_worlds != nullptr && out != nullptr);
-  SFA_CHECK_MSG(num_classes >= 2, "CountClassesBatch needs at least 2 classes");
-  const std::vector<uint32_t>& cells = index_.cell_assignments();
-  const uint32_t counted = num_classes - 1;
-  const size_t stride = num_regions();
-  std::fill(out, out + ClassCountBufferSize(num_worlds, counted, stride), 0ULL);
-  // As in CountPositivesBatch, the assignment stream is read once for the
-  // whole batch; each point lands in its class's histogram row (the derived
-  // last class is skipped).
-  std::vector<uint64_t*> bases(num_worlds);
-  for (size_t w = 0; w < num_worlds; ++w) {
-    bases[w] = out + ClassCountRowOffset(w, 0, counted, stride);
-  }
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const uint32_t cell = cells[i];
-    if (cell == geo::GridSpec::kInvalidCell) continue;
-    for (size_t w = 0; w < num_worlds; ++w) {
-      const uint8_t k = class_worlds[w][i];
-      if (k < counted) ++bases[w][static_cast<size_t>(k) * stride + cell];
-    }
-  }
+  internal::CountCellPlanes(cells.data(), cells.size(), num_regions(), masks,
+                            num_planes, out, out_stride);
 }
 
 void GridPartitionFamily::CountPositivesFromCells(const uint32_t* cell_positives,

@@ -34,13 +34,9 @@ class GridPartitionFamily : public RegionFamily {
   }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// One pass over cell assignments counts all worlds of the batch.
-  void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
-                           uint64_t* out) const override;
-  /// Same single pass, scattering each point into its class histogram — all K
-  /// classes of all worlds without per-class indicator materialization.
-  void CountClassesBatch(const uint8_t* const* class_worlds, size_t num_worlds,
-                         uint32_t num_classes, uint64_t* out) const override;
+  /// One cell scatter over the point assignments counts every plane.
+  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+                   size_t out_stride) const override;
   /// Regions ARE the cells: the decomposition is exact, enabling closed-form
   /// Binomial null sampling in O(cells) per world.
   const CellDecomposition* cell_decomposition() const override { return &cells_; }

@@ -117,19 +117,6 @@ void KnnCircleFamily::CountPositives(const Labels& labels,
   annulus_.CountPositives(labels.bytes().data(), out->data());
 }
 
-void KnnCircleFamily::CountPositivesBatch(const Labels* const* batch,
-                                          size_t num_worlds,
-                                          uint64_t* out) const {
-  CountPositivesBatchWithAnnulus(annulus_, batch, num_worlds, out);
-}
-
-void KnnCircleFamily::CountClassesBatch(const uint8_t* const* class_worlds,
-                                        size_t num_worlds, uint32_t num_classes,
-                                        uint64_t* out) const {
-  CountClassesBatchWithAnnulus(annulus_, class_worlds, num_worlds, num_classes,
-                               out);
-}
-
 std::string KnnCircleFamily::Name() const {
   std::string dedup =
       ladder_.size() == num_requested_fractions_

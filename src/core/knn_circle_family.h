@@ -48,12 +48,11 @@ class KnnCircleFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// 8 packed worlds per walk of the annulus CSR.
-  void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
-                           uint64_t* out) const override;
-  /// (world, class) indicator planes packed 8 per walk of the annulus CSR.
-  void CountClassesBatch(const uint8_t* const* class_worlds, size_t num_worlds,
-                         uint32_t num_classes, uint64_t* out) const override;
+  /// Up to 8 planes per walk of the annulus CSR.
+  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+                   size_t out_stride) const override {
+    annulus_.CountPlanes(masks, num_planes, out, out_stride);
+  }
   std::string Name() const override;
 
   size_t num_centers() const { return centers_.size(); }

@@ -1,0 +1,359 @@
+#include "core/lane_sampler.h"
+
+#include <algorithm>
+
+#include "common/macros.h"
+#include "spatial/simd_popcount.h"
+
+#if defined(SFA_X86_SIMD)
+#include <immintrin.h>
+#endif
+
+namespace sfa::core {
+
+namespace {
+
+using spatial::PopcountKernel;
+
+/// Bits 0..num_worlds−1: the lanes that carry a world.
+uint8_t LiveLanes(size_t num_worlds) {
+  return static_cast<uint8_t>((1u << num_worlds) - 1);
+}
+
+/// World w's K class totals from its per-threshold exceedance counts:
+/// above[c] points drew at or above m_c, and the thresholds are
+/// non-decreasing, so class k holds above[k−1] − above[k] of them.
+void AddClassTotals(const uint64_t* above, uint32_t counted, uint64_t n,
+                    uint64_t* totals) {
+  uint64_t at_least = n;
+  for (uint32_t c = 0; c < counted; ++c) {
+    totals[c] += at_least - above[c];
+    at_least = above[c];
+  }
+  totals[counted] += at_least;
+}
+
+// ------------------------------------------------------------------ scalar ---
+
+/// With kCounted > 0 thresholds the exceedance counters stay in registers;
+/// kCounted == 0 takes `counted` of them and keeps a class histogram instead.
+template <uint32_t kCounted>
+void ScalarCategorical(const uint64_t* thresholds, uint32_t counted, size_t n,
+                       size_t num_worlds, Rng* rngs, uint8_t* masks,
+                       uint64_t* totals) {
+  constexpr uint32_t kSlots = kCounted > 0 ? kCounted : 255;
+  if constexpr (kCounted > 0) counted = kCounted;
+  uint64_t threshold[kSlots];
+  std::copy(thresholds, thresholds + counted, threshold);
+  std::fill(masks, masks + static_cast<size_t>(counted) * n, uint8_t{0});
+  for (size_t w = 0; w < num_worlds; ++w) {
+    uint64_t count[kSlots + 1] = {};
+    Rng local = rngs[w];
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t x = local.Next() >> 11;
+      uint32_t k = 0;
+      for (uint32_t c = 0; c < counted; ++c) {
+        const uint32_t above = x >= threshold[c] ? 1u : 0u;
+        k += above;
+        if constexpr (kCounted > 0) count[c] += above;
+      }
+      if constexpr (kCounted == 0) ++count[k];
+      // The last class has no plane: it ORs nothing into plane 0. Products,
+      // not a branch: the class is a coin flip for near-uniform q.
+      const uint32_t in_plane = k < counted ? 1u : 0u;
+      masks[static_cast<size_t>(k * in_plane) * n + i] |=
+          static_cast<uint8_t>(in_plane << w);
+    }
+    rngs[w] = local;
+    uint64_t* world_totals = totals + w * (counted + 1);
+    if constexpr (kCounted > 0) {
+      AddClassTotals(count, counted, n, world_totals);
+    } else {
+      for (uint32_t k = 0; k <= counted; ++k) world_totals[k] += count[k];
+    }
+  }
+}
+
+#if defined(SFA_X86_SIMD)
+
+// GCC's avx512fintrin.h trips -W(maybe-)uninitialized on its own internal
+// _mm512_undefined temporaries; the warning is in the system header.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// Up to 8 generators' state words, lane w = world w (dead lanes zero).
+struct LaneStates {
+  alignas(64) uint64_t words[4][kLaneWorlds] = {};
+
+  LaneStates(const Rng* rngs, size_t num_worlds) {
+    for (size_t w = 0; w < num_worlds; ++w) {
+      const Rng::State state = rngs[w].state();
+      for (size_t k = 0; k < 4; ++k) words[k][w] = state[k];
+    }
+  }
+  void WriteBack(Rng* rngs, size_t num_worlds) const {
+    for (size_t w = 0; w < num_worlds; ++w) {
+      rngs[w].set_state(
+          {words[0][w], words[1][w], words[2][w], words[3][w]});
+    }
+  }
+};
+
+// -------------------------------------------------------------------- AVX2 ---
+// Two groups of 4 lanes (worlds 0–3 and 4–7) step interleaved, which also
+// gives the core two independent dependency chains. AVX2 has neither 64-bit
+// rotates nor unsigned 64-bit compares: rotates are shift pairs, and the
+// compares are signed, which is exact because both sides are below 2^63.
+
+template <int kShift>
+__attribute__((target("avx2"))) inline __m256i Rotl256(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, kShift),
+                         _mm256_srli_epi64(x, 64 - kShift));
+}
+
+struct Xoshiro256x4 {
+  __m256i s0, s1, s2, s3;
+};
+
+__attribute__((target("avx2"))) inline __m256i LoadWords256(
+    const LaneStates& states, size_t k, size_t group) {
+  return _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(states.words[k] + 4 * group));
+}
+
+__attribute__((target("avx2"))) inline Xoshiro256x4 Load256(
+    const LaneStates& states, size_t group) {
+  return {LoadWords256(states, 0, group), LoadWords256(states, 1, group),
+          LoadWords256(states, 2, group), LoadWords256(states, 3, group)};
+}
+
+__attribute__((target("avx2"))) inline void Store256(const Xoshiro256x4& g,
+                                                     LaneStates* states,
+                                                     size_t group) {
+  const __m256i words[4] = {g.s0, g.s1, g.s2, g.s3};
+  for (size_t k = 0; k < 4; ++k) {
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(states->words[k] + 4 * group), words[k]);
+  }
+}
+
+/// One Xoshiro256++ step in every lane; returns Next() >> 11.
+__attribute__((target("avx2"))) inline __m256i Next53x4(Xoshiro256x4* g) {
+  const __m256i result =
+      _mm256_add_epi64(Rotl256<23>(_mm256_add_epi64(g->s0, g->s3)), g->s0);
+  const __m256i t = _mm256_slli_epi64(g->s1, 17);
+  g->s2 = _mm256_xor_si256(g->s2, g->s0);
+  g->s3 = _mm256_xor_si256(g->s3, g->s1);
+  g->s1 = _mm256_xor_si256(g->s1, g->s2);
+  g->s0 = _mm256_xor_si256(g->s0, g->s3);
+  g->s2 = _mm256_xor_si256(g->s2, t);
+  g->s3 = Rotl256<45>(g->s3);
+  return _mm256_srli_epi64(result, 11);
+}
+
+/// Bit j set where lane j of `mask` (all ones or all zeros) is set.
+__attribute__((target("avx2"))) inline uint32_t LaneBits256(__m256i mask) {
+  return static_cast<uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(mask)));
+}
+
+template <uint32_t kCounted>
+__attribute__((target("avx2"))) void Avx2Categorical(
+    const uint64_t* thresholds, uint32_t counted, size_t n, size_t num_worlds,
+    Rng* rngs, uint8_t* masks, uint64_t* totals) {
+  constexpr uint32_t kSlots = kCounted > 0 ? kCounted : 255;
+  if constexpr (kCounted > 0) counted = kCounted;
+  LaneStates states(rngs, num_worlds);
+  Xoshiro256x4 a = Load256(states, 0);
+  Xoshiro256x4 b = Load256(states, 1);
+  __m256i limit[kSlots];
+  __m256i below_a[kSlots];  // per lane: points below threshold c
+  __m256i below_b[kSlots];
+  for (uint32_t c = 0; c < counted; ++c) {
+    limit[c] = _mm256_set1_epi64x(static_cast<long long>(thresholds[c]));
+    below_a[c] = _mm256_setzero_si256();
+    below_b[c] = _mm256_setzero_si256();
+  }
+  const uint32_t live = LiveLanes(num_worlds);
+  for (size_t i = 0; i < n; ++i) {
+    const __m256i xa = Next53x4(&a);
+    const __m256i xb = Next53x4(&b);
+    // Lanes at or above the previous threshold (all lanes before m_0).
+    uint32_t previous = live;
+    for (uint32_t c = 0; c < counted; ++c) {
+      const __m256i lt_a = _mm256_cmpgt_epi64(limit[c], xa);
+      const __m256i lt_b = _mm256_cmpgt_epi64(limit[c], xb);
+      const uint32_t at_or_above =
+          ~(LaneBits256(lt_a) | LaneBits256(lt_b) << 4) & live;
+      masks[c * n + i] = static_cast<uint8_t>(previous & ~at_or_above);
+      below_a[c] = _mm256_sub_epi64(below_a[c], lt_a);
+      below_b[c] = _mm256_sub_epi64(below_b[c], lt_b);
+      previous = at_or_above;
+    }
+  }
+  Store256(a, &states, 0);
+  Store256(b, &states, 1);
+  states.WriteBack(rngs, num_worlds);
+  uint64_t above[kLaneWorlds][kSlots];
+  for (uint32_t c = 0; c < counted; ++c) {
+    alignas(32) uint64_t lanes[kLaneWorlds];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), below_a[c]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), below_b[c]);
+    for (size_t w = 0; w < num_worlds; ++w) above[w][c] = n - lanes[w];
+  }
+  for (size_t w = 0; w < num_worlds; ++w) {
+    AddClassTotals(above[w], counted, n, totals + w * (counted + 1));
+  }
+}
+
+// ----------------------------------------------------------------- AVX-512 ---
+// 8 lanes in one register; AVX-512F alone has the rotate, the unsigned
+// compare into a lane mask (which is the mask byte) and the masked add.
+
+struct Xoshiro256x8 {
+  __m512i s0, s1, s2, s3;
+};
+
+__attribute__((target("avx512f"))) inline Xoshiro256x8 Load512(
+    const LaneStates& states) {
+  return {_mm512_load_si512(states.words[0]), _mm512_load_si512(states.words[1]),
+          _mm512_load_si512(states.words[2]),
+          _mm512_load_si512(states.words[3])};
+}
+
+__attribute__((target("avx512f"))) inline void Store512(const Xoshiro256x8& g,
+                                                        LaneStates* states) {
+  _mm512_store_si512(states->words[0], g.s0);
+  _mm512_store_si512(states->words[1], g.s1);
+  _mm512_store_si512(states->words[2], g.s2);
+  _mm512_store_si512(states->words[3], g.s3);
+}
+
+/// One Xoshiro256++ step in every lane; returns Next() >> 11.
+__attribute__((target("avx512f"))) inline __m512i Next53x8(Xoshiro256x8* g) {
+  const __m512i result = _mm512_add_epi64(
+      _mm512_rol_epi64(_mm512_add_epi64(g->s0, g->s3), 23), g->s0);
+  const __m512i t = _mm512_slli_epi64(g->s1, 17);
+  g->s2 = _mm512_xor_si512(g->s2, g->s0);
+  g->s3 = _mm512_xor_si512(g->s3, g->s1);
+  g->s1 = _mm512_xor_si512(g->s1, g->s2);
+  g->s0 = _mm512_xor_si512(g->s0, g->s3);
+  g->s2 = _mm512_xor_si512(g->s2, t);
+  g->s3 = _mm512_rol_epi64(g->s3, 45);
+  return _mm512_srli_epi64(result, 11);
+}
+
+template <uint32_t kCounted>
+__attribute__((target("avx512f"))) void Avx512Categorical(
+    const uint64_t* thresholds, uint32_t counted, size_t n, size_t num_worlds,
+    Rng* rngs, uint8_t* masks, uint64_t* totals) {
+  constexpr uint32_t kSlots = kCounted > 0 ? kCounted : 255;
+  if constexpr (kCounted > 0) counted = kCounted;
+  LaneStates states(rngs, num_worlds);
+  Xoshiro256x8 g = Load512(states);
+  __m512i limit[kSlots];
+  __m512i above[kSlots];  // per lane: points at or above threshold c
+  for (uint32_t c = 0; c < counted; ++c) {
+    limit[c] = _mm512_set1_epi64(static_cast<long long>(thresholds[c]));
+    above[c] = _mm512_setzero_si512();
+  }
+  const __m512i one = _mm512_set1_epi64(1);
+  const __mmask8 live = LiveLanes(num_worlds);
+  for (size_t i = 0; i < n; ++i) {
+    const __m512i x = Next53x8(&g);
+    // Lanes at or above the previous threshold (all lanes before m_0).
+    __mmask8 previous = live;
+    for (uint32_t c = 0; c < counted; ++c) {
+      const __mmask8 at_or_above =
+          _mm512_mask_cmpge_epu64_mask(live, x, limit[c]);
+      masks[c * n + i] = static_cast<uint8_t>(previous & ~at_or_above);
+      above[c] = _mm512_mask_add_epi64(above[c], at_or_above, above[c], one);
+      previous = at_or_above;
+    }
+  }
+  Store512(g, &states);
+  states.WriteBack(rngs, num_worlds);
+  uint64_t world_above[kLaneWorlds][kSlots];
+  for (uint32_t c = 0; c < counted; ++c) {
+    alignas(64) uint64_t lanes[kLaneWorlds];
+    _mm512_store_si512(lanes, above[c]);
+    for (size_t w = 0; w < num_worlds; ++w) world_above[w][c] = lanes[w];
+  }
+  for (size_t w = 0; w < num_worlds; ++w) {
+    AddClassTotals(world_above[w], counted, n, totals + w * (counted + 1));
+  }
+}
+
+#pragma GCC diagnostic pop
+
+#endif  // SFA_X86_SIMD
+
+template <uint32_t kCounted>
+void Categorical(PopcountKernel tier, const uint64_t* thresholds,
+                 uint32_t counted, size_t n, size_t num_worlds, Rng* rngs,
+                 uint8_t* masks, uint64_t* totals) {
+  switch (tier) {
+#if defined(SFA_X86_SIMD)
+    case PopcountKernel::kAvx512:
+      return Avx512Categorical<kCounted>(thresholds, counted, n, num_worlds,
+                                         rngs, masks, totals);
+    case PopcountKernel::kAvx2:
+      return Avx2Categorical<kCounted>(thresholds, counted, n, num_worlds,
+                                       rngs, masks, totals);
+#endif
+    default:
+      return ScalarCategorical<kCounted>(thresholds, counted, n, num_worlds,
+                                         rngs, masks, totals);
+  }
+}
+
+}  // namespace
+
+void SampleBernoulliLanes(double rho, size_t n, size_t num_worlds, Rng* rngs,
+                          uint8_t* masks, uint64_t* positives) {
+  SFA_CHECK(num_worlds >= 1 && num_worlds <= kLaneWorlds);
+  SFA_CHECK(rngs != nullptr && positives != nullptr);
+  SFA_CHECK(n == 0 || masks != nullptr);
+  // Point masses consume no draws, exactly as Rng::Bernoulli.
+  if (rho <= 0.0 || rho >= 1.0) {
+    const uint8_t byte = rho >= 1.0 ? LiveLanes(num_worlds) : 0;
+    std::fill(masks, masks + n, byte);
+    std::fill(positives, positives + num_worlds, byte != 0 ? n : 0);
+    return;
+  }
+  // A Bernoulli world is a 2-class world on m_0 = ⌈ρ·2⁵³⌉: class 0, the
+  // points drawn below m_0, are the positives.
+  const uint64_t threshold = Rng::BernoulliThreshold(rho);
+  uint64_t totals[2 * kLaneWorlds] = {};
+  Categorical<1>(spatial::ActiveSamplerKernel(), &threshold, 1, n, num_worlds,
+                 rngs, masks, totals);
+  for (size_t w = 0; w < num_worlds; ++w) positives[w] = totals[2 * w];
+}
+
+void SampleCategoricalLanes(const std::vector<uint64_t>& thresholds, size_t n,
+                            size_t num_worlds, Rng* rngs, uint8_t* masks,
+                            uint64_t* totals) {
+  SFA_CHECK(num_worlds >= 1 && num_worlds <= kLaneWorlds);
+  SFA_CHECK(!thresholds.empty() && thresholds.size() <= 255);
+  SFA_CHECK(rngs != nullptr && totals != nullptr);
+  SFA_CHECK(n == 0 || masks != nullptr);
+  const auto counted = static_cast<uint32_t>(thresholds.size());
+  const PopcountKernel tier = spatial::ActiveSamplerKernel();
+  const uint64_t* m = thresholds.data();
+  switch (counted) {
+    case 1:
+      return Categorical<1>(tier, m, counted, n, num_worlds, rngs, masks,
+                            totals);
+    case 2:
+      return Categorical<2>(tier, m, counted, n, num_worlds, rngs, masks,
+                            totals);
+    case 3:
+      return Categorical<3>(tier, m, counted, n, num_worlds, rngs, masks,
+                            totals);
+    default:
+      return Categorical<0>(tier, m, counted, n, num_worlds, rngs, masks,
+                            totals);
+  }
+}
+
+}  // namespace sfa::core

@@ -6,6 +6,7 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/lane_sampler.h"
 
 namespace sfa::core {
 
@@ -95,7 +96,8 @@ struct MultinomialArena {
   std::vector<uint8_t> classes;        // one world's per-point class draws
   std::vector<uint8_t> indicator;      // one class's 0/1 bytes (reference)
   Labels ref_labels;                   // pooled indicator Labels (reference)
-  std::vector<uint8_t> class_worlds;   // worlds × N packed class codes
+  std::vector<uint8_t> masks;          // (K-1) × N lane-sampled planes
+  std::vector<uint8_t> class_worlds;   // worlds × N permutation class codes
   std::vector<const uint8_t*> class_world_ptrs;
   std::vector<uint64_t> counts;        // worlds × (K-1) × regions
   std::vector<uint64_t> world_totals;  // worlds × K
@@ -173,8 +175,8 @@ class MultinomialSimulation : public StatisticSimulation {
     }
 
     // Reference oracle of the label-world path: K−1 indicator passes through
-    // the scalar binary counting interface — the construction
-    // CountClassesBatch must reproduce exactly. All O(N)/O(regions) buffers
+    // the scalar binary counting interface — the construction the batched
+    // class planes must reproduce exactly. All O(N)/O(regions) buffers
     // (including the indicator Labels) live in the thread-local arena, so
     // reference worlds allocate nothing in steady state and stay timing-
     // comparable with the batched strategy.
@@ -253,16 +255,48 @@ class MultinomialSimulation : public StatisticSimulation {
       return;
     }
 
-    // Label-world path: draw every world's classes as ONE packed class-code
-    // array, then a single CountClassesBatch pass over the family's geometry
-    // produces all K−1 per-class count rows for the whole batch — the K−1
-    // indicator materializations and repeated counting passes of the legacy
-    // construction (kept above as RunWorldReference's oracle) disappear.
-    // All offsets into the worlds × (K−1) × regions buffer go through the
-    // size_t-widening ClassCountRowOffset helper; forming them from narrower
-    // products overflows at paper-scale configs.
     const uint32_t counted = num_classes - 1;
     const size_t points = static_cast<size_t>(total_n);
+    if (options_.null_model == NullModel::kBernoulli) {
+      // i.i.d. point worlds, kLaneWorlds at a time: the lane sampler writes
+      // one mask plane per counted class with bit j = world j, and each
+      // plane's CountPlanes call strides its worlds' rows to their
+      // ClassCountRowOffset places. Offsets go through the size_t-widening
+      // helpers; narrower products overflow at paper-scale configs.
+      arena.masks.resize(static_cast<size_t>(counted) * points);
+      arena.counts.resize(
+          ClassCountBufferSize(kLaneWorlds, counted, num_regions));
+      const size_t world_stride =
+          ClassCountRowOffset(1, 0, counted, num_regions);
+      for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
+        const size_t lanes = std::min(kLaneWorlds, w_hi - g);
+        Rng rngs[kLaneWorlds];
+        for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(g + j);
+        uint64_t* totals = arena.world_totals.data() + (g - w_lo) * num_classes;
+        SampleCategoricalLanes(draw_.thresholds(), points, lanes, rngs,
+                               arena.masks.data(), totals);
+        for (uint32_t k = 0; k < counted; ++k) {
+          family_.CountPlanes(
+              arena.masks.data() + static_cast<size_t>(k) * points, lanes,
+              arena.counts.data() + ClassCountRowOffset(0, k, counted,
+                                                        num_regions),
+              world_stride);
+        }
+        for (size_t j = 0; j < lanes; ++j) {
+          for (uint32_t k = 0; k < counted; ++k) {
+            arena.class_ptrs[k] =
+                arena.counts.data() +
+                ClassCountRowOffset(j, k, counted, num_regions);
+          }
+          out[g + j] = MaxLlr(arena.class_ptrs.data(),
+                              totals + j * num_classes, num_classes, total_n);
+        }
+      }
+      return;
+    }
+
+    // Permutation worlds keep their scalar shuffles, as one packed class-code
+    // array whose (world, class) planes CountClassesBatch packs and counts.
     arena.class_worlds.resize(worlds * points);
     arena.class_world_ptrs.resize(worlds);
     for (size_t j = 0; j < worlds; ++j) {

@@ -21,12 +21,17 @@
 //                  distribution q (NullModel::kBernoulli — closed-form
 //                  chained-binomial Multinomial(n_c, q) per cell for
 //                  cell-decomposable families, per-point Categorical draws
-//                  on integer thresholds, internal::CategoricalDraw,
-//                  otherwise) or permuted exactly (kPermutation);
+//                  on integer thresholds, internal::CategoricalDraw's,
+//                  otherwise, 8 worlds per lane-sampler call,
+//                  core/lane_sampler.h) or permuted exactly (kPermutation);
 //   counting       per-class region counts reuse the family's binary
-//                  counting paths: K−1 indicator label worlds per drawn
-//                  world (the last class is derived from n(R)), batched
-//                  through CountPositivesBatch;
+//                  counting path: the lane sampler writes one mask plane
+//                  per counted class (the last class is derived from
+//                  n(R)), bit w = world w, and RegionFamily::CountPlanes
+//                  counts each plane's 8 worlds straight into their
+//                  ClassCountRowOffset rows through its output stride;
+//                  permutation worlds and the observed scan pack class
+//                  codes into planes through CountClassesBatch;
 //   identity       "multinomial K=<K> C=<c0,c1,...>" — the class totals are
 //                  part of the calibration identity, so a multinomial
 //                  calibration can never collide with a Bernoulli one.

@@ -80,56 +80,17 @@ void PartitioningCollectionFamily::CountPositives(const Labels& labels,
   }
 }
 
-void PartitioningCollectionFamily::CountPositivesBatch(const Labels* const* batch,
-                                                       size_t num_worlds,
-                                                       uint64_t* out) const {
-  SFA_CHECK(batch != nullptr && out != nullptr);
-  const size_t stride = total_regions_;
-  std::fill(out, out + num_worlds * stride, 0ULL);
-  std::vector<const uint8_t*> bytes(num_worlds);
-  for (size_t b = 0; b < num_worlds; ++b) {
-    SFA_CHECK_MSG(batch[b]->size() == num_points_,
-                  "labels " << batch[b]->size() << " != points " << num_points_);
-    bytes[b] = batch[b]->bytes().data();
-  }
-  std::vector<uint64_t*> rows(num_worlds);
+void PartitioningCollectionFamily::CountPlanes(const uint8_t* masks,
+                                               size_t num_planes,
+                                               uint64_t* out,
+                                               size_t out_stride) const {
+  SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
+  SFA_CHECK(out_stride >= total_regions_);
+  // Partitioning t's partitions are its cells, at region offset offsets_[t].
   for (size_t t = 0; t < partitionings_.size(); ++t) {
-    const std::vector<uint32_t>& assignment = assignment_[t];
-    for (size_t b = 0; b < num_worlds; ++b) {
-      rows[b] = out + b * stride + offsets_[t];
-    }
-    for (size_t i = 0; i < assignment.size(); ++i) {
-      const uint32_t partition = assignment[i];
-      for (size_t b = 0; b < num_worlds; ++b) {
-        rows[b][partition] += bytes[b][i];
-      }
-    }
-  }
-}
-
-void PartitioningCollectionFamily::CountClassesBatch(
-    const uint8_t* const* class_worlds, size_t num_worlds, uint32_t num_classes,
-    uint64_t* out) const {
-  SFA_CHECK(class_worlds != nullptr && out != nullptr);
-  SFA_CHECK_MSG(num_classes >= 2, "CountClassesBatch needs at least 2 classes");
-  const uint32_t counted = num_classes - 1;
-  const size_t stride = total_regions_;
-  std::fill(out, out + ClassCountBufferSize(num_worlds, counted, stride), 0ULL);
-  std::vector<uint64_t*> bases(num_worlds);
-  for (size_t t = 0; t < partitionings_.size(); ++t) {
-    const std::vector<uint32_t>& assignment = assignment_[t];
-    for (size_t w = 0; w < num_worlds; ++w) {
-      bases[w] = out + ClassCountRowOffset(w, 0, counted, stride) + offsets_[t];
-    }
-    for (size_t i = 0; i < assignment.size(); ++i) {
-      const uint32_t partition = assignment[i];
-      for (size_t w = 0; w < num_worlds; ++w) {
-        const uint8_t k = class_worlds[w][i];
-        if (k < counted) {
-          ++bases[w][static_cast<size_t>(k) * stride + partition];
-        }
-      }
-    }
+    internal::CountCellPlanes(assignment_[t].data(), num_points_,
+                              offsets_[t + 1] - offsets_[t], masks, num_planes,
+                              out + offsets_[t], out_stride);
   }
 }
 

@@ -30,13 +30,9 @@ class PartitioningCollectionFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// Each partitioning's assignment array is streamed once per batch.
-  void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
-                           uint64_t* out) const override;
-  /// Same streaming pass, scattering each point into the class histogram of
-  /// every partitioning it feeds.
-  void CountClassesBatch(const uint8_t* const* class_worlds, size_t num_worlds,
-                         uint32_t num_classes, uint64_t* out) const override;
+  /// One cell scatter per partitioning counts every plane.
+  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+                   size_t out_stride) const override;
   /// Non-null only for a single partitioning: its partitions then tile the
   /// points and closed-form Binomial sampling applies. With several
   /// partitionings the same point feeds regions of every partitioning, so

@@ -127,36 +127,26 @@ void RectangleSweepFamily::CountPositives(const Labels& labels,
   FoldPrefixIntoRegions(positive_prefix, out->data());
 }
 
-void RectangleSweepFamily::CountClassesBatch(const uint8_t* const* class_worlds,
-                                             size_t num_worlds,
-                                             uint32_t num_classes,
-                                             uint64_t* out) const {
-  SFA_CHECK(class_worlds != nullptr && out != nullptr);
-  SFA_CHECK_MSG(num_classes >= 2, "CountClassesBatch needs at least 2 classes");
-  const uint32_t counted = num_classes - 1;
+void RectangleSweepFamily::CountPlanes(const uint8_t* masks, size_t num_planes,
+                                       uint64_t* out, size_t out_stride) const {
+  SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
+  SFA_CHECK(out_stride >= num_regions_);
   const size_t num_cells = grid().num_cells();
   const std::vector<uint32_t>& cells = index_.cell_assignments();
-  // One O(N) pass per world fills ALL K−1 per-cell class histograms, then one
-  // summed-area rebuild + rectangle fold per class — the per-class point
-  // passes of the indicator construction collapse into a single scatter.
-  static thread_local std::vector<uint32_t> class_cells;
-  static thread_local spatial::PrefixSum2D class_prefix;
-  for (size_t w = 0; w < num_worlds; ++w) {
-    class_cells.assign(static_cast<size_t>(counted) * num_cells, 0u);
-    const uint8_t* classes = class_worlds[w];
-    for (size_t i = 0; i < cells.size(); ++i) {
-      const uint8_t k = classes[i];
-      if (k >= counted) continue;
-      const uint32_t cell = cells[i];
-      if (cell == geo::GridSpec::kInvalidCell) continue;
-      ++class_cells[static_cast<size_t>(k) * num_cells + cell];
-    }
-    for (uint32_t k = 0; k < counted; ++k) {
-      class_prefix.Rebuild(grid().nx(), grid().ny(),
-                           class_cells.data() + static_cast<size_t>(k) * num_cells);
-      FoldPrefixIntoRegions(class_prefix,
-                            out + ClassCountRowOffset(w, k, counted, num_regions_));
-    }
+  // Thread-local pools, as in CountPositives.
+  static thread_local std::vector<uint64_t> plane_cells;
+  static thread_local std::vector<uint32_t> cell_counts;
+  static thread_local spatial::PrefixSum2D plane_prefix;
+  plane_cells.resize(num_planes * num_cells);
+  cell_counts.resize(num_cells);
+  internal::CountCellPlanes(cells.data(), cells.size(), num_cells, masks,
+                            num_planes, plane_cells.data(), num_cells);
+  for (size_t b = 0; b < num_planes; ++b) {
+    // A cell holds at most N < 2^32 points.
+    std::copy(plane_cells.begin() + b * num_cells,
+              plane_cells.begin() + (b + 1) * num_cells, cell_counts.begin());
+    plane_prefix.Rebuild(grid().nx(), grid().ny(), cell_counts.data());
+    FoldPrefixIntoRegions(plane_prefix, out + b * out_stride);
   }
 }
 

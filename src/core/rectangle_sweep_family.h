@@ -42,10 +42,10 @@ class RectangleSweepFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override;
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// One O(N) class scatter per world fills all K−1 per-cell histograms, then
-  /// one prefix-sum rebuild + O(1)-per-rectangle fold per class.
-  void CountClassesBatch(const uint8_t* const* class_worlds, size_t num_worlds,
-                         uint32_t num_classes, uint64_t* out) const override;
+  /// One cell scatter fills every plane's per-cell counts, then one
+  /// prefix-sum rebuild + O(1)-per-rectangle fold per plane.
+  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+                   size_t out_stride) const override;
   /// Every rectangle aggregates base-grid cells, so per-cell positives
   /// determine all region counts: the base cells form the decomposition and
   /// closed-form Binomial sampling applies.

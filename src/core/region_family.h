@@ -14,16 +14,29 @@
 //   KnnCircleFamily            counted by the annulus gather   O(entries) /
 //                              (core/annulus_index.h)          8 worlds
 //
-// Two optional fast paths serve the batched Monte Carlo engine:
+// Batch counting has one currency, packed planes: up to 8 label worlds (or
+// (world, class) indicators) ride in one mask byte per point, bit b = plane
+// b's label. The null-world lane sampler (core/lane_sampler.h) writes that
+// byte directly, so the batched Monte Carlo engine draws and counts i.i.d.
+// point worlds without label arrays:
 //
-//   CountPositivesBatch  evaluates B worlds per pass over the family's
-//                        geometry, amortizing memory traffic (tuned
-//                        overrides in every bundled family);
+//   CountPlanes          counts up to 8 planes per pass over the family's
+//                        geometry (the annulus gather for squares and kNN
+//                        circles, a cell scatter with a spread-table word
+//                        add for the grid, partitioning and rectangle-sweep
+//                        families; the default unpacks each plane and calls
+//                        CountPositives). Output rows take a stride, so the
+//                        K−1 class planes of 8 worlds land directly in their
+//                        ClassCountRowOffset rows;
 //   cell_decomposition   declares that p(R) is a pure function of positive
 //                        counts over a disjoint cell partition of the
 //                        points, letting the engine draw per-cell positives
 //                        in closed form — Binomial(n_c, ρ) per cell, O(cells)
 //                        instead of O(N) per Bernoulli null world.
+//
+// CountPositivesBatch and CountClassesBatch pack Labels or class-code worlds
+// into planes and call CountPlanes; the permutation null worlds and the
+// observed multinomial scan count through them.
 #ifndef SFA_CORE_REGION_FAMILY_H_
 #define SFA_CORE_REGION_FAMILY_H_
 
@@ -93,33 +106,37 @@ class RegionFamily {
   virtual void CountPositives(const Labels& labels,
                               std::vector<uint64_t>* out) const = 0;
 
-  /// p(R) for `num_worlds` label worlds in one pass. `out` is a row-major
-  /// [num_worlds x num_regions()] buffer owned by the caller. The base
-  /// implementation loops over CountPositives; families override it to
-  /// amortize passes over their geometry across worlds. Same thread-safety
-  /// contract as CountPositives. Results must be identical to per-world
-  /// CountPositives calls (counts are integers; the equivalence is exact and
-  /// is enforced by test_mc_engine.cc).
-  virtual void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
-                                   uint64_t* out) const;
+  /// p(R) for `num_planes` (1..kMaxPlanes) label worlds in one pass: bit b
+  /// of masks[i] is point i's label in plane b (bits at and above num_planes
+  /// are ignored), and plane b's num_regions() counts go to
+  /// out + b * out_stride (out_stride >= num_regions(); caller-owned). The
+  /// one batch-counting entry point: the default unpacks each plane and
+  /// calls CountPositives, and families override it to count all planes in
+  /// one pass over their geometry. Counts are integers, so overrides must
+  /// equal the default exactly (test_mc_engine.cc, test_annulus_index.cc).
+  /// Same thread-safety contract as CountPositives.
+  virtual void CountPlanes(const uint8_t* masks, size_t num_planes,
+                           uint64_t* out, size_t out_stride) const;
 
-  /// Per-region class histograms for `num_worlds` packed K-class worlds in
-  /// one pass — the native multi-class counterpart of CountPositivesBatch.
-  /// `class_worlds[w]` points at num_points() class codes, each in
-  /// [0, num_classes). Only classes 0..num_classes-2 are counted (the last
-  /// class is derivable as n(R) minus the counted classes, mirroring the
-  /// K−1 indicator construction it replaces); `out` is a row-major
-  /// [num_worlds x (num_classes−1) x num_regions()] caller-owned buffer with
-  /// row offsets given by ClassCountRowOffset below. The base implementation
-  /// packs per-class indicator labels and loops CountPositives — the
-  /// reference oracle; families override it to count all classes in a single
-  /// pass over their geometry. Counts are integers, so overrides must be
-  /// exactly equal to the reference (enforced per family by
-  /// tests/test_multinomial_scan.cc and tests/test_annulus_index.cc). Same
-  /// thread-safety contract as CountPositives.
-  virtual void CountClassesBatch(const uint8_t* const* class_worlds,
-                                 size_t num_worlds, uint32_t num_classes,
-                                 uint64_t* out) const;
+  /// Planes one CountPlanes call counts at most: one per bit of a byte.
+  static constexpr size_t kMaxPlanes = 8;
+
+  /// p(R) for `num_worlds` label worlds, packed kMaxPlanes per CountPlanes
+  /// call. `out` is a row-major [num_worlds x num_regions()] caller-owned
+  /// buffer.
+  void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
+                           uint64_t* out) const;
+
+  /// Per-region class counts for `num_worlds` K-class worlds:
+  /// class_worlds[w] points at num_points() class codes in [0, num_classes)
+  /// (other codes count in no class). Only classes 0..num_classes-2 are
+  /// counted (the last is n(R) minus the others). The (world, class)
+  /// indicator planes are packed in output order, kMaxPlanes per CountPlanes
+  /// call; `out` is a row-major [num_worlds x (num_classes−1) x
+  /// num_regions()] caller-owned buffer with the rows of ClassCountRowOffset.
+  void CountClassesBatch(const uint8_t* const* class_worlds,
+                         size_t num_worlds, uint32_t num_classes,
+                         uint64_t* out) const;
 
   /// The family's cell decomposition, or nullptr when region counts are not
   /// cell-decomposable (the default). The returned pointer must stay valid
@@ -136,6 +153,20 @@ class RegionFamily {
   /// Human-readable one-liner for reports.
   virtual std::string Name() const = 0;
 };
+
+namespace internal {
+
+/// The cell scatter behind the CountPlanes overrides of the cell families:
+/// plane b's count of the points whose cell_of_point[i] is `cell` goes to
+/// out[b * out_stride + cell], for cell < num_cells (points of other cells
+/// count nowhere). Each point adds two 16-entry spread-table words into
+/// 16-bit lanes of its cell, 4 planes per word, so one pass over the points
+/// counts all planes.
+void CountCellPlanes(const uint32_t* cell_of_point, size_t n, size_t num_cells,
+                     const uint8_t* masks, size_t num_planes, uint64_t* out,
+                     size_t out_stride);
+
+}  // namespace internal
 
 /// Flat offset of the (world, class) row inside a CountClassesBatch output
 /// buffer. All operands are widened to size_t BEFORE any multiplication: at

@@ -36,8 +36,9 @@ const char* NullModelToString(NullModel model);
 /// substreams + shared log-table LLR); kReference exists as the semantic
 /// baseline and for A/B benchmarking.
 enum class McEngine {
-  /// Worlds in batches of batch_size through CountPositivesBatch, all
-  /// per-world buffers pooled in thread-local arenas (the default).
+  /// Worlds in batches of batch_size, drawn 8 at a time into mask planes
+  /// and counted through RegionFamily::CountPlanes, all per-world buffers
+  /// pooled in thread-local arenas (the default).
   kBatched,
   /// One world at a time, fresh buffers, scalar CountPositives.
   kReference,

@@ -129,19 +129,6 @@ void SquareScanFamily::CountPositives(const Labels& labels,
   annulus_.CountPositives(labels.bytes().data(), out->data());
 }
 
-void SquareScanFamily::CountPositivesBatch(const Labels* const* batch,
-                                           size_t num_worlds,
-                                           uint64_t* out) const {
-  CountPositivesBatchWithAnnulus(annulus_, batch, num_worlds, out);
-}
-
-void SquareScanFamily::CountClassesBatch(const uint8_t* const* class_worlds,
-                                         size_t num_worlds, uint32_t num_classes,
-                                         uint64_t* out) const {
-  CountClassesBatchWithAnnulus(annulus_, class_worlds, num_worlds, num_classes,
-                               out);
-}
-
 std::string SquareScanFamily::Name() const {
   std::string dedup =
       num_sides() == num_requested_sides_

@@ -112,22 +112,26 @@ constexpr KernelTable kAvx512Table = {PopcountKernel::kAvx512,
                                       Avx512AndPopcount};
 #endif
 
-PopcountKernel BestSupportedKernel() {
+/// The best popcount tier (`needs_vpopcntdq`) or lane sampler tier (not)
+/// the CPU and build can run.
+PopcountKernel BestSupportedKernel(bool needs_vpopcntdq = true) {
 #if defined(SFA_X86_SIMD)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vpopcntdq")) {
+      (!needs_vpopcntdq || __builtin_cpu_supports("avx512vpopcntdq"))) {
     return PopcountKernel::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return PopcountKernel::kAvx2;
 #endif
+  (void)needs_vpopcntdq;
   return PopcountKernel::kScalar;
 }
 
 // Unsupported requests clamp DOWN to the best tier the CPU (and build) can
 // actually run, never up — forcing "avx512" on an AVX2-only host yields avx2.
-PopcountKernel ClampToSupported(PopcountKernel requested) {
-  const PopcountKernel best = BestSupportedKernel();
+PopcountKernel ClampToSupported(PopcountKernel requested,
+                                bool needs_vpopcntdq = true) {
+  const PopcountKernel best = BestSupportedKernel(needs_vpopcntdq);
   return static_cast<uint8_t>(requested) <= static_cast<uint8_t>(best)
              ? requested
              : best;
@@ -146,26 +150,35 @@ const KernelTable* TableFor(PopcountKernel kernel) {
   }
 }
 
+/// The requested tier: `auto` (or an unset, empty or unknown value, so a
+/// typo never aborts a production run) requests the top tier, which each
+/// kernel family then clamps to its own support.
 PopcountKernel KernelFromEnv() {
   const char* env = std::getenv("SFA_SIMD_POPCOUNT");
-  if (env == nullptr || std::strcmp(env, "auto") == 0 || env[0] == '\0') {
-    return BestSupportedKernel();
+  if (env != nullptr && std::strcmp(env, "scalar") == 0) {
+    return PopcountKernel::kScalar;
   }
-  if (std::strcmp(env, "scalar") == 0) return PopcountKernel::kScalar;
-  if (std::strcmp(env, "avx2") == 0) return PopcountKernel::kAvx2;
-  if (std::strcmp(env, "avx512") == 0) return PopcountKernel::kAvx512;
-  // Unknown value: fall back to auto rather than aborting a production run.
-  return BestSupportedKernel();
+  if (env != nullptr && std::strcmp(env, "avx2") == 0) {
+    return PopcountKernel::kAvx2;
+  }
+  return PopcountKernel::kAvx512;
 }
 
 std::atomic<const KernelTable*> g_active{nullptr};
+std::atomic<PopcountKernel> g_sampler{PopcountKernel::kScalar};
+
+void Apply(PopcountKernel requested) {
+  g_sampler.store(ClampToSupported(requested, /*needs_vpopcntdq=*/false),
+                  std::memory_order_relaxed);
+  g_active.store(TableFor(requested), std::memory_order_release);
+}
 
 const KernelTable* ActiveTable() {
   const KernelTable* table = g_active.load(std::memory_order_acquire);
   if (table == nullptr) {
     // Benign first-use race: every thread resolves the same env+CPUID answer.
-    table = TableFor(KernelFromEnv());
-    g_active.store(table, std::memory_order_release);
+    Apply(KernelFromEnv());
+    table = g_active.load(std::memory_order_acquire);
   }
   return table;
 }
@@ -174,9 +187,14 @@ const KernelTable* ActiveTable() {
 
 PopcountKernel ActivePopcountKernel() { return ActiveTable()->kind; }
 
+PopcountKernel ActiveSamplerKernel() {
+  ActiveTable();
+  return g_sampler.load(std::memory_order_relaxed);
+}
+
 PopcountKernel ForcePopcountKernel(PopcountKernel kernel) {
   const PopcountKernel previous = ActiveTable()->kind;
-  g_active.store(TableFor(kernel), std::memory_order_release);
+  Apply(kernel);
   return previous;
 }
 

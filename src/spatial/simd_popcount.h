@@ -15,6 +15,13 @@
 //     use — this is the CI A/B escape hatch; unsupported tiers clamp down),
 //   * code ForcePopcountKernel(k) — used by the fuzz tests to pin each arm.
 //
+// The same request also sets the tier of the null-world lane sampler
+// (core/lane_sampler.h), which steps 8 per-world generators in SIMD lanes.
+// Each clamps it to what its own arms need: the popcount's kAvx512 needs
+// AVX-512F plus VPOPCNTDQ, the sampler's only AVX-512F, so on a CPU with
+// AVX-512F but no VPOPCNTDQ `auto` runs the AVX2 popcount and the AVX-512
+// sampler. Both are bit-identical to their scalar arms on every tier.
+//
 // Kernels compiled with __attribute__((target(...))) function multiversioning,
 // so no per-file -mavx* flags leak into the rest of the build; non-x86 builds
 // (or toolchains failing the CMake probe) compile the scalar path only.
@@ -37,7 +44,14 @@ PopcountKernel ActivePopcountKernel();
 
 /// Forces a specific kernel; clamps to the best supported tier at or below
 /// `kernel` and returns the previously active kernel (so tests can restore).
+/// It sets the lane sampler's tier too. Restoring with the returned kernel
+/// restores both, except on a CPU with AVX-512F but no VPOPCNTDQ, where the
+/// sampler then stays at AVX2 (a speed, never a result, difference).
 PopcountKernel ForcePopcountKernel(PopcountKernel kernel);
+
+/// The tier the lane sampler runs: the active request (env or the last
+/// ForcePopcountKernel argument), clamped to the sampler's own support.
+PopcountKernel ActiveSamplerKernel();
 
 /// Human-readable kernel name ("scalar" / "avx2" / "avx512").
 const char* PopcountKernelName(PopcountKernel kernel);

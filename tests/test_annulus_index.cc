@@ -123,7 +123,44 @@ TEST(CollapseEmptyAnnuli, KeepsEmptyRungZero) {
 
 /// Batch sizes the equivalence tests sweep: one world (the unpacked path),
 /// partial and full 8-plane groups, and groups spilling into a remainder.
-constexpr size_t kBatchSizes[] = {1, 2, 7, 8, 9, 17, 64};
+constexpr size_t kBatchSizes[] = {1, 2, 3, 7, 8, 9, 17, 64};
+
+/// The index's counts of 0/1 byte worlds, AnnulusIndex::kPlanesPerPass
+/// planes per walk; row w is world w's.
+std::vector<uint64_t> GatherWorlds(const AnnulusIndex& index,
+                                   const std::vector<const uint8_t*>& worlds) {
+  return testing::CountByPlanes(
+      [&index](const uint8_t* masks, size_t planes, uint64_t* out,
+               size_t stride) { index.CountPlanes(masks, planes, out, stride); },
+      worlds, index.num_points(), index.num_regions());
+}
+
+/// A region family over a bare index, so the gather runs behind the
+/// RegionFamily plane packing of CountClassesBatch.
+class IndexFamily : public RegionFamily {
+ public:
+  explicit IndexFamily(const AnnulusIndex& index)
+      : index_(index), point_counts_(index.region_point_counts()) {}
+
+  size_t num_regions() const override { return index_.num_regions(); }
+  size_t num_points() const override { return index_.num_points(); }
+  RegionDescriptor Describe(size_t) const override { return {}; }
+  uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
+  void CountPositives(const Labels& labels,
+                      std::vector<uint64_t>* out) const override {
+    out->resize(num_regions());
+    index_.CountPositives(labels.bytes().data(), out->data());
+  }
+  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+                   size_t out_stride) const override {
+    index_.CountPlanes(masks, num_planes, out, out_stride);
+  }
+  std::string Name() const override { return "bare annulus index"; }
+
+ private:
+  const AnnulusIndex& index_;
+  std::vector<uint64_t> point_counts_;
+};
 
 /// Hand-rolled counter straight from the entries: a point of rank ℓ at
 /// center c counts toward every rung ℓ' >= ℓ of c, weighted by `weight`.
@@ -204,10 +241,9 @@ TEST(AnnulusIndex, GatherMatchesEntryOracleForEveryBatchSize) {
         worlds.push_back(Labels::SampleBernoulli(
             shape.points, static_cast<double>(w % 6) / 5.0, &rng));
       }
-      std::vector<const Labels*> ptrs;
-      for (const Labels& l : worlds) ptrs.push_back(&l);
-      std::vector<uint64_t> out(batch * stride, ~0ULL);
-      CountPositivesBatchWithAnnulus(index, ptrs.data(), batch, out.data());
+      std::vector<const uint8_t*> ptrs;
+      for (const Labels& l : worlds) ptrs.push_back(l.bytes().data());
+      const std::vector<uint64_t> out = GatherWorlds(index, ptrs);
       std::vector<uint64_t> one(stride, ~0ULL);
       for (size_t w = 0; w < batch; ++w) {
         const auto expected = OracleCounts(entries, shape.centers, shape.rungs,
@@ -245,7 +281,8 @@ TEST(AnnulusIndex, ClassGatherMatchesEntryOracleWithJunkCodes) {
         for (const auto& w : worlds) ptrs.push_back(w.data());
         std::vector<uint64_t> out(ClassCountBufferSize(batch, k - 1, stride),
                                   ~0ULL);
-        CountClassesBatchWithAnnulus(index, ptrs.data(), batch, k, out.data());
+        IndexFamily(index).CountClassesBatch(ptrs.data(), batch, k,
+                                             out.data());
         for (size_t w = 0; w < batch; ++w) {
           for (uint32_t c = 0; c + 1 < k; ++c) {
             std::vector<uint8_t> indicator(shape.points);
@@ -277,7 +314,7 @@ TEST(AnnulusIndex, ClassesBeyondTheByteRangeCountNothing) {
   const uint8_t* ptr = codes.data();
   const uint32_t k = 258;
   std::vector<uint64_t> out(ClassCountBufferSize(1, k - 1, stride), ~0ULL);
-  CountClassesBatchWithAnnulus(index, &ptr, 1, k, out.data());
+  IndexFamily(index).CountClassesBatch(&ptr, 1, k, out.data());
   for (uint32_t c = 0; c + 1 < k; ++c) {
     std::vector<uint8_t> indicator(300);
     for (size_t i = 0; i < 300; ++i) indicator[i] = codes[i] == c;
@@ -312,10 +349,9 @@ TEST(AnnulusIndex, AnnulusLongerThanLaneFlushPeriod) {
     const double rho = (w == 0 || w == 8) ? 1.0 : (w == 1 ? 0.0 : 0.5);
     worlds.push_back(Labels::SampleBernoulli(n, rho, &rng));
   }
-  std::vector<const Labels*> ptrs;
-  for (const Labels& l : worlds) ptrs.push_back(&l);
-  std::vector<uint64_t> out(batch * stride, ~0ULL);
-  CountPositivesBatchWithAnnulus(index, ptrs.data(), batch, out.data());
+  std::vector<const uint8_t*> ptrs;
+  for (const Labels& l : worlds) ptrs.push_back(l.bytes().data());
+  const std::vector<uint64_t> out = GatherWorlds(index, ptrs);
   for (size_t w = 0; w < batch; ++w) {
     ASSERT_EQ(std::vector<uint64_t>(out.begin() + w * stride,
                                     out.begin() + (w + 1) * stride),
@@ -330,8 +366,8 @@ TEST(AnnulusIndex, AnnulusLongerThanLaneFlushPeriod) {
   std::vector<const uint8_t*> class_ptrs;
   for (const auto& w : classes) class_ptrs.push_back(w.data());
   std::vector<uint64_t> class_out(ClassCountBufferSize(3, 2, stride), ~0ULL);
-  CountClassesBatchWithAnnulus(index, class_ptrs.data(), 3, 3,
-                               class_out.data());
+  IndexFamily(index).CountClassesBatch(class_ptrs.data(), 3, 3,
+                                       class_out.data());
   for (size_t w = 0; w < 3; ++w) {
     for (uint32_t c = 0; c < 2; ++c) {
       std::vector<uint8_t> indicator(n);
@@ -403,22 +439,27 @@ void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
     ASSERT_EQ(from_sparse, from_reference) << "world " << w;
   }
 
-  // Batched, across batch sizes: the gather's batch == the reference's
-  // base-class batch, and every row == the reference's one-world count.
+  // Plane-packed, across batch sizes: the gather's planes == the reference's
+  // base-class planes, and every row == the reference's one-world count.
   const size_t stride = sparse.num_regions();
   for (const size_t batch : kBatchSizes) {
     std::vector<Labels> batch_labels;
-    std::vector<const Labels*> batch_ptrs;
+    std::vector<const uint8_t*> batch_ptrs;
     for (size_t w = 0; w < batch; ++w) {
       batch_labels.push_back(Labels::SampleBernoulli(
           sparse.num_points(), 0.05 + 0.1 * (w % 9), &rng));
     }
-    for (const Labels& l : batch_labels) batch_ptrs.push_back(&l);
-    std::vector<uint64_t> batch_sparse(batch * stride, ~0ULL);
-    std::vector<uint64_t> batch_reference(batch * stride, ~0ULL);
-    sparse.CountPositivesBatch(batch_ptrs.data(), batch, batch_sparse.data());
-    reference.CountPositivesBatch(batch_ptrs.data(), batch,
-                                  batch_reference.data());
+    for (const Labels& l : batch_labels) batch_ptrs.push_back(l.bytes().data());
+    const auto count_planes = [](const RegionFamily& family) {
+      return [&family](const uint8_t* masks, size_t planes, uint64_t* out,
+                       size_t out_stride) {
+        family.CountPlanes(masks, planes, out, out_stride);
+      };
+    };
+    const std::vector<uint64_t> batch_sparse = testing::CountByPlanes(
+        count_planes(sparse), batch_ptrs, sparse.num_points(), stride);
+    const std::vector<uint64_t> batch_reference = testing::CountByPlanes(
+        count_planes(reference), batch_ptrs, sparse.num_points(), stride);
     ASSERT_EQ(batch_sparse, batch_reference) << "batch " << batch;
     for (size_t w = 0; w < batch; ++w) {
       reference.CountPositives(batch_labels[w], &from_reference);
@@ -609,7 +650,7 @@ TEST(AnnulusBackend, SparseMembershipMemoryBeatsDenseByLadderFactor) {
 /// Packed class codes for `worlds` null worlds: iid categorical draws (the
 /// multinomial Bernoulli-style null) or shuffles of one fixed multiset (the
 /// permutation null). Both draw styles the multinomial engine feeds
-/// CountClassesBatch must hit the same scatter paths.
+/// CountClassesBatch must hit the same gather paths.
 std::vector<std::vector<uint8_t>> MakeClassWorlds(size_t n, uint32_t k,
                                                   size_t worlds, bool permute,
                                                   Rng* rng) {
@@ -665,10 +706,10 @@ void CheckClassCountingAgrees(const FamilyPair& pair, uint64_t seed) {
         std::vector<uint64_t> reference(total, ~0ULL);
         pair.sparse->CountClassesBatch(ptrs.data(), worlds, k,
                                        from_sparse.data());
-        // The reference family keeps the RegionFamily base implementation,
-        // the indicator-labels oracle every override must match exactly.
-        pair.reference->CountClassesBatch(ptrs.data(), worlds, k,
-                                          reference.data());
+        // The indicator-labels oracle on the reference family: the packed
+        // planes of every override must match it exactly.
+        testing::ReferenceClassCounts(*pair.reference, ptrs.data(), worlds, k,
+                                      reference.data());
         ASSERT_EQ(from_sparse, reference) << "sparse vs reference, K=" << k
                                           << " permute=" << permute
                                           << " batch=" << worlds;
@@ -779,8 +820,10 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToReference) {
 }
 
 TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToReference) {
-  // The K-class calibration path: CountClassesBatch under the multinomial
-  // statistic, 3 classes, across batch sizes and parallel on/off.
+  // The K-class calibration path: lane-sampled class planes counted by
+  // CountPlanes under the multinomial statistic, 3 classes, across batch
+  // sizes, parallel on/off and both null models, against the reference
+  // family's per-world reference engine.
   const auto pts = Cloud(600, 91);
   SquareScanOptions sq_opts;
   sq_opts.centers = RandomCenters(9, 92);
@@ -794,21 +837,31 @@ TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToReference) {
   const MultinomialScanStatistic statistic({300, 200, 100});
 
   for (const auto& [name, pair] : pairs) {
-    MonteCarloOptions mc;
-    mc.num_worlds = 40;
-    mc.seed = 778;
-    mc.parallel = false;
-    auto reference = SimulateNull(statistic, *pair.reference, mc);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (bool parallel : {false, true}) {
-      for (uint32_t batch_size : {1u, 2u, 7u, 8u, 9u, 17u, 64u}) {
-        mc.parallel = parallel;
-        mc.batch_size = batch_size;
-        auto sparse_run = SimulateNull(statistic, *pair.sparse, mc);
-        ASSERT_TRUE(sparse_run.ok()) << sparse_run.status().ToString();
-        EXPECT_EQ(sparse_run->MaximaVector(), reference->MaximaVector())
-            << name << " / parallel=" << parallel
-            << " / batch=" << batch_size;
+    for (NullModel null_model :
+         {NullModel::kBernoulli, NullModel::kPermutation}) {
+      MonteCarloOptions mc;
+      mc.num_worlds = 40;
+      mc.seed = 778;
+      mc.null_model = null_model;
+      mc.parallel = false;
+      mc.engine = McEngine::kReference;
+      auto reference = SimulateNull(statistic, *pair.reference, mc);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      mc.engine = McEngine::kBatched;
+      for (bool parallel : {false, true}) {
+        for (uint32_t batch_size : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
+          mc.parallel = parallel;
+          mc.batch_size = batch_size;
+          for (const RegionFamily* family :
+               {pair.sparse.get(), pair.reference.get()}) {
+            auto run = SimulateNull(statistic, *family, mc);
+            ASSERT_TRUE(run.ok()) << run.status().ToString();
+            EXPECT_EQ(run->MaximaVector(), reference->MaximaVector())
+                << name << " / " << family->Name() << " / "
+                << NullModelToString(null_model) << " / parallel=" << parallel
+                << " / batch=" << batch_size;
+          }
+        }
       }
     }
   }

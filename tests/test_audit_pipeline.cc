@@ -303,9 +303,10 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
   EXPECT_EQ(base, key(engine)) << "execution-only knobs must not split keys";
 
   // Repeat the execution-only sweep over every counting path (grid cells,
-  // and the annulus gather of squares and kNN circles) at both ends of the
-  // popcount tier range: the best arm the CPU supports (forcing avx512 clamps
-  // down to it) and scalar. The active tier is restored afterwards.
+  // and the annulus gather of squares and kNN circles) on every forced SIMD
+  // tier, which sets both the popcount and the lane sampler arm: the best
+  // the CPU supports (forcing avx512 clamps down to it), avx2 and scalar.
+  // The active tiers are restored afterwards.
   SquareScanOptions square_opts;
   square_opts.centers = {{2.0, 2.0}, {5.0, 5.0}, {7.5, 7.5}};
   square_opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
@@ -323,13 +324,24 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
     };
     const CalibrationKey family_base = family_key(mc);
     const spatial::PopcountKernel previous = spatial::ActivePopcountKernel();
+    const spatial::PopcountKernel previous_sampler =
+        spatial::ActiveSamplerKernel();
     for (const spatial::PopcountKernel tier :
-         {spatial::PopcountKernel::kAvx512, spatial::PopcountKernel::kScalar}) {
+         {spatial::PopcountKernel::kAvx512, spatial::PopcountKernel::kAvx2,
+          spatial::PopcountKernel::kScalar}) {
       spatial::ForcePopcountKernel(tier);
+      SCOPED_TRACE(
+          spatial::PopcountKernelName(spatial::ActiveSamplerKernel()));
       EXPECT_EQ(family_base, family_key(mc)) << family->Name();
       EXPECT_EQ(family_base, family_key(engine)) << family->Name();
     }
     spatial::ForcePopcountKernel(previous);
+    EXPECT_EQ(spatial::ActivePopcountKernel(), previous);
+    if (previous == previous_sampler) {
+      // The tiers differ only on AVX-512F CPUs without VPOPCNTDQ, where
+      // restoring the popcount tier leaves the sampler at AVX2.
+      EXPECT_EQ(spatial::ActiveSamplerKernel(), previous_sampler);
+    }
   }
 
   MonteCarloOptions seeded = mc;

@@ -1,0 +1,245 @@
+// Stream-identity suite for the null-world lane sampler
+// (core/lane_sampler.h): on every sampler tier, forced in turn, the mask
+// bits, per-world totals and final generator states of 1..8 worlds per call
+// must equal the scalar samplers world by world — Labels::ResampleBernoulli
+// for Bernoulli worlds and the floating-point categorical oracle
+// (testing::ReferenceCategoricalDraw) for K-class worlds — across point
+// counts around the 8- and 64-point boundaries, ρ at its edge values and K
+// from 2 to 256 with zero-mass classes.
+#include "core/lane_sampler.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "common/random.h"
+#include "core/labels.h"
+#include "core/multinomial_statistic.h"
+#include "spatial/simd_popcount.h"
+#include "testing_util.h"
+
+namespace sfa::core {
+namespace {
+
+using spatial::PopcountKernel;
+
+constexpr size_t kPointCounts[] = {0, 1, 7, 8, 9, 63, 64, 65, 8192};
+constexpr PopcountKernel kTiers[] = {
+    PopcountKernel::kScalar, PopcountKernel::kAvx2, PopcountKernel::kAvx512};
+
+/// Forces a tier for the scope and restores the previous one.
+class ScopedTier {
+ public:
+  explicit ScopedTier(PopcountKernel tier)
+      : previous_(spatial::ForcePopcountKernel(tier)) {}
+  ~ScopedTier() { spatial::ForcePopcountKernel(previous_); }
+
+ private:
+  PopcountKernel previous_;
+};
+
+/// World w's generator: substream w of one root, as the simulations split.
+Rng WorldRng(uint64_t seed, size_t w) { return Rng(seed).Split(w); }
+
+/// The mask bytes of the first `worlds` worlds out of 8-world mask bytes.
+std::vector<uint8_t> LowLanes(std::vector<uint8_t> masks, size_t worlds) {
+  for (uint8_t& m : masks) m &= static_cast<uint8_t>((1u << worlds) - 1);
+  return masks;
+}
+
+TEST(LaneSampler, ForcedTiersClampToTheSamplersOwnSupport) {
+  for (const PopcountKernel tier : kTiers) {
+    const ScopedTier scoped(tier);
+    const PopcountKernel active = spatial::ActiveSamplerKernel();
+    EXPECT_LE(static_cast<int>(active), static_cast<int>(tier));
+    // The sampler needs no more than the popcount arm of the same tier.
+    EXPECT_GE(static_cast<int>(active),
+              static_cast<int>(spatial::ActivePopcountKernel()));
+  }
+}
+
+TEST(LaneSampler, BernoulliLanesMatchLabelsResampleOnEveryTier) {
+  for (const PopcountKernel tier : kTiers) {
+    const ScopedTier scoped(tier);
+    SCOPED_TRACE(spatial::PopcountKernelName(spatial::ActiveSamplerKernel()));
+    for (const size_t n : kPointCounts) {
+      // The last ρ makes world 0's first draw x tie its threshold exactly
+      // (⌈x·2⁻⁵³·2⁵³⌉ = x), so x < threshold must fail there.
+      const double rhos[] = {
+          0.0,
+          1e-300,
+          std::ldexp(1.0, -53),
+          0.5,
+          std::nextafter(1.0, 0.0),
+          1.0,
+          std::numeric_limits<double>::quiet_NaN(),
+          std::ldexp(static_cast<double>(WorldRng(n + 17, 0).Next() >> 11),
+                     -53)};
+      for (const double rho : rhos) {
+        // The scalar stream of each of the 8 worlds, drawn once.
+        std::vector<Labels> expected(kLaneWorlds);
+        std::vector<Rng> expected_rng;
+        for (size_t w = 0; w < kLaneWorlds; ++w) {
+          expected_rng.push_back(WorldRng(n + 17, w));
+          expected[w].ResampleBernoulli(n, rho, &expected_rng[w]);
+        }
+        // Bit w of all_worlds[i] is world w's label of point i.
+        std::vector<uint8_t> all_worlds(n, 0);
+        for (size_t w = 0; w < kLaneWorlds; ++w) {
+          for (size_t i = 0; i < n; ++i) {
+            all_worlds[i] |= static_cast<uint8_t>(expected[w].bytes()[i] << w);
+          }
+        }
+        for (size_t worlds = 1; worlds <= kLaneWorlds; ++worlds) {
+          SCOPED_TRACE(::testing::Message() << "n=" << n << " rho=" << rho
+                                            << " worlds=" << worlds);
+          std::vector<Rng> rngs;
+          for (size_t w = 0; w < worlds; ++w) {
+            rngs.push_back(WorldRng(n + 17, w));
+          }
+          std::vector<uint8_t> masks(n, 0xAA);
+          std::vector<uint64_t> positives(worlds, ~0ULL);
+          SampleBernoulliLanes(rho, n, worlds, rngs.data(), masks.data(),
+                               positives.data());
+          ASSERT_EQ(masks, LowLanes(all_worlds, worlds));
+          for (size_t w = 0; w < worlds; ++w) {
+            EXPECT_EQ(positives[w], expected[w].positive_count())
+                << "world " << w;
+            EXPECT_TRUE(rngs[w] == expected_rng[w]) << "world " << w;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Class mixes of K classes: no zero mass, then a zero-mass first, middle
+/// and last class (for K = 2 the middle one is skipped).
+std::vector<std::vector<double>> ClassMixes(uint32_t k) {
+  std::vector<double> dense(k);
+  for (uint32_t c = 0; c < k; ++c) dense[c] = 1.0 + (c * 7) % 5;
+  std::vector<std::vector<double>> mixes = {dense};
+  std::vector<uint32_t> zeros = {0, k - 1};
+  if (k >= 3) zeros.push_back(k / 2);
+  for (const uint32_t zero : zeros) {
+    std::vector<double> mix = dense;
+    mix[zero] = 0.0;
+    mixes.push_back(mix);
+  }
+  return mixes;
+}
+
+TEST(LaneSampler, CategoricalLanesMatchFloatingPointOracleOnEveryTier) {
+  for (const uint32_t k : {2u, 3u, 4u, 9u, 256u}) {
+    for (const std::vector<double>& mix : ClassMixes(k)) {
+      const internal::CategoricalDraw draw(mix);
+      const uint32_t counted = k - 1;
+      for (const size_t n : kPointCounts) {
+        // The oracle stream of each of the 8 worlds, drawn once.
+        std::vector<std::vector<uint8_t>> classes(
+            kLaneWorlds, std::vector<uint8_t>(n));
+        std::vector<std::vector<uint64_t>> totals(
+            kLaneWorlds, std::vector<uint64_t>(k, 0));
+        std::vector<Rng> expected_rng;
+        for (size_t w = 0; w < kLaneWorlds; ++w) {
+          expected_rng.push_back(WorldRng(k * 1000 + n, w));
+          testing::ReferenceCategoricalDraw(mix, &expected_rng[w],
+                                            classes[w].data(), n,
+                                            totals[w].data());
+        }
+        // Plane c's bit w of point i: world w drew class c there.
+        std::vector<uint8_t> all_worlds(counted * n, 0);
+        for (size_t w = 0; w < kLaneWorlds; ++w) {
+          for (size_t i = 0; i < n; ++i) {
+            if (classes[w][i] < counted) {
+              all_worlds[classes[w][i] * n + i] |=
+                  static_cast<uint8_t>(1u << w);
+            }
+          }
+        }
+        for (const PopcountKernel tier : kTiers) {
+          const ScopedTier scoped(tier);
+          for (size_t worlds = 1; worlds <= kLaneWorlds; ++worlds) {
+            SCOPED_TRACE(::testing::Message()
+                         << spatial::PopcountKernelName(
+                                spatial::ActiveSamplerKernel())
+                         << " K=" << k << " n=" << n << " worlds=" << worlds
+                         << " zero-mass first/last=" << (mix[0] == 0.0) << "/"
+                         << (mix[k - 1] == 0.0));
+            std::vector<Rng> rngs;
+            for (size_t w = 0; w < worlds; ++w) {
+              rngs.push_back(WorldRng(k * 1000 + n, w));
+            }
+            std::vector<uint8_t> masks(counted * n, 0xAA);
+            std::vector<uint64_t> got_totals(worlds * k, 0);
+            SampleCategoricalLanes(draw.thresholds(), n, worlds, rngs.data(),
+                                   masks.data(), got_totals.data());
+            ASSERT_EQ(masks, LowLanes(all_worlds, worlds));
+            for (size_t w = 0; w < worlds; ++w) {
+              EXPECT_EQ(std::vector<uint64_t>(got_totals.begin() + w * k,
+                                              got_totals.begin() + (w + 1) * k),
+                        totals[w])
+                  << "world " << w;
+              EXPECT_TRUE(rngs[w] == expected_rng[w]) << "world " << w;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneSampler, ThresholdTiesCountAtOrAbove) {
+  // Thresholds equal to drawn values: a draw x is at or above m exactly when
+  // x >= m, so a tie counts as above. Each world's first draw is one of the
+  // thresholds; the expected class of every draw comes from the integer
+  // definition on copies of the generators.
+  const size_t n = 65;
+  std::vector<uint64_t> thresholds;
+  for (size_t w = 0; w < 3; ++w) {
+    thresholds.push_back(WorldRng(99, w).Next() >> 11);
+  }
+  std::sort(thresholds.begin(), thresholds.end());
+  const auto k = static_cast<uint32_t>(thresholds.size() + 1);
+  std::vector<uint8_t> expected(thresholds.size() * n, 0);
+  std::vector<uint64_t> expected_totals(kLaneWorlds * k, 0);
+  for (size_t w = 0; w < kLaneWorlds; ++w) {
+    Rng rng = WorldRng(99, w);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t x = rng.Next() >> 11;
+      uint32_t klass = 0;
+      for (uint64_t m : thresholds) klass += x >= m ? 1u : 0u;
+      if (klass + 1 < k) expected[klass * n + i] |= static_cast<uint8_t>(1u << w);
+      ++expected_totals[w * k + klass];
+    }
+  }
+  for (const PopcountKernel tier : kTiers) {
+    const ScopedTier scoped(tier);
+    SCOPED_TRACE(spatial::PopcountKernelName(spatial::ActiveSamplerKernel()));
+    std::vector<Rng> rngs;
+    for (size_t w = 0; w < kLaneWorlds; ++w) rngs.push_back(WorldRng(99, w));
+    std::vector<uint8_t> masks(thresholds.size() * n);
+    std::vector<uint64_t> totals(kLaneWorlds * k, 0);
+    SampleCategoricalLanes(thresholds, n, kLaneWorlds, rngs.data(),
+                           masks.data(), totals.data());
+    EXPECT_EQ(masks, expected);
+    EXPECT_EQ(totals, expected_totals);
+  }
+}
+
+TEST(LaneSampler, CategoricalTotalsAccumulate) {
+  // Totals are added to, as CategoricalDraw::Draw adds to them.
+  const internal::CategoricalDraw draw({0.2, 0.5, 0.3});
+  Rng rng = WorldRng(5, 0);
+  std::vector<uint8_t> masks(2 * 100);
+  std::vector<uint64_t> totals = {1, 2, 3};
+  SampleCategoricalLanes(draw.thresholds(), 100, 1, &rng, masks.data(),
+                         totals.data());
+  EXPECT_EQ(totals[0] + totals[1] + totals[2], 106u);
+}
+
+}  // namespace
+}  // namespace sfa::core

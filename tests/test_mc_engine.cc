@@ -148,42 +148,71 @@ TEST(McEngineEquivalence, BatchedMatchesReferenceExactly) {
   }
 }
 
-// Batch size is a performance knob, never a semantic one.
+// Batch size is a performance knob, never a semantic one: every batch size,
+// including partial 8-world lane groups, matches the per-world reference.
 TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
   const auto families = AllFamilies();
   for (const auto& [name, family] : families) {
     MonteCarloOptions mc;
     mc.num_worlds = 45;
     mc.seed = 5;
-    mc.batch_size = 1;
+    mc.engine = McEngine::kReference;
+    mc.parallel = false;
     const NullDistribution baseline = Simulate(*family, mc);
-    for (uint32_t batch_size : {2u, 3u, 8u, 64u}) {
-      mc.batch_size = batch_size;
-      const NullDistribution run = Simulate(*family, mc);
-      EXPECT_EQ(run.MaximaVector(), baseline.MaximaVector())
-          << name << " batch_size=" << batch_size;
+    mc.engine = McEngine::kBatched;
+    for (bool parallel : {false, true}) {
+      for (uint32_t batch_size : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
+        mc.parallel = parallel;
+        mc.batch_size = batch_size;
+        const NullDistribution run = Simulate(*family, mc);
+        EXPECT_EQ(run.MaximaVector(), baseline.MaximaVector())
+            << name << " batch_size=" << batch_size
+            << " parallel=" << parallel;
+      }
     }
   }
 }
 
-// CountPositivesBatch is integer-exact against scalar CountPositives for
-// every family (including the tuned overrides).
-TEST(McEngineEquivalence, BatchCountingMatchesScalarCounting) {
+// CountPlanes is integer-exact against scalar CountPositives for every
+// family (including the tuned overrides), in a partial and a full plane
+// group and with an output stride wider than a row.
+TEST(McEngineEquivalence, PlaneCountingMatchesScalarCounting) {
   const auto families = AllFamilies();
   Rng rng(77);
-  constexpr size_t kWorlds = 7;  // a partial 8-world gather group
+  constexpr size_t kWorlds = 15;  // one full 8-plane group, one of 7
   std::vector<Labels> labels;
-  std::vector<const Labels*> ptrs;
+  std::vector<const uint8_t*> ptrs;
   for (size_t b = 0; b < kWorlds; ++b) {
     labels.push_back(Labels::SampleBernoulli(kPoints, 0.37, &rng));
   }
-  for (const auto& label : labels) ptrs.push_back(&label);
+  for (const auto& label : labels) ptrs.push_back(label.bytes().data());
   for (const auto& [name, family] : families) {
-    std::vector<uint64_t> batched(kWorlds * family->num_regions());
-    family->CountPositivesBatch(ptrs.data(), kWorlds, batched.data());
+    const std::vector<uint64_t> batched = testing::CountByPlanes(
+        [&family = *family](const uint8_t* masks, size_t planes, uint64_t* out,
+                            size_t stride) {
+          family.CountPlanes(masks, planes, out, stride);
+        },
+        ptrs, kPoints, family->num_regions());
+    // A stride of 3 rows puts plane b at row 3b and leaves the rows between
+    // untouched.
+    const size_t regions = family->num_regions();
+    const std::vector<uint8_t> masks = testing::PackPlaneBytes(
+        std::vector<const uint8_t*>(ptrs.begin(), ptrs.begin() + 8), kPoints);
+    std::vector<uint64_t> strided(3 * 8 * regions, ~0ULL);
+    family->CountPlanes(masks.data(), 8, strided.data(), 3 * regions);
+    for (size_t b = 0; b < 8; ++b) {
+      EXPECT_TRUE(std::equal(batched.begin() + b * regions,
+                             batched.begin() + (b + 1) * regions,
+                             strided.begin() + 3 * b * regions))
+          << name << " plane " << b;
+      EXPECT_TRUE(std::all_of(strided.begin() + (3 * b + 1) * regions,
+                              strided.begin() + (3 * b + 3) * regions,
+                              [](uint64_t v) { return v == ~0ULL; }))
+          << name << " plane " << b;
+    }
     for (size_t b = 0; b < kWorlds; ++b) {
       std::vector<uint64_t> scalar;
-      family->CountPositives(*ptrs[b], &scalar);
+      family->CountPositives(labels[b], &scalar);
       const std::vector<uint64_t> row(
           batched.begin() + b * family->num_regions(),
           batched.begin() + (b + 1) * family->num_regions());

@@ -157,10 +157,10 @@ TEST(MulticlassAudit, BinaryCaseAgreesWithBinaryAuditDirectionally) {
   EXPECT_FALSE(result->spatially_fair);
 }
 
-// ---------------- CountClassesBatch vs the legacy indicator interface -------
+// ---------------- class counting vs the indicator oracle --------------------
 
 /// All five region family types over one point cloud, sized small enough for
-/// tier-1 but covering every CountClassesBatch override (grid scatter,
+/// tier-1 but covering every CountPlanes override (grid scatter,
 /// per-partitioning scatter, prefix-sum fold, and the annulus gather), plus
 /// the geometry-built member-list references of the two overlapping families.
 std::vector<std::unique_ptr<core::RegionFamily>> MakeAllFamilies(
@@ -204,12 +204,14 @@ std::vector<std::unique_ptr<core::RegionFamily>> MakeAllFamilies(
   return families;
 }
 
-// Satellite 4 of ISSUE 9: for every family, CountClassesBatch must equal the
-// legacy construction — K-1 per-class indicator label worlds counted through
-// CountPositivesBatch. The indicator planes are laid out as "virtual worlds"
-// (plane w*(K-1)+c), which is exactly the ClassCountRowOffset layout, so the
-// two buffers must match element-for-element. Both null-model draw styles
-// (iid categorical and shuffled fixed multiset) are exercised.
+// For every family, both plane layouts of K-class counting must equal the
+// K−1 indicator construction (testing::ReferenceClassCounts, per-class
+// indicator labels through CountPositives) element for element:
+// CountClassesBatch's (world, class) planes packed in ClassCountRowOffset
+// order, and the lane sampler's layout — one plane per class with bit w =
+// world w — counted by CountPlanes with an output stride of (K−1) rows.
+// Both null-model draw styles (iid categorical and shuffled fixed multiset)
+// are exercised.
 TEST(CountClassesBatch, MatchesIndicatorPathForAllFamilies) {
   Rng rng(4242);
   std::vector<geo::Point> pts(700);
@@ -238,31 +240,36 @@ TEST(CountClassesBatch, MatchesIndicatorPathForAllFamilies) {
     }
     for (const auto& world : class_worlds) class_ptrs.push_back(world.data());
 
-    // Legacy view of the same worlds: one indicator Labels per (world, class)
-    // plane, in ClassCountRowOffset order.
-    std::vector<core::Labels> planes;
-    std::vector<const core::Labels*> plane_ptrs;
-    std::vector<uint8_t> indicator(pts.size());
-    for (size_t w = 0; w < worlds; ++w) {
-      for (uint32_t c = 0; c < counted; ++c) {
+    // Class-major planes: plane c, bit w = world w has class c.
+    std::vector<std::vector<uint8_t>> class_planes(
+        counted, std::vector<uint8_t>(pts.size(), 0));
+    for (uint32_t c = 0; c < counted; ++c) {
+      for (size_t w = 0; w < worlds; ++w) {
         for (size_t i = 0; i < pts.size(); ++i) {
-          indicator[i] = class_worlds[w][i] == c ? 1 : 0;
+          class_planes[c][i] |=
+              static_cast<uint8_t>((class_worlds[w][i] == c ? 1u : 0u) << w);
         }
-        planes.push_back(core::Labels::FromBytes(indicator));
       }
     }
-    for (const core::Labels& plane : planes) plane_ptrs.push_back(&plane);
 
     for (const auto& family : families) {
       const size_t stride = family->num_regions();
-      std::vector<uint64_t> got(
-          core::ClassCountBufferSize(worlds, counted, stride), ~0ULL);
-      std::vector<uint64_t> expected(got.size(), 0);
+      const size_t size = core::ClassCountBufferSize(worlds, counted, stride);
+      std::vector<uint64_t> got(size, ~0ULL);
+      std::vector<uint64_t> strided(size, ~0ULL);
+      std::vector<uint64_t> expected(size, ~0ULL);
       family->CountClassesBatch(class_ptrs.data(), worlds, num_classes,
                                 got.data());
-      family->CountPositivesBatch(plane_ptrs.data(), plane_ptrs.size(),
-                                  expected.data());
+      for (uint32_t c = 0; c < counted; ++c) {
+        family->CountPlanes(
+            class_planes[c].data(), worlds,
+            strided.data() + core::ClassCountRowOffset(0, c, counted, stride),
+            core::ClassCountRowOffset(1, 0, counted, stride));
+      }
+      core::testing::ReferenceClassCounts(*family, class_ptrs.data(), worlds,
+                                          num_classes, expected.data());
       ASSERT_EQ(got, expected) << family->Name() << " permute=" << permute;
+      ASSERT_EQ(strided, expected) << family->Name() << " permute=" << permute;
     }
   }
 }

@@ -186,6 +186,69 @@ inline void ReferenceCategoricalDraw(const std::vector<double>& q, Rng* rng,
   }
 }
 
+/// Mask bytes of up to RegionFamily::kMaxPlanes planes over `n` points: bit
+/// b of byte i is set when planes[b][i] is nonzero.
+inline std::vector<uint8_t> PackPlaneBytes(
+    const std::vector<const uint8_t*>& planes, size_t n) {
+  SFA_CHECK(planes.size() <= RegionFamily::kMaxPlanes);
+  std::vector<uint8_t> masks(n, 0);
+  for (size_t b = 0; b < planes.size(); ++b) {
+    for (size_t i = 0; i < n; ++i) {
+      masks[i] |= static_cast<uint8_t>((planes[b][i] != 0 ? 1u : 0u) << b);
+    }
+  }
+  return masks;
+}
+
+/// Counts 0/1 byte planes over `n` points, RegionFamily::kMaxPlanes per
+/// count_planes(masks, num_planes, out, out_stride) call (a family's or an
+/// annulus index's CountPlanes). Row p (num_regions counts) is plane p's.
+template <typename CountPlanesFn>
+std::vector<uint64_t> CountByPlanes(CountPlanesFn count_planes,
+                                    const std::vector<const uint8_t*>& planes,
+                                    size_t n, size_t num_regions) {
+  std::vector<uint64_t> out(planes.size() * num_regions, ~0ULL);
+  for (size_t g = 0; g < planes.size(); g += RegionFamily::kMaxPlanes) {
+    const size_t count =
+        std::min(RegionFamily::kMaxPlanes, planes.size() - g);
+    const std::vector<uint8_t> masks = PackPlaneBytes(
+        std::vector<const uint8_t*>(planes.begin() + g,
+                                    planes.begin() + g + count),
+        n);
+    count_planes(masks.data(), count, out.data() + g * num_regions,
+                 num_regions);
+  }
+  return out;
+}
+
+/// The K−1 indicator oracle of multi-class counting: for every world and
+/// class c < K−1, the indicator labels of class c counted through the scalar
+/// CountPositives, into the ClassCountRowOffset rows of `out`. Codes at or
+/// above `num_classes` count in no class.
+inline void ReferenceClassCounts(const RegionFamily& family,
+                                 const uint8_t* const* class_worlds,
+                                 size_t num_worlds, uint32_t num_classes,
+                                 uint64_t* out) {
+  SFA_CHECK(num_classes >= 2);
+  const uint32_t counted = num_classes - 1;
+  const size_t n = family.num_points();
+  const size_t stride = family.num_regions();
+  std::vector<uint8_t> indicator(n);
+  Labels labels;
+  std::vector<uint64_t> scratch;
+  for (size_t w = 0; w < num_worlds; ++w) {
+    for (uint32_t k = 0; k < counted; ++k) {
+      for (size_t i = 0; i < n; ++i) {
+        indicator[i] = class_worlds[w][i] == k ? 1 : 0;
+      }
+      labels.AssignBytes(indicator.data(), n);
+      family.CountPositives(labels, &scratch);
+      std::copy(scratch.begin(), scratch.end(),
+                out + ClassCountRowOffset(w, k, counted, stride));
+    }
+  }
+}
+
 /// Reference sparse view: the ascending ids of the set bytes.
 inline std::vector<uint32_t> ReferencePositiveIndices(
     const std::vector<uint8_t>& bytes) {
@@ -228,8 +291,9 @@ class ReferenceCellSamplers {
 
 /// Reference counter for the overlapping families: one explicit member-id
 /// list per region, built straight from the geometry, counted by summing
-/// label bytes. It keeps the RegionFamily base-class batch and K-class
-/// oracles, so it shares no counting code with the annulus gather.
+/// label bytes. It keeps the RegionFamily base-class CountPlanes, which
+/// unpacks each plane into CountPositives, so it shares no counting code
+/// with the annulus gather.
 class MemberListFamily : public RegionFamily {
  public:
   /// Region r of `family` holds the points family.Describe(r).rect contains.

@@ -4,6 +4,7 @@
 // Carlo throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -553,6 +554,44 @@ BENCHMARK_CAPTURE(BM_LaneSampler, k3/avx2, LaneDraw::kK3,
 BENCHMARK_CAPTURE(BM_LaneSampler, k3/avx512, LaneDraw::kK3,
                   spatial::PopcountKernel::kAvx512);
 
+// Permutation null worlds as the engine draws them: 8 worlds per call, each
+// one partial Fisher–Yates shuffle of N = 8,192 points that ORs its bit into
+// the positives' mask bytes, then one CountPlanes pass over the 100x50 grid.
+// items_per_second is worlds/s.
+void BM_PermutationPlanes(benchmark::State& state) {
+  const size_t n = 8192;
+  const uint64_t positives = 4424;  // ρ ≈ 0.54
+  const auto pts = Cloud(n);
+  auto family = core::GridPartitionFamily::Create(pts, 100, 50);
+  if (!family.ok()) {
+    state.SkipWithError(family.status().ToString().c_str());
+    return;
+  }
+  const size_t regions = (*family)->num_regions();
+  std::vector<uint8_t> masks(n);
+  std::vector<uint32_t> order;
+  std::vector<uint64_t> counts(core::kLaneWorlds * regions);
+  Rng root(29);
+  uint64_t world = 0;
+  for (auto _ : state) {
+    std::fill(masks.begin(), masks.end(), uint8_t{0});
+    for (size_t j = 0; j < core::kLaneWorlds; ++j) {
+      Rng rng = root.Split(world++);
+      const auto bit = static_cast<uint8_t>(1u << j);
+      core::DrawPermutationPositives(
+          n, positives, &rng, &order,
+          [&masks, bit](uint32_t id) { masks[id] |= bit; });
+    }
+    (*family)->CountPlanes(masks.data(), core::kLaneWorlds, counts.data(),
+                           regions);
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(core::kLaneWorlds));
+}
+BENCHMARK(BM_PermutationPlanes);
+
 void BM_LabelsSamplingSparseView(benchmark::State& state) {
   // One Bernoulli null world plus its ascending positive ids, built lazily
   // from the label bytes, on a pooled instance.
@@ -588,6 +627,44 @@ void BM_CellSamplerBank(benchmark::State& state) {
                           static_cast<int64_t>(bank.num_cells()));
 }
 BENCHMARK(BM_CellSamplerBank);
+
+// The same closed-form worlds 8 at a time on one sampler tier:
+// CellSamplerBank::DrawLanes over the 100x50 grid of BM_CellSamplerBank.
+// items_per_second is worlds/s. A tier the CPU lacks is skipped.
+void BM_CellSamplerLanes(benchmark::State& state,
+                         spatial::PopcountKernel tier) {
+  const auto pts = Cloud(8192);
+  auto family = core::GridPartitionFamily::Create(pts, 100, 50);
+  if (!family.ok()) {
+    state.SkipWithError(family.status().ToString().c_str());
+    return;
+  }
+  const spatial::PopcountKernel previous = spatial::ForcePopcountKernel(tier);
+  if (spatial::ActiveSamplerKernel() != tier) {
+    spatial::ForcePopcountKernel(previous);
+    state.SkipWithError("sampler tier not supported on this CPU");
+    return;
+  }
+  const core::CellSamplerBank bank(*(*family)->cell_decomposition(), 0.54);
+  std::vector<uint32_t> rows(core::kLaneWorlds * bank.num_cells());
+  uint64_t totals[core::kLaneWorlds];
+  Rng root(25);
+  std::vector<Rng> rngs;
+  for (size_t w = 0; w < core::kLaneWorlds; ++w) rngs.push_back(root.Split(w));
+  for (auto _ : state) {
+    bank.DrawLanes(core::kLaneWorlds, rngs.data(), rows.data(), totals);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  spatial::ForcePopcountKernel(previous);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(core::kLaneWorlds));
+}
+BENCHMARK_CAPTURE(BM_CellSamplerLanes, scalar,
+                  spatial::PopcountKernel::kScalar);
+BENCHMARK_CAPTURE(BM_CellSamplerLanes, avx2, spatial::PopcountKernel::kAvx2);
+BENCHMARK_CAPTURE(BM_CellSamplerLanes, avx512,
+                  spatial::PopcountKernel::kAvx512);
 
 }  // namespace
 }  // namespace sfa

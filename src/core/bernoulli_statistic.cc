@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/cell_sampler_bank.h"
+#include "core/labels.h"
 #include "core/lane_sampler.h"
 
 namespace sfa::core {
@@ -18,17 +19,16 @@ static_assert(kLaneWorlds == RegionFamily::kMaxPlanes);
 
 namespace {
 
-/// Thread-local buffer pool: mask planes, permutation label worlds, count
-/// rows, cell draws, and the permutation shuffle buffer all live here, so
-/// after a worker's first batch the steady state allocates nothing.
+/// Thread-local buffer pool: mask planes, count rows, cell draws, and the
+/// permutation shuffle buffer all live here, so after a worker's first batch
+/// the steady state allocates nothing.
 struct BatchArena {
-  std::vector<uint8_t> masks;            // one mask byte per point
-  std::vector<Labels> labels;            // permutation worlds
-  std::vector<const Labels*> label_ptrs;
-  std::vector<uint64_t> counts;          // worlds x num_regions, row-major
-  std::vector<uint32_t> cell_positives;  // one world's cell draws
-  std::vector<uint64_t> region_counts;   // one world's folded region counts
-  std::vector<uint32_t> perm_scratch;
+  std::vector<uint8_t> masks;    // one mask byte per point
+  std::vector<uint64_t> counts;  // worlds x num_regions, row-major
+  // Closed-form worlds' cell rows (worlds x cells, row-major) or the
+  // permutation shuffle buffer: a simulation uses one of the two, so they
+  // share one buffer and a worker holds the larger only.
+  std::vector<uint32_t> words;
 };
 
 BatchArena& LocalArena() {
@@ -95,68 +95,65 @@ class BernoulliSimulation : public StatisticSimulation {
   }
 
   void RunWorldBatch(size_t w_lo, size_t w_hi, double* out) const override {
-    const size_t worlds = w_hi - w_lo;
     const size_t num_regions = family_.num_regions();
     const uint64_t total_n = family_.num_points();
     BatchArena& arena = LocalArena();
 
     if (cells_ != nullptr) {
-      // Closed-form worlds: O(cells) sampling dominates and has no
-      // cross-world memory traffic to amortize, so the batch is a plain loop
-      // over pooled buffers.
-      arena.cell_positives.resize(cells_->cell_counts.size());
-      arena.region_counts.resize(num_regions);
-      for (size_t w = w_lo; w < w_hi; ++w) {
-        Rng rng = root_.Split(w);
-        const uint64_t total_p =
-            samplers_->Draw(&rng, arena.cell_positives.data());
-        family_.CountPositivesFromCells(arena.cell_positives.data(),
-                                        arena.region_counts.data());
-        out[w] = plan_.Max(arena.region_counts.data(), total_p, direction_,
-                           table_);
-      }
-      return;
-    }
-
-    if (options_.null_model == NullModel::kBernoulli) {
-      // i.i.d. point worlds, kLaneWorlds at a time: the lane sampler writes
-      // their labels as mask planes, which CountPlanes counts directly.
-      arena.masks.resize(total_n);
-      arena.counts.resize(kLaneWorlds * num_regions);
+      // Closed-form worlds, kLaneWorlds at a time: the bank draws their cell
+      // rows side by side, then each row is folded and max-scanned.
+      const size_t num_cells = samplers_->num_cells();
+      arena.words.resize(kLaneWorlds * num_cells);
+      arena.counts.resize(num_regions);
+      uint32_t* cell_rows = arena.words.data();
+      uint64_t* region_counts = arena.counts.data();
       for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
         const size_t lanes = std::min(kLaneWorlds, w_hi - g);
         Rng rngs[kLaneWorlds];
         for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(g + j);
-        uint64_t positives[kLaneWorlds];
-        SampleBernoulliLanes(rho_, total_n, lanes, rngs, arena.masks.data(),
-                             positives);
-        family_.CountPlanes(arena.masks.data(), lanes, arena.counts.data(),
-                            num_regions);
+        uint64_t total_p[kLaneWorlds];
+        samplers_->DrawLanes(lanes, rngs, cell_rows, total_p);
         for (size_t j = 0; j < lanes; ++j) {
-          out[g + j] = plan_.Max(arena.counts.data() + j * num_regions,
-                                 positives[j], direction_, table_);
+          family_.CountPositivesFromCells(cell_rows + j * num_cells,
+                                          region_counts);
+          out[g + j] =
+              plan_.Max(region_counts, total_p[j], direction_, table_);
         }
       }
       return;
     }
 
-    // Permutation worlds keep their scalar shuffles; their label bytes are
-    // packed into planes by CountPositivesBatch.
-    if (arena.labels.size() < worlds) arena.labels.resize(worlds);
-    arena.label_ptrs.resize(worlds);
-    arena.counts.resize(worlds * num_regions);
-    for (size_t j = 0; j < worlds; ++j) {
-      Rng rng = root_.Split(w_lo + j);
-      arena.labels[j].ResamplePermutation(total_n, total_positives_, &rng,
-                                          &arena.perm_scratch);
-      arena.label_ptrs[j] = &arena.labels[j];
-    }
-    family_.CountPositivesBatch(arena.label_ptrs.data(), worlds,
-                                arena.counts.data());
-    for (size_t j = 0; j < worlds; ++j) {
-      out[w_lo + j] =
-          plan_.Max(arena.counts.data() + j * num_regions,
-                    arena.labels[j].positive_count(), direction_, table_);
+    // i.i.d. point worlds are drawn by the lane sampler, permutation worlds
+    // by one partial shuffle each; either way, kLaneWorlds at a time into
+    // mask planes (bit j of masks[i] = world g + j's label of point i),
+    // which CountPlanes counts directly.
+    arena.masks.resize(total_n);
+    arena.counts.resize(kLaneWorlds * num_regions);
+    uint8_t* masks = arena.masks.data();
+    for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
+      const size_t lanes = std::min(kLaneWorlds, w_hi - g);
+      Rng rngs[kLaneWorlds];
+      for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(g + j);
+      uint64_t positives[kLaneWorlds];
+      if (options_.null_model == NullModel::kBernoulli) {
+        SampleBernoulliLanes(rho_, total_n, lanes, rngs, masks, positives);
+      } else {
+        std::fill(masks, masks + total_n, uint8_t{0});
+        for (size_t j = 0; j < lanes; ++j) {
+          const auto bit = static_cast<uint8_t>(1u << j);
+          DrawPermutationPositives(total_n, total_positives_, &rngs[j],
+                                   &arena.words,
+                                   [masks, bit](uint32_t id) {
+                                     masks[id] |= bit;
+                                   });
+          positives[j] = total_positives_;
+        }
+      }
+      family_.CountPlanes(masks, lanes, arena.counts.data(), num_regions);
+      for (size_t j = 0; j < lanes; ++j) {
+        out[g + j] = plan_.Max(arena.counts.data() + j * num_regions,
+                               positives[j], direction_, table_);
+      }
     }
   }
 

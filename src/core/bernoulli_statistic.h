@@ -6,10 +6,12 @@
 //   observed scan    per-region Λ through the shared k·log k table
 //                    (core/scan.h's ScanAllRegions — the exact-tie contract);
 //   null worlds      closed-form per-cell Binomial(n_c, ρ) draws for
-//                    cell-decomposable families; otherwise 8 i.i.d. worlds
-//                    per lane-sampler call (core/lane_sampler.h) written as
-//                    mask planes and counted by RegionFamily::CountPlanes,
-//                    or pooled permutation label worlds packed into planes;
+//                    cell-decomposable families, 8 worlds per
+//                    CellSamplerBank::DrawLanes call; otherwise 8 i.i.d.
+//                    worlds per lane-sampler call (core/lane_sampler.h)
+//                    written as mask planes and counted by
+//                    RegionFamily::CountPlanes, or 8 permutation worlds
+//                    shuffled straight into those planes;
 //                    per-world RNG substreams Rng::Split(w) from
 //                    options.seed (core/mc_engine.h's cost levers); each
 //                    world's max Λ comes from the

@@ -31,6 +31,7 @@ CellSamplerBank::CellSamplerBank(const CellDecomposition& decomposition,
     table.size = static_cast<uint32_t>(thresholds.size());
     table.size_d = static_cast<double>(thresholds.size());
     table.first = sampler.first();
+    max_table_size_ = std::max(max_table_size_, table.size);
     for (size_t i = 0; i < thresholds.size(); ++i) {
       arena_.push_back({thresholds[i], aliases[i]});
     }
@@ -61,21 +62,23 @@ CellSamplerBank::CellSamplerBank(const CellDecomposition& decomposition,
   }
 }
 
+CellLaneTables CellSamplerBank::Tables() const {
+  CellLaneTables tables;
+  tables.columns = arena_.data();
+  tables.tables = tables_.data();
+  tables.live = live_.data();
+  tables.num_live = live_.size();
+  tables.constants = constants_.data();
+  tables.num_cells = constants_.size();
+  tables.constant_total = constant_total_;
+  tables.outside = outside_live_ ? &outside_ : nullptr;
+  tables.max_table_size = max_table_size_;
+  return tables;
+}
+
 uint64_t CellSamplerBank::Draw(Rng* rng, uint32_t* cell_positives) const {
   SFA_DCHECK(rng != nullptr);
-  std::copy(constants_.begin(), constants_.end(), cell_positives);
-  // A local generator keeps its state in registers across the stores.
-  Rng local = *rng;
-  uint64_t total_p = constant_total_;
-  for (const LiveCell& live : live_) {
-    const auto p =
-        static_cast<uint32_t>(DrawTable(tables_[live.table], &local));
-    cell_positives[live.cell] = p;
-    total_p += p;
-  }
-  if (outside_live_) total_p += DrawTable(outside_, &local);
-  *rng = local;
-  return total_p;
+  return Tables().DrawWorld(rng, cell_positives);
 }
 
 }  // namespace sfa::core

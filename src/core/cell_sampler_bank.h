@@ -5,7 +5,8 @@
 // independently of every other cell. (n_c, ρ) never change across the
 // simulated worlds, so each distinct n_c gets one alias table
 // (stats::FixedBinomialSampler) built once, and a world costs one uniform and
-// two loads per non-empty cell.
+// two loads per non-empty cell. DrawLanes draws up to 8 such worlds side by
+// side in SIMD lanes (core/lane_sampler.h), with the same results.
 #ifndef SFA_CORE_CELL_SAMPLER_BANK_H_
 #define SFA_CORE_CELL_SAMPLER_BANK_H_
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/lane_sampler.h"
 #include "core/region_family.h"
 
 namespace sfa::core {
@@ -31,45 +33,28 @@ class CellSamplerBank {
   /// or ρ ∉ (0, 1)) gets its constant and consumes no draw.
   uint64_t Draw(Rng* rng, uint32_t* cell_positives) const;
 
- private:
-  /// One alias table in the arena; the draw arithmetic of
-  /// stats::FixedBinomialSampler::Draw over arena_[offset, offset + size).
-  struct Table {
-    uint32_t offset = 0;
-    uint32_t size = 0;
-    double size_d = 0.0;
-    uint64_t first = 0;
-  };
-  struct Column {
-    double threshold;
-    uint64_t alias;
-  };
-  struct LiveCell {
-    uint32_t cell;
-    uint32_t table;
-  };
-
-  uint64_t DrawTable(const Table& table, Rng* rng) const {
-    const double x = rng->NextDouble() * table.size_d;
-    // x < 2^32, so the signed conversion truncates exactly as size_t would,
-    // without the unsigned conversion's range branch.
-    uint64_t i = static_cast<uint64_t>(static_cast<int64_t>(x));
-    if (i >= table.size) i = table.size - 1;  // u ~ 1 edge
-    const Column& column = arena_[table.offset + i];
-    // Keep-or-alias as a mask select: the coin is a fair guess for the
-    // branch predictor, so a branch would mispredict about half the time.
-    const bool kept = (x - static_cast<double>(i)) < column.threshold;
-    const uint64_t keep = 0 - static_cast<uint64_t>(kept);
-    return table.first + (column.alias ^ ((i ^ column.alias) & keep));
+  /// Draws `num_worlds` (1..kLaneWorlds) worlds, world w from rngs[w], as
+  /// `num_worlds` calls of Draw would: row w of `cell_positives` (the
+  /// num_cells() entries from w·num_cells()) is world w's cells, totals[w]
+  /// its total, and rngs[w] ends where Draw leaves it.
+  void DrawLanes(size_t num_worlds, Rng* rngs, uint32_t* cell_positives,
+                 uint64_t* totals) const {
+    SampleCellLanes(Tables(), num_worlds, rngs, cell_positives, totals);
   }
 
-  std::vector<Column> arena_;     // every table's columns, back to back
-  std::vector<Table> tables_;     // one per distinct non-degenerate count
-  std::vector<LiveCell> live_;    // cells that draw, in cell order
+ private:
+  using Table = CellLaneTables::Table;
+
+  CellLaneTables Tables() const;
+
+  std::vector<CellLaneTables::Column> arena_;  // every table, back to back
+  std::vector<Table> tables_;  // one per distinct non-degenerate count
+  std::vector<CellLaneTables::LiveCell> live_;  // cells that draw, in order
   std::vector<uint32_t> constants_;  // per cell: its point mass, 0 if live
   uint64_t constant_total_ = 0;   // sum of the point masses, outside included
   bool outside_live_ = false;
   Table outside_;
+  uint32_t max_table_size_ = 0;
 };
 
 }  // namespace sfa::core

@@ -1,7 +1,6 @@
 #include "core/labels.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/macros.h"
 
@@ -86,18 +85,12 @@ void Labels::ResamplePermutation(size_t n, uint64_t positives, Rng* rng,
   SFA_CHECK_MSG(positives <= n, "more positives than points");
   bits_valid_ = false;
   positives_valid_ = false;
-  // Partial Fisher-Yates over point indices: the first `positives` slots of
-  // the shuffled order receive label 1.
   std::vector<uint32_t> local_order;
-  std::vector<uint32_t>& order = order_scratch ? *order_scratch : local_order;
-  order.resize(n);
-  std::iota(order.begin(), order.end(), 0u);
   bytes_.assign(n, 0);
-  for (uint64_t i = 0; i < positives; ++i) {
-    const uint64_t j = i + rng->NextUint64(n - i);
-    std::swap(order[i], order[j]);
-    bytes_[order[i]] = 1;
-  }
+  uint8_t* bytes = bytes_.data();
+  DrawPermutationPositives(n, positives, rng,
+                           order_scratch ? order_scratch : &local_order,
+                           [bytes](uint32_t id) { bytes[id] = 1; });
   positive_count_ = positives;
 }
 

@@ -11,12 +11,34 @@
 #define SFA_CORE_LABELS_H_
 
 #include <cstdint>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "spatial/bitvector.h"
 
 namespace sfa::core {
+
+/// The permutation null's draw (Kulldorff 1997): a partial Fisher–Yates
+/// shuffle of the point ids 0..n−1 whose first `positives` slots are the
+/// positive points. Calls mark(id) for each of them in draw order; `order`
+/// is the shuffle buffer (resized to n). The generator runs on a local copy,
+/// so its state stays in registers across the buffer's stores.
+template <typename Mark>
+void DrawPermutationPositives(size_t n, uint64_t positives, Rng* rng,
+                              std::vector<uint32_t>* order, Mark mark) {
+  order->resize(n);
+  uint32_t* ids = order->data();
+  std::iota(ids, ids + n, 0u);
+  Rng local = *rng;
+  for (uint64_t i = 0; i < positives; ++i) {
+    const uint64_t j = i + local.NextUint64(n - i);
+    std::swap(ids[i], ids[j]);
+    mark(ids[i]);
+  }
+  *rng = local;
+}
 
 class Labels {
  public:

@@ -74,6 +74,14 @@ void ScalarCategorical(const uint64_t* thresholds, uint32_t counted, size_t n,
   }
 }
 
+/// One world at a time: CellLaneTables::DrawWorld.
+void ScalarCells(const CellLaneTables& t, size_t num_worlds, Rng* rngs,
+                 uint32_t* cell_positives, uint64_t* totals) {
+  for (size_t w = 0; w < num_worlds; ++w) {
+    totals[w] = t.DrawWorld(&rngs[w], cell_positives + w * t.num_cells);
+  }
+}
+
 #if defined(SFA_X86_SIMD)
 
 // GCC's avx512fintrin.h trips -W(maybe-)uninitialized on its own internal
@@ -206,6 +214,95 @@ __attribute__((target("avx2"))) void Avx2Categorical(
   }
 }
 
+/// Every row starts as the point masses; the live cells overwrite theirs.
+void FillConstantRows(const CellLaneTables& t, size_t num_worlds,
+                      uint32_t* cell_positives) {
+  for (size_t w = 0; w < num_worlds; ++w) {
+    std::copy(t.constants, t.constants + t.num_cells,
+              cell_positives + w * t.num_cells);
+  }
+}
+
+/// Exact doubles of 4 lanes below 2^53: the high 21 and low 32 bits enter
+/// the mantissas of 2^84 and 2^52, which are then subtracted off exactly.
+__attribute__((target("avx2"))) inline __m256d ToDouble53x4(__m256i x) {
+  const __m256i lo = _mm256_or_si256(
+      _mm256_and_si256(x, _mm256_set1_epi64x(0xffffffff)),
+      _mm256_set1_epi64x(0x4330000000000000));  // 2^52 + lo
+  const __m256i hi = _mm256_or_si256(
+      _mm256_srli_epi64(x, 32),
+      _mm256_set1_epi64x(0x4530000000000000));  // 2^84 + hi·2^32
+  const __m256d hi_exact = _mm256_sub_pd(
+      _mm256_castsi256_pd(hi), _mm256_set1_pd(0x1.0p84 + 0x1.0p52));
+  return _mm256_add_pd(hi_exact, _mm256_castsi256_pd(lo));
+}
+
+/// One draw of `table` in 4 lanes: CellLaneTables::Draw's arithmetic.
+__attribute__((target("avx2"))) inline __m256i DrawCellx4(
+    const CellLaneTables& t, const CellLaneTables::Table& table,
+    Xoshiro256x4* g) {
+  const __m256d u =
+      _mm256_mul_pd(ToDouble53x4(Next53x4(g)), _mm256_set1_pd(0x1.0p-53));
+  const __m256d x = _mm256_mul_pd(u, _mm256_set1_pd(table.size_d));
+  // x < 2^31, so the 32-bit truncation is the scalar int64 one.
+  const __m128i i32 = _mm_min_epi32(
+      _mm256_cvttpd_epi32(x),
+      _mm_set1_epi32(static_cast<int>(table.size - 1)));  // u ~ 1 edge
+  const __m256i i = _mm256_cvtepi32_epi64(i32);
+  // A column is 16 bytes: threshold at 16·i, alias 8 bytes on.
+  const __m256i slot = _mm256_slli_epi64(i, 1);
+  const double* base = &t.columns[table.offset].threshold;
+  const __m256d threshold = _mm256_i64gather_pd(base, slot, 8);
+  const __m256i alias = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(base + 1), slot, 8);
+  const __m256d kept = _mm256_cmp_pd(
+      _mm256_sub_pd(x, _mm256_cvtepi32_pd(i32)), threshold, _CMP_LT_OQ);
+  const __m256i outcome = _mm256_castpd_si256(_mm256_blendv_pd(
+      _mm256_castsi256_pd(alias), _mm256_castsi256_pd(i), kept));
+  return _mm256_add_epi64(
+      outcome, _mm256_set1_epi64x(static_cast<long long>(table.first)));
+}
+
+__attribute__((target("avx2"))) void Avx2Cells(const CellLaneTables& t,
+                                               size_t num_worlds, Rng* rngs,
+                                               uint32_t* cell_positives,
+                                               uint64_t* totals) {
+  FillConstantRows(t, num_worlds, cell_positives);
+  LaneStates states(rngs, num_worlds);
+  Xoshiro256x4 a = Load256(states, 0);
+  Xoshiro256x4 b = Load256(states, 1);
+  __m256i total_a = _mm256_setzero_si256();
+  __m256i total_b = _mm256_setzero_si256();
+  for (size_t c = 0; c < t.num_live; ++c) {
+    const CellLaneTables::LiveCell live = t.live[c];
+    const CellLaneTables::Table& table = t.tables[live.table];
+    const __m256i pa = DrawCellx4(t, table, &a);
+    const __m256i pb = DrawCellx4(t, table, &b);
+    total_a = _mm256_add_epi64(total_a, pa);
+    total_b = _mm256_add_epi64(total_b, pb);
+    alignas(32) uint64_t lanes[kLaneWorlds];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), pa);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), pb);
+    for (size_t w = 0; w < num_worlds; ++w) {
+      cell_positives[w * t.num_cells + live.cell] =
+          static_cast<uint32_t>(lanes[w]);
+    }
+  }
+  if (t.outside != nullptr) {
+    total_a = _mm256_add_epi64(total_a, DrawCellx4(t, *t.outside, &a));
+    total_b = _mm256_add_epi64(total_b, DrawCellx4(t, *t.outside, &b));
+  }
+  Store256(a, &states, 0);
+  Store256(b, &states, 1);
+  states.WriteBack(rngs, num_worlds);
+  alignas(32) uint64_t lanes[kLaneWorlds];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), total_a);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), total_b);
+  for (size_t w = 0; w < num_worlds; ++w) {
+    totals[w] = t.constant_total + lanes[w];
+  }
+}
+
 // ----------------------------------------------------------------- AVX-512 ---
 // 8 lanes in one register; AVX-512F alone has the rotate, the unsigned
 // compare into a lane mask (which is the mask byte) and the masked add.
@@ -284,6 +381,76 @@ __attribute__((target("avx512f"))) void Avx512Categorical(
   }
 }
 
+/// Exact doubles of 8 lanes below 2^53 (ToDouble53x4's construction; not
+/// _mm512_cvtepu64_pd, which is AVX-512DQ).
+__attribute__((target("avx512f"))) inline __m512d ToDouble53x8(__m512i x) {
+  const __m512i lo = _mm512_or_si512(
+      _mm512_and_si512(x, _mm512_set1_epi64(0xffffffff)),
+      _mm512_set1_epi64(0x4330000000000000));  // 2^52 + lo
+  const __m512i hi = _mm512_or_si512(
+      _mm512_srli_epi64(x, 32),
+      _mm512_set1_epi64(0x4530000000000000));  // 2^84 + hi·2^32
+  const __m512d hi_exact = _mm512_sub_pd(
+      _mm512_castsi512_pd(hi), _mm512_set1_pd(0x1.0p84 + 0x1.0p52));
+  return _mm512_add_pd(hi_exact, _mm512_castsi512_pd(lo));
+}
+
+/// One draw of `table` in 8 lanes: CellLaneTables::Draw's arithmetic.
+__attribute__((target("avx512f"))) inline __m512i DrawCellx8(
+    const CellLaneTables& t, const CellLaneTables::Table& table,
+    Xoshiro256x8* g) {
+  const __m512d u =
+      _mm512_mul_pd(ToDouble53x8(Next53x8(g)), _mm512_set1_pd(0x1.0p-53));
+  const __m512d x = _mm512_mul_pd(u, _mm512_set1_pd(table.size_d));
+  // x < 2^31, so the 32-bit truncation is the scalar int64 one.
+  const __m512i i = _mm512_min_epu64(
+      _mm512_cvtepi32_epi64(_mm512_cvttpd_epi32(x)),
+      _mm512_set1_epi64(table.size - 1));  // u ~ 1 edge
+  // A column is 16 bytes: threshold at 16·i, alias 8 bytes on.
+  const __m512i slot = _mm512_slli_epi64(i, 1);
+  const double* base = &t.columns[table.offset].threshold;
+  const __m512d threshold = _mm512_i64gather_pd(slot, base, 8);
+  const __m512i alias = _mm512_i64gather_epi64(slot, base + 1, 8);
+  const __mmask8 kept = _mm512_cmp_pd_mask(
+      _mm512_sub_pd(x, ToDouble53x8(i)), threshold, _CMP_LT_OQ);
+  return _mm512_add_epi64(
+      _mm512_mask_blend_epi64(kept, alias, i),
+      _mm512_set1_epi64(static_cast<long long>(table.first)));
+}
+
+__attribute__((target("avx512f"))) void Avx512Cells(const CellLaneTables& t,
+                                                    size_t num_worlds,
+                                                    Rng* rngs,
+                                                    uint32_t* cell_positives,
+                                                    uint64_t* totals) {
+  FillConstantRows(t, num_worlds, cell_positives);
+  LaneStates states(rngs, num_worlds);
+  Xoshiro256x8 g = Load512(states);
+  const __mmask8 live_lanes = LiveLanes(num_worlds);
+  // Lane w scatters into row w.
+  alignas(64) uint64_t row_starts[kLaneWorlds];
+  for (size_t w = 0; w < kLaneWorlds; ++w) row_starts[w] = w * t.num_cells;
+  const __m512i row = _mm512_load_si512(row_starts);
+  __m512i total = _mm512_setzero_si512();
+  for (size_t c = 0; c < t.num_live; ++c) {
+    const CellLaneTables::LiveCell live = t.live[c];
+    const __m512i p = DrawCellx8(t, t.tables[live.table], &g);
+    total = _mm512_add_epi64(total, p);
+    _mm512_mask_i64scatter_epi32(cell_positives + live.cell, live_lanes, row,
+                                 _mm512_cvtepi64_epi32(p), 4);
+  }
+  if (t.outside != nullptr) {
+    total = _mm512_add_epi64(total, DrawCellx8(t, *t.outside, &g));
+  }
+  Store512(g, &states);
+  states.WriteBack(rngs, num_worlds);
+  alignas(64) uint64_t lanes[kLaneWorlds];
+  _mm512_store_si512(lanes, total);
+  for (size_t w = 0; w < num_worlds; ++w) {
+    totals[w] = t.constant_total + lanes[w];
+  }
+}
+
 #pragma GCC diagnostic pop
 
 #endif  // SFA_X86_SIMD
@@ -353,6 +520,27 @@ void SampleCategoricalLanes(const std::vector<uint64_t>& thresholds, size_t n,
     default:
       return Categorical<0>(tier, m, counted, n, num_worlds, rngs, masks,
                             totals);
+  }
+}
+
+void SampleCellLanes(const CellLaneTables& tables, size_t num_worlds,
+                     Rng* rngs, uint32_t* cell_positives, uint64_t* totals) {
+  SFA_CHECK(num_worlds >= 1 && num_worlds <= kLaneWorlds);
+  SFA_CHECK(rngs != nullptr && totals != nullptr);
+  SFA_CHECK(tables.num_cells == 0 || cell_positives != nullptr);
+  // The SIMD arms truncate through int32.
+  const PopcountKernel tier = tables.max_table_size < (uint32_t{1} << 31)
+                                  ? spatial::ActiveSamplerKernel()
+                                  : PopcountKernel::kScalar;
+  switch (tier) {
+#if defined(SFA_X86_SIMD)
+    case PopcountKernel::kAvx512:
+      return Avx512Cells(tables, num_worlds, rngs, cell_positives, totals);
+    case PopcountKernel::kAvx2:
+      return Avx2Cells(tables, num_worlds, rngs, cell_positives, totals);
+#endif
+    default:
+      return ScalarCells(tables, num_worlds, rngs, cell_positives, totals);
   }
 }
 

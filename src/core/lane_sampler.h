@@ -1,5 +1,6 @@
-// Null-world lane sampler: draws up to 8 i.i.d. point-level null worlds at
-// once, each from its own generator, straight into packed mask planes.
+// Null-world lane sampler: draws up to 8 null worlds at once, each from its
+// own generator — i.i.d. point-level worlds straight into packed mask planes,
+// and closed-form Bernoulli cell worlds into per-world cell rows.
 //
 // Every null world w already draws from its own generator (Rng::Split(w) of
 // the simulation seed), so 8 worlds can step side by side in 8 SIMD lanes and
@@ -15,7 +16,11 @@
 //   K classes   the class is the number of thresholds m_c with
 //               (Next() >> 11) >= m_c, exactly as
 //               core::internal::CategoricalDraw draws it, and each point
-//               gets one mask byte per counted class c < K−1.
+//               gets one mask byte per counted class c < K−1;
+//   cells       every live cell of a CellSamplerBank, in cell order, takes
+//               one NextDouble() per world, scaled by its alias table's
+//               size and truncated to a column, then the column's
+//               keep-or-alias select, exactly as CellSamplerBank::Draw.
 //
 // Three arms, picked by spatial::ActiveSamplerKernel() (CPUID, clamped by
 // SFA_SIMD_POPCOUNT / ForcePopcountKernel):
@@ -25,11 +30,13 @@
 //   AVX-512  8 lanes (AVX-512F only), one-instruction rotates, unsigned
 //            compares straight into the mask byte.
 //
-// Every arm produces the same mask bits, per-world totals and final generator
-// states (tests/test_lane_sampler.cc pins them against the scalar samplers).
+// Every arm produces the same mask bits or cell counts, per-world totals and
+// final generator states (tests/test_lane_sampler.cc pins them against the
+// scalar samplers).
 #ifndef SFA_CORE_LANE_SAMPLER_H_
 #define SFA_CORE_LANE_SAMPLER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -60,6 +67,82 @@ void SampleBernoulliLanes(double rho, size_t n, size_t num_worlds, Rng* rngs,
 void SampleCategoricalLanes(const std::vector<uint64_t>& thresholds, size_t n,
                             size_t num_worlds, Rng* rngs, uint8_t* masks,
                             uint64_t* totals);
+
+/// The alias tables of a closed-form Bernoulli cell world, as
+/// CellSamplerBank lays them out: one column arena holding every table back
+/// to back, the tables, and the cells that draw.
+struct CellLaneTables {
+  /// Column i of a table keeps outcome first + i with probability
+  /// `threshold`, else yields first + `alias`.
+  struct Column {
+    double threshold;
+    uint64_t alias;
+  };
+  /// columns[offset, offset + size) hold the table's columns.
+  struct Table {
+    uint32_t offset = 0;
+    uint32_t size = 0;
+    double size_d = 0.0;
+    uint64_t first = 0;
+  };
+  struct LiveCell {
+    uint32_t cell;
+    uint32_t table;
+  };
+
+  const Column* columns = nullptr;
+  const Table* tables = nullptr;
+  const LiveCell* live = nullptr;  // the cells that draw, in cell order
+  size_t num_live = 0;
+  const uint32_t* constants = nullptr;  // per cell: its point mass, 0 if live
+  size_t num_cells = 0;
+  uint64_t constant_total = 0;  // the point masses, outside points included
+  const Table* outside = nullptr;  // null when the outside draws nothing
+  uint32_t max_table_size = 0;  // the widest table's column count
+
+  /// One draw of `table`: the arithmetic of stats::FixedBinomialSampler::Draw.
+  uint64_t Draw(const Table& table, Rng* rng) const {
+    const double x = rng->NextDouble() * table.size_d;
+    // x < 2^32, so the signed conversion truncates exactly as size_t would,
+    // without the unsigned conversion's range branch.
+    uint64_t i = static_cast<uint64_t>(static_cast<int64_t>(x));
+    if (i >= table.size) i = table.size - 1;  // u ~ 1 edge
+    const Column& column = columns[table.offset + i];
+    // Keep-or-alias as a mask select: the coin is a fair guess for the
+    // branch predictor, so a branch would mispredict about half the time.
+    const bool kept = (x - static_cast<double>(i)) < column.threshold;
+    const uint64_t keep = 0 - static_cast<uint64_t>(kept);
+    return table.first + (column.alias ^ ((i ^ column.alias) & keep));
+  }
+
+  /// One world: writes every cell's positives to `row` (num_cells entries)
+  /// and returns the world's total, drawing the live cells in cell order and
+  /// then the outside points.
+  uint64_t DrawWorld(Rng* rng, uint32_t* row) const {
+    std::copy(constants, constants + num_cells, row);
+    // A local generator keeps its state in registers across the stores.
+    Rng local = *rng;
+    uint64_t total = constant_total;
+    for (size_t c = 0; c < num_live; ++c) {
+      const auto p = static_cast<uint32_t>(Draw(tables[live[c].table], &local));
+      row[live[c].cell] = p;
+      total += p;
+    }
+    if (outside != nullptr) total += Draw(*outside, &local);
+    *rng = local;
+    return total;
+  }
+};
+
+/// Draws `num_worlds` (1..kLaneWorlds) closed-form Bernoulli cell worlds,
+/// world w from rngs[w], exactly as tables.DrawWorld(&rngs[w], row w) would:
+/// row w of `cell_positives` (the num_cells entries from w·num_cells) gets
+/// world w's per-cell positives, totals[w] its total positive count, points
+/// outside every cell included, and rngs[w] ends where DrawWorld leaves it.
+/// The SIMD arms truncate through 32-bit integers, so tables with a table of
+/// 2³¹ or more columns always take the scalar arm.
+void SampleCellLanes(const CellLaneTables& tables, size_t num_worlds,
+                     Rng* rngs, uint32_t* cell_positives, uint64_t* totals);
 
 }  // namespace sfa::core
 

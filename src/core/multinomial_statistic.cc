@@ -130,9 +130,14 @@ class MultinomialSimulation : public StatisticSimulation {
                    : nullptr),
         draw_(q_),
         root_(options.seed) {
-    region_n_.resize(family_.num_regions());
-    for (size_t r = 0; r < region_n_.size(); ++r) {
-      region_n_[r] = family_.PointCount(r);
+    // Regions with n(R) = 0 or N never contribute (RegionLlrFromTable gives
+    // them 0), so only the others are scanned, with t(n) and t(N − n)
+    // looked up once here.
+    const uint64_t total_n = family_.num_points();
+    for (size_t r = 0; r < family_.num_regions(); ++r) {
+      const uint64_t n = family_.PointCount(r);
+      if (n == 0 || n == total_n) continue;
+      regions_.push_back({r, n, table_.klogk(n), table_.klogk(total_n - n)});
     }
   }
 
@@ -340,30 +345,76 @@ class MultinomialSimulation : public StatisticSimulation {
       }
       world_totals[k] = class_totals_[k];
     }
-    rng->Shuffle(classes, classes + total_n);
+    // A local generator keeps its state in registers across the swaps.
+    Rng local = *rng;
+    local.Shuffle(classes, classes + total_n);
+    *rng = local;
   }
 
+  /// The world's max Λ over regions_, one instance per counted-class count
+  /// (K − 1 = 1, 2, 3, or any through kCounted = 0).
   double MaxLlr(const uint64_t* const* counts_by_class,
                 const uint64_t* world_totals, uint32_t num_classes,
                 uint64_t total_n) const {
+    const uint32_t counted = num_classes - 1;
+    switch (counted) {
+      case 1:
+        return MaxLlrIn<1>(counts_by_class, world_totals, counted, total_n);
+      case 2:
+        return MaxLlrIn<2>(counts_by_class, world_totals, counted, total_n);
+      case 3:
+        return MaxLlrIn<3>(counts_by_class, world_totals, counted, total_n);
+      default:
+        return MaxLlrIn<0>(counts_by_class, world_totals, counted, total_n);
+    }
+  }
+
+  /// RegionLlrFromTable's operation order exactly, so null maxima tie the
+  /// observed scan's values bit for bit; with kCounted > 0 the class loop
+  /// unrolls and its row pointers and totals stay in registers.
+  template <uint32_t kCounted>
+  double MaxLlrIn(const uint64_t* const* counts_by_class,
+                  const uint64_t* world_totals, uint32_t counted,
+                  uint64_t total_n) const {
+    if constexpr (kCounted > 0) counted = kCounted;
     const double null_term =
-        WorldNullTerm(world_totals, num_classes, total_n, table_);
+        WorldNullTerm(world_totals, counted + 1, total_n, table_);
+    const uint64_t last_total = world_totals[counted];
     double max_llr = 0.0;
-    for (size_t r = 0; r < region_n_.size(); ++r) {
+    for (const Region& region : regions_) {
+      double t_in = 0.0;
+      double t_out = 0.0;
+      uint64_t in_counted = 0;
+      for (uint32_t k = 0; k < counted; ++k) {
+        const uint64_t c = counts_by_class[k][region.r];
+        in_counted += c;
+        t_in += table_.klogk(c);
+        t_out += table_.klogk(world_totals[k] - c);
+      }
+      const uint64_t c_last = region.n - in_counted;
+      t_in += table_.klogk(c_last);
+      t_out += table_.klogk(last_total - c_last);
       const double llr =
-          RegionLlrFromTable(counts_by_class, r, num_classes, region_n_[r],
-                             total_n, world_totals, null_term, table_);
-      if (llr > max_llr) max_llr = llr;
+          (t_in - region.t_n) + (t_out - region.t_m) - null_term;
+      max_llr = llr > max_llr ? llr : max_llr;
     }
     return max_llr;
   }
+
+  /// A region that can contribute: 0 < n(R) < N, with t(n) and t(N − n).
+  struct Region {
+    size_t r;
+    uint64_t n;
+    double t_n;
+    double t_m;
+  };
 
   const RegionFamily& family_;
   std::vector<uint64_t> class_totals_;
   std::vector<double> q_;
   MonteCarloOptions options_;
   stats::LogLikelihoodTable table_;
-  std::vector<uint64_t> region_n_;
+  std::vector<Region> regions_;
   const CellDecomposition* cells_;  // non-null => closed-form sampling
   internal::CategoricalDraw draw_;
   Rng root_;

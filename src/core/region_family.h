@@ -35,8 +35,9 @@
 //                        instead of O(N) per Bernoulli null world.
 //
 // CountPositivesBatch and CountClassesBatch pack Labels or class-code worlds
-// into planes and call CountPlanes; the permutation null worlds and the
-// observed multinomial scan count through them.
+// into planes and call CountPlanes; the multinomial permutation worlds and
+// the observed multinomial scan count through them (Bernoulli permutation
+// worlds shuffle straight into planes).
 #ifndef SFA_CORE_REGION_FAMILY_H_
 #define SFA_CORE_REGION_FAMILY_H_
 

@@ -5,7 +5,9 @@
 // for Bernoulli worlds and the floating-point categorical oracle
 // (testing::ReferenceCategoricalDraw) for K-class worlds — across point
 // counts around the 8- and 64-point boundaries, ρ at its edge values and K
-// from 2 to 256 with zero-mass classes.
+// from 2 to 256 with zero-mass classes. Closed-form cell worlds must equal
+// CellSamplerBank::Draw world by world in cell rows, totals and generator
+// states.
 #include "core/lane_sampler.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/cell_sampler_bank.h"
 #include "core/labels.h"
 #include "core/multinomial_statistic.h"
 #include "spatial/simd_popcount.h"
@@ -227,6 +230,73 @@ TEST(LaneSampler, ThresholdTiesCountAtOrAbove) {
                            masks.data(), totals.data());
     EXPECT_EQ(masks, expected);
     EXPECT_EQ(totals, expected_totals);
+  }
+}
+
+TEST(LaneSampler, CellLanesMatchCellSamplerBankOnEveryTier) {
+  // Empty cells, single points, tables far wider than one SIMD register
+  // (n_c = 3000 at ρ = 0.54 has hundreds of columns) and outside points;
+  // then a decomposition whose only draw is the outside table.
+  CellDecomposition cells;
+  cells.cell_counts = {0, 1, 2, 0, 5, 100, 3000, 0, 1, 2, 64, 17, 0, 9};
+  cells.num_outside = 37;
+  CellDecomposition outside_only;
+  outside_only.num_outside = 500;
+  constexpr size_t kRounds = 3;
+  for (const CellDecomposition* decomposition : {&cells, &outside_only}) {
+    for (const double rho : {0.0, 1.0, 1e-3, 0.54}) {
+      const CellSamplerBank bank(*decomposition, rho);
+      const size_t num_cells = bank.num_cells();
+      // kRounds scalar worlds per lane, drawn once: rows, totals, states.
+      std::vector<std::vector<uint32_t>> rows;
+      std::vector<uint64_t> want_totals;
+      std::vector<Rng> want_rngs;
+      for (size_t w = 0; w < kLaneWorlds; ++w) {
+        Rng rng = WorldRng(41, w);
+        for (size_t round = 0; round < kRounds; ++round) {
+          std::vector<uint32_t> row(num_cells, 7);
+          want_totals.push_back(bank.Draw(&rng, row.data()));
+          rows.push_back(row);
+        }
+        want_rngs.push_back(rng);
+      }
+      for (const PopcountKernel tier : kTiers) {
+        const ScopedTier scoped(tier);
+        for (size_t worlds = 1; worlds <= kLaneWorlds; ++worlds) {
+          SCOPED_TRACE(::testing::Message()
+                       << spatial::PopcountKernelName(
+                              spatial::ActiveSamplerKernel())
+                       << " cells=" << num_cells << " rho=" << rho
+                       << " worlds=" << worlds);
+          std::vector<Rng> rngs;
+          for (size_t w = 0; w < worlds; ++w) rngs.push_back(WorldRng(41, w));
+          for (size_t round = 0; round < kRounds; ++round) {
+            std::vector<uint32_t> got(kLaneWorlds * num_cells + 1, 0xDEAD);
+            std::vector<uint64_t> totals(kLaneWorlds, ~0ULL);
+            bank.DrawLanes(worlds, rngs.data(), got.data(), totals.data());
+            for (size_t w = 0; w < worlds; ++w) {
+              const std::vector<uint32_t> row(
+                  got.begin() + w * num_cells,
+                  got.begin() + (w + 1) * num_cells);
+              ASSERT_EQ(row, rows[w * kRounds + round])
+                  << "world " << w << " round " << round;
+              EXPECT_EQ(totals[w], want_totals[w * kRounds + round])
+                  << "world " << w << " round " << round;
+            }
+            // Nothing past the live rows is written.
+            for (size_t i = worlds * num_cells; i < got.size(); ++i) {
+              ASSERT_EQ(got[i], 0xDEADu) << "slot " << i;
+            }
+            for (size_t w = worlds; w < kLaneWorlds; ++w) {
+              EXPECT_EQ(totals[w], ~0ULL) << "dead lane " << w;
+            }
+          }
+          for (size_t w = 0; w < worlds; ++w) {
+            EXPECT_TRUE(rngs[w] == want_rngs[w]) << "world " << w;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -435,7 +435,10 @@ TEST(McEngine, Reproducible) {
 // engine against the other, so a change that moves both engines together
 // (the LLR max, the class draw, the samplers) would pass them; only these
 // values catch such drift. Each row holds the first kPinnedWorlds maxima of
-// one configuration and must hold for both engines.
+// one configuration and must hold for both engines. The partitioning and
+// rectangle-sweep rows cover the closed-form cell draws of every
+// cell-decomposed family; the K = 2 and K = 5 multinomial rows cover the
+// class counts the K-class max is specialized on and its general fallback.
 constexpr size_t kPinnedWorlds = 3;
 
 struct PinnedMaxima {
@@ -497,15 +500,44 @@ constexpr PinnedMaxima kPinnedMaxima[] = {
      {0x1.33d294120228p+2, 0x1.90d0d7d7717p+1, 0x1.1f8f522d222p+2}},
     {"grid", "multinomial", NullModel::kBernoulli, true,
      {0x1.3bd2d0f6aefp+2, 0x1.fd90e338241p+1, 0x1.1b168776f7p+2}},
+    {"partitioning-collection", "two-sided", NullModel::kBernoulli, true,
+     {0x1.debaab435ap+0, 0x1.4c152747f3dp+1, 0x1.5998c37914fp+1}},
+    {"partitioning-collection", "high", NullModel::kBernoulli, true,
+     {0x1.35845f92b7ep+0, 0x1.2c9dab3ef2bp+1, 0x1.4f93bfd614cp+1}},
+    {"single-partitioning", "two-sided", NullModel::kBernoulli, true,
+     {0x1.801f920c2f2p+2, 0x1.8be775db50dp+1, 0x1.34978d8d61p+1}},
+    {"single-partitioning", "low", NullModel::kBernoulli, true,
+     {0x1.c411c804af1p+0, 0x1.8be775db50dp+1, 0x1.23803b9b9238p+1}},
+    {"rectangle-sweep", "two-sided", NullModel::kBernoulli, true,
+     {0x1.789c79800598p+2, 0x1.1b18c057fe6p+2, 0x1.25a29f40aeap+2}},
+    {"square", "multinomial-k2", NullModel::kBernoulli, true,
+     {0x1.1e32f49c5cp+1, 0x1.5c544eeb3fap+1, 0x1.8c058d73bep+1}},
+    {"square", "multinomial-k2", NullModel::kPermutation, true,
+     {0x1.2dc18a9d4d6p+1, 0x1.0a121d3e9098p+1, 0x1.65d605e5dbp+1}},
+    {"grid", "multinomial-k2", NullModel::kBernoulli, true,
+     {0x1.37f7d415b708p+1, 0x1.e914b6b7d5f8p+1, 0x1.ea87961f14p+1}},
+    {"square", "multinomial-k5", NullModel::kBernoulli, true,
+     {0x1.7494c5fbbacp+2, 0x1.1c831a29eaap+2, 0x1.a3adb34e4c3p+2}},
+    {"square", "multinomial-k5", NullModel::kPermutation, true,
+     {0x1.30d2f3f07d2p+2, 0x1.f5b0e0cdbc2p+1, 0x1.2f0a02620d3p+2}},
+    {"grid", "multinomial-k5", NullModel::kBernoulli, false,
+     {0x1.9a3584a3661p+2, 0x1.babeb71c78dp+2, 0x1.9a8f75c4dbdp+2}},
+    {"grid", "multinomial-k5", NullModel::kBernoulli, true,
+     {0x1.c68bd955c42p+2, 0x1.c381ec88525p+2, 0x1.082c6e710418p+3}},
 };
 
 std::unique_ptr<ScanStatistic> PinnedStatistic(const std::string& name) {
-  if (name == "multinomial") {
+  if (name.rfind("multinomial", 0) == 0) {
+    // "multinomial" is K = 3; "multinomial-k<K>" names any other K.
+    const uint32_t k =
+        name == "multinomial"
+            ? 3
+            : static_cast<uint32_t>(std::stoul(name.substr(13)));
     Rng rng(23);
     std::vector<uint8_t> classes(kPoints);
-    for (auto& c : classes) c = static_cast<uint8_t>(rng.NextUint64(3));
+    for (auto& c : classes) c = static_cast<uint8_t>(rng.NextUint64(k));
     auto statistic =
-        MultinomialScanStatistic::FromOutcomes(classes.data(), kPoints, 3);
+        MultinomialScanStatistic::FromOutcomes(classes.data(), kPoints, k);
     EXPECT_TRUE(statistic.ok());
     return std::move(*statistic);
   }

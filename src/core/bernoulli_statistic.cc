@@ -1,7 +1,10 @@
 #include "core/bernoulli_statistic.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <numeric>
 #include <vector>
 
@@ -23,12 +26,24 @@ namespace {
 /// permutation shuffle buffer all live here, so after a worker's first batch
 /// the steady state allocates nothing.
 struct BatchArena {
-  std::vector<uint8_t> masks;    // one mask byte per point
-  std::vector<uint64_t> counts;  // worlds x num_regions, row-major
-  // Closed-form worlds' cell rows (worlds x cells, row-major) or the
-  // permutation shuffle buffer: a simulation uses one of the two, so they
-  // share one buffer and a worker holds the larger only.
-  std::vector<uint32_t> words;
+  std::vector<uint8_t> masks;     // one mask byte per point
+  std::vector<uint32_t> shuffle;  // the permutation shuffle buffer
+
+  /// Untyped storage for a batch's rows: the point worlds' count rows, or the
+  /// closed-form worlds' region row and cell rows. One block serves both, so
+  /// a worker that runs both kinds keeps only the larger; callers start
+  /// their arrays' lifetimes in it with placement new, which does no work
+  /// for these trivial types. The contents do not survive a call.
+  std::byte* Rows(size_t bytes) {
+    if (rows == nullptr || bytes > rows_bytes) {
+      rows.reset();  // free the old block first: the two never coexist
+      rows.reset(new std::byte[bytes]);
+      rows_bytes = bytes;
+    }
+    return rows.get();
+  }
+  std::unique_ptr<std::byte[]> rows;
+  size_t rows_bytes = 0;
 };
 
 BatchArena& LocalArena() {
@@ -103,10 +118,12 @@ class BernoulliSimulation : public StatisticSimulation {
       // Closed-form worlds, kLaneWorlds at a time: the bank draws their cell
       // rows side by side, then each row is folded and max-scanned.
       const size_t num_cells = samplers_->num_cells();
-      arena.words.resize(kLaneWorlds * num_cells);
-      arena.counts.resize(num_regions);
-      uint32_t* cell_rows = arena.words.data();
-      uint64_t* region_counts = arena.counts.data();
+      const size_t region_bytes = num_regions * sizeof(uint64_t);
+      std::byte* rows = arena.Rows(
+          region_bytes + kLaneWorlds * num_cells * sizeof(uint32_t));
+      uint64_t* region_counts = new (rows) uint64_t[num_regions];
+      uint32_t* cell_rows =
+          new (rows + region_bytes) uint32_t[kLaneWorlds * num_cells];
       for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
         const size_t lanes = std::min(kLaneWorlds, w_hi - g);
         Rng rngs[kLaneWorlds];
@@ -128,8 +145,10 @@ class BernoulliSimulation : public StatisticSimulation {
     // mask planes (bit j of masks[i] = world g + j's label of point i),
     // which CountPlanes counts directly.
     arena.masks.resize(total_n);
-    arena.counts.resize(kLaneWorlds * num_regions);
     uint8_t* masks = arena.masks.data();
+    uint64_t* counts =
+        new (arena.Rows(kLaneWorlds * num_regions * sizeof(uint64_t)))
+            uint64_t[kLaneWorlds * num_regions];
     for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
       const size_t lanes = std::min(kLaneWorlds, w_hi - g);
       Rng rngs[kLaneWorlds];
@@ -142,17 +161,17 @@ class BernoulliSimulation : public StatisticSimulation {
         for (size_t j = 0; j < lanes; ++j) {
           const auto bit = static_cast<uint8_t>(1u << j);
           DrawPermutationPositives(total_n, total_positives_, &rngs[j],
-                                   &arena.words,
+                                   &arena.shuffle,
                                    [masks, bit](uint32_t id) {
                                      masks[id] |= bit;
                                    });
           positives[j] = total_positives_;
         }
       }
-      family_.CountPlanes(masks, lanes, arena.counts.data(), num_regions);
+      family_.CountPlanes(masks, lanes, counts, num_regions);
       for (size_t j = 0; j < lanes; ++j) {
-        out[g + j] = plan_.Max(arena.counts.data() + j * num_regions,
-                               positives[j], direction_, table_);
+        out[g + j] = plan_.Max(counts + j * num_regions, positives[j],
+                               direction_, table_);
       }
     }
   }

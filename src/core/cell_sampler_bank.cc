@@ -1,6 +1,5 @@
 #include "core/cell_sampler_bank.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "common/macros.h"
@@ -17,6 +16,7 @@ CellSamplerBank::CellSamplerBank(const CellDecomposition& decomposition,
     int64_t table = -1;
     uint64_t constant = 0;
   };
+  CellLaneTables& t = tables_;
   std::unordered_map<uint64_t, Resolved> resolved;
   auto resolve = [&](uint64_t n) -> Resolved {
     auto [it, inserted] = resolved.try_emplace(n);
@@ -25,60 +25,43 @@ CellSamplerBank::CellSamplerBank(const CellDecomposition& decomposition,
     it->second.constant = sampler.first();
     const std::vector<double>& thresholds = sampler.thresholds();
     if (thresholds.empty()) return it->second;
+    // The sampler keeps only the outcomes whose pmf does not underflow: a few
+    // million at most for n < 2^32, so the lane arms' int32 column indices
+    // never overflow.
+    SFA_CHECK(thresholds.size() < (size_t{1} << 31));
     const std::vector<uint32_t>& aliases = sampler.aliases();
-    Table table;
-    table.offset = static_cast<uint32_t>(arena_.size());
+    CellLaneTables::Table table;
+    table.offset = static_cast<uint32_t>(t.columns.size());
     table.size = static_cast<uint32_t>(thresholds.size());
     table.size_d = static_cast<double>(thresholds.size());
     table.first = sampler.first();
-    max_table_size_ = std::max(max_table_size_, table.size);
     for (size_t i = 0; i < thresholds.size(); ++i) {
-      arena_.push_back({thresholds[i], aliases[i]});
+      t.columns.push_back({thresholds[i], aliases[i]});
     }
-    it->second.table = static_cast<int64_t>(tables_.size());
-    tables_.push_back(table);
+    it->second.table = static_cast<int64_t>(t.tables.size());
+    t.tables.push_back(table);
     return it->second;
   };
 
-  constants_.assign(decomposition.cell_counts.size(), 0);
+  t.constants.assign(decomposition.cell_counts.size(), 0);
   for (size_t c = 0; c < decomposition.cell_counts.size(); ++c) {
     const Resolved r = resolve(decomposition.cell_counts[c]);
     if (r.table < 0) {
-      constants_[c] = static_cast<uint32_t>(r.constant);
-      constant_total_ += r.constant;
+      t.constants[c] = static_cast<uint32_t>(r.constant);
+      t.constant_total += r.constant;
     } else {
-      live_.push_back(
+      t.live.push_back(
           {static_cast<uint32_t>(c), static_cast<uint32_t>(r.table)});
     }
   }
   if (decomposition.num_outside > 0) {
     const Resolved r = resolve(decomposition.num_outside);
     if (r.table < 0) {
-      constant_total_ += r.constant;
+      t.constant_total += r.constant;
     } else {
-      outside_live_ = true;
-      outside_ = tables_[r.table];
+      t.outside = t.tables[r.table];
     }
   }
-}
-
-CellLaneTables CellSamplerBank::Tables() const {
-  CellLaneTables tables;
-  tables.columns = arena_.data();
-  tables.tables = tables_.data();
-  tables.live = live_.data();
-  tables.num_live = live_.size();
-  tables.constants = constants_.data();
-  tables.num_cells = constants_.size();
-  tables.constant_total = constant_total_;
-  tables.outside = outside_live_ ? &outside_ : nullptr;
-  tables.max_table_size = max_table_size_;
-  return tables;
-}
-
-uint64_t CellSamplerBank::Draw(Rng* rng, uint32_t* cell_positives) const {
-  SFA_DCHECK(rng != nullptr);
-  return Tables().DrawWorld(rng, cell_positives);
 }
 
 }  // namespace sfa::core

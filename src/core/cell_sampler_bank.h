@@ -23,7 +23,7 @@ class CellSamplerBank {
  public:
   CellSamplerBank(const CellDecomposition& decomposition, double rho);
 
-  size_t num_cells() const { return constants_.size(); }
+  size_t num_cells() const { return tables_.num_cells(); }
 
   /// Draws one world: writes every cell's positives to `cell_positives`
   /// (num_cells() entries) and returns the world's total positive count,
@@ -31,7 +31,9 @@ class CellSamplerBank {
   /// drawing stats::FixedBinomialSampler(n_c, ρ) for each cell in order, then
   /// one for the outside points: a cell whose count is a point mass (n_c = 0,
   /// or ρ ∉ (0, 1)) gets its constant and consumes no draw.
-  uint64_t Draw(Rng* rng, uint32_t* cell_positives) const;
+  uint64_t Draw(Rng* rng, uint32_t* cell_positives) const {
+    return tables_.DrawWorld(rng, cell_positives);
+  }
 
   /// Draws `num_worlds` (1..kLaneWorlds) worlds, world w from rngs[w], as
   /// `num_worlds` calls of Draw would: row w of `cell_positives` (the
@@ -39,22 +41,11 @@ class CellSamplerBank {
   /// its total, and rngs[w] ends where Draw leaves it.
   void DrawLanes(size_t num_worlds, Rng* rngs, uint32_t* cell_positives,
                  uint64_t* totals) const {
-    SampleCellLanes(Tables(), num_worlds, rngs, cell_positives, totals);
+    SampleCellLanes(tables_, num_worlds, rngs, cell_positives, totals);
   }
 
  private:
-  using Table = CellLaneTables::Table;
-
-  CellLaneTables Tables() const;
-
-  std::vector<CellLaneTables::Column> arena_;  // every table, back to back
-  std::vector<Table> tables_;  // one per distinct non-degenerate count
-  std::vector<CellLaneTables::LiveCell> live_;  // cells that draw, in order
-  std::vector<uint32_t> constants_;  // per cell: its point mass, 0 if live
-  uint64_t constant_total_ = 0;   // sum of the point masses, outside included
-  bool outside_live_ = false;
-  Table outside_;
-  uint32_t max_table_size_ = 0;
+  CellLaneTables tables_;
 };
 
 }  // namespace sfa::core

@@ -78,7 +78,7 @@ void ScalarCategorical(const uint64_t* thresholds, uint32_t counted, size_t n,
 void ScalarCells(const CellLaneTables& t, size_t num_worlds, Rng* rngs,
                  uint32_t* cell_positives, uint64_t* totals) {
   for (size_t w = 0; w < num_worlds; ++w) {
-    totals[w] = t.DrawWorld(&rngs[w], cell_positives + w * t.num_cells);
+    totals[w] = t.DrawWorld(&rngs[w], cell_positives + w * t.num_cells());
   }
 }
 
@@ -218,8 +218,8 @@ __attribute__((target("avx2"))) void Avx2Categorical(
 void FillConstantRows(const CellLaneTables& t, size_t num_worlds,
                       uint32_t* cell_positives) {
   for (size_t w = 0; w < num_worlds; ++w) {
-    std::copy(t.constants, t.constants + t.num_cells,
-              cell_positives + w * t.num_cells);
+    std::copy(t.constants.begin(), t.constants.end(),
+              cell_positives + w * t.num_cells());
   }
 }
 
@@ -273,8 +273,8 @@ __attribute__((target("avx2"))) void Avx2Cells(const CellLaneTables& t,
   Xoshiro256x4 b = Load256(states, 1);
   __m256i total_a = _mm256_setzero_si256();
   __m256i total_b = _mm256_setzero_si256();
-  for (size_t c = 0; c < t.num_live; ++c) {
-    const CellLaneTables::LiveCell live = t.live[c];
+  const size_t num_cells = t.num_cells();
+  for (const CellLaneTables::LiveCell& live : t.live) {
     const CellLaneTables::Table& table = t.tables[live.table];
     const __m256i pa = DrawCellx4(t, table, &a);
     const __m256i pb = DrawCellx4(t, table, &b);
@@ -284,11 +284,11 @@ __attribute__((target("avx2"))) void Avx2Cells(const CellLaneTables& t,
     _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), pa);
     _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), pb);
     for (size_t w = 0; w < num_worlds; ++w) {
-      cell_positives[w * t.num_cells + live.cell] =
+      cell_positives[w * num_cells + live.cell] =
           static_cast<uint32_t>(lanes[w]);
     }
   }
-  if (t.outside != nullptr) {
+  if (t.outside) {
     total_a = _mm256_add_epi64(total_a, DrawCellx4(t, *t.outside, &a));
     total_b = _mm256_add_epi64(total_b, DrawCellx4(t, *t.outside, &b));
   }
@@ -429,17 +429,16 @@ __attribute__((target("avx512f"))) void Avx512Cells(const CellLaneTables& t,
   const __mmask8 live_lanes = LiveLanes(num_worlds);
   // Lane w scatters into row w.
   alignas(64) uint64_t row_starts[kLaneWorlds];
-  for (size_t w = 0; w < kLaneWorlds; ++w) row_starts[w] = w * t.num_cells;
+  for (size_t w = 0; w < kLaneWorlds; ++w) row_starts[w] = w * t.num_cells();
   const __m512i row = _mm512_load_si512(row_starts);
   __m512i total = _mm512_setzero_si512();
-  for (size_t c = 0; c < t.num_live; ++c) {
-    const CellLaneTables::LiveCell live = t.live[c];
+  for (const CellLaneTables::LiveCell& live : t.live) {
     const __m512i p = DrawCellx8(t, t.tables[live.table], &g);
     total = _mm512_add_epi64(total, p);
     _mm512_mask_i64scatter_epi32(cell_positives + live.cell, live_lanes, row,
                                  _mm512_cvtepi64_epi32(p), 4);
   }
-  if (t.outside != nullptr) {
+  if (t.outside) {
     total = _mm512_add_epi64(total, DrawCellx8(t, *t.outside, &g));
   }
   Store512(g, &states);
@@ -527,12 +526,8 @@ void SampleCellLanes(const CellLaneTables& tables, size_t num_worlds,
                      Rng* rngs, uint32_t* cell_positives, uint64_t* totals) {
   SFA_CHECK(num_worlds >= 1 && num_worlds <= kLaneWorlds);
   SFA_CHECK(rngs != nullptr && totals != nullptr);
-  SFA_CHECK(tables.num_cells == 0 || cell_positives != nullptr);
-  // The SIMD arms truncate through int32.
-  const PopcountKernel tier = tables.max_table_size < (uint32_t{1} << 31)
-                                  ? spatial::ActiveSamplerKernel()
-                                  : PopcountKernel::kScalar;
-  switch (tier) {
+  SFA_CHECK(tables.num_cells() == 0 || cell_positives != nullptr);
+  switch (spatial::ActiveSamplerKernel()) {
 #if defined(SFA_X86_SIMD)
     case PopcountKernel::kAvx512:
       return Avx512Cells(tables, num_worlds, rngs, cell_positives, totals);

@@ -39,6 +39,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/random.h"
@@ -69,8 +70,8 @@ void SampleCategoricalLanes(const std::vector<uint64_t>& thresholds, size_t n,
                             uint64_t* totals);
 
 /// The alias tables of a closed-form Bernoulli cell world, as
-/// CellSamplerBank lays them out: one column arena holding every table back
-/// to back, the tables, and the cells that draw.
+/// CellSamplerBank builds and owns them: one column arena holding every table
+/// back to back, the tables, and the cells that draw.
 struct CellLaneTables {
   /// Column i of a table keeps outcome first + i with probability
   /// `threshold`, else yields first + `alias`.
@@ -78,7 +79,9 @@ struct CellLaneTables {
     double threshold;
     uint64_t alias;
   };
-  /// columns[offset, offset + size) hold the table's columns.
+  /// columns[offset, offset + size) hold the table's columns. A table is
+  /// always narrower than 2³¹ columns (CellSamplerBank checks it), so the
+  /// SIMD arms truncate column indices through int32.
   struct Table {
     uint32_t offset = 0;
     uint32_t size = 0;
@@ -90,15 +93,14 @@ struct CellLaneTables {
     uint32_t table;
   };
 
-  const Column* columns = nullptr;
-  const Table* tables = nullptr;
-  const LiveCell* live = nullptr;  // the cells that draw, in cell order
-  size_t num_live = 0;
-  const uint32_t* constants = nullptr;  // per cell: its point mass, 0 if live
-  size_t num_cells = 0;
+  std::vector<Column> columns;      // every table, back to back
+  std::vector<Table> tables;        // one per distinct non-degenerate count
+  std::vector<LiveCell> live;       // the cells that draw, in cell order
+  std::vector<uint32_t> constants;  // per cell: its point mass, 0 if live
   uint64_t constant_total = 0;  // the point masses, outside points included
-  const Table* outside = nullptr;  // null when the outside draws nothing
-  uint32_t max_table_size = 0;  // the widest table's column count
+  std::optional<Table> outside;  // set when the outside points draw
+
+  size_t num_cells() const { return constants.size(); }
 
   /// One draw of `table`: the arithmetic of stats::FixedBinomialSampler::Draw.
   uint64_t Draw(const Table& table, Rng* rng) const {
@@ -115,20 +117,20 @@ struct CellLaneTables {
     return table.first + (column.alias ^ ((i ^ column.alias) & keep));
   }
 
-  /// One world: writes every cell's positives to `row` (num_cells entries)
+  /// One world: writes every cell's positives to `row` (num_cells() entries)
   /// and returns the world's total, drawing the live cells in cell order and
   /// then the outside points.
   uint64_t DrawWorld(Rng* rng, uint32_t* row) const {
-    std::copy(constants, constants + num_cells, row);
+    std::copy(constants.begin(), constants.end(), row);
     // A local generator keeps its state in registers across the stores.
     Rng local = *rng;
     uint64_t total = constant_total;
-    for (size_t c = 0; c < num_live; ++c) {
-      const auto p = static_cast<uint32_t>(Draw(tables[live[c].table], &local));
-      row[live[c].cell] = p;
+    for (const LiveCell& c : live) {
+      const auto p = static_cast<uint32_t>(Draw(tables[c.table], &local));
+      row[c.cell] = p;
       total += p;
     }
-    if (outside != nullptr) total += Draw(*outside, &local);
+    if (outside) total += Draw(*outside, &local);
     *rng = local;
     return total;
   }
@@ -136,11 +138,10 @@ struct CellLaneTables {
 
 /// Draws `num_worlds` (1..kLaneWorlds) closed-form Bernoulli cell worlds,
 /// world w from rngs[w], exactly as tables.DrawWorld(&rngs[w], row w) would:
-/// row w of `cell_positives` (the num_cells entries from w·num_cells) gets
-/// world w's per-cell positives, totals[w] its total positive count, points
-/// outside every cell included, and rngs[w] ends where DrawWorld leaves it.
-/// The SIMD arms truncate through 32-bit integers, so tables with a table of
-/// 2³¹ or more columns always take the scalar arm.
+/// row w of `cell_positives` (the num_cells() entries from w·num_cells())
+/// gets world w's per-cell positives, totals[w] its total positive count,
+/// points outside every cell included, and rngs[w] ends where DrawWorld
+/// leaves it.
 void SampleCellLanes(const CellLaneTables& tables, size_t num_worlds,
                      Rng* rngs, uint32_t* cell_positives, uint64_t* totals);
 

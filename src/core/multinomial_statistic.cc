@@ -351,22 +351,16 @@ class MultinomialSimulation : public StatisticSimulation {
     *rng = local;
   }
 
-  /// The world's max Λ over regions_, one instance per counted-class count
-  /// (K − 1 = 1, 2, 3, or any through kCounted = 0).
+  /// The world's max Λ over regions_: an unrolled instance for K = 3, the
+  /// one measured class count, and any K through kCounted = 0.
   double MaxLlr(const uint64_t* const* counts_by_class,
                 const uint64_t* world_totals, uint32_t num_classes,
                 uint64_t total_n) const {
     const uint32_t counted = num_classes - 1;
-    switch (counted) {
-      case 1:
-        return MaxLlrIn<1>(counts_by_class, world_totals, counted, total_n);
-      case 2:
-        return MaxLlrIn<2>(counts_by_class, world_totals, counted, total_n);
-      case 3:
-        return MaxLlrIn<3>(counts_by_class, world_totals, counted, total_n);
-      default:
-        return MaxLlrIn<0>(counts_by_class, world_totals, counted, total_n);
+    if (counted == 2) {
+      return MaxLlrIn<2>(counts_by_class, world_totals, counted, total_n);
     }
+    return MaxLlrIn<0>(counts_by_class, world_totals, counted, total_n);
   }
 
   /// RegionLlrFromTable's operation order exactly, so null maxima tie the

@@ -355,6 +355,73 @@ void BM_MonteCarloSquaresK3(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloSquaresK3)->Unit(benchmark::kMillisecond);
 
+// The size-grouped LLR max alone, on one SIMD tier: LlrMaxPlan::Max
+// (two-sided) over 8 pre-counted Bernoulli(0.54) worlds of N = 8,192 uniform
+// points, on the 100 x 50 grid (5,000 regions) or the squares shape of
+// BM_MonteCarloSquaresK3 (100 centers x 20 sides). items_per_second is
+// worlds/s. A tier the CPU lacks is skipped.
+enum class PlanShape { kGrid, kSquares };
+
+void BM_LlrMaxPlan(benchmark::State& state, spatial::PopcountKernel tier,
+                   PlanShape shape) {
+  const size_t n = 8192;
+  Rng rng(31);
+  const auto pts = UniformCloud(n, &rng);
+  std::unique_ptr<core::RegionFamily> family;
+  if (shape == PlanShape::kGrid) {
+    auto grid = core::GridPartitionFamily::Create(pts, 100, 50);
+    if (grid.ok()) family = std::move(*grid);
+  } else {
+    core::SquareScanOptions opts;
+    opts.centers = UniformCloud(100, &rng);
+    opts.side_lengths = core::SquareScanOptions::DefaultSideLengths();
+    auto squares = core::SquareScanFamily::Create(pts, opts);
+    if (squares.ok()) family = std::move(*squares);
+  }
+  if (!family) {
+    state.SkipWithError("family creation failed");
+    return;
+  }
+  std::vector<uint64_t> sizes(family->num_regions());
+  for (size_t r = 0; r < sizes.size(); ++r) sizes[r] = family->PointCount(r);
+  const core::internal::LlrMaxPlan plan(sizes, n);
+  const stats::LogLikelihoodTable table(n);
+  std::vector<uint64_t> counts[core::kLaneWorlds];
+  uint64_t total_p[core::kLaneWorlds];
+  for (size_t j = 0; j < core::kLaneWorlds; ++j) {
+    const core::Labels labels = core::Labels::SampleBernoulli(n, 0.54, &rng);
+    family->CountPositives(labels, &counts[j]);
+    total_p[j] = labels.positive_count();
+  }
+  const spatial::PopcountKernel previous = spatial::ForcePopcountKernel(tier);
+  if (spatial::ActiveSamplerKernel() != tier) {
+    spatial::ForcePopcountKernel(previous);
+    state.SkipWithError("sampler tier not supported on this CPU");
+    return;
+  }
+  size_t j = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan.Max(counts[j].data(), total_p[j],
+                                      stats::ScanDirection::kTwoSided,
+                                      table));
+    j = (j + 1) % core::kLaneWorlds;
+  }
+  spatial::ForcePopcountKernel(previous);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_LlrMaxPlan, scalar/grid, spatial::PopcountKernel::kScalar,
+                  PlanShape::kGrid);
+BENCHMARK_CAPTURE(BM_LlrMaxPlan, scalar/squares,
+                  spatial::PopcountKernel::kScalar, PlanShape::kSquares);
+BENCHMARK_CAPTURE(BM_LlrMaxPlan, avx2/grid, spatial::PopcountKernel::kAvx2,
+                  PlanShape::kGrid);
+BENCHMARK_CAPTURE(BM_LlrMaxPlan, avx2/squares, spatial::PopcountKernel::kAvx2,
+                  PlanShape::kSquares);
+BENCHMARK_CAPTURE(BM_LlrMaxPlan, avx512/grid, spatial::PopcountKernel::kAvx512,
+                  PlanShape::kGrid);
+BENCHMARK_CAPTURE(BM_LlrMaxPlan, avx512/squares,
+                  spatial::PopcountKernel::kAvx512, PlanShape::kSquares);
+
 // Annulus gather counting kernel on the sfabench
 // family shapes: N = 8,192 uniform points and 100 uniform centers on a
 // 10 x 10 domain, with either 20 square sides 0.1-2.0 or the default 7-rung
@@ -554,11 +621,13 @@ BENCHMARK_CAPTURE(BM_LaneSampler, k3/avx2, LaneDraw::kK3,
 BENCHMARK_CAPTURE(BM_LaneSampler, k3/avx512, LaneDraw::kK3,
                   spatial::PopcountKernel::kAvx512);
 
-// Permutation null worlds as the engine draws them: 8 worlds per call, each
-// one partial Fisher–Yates shuffle of N = 8,192 points that ORs its bit into
-// the positives' mask bytes, then one CountPlanes pass over the 100x50 grid.
-// items_per_second is worlds/s.
-void BM_PermutationPlanes(benchmark::State& state) {
+// Permutation null worlds as the engine draws them, on one sampler tier:
+// SamplePermutationLanes shuffles 8 worlds of N = 8,192 points (partial
+// Fisher–Yates, ρ ≈ 0.54) into mask planes, then one CountPlanes pass over
+// the 100x50 grid counts them. items_per_second is worlds/s. A tier the CPU
+// lacks is skipped.
+void BM_PermutationPlanes(benchmark::State& state,
+                          spatial::PopcountKernel tier) {
   const size_t n = 8192;
   const uint64_t positives = 4424;  // ρ ≈ 0.54
   const auto pts = Cloud(n);
@@ -567,30 +636,37 @@ void BM_PermutationPlanes(benchmark::State& state) {
     state.SkipWithError(family.status().ToString().c_str());
     return;
   }
+  const spatial::PopcountKernel previous = spatial::ForcePopcountKernel(tier);
+  if (spatial::ActiveSamplerKernel() != tier) {
+    spatial::ForcePopcountKernel(previous);
+    state.SkipWithError("sampler tier not supported on this CPU");
+    return;
+  }
   const size_t regions = (*family)->num_regions();
   std::vector<uint8_t> masks(n);
-  std::vector<uint32_t> order;
+  std::vector<uint32_t> ids(core::kLaneWorlds * n);
   std::vector<uint64_t> counts(core::kLaneWorlds * regions);
   Rng root(29);
   uint64_t world = 0;
   for (auto _ : state) {
-    std::fill(masks.begin(), masks.end(), uint8_t{0});
-    for (size_t j = 0; j < core::kLaneWorlds; ++j) {
-      Rng rng = root.Split(world++);
-      const auto bit = static_cast<uint8_t>(1u << j);
-      core::DrawPermutationPositives(
-          n, positives, &rng, &order,
-          [&masks, bit](uint32_t id) { masks[id] |= bit; });
-    }
+    Rng rngs[core::kLaneWorlds];
+    for (Rng& rng : rngs) rng = root.Split(world++);
+    core::SamplePermutationLanes(n, positives, core::kLaneWorlds, rngs,
+                                 ids.data(), masks.data());
     (*family)->CountPlanes(masks.data(), core::kLaneWorlds, counts.data(),
                            regions);
     benchmark::DoNotOptimize(counts.data());
     benchmark::ClobberMemory();
   }
+  spatial::ForcePopcountKernel(previous);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(core::kLaneWorlds));
 }
-BENCHMARK(BM_PermutationPlanes);
+BENCHMARK_CAPTURE(BM_PermutationPlanes, scalar,
+                  spatial::PopcountKernel::kScalar);
+BENCHMARK_CAPTURE(BM_PermutationPlanes, avx2, spatial::PopcountKernel::kAvx2);
+BENCHMARK_CAPTURE(BM_PermutationPlanes, avx512,
+                  spatial::PopcountKernel::kAvx512);
 
 void BM_LabelsSamplingSparseView(benchmark::State& state) {
   // One Bernoulli null world plus its ascending positive ids, built lazily

@@ -6,6 +6,7 @@
 #include <memory>
 #include <new>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -14,6 +15,11 @@
 #include "core/cell_sampler_bank.h"
 #include "core/labels.h"
 #include "core/lane_sampler.h"
+#include "spatial/simd_popcount.h"
+
+#if defined(SFA_X86_SIMD)
+#include <immintrin.h>
+#endif
 
 namespace sfa::core {
 
@@ -21,35 +27,6 @@ namespace sfa::core {
 static_assert(kLaneWorlds == RegionFamily::kMaxPlanes);
 
 namespace {
-
-/// Thread-local buffer pool: mask planes, count rows, cell draws, and the
-/// permutation shuffle buffer all live here, so after a worker's first batch
-/// the steady state allocates nothing.
-struct BatchArena {
-  std::vector<uint8_t> masks;     // one mask byte per point
-  std::vector<uint32_t> shuffle;  // the permutation shuffle buffer
-
-  /// Untyped storage for a batch's rows: the point worlds' count rows, or the
-  /// closed-form worlds' region row and cell rows. One block serves both, so
-  /// a worker that runs both kinds keeps only the larger; callers start
-  /// their arrays' lifetimes in it with placement new, which does no work
-  /// for these trivial types. The contents do not survive a call.
-  std::byte* Rows(size_t bytes) {
-    if (rows == nullptr || bytes > rows_bytes) {
-      rows.reset();  // free the old block first: the two never coexist
-      rows.reset(new std::byte[bytes]);
-      rows_bytes = bytes;
-    }
-    return rows.get();
-  }
-  std::unique_ptr<std::byte[]> rows;
-  size_t rows_bytes = 0;
-};
-
-BatchArena& LocalArena() {
-  static thread_local BatchArena arena;
-  return arena;
-}
 
 std::vector<uint64_t> RegionSizes(const RegionFamily& family) {
   std::vector<uint64_t> sizes(family.num_regions());
@@ -112,18 +89,17 @@ class BernoulliSimulation : public StatisticSimulation {
   void RunWorldBatch(size_t w_lo, size_t w_hi, double* out) const override {
     const size_t num_regions = family_.num_regions();
     const uint64_t total_n = family_.num_points();
-    BatchArena& arena = LocalArena();
 
     if (cells_ != nullptr) {
       // Closed-form worlds, kLaneWorlds at a time: the bank draws their cell
       // rows side by side, then each row is folded and max-scanned.
       const size_t num_cells = samplers_->num_cells();
       const size_t region_bytes = num_regions * sizeof(uint64_t);
-      std::byte* rows = arena.Rows(
+      std::byte* block = LocalBatchBlock(
           region_bytes + kLaneWorlds * num_cells * sizeof(uint32_t));
-      uint64_t* region_counts = new (rows) uint64_t[num_regions];
+      uint64_t* region_counts = new (block) uint64_t[num_regions];
       uint32_t* cell_rows =
-          new (rows + region_bytes) uint32_t[kLaneWorlds * num_cells];
+          new (block + region_bytes) uint32_t[kLaneWorlds * num_cells];
       for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
         const size_t lanes = std::min(kLaneWorlds, w_hi - g);
         Rng rngs[kLaneWorlds];
@@ -141,33 +117,30 @@ class BernoulliSimulation : public StatisticSimulation {
     }
 
     // i.i.d. point worlds are drawn by the lane sampler, permutation worlds
-    // by one partial shuffle each; either way, kLaneWorlds at a time into
-    // mask planes (bit j of masks[i] = world g + j's label of point i),
-    // which CountPlanes counts directly.
-    arena.masks.resize(total_n);
-    uint8_t* masks = arena.masks.data();
-    uint64_t* counts =
-        new (arena.Rows(kLaneWorlds * num_regions * sizeof(uint64_t)))
-            uint64_t[kLaneWorlds * num_regions];
+    // by its permutation lanes, kLaneWorlds at a time into mask planes (bit
+    // j of masks[i] = world g + j's label of point i), which CountPlanes
+    // counts directly. The count rows share their storage with the shuffle
+    // ids, which are dead before CountPlanes writes the counts.
+    const bool permutation = options_.null_model != NullModel::kBernoulli;
+    const size_t rows_bytes =
+        std::max(kLaneWorlds * num_regions * sizeof(uint64_t),
+                 permutation ? kLaneWorlds * total_n * sizeof(uint32_t) : 0);
+    std::byte* block = LocalBatchBlock(rows_bytes + total_n);
+    uint8_t* masks = new (block + rows_bytes) uint8_t[total_n];
     for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
       const size_t lanes = std::min(kLaneWorlds, w_hi - g);
       Rng rngs[kLaneWorlds];
       for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(g + j);
       uint64_t positives[kLaneWorlds];
-      if (options_.null_model == NullModel::kBernoulli) {
-        SampleBernoulliLanes(rho_, total_n, lanes, rngs, masks, positives);
+      if (permutation) {
+        uint32_t* ids = new (block) uint32_t[kLaneWorlds * total_n];
+        SamplePermutationLanes(total_n, total_positives_, lanes, rngs, ids,
+                               masks);
+        std::fill(positives, positives + lanes, total_positives_);
       } else {
-        std::fill(masks, masks + total_n, uint8_t{0});
-        for (size_t j = 0; j < lanes; ++j) {
-          const auto bit = static_cast<uint8_t>(1u << j);
-          DrawPermutationPositives(total_n, total_positives_, &rngs[j],
-                                   &arena.shuffle,
-                                   [masks, bit](uint32_t id) {
-                                     masks[id] |= bit;
-                                   });
-          positives[j] = total_positives_;
-        }
+        SampleBernoulliLanes(rho_, total_n, lanes, rngs, masks, positives);
       }
+      uint64_t* counts = new (block) uint64_t[kLaneWorlds * num_regions];
       family_.CountPlanes(masks, lanes, counts, num_regions);
       for (size_t j = 0; j < lanes; ++j) {
         out[g + j] = plan_.Max(counts + j * num_regions, positives[j],
@@ -206,7 +179,10 @@ LlrMaxPlan::LlrMaxPlan(const std::vector<uint64_t>& region_n,
     }
   }
   if (total_n > kMaxGroupedPoints) {
-    for (uint32_t r : order) direct_.push_back({region_n[r], r});
+    for (uint32_t r : order) {
+      direct_n_.push_back(region_n[r]);
+      direct_regions_.push_back(r);
+    }
     return;
   }
   // One stable sort of the ids by n turns every size group into a run with
@@ -239,65 +215,596 @@ LlrMaxPlan::LlrMaxPlan(const std::vector<uint64_t>& region_n,
       for (size_t i = begin; i < end; ++i) is_direct[order[i]] = true;
     }
   }
+  // The groups of at most kMaxLaneGroup regions go first, by size, so that
+  // each batch of kBatchLanes pads few steps.
+  const auto size_of = [](const Group& g) { return g.end - g.begin; };
+  const auto batch_key = [&](const Group& g) {
+    return std::min(size_of(g), kMaxLaneGroup + 1);
+  };
+  std::stable_sort(groups_.begin(), groups_.end(),
+                   [&](const Group& a, const Group& b) {
+                     return batch_key(a) < batch_key(b);
+                   });
+  while (num_batched_groups_ < groups_.size() &&
+         size_of(groups_[num_batched_groups_]) <= kMaxLaneGroup) {
+    ++num_batched_groups_;
+  }
+  for (size_t b = 0; b < num_batched_groups_; b += kBatchLanes) {
+    const Group* batch = groups_.data() + b;
+    const size_t lanes = std::min(kBatchLanes, num_batched_groups_ - b);
+    const size_t steps = size_of(batch[lanes - 1]);
+    batch_steps_.push_back(static_cast<uint32_t>(steps));
+    for (size_t k = 0; k < steps; ++k) {
+      for (size_t j = 0; j < kBatchLanes; ++j) {
+        const Group& g = batch[j < lanes ? j : 0];
+        batch_ids_.push_back(grouped_[g.begin + std::min(k, size_of(g) - 1)]);
+      }
+    }
+    for (size_t j = 0; j < kBatchLanes; ++j) {
+      batch_n_.push_back(batch[j < lanes ? j : 0].n);
+    }
+  }
   for (size_t r = 0; r < region_n.size(); ++r) {
-    if (is_direct[r]) direct_.push_back({region_n[r], r});
+    if (is_direct[r]) {
+      direct_n_.push_back(region_n[r]);
+      direct_regions_.push_back(static_cast<uint32_t>(r));
+    }
   }
 }
+
+/// Max's three arms. A friend of LlrMaxPlan, so they read its layout.
+struct LlrMaxArms {
+  using Direction = stats::ScanDirection;
+
+  template <Direction kDirection>
+  static double Scalar(const LlrMaxPlan& plan, const uint64_t* positives,
+                       uint64_t total_p,
+                       const stats::LogLikelihoodTable& table) {
+    const uint64_t total_n = plan.total_n_;
+    // Inlined table LLR with the per-world constant null term hoisted out of
+    // the region loops. Operation order matches
+    // stats::BernoulliLogLikelihoodRatio(counts, direction, table) exactly
+    // — (ll_in + ll_out) - null with the same gating — so maxima are
+    // bit-equal to the stats-layer evaluation (asserted by
+    // test_mc_engine.cc).
+    const double null_ll = table.MaxBernoulliLogLikelihood(total_p, total_n);
+    double max_llr = 0.0;
+    const auto consider = [&](uint64_t n, uint64_t p) {
+      const uint64_t n_out = total_n - n;
+      const uint64_t p_out = total_p - p;
+      const auto lhs = static_cast<unsigned __int128>(p) * n_out;
+      const auto rhs = static_cast<unsigned __int128>(p_out) * n;
+      if (lhs == rhs) return;
+      if (kDirection == Direction::kHigh && lhs < rhs) return;
+      if (kDirection == Direction::kLow && lhs > rhs) return;
+      const double llr = table.MaxBernoulliLogLikelihood(p, n) +
+                         table.MaxBernoulliLogLikelihood(p_out, n_out) -
+                         null_ll;
+      max_llr = llr > max_llr ? llr : max_llr;
+    };
+    for (const LlrMaxPlan::Group& group : plan.groups_) {
+      uint64_t lo = positives[plan.grouped_[group.begin]];
+      uint64_t hi = lo;
+      for (size_t i = group.begin + 1; i < group.end; ++i) {
+        const uint64_t p = positives[plan.grouped_[i]];
+        lo = std::min(lo, p);
+        hi = std::max(hi, p);
+      }
+      ForEachEnd<kDirection>(lo, hi, [&](uint64_t p) { consider(group.n, p); });
+    }
+    for (size_t i = 0; i < plan.direct_n_.size(); ++i) {
+      consider(plan.direct_n_[i], positives[plan.direct_regions_[i]]);
+    }
+    return max_llr;
+  }
+
+  /// Calls end(p) for each end of a size group with counts [lo, hi] that
+  /// the direction evaluates.
+  template <Direction kDirection, typename End>
+  static void ForEachEnd(uint64_t lo, uint64_t hi, End end) {
+    if (kDirection != Direction::kLow) end(hi);
+    if (kDirection == Direction::kLow ||
+        (kDirection == Direction::kTwoSided && lo != hi)) {
+      end(lo);
+    }
+  }
+
+#if defined(SFA_X86_SIMD)
+  template <Direction kDirection>
+  static double Avx2(const LlrMaxPlan& plan, const uint64_t* positives,
+                     uint64_t total_p, const stats::LogLikelihoodTable& table);
+  template <Direction kDirection>
+  static double Avx512(const LlrMaxPlan& plan, const uint64_t* positives,
+                       uint64_t total_p,
+                       const stats::LogLikelihoodTable& table);
+#endif
+};
+
+#if defined(SFA_X86_SIMD)
+
+// GCC's avx512fintrin.h trips -W(maybe-)uninitialized on its own internal
+// _mm512_undefined temporaries; the warning is in the system header.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+namespace {
+
+using stats::ScanDirection;
+
+/// The most ends ForEachEnd gives one size group.
+template <ScanDirection kDirection>
+constexpr size_t kEndsPerGroup =
+    kDirection == ScanDirection::kTwoSided ? 2 : 1;
+
+/// The final fold of the lane maxima: the scalar arm's fold, from +0.0.
+double FoldLanes(const double* lanes, size_t count) {
+  double max_llr = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    max_llr = lanes[i] > max_llr ? lanes[i] : max_llr;
+  }
+  return max_llr;
+}
+
+// -------------------------------------------------------------------- AVX2 ---
+// Two groups of 4 lanes. AVX2 has no unsigned 64-bit compares; the signed
+// ones are exact here, as counts are at most N and gate products below 2⁶².
+
+/// Region sizes in 4 lanes, with their table entries.
+struct Sizes4 {
+  __m256i n;
+  __m256i n_out;
+  __m256d t_n;
+  __m256d t_n_out;
+};
+
+/// Λ in 4 lanes, the scalar arm's gate and operation order.
+template <ScanDirection kDirection>
+struct Avx2Llr {
+  __m256i total_n;
+  __m256i total_p;
+  __m256d null_ll;
+  const double* t;
+
+  __attribute__((target("avx2"))) __m256d At(__m256i k, __m256d keep) const {
+    return _mm256_mask_i64gather_pd(_mm256_setzero_pd(), t, k, keep, 8);
+  }
+
+  /// Every lane's n must be at most N.
+  __attribute__((target("avx2"))) Sizes4 SizesOf(__m256i n) const {
+    const __m256i n_out = _mm256_sub_epi64(total_n, n);
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    return {n, n_out, At(n, all), At(n_out, all)};
+  }
+
+  /// Folds Λ at counts p into the lane maxima of `acc` on the `live` lanes
+  /// (all ones or all zeros) that pass the direction's gate.
+  __attribute__((target("avx2"))) __m256d Fold(__m256d acc, const Sizes4& s,
+                                                __m256i p,
+                                                __m256i live) const {
+    const __m256i p_out = _mm256_sub_epi64(total_p, p);
+    const __m256i lhs = _mm256_mul_epu32(p, s.n_out);
+    const __m256i rhs = _mm256_mul_epu32(p_out, s.n);
+    __m256i gate;
+    if constexpr (kDirection == ScanDirection::kHigh) {
+      gate = _mm256_cmpgt_epi64(lhs, rhs);
+    } else if constexpr (kDirection == ScanDirection::kLow) {
+      gate = _mm256_cmpgt_epi64(rhs, lhs);
+    } else {
+      gate = _mm256_xor_si256(_mm256_cmpeq_epi64(lhs, rhs),
+                              _mm256_set1_epi64x(-1));
+    }
+    const __m256d keep = _mm256_castsi256_pd(_mm256_and_si256(gate, live));
+    if (_mm256_movemask_pd(keep) == 0) return acc;
+    const __m256d in = _mm256_sub_pd(
+        _mm256_add_pd(At(p, keep), At(_mm256_sub_epi64(s.n, p), keep)),
+        s.t_n);
+    const __m256d out = _mm256_sub_pd(
+        _mm256_add_pd(At(p_out, keep),
+                      At(_mm256_sub_epi64(s.n_out, p_out), keep)),
+        s.t_n_out);
+    const __m256d llr = _mm256_sub_pd(_mm256_add_pd(in, out), null_ll);
+    return _mm256_blendv_pd(acc, _mm256_max_pd(llr, acc), keep);
+  }
+
+  /// Fold on the first `count` of the 4 buffered ends (n[i], p[i]).
+  __attribute__((target("avx2"))) __m256d FoldEnds(__m256d acc,
+                                                    const uint64_t* n,
+                                                    const uint64_t* p,
+                                                    size_t count) const;
+};
+
+/// Lanes [0, count) of 4 as an all-ones/all-zeros mask.
+__attribute__((target("avx2"))) inline __m256i LiveMask4(size_t count) {
+  return _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(count)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// The 32-bit form of LiveMask4, for masked loads of uint32 ids.
+__attribute__((target("avx2"))) inline __m128i LiveMask4x32(size_t count) {
+  return _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(count)),
+                         _mm_setr_epi32(0, 1, 2, 3));
+}
+
+/// positives[id] for the 4 uint32 ids at `ids`.
+__attribute__((target("avx2"))) inline __m256i GatherCounts4(
+    const long long* positives, const uint32_t* ids) {
+  return _mm256_i64gather_epi64(
+      positives,
+      _mm256_cvtepu32_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids))),
+      8);
+}
+
+__attribute__((target("avx2"))) inline __m256i Min4(__m256i a, __m256i b) {
+  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
+}
+
+__attribute__((target("avx2"))) inline __m256i Max4(__m256i a, __m256i b) {
+  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(b, a));
+}
+
+template <ScanDirection kDirection>
+__attribute__((target("avx2"))) __m256d Avx2Llr<kDirection>::FoldEnds(
+    __m256d acc, const uint64_t* n, const uint64_t* p, size_t count) const {
+  return Fold(acc,
+              SizesOf(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(n))),
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
+              LiveMask4(count));
+}
+
+}  // namespace
+
+template <ScanDirection kDirection>
+__attribute__((target("avx2"))) double LlrMaxArms::Avx2(
+    const LlrMaxPlan& plan, const uint64_t* positives, uint64_t total_p,
+    const stats::LogLikelihoodTable& table) {
+  const uint64_t total_n = plan.total_n_;
+  const Avx2Llr<kDirection> llr{
+      _mm256_set1_epi64x(static_cast<long long>(total_n)),
+      _mm256_set1_epi64x(static_cast<long long>(total_p)),
+      _mm256_set1_pd(table.MaxBernoulliLogLikelihood(total_p, total_n)),
+      table.data()};
+  const __m256i all = _mm256_set1_epi64x(-1);
+  __m256d acc_a = _mm256_setzero_pd();
+  __m256d acc_b = _mm256_setzero_pd();
+  const auto* counts = reinterpret_cast<const long long*>(positives);
+
+  // Batched groups: lanes 0–3 and 4–7 reduce side by side, then evaluate
+  // their ends.
+  const uint32_t* ids = plan.batch_ids_.data();
+  const uint64_t* batch_n = plan.batch_n_.data();
+  for (const uint32_t steps : plan.batch_steps_) {
+    __m256i lo_a = GatherCounts4(counts, ids);
+    __m256i lo_b = GatherCounts4(counts, ids + 4);
+    __m256i hi_a = lo_a;
+    __m256i hi_b = lo_b;
+    for (uint32_t k = 1; k < steps; ++k) {
+      const __m256i va = GatherCounts4(counts, ids + 8 * k);
+      const __m256i vb = GatherCounts4(counts, ids + 8 * k + 4);
+      lo_a = Min4(lo_a, va);
+      lo_b = Min4(lo_b, vb);
+      hi_a = Max4(hi_a, va);
+      hi_b = Max4(hi_b, vb);
+    }
+    ids += 8 * steps;
+    const Sizes4 sa = llr.SizesOf(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(batch_n)));
+    const Sizes4 sb = llr.SizesOf(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(batch_n + 4)));
+    batch_n += 8;
+    if constexpr (kDirection == ScanDirection::kLow) {
+      acc_a = llr.Fold(acc_a, sa, lo_a, all);
+      acc_b = llr.Fold(acc_b, sb, lo_b, all);
+    } else {
+      acc_a = llr.Fold(acc_a, sa, hi_a, all);
+      acc_b = llr.Fold(acc_b, sb, hi_b, all);
+    }
+    if constexpr (kDirection == ScanDirection::kTwoSided) {
+      const __m256i differ_a =
+          _mm256_xor_si256(_mm256_cmpeq_epi64(lo_a, hi_a), all);
+      const __m256i differ_b =
+          _mm256_xor_si256(_mm256_cmpeq_epi64(lo_b, hi_b), all);
+      acc_a = llr.Fold(acc_a, sa, lo_a, differ_a);
+      acc_b = llr.Fold(acc_b, sb, lo_b, differ_b);
+    }
+  }
+
+  // The larger groups reduce one at a time; their ends wait here, 8 at a
+  // time, for one evaluation of both halves.
+  alignas(32) uint64_t end_n[8] = {};
+  alignas(32) uint64_t end_p[8] = {};
+  size_t pending = 0;
+  for (size_t g = plan.num_batched_groups_; g < plan.groups_.size(); ++g) {
+    const LlrMaxPlan::Group& group = plan.groups_[g];
+    const uint32_t* group_ids = plan.grouped_.data() + group.begin;
+    const size_t size = group.end - group.begin;
+    // Lanes past the group's end repeat its first count.
+    const __m256i first = _mm256_set1_epi64x(counts[group_ids[0]]);
+    __m256i lo = first;
+    __m256i hi = first;
+    for (size_t k = 0; k < size; k += 4) {
+      const size_t rest = std::min<size_t>(size - k, 4);
+      const __m128i id = _mm_maskload_epi32(
+          reinterpret_cast<const int*>(group_ids + k), LiveMask4x32(rest));
+      const __m256i v = _mm256_mask_i64gather_epi64(
+          first, counts, _mm256_cvtepu32_epi64(id), LiveMask4(rest), 8);
+      lo = Min4(lo, v);
+      hi = Max4(hi, v);
+    }
+    alignas(32) uint64_t lo_lanes[4];
+    alignas(32) uint64_t hi_lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lo_lanes), lo);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(hi_lanes), hi);
+    const uint64_t group_lo = std::min(std::min(lo_lanes[0], lo_lanes[1]),
+                                       std::min(lo_lanes[2], lo_lanes[3]));
+    const uint64_t group_hi = std::max(std::max(hi_lanes[0], hi_lanes[1]),
+                                       std::max(hi_lanes[2], hi_lanes[3]));
+    ForEachEnd<kDirection>(group_lo, group_hi, [&](uint64_t p) {
+      end_n[pending] = group.n;
+      end_p[pending] = p;
+      ++pending;
+    });
+    if (pending > 8 - kEndsPerGroup<kDirection>) {
+      // Flush while the next group's ends still fit.
+      acc_a = llr.FoldEnds(acc_a, end_n, end_p, 4);
+      acc_b = llr.FoldEnds(acc_b, end_n + 4, end_p + 4, pending - 4);
+      pending = 0;
+    }
+  }
+  for (size_t k = 0; k < pending; k += 4) {
+    acc_a = llr.FoldEnds(acc_a, end_n + k, end_p + k,
+                         std::min<size_t>(pending - k, 4));
+  }
+
+  const size_t num_direct = plan.direct_n_.size();
+  const uint64_t* direct_n = plan.direct_n_.data();
+  const uint32_t* direct_regions = plan.direct_regions_.data();
+  for (size_t k = 0; k < num_direct; k += 4) {
+    const size_t rest = std::min<size_t>(num_direct - k, 4);
+    const __m256i live = LiveMask4(rest);
+    const __m256i region = _mm256_cvtepu32_epi64(_mm_maskload_epi32(
+        reinterpret_cast<const int*>(direct_regions + k), LiveMask4x32(rest)));
+    const Sizes4 s = llr.SizesOf(_mm256_maskload_epi64(
+        reinterpret_cast<const long long*>(direct_n + k), live));
+    const __m256i p = _mm256_mask_i64gather_epi64(_mm256_setzero_si256(),
+                                                  counts, region, live, 8);
+    acc_a = llr.Fold(acc_a, s, p, live);
+  }
+
+  alignas(32) double lanes[8];
+  _mm256_store_pd(lanes, acc_a);
+  _mm256_store_pd(lanes + 4, acc_b);
+  return FoldLanes(lanes, 8);
+}
+
+// ----------------------------------------------------------------- AVX-512 ---
+// 8 lanes in one register, unsigned 64-bit min/max and compares, and masked
+// gathers that read only the gated lanes.
+
+namespace {
+
+/// Region sizes in 8 lanes, with their table entries.
+struct Sizes8 {
+  __m512i n;
+  __m512i n_out;
+  __m512d t_n;
+  __m512d t_n_out;
+};
+
+/// Λ in 8 lanes, the scalar arm's gate and operation order.
+template <ScanDirection kDirection>
+struct Avx512Llr {
+  __m512i total_n;
+  __m512i total_p;
+  __m512d null_ll;
+  const double* t;
+
+  __attribute__((target("avx512f"))) __m512d At(__m512i k,
+                                                __mmask8 keep) const {
+    return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), keep, k, t, 8);
+  }
+
+  /// Every lane's n must be at most N.
+  __attribute__((target("avx512f"))) Sizes8 SizesOf(__m512i n) const {
+    const __m512i n_out = _mm512_sub_epi64(total_n, n);
+    return {n, n_out, At(n, 0xff), At(n_out, 0xff)};
+  }
+
+  /// Folds Λ at counts p into the lane maxima of `acc` on the `live` lanes
+  /// that pass the direction's gate.
+  __attribute__((target("avx512f"))) __m512d Fold(__m512d acc,
+                                                  const Sizes8& s, __m512i p,
+                                                  __mmask8 live) const {
+    const __m512i p_out = _mm512_sub_epi64(total_p, p);
+    const __m512i lhs = _mm512_mul_epu32(p, s.n_out);
+    const __m512i rhs = _mm512_mul_epu32(p_out, s.n);
+    __mmask8 keep;
+    if constexpr (kDirection == ScanDirection::kHigh) {
+      keep = _mm512_mask_cmpgt_epu64_mask(live, lhs, rhs);
+    } else if constexpr (kDirection == ScanDirection::kLow) {
+      keep = _mm512_mask_cmplt_epu64_mask(live, lhs, rhs);
+    } else {
+      keep = _mm512_mask_cmpneq_epu64_mask(live, lhs, rhs);
+    }
+    if (keep == 0) return acc;
+    const __m512d in = _mm512_sub_pd(
+        _mm512_add_pd(At(p, keep), At(_mm512_sub_epi64(s.n, p), keep)),
+        s.t_n);
+    const __m512d out = _mm512_sub_pd(
+        _mm512_add_pd(At(p_out, keep),
+                      At(_mm512_sub_epi64(s.n_out, p_out), keep)),
+        s.t_n_out);
+    const __m512d llr = _mm512_sub_pd(_mm512_add_pd(in, out), null_ll);
+    return _mm512_mask_max_pd(acc, keep, llr, acc);
+  }
+};
+
+/// Lanes [0, count) of 8, count <= 8.
+inline __mmask8 LiveMask8(size_t count) {
+  return static_cast<__mmask8>((1u << count) - 1);
+}
+
+/// positives[id] for the 8 uint32 ids at `ids`.
+__attribute__((target("avx512f"))) inline __m512i GatherCounts8(
+    const uint64_t* positives, const uint32_t* ids) {
+  return _mm512_i64gather_epi64(
+      _mm512_cvtepu32_epi64(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids))),
+      positives, 8);
+}
+
+}  // namespace
+
+template <ScanDirection kDirection>
+__attribute__((target("avx512f"))) double LlrMaxArms::Avx512(
+    const LlrMaxPlan& plan, const uint64_t* positives, uint64_t total_p,
+    const stats::LogLikelihoodTable& table) {
+  const uint64_t total_n = plan.total_n_;
+  const Avx512Llr<kDirection> llr{
+      _mm512_set1_epi64(static_cast<long long>(total_n)),
+      _mm512_set1_epi64(static_cast<long long>(total_p)),
+      _mm512_set1_pd(table.MaxBernoulliLogLikelihood(total_p, total_n)),
+      table.data()};
+  __m512d acc = _mm512_setzero_pd();
+
+  // Batched groups: one group per lane, reduced side by side, then their
+  // ends evaluated.
+  const uint32_t* ids = plan.batch_ids_.data();
+  const uint64_t* batch_n = plan.batch_n_.data();
+  for (const uint32_t steps : plan.batch_steps_) {
+    __m512i lo = GatherCounts8(positives, ids);
+    __m512i hi = lo;
+    for (uint32_t k = 1; k < steps; ++k) {
+      const __m512i v = GatherCounts8(positives, ids + 8 * k);
+      lo = _mm512_min_epu64(lo, v);
+      hi = _mm512_max_epu64(hi, v);
+    }
+    ids += 8 * steps;
+    const Sizes8 s = llr.SizesOf(_mm512_loadu_si512(batch_n));
+    batch_n += 8;
+    if constexpr (kDirection == ScanDirection::kLow) {
+      acc = llr.Fold(acc, s, lo, 0xff);
+    } else {
+      acc = llr.Fold(acc, s, hi, 0xff);
+    }
+    if constexpr (kDirection == ScanDirection::kTwoSided) {
+      acc = llr.Fold(acc, s, lo, _mm512_cmpneq_epu64_mask(lo, hi));
+    }
+  }
+
+  // The larger groups reduce one at a time; their ends wait here, 8 at a
+  // time, for one evaluation.
+  alignas(64) uint64_t end_n[8] = {};
+  alignas(64) uint64_t end_p[8] = {};
+  size_t pending = 0;
+  for (size_t g = plan.num_batched_groups_; g < plan.groups_.size(); ++g) {
+    const LlrMaxPlan::Group& group = plan.groups_[g];
+    const uint32_t* group_ids = plan.grouped_.data() + group.begin;
+    const size_t size = group.end - group.begin;
+    // Lanes past the group's end repeat its first count.
+    const __m512i first =
+        _mm512_set1_epi64(static_cast<long long>(positives[group_ids[0]]));
+    __m512i lo = first;
+    __m512i hi = first;
+    for (size_t k = 0; k < size; k += 8) {
+      const __mmask8 live = LiveMask8(std::min<size_t>(size - k, 8));
+      const __m512i id = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(
+          _mm512_maskz_loadu_epi32(live, group_ids + k)));
+      const __m512i v =
+          _mm512_mask_i64gather_epi64(first, live, id, positives, 8);
+      lo = _mm512_min_epu64(lo, v);
+      hi = _mm512_max_epu64(hi, v);
+    }
+    ForEachEnd<kDirection>(_mm512_reduce_min_epu64(lo),
+                           _mm512_reduce_max_epu64(hi), [&](uint64_t p) {
+                             end_n[pending] = group.n;
+                             end_p[pending] = p;
+                             ++pending;
+                           });
+    if (pending > 8 - kEndsPerGroup<kDirection>) {
+      // Flush while the next group's ends still fit.
+      acc = llr.Fold(acc, llr.SizesOf(_mm512_load_si512(end_n)),
+                     _mm512_load_si512(end_p), LiveMask8(pending));
+      pending = 0;
+    }
+  }
+  if (pending > 0) {
+    acc = llr.Fold(acc, llr.SizesOf(_mm512_load_si512(end_n)),
+                   _mm512_load_si512(end_p), LiveMask8(pending));
+  }
+
+  const size_t num_direct = plan.direct_n_.size();
+  const uint64_t* direct_n = plan.direct_n_.data();
+  const uint32_t* direct_regions = plan.direct_regions_.data();
+  for (size_t k = 0; k < num_direct; k += 8) {
+    const __mmask8 live = LiveMask8(std::min<size_t>(num_direct - k, 8));
+    const __m512i region = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(
+        _mm512_maskz_loadu_epi32(live, direct_regions + k)));
+    acc = llr.Fold(
+        acc, llr.SizesOf(_mm512_maskz_loadu_epi64(live, direct_n + k)),
+        _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), live, region,
+                                    positives, 8),
+        live);
+  }
+
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, acc);
+  return FoldLanes(lanes, 8);
+}
+
+#pragma GCC diagnostic pop
+
+#endif  // SFA_X86_SIMD
+
+namespace {
+
+/// Calls arm(direction tag) with the direction as a compile-time constant.
+template <typename Arm>
+double ForDirection(stats::ScanDirection direction, Arm arm) {
+  using stats::ScanDirection;
+  switch (direction) {
+    case ScanDirection::kHigh:
+      return arm(std::integral_constant<ScanDirection, ScanDirection::kHigh>{});
+    case ScanDirection::kLow:
+      return arm(std::integral_constant<ScanDirection, ScanDirection::kLow>{});
+    case ScanDirection::kTwoSided:
+      break;
+  }
+  return arm(
+      std::integral_constant<ScanDirection, ScanDirection::kTwoSided>{});
+}
+
+}  // namespace
 
 double LlrMaxPlan::Max(const uint64_t* positives, uint64_t total_p,
                        stats::ScanDirection direction,
                        const stats::LogLikelihoodTable& table) const {
   // One instance per direction keeps the direction tests out of the loops.
-  switch (direction) {
-    case stats::ScanDirection::kHigh:
-      return MaxIn<stats::ScanDirection::kHigh>(positives, total_p, table);
-    case stats::ScanDirection::kLow:
-      return MaxIn<stats::ScanDirection::kLow>(positives, total_p, table);
-    case stats::ScanDirection::kTwoSided:
-      break;
-  }
-  return MaxIn<stats::ScanDirection::kTwoSided>(positives, total_p, table);
-}
-
-template <stats::ScanDirection kDirection>
-double LlrMaxPlan::MaxIn(const uint64_t* positives, uint64_t total_p,
-                         const stats::LogLikelihoodTable& table) const {
-  const uint64_t total_n = total_n_;
-  // Inlined table LLR with the per-world constant null term hoisted out of
-  // the region loops. Operation order matches
-  // stats::BernoulliLogLikelihoodRatio(counts, direction, table) exactly —
-  // (ll_in + ll_out) - null with the same gating — so maxima are bit-equal
-  // to the stats-layer evaluation (asserted by test_mc_engine.cc).
-  const double null_ll = table.MaxBernoulliLogLikelihood(total_p, total_n);
-  double max_llr = 0.0;
-  const auto consider = [&](uint64_t n, uint64_t p) {
-    const uint64_t n_out = total_n - n;
-    const uint64_t p_out = total_p - p;
-    const auto lhs = static_cast<unsigned __int128>(p) * n_out;
-    const auto rhs = static_cast<unsigned __int128>(p_out) * n;
-    if (lhs == rhs) return;
-    if (kDirection == stats::ScanDirection::kHigh && lhs < rhs) return;
-    if (kDirection == stats::ScanDirection::kLow && lhs > rhs) return;
-    const double llr = table.MaxBernoulliLogLikelihood(p, n) +
-                       table.MaxBernoulliLogLikelihood(p_out, n_out) - null_ll;
-    max_llr = llr > max_llr ? llr : max_llr;
-  };
-  for (const Group& group : groups_) {
-    uint64_t lo = positives[grouped_[group.begin]];
-    uint64_t hi = lo;
-    for (size_t i = group.begin + 1; i < group.end; ++i) {
-      const uint64_t p = positives[grouped_[i]];
-      lo = std::min(lo, p);
-      hi = std::max(hi, p);
-    }
-    if (kDirection != stats::ScanDirection::kLow) consider(group.n, hi);
-    if (kDirection == stats::ScanDirection::kLow ||
-        (kDirection == stats::ScanDirection::kTwoSided && lo != hi)) {
-      consider(group.n, lo);
+  // The vector gates multiply 32-bit halves, exact only for N < 2³².
+#if defined(SFA_X86_SIMD)
+  if (total_n_ <= UINT32_MAX) {
+    switch (spatial::ActiveSamplerKernel()) {
+      case spatial::PopcountKernel::kAvx512:
+        return ForDirection(direction, [&](auto d) {
+          return LlrMaxArms::Avx512<decltype(d)::value>(*this, positives,
+                                                        total_p, table);
+        });
+      case spatial::PopcountKernel::kAvx2:
+        return ForDirection(direction, [&](auto d) {
+          return LlrMaxArms::Avx2<decltype(d)::value>(*this, positives,
+                                                      total_p, table);
+        });
+      default:
+        break;
     }
   }
-  for (const Direct& d : direct_) consider(d.n, positives[d.region]);
-  return max_llr;
+#endif
+  return ForDirection(direction, [&](auto d) {
+    return LlrMaxArms::Scalar<decltype(d)::value>(*this, positives, total_p,
+                                                  table);
+  });
 }
 
 }  // namespace internal

@@ -11,13 +11,15 @@
 //                    worlds per lane-sampler call (core/lane_sampler.h)
 //                    written as mask planes and counted by
 //                    RegionFamily::CountPlanes, or 8 permutation worlds
-//                    shuffled straight into those planes;
+//                    shuffled straight into those planes
+//                    (SamplePermutationLanes);
 //                    per-world RNG substreams Rng::Split(w) from
 //                    options.seed (core/mc_engine.h's cost levers); each
 //                    world's max Λ comes from the
 //                    size-grouped internal::LlrMaxPlan below, which
-//                    evaluates Λ only at the ends of each n(R) group and is
-//                    bit-identical to evaluating every region;
+//                    evaluates Λ only at the ends of each n(R) group, 8 at
+//                    a time on the SIMD tiers, and is bit-identical to
+//                    evaluating every region;
 //   identity         "bernoulli dir=<direction> P=<positives>" — the view's
 //                    positive count and the scan direction are part of the
 //                    calibration identity; N and the family live in the
@@ -107,6 +109,32 @@ namespace internal {
 ///          gives N²·log N ≈ 2.7e14). Regions whose count equals p* are
 ///          gated out in both forms and the max starts at 0, so a gated
 ///          end never hides a larger interior value either.
+///
+/// Max runs one of three arms, picked by spatial::ActiveSamplerKernel() like
+/// the lane sampler (core/lane_sampler.h): scalar, AVX2 (two groups of 4
+/// lanes) and AVX-512F (8 lanes). The vector arms reduce the size groups
+/// with index gathers and 64-bit min/max (signed on AVX2, exact as counts
+/// are at most N < 2⁶³), groups of up to kMaxLaneGroup regions 8 at a time
+/// (one per lane) and larger ones one at a time, then evaluate the ends and
+/// the direct regions 8 at a time. Each lane gives the scalar arm's bits:
+///
+///   gate   p·n_out and p_out·n come from mul_epu32, the exact 64-bit
+///          product of two 32-bit values. Every factor is at most N, and
+///          the vector arms run only for N < 2³², where each product is at
+///          most n(N−n) ≤ N²/4 < 2⁶² (so AVX2's signed compares are exact
+///          too); larger N runs the scalar __int128 gate;
+///   order  each lane computes ((t[p]+t[n−p])−t[n]) + ((t[p′]+t[n′−p′])−t[n′])
+///          − null from gathered table entries, the scalar operation order,
+///          with no fused multiply-add (there are no products to fuse);
+///   fold   acc = max_pd(llr, acc) on the gated lanes. max_pd returns its
+///          first operand only when it is strictly greater, so each lane
+///          folds as `llr > max ? llr : max` does from +0.0, and the final
+///          fold over the 8 lane maxima is that scalar fold again. A max is
+///          a max in any order; the only equal values with different bits
+///          are ±0, and −0.0 never replaces the starting +0.0 in either.
+///
+/// The plan holds no mutable state: the vector arms buffer pending ends on
+/// the stack, so one plan serves every worker thread.
 class LlrMaxPlan {
  public:
   static constexpr uint64_t kMaxGroupedPoints = uint64_t{1} << 22;
@@ -131,19 +159,29 @@ class LlrMaxPlan {
     size_t begin;  // the group's entries in grouped_
     size_t end;
   };
-  struct Direct {
-    uint64_t n;
-    size_t region;
-  };
 
-  template <stats::ScanDirection kDirection>
-  double MaxIn(const uint64_t* positives, uint64_t total_p,
-               const stats::LogLikelihoodTable& table) const;
+  friend struct LlrMaxArms;  // the scalar and vector arms of Max
+
+  /// Groups of at most kMaxLaneGroup regions are also laid out for the
+  /// vector arms 8 to a batch, one group per lane, so that a batch reduces
+  /// with one gather per step and no horizontal min/max.
+  static constexpr size_t kBatchLanes = 8;
+  static constexpr size_t kMaxLaneGroup = 16;
 
   uint64_t total_n_;
   std::vector<uint32_t> grouped_;  // region ids, group-contiguous
+  // Batched groups first, by size, then the rest in ascending n order.
   std::vector<Group> groups_;
-  std::vector<Direct> direct_;     // ascending region order
+  size_t num_batched_groups_ = 0;
+  // Batch b's step k holds one region id per lane; a lane past its group's
+  // size repeats the group's last id, and lanes past the last group repeat
+  // lane 0, so every lane reduces to a real group's (min p, max p).
+  std::vector<uint32_t> batch_ids_;    // steps × kBatchLanes per batch
+  std::vector<uint32_t> batch_steps_;  // per batch: its largest group's size
+  std::vector<uint64_t> batch_n_;      // per batch: each lane's n(R)
+  // The regions evaluated one by one, in ascending region order.
+  std::vector<uint64_t> direct_n_;
+  std::vector<uint32_t> direct_regions_;
 };
 
 }  // namespace internal

@@ -86,10 +86,11 @@ void Labels::ResamplePermutation(size_t n, uint64_t positives, Rng* rng,
   bits_valid_ = false;
   positives_valid_ = false;
   std::vector<uint32_t> local_order;
+  std::vector<uint32_t>* order = order_scratch ? order_scratch : &local_order;
+  order->resize(n);
   bytes_.assign(n, 0);
   uint8_t* bytes = bytes_.data();
-  DrawPermutationPositives(n, positives, rng,
-                           order_scratch ? order_scratch : &local_order,
+  DrawPermutationPositives(n, positives, rng, order->data(),
                            [bytes](uint32_t id) { bytes[id] = 1; });
   positive_count_ = positives;
 }

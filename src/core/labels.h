@@ -22,14 +22,14 @@ namespace sfa::core {
 
 /// The permutation null's draw (Kulldorff 1997): a partial Fisher–Yates
 /// shuffle of the point ids 0..n−1 whose first `positives` slots are the
-/// positive points. Calls mark(id) for each of them in draw order; `order`
-/// is the shuffle buffer (resized to n). The generator runs on a local copy,
-/// so its state stays in registers across the buffer's stores.
+/// positive points. Calls mark(id) for each of them in draw order; `ids` is
+/// the shuffle buffer, n entries. The generator runs on a local copy, so its
+/// state stays in registers across the buffer's stores. The one definition
+/// of the draw: SamplePermutationLanes (core/lane_sampler.h) steps it 8
+/// worlds at a time.
 template <typename Mark>
 void DrawPermutationPositives(size_t n, uint64_t positives, Rng* rng,
-                              std::vector<uint32_t>* order, Mark mark) {
-  order->resize(n);
-  uint32_t* ids = order->data();
+                              uint32_t* ids, Mark mark) {
   std::iota(ids, ids + n, 0u);
   Rng local = *rng;
   for (uint64_t i = 0; i < positives; ++i) {

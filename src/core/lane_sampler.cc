@@ -1,8 +1,11 @@
 #include "core/lane_sampler.h"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 
 #include "common/macros.h"
+#include "core/labels.h"
 #include "spatial/simd_popcount.h"
 
 #if defined(SFA_X86_SIMD)
@@ -82,6 +85,17 @@ void ScalarCells(const CellLaneTables& t, size_t num_worlds, Rng* rngs,
   }
 }
 
+/// One world at a time: DrawPermutationPositives on the first n ids.
+void ScalarPermutation(size_t n, uint64_t positives, size_t num_worlds,
+                       Rng* rngs, uint32_t* ids, uint8_t* masks) {
+  std::fill(masks, masks + n, uint8_t{0});
+  for (size_t w = 0; w < num_worlds; ++w) {
+    const auto bit = static_cast<uint8_t>(1u << w);
+    DrawPermutationPositives(n, positives, &rngs[w], ids,
+                             [masks, bit](uint32_t id) { masks[id] |= bit; });
+  }
+}
+
 #if defined(SFA_X86_SIMD)
 
 // GCC's avx512fintrin.h trips -W(maybe-)uninitialized on its own internal
@@ -107,6 +121,58 @@ struct LaneStates {
     }
   }
 };
+
+/// Rng::NextUint64(bound) of lane w, whose generator in `states` has drawn
+/// the x whose product x·bound has halves (high, low): when low < bound, the
+/// rejection loop runs on a scalar copy of the generator, which then goes
+/// back into the lane.
+uint64_t FinishUniform(LaneStates* states, size_t w, uint64_t bound,
+                       uint64_t high, uint64_t low) {
+  const uint64_t threshold = -bound % bound;
+  if (low >= threshold) return high;
+  Rng rng;
+  rng.set_state({states->words[0][w], states->words[1][w],
+                 states->words[2][w], states->words[3][w]});
+  unsigned __int128 m;
+  do {
+    m = static_cast<unsigned __int128>(rng.Next()) * bound;
+  } while (static_cast<uint64_t>(m) < threshold);
+  const Rng::State state = rng.state();
+  for (size_t k = 0; k < 4; ++k) states->words[k][w] = state[k];
+  return static_cast<uint64_t>(m >> 64);
+}
+
+/// Steps of a permutation draw whose offsets the lanes draw before each
+/// world runs its swaps of them: 8 KB of uint32 offsets on the stack.
+constexpr size_t kDrawBlock = 256;
+
+/// World w's partial Fisher–Yates steps [i0, i0 + steps) on its own n ids
+/// at ids + w·n, step i0 + k's draw being offsets[k·kLaneWorlds + w]: the
+/// swap and mark of DrawPermutationPositives. One world at a time keeps the
+/// swaps inside one world's ids rather than all eight worlds'.
+inline void SwapWorld(uint64_t i0, size_t steps, const uint32_t* offsets,
+                      size_t w, size_t n, uint32_t* ids, uint8_t* masks) {
+  uint32_t* world = ids + w * n;
+  const auto bit = static_cast<uint8_t>(1u << w);
+  for (size_t k = 0; k < steps; ++k) {
+    const uint64_t i = i0 + k;
+    uint32_t* other = world + i + offsets[k * kLaneWorlds + w];
+    const uint32_t drawn = *other;
+    // Slot i is never read again, so only slot j takes the swap's store.
+    *other = world[i];
+    masks[drawn] |= bit;
+  }
+}
+
+/// The start of a permutation draw on every lane: masks cleared, and world
+/// w's ids (at ids + w·n) the points 0..n−1.
+void StartPermutation(size_t n, size_t num_worlds, uint32_t* ids,
+                      uint8_t* masks) {
+  std::fill(masks, masks + n, uint8_t{0});
+  for (size_t w = 0; w < num_worlds; ++w) {
+    std::iota(ids + w * n, ids + (w + 1) * n, 0u);
+  }
+}
 
 // -------------------------------------------------------------------- AVX2 ---
 // Two groups of 4 lanes (worlds 0–3 and 4–7) step interleaved, which also
@@ -146,8 +212,8 @@ __attribute__((target("avx2"))) inline void Store256(const Xoshiro256x4& g,
   }
 }
 
-/// One Xoshiro256++ step in every lane; returns Next() >> 11.
-__attribute__((target("avx2"))) inline __m256i Next53x4(Xoshiro256x4* g) {
+/// One Xoshiro256++ step in every lane; returns Next().
+__attribute__((target("avx2"))) inline __m256i Nextx4(Xoshiro256x4* g) {
   const __m256i result =
       _mm256_add_epi64(Rotl256<23>(_mm256_add_epi64(g->s0, g->s3)), g->s0);
   const __m256i t = _mm256_slli_epi64(g->s1, 17);
@@ -157,7 +223,12 @@ __attribute__((target("avx2"))) inline __m256i Next53x4(Xoshiro256x4* g) {
   g->s0 = _mm256_xor_si256(g->s0, g->s3);
   g->s2 = _mm256_xor_si256(g->s2, t);
   g->s3 = Rotl256<45>(g->s3);
-  return _mm256_srli_epi64(result, 11);
+  return result;
+}
+
+/// One Xoshiro256++ step in every lane; returns Next() >> 11.
+__attribute__((target("avx2"))) inline __m256i Next53x4(Xoshiro256x4* g) {
+  return _mm256_srli_epi64(Nextx4(g), 11);
 }
 
 /// Bit j set where lane j of `mask` (all ones or all zeros) is set.
@@ -303,6 +374,87 @@ __attribute__((target("avx2"))) void Avx2Cells(const CellLaneTables& t,
   }
 }
 
+/// x·bound for 4 lanes of 64-bit x and a 32-bit bound: the high and low
+/// 64 bits of the 128-bit product, from two exact 32×32-bit products.
+__attribute__((target("avx2"))) inline void MulHiLo4(__m256i x, __m256i bound,
+                                                     __m256i* high,
+                                                     __m256i* low) {
+  const __m256i lo_part = _mm256_mul_epu32(x, bound);
+  const __m256i hi_part = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), bound);
+  const __m256i mid = _mm256_add_epi64(hi_part, _mm256_srli_epi64(lo_part, 32));
+  *high = _mm256_srli_epi64(mid, 32);
+  *low = _mm256_or_si256(
+      _mm256_slli_epi64(mid, 32),
+      _mm256_and_si256(lo_part, _mm256_set1_epi64x(0xffffffff)));
+}
+
+__attribute__((target("avx2"))) void Avx2Permutation(
+    size_t n, uint64_t positives, size_t num_worlds, Rng* rngs, uint32_t* ids,
+    uint8_t* masks) {
+  StartPermutation(n, num_worlds, ids, masks);
+  LaneStates states(rngs, num_worlds);
+  Xoshiro256x4 a = Load256(states, 0);
+  Xoshiro256x4 b = Load256(states, 1);
+  // Unsigned 64-bit compares as signed ones with the sign bits flipped.
+  const __m256i sign = _mm256_set1_epi64x(INT64_MIN);
+  // The low dword of each 64-bit lane, packed into the low 128 bits.
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const uint32_t live = LiveLanes(num_worlds);
+  alignas(32) uint32_t offsets[kDrawBlock * kLaneWorlds];
+  for (uint64_t i0 = 0; i0 < positives; i0 += kDrawBlock) {
+    const size_t steps = std::min<uint64_t>(kDrawBlock, positives - i0);
+    for (size_t k = 0; k < steps; ++k) {
+      const uint64_t bound = n - (i0 + k);
+      const __m256i bound4 = _mm256_set1_epi64x(static_cast<long long>(bound));
+      __m256i high_a, low_a, high_b, low_b;
+      MulHiLo4(Nextx4(&a), bound4, &high_a, &low_a);
+      MulHiLo4(Nextx4(&b), bound4, &high_b, &low_b);
+      const __m256i flipped_bound = _mm256_xor_si256(bound4, sign);
+      const uint32_t rejected =
+          (LaneBits256(_mm256_cmpgt_epi64(flipped_bound,
+                                          _mm256_xor_si256(low_a, sign))) |
+           LaneBits256(_mm256_cmpgt_epi64(flipped_bound,
+                                          _mm256_xor_si256(low_b, sign)))
+               << 4) &
+          live;
+      if (rejected != 0) {
+        alignas(32) uint64_t high[kLaneWorlds];
+        alignas(32) uint64_t low[kLaneWorlds];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(high), high_a);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(high + 4), high_b);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(low), low_a);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(low + 4), low_b);
+        Store256(a, &states, 0);
+        Store256(b, &states, 1);
+        for (size_t w = 0; w < num_worlds; ++w) {
+          if ((rejected >> w) & 1) {
+            high[w] = FinishUniform(&states, w, bound, high[w], low[w]);
+          }
+        }
+        a = Load256(states, 0);
+        b = Load256(states, 1);
+        high_a = _mm256_load_si256(reinterpret_cast<const __m256i*>(high));
+        high_b =
+            _mm256_load_si256(reinterpret_cast<const __m256i*>(high + 4));
+      }
+      // Draws are below n − i < 2³², so their low dwords are the offsets.
+      uint32_t* row = offsets + k * kLaneWorlds;
+      _mm_store_si128(reinterpret_cast<__m128i*>(row),
+                      _mm256_castsi256_si128(
+                          _mm256_permutevar8x32_epi32(high_a, low_dwords)));
+      _mm_store_si128(reinterpret_cast<__m128i*>(row + 4),
+                      _mm256_castsi256_si128(
+                          _mm256_permutevar8x32_epi32(high_b, low_dwords)));
+    }
+    for (size_t w = 0; w < num_worlds; ++w) {
+      SwapWorld(i0, steps, offsets, w, n, ids, masks);
+    }
+  }
+  Store256(a, &states, 0);
+  Store256(b, &states, 1);
+  states.WriteBack(rngs, num_worlds);
+}
+
 // ----------------------------------------------------------------- AVX-512 ---
 // 8 lanes in one register; AVX-512F alone has the rotate, the unsigned
 // compare into a lane mask (which is the mask byte) and the masked add.
@@ -326,8 +478,8 @@ __attribute__((target("avx512f"))) inline void Store512(const Xoshiro256x8& g,
   _mm512_store_si512(states->words[3], g.s3);
 }
 
-/// One Xoshiro256++ step in every lane; returns Next() >> 11.
-__attribute__((target("avx512f"))) inline __m512i Next53x8(Xoshiro256x8* g) {
+/// One Xoshiro256++ step in every lane; returns Next().
+__attribute__((target("avx512f"))) inline __m512i Nextx8(Xoshiro256x8* g) {
   const __m512i result = _mm512_add_epi64(
       _mm512_rol_epi64(_mm512_add_epi64(g->s0, g->s3), 23), g->s0);
   const __m512i t = _mm512_slli_epi64(g->s1, 17);
@@ -337,7 +489,12 @@ __attribute__((target("avx512f"))) inline __m512i Next53x8(Xoshiro256x8* g) {
   g->s0 = _mm512_xor_si512(g->s0, g->s3);
   g->s2 = _mm512_xor_si512(g->s2, t);
   g->s3 = _mm512_rol_epi64(g->s3, 45);
-  return _mm512_srli_epi64(result, 11);
+  return result;
+}
+
+/// One Xoshiro256++ step in every lane; returns Next() >> 11.
+__attribute__((target("avx512f"))) inline __m512i Next53x8(Xoshiro256x8* g) {
+  return _mm512_srli_epi64(Nextx8(g), 11);
 }
 
 template <uint32_t kCounted>
@@ -450,6 +607,65 @@ __attribute__((target("avx512f"))) void Avx512Cells(const CellLaneTables& t,
   }
 }
 
+/// x·bound for 8 lanes of 64-bit x and a 32-bit bound: MulHiLo4's halves.
+__attribute__((target("avx512f"))) inline void MulHiLo8(__m512i x,
+                                                        __m512i bound,
+                                                        __m512i* high,
+                                                        __m512i* low) {
+  const __m512i lo_part = _mm512_mul_epu32(x, bound);
+  const __m512i hi_part = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), bound);
+  const __m512i mid = _mm512_add_epi64(hi_part, _mm512_srli_epi64(lo_part, 32));
+  *high = _mm512_srli_epi64(mid, 32);
+  *low = _mm512_or_si512(
+      _mm512_slli_epi64(mid, 32),
+      _mm512_and_si512(lo_part, _mm512_set1_epi64(0xffffffff)));
+}
+
+__attribute__((target("avx512f"))) void Avx512Permutation(
+    size_t n, uint64_t positives, size_t num_worlds, Rng* rngs, uint32_t* ids,
+    uint8_t* masks) {
+  StartPermutation(n, num_worlds, ids, masks);
+  LaneStates states(rngs, num_worlds);
+  Xoshiro256x8 g = Load512(states);
+  const __mmask8 live = LiveLanes(num_worlds);
+  alignas(32) uint32_t offsets[kDrawBlock * kLaneWorlds];
+  for (uint64_t i0 = 0; i0 < positives; i0 += kDrawBlock) {
+    const size_t steps = std::min<uint64_t>(kDrawBlock, positives - i0);
+    for (size_t k = 0; k < steps; ++k) {
+      const uint64_t bound = n - (i0 + k);
+      const __m512i bound8 = _mm512_set1_epi64(static_cast<long long>(bound));
+      __m512i high;
+      __m512i low;
+      MulHiLo8(Nextx8(&g), bound8, &high, &low);
+      const __mmask8 rejected =
+          _mm512_mask_cmplt_epu64_mask(live, low, bound8);
+      if (rejected != 0) {
+        alignas(64) uint64_t highs[kLaneWorlds];
+        alignas(64) uint64_t lows[kLaneWorlds];
+        _mm512_store_si512(highs, high);
+        _mm512_store_si512(lows, low);
+        Store512(g, &states);
+        for (size_t w = 0; w < num_worlds; ++w) {
+          if ((rejected >> w) & 1) {
+            highs[w] = FinishUniform(&states, w, bound, highs[w], lows[w]);
+          }
+        }
+        g = Load512(states);
+        high = _mm512_load_si512(highs);
+      }
+      // Draws are below n − i < 2³², so the truncation to dwords is exact.
+      _mm256_store_si256(
+          reinterpret_cast<__m256i*>(offsets + k * kLaneWorlds),
+          _mm512_cvtepi64_epi32(high));
+    }
+    for (size_t w = 0; w < num_worlds; ++w) {
+      SwapWorld(i0, steps, offsets, w, n, ids, masks);
+    }
+  }
+  Store512(g, &states);
+  states.WriteBack(rngs, num_worlds);
+}
+
 #pragma GCC diagnostic pop
 
 #endif  // SFA_X86_SIMD
@@ -537,6 +753,39 @@ void SampleCellLanes(const CellLaneTables& tables, size_t num_worlds,
     default:
       return ScalarCells(tables, num_worlds, rngs, cell_positives, totals);
   }
+}
+
+void SamplePermutationLanes(size_t n, uint64_t positives, size_t num_worlds,
+                            Rng* rngs, uint32_t* ids, uint8_t* masks) {
+  SFA_CHECK(num_worlds >= 1 && num_worlds <= kLaneWorlds);
+  SFA_CHECK(n <= UINT32_MAX);
+  SFA_CHECK_MSG(positives <= n, "more positives than points");
+  SFA_CHECK(rngs != nullptr);
+  SFA_CHECK(n == 0 || (ids != nullptr && masks != nullptr));
+  switch (spatial::ActiveSamplerKernel()) {
+#if defined(SFA_X86_SIMD)
+    case PopcountKernel::kAvx512:
+      return Avx512Permutation(n, positives, num_worlds, rngs, ids, masks);
+    case PopcountKernel::kAvx2:
+      return Avx2Permutation(n, positives, num_worlds, rngs, ids, masks);
+#endif
+    default:
+      return ScalarPermutation(n, positives, num_worlds, rngs, ids, masks);
+  }
+}
+
+std::byte* LocalBatchBlock(size_t bytes) {
+  struct Block {
+    std::unique_ptr<std::byte[]> data;
+    size_t bytes = 0;
+  };
+  static thread_local Block block;
+  if (block.data == nullptr || bytes > block.bytes) {
+    block.data.reset();  // free the old block first: the two never coexist
+    block.data.reset(new std::byte[bytes]);
+    block.bytes = bytes;
+  }
+  return block.data.get();
 }
 
 }  // namespace sfa::core

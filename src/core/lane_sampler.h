@@ -1,6 +1,7 @@
 // Null-world lane sampler: draws up to 8 null worlds at once, each from its
-// own generator — i.i.d. point-level worlds straight into packed mask planes,
-// and closed-form Bernoulli cell worlds into per-world cell rows.
+// own generator — i.i.d. point-level and permutation worlds straight into
+// packed mask planes, and closed-form Bernoulli cell worlds into per-world
+// cell rows.
 //
 // Every null world w already draws from its own generator (Rng::Split(w) of
 // the simulation seed), so 8 worlds can step side by side in 8 SIMD lanes and
@@ -20,7 +21,15 @@
 //   cells       every live cell of a CellSamplerBank, in cell order, takes
 //               one NextDouble() per world, scaled by its alias table's
 //               size and truncated to a column, then the column's
-//               keep-or-alias select, exactly as CellSamplerBank::Draw.
+//               keep-or-alias select, exactly as CellSamplerBank::Draw;
+//   permutation step i of every world's partial Fisher–Yates shuffle draws
+//               NextUint64(n − i) as the high half of a 64×32-bit product,
+//               exactly as DrawPermutationPositives (core/labels.h); a lane
+//               whose low half falls below n − i finishes NextUint64's
+//               rejection loop on a scalar copy of its generator. The lanes
+//               draw a block of steps' offsets, then each world runs its
+//               swaps of that block on its own ids and ORs its bit into the
+//               mask bytes of the ids it draws.
 //
 // Three arms, picked by spatial::ActiveSamplerKernel() (CPUID, clamped by
 // SFA_SIMD_POPCOUNT / ForcePopcountKernel):
@@ -28,7 +37,7 @@
 //   scalar   one world at a time; the portable reference;
 //   AVX2     two groups of 4 64-bit lanes, rotates as shift pairs;
 //   AVX-512  8 lanes (AVX-512F only), one-instruction rotates, unsigned
-//            compares straight into the mask byte.
+//            compares straight into the mask byte, gathers and scatters.
 //
 // Every arm produces the same mask bits or cell counts, per-world totals and
 // final generator states (tests/test_lane_sampler.cc pins them against the
@@ -68,6 +77,24 @@ void SampleBernoulliLanes(double rho, size_t n, size_t num_worlds, Rng* rngs,
 void SampleCategoricalLanes(const std::vector<uint64_t>& thresholds, size_t n,
                             size_t num_worlds, Rng* rngs, uint8_t* masks,
                             uint64_t* totals);
+
+/// Draws `num_worlds` (1..kLaneWorlds) permutation worlds of `positives`
+/// positives among `n` < 2³² points, world w from rngs[w], exactly as
+/// DrawPermutationPositives(n, positives, &rngs[w], ...) draws them: bit w
+/// of masks[i] is set when point i is one of world w's positives (bits at
+/// and above num_worlds are 0), and rngs[w] ends where that draw leaves it.
+/// `ids` is the shuffle buffer, kLaneWorlds·n entries (world w's ids at
+/// ids + w·n on the SIMD tiers) whose contents do not survive the call.
+void SamplePermutationLanes(size_t n, uint64_t positives, size_t num_worlds,
+                            Rng* rngs, uint32_t* ids, uint8_t* masks);
+
+/// The calling thread's pooled block of at least `bytes` bytes, aligned for
+/// uint64_t: the storage both statistics carve a batch's mask planes, count
+/// rows, cell rows and shuffle ids from, so that a worker thread keeps one
+/// block, the largest any batch of either statistic asked for. Callers start
+/// their arrays' lifetimes in it with placement new, which does no work for
+/// these trivial types; the contents do not survive the next call.
+std::byte* LocalBatchBlock(size_t bytes);
 
 /// The alias tables of a closed-form Bernoulli cell world, as
 /// CellSamplerBank builds and owns them: one column arena holding every table

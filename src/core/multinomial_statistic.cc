@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <new>
 
 #include "common/macros.h"
 #include "common/random.h"
@@ -90,20 +92,21 @@ void DrawMultinomial(uint64_t n, const std::vector<double>& q, Rng* rng,
 }
 
 /// Thread-local buffer pool of both engine strategies: packed class worlds,
-/// per-class count rows, and per-cell class draws — after a worker's first
-/// batch (or reference world) the steady state allocates nothing.
+/// per-cell class draws and the reference oracle's buffers — after a
+/// worker's first batch (or reference world) the steady state allocates
+/// nothing. The batched strategy's count rows and lane-sampled mask planes
+/// live in the block the Bernoulli statistic's rows use too
+/// (LocalBatchBlock, core/lane_sampler.h).
 struct MultinomialArena {
   std::vector<uint8_t> classes;        // one world's per-point class draws
   std::vector<uint8_t> indicator;      // one class's 0/1 bytes (reference)
   Labels ref_labels;                   // pooled indicator Labels (reference)
-  std::vector<uint8_t> masks;          // (K-1) × N lane-sampled planes
   std::vector<uint8_t> class_worlds;   // worlds × N permutation class codes
   std::vector<const uint8_t*> class_world_ptrs;
-  std::vector<uint64_t> counts;        // worlds × (K-1) × regions
   std::vector<uint64_t> world_totals;  // worlds × K
   std::vector<uint32_t> cell_class;    // one world's per-cell draws, one class
   std::vector<uint64_t> cell_draw;     // one cell's K draws
-  std::vector<uint64_t> region_counts; // (K-1) × regions, one world
+  std::vector<uint64_t> region_counts; // (K-1) × regions (reference)
   std::vector<uint64_t> scalar_counts; // CountPositives output row (reference)
   std::vector<const uint64_t*> class_ptrs;
 };
@@ -223,7 +226,9 @@ class MultinomialSimulation : public StatisticSimulation {
       const size_t num_cells = cells_->cell_counts.size();
       arena.cell_class.resize(num_cells * (num_classes - 1));
       arena.cell_draw.resize(num_classes);
-      arena.region_counts.resize(num_regions * (num_classes - 1));
+      const size_t row_entries = num_regions * (num_classes - 1);
+      uint64_t* region_counts = new (LocalBatchBlock(
+          row_entries * sizeof(uint64_t))) uint64_t[row_entries];
       for (size_t w = w_lo; w < w_hi; ++w) {
         Rng rng = root_.Split(w);
         uint64_t* world_totals =
@@ -249,10 +254,9 @@ class MultinomialSimulation : public StatisticSimulation {
         for (uint32_t k = 0; k + 1 < num_classes; ++k) {
           family_.CountPositivesFromCells(
               arena.cell_class.data() + static_cast<size_t>(k) * num_cells,
-              arena.region_counts.data() +
-                  static_cast<size_t>(k) * num_regions);
+              region_counts + static_cast<size_t>(k) * num_regions);
           arena.class_ptrs[k] =
-              arena.region_counts.data() + static_cast<size_t>(k) * num_regions;
+              region_counts + static_cast<size_t>(k) * num_regions;
         }
         out[w] = MaxLlr(arena.class_ptrs.data(), world_totals, num_classes,
                         total_n);
@@ -268,9 +272,13 @@ class MultinomialSimulation : public StatisticSimulation {
       // plane's CountPlanes call strides its worlds' rows to their
       // ClassCountRowOffset places. Offsets go through the size_t-widening
       // helpers; narrower products overflow at paper-scale configs.
-      arena.masks.resize(static_cast<size_t>(counted) * points);
-      arena.counts.resize(
-          ClassCountBufferSize(kLaneWorlds, counted, num_regions));
+      const size_t count_entries =
+          ClassCountBufferSize(kLaneWorlds, counted, num_regions);
+      const size_t count_bytes = count_entries * sizeof(uint64_t);
+      const size_t mask_bytes = static_cast<size_t>(counted) * points;
+      std::byte* block = LocalBatchBlock(count_bytes + mask_bytes);
+      uint64_t* counts = new (block) uint64_t[count_entries];
+      uint8_t* masks = new (block + count_bytes) uint8_t[mask_bytes];
       const size_t world_stride =
           ClassCountRowOffset(1, 0, counted, num_regions);
       for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
@@ -279,19 +287,17 @@ class MultinomialSimulation : public StatisticSimulation {
         for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(g + j);
         uint64_t* totals = arena.world_totals.data() + (g - w_lo) * num_classes;
         SampleCategoricalLanes(draw_.thresholds(), points, lanes, rngs,
-                               arena.masks.data(), totals);
+                               masks, totals);
         for (uint32_t k = 0; k < counted; ++k) {
           family_.CountPlanes(
-              arena.masks.data() + static_cast<size_t>(k) * points, lanes,
-              arena.counts.data() + ClassCountRowOffset(0, k, counted,
-                                                        num_regions),
+              masks + static_cast<size_t>(k) * points, lanes,
+              counts + ClassCountRowOffset(0, k, counted, num_regions),
               world_stride);
         }
         for (size_t j = 0; j < lanes; ++j) {
           for (uint32_t k = 0; k < counted; ++k) {
             arena.class_ptrs[k] =
-                arena.counts.data() +
-                ClassCountRowOffset(j, k, counted, num_regions);
+                counts + ClassCountRowOffset(j, k, counted, num_regions);
           }
           out[g + j] = MaxLlr(arena.class_ptrs.data(),
                               totals + j * num_classes, num_classes, total_n);
@@ -311,14 +317,16 @@ class MultinomialSimulation : public StatisticSimulation {
                        arena.world_totals.data() + j * num_classes);
       arena.class_world_ptrs[j] = world;
     }
-    arena.counts.resize(ClassCountBufferSize(worlds, counted, num_regions));
+    const size_t count_entries =
+        ClassCountBufferSize(worlds, counted, num_regions);
+    uint64_t* counts = new (LocalBatchBlock(count_entries * sizeof(uint64_t)))
+        uint64_t[count_entries];
     family_.CountClassesBatch(arena.class_world_ptrs.data(), worlds,
-                              num_classes, arena.counts.data());
+                              num_classes, counts);
     for (size_t j = 0; j < worlds; ++j) {
       for (uint32_t k = 0; k < counted; ++k) {
         arena.class_ptrs[k] =
-            arena.counts.data() +
-            ClassCountRowOffset(j, k, counted, num_regions);
+            counts + ClassCountRowOffset(j, k, counted, num_regions);
       }
       out[w_lo + j] =
           MaxLlr(arena.class_ptrs.data(),

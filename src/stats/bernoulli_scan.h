@@ -86,6 +86,9 @@ class LogLikelihoodTable {
 
   double klogk(uint64_t k) const { return klogk_[k]; }
 
+  /// t[0..max_count()], for kernels that gather entries by index.
+  const double* data() const { return klogk_.data(); }
+
   /// ll(k, m) via three lookups; requires k <= m <= max_count().
   double MaxBernoulliLogLikelihood(uint64_t k, uint64_t m) const {
     return klogk_[k] + klogk_[m - k] - klogk_[m];

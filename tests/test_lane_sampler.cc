@@ -7,7 +7,9 @@
 // counts around the 8- and 64-point boundaries, ρ at its edge values and K
 // from 2 to 256 with zero-mass classes. Closed-form cell worlds must equal
 // CellSamplerBank::Draw world by world in cell rows, totals and generator
-// states.
+// states, and permutation worlds DrawPermutationPositives world by world in
+// mask bits and generator states, including lanes whose draws run the
+// rejection loop or carry across the halves of the 64×32-bit product.
 #include "core/lane_sampler.h"
 
 #include <gtest/gtest.h>
@@ -29,20 +31,10 @@ namespace {
 
 using spatial::PopcountKernel;
 
+using testing::kTiers;
+using testing::ScopedTier;
+
 constexpr size_t kPointCounts[] = {0, 1, 7, 8, 9, 63, 64, 65, 8192};
-constexpr PopcountKernel kTiers[] = {
-    PopcountKernel::kScalar, PopcountKernel::kAvx2, PopcountKernel::kAvx512};
-
-/// Forces a tier for the scope and restores the previous one.
-class ScopedTier {
- public:
-  explicit ScopedTier(PopcountKernel tier)
-      : previous_(spatial::ForcePopcountKernel(tier)) {}
-  ~ScopedTier() { spatial::ForcePopcountKernel(previous_); }
-
- private:
-  PopcountKernel previous_;
-};
 
 /// World w's generator: substream w of one root, as the simulations split.
 Rng WorldRng(uint64_t seed, size_t w) { return Rng(seed).Split(w); }
@@ -293,6 +285,110 @@ TEST(LaneSampler, CellLanesMatchCellSamplerBankOnEveryTier) {
           }
           for (size_t w = 0; w < worlds; ++w) {
             EXPECT_TRUE(rngs[w] == want_rngs[w]) << "world " << w;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Per-world DrawPermutationPositives: the mask bits of worlds
+/// 0..rngs.size()−1 and, in *rngs, their final generators.
+std::vector<uint8_t> ReferencePermutationMasks(size_t n, uint64_t positives,
+                                               std::vector<Rng>* rngs) {
+  std::vector<uint8_t> masks(n, 0);
+  std::vector<uint32_t> order(n);
+  for (size_t w = 0; w < rngs->size(); ++w) {
+    const auto bit = static_cast<uint8_t>(1u << w);
+    DrawPermutationPositives(n, positives, &(*rngs)[w], order.data(),
+                             [&masks, bit](uint32_t id) { masks[id] |= bit; });
+  }
+  return masks;
+}
+
+/// SamplePermutationLanes on the active tier against the per-world draw,
+/// starting every lane from `start`: masks and final generator states.
+void ExpectPermutationLanesMatch(size_t n, uint64_t positives,
+                                 const std::vector<Rng>& start) {
+  std::vector<Rng> want_rngs = start;
+  const std::vector<uint8_t> want =
+      ReferencePermutationMasks(n, positives, &want_rngs);
+  std::vector<Rng> rngs = start;
+  std::vector<uint8_t> masks(n, 0xA5);  // the call clears them
+  std::vector<uint32_t> ids(kLaneWorlds * n, 0xDEADBEEF);
+  SamplePermutationLanes(n, positives, rngs.size(), rngs.data(), ids.data(),
+                         masks.data());
+  ASSERT_EQ(masks, want);
+  for (size_t w = 0; w < rngs.size(); ++w) {
+    EXPECT_TRUE(rngs[w] == want_rngs[w]) << "world " << w;
+  }
+}
+
+TEST(LaneSampler, PermutationLanesMatchDrawPermutationPositivesOnEveryTier) {
+  for (const size_t n : {size_t{1}, size_t{7}, size_t{1000}, size_t{8192}}) {
+    for (const uint64_t positives : {uint64_t{0}, uint64_t{1}, n / 2, n - 1,
+                                     uint64_t{n}}) {
+      for (size_t worlds = 1; worlds <= kLaneWorlds; ++worlds) {
+        std::vector<Rng> start;
+        for (size_t w = 0; w < worlds; ++w) start.push_back(WorldRng(43, w));
+        for (const PopcountKernel tier : kTiers) {
+          const ScopedTier scoped(tier);
+          SCOPED_TRACE(::testing::Message()
+                       << spatial::PopcountKernelName(
+                              spatial::ActiveSamplerKernel())
+                       << " n=" << n << " P=" << positives
+                       << " worlds=" << worlds);
+          ExpectPermutationLanesMatch(n, positives, start);
+        }
+      }
+    }
+  }
+}
+
+/// A generator whose Next() returns x: the state {0, a, b, rotr(x, 23)}.
+Rng GeneratorDrawing(uint64_t x) {
+  Rng rng;
+  rng.set_state({0, 0x9E3779B97F4A7C15ULL, 0xD1B54A32D192ED03ULL,
+                 (x >> 23) | (x << 41)});
+  return rng;
+}
+
+TEST(LaneSampler, PermutationLanesHandleCraftedDraws) {
+  constexpr size_t kN = 1000;  // not a power of two
+  // Next() = 0 gives NextUint64(n) a low product of 0, below 2⁶⁴ mod n, so
+  // the rejection loop draws again, in that lane only.
+  const Rng rejection = GeneratorDrawing(0);
+  {
+    Rng once = rejection;
+    once.NextUint64(kN);
+    Rng twice = rejection;
+    EXPECT_EQ(twice.Next(), 0u);
+    twice.Next();
+    ASSERT_TRUE(once == twice) << "the rejection loop did not run";
+  }
+  // x = 4294967·2³² + 2³² − 1 against n = 1000: the high 32 bits of x give
+  // the product 4294967000, 296 below 2³², and the low 32 bits add 999 more
+  // above 2³², so ⌊x·n / 2⁶⁴⌋ is 1 only with that carry (0 without it).
+  const Rng carry = GeneratorDrawing((uint64_t{4294967} << 32) | 0xFFFFFFFFu);
+  {
+    Rng copy = carry;
+    ASSERT_EQ(copy.NextUint64(kN), 1u);
+  }
+  for (const Rng& crafted : {rejection, carry}) {
+    for (const size_t worlds : {size_t{1}, size_t{3}, kLaneWorlds}) {
+      for (const size_t lane : {size_t{0}, worlds - 1}) {
+        std::vector<Rng> start;
+        for (size_t w = 0; w < worlds; ++w) start.push_back(WorldRng(47, w));
+        start[lane] = crafted;
+        for (const PopcountKernel tier : kTiers) {
+          const ScopedTier scoped(tier);
+          SCOPED_TRACE(::testing::Message()
+                       << spatial::PopcountKernelName(
+                              spatial::ActiveSamplerKernel())
+                       << " worlds=" << worlds << " crafted lane=" << lane
+                       << (&crafted == &carry ? " (carry)" : " (rejection)"));
+          for (const uint64_t positives : {uint64_t{1}, uint64_t{kN / 2}}) {
+            ExpectPermutationLanesMatch(kN, positives, start);
           }
         }
       }

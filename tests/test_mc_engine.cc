@@ -4,13 +4,15 @@
 // both null models, any batch size, and parallel on/off. Also checks the
 // batch counting interface against scalar counting directly, the engine's
 // size-grouped LLR max against the stats layer (per world, and exhaustively
-// at small N), the closed-form cell sampler's distributional agreement with
+// at small N, on every SIMD tier) and each tier's LLR max against the scalar
+// arm bit for bit, the closed-form cell sampler's distributional agreement with
 // point-level labeling, and a table of null maxima pinned as constants.
 #include "core/mc_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "core/significance.h"
 #include "core/square_family.h"
 #include "geo/partitioning.h"
+#include "spatial/simd_popcount.h"
 #include "stats/bernoulli_scan.h"
 #include "testing_util.h"
 
@@ -277,7 +280,7 @@ TEST(McEngineEquivalence, EngineMatchesStatsLayerOracle) {
 // in all three directions. That is the convexity claim the plan rests on
 // (no interior count beats both ends, after table rounding) plus the
 // group's min/max reduction.
-TEST(LlrMaxPlan, GroupedMaxEqualsPerRegionMaxExhaustively) {
+void ExpectGroupedMaxEqualsPerRegionMaxExhaustively() {
   using stats::ScanDirection;
   size_t checked = 0;
   for (uint64_t total_n = 2; total_n <= 48; ++total_n) {
@@ -319,6 +322,14 @@ TEST(LlrMaxPlan, GroupedMaxEqualsPerRegionMaxExhaustively) {
   EXPECT_GT(checked, 1000000u);
 }
 
+TEST(LlrMaxPlan, GroupedMaxEqualsPerRegionMaxExhaustively) {
+  for (const spatial::PopcountKernel tier : testing::kTiers) {
+    const testing::ScopedTier scoped(tier);
+    SCOPED_TRACE(spatial::PopcountKernelName(spatial::ActiveSamplerKernel()));
+    ExpectGroupedMaxEqualsPerRegionMaxExhaustively();
+  }
+}
+
 // Only size groups of 3+ regions with 0 < n < N are reduced, and none once N
 // passes the exactness bound; a family mixing reduced groups, directly
 // evaluated regions and dropped regions of size 0 or N gives the per-region
@@ -357,16 +368,126 @@ TEST(LlrMaxPlan, ReducesOnlyGroupsOfThreeOrMoreBelowTheBound) {
           << "N=" << total_n << " " << stats::ScanDirectionToString(direction);
     }
   };
-  // N = 20, P = 8: group {5, 5, 5}, direct {3} and {7, 7}, dropped 0 and 20.
-  expect_per_region_max({5, 3, 5, 7, 5, 7, 0, 20}, {4, 0, 1, 7, 2, 3, 0, 8},
-                        20, 8, 1);
-  // Sizes on both sides of the sort's 11-bit digit boundary, interleaved so
-  // that sizes sharing a low digit (2047 and 4095) only separate on the
-  // high one: groups 2047, 2048 and 4095, direct 3000.
-  expect_per_region_max(
-      {2047, 4095, 2048, 2047, 4095, 2048, 2047, 4095, 2048, 3000},
-      {1100, 2100, 900, 1000, 1900, 1024, 1023, 2300, 1200, 1600}, 10000,
-      5000, 3);
+  for (const spatial::PopcountKernel tier : testing::kTiers) {
+    const testing::ScopedTier scoped(tier);
+    SCOPED_TRACE(spatial::PopcountKernelName(spatial::ActiveSamplerKernel()));
+    // N = 20, P = 8: group {5, 5, 5}, direct {3} and {7, 7}, dropped 0 and
+    // 20.
+    expect_per_region_max({5, 3, 5, 7, 5, 7, 0, 20},
+                          {4, 0, 1, 7, 2, 3, 0, 8}, 20, 8, 1);
+    // Sizes on both sides of the sort's 11-bit digit boundary, interleaved
+    // so that sizes sharing a low digit (2047 and 4095) only separate on the
+    // high one: groups 2047, 2048 and 4095, direct 3000.
+    expect_per_region_max(
+        {2047, 4095, 2048, 2047, 4095, 2048, 2047, 4095, 2048, 3000},
+        {1100, 2100, 900, 1000, 1900, 1024, 1023, 2300, 1200, 1600}, 10000,
+        5000, 3);
+  }
+}
+
+/// Region sizes shaped like one of the engine's families at N points, with
+/// regions of size 0 and N (which the plan drops) mixed in.
+enum class PlanShape { kGrid, kSquares, kKnn, kDirect };
+
+std::vector<uint64_t> ShapedSizes(PlanShape shape, uint64_t total_n,
+                                  Rng* rng) {
+  std::vector<uint64_t> sizes;
+  switch (shape) {
+    case PlanShape::kGrid:
+      // Partition cells: a few very large groups of small sizes, empty
+      // cells, and a handful of large cells evaluated one by one.
+      for (int r = 0; r < 5000; ++r) sizes.push_back(rng->NextUint64(9));
+      for (int r = 0; r < 5; ++r) sizes.push_back(100 + 37 * r);
+      break;
+    case PlanShape::kSquares:
+      // Overlapping squares: hundreds of groups of 3 to ~15 regions plus
+      // sizes held by only one or two regions.
+      for (int r = 0; r < 2000; ++r) {
+        sizes.push_back(1 + rng->NextUint64(300) * (total_n / 400));
+      }
+      for (int r = 0; r < 139; ++r) {
+        sizes.push_back(1 + rng->NextUint64(total_n - 1));
+      }
+      break;
+    case PlanShape::kKnn:
+      // kNN circles: one group of 100 regions per rung of the ladder.
+      for (uint64_t k = 8; k < total_n && k <= 512; k *= 2) {
+        for (int c = 0; c < 100; ++c) sizes.push_back(k);
+      }
+      break;
+    case PlanShape::kDirect:
+      for (int r = 0; r < 333; ++r) {
+        sizes.push_back(1 + rng->NextUint64(total_n - 1));
+      }
+      break;
+  }
+  sizes.push_back(0);
+  sizes.push_back(total_n);
+  std::shuffle(sizes.begin(), sizes.end(), *rng);
+  return sizes;
+}
+
+// Every tier's Max must equal the scalar arm's bit for bit: seeded worlds on
+// plans shaped like the grid, squares and kNN families, in all three
+// directions, with P at 0, N and in between, and on a plan over more than
+// kMaxGroupedPoints points, which evaluates every region directly.
+TEST(LlrMaxPlan, EveryTierMatchesTheScalarArmBitForBit) {
+  using stats::ScanDirection;
+  struct Case {
+    PlanShape shape;
+    uint64_t total_n;
+  };
+  const Case cases[] = {
+      {PlanShape::kGrid, 8192},
+      {PlanShape::kSquares, 8192},
+      {PlanShape::kKnn, 8192},
+      {PlanShape::kKnn, 700},
+      {PlanShape::kDirect, internal::LlrMaxPlan::kMaxGroupedPoints + 1}};
+  Rng rng(53);
+  for (const Case& c : cases) {
+    const std::vector<uint64_t> sizes = ShapedSizes(c.shape, c.total_n, &rng);
+    const internal::LlrMaxPlan plan(sizes, c.total_n);
+    EXPECT_EQ(plan.num_groups() == 0, c.shape == PlanShape::kDirect);
+    const stats::LogLikelihoodTable table(c.total_n);
+    for (int world = 0; world < 24; ++world) {
+      const uint64_t total_p = world == 0   ? 0
+                               : world == 1 ? c.total_n
+                                            : rng.NextUint64(c.total_n + 1);
+      // Any count p with p <= n, p <= P and n − p <= N − P is feasible.
+      std::vector<uint64_t> positives(sizes.size());
+      for (size_t r = 0; r < sizes.size(); ++r) {
+        const uint64_t lo = total_p + sizes[r] > c.total_n
+                                ? total_p + sizes[r] - c.total_n
+                                : 0;
+        const uint64_t hi = std::min(sizes[r], total_p);
+        positives[r] = lo + rng.NextUint64(hi - lo + 1);
+      }
+      for (const ScanDirection direction :
+           {ScanDirection::kTwoSided, ScanDirection::kHigh,
+            ScanDirection::kLow}) {
+        double want;
+        {
+          const testing::ScopedTier scalar(spatial::PopcountKernel::kScalar);
+          want = plan.Max(positives.data(), total_p, direction, table);
+        }
+        if (world >= 2) {
+          EXPECT_GT(want, 0.0);
+        }
+        for (const spatial::PopcountKernel tier : testing::kTiers) {
+          const testing::ScopedTier scoped(tier);
+          const double got =
+              plan.Max(positives.data(), total_p, direction, table);
+          ASSERT_EQ(std::bit_cast<uint64_t>(got),
+                    std::bit_cast<uint64_t>(want))
+              << spatial::PopcountKernelName(spatial::ActiveSamplerKernel())
+              << " shape " << static_cast<int>(c.shape) << " N=" << c.total_n
+              << " P=" << total_p << " "
+              << stats::ScanDirectionToString(direction) << ": " << got
+              << " vs " << want;
+        }
+      }
+    }
+  }
 }
 
 // Closed-form cell sampling draws a different RNG stream but the same

@@ -30,9 +30,30 @@
 #include "geo/partitioning.h"
 #include "geo/rect.h"
 #include "spatial/kdtree.h"
+#include "spatial/simd_popcount.h"
 #include "stats/distributions.h"
 
 namespace sfa::core::testing {
+
+/// The SIMD tiers, for suites that force each in turn; a tier the CPU lacks
+/// clamps down to the best one it has.
+inline constexpr spatial::PopcountKernel kTiers[] = {
+    spatial::PopcountKernel::kScalar, spatial::PopcountKernel::kAvx2,
+    spatial::PopcountKernel::kAvx512};
+
+/// Forces a tier (ForcePopcountKernel) for the scope and restores the
+/// previous one.
+class ScopedTier {
+ public:
+  explicit ScopedTier(spatial::PopcountKernel tier)
+      : previous_(spatial::ForcePopcountKernel(tier)) {}
+  ~ScopedTier() { spatial::ForcePopcountKernel(previous_); }
+  ScopedTier(const ScopedTier&) = delete;
+  ScopedTier& operator=(const ScopedTier&) = delete;
+
+ private:
+  spatial::PopcountKernel previous_;
+};
 
 /// A synthetic "city" on the [0,10)² plane: uniform locations, prediction
 /// rate `planted_rate` inside the fixed zone [6,9]² and `base_rate` outside,

@@ -324,8 +324,8 @@ BENCHMARK(BM_MonteCarloGridDirection)
 
 void BM_MonteCarloSquaresK3(benchmark::State& state) {
   // 49 point-level K = 3 worlds on the annulus squares shape (100 centers,
-  // 20 sides): 8 worlds per lane-sampler call, then one CountPlanes gather
-  // per counted class.
+  // 20 sides): 8 worlds per lane-sampler call, then one CountPlanes walk per
+  // tile of 16 worlds × 2 counted classes.
   const size_t n = 8192;
   Rng rng(29);
   const auto pts = UniformCloud(n, &rng);
@@ -386,11 +386,13 @@ void BM_LlrMaxPlan(benchmark::State& state, spatial::PopcountKernel tier,
   for (size_t r = 0; r < sizes.size(); ++r) sizes[r] = family->PointCount(r);
   const core::internal::LlrMaxPlan plan(sizes, n);
   const stats::LogLikelihoodTable table(n);
-  std::vector<uint64_t> counts[core::kLaneWorlds];
+  std::vector<uint32_t> counts[core::kLaneWorlds];
   uint64_t total_p[core::kLaneWorlds];
   for (size_t j = 0; j < core::kLaneWorlds; ++j) {
     const core::Labels labels = core::Labels::SampleBernoulli(n, 0.54, &rng);
-    family->CountPositives(labels, &counts[j]);
+    std::vector<uint64_t> wide;
+    family->CountPositives(labels, &wide);
+    counts[j].assign(wide.begin(), wide.end());
     total_p[j] = labels.positive_count();
   }
   const spatial::PopcountKernel previous = spatial::ForcePopcountKernel(tier);
@@ -422,18 +424,19 @@ BENCHMARK_CAPTURE(BM_LlrMaxPlan, avx512/grid, spatial::PopcountKernel::kAvx512,
 BENCHMARK_CAPTURE(BM_LlrMaxPlan, avx512/squares,
                   spatial::PopcountKernel::kAvx512, PlanShape::kSquares);
 
-// Annulus gather counting kernel on the sfabench
-// family shapes: N = 8,192 uniform points and 100 uniform centers on a
-// 10 x 10 domain, with either 20 square sides 0.1-2.0 or the default 7-rung
-// kNN ladder. Each iteration counts one batch of `state.range(0)` pre-drawn
-// worlds (8 = one packed walk, 1 = the one-world path), packed into planes
-// and counted by CountPlanes; squares_k3 counts 3-class worlds through
-// CountClassesBatch. items_per_second is worlds/s.
+// The annulus walk alone, on one sampler tier, on the sfabench family
+// shapes: N = 8,192 uniform points and 100 uniform centers on a 10 x 10
+// domain, with either 20 square sides 0.1-2.0 or the default 7-rung kNN
+// ladder. Each iteration is one CountPlanes call on lane-sampled mask words
+// at the family's tile width (core::WorldTile): Bernoulli(0.54) worlds on
+// squares and kNN, and on squares_k3 the K = 3 tile's (world, class) planes,
+// 2 per world, with class mix {0.5, 0.3, 0.2}. items_per_second is
+// worlds/s. A tier the CPU lacks is skipped.
 enum class AnnulusShape { kSquares, kKnn, kSquaresK3 };
 
-void BM_AnnulusCountBatch(benchmark::State& state, AnnulusShape shape) {
+void BM_AnnulusCountPlanes(benchmark::State& state,
+                           spatial::PopcountKernel tier, AnnulusShape shape) {
   const size_t n = 8192;
-  const size_t batch = static_cast<size_t>(state.range(0));
   Rng rng(29);
   std::vector<geo::Point> pts(n);
   for (auto& p : pts) p = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
@@ -456,44 +459,68 @@ void BM_AnnulusCountBatch(benchmark::State& state, AnnulusShape shape) {
     state.SkipWithError("family creation failed");
     return;
   }
-  std::vector<core::Labels> worlds;
-  std::vector<std::vector<uint8_t>> class_worlds;
-  for (size_t w = 0; w < batch; ++w) {
-    worlds.push_back(core::Labels::SampleBernoulli(n, 0.54, &rng));
-    class_worlds.emplace_back(n);
-    for (uint8_t& c : class_worlds.back()) {
-      c = static_cast<uint8_t>(rng.Categorical({0.5, 0.3, 0.2}));
+  const spatial::PopcountKernel previous = spatial::ForcePopcountKernel(tier);
+  if (spatial::ActiveSamplerKernel() != tier) {
+    spatial::ForcePopcountKernel(previous);
+    state.SkipWithError("sampler tier not supported on this CPU");
+    return;
+  }
+  const uint32_t counted = shape == AnnulusShape::kSquaresK3 ? 2 : 1;
+  const size_t regions = family->num_regions();
+  const size_t worlds = core::WorldTile(regions, counted);
+  const size_t planes = worlds * counted;
+  const core::internal::CategoricalDraw categorical({0.5, 0.3, 0.2});
+  std::vector<uint64_t> masks(n);
+  std::vector<uint64_t> totals(3 * worlds);
+  Rng root(31);
+  for (size_t g = 0; g * core::kLaneWorlds < worlds; ++g) {
+    std::vector<Rng> rngs;
+    for (size_t j = 0; j < core::kLaneWorlds; ++j) {
+      rngs.push_back(root.Split(g * core::kLaneWorlds + j));
+    }
+    if (counted == 1) {
+      core::SampleBernoulliLanes(0.54, n, core::kLaneWorlds, rngs.data(),
+                                 masks.data(), g, totals.data());
+    } else {
+      core::SampleCategoricalLanes(categorical.thresholds(), n,
+                                   core::kLaneWorlds, rngs.data(),
+                                   masks.data(), g * counted, totals.data());
     }
   }
-  std::vector<const core::Labels*> world_ptrs;
-  for (const core::Labels& w : worlds) world_ptrs.push_back(&w);
-  std::vector<const uint8_t*> class_ptrs;
-  for (const auto& w : class_worlds) class_ptrs.push_back(w.data());
-  std::vector<uint64_t> out(2 * batch * family->num_regions());
+  std::vector<uint32_t> out(planes * regions);
   for (auto _ : state) {
-    if (shape == AnnulusShape::kSquaresK3) {
-      family->CountClassesBatch(class_ptrs.data(), batch, 3, out.data());
-    } else {
-      family->CountPositivesBatch(world_ptrs.data(), batch, out.data());
-    }
+    family->CountPlanes(masks.data(), planes, out.data(), regions);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
+  spatial::ForcePopcountKernel(previous);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * worlds));
 }
-BENCHMARK_CAPTURE(BM_AnnulusCountBatch, squares, AnnulusShape::kSquares)
-    ->Arg(1)
-    ->Arg(8);
-BENCHMARK_CAPTURE(BM_AnnulusCountBatch, knn, AnnulusShape::kKnn)->Arg(1)->Arg(8);
-BENCHMARK_CAPTURE(BM_AnnulusCountBatch, squares_k3, AnnulusShape::kSquaresK3)
-    ->Arg(1)
-    ->Arg(8);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, scalar/squares,
+                  spatial::PopcountKernel::kScalar, AnnulusShape::kSquares);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, scalar/knn,
+                  spatial::PopcountKernel::kScalar, AnnulusShape::kKnn);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, scalar/squares_k3,
+                  spatial::PopcountKernel::kScalar, AnnulusShape::kSquaresK3);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx2/squares,
+                  spatial::PopcountKernel::kAvx2, AnnulusShape::kSquares);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx2/knn,
+                  spatial::PopcountKernel::kAvx2, AnnulusShape::kKnn);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx2/squares_k3,
+                  spatial::PopcountKernel::kAvx2, AnnulusShape::kSquaresK3);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx512/squares,
+                  spatial::PopcountKernel::kAvx512, AnnulusShape::kSquares);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx512/knn,
+                  spatial::PopcountKernel::kAvx512, AnnulusShape::kKnn);
+BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx512/squares_k3,
+                  spatial::PopcountKernel::kAvx512, AnnulusShape::kSquaresK3);
 
 // Cell-scatter counting of the grid and partitioning families: 8 Bernoulli
-// label worlds (the permutation null's path) on N = 8,192 points of the
-// sfabench cloud shape, packed into planes and counted by one CountPlanes
-// scatter; the grid is 100 x 50 cells, the partitioning family 20 random
-// partitionings of 4-12 splits per axis. items_per_second is worlds/s.
+// label worlds (the grid's tile, and the permutation null's path) on
+// N = 8,192 points of the sfabench cloud shape, packed into mask words
+// outside the timed loop and counted by one CountPlanes scatter; the grid
+// is 100 x 50 cells, the partitioning family 20 random partitionings of
+// 4-12 splits per axis. items_per_second is worlds/s.
 enum class CellShape { kGrid, kPartitionings };
 
 void BM_CellCountBatch(benchmark::State& state, CellShape shape) {
@@ -519,15 +546,17 @@ void BM_CellCountBatch(benchmark::State& state, CellShape shape) {
     state.SkipWithError("family creation failed");
     return;
   }
-  std::vector<core::Labels> worlds;
+  std::vector<uint64_t> masks(n, 0);
   for (size_t w = 0; w < batch; ++w) {
-    worlds.push_back(core::Labels::SampleBernoulli(n, 0.54, &rng));
+    const core::Labels labels = core::Labels::SampleBernoulli(n, 0.54, &rng);
+    for (size_t i = 0; i < n; ++i) {
+      masks[i] |= static_cast<uint64_t>(labels.bytes()[i]) << w;
+    }
   }
-  std::vector<const core::Labels*> world_ptrs;
-  for (const core::Labels& w : worlds) world_ptrs.push_back(&w);
-  std::vector<uint64_t> out(batch * family->num_regions());
+  std::vector<uint32_t> out(batch * family->num_regions());
   for (auto _ : state) {
-    family->CountPositivesBatch(world_ptrs.data(), batch, out.data());
+    family->CountPlanes(masks.data(), batch, out.data(),
+                        family->num_regions());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -573,7 +602,8 @@ BENCHMARK(BM_LabelsSampling)->Range(1 << 12, 1 << 18);
 
 // The null-world lane sampler on one SIMD tier: 8 worlds of N = 8,192
 // points per call, Bernoulli(0.54) labels or K = 3 classes with mix
-// {0.5, 0.3, 0.2}, written as mask planes. items_per_second is worlds/s.
+// {0.5, 0.3, 0.2}, written into bytes of the mask words. items_per_second is
+// worlds/s.
 // A tier the CPU lacks is skipped (forcing it would clamp down).
 enum class LaneDraw { kBernoulli, kK3 };
 
@@ -587,7 +617,7 @@ void BM_LaneSampler(benchmark::State& state, LaneDraw draw,
   }
   const size_t n = 8192;
   const core::internal::CategoricalDraw categorical({0.5, 0.3, 0.2});
-  std::vector<uint8_t> masks(2 * n);
+  std::vector<uint64_t> masks(n);
   std::vector<uint64_t> totals(3 * core::kLaneWorlds);
   Rng root(31);
   std::vector<Rng> rngs;
@@ -595,11 +625,11 @@ void BM_LaneSampler(benchmark::State& state, LaneDraw draw,
   for (auto _ : state) {
     if (draw == LaneDraw::kBernoulli) {
       core::SampleBernoulliLanes(0.54, n, core::kLaneWorlds, rngs.data(),
-                                 masks.data(), totals.data());
+                                 masks.data(), 0, totals.data());
     } else {
       core::SampleCategoricalLanes(categorical.thresholds(), n,
                                    core::kLaneWorlds, rngs.data(),
-                                   masks.data(), totals.data());
+                                   masks.data(), 0, totals.data());
     }
     benchmark::DoNotOptimize(masks.data());
     benchmark::ClobberMemory();
@@ -623,9 +653,9 @@ BENCHMARK_CAPTURE(BM_LaneSampler, k3/avx512, LaneDraw::kK3,
 
 // Permutation null worlds as the engine draws them, on one sampler tier:
 // SamplePermutationLanes shuffles 8 worlds of N = 8,192 points (partial
-// Fisher–Yates, ρ ≈ 0.54) into mask planes, then one CountPlanes pass over
-// the 100x50 grid counts them. items_per_second is worlds/s. A tier the CPU
-// lacks is skipped.
+// Fisher–Yates, ρ ≈ 0.54) into a byte of the mask words, then one
+// CountPlanes pass over the 100x50 grid counts them (the grid's tile is 8
+// worlds). items_per_second is worlds/s. A tier the CPU lacks is skipped.
 void BM_PermutationPlanes(benchmark::State& state,
                           spatial::PopcountKernel tier) {
   const size_t n = 8192;
@@ -643,16 +673,16 @@ void BM_PermutationPlanes(benchmark::State& state,
     return;
   }
   const size_t regions = (*family)->num_regions();
-  std::vector<uint8_t> masks(n);
+  std::vector<uint64_t> masks(n);
   std::vector<uint32_t> ids(core::kLaneWorlds * n);
-  std::vector<uint64_t> counts(core::kLaneWorlds * regions);
+  std::vector<uint32_t> counts(core::kLaneWorlds * regions);
   Rng root(29);
   uint64_t world = 0;
   for (auto _ : state) {
     Rng rngs[core::kLaneWorlds];
     for (Rng& rng : rngs) rng = root.Split(world++);
     core::SamplePermutationLanes(n, positives, core::kLaneWorlds, rngs,
-                                 ids.data(), masks.data());
+                                 ids.data(), masks.data(), 0);
     (*family)->CountPlanes(masks.data(), core::kLaneWorlds, counts.data(),
                            regions);
     benchmark::DoNotOptimize(counts.data());

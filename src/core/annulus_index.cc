@@ -5,6 +5,11 @@
 #include <limits>
 
 #include "common/macros.h"
+#include "spatial/simd_popcount.h"
+
+#if defined(SFA_X86_SIMD)
+#include <immintrin.h>
+#endif
 
 namespace sfa::core {
 
@@ -131,29 +136,272 @@ void AnnulusIndex::CountPositives(const uint8_t* labels, uint64_t* out) const {
       });
 }
 
-void AnnulusIndex::CountPlanes(const uint8_t* masks, size_t num_planes,
-                               uint64_t* out, size_t out_stride) const {
+namespace {
+
+/// The scalar arm: per 8-plane byte group, the group's byte of every mask
+/// word is copied into a contiguous byte array (N bytes, which stay in L1
+/// where the N words do not), then one WalkLadders pass adds each entry's
+/// spread-table word.
+void ScalarCountPlanes(const spatial::Csr32& csr, size_t num_points,
+                       size_t num_centers, size_t num_rungs,
+                       const uint64_t* masks, size_t num_planes, uint32_t* out,
+                       size_t stride) {
+  using Totals = std::array<uint32_t, 8>;
+  static thread_local std::vector<uint8_t> group_bytes;
+  group_bytes.resize(num_points);
+  uint8_t* bytes = group_bytes.data();
+  for (size_t shift = 0; shift < num_planes; shift += 8) {
+    const size_t planes = std::min<size_t>(8, num_planes - shift);
+    for (size_t i = 0; i < num_points; ++i) {
+      bytes[i] = static_cast<uint8_t>(masks[i] >> shift);
+    }
+    uint32_t* group_out = out + shift * stride;
+    // Byte lane b of the chunk sum counts plane shift + b; a chunk of at
+    // most kLaneCapacity entries cannot overflow it.
+    WalkLadders<Totals>(
+        csr, num_centers, num_rungs,
+        [bytes](uint32_t id) { return kSpread[bytes[id]]; },
+        [](Totals* carried, uint64_t lanes) {
+          for (size_t b = 0; b < 8; ++b) {
+            (*carried)[b] += static_cast<uint32_t>((lanes >> (8 * b)) & 0xFF);
+          }
+        },
+        [group_out, stride, planes](size_t slot, const Totals& carried,
+                                    uint64_t lanes) {
+          for (size_t b = 0; b < planes; ++b) {
+            group_out[b * stride + slot] =
+                carried[b] + static_cast<uint32_t>((lanes >> (8 * b)) & 0xFF);
+          }
+        });
+  }
+}
+
+#if defined(SFA_X86_SIMD)
+
+// GCC's avx512fintrin.h trips -W(maybe-)uninitialized on its own internal
+// _mm512_undefined temporaries; the warning is in the system header.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// The rung-end counts of a run of up to 8 consecutive region slots,
+/// world-minor (slot first + k's plane p at counts[k][p]) until the run is
+/// written out plane by plane: one gather of the run's counts and one store
+/// into the plane's row each, instead of one scattered store per (slot,
+/// plane).
+struct SlotRun {
+  static constexpr size_t kSlots = 8;
+  alignas(64) uint32_t counts[kSlots][64];
+  size_t first = 0;
+  size_t filled = 0;
+};
+
+/// Writes out and empties a run: plane p's counts are one 8-lane gather
+/// (stride 64) and one masked store. Both SIMD arms share it; a 16-slot run
+/// with 16-lane gathers measured no faster on AVX-512.
+__attribute__((target("avx2"))) void WriteRun(SlotRun* run,
+                                              size_t num_planes,
+                                              uint32_t* out, size_t stride) {
+  const __m256i live = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(run->filled)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256i slots = _mm256_setr_epi32(0, 64, 128, 192, 256, 320, 384, 448);
+  const int* counts = reinterpret_cast<const int*>(run->counts);
+  uint32_t* row = out + run->first;
+  for (size_t p = 0; p < num_planes; ++p, row += stride) {
+    const __m256i v = _mm256_mask_i32gather_epi32(
+        _mm256_setzero_si256(), counts,
+        _mm256_add_epi32(slots, _mm256_set1_epi32(static_cast<int>(p))), live,
+        4);
+    _mm256_maskstore_epi32(reinterpret_cast<int*>(row), live, v);
+  }
+  run->first += run->filled;
+  run->filled = 0;
+}
+
+// The SIMD arms walk rung by rung: 64 byte lanes (lane p = plane p) absorb
+// each entry's mask, fold into 32-bit totals before any lane can have taken
+// kLaneCapacity entries, and every rung end emits totals + lanes.
+
+/// sums[q] = totals[q] + byte lanes 16q … 16q + 15 of `lanes`, widened.
+__attribute__((target("avx512bw"))) inline void AddQuarters(
+    __m512i lanes, const __m512i* totals, __m512i* sums) {
+  const __m128i quarters[4] = {_mm512_extracti32x4_epi32(lanes, 0),
+                               _mm512_extracti32x4_epi32(lanes, 1),
+                               _mm512_extracti32x4_epi32(lanes, 2),
+                               _mm512_extracti32x4_epi32(lanes, 3)};
+  for (int q = 0; q < 4; ++q) {
+    sums[q] = _mm512_add_epi32(totals[q], _mm512_cvtepu8_epi32(quarters[q]));
+  }
+}
+
+/// 64 byte lanes in one register, one masked byte add per entry.
+__attribute__((target("avx512bw"))) void Avx512CountPlanes(
+    const spatial::Csr32& csr, size_t num_centers, size_t num_rungs,
+    const uint64_t* masks, size_t num_planes, uint32_t* out, size_t stride) {
+  const uint32_t* offsets = csr.offsets.data();
+  const uint32_t* ids = csr.values.data();
+  const __m512i one = _mm512_set1_epi8(1);
+  SlotRun run;
+  for (size_t c = 0; c < num_centers; ++c) {
+    __m512i totals[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                         _mm512_setzero_si512(), _mm512_setzero_si512()};
+    __m512i lanes = _mm512_setzero_si512();
+    size_t room = kLaneCapacity;  // entries the lanes can still take
+    size_t slot = c * num_rungs;
+    size_t j = offsets[slot];
+    for (const size_t last = slot + num_rungs; slot < last; ++slot) {
+      const size_t end = offsets[slot + 1];
+      for (;;) {
+        const size_t stop = std::min<size_t>(end, j + room);
+        room -= stop - j;
+        for (; j < stop; ++j) {
+          lanes = _mm512_mask_add_epi8(lanes, _cvtu64_mask64(masks[ids[j]]),
+                                       lanes, one);
+        }
+        if (j == end) break;
+        AddQuarters(lanes, totals, totals);
+        lanes = _mm512_setzero_si512();
+        room = kLaneCapacity;
+      }
+      __m512i rung[4];
+      AddQuarters(lanes, totals, rung);
+      uint32_t* counts = run.counts[run.filled];
+      for (size_t q = 0; q * 16 < num_planes; ++q) {
+        _mm512_store_si512(counts + 16 * q, rung[q]);
+      }
+      if (++run.filled == SlotRun::kSlots) {
+        WriteRun(&run, num_planes, out, stride);
+      }
+    }
+  }
+  WriteRun(&run, num_planes, out, stride);
+}
+
+/// One entry's mask as 32 byte lanes of 0 or 0xFF: byte lane b of half h
+/// is bit b of the mask's 32-bit half h. `pick` replicates each mask byte
+/// over 8 lanes (vpshufb stays within 128-bit lanes, and the broadcast puts
+/// the whole word in both).
+__attribute__((target("avx2"))) inline __m256i MaskBytes(__m256i word,
+                                                         __m256i pick,
+                                                         __m256i bits) {
+  return _mm256_cmpeq_epi8(_mm256_and_si256(_mm256_shuffle_epi8(word, pick),
+                                            bits),
+                           bits);
+}
+
+/// Adds 32 byte lanes into 32 uint32 totals (8 per register).
+__attribute__((target("avx2"))) inline void FoldLanes32(__m256i lanes,
+                                                        __m256i* totals) {
+  const __m128i halves[2] = {_mm256_castsi256_si128(lanes),
+                             _mm256_extracti128_si256(lanes, 1)};
+  for (int h = 0; h < 2; ++h) {
+    totals[2 * h] =
+        _mm256_add_epi32(totals[2 * h], _mm256_cvtepu8_epi32(halves[h]));
+    totals[2 * h + 1] = _mm256_add_epi32(
+        totals[2 * h + 1],
+        _mm256_cvtepu8_epi32(_mm_srli_si128(halves[h], 8)));
+  }
+}
+
+/// 32 (kWide: 64) byte lanes in one (two) registers; each entry's mask
+/// becomes bytes through a broadcast, vpshufb and vpcmpeqb.
+template <bool kWide>
+__attribute__((target("avx2"))) void Avx2CountPlanes(
+    const spatial::Csr32& csr, size_t num_centers, size_t num_rungs,
+    const uint64_t* masks, size_t num_planes, uint32_t* out, size_t stride) {
+  const uint32_t* offsets = csr.offsets.data();
+  const uint32_t* ids = csr.values.data();
+  const __m256i pick_lo = _mm256_setr_epi64x(
+      0, 0x0101010101010101LL, 0x0202020202020202LL, 0x0303030303030303LL);
+  const __m256i pick_hi = _mm256_add_epi8(pick_lo, _mm256_set1_epi8(4));
+  const __m256i bits = _mm256_set1_epi64x(0x8040201008040201LL);
+  SlotRun run;
+  constexpr int kHalves = kWide ? 2 : 1;
+  for (size_t c = 0; c < num_centers; ++c) {
+    __m256i totals[8];
+    for (__m256i& t : totals) t = _mm256_setzero_si256();
+    __m256i lo = _mm256_setzero_si256();
+    __m256i hi = _mm256_setzero_si256();
+    size_t room = kLaneCapacity;
+    size_t slot = c * num_rungs;
+    size_t j = offsets[slot];
+    for (const size_t last = slot + num_rungs; slot < last; ++slot) {
+      const size_t end = offsets[slot + 1];
+      for (;;) {
+        const size_t stop = std::min<size_t>(end, j + room);
+        room -= stop - j;
+        for (; j < stop; ++j) {
+          const __m256i word =
+              _mm256_set1_epi64x(static_cast<long long>(masks[ids[j]]));
+          lo = _mm256_sub_epi8(lo, MaskBytes(word, pick_lo, bits));
+          if constexpr (kWide) {
+            hi = _mm256_sub_epi8(hi, MaskBytes(word, pick_hi, bits));
+          }
+        }
+        if (j == end) break;
+        FoldLanes32(lo, totals);
+        if constexpr (kWide) FoldLanes32(hi, totals + 4);
+        lo = _mm256_setzero_si256();
+        hi = _mm256_setzero_si256();
+        room = kLaneCapacity;
+      }
+      __m256i rung[8];
+      for (int k = 0; k < 4 * kHalves; ++k) rung[k] = totals[k];
+      FoldLanes32(lo, rung);
+      if constexpr (kWide) FoldLanes32(hi, rung + 4);
+      uint32_t* counts = run.counts[run.filled];
+      for (int k = 0; k < 4 * kHalves; ++k) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(counts + 8 * k),
+                           rung[k]);
+      }
+      if (++run.filled == SlotRun::kSlots) {
+        WriteRun(&run, num_planes, out, stride);
+      }
+    }
+  }
+  WriteRun(&run, num_planes, out, stride);
+}
+
+#pragma GCC diagnostic pop
+
+#endif  // SFA_X86_SIMD
+
+}  // namespace
+
+void AnnulusIndex::CountPlanes(const uint64_t* masks, size_t num_planes,
+                               uint32_t* out, size_t out_stride) const {
   SFA_CHECK((masks != nullptr || num_points_ == 0) && out != nullptr);
-  SFA_CHECK(num_planes >= 1 && num_planes <= kPlanesPerPass);
+  SFA_CHECK(num_planes >= 1 && num_planes <= kMaxPlanes);
   SFA_CHECK(out_stride >= num_regions());
-  using Totals = std::array<uint64_t, kPlanesPerPass>;
-  const size_t stride = out_stride;
-  // Byte lane b of the chunk sum counts plane b; a chunk of at most
-  // kLaneCapacity entries cannot overflow it.
-  WalkLadders<Totals>(
-      csr_, num_centers_, num_rungs_,
-      [masks](uint32_t id) { return kSpread[masks[id]]; },
-      [](Totals* carried, uint64_t lanes) {
-        for (size_t b = 0; b < kPlanesPerPass; ++b) {
-          (*carried)[b] += (lanes >> (8 * b)) & 0xFF;
-        }
-      },
-      [out, stride, num_planes](size_t slot, const Totals& carried,
-                                uint64_t lanes) {
-        for (size_t b = 0; b < num_planes; ++b) {
-          out[b * stride + slot] = carried[b] + ((lanes >> (8 * b)) & 0xFF);
-        }
-      });
+  // One byte group walks fastest on its bytes: the wide walks read whole
+  // words, whose N·8 bytes do not stay in L1.
+  const spatial::PopcountKernel tier =
+      num_planes <= 8 ? spatial::PopcountKernel::kScalar
+                      : spatial::ActiveSamplerKernel();
+  switch (tier) {
+#if defined(SFA_X86_SIMD)
+    case spatial::PopcountKernel::kAvx512:
+      // Up to 32 planes, one AVX2 register per entry walks faster than the
+      // 64 AVX-512 lanes (measured on squares and K = 3 squares tiles).
+      if (num_planes > 32) {
+        return Avx512CountPlanes(csr_, num_centers_, num_rungs_, masks,
+                                 num_planes, out, out_stride);
+      }
+      return Avx2CountPlanes<false>(csr_, num_centers_, num_rungs_, masks,
+                                    num_planes, out, out_stride);
+    case spatial::PopcountKernel::kAvx2:
+      if (num_planes > 32) {
+        return Avx2CountPlanes<true>(csr_, num_centers_, num_rungs_, masks,
+                                     num_planes, out, out_stride);
+      }
+      return Avx2CountPlanes<false>(csr_, num_centers_, num_rungs_, masks,
+                                    num_planes, out, out_stride);
+#endif
+    default:
+      return ScalarCountPlanes(csr_, num_points_, num_centers_, num_rungs_,
+                               masks, num_planes, out, out_stride);
+  }
 }
 
 }  // namespace sfa::core

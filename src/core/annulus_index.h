@@ -20,17 +20,30 @@
 //     for each rank ℓ:  for each id in annulus ℓ:  acc += label[id]
 //                       p(R_ℓ) = acc               (every rung at once)
 //
-// CountPlanes gathers up to 8 planes per walk from one mask byte per point
-// (bit b = plane b's label), the format the null-world lane sampler writes
-// (core/lane_sampler.h). Each gathered mask adds a 256-entry spread-table
-// word carrying bit b into byte lane b, so one 64-bit add counts 8 worlds.
-// Byte lanes are flushed into 64-bit totals before they can overflow, and
-// every rank end emits the running totals. An output stride lets the K−1
-// class planes of 8 worlds land straight in their ClassCountRowOffset rows.
+// CountPlanes counts up to 64 planes per walk from one 64-bit mask word per
+// point (bit p = plane p's label), the format the null-world lane sampler
+// writes (core/lane_sampler.h), into uint32 rows. It has three arms, picked
+// by spatial::ActiveSamplerKernel():
 //
-// O(entries) per 8 worlds, no dense label bits, no per-region AND+popcount
-// pass, portable C++. This is the only counting path of both families; the
-// test suites check it against a reference family built from the geometry.
+//   AVX-512BW  64 byte lanes in one register: each entry moves its mask
+//              word into a mask register (kmovq) and adds 1 to the byte
+//              lanes of its set bits (masked vpaddb); calls of at most 32
+//              planes take the AVX2 walk, which is faster there;
+//   AVX2       32 byte lanes per register (two for more than 32 planes):
+//              the word is broadcast, vpshufb spreads each mask byte over 8
+//              lanes, and vpcmpeqb against the lane's bit gives 0 or −1;
+//   scalar     one walk per 8-plane byte group, each entry adding a
+//              256-entry spread-table word that carries bit b of its mask
+//              byte into byte lane b.
+//
+// Byte lanes fold into 32-bit totals every 255 entries, before they can
+// overflow, and every rank end emits totals + lanes into plane p's row at
+// out + p·stride (the row layout the LLR max reads). All arms give the same
+// counts (tests/test_annulus_index.cc).
+//
+// O(entries) per 64 worlds, no dense label bits, no per-region AND+popcount
+// pass. This is the only counting path of both families; the test suites
+// check it against a reference family built from the geometry.
 #ifndef SFA_CORE_ANNULUS_INDEX_H_
 #define SFA_CORE_ANNULUS_INDEX_H_
 
@@ -63,8 +76,8 @@ std::vector<uint32_t> CollapseEmptyAnnuli(size_t num_rungs,
 class AnnulusIndex {
  public:
   /// Planes (worlds, or (world, class) indicators) one CountPlanes walk
-  /// counts: one per bit of a mask byte.
-  static constexpr size_t kPlanesPerPass = 8;
+  /// counts: one per bit of a mask word.
+  static constexpr size_t kMaxPlanes = 64;
 
   AnnulusIndex() = default;
 
@@ -91,12 +104,12 @@ class AnnulusIndex {
   /// `out` is caller-owned with num_regions() slots. Thread-safe.
   void CountPositives(const uint8_t* labels, uint64_t* out) const;
 
-  /// Counts `num_planes` (1..kPlanesPerPass) worlds in one walk: bit b of
-  /// masks[i] is point i's label in plane b (higher bits are ignored).
-  /// Plane b's p(R) row goes to out + b * out_stride (out_stride >=
+  /// Counts `num_planes` (1..kMaxPlanes) worlds in one walk: bit p of
+  /// masks[i] is point i's label in plane p (higher bits are ignored).
+  /// Plane p's p(R) row goes to out + p * out_stride (out_stride >=
   /// num_regions()). Thread-safe. The body of RegionFamily::CountPlanes for
   /// both families.
-  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const;
 
  private:

@@ -23,8 +23,8 @@
 
 namespace sfa::core {
 
-// One lane-sampler call fills exactly the planes one CountPlanes call counts.
-static_assert(kLaneWorlds == RegionFamily::kMaxPlanes);
+// The lane-sampler calls of one tile fill at most one mask word.
+static_assert(kLaneWorlds * kMaskBytes == RegionFamily::kMaxPlanes);
 
 namespace {
 
@@ -72,7 +72,7 @@ class BernoulliSimulation : public StatisticSimulation {
       std::vector<uint32_t> cell_positives(cells_->cell_counts.size());
       const uint64_t total_p =
           samplers_->Draw(&rng, cell_positives.data());
-      std::vector<uint64_t> counts(num_regions);
+      std::vector<uint32_t> counts(num_regions);
       family_.CountPositivesFromCells(cell_positives.data(), counts.data());
       return plan_.Max(counts.data(), total_p, direction_, table_);
     }
@@ -82,7 +82,9 @@ class BernoulliSimulation : public StatisticSimulation {
             : Labels::SamplePermutation(total_n, total_positives_, &rng);
     std::vector<uint64_t> counts;
     family_.CountPositives(labels, &counts);
-    return plan_.Max(counts.data(), labels.positive_count(), direction_,
+    // Counts are at most N <= kMaxFamilyPoints.
+    const std::vector<uint32_t> rows(counts.begin(), counts.end());
+    return plan_.Max(rows.data(), labels.positive_count(), direction_,
                      table_);
   }
 
@@ -92,12 +94,15 @@ class BernoulliSimulation : public StatisticSimulation {
 
     if (cells_ != nullptr) {
       // Closed-form worlds, kLaneWorlds at a time: the bank draws their cell
-      // rows side by side, then each row is folded and max-scanned.
+      // rows side by side, then each row is max-scanned, as it is when the
+      // regions are the cells and through the family's fold otherwise.
       const size_t num_cells = samplers_->num_cells();
-      const size_t region_bytes = num_regions * sizeof(uint64_t);
+      const bool direct = cells_->cells_are_regions;
+      const size_t region_bytes = direct ? 0 : num_regions * sizeof(uint32_t);
       std::byte* block = LocalBatchBlock(
           region_bytes + kLaneWorlds * num_cells * sizeof(uint32_t));
-      uint64_t* region_counts = new (block) uint64_t[num_regions];
+      uint32_t* region_counts =
+          direct ? nullptr : new (block) uint32_t[num_regions];
       uint32_t* cell_rows =
           new (block + region_bytes) uint32_t[kLaneWorlds * num_cells];
       for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
@@ -107,43 +112,55 @@ class BernoulliSimulation : public StatisticSimulation {
         uint64_t total_p[kLaneWorlds];
         samplers_->DrawLanes(lanes, rngs, cell_rows, total_p);
         for (size_t j = 0; j < lanes; ++j) {
-          family_.CountPositivesFromCells(cell_rows + j * num_cells,
-                                          region_counts);
-          out[g + j] =
-              plan_.Max(region_counts, total_p[j], direction_, table_);
+          const uint32_t* row = cell_rows + j * num_cells;
+          if (!direct) {
+            family_.CountPositivesFromCells(row, region_counts);
+            row = region_counts;
+          }
+          out[g + j] = plan_.Max(row, total_p[j], direction_, table_);
         }
       }
       return;
     }
 
     // i.i.d. point worlds are drawn by the lane sampler, permutation worlds
-    // by its permutation lanes, kLaneWorlds at a time into mask planes (bit
-    // j of masks[i] = world g + j's label of point i), which CountPlanes
-    // counts directly. The count rows share their storage with the shuffle
-    // ids, which are dead before CountPlanes writes the counts.
+    // by its permutation lanes, a tile of up to 64 worlds at a time: world
+    // t + j is bit j of every point's mask word, written kLaneWorlds worlds
+    // (one byte) per sampler call, and one CountPlanes walk counts the tile.
+    // The count rows share their storage with the shuffle ids, which are
+    // dead before CountPlanes writes the counts.
     const bool permutation = options_.null_model != NullModel::kBernoulli;
+    const size_t tile = WorldTile(num_regions, 1);
+    const size_t mask_bytes = total_n * sizeof(uint64_t);
     const size_t rows_bytes =
-        std::max(kLaneWorlds * num_regions * sizeof(uint64_t),
+        std::max(tile * num_regions * sizeof(uint32_t),
                  permutation ? kLaneWorlds * total_n * sizeof(uint32_t) : 0);
-    std::byte* block = LocalBatchBlock(rows_bytes + total_n);
-    uint8_t* masks = new (block + rows_bytes) uint8_t[total_n];
-    for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
-      const size_t lanes = std::min(kLaneWorlds, w_hi - g);
-      Rng rngs[kLaneWorlds];
-      for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(g + j);
-      uint64_t positives[kLaneWorlds];
-      if (permutation) {
-        uint32_t* ids = new (block) uint32_t[kLaneWorlds * total_n];
-        SamplePermutationLanes(total_n, total_positives_, lanes, rngs, ids,
-                               masks);
-        std::fill(positives, positives + lanes, total_positives_);
-      } else {
-        SampleBernoulliLanes(rho_, total_n, lanes, rngs, masks, positives);
+    std::byte* block = LocalBatchBlock(mask_bytes + rows_bytes);
+    uint64_t* masks = new (block) uint64_t[total_n];
+    std::byte* rows = block + mask_bytes;
+    for (size_t t = w_lo; t < w_hi; t += tile) {
+      const size_t worlds = std::min(tile, w_hi - t);
+      uint64_t positives[RegionFamily::kMaxPlanes];
+      for (size_t g = 0; g * kLaneWorlds < worlds; ++g) {
+        const size_t first = g * kLaneWorlds;
+        const size_t lanes = std::min(kLaneWorlds, worlds - first);
+        Rng rngs[kLaneWorlds];
+        for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(t + first + j);
+        if (permutation) {
+          uint32_t* ids = new (rows) uint32_t[kLaneWorlds * total_n];
+          SamplePermutationLanes(total_n, total_positives_, lanes, rngs, ids,
+                                 masks, g);
+          std::fill(positives + first, positives + first + lanes,
+                    total_positives_);
+        } else {
+          SampleBernoulliLanes(rho_, total_n, lanes, rngs, masks, g,
+                               positives + first);
+        }
       }
-      uint64_t* counts = new (block) uint64_t[kLaneWorlds * num_regions];
-      family_.CountPlanes(masks, lanes, counts, num_regions);
-      for (size_t j = 0; j < lanes; ++j) {
-        out[g + j] = plan_.Max(counts + j * num_regions, positives[j],
+      uint32_t* counts = new (rows) uint32_t[worlds * num_regions];
+      family_.CountPlanes(masks, worlds, counts, num_regions);
+      for (size_t j = 0; j < worlds; ++j) {
+        out[t + j] = plan_.Max(counts + j * num_regions, positives[j],
                                direction_, table_);
       }
     }
@@ -170,6 +187,7 @@ LlrMaxPlan::LlrMaxPlan(const std::vector<uint64_t>& region_n,
                        uint64_t total_n)
     : total_n_(total_n) {
   SFA_CHECK(region_n.size() <= UINT32_MAX);
+  SFA_CHECK(total_n <= kMaxFamilyPoints);
   // Regions of size 0 or N never contribute.
   std::vector<uint32_t> order;
   order.reserve(region_n.size());
@@ -257,7 +275,7 @@ struct LlrMaxArms {
   using Direction = stats::ScanDirection;
 
   template <Direction kDirection>
-  static double Scalar(const LlrMaxPlan& plan, const uint64_t* positives,
+  static double Scalar(const LlrMaxPlan& plan, const uint32_t* positives,
                        uint64_t total_p,
                        const stats::LogLikelihoodTable& table) {
     const uint64_t total_n = plan.total_n_;
@@ -272,8 +290,9 @@ struct LlrMaxArms {
     const auto consider = [&](uint64_t n, uint64_t p) {
       const uint64_t n_out = total_n - n;
       const uint64_t p_out = total_p - p;
-      const auto lhs = static_cast<unsigned __int128>(p) * n_out;
-      const auto rhs = static_cast<unsigned __int128>(p_out) * n;
+      // Every factor is at most N < 2³², so the products are exact.
+      const uint64_t lhs = p * n_out;
+      const uint64_t rhs = p_out * n;
       if (lhs == rhs) return;
       if (kDirection == Direction::kHigh && lhs < rhs) return;
       if (kDirection == Direction::kLow && lhs > rhs) return;
@@ -311,10 +330,10 @@ struct LlrMaxArms {
 
 #if defined(SFA_X86_SIMD)
   template <Direction kDirection>
-  static double Avx2(const LlrMaxPlan& plan, const uint64_t* positives,
+  static double Avx2(const LlrMaxPlan& plan, const uint32_t* positives,
                      uint64_t total_p, const stats::LogLikelihoodTable& table);
   template <Direction kDirection>
-  static double Avx512(const LlrMaxPlan& plan, const uint64_t* positives,
+  static double Avx512(const LlrMaxPlan& plan, const uint32_t* positives,
                        uint64_t total_p,
                        const stats::LogLikelihoodTable& table);
 #endif
@@ -427,14 +446,14 @@ __attribute__((target("avx2"))) inline __m128i LiveMask4x32(size_t count) {
                          _mm_setr_epi32(0, 1, 2, 3));
 }
 
-/// positives[id] for the 4 uint32 ids at `ids`.
+/// positives[id] for the 4 uint32 ids at `ids`, widened to 64 bits.
 __attribute__((target("avx2"))) inline __m256i GatherCounts4(
-    const long long* positives, const uint32_t* ids) {
-  return _mm256_i64gather_epi64(
+    const int* positives, const uint32_t* ids) {
+  return _mm256_cvtepu32_epi64(_mm256_i64gather_epi32(
       positives,
       _mm256_cvtepu32_epi64(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids))),
-      8);
+      4));
 }
 
 __attribute__((target("avx2"))) inline __m256i Min4(__m256i a, __m256i b) {
@@ -458,7 +477,7 @@ __attribute__((target("avx2"))) __m256d Avx2Llr<kDirection>::FoldEnds(
 
 template <ScanDirection kDirection>
 __attribute__((target("avx2"))) double LlrMaxArms::Avx2(
-    const LlrMaxPlan& plan, const uint64_t* positives, uint64_t total_p,
+    const LlrMaxPlan& plan, const uint32_t* positives, uint64_t total_p,
     const stats::LogLikelihoodTable& table) {
   const uint64_t total_n = plan.total_n_;
   const Avx2Llr<kDirection> llr{
@@ -469,7 +488,7 @@ __attribute__((target("avx2"))) double LlrMaxArms::Avx2(
   const __m256i all = _mm256_set1_epi64x(-1);
   __m256d acc_a = _mm256_setzero_pd();
   __m256d acc_b = _mm256_setzero_pd();
-  const auto* counts = reinterpret_cast<const long long*>(positives);
+  const auto* counts = reinterpret_cast<const int*>(positives);
 
   // Batched groups: lanes 0–3 and 4–7 reduce side by side, then evaluate
   // their ends.
@@ -521,15 +540,16 @@ __attribute__((target("avx2"))) double LlrMaxArms::Avx2(
     const uint32_t* group_ids = plan.grouped_.data() + group.begin;
     const size_t size = group.end - group.begin;
     // Lanes past the group's end repeat its first count.
-    const __m256i first = _mm256_set1_epi64x(counts[group_ids[0]]);
-    __m256i lo = first;
-    __m256i hi = first;
+    const __m128i first = _mm_set1_epi32(counts[group_ids[0]]);
+    __m256i lo = _mm256_cvtepu32_epi64(first);
+    __m256i hi = lo;
     for (size_t k = 0; k < size; k += 4) {
       const size_t rest = std::min<size_t>(size - k, 4);
+      const __m128i live = LiveMask4x32(rest);
       const __m128i id = _mm_maskload_epi32(
-          reinterpret_cast<const int*>(group_ids + k), LiveMask4x32(rest));
-      const __m256i v = _mm256_mask_i64gather_epi64(
-          first, counts, _mm256_cvtepu32_epi64(id), LiveMask4(rest), 8);
+          reinterpret_cast<const int*>(group_ids + k), live);
+      const __m256i v = _mm256_cvtepu32_epi64(_mm256_mask_i64gather_epi32(
+          first, counts, _mm256_cvtepu32_epi64(id), live, 4));
       lo = Min4(lo, v);
       hi = Max4(hi, v);
     }
@@ -568,8 +588,8 @@ __attribute__((target("avx2"))) double LlrMaxArms::Avx2(
         reinterpret_cast<const int*>(direct_regions + k), LiveMask4x32(rest)));
     const Sizes4 s = llr.SizesOf(_mm256_maskload_epi64(
         reinterpret_cast<const long long*>(direct_n + k), live));
-    const __m256i p = _mm256_mask_i64gather_epi64(_mm256_setzero_si256(),
-                                                  counts, region, live, 8);
+    const __m256i p = _mm256_cvtepu32_epi64(_mm256_mask_i64gather_epi32(
+        _mm_setzero_si128(), counts, region, LiveMask4x32(rest), 4));
     acc_a = llr.Fold(acc_a, s, p, live);
   }
 
@@ -646,20 +666,20 @@ inline __mmask8 LiveMask8(size_t count) {
   return static_cast<__mmask8>((1u << count) - 1);
 }
 
-/// positives[id] for the 8 uint32 ids at `ids`.
+/// positives[id] for the 8 uint32 ids at `ids`, widened to 64 bits.
 __attribute__((target("avx512f"))) inline __m512i GatherCounts8(
-    const uint64_t* positives, const uint32_t* ids) {
-  return _mm512_i64gather_epi64(
+    const uint32_t* positives, const uint32_t* ids) {
+  return _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(
       _mm512_cvtepu32_epi64(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids))),
-      positives, 8);
+      positives, 4));
 }
 
 }  // namespace
 
 template <ScanDirection kDirection>
 __attribute__((target("avx512f"))) double LlrMaxArms::Avx512(
-    const LlrMaxPlan& plan, const uint64_t* positives, uint64_t total_p,
+    const LlrMaxPlan& plan, const uint32_t* positives, uint64_t total_p,
     const stats::LogLikelihoodTable& table) {
   const uint64_t total_n = plan.total_n_;
   const Avx512Llr<kDirection> llr{
@@ -704,16 +724,16 @@ __attribute__((target("avx512f"))) double LlrMaxArms::Avx512(
     const uint32_t* group_ids = plan.grouped_.data() + group.begin;
     const size_t size = group.end - group.begin;
     // Lanes past the group's end repeat its first count.
-    const __m512i first =
-        _mm512_set1_epi64(static_cast<long long>(positives[group_ids[0]]));
-    __m512i lo = first;
-    __m512i hi = first;
+    const __m256i first =
+        _mm256_set1_epi32(static_cast<int>(positives[group_ids[0]]));
+    __m512i lo = _mm512_cvtepu32_epi64(first);
+    __m512i hi = lo;
     for (size_t k = 0; k < size; k += 8) {
       const __mmask8 live = LiveMask8(std::min<size_t>(size - k, 8));
       const __m512i id = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(
           _mm512_maskz_loadu_epi32(live, group_ids + k)));
-      const __m512i v =
-          _mm512_mask_i64gather_epi64(first, live, id, positives, 8);
+      const __m512i v = _mm512_cvtepu32_epi64(
+          _mm512_mask_i64gather_epi32(first, live, id, positives, 4));
       lo = _mm512_min_epu64(lo, v);
       hi = _mm512_max_epu64(hi, v);
     }
@@ -744,8 +764,8 @@ __attribute__((target("avx512f"))) double LlrMaxArms::Avx512(
         _mm512_maskz_loadu_epi32(live, direct_regions + k)));
     acc = llr.Fold(
         acc, llr.SizesOf(_mm512_maskz_loadu_epi64(live, direct_n + k)),
-        _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), live, region,
-                                    positives, 8),
+        _mm512_cvtepu32_epi64(_mm512_mask_i64gather_epi32(
+            _mm256_setzero_si256(), live, region, positives, 4)),
         live);
   }
 
@@ -778,27 +798,24 @@ double ForDirection(stats::ScanDirection direction, Arm arm) {
 
 }  // namespace
 
-double LlrMaxPlan::Max(const uint64_t* positives, uint64_t total_p,
+double LlrMaxPlan::Max(const uint32_t* positives, uint64_t total_p,
                        stats::ScanDirection direction,
                        const stats::LogLikelihoodTable& table) const {
   // One instance per direction keeps the direction tests out of the loops.
-  // The vector gates multiply 32-bit halves, exact only for N < 2³².
 #if defined(SFA_X86_SIMD)
-  if (total_n_ <= UINT32_MAX) {
-    switch (spatial::ActiveSamplerKernel()) {
-      case spatial::PopcountKernel::kAvx512:
-        return ForDirection(direction, [&](auto d) {
-          return LlrMaxArms::Avx512<decltype(d)::value>(*this, positives,
-                                                        total_p, table);
-        });
-      case spatial::PopcountKernel::kAvx2:
-        return ForDirection(direction, [&](auto d) {
-          return LlrMaxArms::Avx2<decltype(d)::value>(*this, positives,
+  switch (spatial::ActiveSamplerKernel()) {
+    case spatial::PopcountKernel::kAvx512:
+      return ForDirection(direction, [&](auto d) {
+        return LlrMaxArms::Avx512<decltype(d)::value>(*this, positives,
                                                       total_p, table);
-        });
-      default:
-        break;
-    }
+      });
+    case spatial::PopcountKernel::kAvx2:
+      return ForDirection(direction, [&](auto d) {
+        return LlrMaxArms::Avx2<decltype(d)::value>(*this, positives, total_p,
+                                                    table);
+      });
+    default:
+      break;
   }
 #endif
   return ForDirection(direction, [&](auto d) {
@@ -849,6 +866,7 @@ Status BernoulliScanStatistic::ValidateOutcomes(const uint8_t* outcomes,
 
 Status BernoulliScanStatistic::ValidateForFamily(
     const RegionFamily& family) const {
+  SFA_RETURN_NOT_OK(RequireCountablePoints(family.num_points()));
   if (family.num_points() != total_n_) {
     return Status::InvalidArgument(StrFormat(
         "region family is bound to %zu points but the statistic's view has "

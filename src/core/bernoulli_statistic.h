@@ -7,12 +7,15 @@
 //                    (core/scan.h's ScanAllRegions — the exact-tie contract);
 //   null worlds      closed-form per-cell Binomial(n_c, ρ) draws for
 //                    cell-decomposable families, 8 worlds per
-//                    CellSamplerBank::DrawLanes call; otherwise 8 i.i.d.
-//                    worlds per lane-sampler call (core/lane_sampler.h)
-//                    written as mask planes and counted by
-//                    RegionFamily::CountPlanes, or 8 permutation worlds
-//                    shuffled straight into those planes
-//                    (SamplePermutationLanes);
+//                    CellSamplerBank::DrawLanes call, whose cell rows go to
+//                    the max as they are when the regions are the cells;
+//                    otherwise tiles of up to 64 i.i.d. worlds, 8 per
+//                    lane-sampler call (core/lane_sampler.h), written as
+//                    mask words and counted by one RegionFamily::CountPlanes
+//                    call per tile, or permutation worlds shuffled straight
+//                    into those words (SamplePermutationLanes). A tile is
+//                    WorldTile(regions, 1) worlds, so its uint32 count rows
+//                    stay within 256 KiB;
 //                    per-world RNG substreams Rng::Split(w) from
 //                    options.seed (core/mc_engine.h's cost levers); each
 //                    world's max Λ comes from the
@@ -86,7 +89,8 @@ namespace internal {
 /// therefore reduced per world to (min p, max p), read in group-contiguous
 /// order, and Λ is evaluated at those ends only (once when they coincide).
 /// Groups of 1 or 2 have no more members than ends and are evaluated region
-/// by region, as are all regions when N > kMaxGroupedPoints.
+/// by region, as are all regions when N > kMaxGroupedPoints. Counts are
+/// uint32 rows: a family holds N <= kMaxFamilyPoints < 2³² points.
 ///
 /// The result is bit-identical to evaluating every region with the table
 /// arithmetic of stats::BernoulliLogLikelihoodRatio (same gating, same
@@ -113,16 +117,17 @@ namespace internal {
 /// Max runs one of three arms, picked by spatial::ActiveSamplerKernel() like
 /// the lane sampler (core/lane_sampler.h): scalar, AVX2 (two groups of 4
 /// lanes) and AVX-512F (8 lanes). The vector arms reduce the size groups
-/// with index gathers and 64-bit min/max (signed on AVX2, exact as counts
-/// are at most N < 2⁶³), groups of up to kMaxLaneGroup regions 8 at a time
-/// (one per lane) and larger ones one at a time, then evaluate the ends and
-/// the direct regions 8 at a time. Each lane gives the scalar arm's bits:
+/// with 32-bit index gathers widened to 64 bits and 64-bit min/max (signed
+/// on AVX2, exact as counts are at most N < 2³²), groups of up to
+/// kMaxLaneGroup regions 8 at a time (one per lane) and larger ones one at
+/// a time, then evaluate the ends and the direct regions 8 at a time. Each
+/// lane gives the scalar arm's bits:
 ///
 ///   gate   p·n_out and p_out·n come from mul_epu32, the exact 64-bit
-///          product of two 32-bit values. Every factor is at most N, and
-///          the vector arms run only for N < 2³², where each product is at
-///          most n(N−n) ≤ N²/4 < 2⁶² (so AVX2's signed compares are exact
-///          too); larger N runs the scalar __int128 gate;
+///          product of two 32-bit values, as the scalar arm's uint64_t
+///          products are exact: every factor is at most N < 2³², and each
+///          product is at most n(N−n) ≤ N²/4 < 2⁶² (so AVX2's signed
+///          compares are exact too);
 ///   order  each lane computes ((t[p]+t[n−p])−t[n]) + ((t[p′]+t[n′−p′])−t[n′])
 ///          − null from gathered table entries, the scalar operation order,
 ///          with no fused multiply-add (there are no products to fuse);
@@ -139,14 +144,14 @@ class LlrMaxPlan {
  public:
   static constexpr uint64_t kMaxGroupedPoints = uint64_t{1} << 22;
 
-  /// Plans the max for a family of `total_n` points whose region r holds
-  /// region_n[r] of them. Regions with n(R) = 0 or N never contribute and
-  /// are dropped.
+  /// Plans the max for a family of `total_n` <= kMaxFamilyPoints points
+  /// whose region r holds region_n[r] of them. Regions with n(R) = 0 or N
+  /// never contribute and are dropped.
   LlrMaxPlan(const std::vector<uint64_t>& region_n, uint64_t total_n);
 
   /// max(0, max_R Λ(R)) for one world: `positives[r]` is p(R) and
   /// `total_p` the world's P. `table` must cover total_n.
-  double Max(const uint64_t* positives, uint64_t total_p,
+  double Max(const uint32_t* positives, uint64_t total_p,
              stats::ScanDirection direction,
              const stats::LogLikelihoodTable& table) const;
 

@@ -28,6 +28,7 @@ GridPartitionFamily::GridPartitionFamily(const geo::GridSpec& grid,
     : index_(grid, points) {
   cells_.cell_counts = index_.CountsPerCell();
   cells_.num_outside = index_.num_unassigned();
+  cells_.cells_are_regions = true;
 }
 
 Result<std::unique_ptr<GridPartitionFamily>> GridPartitionFamily::Create(
@@ -41,6 +42,7 @@ Result<std::unique_ptr<GridPartitionFamily>> GridPartitionFamily::Create(
 Result<std::unique_ptr<GridPartitionFamily>> GridPartitionFamily::CreateWithExtent(
     const std::vector<geo::Point>& points, const geo::Rect& extent, uint32_t g_x,
     uint32_t g_y) {
+  SFA_RETURN_NOT_OK(RequireCountablePoints(points.size()));
   SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
   SFA_ASSIGN_OR_RETURN(geo::GridSpec grid, geo::GridSpec::Create(extent, g_x, g_y));
   return std::unique_ptr<GridPartitionFamily>(
@@ -71,8 +73,8 @@ void GridPartitionFamily::CountPositives(const Labels& labels,
   }
 }
 
-void GridPartitionFamily::CountPlanes(const uint8_t* masks, size_t num_planes,
-                                      uint64_t* out, size_t out_stride) const {
+void GridPartitionFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
+                                      uint32_t* out, size_t out_stride) const {
   SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
   SFA_CHECK(out_stride >= num_regions());
   // Regions are the cells; points outside the extent (kInvalidCell) count
@@ -80,12 +82,6 @@ void GridPartitionFamily::CountPlanes(const uint8_t* masks, size_t num_planes,
   const std::vector<uint32_t>& cells = index_.cell_assignments();
   internal::CountCellPlanes(cells.data(), cells.size(), num_regions(), masks,
                             num_planes, out, out_stride);
-}
-
-void GridPartitionFamily::CountPositivesFromCells(const uint32_t* cell_positives,
-                                                  uint64_t* out) const {
-  const size_t regions = num_regions();
-  for (size_t r = 0; r < regions; ++r) out[r] = cell_positives[r];
 }
 
 std::string GridPartitionFamily::Name() const {

@@ -34,14 +34,13 @@ class GridPartitionFamily : public RegionFamily {
   }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// One cell scatter over the point assignments counts every plane.
-  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+  /// One cell scatter over the point assignments per 8-plane byte group.
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override;
-  /// Regions ARE the cells: the decomposition is exact, enabling closed-form
-  /// Binomial null sampling in O(cells) per world.
+  /// Regions ARE the cells (cells_are_regions): the decomposition is exact,
+  /// enabling closed-form Binomial null sampling in O(cells) per world, and
+  /// a world's cell row is its region row.
   const CellDecomposition* cell_decomposition() const override { return &cells_; }
-  void CountPositivesFromCells(const uint32_t* cell_positives,
-                               uint64_t* out) const override;
   std::string Name() const override;
 
   const geo::GridSpec& grid() const { return index_.grid(); }

@@ -75,6 +75,7 @@ Result<std::unique_ptr<KnnCircleFamily>> KnnCircleFamily::Create(
   if (options.population_fractions.empty()) {
     return Status::InvalidArgument("kNN circle family needs a population ladder");
   }
+  SFA_RETURN_NOT_OK(RequireCountablePoints(points.size()));
   SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
   SFA_RETURN_NOT_OK(RequireFinitePoints(options.centers, "center"));
   std::vector<size_t> ladder;

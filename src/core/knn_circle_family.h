@@ -48,8 +48,8 @@ class KnnCircleFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// Up to 8 planes per walk of the annulus CSR.
-  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+  /// Up to 64 planes per walk of the annulus CSR.
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override {
     annulus_.CountPlanes(masks, num_planes, out, out_stride);
   }

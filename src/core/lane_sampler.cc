@@ -1,6 +1,7 @@
 #include "core/lane_sampler.h"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <numeric>
 
@@ -17,6 +18,25 @@ namespace sfa::core {
 namespace {
 
 using spatial::PopcountKernel;
+
+/// One 8-plane byte of every point's mask word: byte `byte` % 8 of the n
+/// words at masks + (byte / 8)·n, planes 8·byte .. 8·byte + 7.
+class PlaneBytes {
+ public:
+  PlaneBytes() = default;
+  PlaneBytes(uint64_t* masks, size_t n, size_t byte)
+      : first_(masks == nullptr
+                   ? nullptr
+                   : reinterpret_cast<uint8_t*>(masks + (byte / 8) * n) +
+                         (std::endian::native == std::endian::little
+                              ? byte % 8
+                              : 7 - byte % 8)) {}
+
+  uint8_t& operator[](size_t i) const { return first_[8 * i]; }
+
+ private:
+  uint8_t* first_ = nullptr;
+};
 
 /// Bits 0..num_worlds−1: the lanes that carry a world.
 uint8_t LiveLanes(size_t num_worlds) {
@@ -42,13 +62,15 @@ void AddClassTotals(const uint64_t* above, uint32_t counted, uint64_t n,
 /// kCounted == 0 takes `counted` of them and keeps a class histogram instead.
 template <uint32_t kCounted>
 void ScalarCategorical(const uint64_t* thresholds, uint32_t counted, size_t n,
-                       size_t num_worlds, Rng* rngs, uint8_t* masks,
+                       size_t num_worlds, Rng* rngs, const PlaneBytes* planes,
                        uint64_t* totals) {
   constexpr uint32_t kSlots = kCounted > 0 ? kCounted : 255;
   if constexpr (kCounted > 0) counted = kCounted;
   uint64_t threshold[kSlots];
   std::copy(thresholds, thresholds + counted, threshold);
-  std::fill(masks, masks + static_cast<size_t>(counted) * n, uint8_t{0});
+  for (uint32_t c = 0; c < counted; ++c) {
+    for (size_t i = 0; i < n; ++i) planes[c][i] = 0;
+  }
   for (size_t w = 0; w < num_worlds; ++w) {
     uint64_t count[kSlots + 1] = {};
     Rng local = rngs[w];
@@ -64,8 +86,7 @@ void ScalarCategorical(const uint64_t* thresholds, uint32_t counted, size_t n,
       // The last class has no plane: it ORs nothing into plane 0. Products,
       // not a branch: the class is a coin flip for near-uniform q.
       const uint32_t in_plane = k < counted ? 1u : 0u;
-      masks[static_cast<size_t>(k * in_plane) * n + i] |=
-          static_cast<uint8_t>(in_plane << w);
+      planes[k * in_plane][i] |= static_cast<uint8_t>(in_plane << w);
     }
     rngs[w] = local;
     uint64_t* world_totals = totals + w * (counted + 1);
@@ -87,12 +108,12 @@ void ScalarCells(const CellLaneTables& t, size_t num_worlds, Rng* rngs,
 
 /// One world at a time: DrawPermutationPositives on the first n ids.
 void ScalarPermutation(size_t n, uint64_t positives, size_t num_worlds,
-                       Rng* rngs, uint32_t* ids, uint8_t* masks) {
-  std::fill(masks, masks + n, uint8_t{0});
+                       Rng* rngs, uint32_t* ids, PlaneBytes plane) {
+  for (size_t i = 0; i < n; ++i) plane[i] = 0;
   for (size_t w = 0; w < num_worlds; ++w) {
     const auto bit = static_cast<uint8_t>(1u << w);
     DrawPermutationPositives(n, positives, &rngs[w], ids,
-                             [masks, bit](uint32_t id) { masks[id] |= bit; });
+                             [plane, bit](uint32_t id) { plane[id] |= bit; });
   }
 }
 
@@ -151,7 +172,7 @@ constexpr size_t kDrawBlock = 256;
 /// swap and mark of DrawPermutationPositives. One world at a time keeps the
 /// swaps inside one world's ids rather than all eight worlds'.
 inline void SwapWorld(uint64_t i0, size_t steps, const uint32_t* offsets,
-                      size_t w, size_t n, uint32_t* ids, uint8_t* masks) {
+                      size_t w, size_t n, uint32_t* ids, PlaneBytes plane) {
   uint32_t* world = ids + w * n;
   const auto bit = static_cast<uint8_t>(1u << w);
   for (size_t k = 0; k < steps; ++k) {
@@ -160,15 +181,15 @@ inline void SwapWorld(uint64_t i0, size_t steps, const uint32_t* offsets,
     const uint32_t drawn = *other;
     // Slot i is never read again, so only slot j takes the swap's store.
     *other = world[i];
-    masks[drawn] |= bit;
+    plane[drawn] |= bit;
   }
 }
 
-/// The start of a permutation draw on every lane: masks cleared, and world
-/// w's ids (at ids + w·n) the points 0..n−1.
+/// The start of a permutation draw on every lane: the plane bytes cleared,
+/// and world w's ids (at ids + w·n) the points 0..n−1.
 void StartPermutation(size_t n, size_t num_worlds, uint32_t* ids,
-                      uint8_t* masks) {
-  std::fill(masks, masks + n, uint8_t{0});
+                      PlaneBytes plane) {
+  for (size_t i = 0; i < n; ++i) plane[i] = 0;
   for (size_t w = 0; w < num_worlds; ++w) {
     std::iota(ids + w * n, ids + (w + 1) * n, 0u);
   }
@@ -239,7 +260,7 @@ __attribute__((target("avx2"))) inline uint32_t LaneBits256(__m256i mask) {
 template <uint32_t kCounted>
 __attribute__((target("avx2"))) void Avx2Categorical(
     const uint64_t* thresholds, uint32_t counted, size_t n, size_t num_worlds,
-    Rng* rngs, uint8_t* masks, uint64_t* totals) {
+    Rng* rngs, const PlaneBytes* planes, uint64_t* totals) {
   constexpr uint32_t kSlots = kCounted > 0 ? kCounted : 255;
   if constexpr (kCounted > 0) counted = kCounted;
   LaneStates states(rngs, num_worlds);
@@ -264,7 +285,7 @@ __attribute__((target("avx2"))) void Avx2Categorical(
       const __m256i lt_b = _mm256_cmpgt_epi64(limit[c], xb);
       const uint32_t at_or_above =
           ~(LaneBits256(lt_a) | LaneBits256(lt_b) << 4) & live;
-      masks[c * n + i] = static_cast<uint8_t>(previous & ~at_or_above);
+      planes[c][i] = static_cast<uint8_t>(previous & ~at_or_above);
       below_a[c] = _mm256_sub_epi64(below_a[c], lt_a);
       below_b[c] = _mm256_sub_epi64(below_b[c], lt_b);
       previous = at_or_above;
@@ -390,8 +411,8 @@ __attribute__((target("avx2"))) inline void MulHiLo4(__m256i x, __m256i bound,
 
 __attribute__((target("avx2"))) void Avx2Permutation(
     size_t n, uint64_t positives, size_t num_worlds, Rng* rngs, uint32_t* ids,
-    uint8_t* masks) {
-  StartPermutation(n, num_worlds, ids, masks);
+    PlaneBytes plane) {
+  StartPermutation(n, num_worlds, ids, plane);
   LaneStates states(rngs, num_worlds);
   Xoshiro256x4 a = Load256(states, 0);
   Xoshiro256x4 b = Load256(states, 1);
@@ -447,7 +468,7 @@ __attribute__((target("avx2"))) void Avx2Permutation(
                           _mm256_permutevar8x32_epi32(high_b, low_dwords)));
     }
     for (size_t w = 0; w < num_worlds; ++w) {
-      SwapWorld(i0, steps, offsets, w, n, ids, masks);
+      SwapWorld(i0, steps, offsets, w, n, ids, plane);
     }
   }
   Store256(a, &states, 0);
@@ -457,7 +478,8 @@ __attribute__((target("avx2"))) void Avx2Permutation(
 
 // ----------------------------------------------------------------- AVX-512 ---
 // 8 lanes in one register; AVX-512F alone has the rotate, the unsigned
-// compare into a lane mask (which is the mask byte) and the masked add.
+// compare into a lane mask (which is the mask byte) and the masked add. The
+// tier also requires AVX-512BW, which the wide annulus walk uses.
 
 struct Xoshiro256x8 {
   __m512i s0, s1, s2, s3;
@@ -500,7 +522,7 @@ __attribute__((target("avx512f"))) inline __m512i Next53x8(Xoshiro256x8* g) {
 template <uint32_t kCounted>
 __attribute__((target("avx512f"))) void Avx512Categorical(
     const uint64_t* thresholds, uint32_t counted, size_t n, size_t num_worlds,
-    Rng* rngs, uint8_t* masks, uint64_t* totals) {
+    Rng* rngs, const PlaneBytes* planes, uint64_t* totals) {
   constexpr uint32_t kSlots = kCounted > 0 ? kCounted : 255;
   if constexpr (kCounted > 0) counted = kCounted;
   LaneStates states(rngs, num_worlds);
@@ -520,7 +542,7 @@ __attribute__((target("avx512f"))) void Avx512Categorical(
     for (uint32_t c = 0; c < counted; ++c) {
       const __mmask8 at_or_above =
           _mm512_mask_cmpge_epu64_mask(live, x, limit[c]);
-      masks[c * n + i] = static_cast<uint8_t>(previous & ~at_or_above);
+      planes[c][i] = static_cast<uint8_t>(previous & ~at_or_above);
       above[c] = _mm512_mask_add_epi64(above[c], at_or_above, above[c], one);
       previous = at_or_above;
     }
@@ -623,8 +645,8 @@ __attribute__((target("avx512f"))) inline void MulHiLo8(__m512i x,
 
 __attribute__((target("avx512f"))) void Avx512Permutation(
     size_t n, uint64_t positives, size_t num_worlds, Rng* rngs, uint32_t* ids,
-    uint8_t* masks) {
-  StartPermutation(n, num_worlds, ids, masks);
+    PlaneBytes plane) {
+  StartPermutation(n, num_worlds, ids, plane);
   LaneStates states(rngs, num_worlds);
   Xoshiro256x8 g = Load512(states);
   const __mmask8 live = LiveLanes(num_worlds);
@@ -659,7 +681,7 @@ __attribute__((target("avx512f"))) void Avx512Permutation(
           _mm512_cvtepi64_epi32(high));
     }
     for (size_t w = 0; w < num_worlds; ++w) {
-      SwapWorld(i0, steps, offsets, w, n, ids, masks);
+      SwapWorld(i0, steps, offsets, w, n, ids, plane);
     }
   }
   Store512(g, &states);
@@ -673,34 +695,36 @@ __attribute__((target("avx512f"))) void Avx512Permutation(
 template <uint32_t kCounted>
 void Categorical(PopcountKernel tier, const uint64_t* thresholds,
                  uint32_t counted, size_t n, size_t num_worlds, Rng* rngs,
-                 uint8_t* masks, uint64_t* totals) {
+                 const PlaneBytes* planes, uint64_t* totals) {
   switch (tier) {
 #if defined(SFA_X86_SIMD)
     case PopcountKernel::kAvx512:
       return Avx512Categorical<kCounted>(thresholds, counted, n, num_worlds,
-                                         rngs, masks, totals);
+                                         rngs, planes, totals);
     case PopcountKernel::kAvx2:
       return Avx2Categorical<kCounted>(thresholds, counted, n, num_worlds,
-                                       rngs, masks, totals);
+                                       rngs, planes, totals);
 #endif
     default:
       return ScalarCategorical<kCounted>(thresholds, counted, n, num_worlds,
-                                         rngs, masks, totals);
+                                         rngs, planes, totals);
   }
 }
 
 }  // namespace
 
 void SampleBernoulliLanes(double rho, size_t n, size_t num_worlds, Rng* rngs,
-                          uint8_t* masks, uint64_t* positives) {
+                          uint64_t* masks, size_t byte, uint64_t* positives) {
   SFA_CHECK(num_worlds >= 1 && num_worlds <= kLaneWorlds);
+  SFA_CHECK(byte < kMaskBytes);
   SFA_CHECK(rngs != nullptr && positives != nullptr);
   SFA_CHECK(n == 0 || masks != nullptr);
+  const PlaneBytes plane(masks, n, byte);
   // Point masses consume no draws, exactly as Rng::Bernoulli.
   if (rho <= 0.0 || rho >= 1.0) {
-    const uint8_t byte = rho >= 1.0 ? LiveLanes(num_worlds) : 0;
-    std::fill(masks, masks + n, byte);
-    std::fill(positives, positives + num_worlds, byte != 0 ? n : 0);
+    const uint8_t value = rho >= 1.0 ? LiveLanes(num_worlds) : 0;
+    for (size_t i = 0; i < n; ++i) plane[i] = value;
+    std::fill(positives, positives + num_worlds, value != 0 ? n : 0);
     return;
   }
   // A Bernoulli world is a 2-class world on m_0 = ⌈ρ·2⁵³⌉: class 0, the
@@ -708,32 +732,36 @@ void SampleBernoulliLanes(double rho, size_t n, size_t num_worlds, Rng* rngs,
   const uint64_t threshold = Rng::BernoulliThreshold(rho);
   uint64_t totals[2 * kLaneWorlds] = {};
   Categorical<1>(spatial::ActiveSamplerKernel(), &threshold, 1, n, num_worlds,
-                 rngs, masks, totals);
+                 rngs, &plane, totals);
   for (size_t w = 0; w < num_worlds; ++w) positives[w] = totals[2 * w];
 }
 
 void SampleCategoricalLanes(const std::vector<uint64_t>& thresholds, size_t n,
-                            size_t num_worlds, Rng* rngs, uint8_t* masks,
-                            uint64_t* totals) {
+                            size_t num_worlds, Rng* rngs, uint64_t* masks,
+                            size_t byte, uint64_t* totals) {
   SFA_CHECK(num_worlds >= 1 && num_worlds <= kLaneWorlds);
   SFA_CHECK(!thresholds.empty() && thresholds.size() <= 255);
   SFA_CHECK(rngs != nullptr && totals != nullptr);
   SFA_CHECK(n == 0 || masks != nullptr);
   const auto counted = static_cast<uint32_t>(thresholds.size());
+  PlaneBytes planes[255];
+  for (uint32_t c = 0; c < counted; ++c) {
+    planes[c] = PlaneBytes(masks, n, byte + c);
+  }
   const PopcountKernel tier = spatial::ActiveSamplerKernel();
   const uint64_t* m = thresholds.data();
   switch (counted) {
     case 1:
-      return Categorical<1>(tier, m, counted, n, num_worlds, rngs, masks,
+      return Categorical<1>(tier, m, counted, n, num_worlds, rngs, planes,
                             totals);
     case 2:
-      return Categorical<2>(tier, m, counted, n, num_worlds, rngs, masks,
+      return Categorical<2>(tier, m, counted, n, num_worlds, rngs, planes,
                             totals);
     case 3:
-      return Categorical<3>(tier, m, counted, n, num_worlds, rngs, masks,
+      return Categorical<3>(tier, m, counted, n, num_worlds, rngs, planes,
                             totals);
     default:
-      return Categorical<0>(tier, m, counted, n, num_worlds, rngs, masks,
+      return Categorical<0>(tier, m, counted, n, num_worlds, rngs, planes,
                             totals);
   }
 }
@@ -756,22 +784,33 @@ void SampleCellLanes(const CellLaneTables& tables, size_t num_worlds,
 }
 
 void SamplePermutationLanes(size_t n, uint64_t positives, size_t num_worlds,
-                            Rng* rngs, uint32_t* ids, uint8_t* masks) {
+                            Rng* rngs, uint32_t* ids, uint64_t* masks,
+                            size_t byte) {
   SFA_CHECK(num_worlds >= 1 && num_worlds <= kLaneWorlds);
+  SFA_CHECK(byte < kMaskBytes);
   SFA_CHECK(n <= UINT32_MAX);
   SFA_CHECK_MSG(positives <= n, "more positives than points");
   SFA_CHECK(rngs != nullptr);
   SFA_CHECK(n == 0 || (ids != nullptr && masks != nullptr));
+  const PlaneBytes plane(masks, n, byte);
   switch (spatial::ActiveSamplerKernel()) {
 #if defined(SFA_X86_SIMD)
     case PopcountKernel::kAvx512:
-      return Avx512Permutation(n, positives, num_worlds, rngs, ids, masks);
+      return Avx512Permutation(n, positives, num_worlds, rngs, ids, plane);
     case PopcountKernel::kAvx2:
-      return Avx2Permutation(n, positives, num_worlds, rngs, ids, masks);
+      return Avx2Permutation(n, positives, num_worlds, rngs, ids, plane);
 #endif
     default:
-      return ScalarPermutation(n, positives, num_worlds, rngs, ids, masks);
+      return ScalarPermutation(n, positives, num_worlds, rngs, ids, plane);
   }
+}
+
+size_t WorldTile(size_t num_regions, uint32_t counted) {
+  constexpr size_t kRowBytes = size_t{256} << 10;
+  const size_t row_bytes =
+      sizeof(uint32_t) * std::max<size_t>(1, num_regions) * counted;
+  const size_t fits = kRowBytes / row_bytes / kLaneWorlds * kLaneWorlds;
+  return std::clamp(fits, kLaneWorlds, kLaneWorlds * kMaskBytes);
 }
 
 std::byte* LocalBatchBlock(size_t bytes) {

@@ -1,14 +1,16 @@
 // Null-world lane sampler: draws up to 8 null worlds at once, each from its
 // own generator — i.i.d. point-level and permutation worlds straight into
-// packed mask planes, and closed-form Bernoulli cell worlds into per-world
+// packed mask words, and closed-form Bernoulli cell worlds into per-world
 // cell rows.
 //
 // Every null world w already draws from its own generator (Rng::Split(w) of
 // the simulation seed), so 8 worlds can step side by side in 8 SIMD lanes and
-// produce exactly the streams they produce one at a time. Each point gets one
-// mask byte with bit w = world w's label, which is the plane format of
-// RegionFamily::CountPlanes, so the simulations count the worlds without
-// label arrays, class-code arrays or a packing pass:
+// produce exactly the streams they produce one at a time. Each point has one
+// 64-bit mask word, bit p = plane p's label, which is the plane format of
+// RegionFamily::CountPlanes; a call fills one byte of every word, so the 8
+// calls for worlds 8g … 8g+7 (byte g) fill a 64-world word, and the
+// simulations count the worlds without label arrays, class-code arrays or a
+// packing pass:
 //
 //   Bernoulli   point i of world w is positive when (Next() >> 11) <
 //               Rng::BernoulliThreshold(ρ), exactly as
@@ -16,8 +18,9 @@
 //               2-class draw on that one threshold;
 //   K classes   the class is the number of thresholds m_c with
 //               (Next() >> 11) >= m_c, exactly as
-//               core::internal::CategoricalDraw draws it, and each point
-//               gets one mask byte per counted class c < K−1;
+//               core::internal::CategoricalDraw draws it, and each counted
+//               class c < K−1 gets its own byte of the mask words, so one
+//               word holds every (world, class) plane of a K-class tile;
 //   cells       every live cell of a CellSamplerBank, in cell order, takes
 //               one NextDouble() per world, scaled by its alias table's
 //               size and truncated to a column, then the column's
@@ -36,8 +39,10 @@
 //
 //   scalar   one world at a time; the portable reference;
 //   AVX2     two groups of 4 64-bit lanes, rotates as shift pairs;
-//   AVX-512  8 lanes (AVX-512F only), one-instruction rotates, unsigned
-//            compares straight into the mask byte, gathers and scatters.
+//   AVX-512  8 lanes, one-instruction rotates, unsigned compares straight
+//            into the mask byte, gathers and scatters (AVX-512F; the tier
+//            also requires AVX-512BW for the annulus walk of the same tier,
+//            core/annulus_index.h).
 //
 // Every arm produces the same mask bits or cell counts, per-world totals and
 // final generator states (tests/test_lane_sampler.cc pins them against the
@@ -58,43 +63,62 @@ namespace sfa::core {
 /// Worlds one sampler call draws at most: one per bit of a mask byte.
 inline constexpr size_t kLaneWorlds = 8;
 
+/// Bytes of a mask word: 8-world groups one word holds.
+inline constexpr size_t kMaskBytes = 8;
+
 /// Draws `num_worlds` (1..kLaneWorlds) Bernoulli(rho) label worlds over `n`
-/// points, world w from rngs[w]. Bit w of masks[i] is world w's label of
-/// point i; bits at and above num_worlds are 0. positives[w] gets world w's
-/// positive count, and rngs[w] ends where Labels::ResampleBernoulli(n, rho,
-/// &rngs[w]) leaves it: ρ <= 0 and ρ >= 1 draw nothing, and a NaN ρ draws
-/// once per point and labels every point 0.
+/// points, world w from rngs[w], into byte `byte` (< kMaskBytes) of the n
+/// mask words at `masks`: bit 8·byte + w of masks[i] is world w's label of
+/// point i, and the byte's bits at and above num_worlds are 0 (the other
+/// bytes are untouched). positives[w] gets world w's positive count, and
+/// rngs[w] ends where Labels::ResampleBernoulli(n, rho, &rngs[w]) leaves it:
+/// ρ <= 0 and ρ >= 1 draw nothing, and a NaN ρ draws once per point and
+/// labels every point 0.
 void SampleBernoulliLanes(double rho, size_t n, size_t num_worlds, Rng* rngs,
-                          uint8_t* masks, uint64_t* positives);
+                          uint64_t* masks, size_t byte, uint64_t* positives);
 
 /// Draws `num_worlds` (1..kLaneWorlds) K-class worlds over `n` points on the
 /// non-decreasing thresholds m_0..m_{K−2} of internal::CategoricalDraw
-/// (1 <= K−1 <= 255), world w from rngs[w]. Class plane c < K−1 is the n
-/// bytes at masks + c·n: bit w of its byte i says point i of world w has
-/// class c (bits at and above num_worlds are 0). Adds world w's count of
-/// class k to totals[w·K + k] and advances rngs[w] by n steps, as
-/// CategoricalDraw::Draw does.
+/// (1 <= K−1 <= 255), world w from rngs[w]. Class c < K−1 fills mask byte
+/// b = byte + c, which is byte b % 8 of the n words at masks + (b / 8)·n:
+/// its bit w says point i of world w has class c (bits at and above
+/// num_worlds are 0), so the plane of (world w, class c) is 8·b + w of those
+/// words. Adds world w's count of class k to totals[w·K + k] and advances
+/// rngs[w] by n steps, as CategoricalDraw::Draw does.
 void SampleCategoricalLanes(const std::vector<uint64_t>& thresholds, size_t n,
-                            size_t num_worlds, Rng* rngs, uint8_t* masks,
-                            uint64_t* totals);
+                            size_t num_worlds, Rng* rngs, uint64_t* masks,
+                            size_t byte, uint64_t* totals);
 
 /// Draws `num_worlds` (1..kLaneWorlds) permutation worlds of `positives`
 /// positives among `n` < 2³² points, world w from rngs[w], exactly as
-/// DrawPermutationPositives(n, positives, &rngs[w], ...) draws them: bit w
-/// of masks[i] is set when point i is one of world w's positives (bits at
-/// and above num_worlds are 0), and rngs[w] ends where that draw leaves it.
-/// `ids` is the shuffle buffer, kLaneWorlds·n entries (world w's ids at
-/// ids + w·n on the SIMD tiers) whose contents do not survive the call.
+/// DrawPermutationPositives(n, positives, &rngs[w], ...) draws them, into
+/// byte `byte` (< kMaskBytes) of the n mask words at `masks`: bit
+/// 8·byte + w of masks[i] is set when point i is one of world w's positives
+/// (the byte's bits at and above num_worlds are 0), and rngs[w] ends where
+/// that draw leaves it. `ids` is the shuffle buffer, kLaneWorlds·n entries
+/// (world w's ids at ids + w·n on the SIMD tiers) whose contents do not
+/// survive the call.
 void SamplePermutationLanes(size_t n, uint64_t positives, size_t num_worlds,
-                            Rng* rngs, uint32_t* ids, uint8_t* masks);
+                            Rng* rngs, uint32_t* ids, uint64_t* masks,
+                            size_t byte);
 
 /// The calling thread's pooled block of at least `bytes` bytes, aligned for
-/// uint64_t: the storage both statistics carve a batch's mask planes, count
-/// rows, cell rows and shuffle ids from, so that a worker thread keeps one
-/// block, the largest any batch of either statistic asked for. Callers start
-/// their arrays' lifetimes in it with placement new, which does no work for
-/// these trivial types; the contents do not survive the next call.
+/// uint64_t: the storage both statistics carve a batch's mask words, count
+/// rows, cell rows and shuffle ids from, and the packing adapters
+/// (RegionFamily::CountPositivesBatch, CountClassesBatch) their mask words
+/// and rows, so that a worker thread keeps one block, the largest any of
+/// them asked for. Callers start their arrays' lifetimes in it with
+/// placement new, which does no work for these trivial types; the contents
+/// do not survive the next call.
 std::byte* LocalBatchBlock(size_t bytes);
+
+/// Worlds per tile of the batched engine's point worlds: the most (at most
+/// kLaneWorlds·kMaskBytes = 64, a multiple of kLaneWorlds, at least
+/// kLaneWorlds) whose uint32 count rows, `counted` classes × num_regions per
+/// world, fit in 256 KiB. So a tile's rows plus its mask words stay within a
+/// worker's pooled block (squares and kNN count 32 and 64 worlds per walk,
+/// the 5,000-cell grid 8).
+size_t WorldTile(size_t num_regions, uint32_t counted);
 
 /// The alias tables of a closed-form Bernoulli cell world, as
 /// CellSamplerBank builds and owns them: one column arena holding every table

@@ -63,12 +63,21 @@ RangeOutcome RunWorldRange(const StatisticSimulation& simulation,
                            size_t w_hi, double* max_llrs, bool stoppable) {
   const size_t num_range = w_hi - w_lo;
   // The reference engine is "batches" of one world; the batched engine works
-  // in batch_size chunks. Either way the stop poll happens before a chunk
-  // starts, never inside one, so a completed chunk is always whole.
-  const size_t batch_size =
-      options.engine == McEngine::kReference
-          ? 1
-          : std::max<uint32_t>(1, options.batch_size);
+  // in batch_size chunks, on a parallel run at most about one worker's share
+  // of the range (rounded up to whole 8-world lane groups), so a short range
+  // still spreads over the pool. Either way the stop poll happens before a
+  // chunk starts, never inside one, so a completed chunk is always whole.
+  size_t batch_size = options.engine == McEngine::kReference
+                          ? 1
+                          : std::max<uint32_t>(1, options.batch_size);
+  if (options.parallel && batch_size > 1) {
+    constexpr size_t kLaneGroup = 8;
+    const size_t workers =
+        std::max<size_t>(1, DefaultThreadPool().num_threads());
+    const size_t share = (num_range + workers - 1) / workers;
+    const size_t groups = (share + kLaneGroup - 1) / kLaneGroup;
+    batch_size = std::min(batch_size, std::max<size_t>(1, groups) * kLaneGroup);
+  }
   const size_t num_batches = (num_range + batch_size - 1) / batch_size;
 
   auto run_batch = [&](size_t g) {

@@ -2,10 +2,12 @@
 // simulation context (StatisticSimulation) over options.num_worlds null
 // worlds, organized around the statistic-agnostic cost levers:
 //
-//   allocation-free batches     worlds are processed in batches of B through
-//                               the simulation's RunWorldBatch, whose
-//                               per-world buffers live in statistic-owned
-//                               thread-local arenas;
+//   allocation-free batches     worlds are processed in batches of B
+//                               (options.batch_size, on a parallel run
+//                               capped near one worker's share of the
+//                               range) through the simulation's
+//                               RunWorldBatch, whose per-world buffers live
+//                               in statistic-owned thread-local arenas;
 //   two-level parallelism       batches fan out on the shared thread pool
 //                               (options.parallel), nested safely inside
 //                               pipeline-level parallelism via the pool's
@@ -14,7 +16,7 @@
 // The statistic-specific levers — closed-form per-cell null sampling,
 // integer-threshold per-point draws (Bernoulli labels and K-class
 // Categorical classes), the shared k·log k LLR table, the size-grouped
-// Bernoulli LLR max, batched annulus gathers — live inside the
+// Bernoulli LLR max, 64-world annulus walks — live inside the
 // StatisticSimulation implementations (core/bernoulli_statistic.cc,
 // core/multinomial_statistic.cc).
 //

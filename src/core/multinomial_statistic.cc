@@ -94,21 +94,21 @@ void DrawMultinomial(uint64_t n, const std::vector<double>& q, Rng* rng,
 /// Thread-local buffer pool of both engine strategies: packed class worlds,
 /// per-cell class draws and the reference oracle's buffers — after a
 /// worker's first batch (or reference world) the steady state allocates
-/// nothing. The batched strategy's count rows and lane-sampled mask planes
-/// live in the block the Bernoulli statistic's rows use too
-/// (LocalBatchBlock, core/lane_sampler.h).
+/// nothing. The batched strategy's count rows and mask words live in the
+/// block the Bernoulli statistic's rows use too (LocalBatchBlock,
+/// core/lane_sampler.h).
 struct MultinomialArena {
   std::vector<uint8_t> classes;        // one world's per-point class draws
   std::vector<uint8_t> indicator;      // one class's 0/1 bytes (reference)
   Labels ref_labels;                   // pooled indicator Labels (reference)
-  std::vector<uint8_t> class_worlds;   // worlds × N permutation class codes
+  std::vector<uint8_t> class_worlds;   // tile × N permutation class codes
   std::vector<const uint8_t*> class_world_ptrs;
   std::vector<uint64_t> world_totals;  // worlds × K
   std::vector<uint32_t> cell_class;    // one world's per-cell draws, one class
   std::vector<uint64_t> cell_draw;     // one cell's K draws
-  std::vector<uint64_t> region_counts; // (K-1) × regions (reference)
+  std::vector<uint32_t> region_counts; // (K-1) × regions (reference)
   std::vector<uint64_t> scalar_counts; // CountPositives output row (reference)
-  std::vector<const uint64_t*> class_ptrs;
+  std::vector<const uint32_t*> class_ptrs;
 };
 
 MultinomialArena& LocalArena() {
@@ -170,8 +170,8 @@ class MultinomialSimulation : public StatisticSimulation {
         DrawMultinomial(cells_->num_outside, q_, &rng, draw.data());
         for (uint32_t k = 0; k < num_classes; ++k) world_totals[k] += draw[k];
       }
-      std::vector<uint64_t> counts(num_regions * (num_classes - 1));
-      std::vector<const uint64_t*> class_ptrs(num_classes - 1);
+      std::vector<uint32_t> counts(num_regions * (num_classes - 1));
+      std::vector<const uint32_t*> class_ptrs(num_classes - 1);
       for (uint32_t k = 0; k + 1 < num_classes; ++k) {
         family_.CountPositivesFromCells(
             cell_class.data() + static_cast<size_t>(k) * num_cells,
@@ -227,8 +227,8 @@ class MultinomialSimulation : public StatisticSimulation {
       arena.cell_class.resize(num_cells * (num_classes - 1));
       arena.cell_draw.resize(num_classes);
       const size_t row_entries = num_regions * (num_classes - 1);
-      uint64_t* region_counts = new (LocalBatchBlock(
-          row_entries * sizeof(uint64_t))) uint64_t[row_entries];
+      uint32_t* region_counts = new (LocalBatchBlock(
+          row_entries * sizeof(uint32_t))) uint32_t[row_entries];
       for (size_t w = w_lo; w < w_hi; ++w) {
         Rng rng = root_.Split(w);
         uint64_t* world_totals =
@@ -267,71 +267,100 @@ class MultinomialSimulation : public StatisticSimulation {
     const uint32_t counted = num_classes - 1;
     const size_t points = static_cast<size_t>(total_n);
     if (options_.null_model == NullModel::kBernoulli) {
-      // i.i.d. point worlds, kLaneWorlds at a time: the lane sampler writes
-      // one mask plane per counted class with bit j = world j, and each
-      // plane's CountPlanes call strides its worlds' rows to their
-      // ClassCountRowOffset places. Offsets go through the size_t-widening
-      // helpers; narrower products overflow at paper-scale configs.
-      const size_t count_entries =
-          ClassCountBufferSize(kLaneWorlds, counted, num_regions);
-      const size_t count_bytes = count_entries * sizeof(uint64_t);
-      const size_t mask_bytes = static_cast<size_t>(counted) * points;
-      std::byte* block = LocalBatchBlock(count_bytes + mask_bytes);
-      uint64_t* counts = new (block) uint64_t[count_entries];
-      uint8_t* masks = new (block + count_bytes) uint8_t[mask_bytes];
-      const size_t world_stride =
-          ClassCountRowOffset(1, 0, counted, num_regions);
-      for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
-        const size_t lanes = std::min(kLaneWorlds, w_hi - g);
-        Rng rngs[kLaneWorlds];
-        for (size_t j = 0; j < lanes; ++j) rngs[j] = root_.Split(g + j);
-        uint64_t* totals = arena.world_totals.data() + (g - w_lo) * num_classes;
-        SampleCategoricalLanes(draw_.thresholds(), points, lanes, rngs,
-                               masks, totals);
-        for (uint32_t k = 0; k < counted; ++k) {
-          family_.CountPlanes(
-              masks + static_cast<size_t>(k) * points, lanes,
-              counts + ClassCountRowOffset(0, k, counted, num_regions),
-              world_stride);
+      const size_t tile = WorldTile(num_regions, counted);
+      // i.i.d. point worlds, a tile at a time: lane group g (worlds
+      // t + 8g … t + 8g + 7) writes its class c plane bytes to mask byte
+      // b = g·(K−1) + c, so the plane of (world t + 8g + j, class c) is
+      // 8b + j and its count row lands at counts + (8b + j)·regions. The
+      // bytes fill one mask word per point for up to 8 bytes, and a further
+      // word array per 8 bytes beyond; one CountPlanes walk counts each.
+      const size_t tile_bytes = tile / kLaneWorlds * counted;
+      const size_t words = (tile_bytes + kMaskBytes - 1) / kMaskBytes;
+      const size_t mask_bytes = words * points * sizeof(uint64_t);
+      const size_t count_entries = tile * counted * num_regions;
+      std::byte* block =
+          LocalBatchBlock(mask_bytes + count_entries * sizeof(uint32_t));
+      uint64_t* masks = new (block) uint64_t[words * points];
+      uint32_t* counts = new (block + mask_bytes) uint32_t[count_entries];
+      for (size_t t = w_lo; t < w_hi; t += tile) {
+        const size_t worlds = std::min(tile, w_hi - t);
+        const size_t groups = (worlds + kLaneWorlds - 1) / kLaneWorlds;
+        for (size_t g = 0; g < groups; ++g) {
+          const size_t lanes = std::min(kLaneWorlds, worlds - g * kLaneWorlds);
+          Rng rngs[kLaneWorlds];
+          for (size_t j = 0; j < lanes; ++j) {
+            rngs[j] = root_.Split(t + g * kLaneWorlds + j);
+          }
+          SampleCategoricalLanes(
+              draw_.thresholds(), points, lanes, rngs, masks, g * counted,
+              arena.world_totals.data() +
+                  (t - w_lo + g * kLaneWorlds) * num_classes);
         }
-        for (size_t j = 0; j < lanes; ++j) {
+        const size_t planes = groups * counted * kLaneWorlds;
+        for (size_t first = 0; first < planes;
+             first += RegionFamily::kMaxPlanes) {
+          family_.CountPlanes(
+              masks + first / RegionFamily::kMaxPlanes * points,
+              std::min(RegionFamily::kMaxPlanes, planes - first),
+              counts + first * num_regions, num_regions);
+        }
+        for (size_t w = 0; w < worlds; ++w) {
+          const size_t g = w / kLaneWorlds;
+          const size_t j = w % kLaneWorlds;
           for (uint32_t k = 0; k < counted; ++k) {
             arena.class_ptrs[k] =
-                counts + ClassCountRowOffset(j, k, counted, num_regions);
+                counts + ((g * counted + k) * kLaneWorlds + j) * num_regions;
           }
-          out[g + j] = MaxLlr(arena.class_ptrs.data(),
-                              totals + j * num_classes, num_classes, total_n);
+          out[t + w] = MaxLlr(arena.class_ptrs.data(),
+                              arena.world_totals.data() +
+                                  (t - w_lo + w) * num_classes,
+                              num_classes, total_n);
         }
       }
       return;
     }
 
-    // Permutation worlds keep their scalar shuffles, as one packed class-code
-    // array whose (world, class) planes CountClassesBatch packs and counts.
-    arena.class_worlds.resize(worlds * points);
-    arena.class_world_ptrs.resize(worlds);
-    for (size_t j = 0; j < worlds; ++j) {
-      Rng rng = root_.Split(w_lo + j);
-      uint8_t* world = arena.class_worlds.data() + j * points;
-      DrawPointClasses(&rng, world, total_n,
-                       arena.world_totals.data() + j * num_classes);
-      arena.class_world_ptrs[j] = world;
-    }
-    const size_t count_entries =
-        ClassCountBufferSize(worlds, counted, num_regions);
-    uint64_t* counts = new (LocalBatchBlock(count_entries * sizeof(uint64_t)))
-        uint64_t[count_entries];
-    family_.CountClassesBatch(arena.class_world_ptrs.data(), worlds,
-                              num_classes, counts);
-    for (size_t j = 0; j < worlds; ++j) {
-      for (uint32_t k = 0; k < counted; ++k) {
-        arena.class_ptrs[k] =
-            counts + ClassCountRowOffset(j, k, counted, num_regions);
+    // Permutation worlds keep their scalar shuffles into class codes,
+    // kLaneWorlds worlds (the codes' N bytes each) at a time, whose
+    // (world, class) planes are packed in ClassCountRowOffset order
+    // (internal::PackClassPlanes) and counted up to 64 per walk.
+    const size_t count_entries = kLaneWorlds * counted * num_regions;
+    std::byte* block = LocalBatchBlock(points * sizeof(uint64_t) +
+                                       count_entries * sizeof(uint32_t));
+    uint64_t* masks = new (block) uint64_t[points];
+    uint32_t* counts =
+        new (block + points * sizeof(uint64_t)) uint32_t[count_entries];
+    arena.class_worlds.resize(kLaneWorlds * points);
+    arena.class_world_ptrs.resize(kLaneWorlds);
+    for (size_t t = w_lo; t < w_hi; t += kLaneWorlds) {
+      const size_t worlds = std::min(kLaneWorlds, w_hi - t);
+      for (size_t j = 0; j < worlds; ++j) {
+        Rng rng = root_.Split(t + j);
+        uint8_t* world = arena.class_worlds.data() + j * points;
+        DrawPointClasses(
+            &rng, world, total_n,
+            arena.world_totals.data() + (t - w_lo + j) * num_classes);
+        arena.class_world_ptrs[j] = world;
       }
-      out[w_lo + j] =
-          MaxLlr(arena.class_ptrs.data(),
-                 arena.world_totals.data() + j * num_classes, num_classes,
-                 total_n);
+      const size_t planes = worlds * counted;
+      for (size_t first = 0; first < planes;
+           first += RegionFamily::kMaxPlanes) {
+        const size_t count = std::min(RegionFamily::kMaxPlanes, planes - first);
+        internal::PackClassPlanes(arena.class_world_ptrs.data(), first, count,
+                                  counted, points, masks);
+        family_.CountPlanes(masks, count, counts + first * num_regions,
+                            num_regions);
+      }
+      for (size_t j = 0; j < worlds; ++j) {
+        for (uint32_t k = 0; k < counted; ++k) {
+          arena.class_ptrs[k] =
+              counts + ClassCountRowOffset(j, k, counted, num_regions);
+        }
+        out[t + j] = MaxLlr(arena.class_ptrs.data(),
+                            arena.world_totals.data() +
+                                (t - w_lo + j) * num_classes,
+                            num_classes, total_n);
+      }
     }
   }
 
@@ -361,7 +390,7 @@ class MultinomialSimulation : public StatisticSimulation {
 
   /// The world's max Λ over regions_: an unrolled instance for K = 3, the
   /// one measured class count, and any K through kCounted = 0.
-  double MaxLlr(const uint64_t* const* counts_by_class,
+  double MaxLlr(const uint32_t* const* counts_by_class,
                 const uint64_t* world_totals, uint32_t num_classes,
                 uint64_t total_n) const {
     const uint32_t counted = num_classes - 1;
@@ -375,7 +404,7 @@ class MultinomialSimulation : public StatisticSimulation {
   /// observed scan's values bit for bit; with kCounted > 0 the class loop
   /// unrolls and its row pointers and totals stay in registers.
   template <uint32_t kCounted>
-  double MaxLlrIn(const uint64_t* const* counts_by_class,
+  double MaxLlrIn(const uint32_t* const* counts_by_class,
                   const uint64_t* world_totals, uint32_t counted,
                   uint64_t total_n) const {
     if constexpr (kCounted > 0) counted = kCounted;
@@ -593,6 +622,7 @@ Status MultinomialScanStatistic::ValidateForFamily(
   if (class_totals_.size() > 256) {
     return Status::InvalidArgument("at most 256 outcome classes (uint8 ids)");
   }
+  SFA_RETURN_NOT_OK(RequireCountablePoints(family.num_points()));
   if (family.num_points() != total_n_) {
     return Status::InvalidArgument(StrFormat(
         "region family is bound to %zu points but the statistic's view has "

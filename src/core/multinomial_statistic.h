@@ -25,13 +25,15 @@
 //                  otherwise, 8 worlds per lane-sampler call,
 //                  core/lane_sampler.h) or permuted exactly (kPermutation);
 //   counting       per-class region counts reuse the family's binary
-//                  counting path: the lane sampler writes one mask plane
-//                  per counted class (the last class is derived from
-//                  n(R)), bit w = world w, and RegionFamily::CountPlanes
-//                  counts each plane's 8 worlds straight into their
-//                  ClassCountRowOffset rows through its output stride;
-//                  permutation worlds and the observed scan pack class
-//                  codes into planes through CountClassesBatch;
+//                  counting path: the lane sampler writes one mask byte
+//                  per (8-world group, counted class) (the last class is
+//                  derived from n(R)), so one 64-bit mask word holds every
+//                  (world, class) plane of a tile of WorldTile(regions,
+//                  K−1) worlds, and one RegionFamily::CountPlanes walk
+//                  counts them all into uint32 rows; permutation worlds
+//                  pack their class codes into planes
+//                  (internal::PackClassPlanes) and the observed scan
+//                  counts through CountClassesBatch;
 //   identity       "multinomial K=<K> C=<c0,c1,...>" — the class totals are
 //                  part of the calibration identity, so a multinomial
 //                  calibration can never collide with a Bernoulli one.

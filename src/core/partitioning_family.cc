@@ -31,6 +31,7 @@ PartitioningCollectionFamily::PartitioningCollectionFamily(
     single_partitioning_cells_.cell_counts.assign(point_counts_.begin(),
                                                   point_counts_.end());
     single_partitioning_cells_.num_outside = 0;
+    single_partitioning_cells_.cells_are_regions = true;
   }
 }
 
@@ -40,6 +41,7 @@ PartitioningCollectionFamily::Create(const std::vector<geo::Point>& points,
   if (points.empty()) {
     return Status::InvalidArgument("partitioning family needs points");
   }
+  SFA_RETURN_NOT_OK(RequireCountablePoints(points.size()));
   SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
   if (partitionings.empty()) {
     return Status::InvalidArgument("partitioning family needs >= 1 partitioning");
@@ -80,9 +82,9 @@ void PartitioningCollectionFamily::CountPositives(const Labels& labels,
   }
 }
 
-void PartitioningCollectionFamily::CountPlanes(const uint8_t* masks,
+void PartitioningCollectionFamily::CountPlanes(const uint64_t* masks,
                                                size_t num_planes,
-                                               uint64_t* out,
+                                               uint32_t* out,
                                                size_t out_stride) const {
   SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
   SFA_CHECK(out_stride >= total_regions_);
@@ -92,12 +94,6 @@ void PartitioningCollectionFamily::CountPlanes(const uint8_t* masks,
                               offsets_[t + 1] - offsets_[t], masks, num_planes,
                               out + offsets_[t], out_stride);
   }
-}
-
-void PartitioningCollectionFamily::CountPositivesFromCells(
-    const uint32_t* cell_positives, uint64_t* out) const {
-  SFA_DCHECK(partitionings_.size() == 1);
-  for (size_t r = 0; r < total_regions_; ++r) out[r] = cell_positives[r];
 }
 
 std::string PartitioningCollectionFamily::Name() const {

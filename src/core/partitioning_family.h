@@ -30,21 +30,20 @@ class PartitioningCollectionFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// One cell scatter per partitioning counts every plane.
-  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+  /// One cell scatter per partitioning and 8-plane byte group.
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override;
   /// Non-null only for a single partitioning: its partitions then tile the
   /// points and closed-form Binomial sampling applies. With several
   /// partitionings the same point feeds regions of every partitioning, so
   /// per-region counts are jointly coupled through point-level labels and no
-  /// disjoint decomposition exists.
+  /// disjoint decomposition exists. The single partitioning's regions are
+  /// its cells (cells_are_regions).
   const CellDecomposition* cell_decomposition() const override {
     return single_partitioning_cells_.cell_counts.empty()
                ? nullptr
                : &single_partitioning_cells_;
   }
-  void CountPositivesFromCells(const uint32_t* cell_positives,
-                               uint64_t* out) const override;
   std::string Name() const override;
 
   size_t num_partitionings() const { return partitionings_.size(); }

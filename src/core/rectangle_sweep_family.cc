@@ -52,6 +52,7 @@ Result<std::unique_ptr<RectangleSweepFamily>> RectangleSweepFamily::Create(
   if (points.empty()) {
     return Status::InvalidArgument("rectangle sweep family needs points");
   }
+  SFA_RETURN_NOT_OK(RequireCountablePoints(points.size()));
   SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
   const size_t x_intervals = static_cast<size_t>(g_x) * (g_x + 1) / 2;
   const size_t y_intervals = static_cast<size_t>(g_y) * (g_y + 1) / 2;
@@ -127,39 +128,37 @@ void RectangleSweepFamily::CountPositives(const Labels& labels,
   FoldPrefixIntoRegions(positive_prefix, out->data());
 }
 
-void RectangleSweepFamily::CountPlanes(const uint8_t* masks, size_t num_planes,
-                                       uint64_t* out, size_t out_stride) const {
+void RectangleSweepFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
+                                       uint32_t* out, size_t out_stride) const {
   SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
   SFA_CHECK(out_stride >= num_regions_);
   const size_t num_cells = grid().num_cells();
   const std::vector<uint32_t>& cells = index_.cell_assignments();
   // Thread-local pools, as in CountPositives.
-  static thread_local std::vector<uint64_t> plane_cells;
-  static thread_local std::vector<uint32_t> cell_counts;
+  static thread_local std::vector<uint32_t> plane_cells;
   static thread_local spatial::PrefixSum2D plane_prefix;
   plane_cells.resize(num_planes * num_cells);
-  cell_counts.resize(num_cells);
   internal::CountCellPlanes(cells.data(), cells.size(), num_cells, masks,
                             num_planes, plane_cells.data(), num_cells);
-  for (size_t b = 0; b < num_planes; ++b) {
-    // A cell holds at most N < 2^32 points.
-    std::copy(plane_cells.begin() + b * num_cells,
-              plane_cells.begin() + (b + 1) * num_cells, cell_counts.begin());
-    plane_prefix.Rebuild(grid().nx(), grid().ny(), cell_counts.data());
-    FoldPrefixIntoRegions(plane_prefix, out + b * out_stride);
+  for (size_t p = 0; p < num_planes; ++p) {
+    plane_prefix.Rebuild(grid().nx(), grid().ny(),
+                         plane_cells.data() + p * num_cells);
+    FoldPrefixIntoRegions(plane_prefix, out + p * out_stride);
   }
 }
 
 void RectangleSweepFamily::CountPositivesFromCells(const uint32_t* cell_positives,
-                                                   uint64_t* out) const {
+                                                   uint32_t* out) const {
   static thread_local spatial::PrefixSum2D positive_prefix;
   positive_prefix.Rebuild(grid().nx(), grid().ny(), cell_positives);
   FoldPrefixIntoRegions(positive_prefix, out);
 }
 
+template <typename Count>
 void RectangleSweepFamily::FoldPrefixIntoRegions(
-    const spatial::PrefixSum2D& positive_prefix, uint64_t* out) const {
-  // Enumerated in the same canonical order DecodeRegion uses.
+    const spatial::PrefixSum2D& positive_prefix, Count* out) const {
+  // Enumerated in the same canonical order DecodeRegion uses. A sum counts
+  // at most N <= kMaxFamilyPoints points, so it fits either width.
   const uint32_t nx = grid().nx();
   const uint32_t ny = grid().ny();
   size_t r = 0;
@@ -167,7 +166,8 @@ void RectangleSweepFamily::FoldPrefixIntoRegions(
     for (uint32_t y1 = y0 + 1; y1 <= ny; ++y1) {
       for (uint32_t x0 = 0; x0 < nx; ++x0) {
         for (uint32_t x1 = x0 + 1; x1 <= nx; ++x1) {
-          out[r++] = positive_prefix.SumRange(x0, y0, x1, y1);
+          out[r++] = static_cast<Count>(
+              positive_prefix.SumRange(x0, y0, x1, y1));
         }
       }
     }

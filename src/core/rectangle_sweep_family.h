@@ -42,16 +42,16 @@ class RectangleSweepFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override;
   void CountPositives(const Labels& labels,
                       std::vector<uint64_t>* out) const override;
-  /// One cell scatter fills every plane's per-cell counts, then one
-  /// prefix-sum rebuild + O(1)-per-rectangle fold per plane.
-  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+  /// One cell scatter per 8-plane byte group fills every plane's per-cell
+  /// counts, then one prefix-sum rebuild + O(1)-per-rectangle fold per plane.
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override;
   /// Every rectangle aggregates base-grid cells, so per-cell positives
   /// determine all region counts: the base cells form the decomposition and
   /// closed-form Binomial sampling applies.
   const CellDecomposition* cell_decomposition() const override { return &cells_; }
   void CountPositivesFromCells(const uint32_t* cell_positives,
-                               uint64_t* out) const override;
+                               uint32_t* out) const override;
   std::string Name() const override;
 
   const geo::GridSpec& grid() const { return index_.grid(); }
@@ -68,9 +68,11 @@ class RectangleSweepFamily : public RegionFamily {
                        const std::vector<geo::Point>& points);
 
   /// O(1)-per-rectangle fold of a per-cell summed-area table into the
-  /// canonical region order.
+  /// canonical region order (uint64 for CountPositives, uint32 rows
+  /// otherwise).
+  template <typename Count>
   void FoldPrefixIntoRegions(const spatial::PrefixSum2D& positive_prefix,
-                             uint64_t* out) const;
+                             Count* out) const;
 
   spatial::GridIndex index_;
   spatial::PrefixSum2D count_prefix_;  // point counts (fixed)

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
+#include <cstddef>
+#include <new>
 
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "core/lane_sampler.h"
 
 namespace sfa::core {
 
@@ -22,44 +24,59 @@ Status RequireFinitePoints(const std::vector<geo::Point>& points,
   return Status::OK();
 }
 
+Status RequireCountablePoints(uint64_t num_points) {
+  if (num_points > kMaxFamilyPoints) {
+    return Status::InvalidArgument(StrFormat(
+        "%llu points exceed the %llu a family can count in uint32 rows",
+        static_cast<unsigned long long>(num_points),
+        static_cast<unsigned long long>(kMaxFamilyPoints)));
+  }
+  return Status::OK();
+}
+
 namespace {
 
-/// Thread-local mask bytes of the packing adapters (one per point), live
-/// only within one counting call on the owning thread.
-uint8_t* LocalPlaneMasks(size_t num_points) {
-  static thread_local std::vector<uint8_t> masks;
-  masks.resize(num_points);
-  return masks.data();
+/// The uint32 rows one adapter CountPlanes call may fill: the planes per call
+/// shrink for very wide families, so the pooled block stays bounded.
+constexpr size_t kAdapterRowBytes = size_t{1} << 20;
+
+/// Counts `num_planes` planes, as many per CountPlanes call as fit in
+/// kAdapterRowBytes: pack(first, count, masks) fills the mask words of
+/// planes [first, first + count), and plane p's counts are widened into
+/// out + p * stride. The mask words and rows live in the calling thread's
+/// pooled block (LocalBatchBlock), which no engine batch holds while an
+/// adapter runs.
+template <typename Pack>
+void CountWidened(const RegionFamily& family, size_t num_planes, Pack pack,
+                  uint64_t* out) {
+  const size_t n = family.num_points();
+  const size_t stride = family.num_regions();
+  const size_t per_call = std::clamp<size_t>(
+      kAdapterRowBytes / (sizeof(uint32_t) * std::max<size_t>(stride, 1)), 1,
+      RegionFamily::kMaxPlanes);
+  const size_t rows_size = std::min(per_call, num_planes) * stride;
+  std::byte* block = LocalBatchBlock(n * sizeof(uint64_t) +
+                                     rows_size * sizeof(uint32_t));
+  uint64_t* masks = new (block) uint64_t[n];
+  uint32_t* rows = new (block + n * sizeof(uint64_t)) uint32_t[rows_size];
+  for (size_t first = 0; first < num_planes; first += per_call) {
+    const size_t count = std::min(per_call, num_planes - first);
+    pack(first, count, masks);
+    family.CountPlanes(masks, count, rows, stride);
+    std::copy(rows, rows + count * stride, out + first * stride);
+  }
 }
 
-constexpr uint64_t kByteOnes = 0x0101010101010101ULL;
-constexpr uint64_t kByteLow7 = 0x7F7F7F7F7F7F7F7FULL;
-constexpr uint64_t kByteHigh = 0x8080808080808080ULL;
-
-/// Byte j of the result is p[j] for j < count and 0 above it.
-inline uint64_t LoadBytes(const uint8_t* p, size_t count) {
-  uint64_t word = 0;
-  std::memcpy(&word, p, count);
-  return word;
-}
-
-/// Packs `num_planes` planes into bit b of masks[i], 8 points per word:
-/// plane_bytes(b, i, count) returns a word whose byte j is 1 when point i + j
-/// lies in plane b and 0 otherwise (bytes at j >= count are don't-care).
-/// Every step is lane-local, so the byte order of the word never matters.
-template <typename PlaneBytes>
-void PackPlanes(size_t n, size_t num_planes, PlaneBytes plane_bytes,
-                uint8_t* masks) {
-  const auto pack = [&](size_t i, size_t count) {
-    uint64_t word = 0;
-    for (size_t b = 0; b < num_planes; ++b) {
-      word |= plane_bytes(b, i, count) << b;
-    }
-    std::memcpy(masks + i, &word, count);
-  };
-  const size_t full = n - n % 8;
-  for (size_t i = 0; i < full; i += 8) pack(i, 8);
-  if (full < n) pack(full, n - full);
+/// Sets bit q of masks[i] to plane(q)(i) (0 or 1) for q < count and clears
+/// the bits above, one vectorizable pass per plane.
+template <typename Plane>
+void PackPlanes(size_t n, size_t count, Plane plane, uint64_t* masks) {
+  const auto first = plane(0);
+  for (size_t i = 0; i < n; ++i) masks[i] = first(i);
+  for (size_t q = 1; q < count; ++q) {
+    const auto bit = plane(q);
+    for (size_t i = 0; i < n; ++i) masks[i] |= bit(i) << q;
+  }
 }
 
 /// kSpread16[m] carries bit b of the nibble m into 16-bit lane b.
@@ -79,8 +96,8 @@ constexpr size_t kLane16Capacity = 0xFFFF;
 
 }  // namespace
 
-void RegionFamily::CountPlanes(const uint8_t* masks, size_t num_planes,
-                               uint64_t* out, size_t out_stride) const {
+void RegionFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
+                               uint32_t* out, size_t out_stride) const {
   SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
   SFA_CHECK(num_planes >= 1 && num_planes <= kMaxPlanes);
   SFA_CHECK(out_stride >= num_regions());
@@ -90,11 +107,12 @@ void RegionFamily::CountPlanes(const uint8_t* masks, size_t num_planes,
   std::vector<uint8_t> bytes(n);
   Labels labels;
   std::vector<uint64_t> scratch;
-  for (size_t b = 0; b < num_planes; ++b) {
-    for (size_t i = 0; i < n; ++i) bytes[i] = (masks[i] >> b) & 1u;
+  for (size_t p = 0; p < num_planes; ++p) {
+    for (size_t i = 0; i < n; ++i) bytes[i] = (masks[i] >> p) & 1u;
     labels.AssignBytes(bytes.data(), n);
     CountPositives(labels, &scratch);
-    std::copy(scratch.begin(), scratch.end(), out + b * out_stride);
+    // Counts are at most N <= kMaxFamilyPoints.
+    std::copy(scratch.begin(), scratch.end(), out + p * out_stride);
   }
 }
 
@@ -102,26 +120,22 @@ void RegionFamily::CountPositivesBatch(const Labels* const* batch,
                                        size_t num_worlds, uint64_t* out) const {
   SFA_CHECK(batch != nullptr && out != nullptr);
   const size_t n = num_points();
-  const size_t stride = num_regions();
-  for (size_t b = 0; b < num_worlds; ++b) {
-    SFA_CHECK_MSG(batch[b]->size() == n,
-                  "labels " << batch[b]->size() << " != points " << n);
+  for (size_t w = 0; w < num_worlds; ++w) {
+    SFA_CHECK_MSG(batch[w]->size() == n,
+                  "labels " << batch[w]->size() << " != points " << n);
   }
-  uint8_t* masks = LocalPlaneMasks(n);
-  for (size_t g = 0; g < num_worlds; g += kMaxPlanes) {
-    const size_t planes = std::min(kMaxPlanes, num_worlds - g);
-    const uint8_t* labels[kMaxPlanes];
-    for (size_t b = 0; b < planes; ++b) {
-      labels[b] = batch[g + b]->bytes().data();
-    }
-    PackPlanes(
-        n, planes,
-        [&labels](size_t b, size_t i, size_t count) {
-          return LoadBytes(labels[b] + i, count);
-        },
-        masks);
-    CountPlanes(masks, planes, out + g * stride, stride);
-  }
+  CountWidened(
+      *this, num_worlds,
+      [batch, n](size_t first, size_t count, uint64_t* masks) {
+        PackPlanes(
+            n, count,
+            [batch, first](size_t q) {
+              const uint8_t* labels = batch[first + q]->bytes().data();
+              return [labels](size_t i) -> uint64_t { return labels[i] & 1u; };
+            },
+            masks);
+      },
+      out);
 }
 
 void RegionFamily::CountClassesBatch(const uint8_t* const* class_worlds,
@@ -131,77 +145,86 @@ void RegionFamily::CountClassesBatch(const uint8_t* const* class_worlds,
   SFA_CHECK_MSG(num_classes >= 2, "CountClassesBatch needs at least 2 classes");
   const uint32_t counted = num_classes - 1;
   const size_t n = num_points();
-  const size_t stride = num_regions();
   // Plane p is (world p / counted, class p % counted): the output rows of
-  // ClassCountRowOffset are exactly p * stride, so groups of consecutive
-  // planes land in consecutive rows.
-  const size_t num_planes = num_worlds * counted;
-  uint8_t* masks = LocalPlaneMasks(n);
-  for (size_t g = 0; g < num_planes; g += kMaxPlanes) {
-    const size_t planes = std::min(kMaxPlanes, num_planes - g);
-    const uint8_t* codes[kMaxPlanes];
-    uint64_t pattern[kMaxPlanes];
-    uint64_t keep[kMaxPlanes];
-    for (size_t b = 0; b < planes; ++b) {
-      const size_t klass = (g + b) % counted;
-      codes[b] = class_worlds[(g + b) / counted];
-      pattern[b] = kByteOnes * (klass & 0xFF);
-      keep[b] = klass <= 0xFF ? ~0ULL : 0;  // no byte code names class 256+
-    }
-    PackPlanes(
-        n, planes,
-        [&](size_t b, size_t i, size_t count) {
-          // Bytes equal to the class become 0; the high bit of `nonzero`
-          // is then set exactly in the other bytes (no carry crosses lanes).
-          const uint64_t diff = LoadBytes(codes[b] + i, count) ^ pattern[b];
-          const uint64_t nonzero = ((diff & kByteLow7) + kByteLow7) | diff;
-          return ((~nonzero & kByteHigh) >> 7) & keep[b];
-        },
-        masks);
-    CountPlanes(masks, planes, out + g * stride, stride);
-  }
+  // ClassCountRowOffset are exactly p * stride.
+  CountWidened(
+      *this, num_worlds * counted,
+      [class_worlds, counted, n](size_t first, size_t count, uint64_t* masks) {
+        internal::PackClassPlanes(class_worlds, first, count, counted, n,
+                                  masks);
+      },
+      out);
 }
 
 namespace internal {
 
 void CountCellPlanes(const uint32_t* cell_of_point, size_t n, size_t num_cells,
-                     const uint8_t* masks, size_t num_planes, uint64_t* out,
+                     const uint64_t* masks, size_t num_planes, uint32_t* out,
                      size_t out_stride) {
   SFA_CHECK(num_planes >= 1 && num_planes <= RegionFamily::kMaxPlanes);
-  // Two words of 16-bit lanes per cell (planes 0–3, 4–7), plus one dump
-  // cell for points outside every cell.
+  // Two words of 16-bit lanes per cell (a byte group's planes 0–3, 4–7),
+  // plus one dump cell for points outside every cell.
   static thread_local std::vector<uint64_t> lanes;
   lanes.assign(2 * (num_cells + 1), 0);
-  for (size_t b = 0; b < num_planes; ++b) {
-    std::fill(out + b * out_stride, out + b * out_stride + num_cells, 0ULL);
-  }
   uint64_t* cell_lanes = lanes.data();
-  for (size_t chunk = 0; chunk < n; chunk += kLane16Capacity) {
-    const size_t chunk_end = std::min(n, chunk + kLane16Capacity);
-    for (size_t i = chunk; i < chunk_end; ++i) {
-      const size_t cell = std::min<size_t>(cell_of_point[i], num_cells);
-      cell_lanes[2 * cell] += kSpread16[masks[i] & 0xF];
-      cell_lanes[2 * cell + 1] += kSpread16[masks[i] >> 4];
-    }
-    // A chunk of at most kLane16Capacity points cannot overflow a lane.
-    for (size_t cell = 0; cell < num_cells; ++cell) {
-      for (size_t b = 0; b < num_planes; ++b) {
-        out[b * out_stride + cell] +=
-            (cell_lanes[2 * cell + b / 4] >> (16 * (b % 4))) & 0xFFFF;
+  for (size_t p = 0; p < num_planes; ++p) {
+    std::fill(out + p * out_stride, out + p * out_stride + num_cells, 0u);
+  }
+  for (size_t group = 0; group * 8 < num_planes; ++group) {
+    const size_t shift = 8 * group;
+    const size_t planes = std::min<size_t>(8, num_planes - shift);
+    uint32_t* group_out = out + shift * out_stride;
+    for (size_t chunk = 0; chunk < n; chunk += kLane16Capacity) {
+      const size_t chunk_end = std::min(n, chunk + kLane16Capacity);
+      for (size_t i = chunk; i < chunk_end; ++i) {
+        const size_t cell = std::min<size_t>(cell_of_point[i], num_cells);
+        const auto byte = static_cast<uint32_t>((masks[i] >> shift) & 0xFF);
+        cell_lanes[2 * cell] += kSpread16[byte & 0xF];
+        cell_lanes[2 * cell + 1] += kSpread16[byte >> 4];
       }
-      cell_lanes[2 * cell] = 0;
-      cell_lanes[2 * cell + 1] = 0;
+      // A chunk of at most kLane16Capacity points cannot overflow a lane.
+      for (size_t cell = 0; cell < num_cells; ++cell) {
+        for (size_t b = 0; b < planes; ++b) {
+          group_out[b * out_stride + cell] += static_cast<uint32_t>(
+              (cell_lanes[2 * cell + b / 4] >> (16 * (b % 4))) & 0xFFFF);
+        }
+        cell_lanes[2 * cell] = 0;
+        cell_lanes[2 * cell + 1] = 0;
+      }
     }
   }
 }
 
+void PackClassPlanes(const uint8_t* const* class_worlds, size_t first_plane,
+                     size_t num_planes, uint32_t counted, size_t n,
+                     uint64_t* masks) {
+  SFA_CHECK(num_planes >= 1 && num_planes <= RegionFamily::kMaxPlanes);
+  PackPlanes(
+      n, num_planes,
+      [&](size_t q) {
+        const size_t plane = first_plane + q;
+        const size_t klass = plane % counted;
+        const uint8_t* codes = class_worlds[plane / counted];
+        // No byte code names class 256+: such a plane compares against a
+        // code no byte holds, 256.
+        const uint32_t code =
+            klass <= 0xFF ? static_cast<uint32_t>(klass) : 256;
+        return [codes, code](size_t i) -> uint64_t {
+          return codes[i] == code ? 1u : 0u;
+        };
+      },
+      masks);
+}
+
 }  // namespace internal
 
-void RegionFamily::CountPositivesFromCells(const uint32_t* /*cell_positives*/,
-                                           uint64_t* /*out*/) const {
-  SFA_CHECK_MSG(false,
-                "CountPositivesFromCells called on a family without a cell "
-                "decomposition");
+void RegionFamily::CountPositivesFromCells(const uint32_t* cell_positives,
+                                           uint32_t* out) const {
+  const CellDecomposition* cells = cell_decomposition();
+  SFA_CHECK_MSG(cells != nullptr && cells->cells_are_regions,
+                "CountPositivesFromCells called on a family whose regions "
+                "are not its cells and that does not override it");
+  std::copy(cell_positives, cell_positives + num_regions(), out);
 }
 
 }  // namespace sfa::core

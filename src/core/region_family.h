@@ -11,33 +11,38 @@
 //   PartitioningCollectionFamily  all partitions of many
 //                              rectangular partitionings       O(T·N) / world
 //   SquareScanFamily,          nested per-center ladders,
-//   KnnCircleFamily            counted by the annulus gather   O(entries) /
-//                              (core/annulus_index.h)          8 worlds
+//   KnnCircleFamily            counted by the annulus walk     O(entries) /
+//                              (core/annulus_index.h)          64 worlds
 //
-// Batch counting has one currency, packed planes: up to 8 label worlds (or
-// (world, class) indicators) ride in one mask byte per point, bit b = plane
-// b's label. The null-world lane sampler (core/lane_sampler.h) writes that
-// byte directly, so the batched Monte Carlo engine draws and counts i.i.d.
-// point worlds without label arrays:
+// Batch counting has one currency, packed planes: up to 64 label worlds (or
+// (world, class) indicators) ride in one 64-bit mask word per point, bit p =
+// plane p's label, and every count is a uint32_t (families hold N < 2³²
+// points, checked at Create). The null-world lane sampler
+// (core/lane_sampler.h) writes those words a byte (8 worlds) at a time, so
+// the batched Monte Carlo engine draws and counts i.i.d. point worlds without
+// label arrays:
 //
-//   CountPlanes          counts up to 8 planes per pass over the family's
-//                        geometry (the annulus gather for squares and kNN
-//                        circles, a cell scatter with a spread-table word
-//                        add for the grid, partitioning and rectangle-sweep
-//                        families; the default unpacks each plane and calls
-//                        CountPositives). Output rows take a stride, so the
-//                        K−1 class planes of 8 worlds land directly in their
-//                        ClassCountRowOffset rows;
+//   CountPlanes          counts up to 64 planes per pass over the family's
+//                        geometry (one annulus walk for squares and kNN
+//                        circles; a cell scatter per 8-plane byte group, with
+//                        a spread-table word add, for the grid, partitioning
+//                        and rectangle-sweep families; the default unpacks
+//                        each plane and calls CountPositives). Plane p's row
+//                        goes to out + p·stride, so the (world, class) planes
+//                        of a K-class batch land in whatever rows the caller
+//                        lays out;
 //   cell_decomposition   declares that p(R) is a pure function of positive
 //                        counts over a disjoint cell partition of the
 //                        points, letting the engine draw per-cell positives
 //                        in closed form — Binomial(n_c, ρ) per cell, O(cells)
-//                        instead of O(N) per Bernoulli null world.
+//                        instead of O(N) per Bernoulli null world. When the
+//                        regions ARE the cells (grid, single partitioning),
+//                        the engine hands the cell rows to the LLR max as
+//                        they are.
 //
 // CountPositivesBatch and CountClassesBatch pack Labels or class-code worlds
-// into planes and call CountPlanes; the multinomial permutation worlds and
-// the observed multinomial scan count through them (Bernoulli permutation
-// worlds shuffle straight into planes).
+// into planes, call CountPlanes and widen the counts to uint64_t; the
+// observed multinomial scan counts through CountClassesBatch.
 #ifndef SFA_CORE_REGION_FAMILY_H_
 #define SFA_CORE_REGION_FAMILY_H_
 
@@ -51,6 +56,14 @@
 #include "geo/rect.h"
 
 namespace sfa::core {
+
+/// Points a family holds at most: every count is a uint32_t.
+inline constexpr uint64_t kMaxFamilyPoints = UINT32_MAX;
+
+/// OK when num_points <= kMaxFamilyPoints; otherwise InvalidArgument. Every
+/// bundled family calls it at Create and both statistics at
+/// ValidateForFamily, so no count row ever needs more than 32 bits.
+Status RequireCountablePoints(uint64_t num_points);
 
 /// OK when every point of `points` has finite coordinates; otherwise
 /// InvalidArgument naming the first offender as "<what> <index>". Families
@@ -79,6 +92,9 @@ struct CellDecomposition {
   std::vector<uint32_t> cell_counts;
   /// Points belonging to no cell (e.g. outside the grid extent).
   uint64_t num_outside = 0;
+  /// Region r is cell r: per-cell positives are the region row itself, and
+  /// the default CountPositivesFromCells copies them.
+  bool cells_are_regions = false;
 };
 
 class RegionFamily {
@@ -107,24 +123,24 @@ class RegionFamily {
   virtual void CountPositives(const Labels& labels,
                               std::vector<uint64_t>* out) const = 0;
 
-  /// p(R) for `num_planes` (1..kMaxPlanes) label worlds in one pass: bit b
-  /// of masks[i] is point i's label in plane b (bits at and above num_planes
-  /// are ignored), and plane b's num_regions() counts go to
-  /// out + b * out_stride (out_stride >= num_regions(); caller-owned). The
+  /// p(R) for `num_planes` (1..kMaxPlanes) label worlds in one pass: bit p
+  /// of masks[i] is point i's label in plane p (bits at and above num_planes
+  /// are ignored), and plane p's num_regions() counts go to
+  /// out + p * out_stride (out_stride >= num_regions(); caller-owned). The
   /// one batch-counting entry point: the default unpacks each plane and
   /// calls CountPositives, and families override it to count all planes in
   /// one pass over their geometry. Counts are integers, so overrides must
   /// equal the default exactly (test_mc_engine.cc, test_annulus_index.cc).
   /// Same thread-safety contract as CountPositives.
-  virtual void CountPlanes(const uint8_t* masks, size_t num_planes,
-                           uint64_t* out, size_t out_stride) const;
+  virtual void CountPlanes(const uint64_t* masks, size_t num_planes,
+                           uint32_t* out, size_t out_stride) const;
 
-  /// Planes one CountPlanes call counts at most: one per bit of a byte.
-  static constexpr size_t kMaxPlanes = 8;
+  /// Planes one CountPlanes call counts at most: one per bit of a mask word.
+  static constexpr size_t kMaxPlanes = 64;
 
   /// p(R) for `num_worlds` label worlds, packed kMaxPlanes per CountPlanes
-  /// call. `out` is a row-major [num_worlds x num_regions()] caller-owned
-  /// buffer.
+  /// call and widened. `out` is a row-major [num_worlds x num_regions()]
+  /// caller-owned buffer.
   void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
                            uint64_t* out) const;
 
@@ -132,9 +148,10 @@ class RegionFamily {
   /// class_worlds[w] points at num_points() class codes in [0, num_classes)
   /// (other codes count in no class). Only classes 0..num_classes-2 are
   /// counted (the last is n(R) minus the others). The (world, class)
-  /// indicator planes are packed in output order, kMaxPlanes per CountPlanes
-  /// call; `out` is a row-major [num_worlds x (num_classes−1) x
-  /// num_regions()] caller-owned buffer with the rows of ClassCountRowOffset.
+  /// indicator planes are packed in output order (internal::PackClassPlanes),
+  /// kMaxPlanes per CountPlanes call, and widened; `out` is a row-major
+  /// [num_worlds x (num_classes−1) x num_regions()] caller-owned buffer with
+  /// the rows of ClassCountRowOffset.
   void CountClassesBatch(const uint8_t* const* class_worlds,
                          size_t num_worlds, uint32_t num_classes,
                          uint64_t* out) const;
@@ -147,9 +164,10 @@ class RegionFamily {
   /// Maps per-cell positive counts (parallel to cell_decomposition()->
   /// cell_counts) to per-region positives in `out` (size num_regions(),
   /// caller-owned). Only called when cell_decomposition() is non-null; the
-  /// default aborts. Must be thread-safe for distinct `out` buffers.
+  /// default copies the cells when cells_are_regions and aborts otherwise.
+  /// Must be thread-safe for distinct `out` buffers.
   virtual void CountPositivesFromCells(const uint32_t* cell_positives,
-                                       uint64_t* out) const;
+                                       uint32_t* out) const;
 
   /// Human-readable one-liner for reports.
   virtual std::string Name() const = 0;
@@ -158,14 +176,24 @@ class RegionFamily {
 namespace internal {
 
 /// The cell scatter behind the CountPlanes overrides of the cell families:
-/// plane b's count of the points whose cell_of_point[i] is `cell` goes to
-/// out[b * out_stride + cell], for cell < num_cells (points of other cells
-/// count nowhere). Each point adds two 16-entry spread-table words into
-/// 16-bit lanes of its cell, 4 planes per word, so one pass over the points
-/// counts all planes.
+/// plane p's count of the points whose cell_of_point[i] is `cell` goes to
+/// out[p * out_stride + cell], for cell < num_cells (points of other cells
+/// count nowhere). Per 8-plane byte group of the mask words, each point adds
+/// two 16-entry spread-table words into 16-bit lanes of its cell, 4 planes
+/// per word, so one pass over the points counts the group's planes.
 void CountCellPlanes(const uint32_t* cell_of_point, size_t n, size_t num_cells,
-                     const uint8_t* masks, size_t num_planes, uint64_t* out,
+                     const uint64_t* masks, size_t num_planes, uint32_t* out,
                      size_t out_stride);
+
+/// Packs the (world, class) indicator planes [first_plane, first_plane +
+/// num_planes) of K-class code worlds into bits 0..num_planes−1 of masks[i]
+/// (n words; higher bits 0): plane q is class q % counted of world q /
+/// counted, class_worlds[w] holds n codes, and codes that name no counted
+/// class set no bit. CountClassesBatch's packing, shared with the
+/// multinomial permutation worlds.
+void PackClassPlanes(const uint8_t* const* class_worlds, size_t first_plane,
+                     size_t num_planes, uint32_t counted, size_t n,
+                     uint64_t* masks);
 
 }  // namespace internal
 

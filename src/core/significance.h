@@ -36,9 +36,10 @@ const char* NullModelToString(NullModel model);
 /// substreams + shared log-table LLR); kReference exists as the semantic
 /// baseline and for A/B benchmarking.
 enum class McEngine {
-  /// Worlds in batches of batch_size, drawn 8 at a time into mask planes
-  /// and counted through RegionFamily::CountPlanes, all per-world buffers
-  /// pooled in thread-local arenas (the default).
+  /// Worlds in batches of batch_size, drawn 8 at a time into mask words
+  /// and counted a tile of up to 64 at a time through
+  /// RegionFamily::CountPlanes, all per-world buffers pooled in thread-local
+  /// arenas (the default).
   kBatched,
   /// One world at a time, fresh buffers, scalar CountPositives.
   kReference,
@@ -125,11 +126,16 @@ struct MonteCarloOptions {
   /// identical either way (per-world substreams).
   bool parallel = true;
   McEngine engine = McEngine::kBatched;
-  /// Worlds per batch in the kBatched engine. Affects performance only,
-  /// never results — on every family counting path (partition/closed-form
-  /// cells, the overlapping families' annulus gather) counts are exact
-  /// integers, so batch boundaries cannot shift the null distribution.
-  uint32_t batch_size = 8;
+  /// Worlds per batch in the kBatched engine: the unit of work a pool
+  /// worker takes, which the engine counts in tiles of up to 64 worlds
+  /// (core/lane_sampler.h's WorldTile). On a parallel run a batch is also
+  /// capped near range / workers (a multiple of 8), so that a short range,
+  /// such as one adaptive check_every chunk, still spreads over the pool.
+  /// Affects performance only, never results — on every family counting
+  /// path (partition/closed-form cells, the overlapping families' annulus
+  /// walk) counts are exact integers, so batch boundaries cannot shift the
+  /// null distribution — and so is not part of a CalibrationKey.
+  uint32_t batch_size = 64;
   /// When the family exposes a cell decomposition (grid, rectangle sweep,
   /// single partitioning) and the null is Bernoulli, draw per-cell positives
   /// directly as independent Binomial(n_c, ρ) — O(cells) per world instead of

@@ -102,6 +102,7 @@ Result<std::unique_ptr<SquareScanFamily>> SquareScanFamily::Create(
           StrFormat("side length %.6f must be positive and finite", side));
     }
   }
+  SFA_RETURN_NOT_OK(RequireCountablePoints(points.size()));
   SFA_RETURN_NOT_OK(RequireFinitePoints(points, "point"));
   SFA_RETURN_NOT_OK(RequireFinitePoints(options.centers, "center"));
   return std::unique_ptr<SquareScanFamily>(new SquareScanFamily(points, options));

@@ -125,12 +125,12 @@ TEST(CollapseEmptyAnnuli, KeepsEmptyRungZero) {
 /// partial and full 8-plane groups, and groups spilling into a remainder.
 constexpr size_t kBatchSizes[] = {1, 2, 3, 7, 8, 9, 17, 64};
 
-/// The index's counts of 0/1 byte worlds, AnnulusIndex::kPlanesPerPass
-/// planes per walk; row w is world w's.
+/// The index's counts of 0/1 byte worlds, AnnulusIndex::kMaxPlanes planes
+/// per walk; row w is world w's.
 std::vector<uint64_t> GatherWorlds(const AnnulusIndex& index,
                                    const std::vector<const uint8_t*>& worlds) {
   return testing::CountByPlanes(
-      [&index](const uint8_t* masks, size_t planes, uint64_t* out,
+      [&index](const uint64_t* masks, size_t planes, uint32_t* out,
                size_t stride) { index.CountPlanes(masks, planes, out, stride); },
       worlds, index.num_points(), index.num_regions());
 }
@@ -151,7 +151,7 @@ class IndexFamily : public RegionFamily {
     out->resize(num_regions());
     index_.CountPositives(labels.bytes().data(), out->data());
   }
-  void CountPlanes(const uint8_t* masks, size_t num_planes, uint64_t* out,
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override {
     index_.CountPlanes(masks, num_planes, out, out_stride);
   }
@@ -381,6 +381,80 @@ TEST(AnnulusIndex, AnnulusLongerThanLaneFlushPeriod) {
   }
 }
 
+/// Every shape of kIndexShapes plus a crafted ladder: annuli of 600, 511,
+/// 300 and 1,200 entries (longer than a byte lane absorbs between flushes),
+/// one of exactly 255, empty rungs between and after full ones, and a
+/// center with no entries at all.
+std::vector<std::pair<IndexShape, std::vector<AnnulusEntry>>> WalkShapes(
+    Rng* rng) {
+  std::vector<std::pair<IndexShape, std::vector<AnnulusEntry>>> shapes;
+  for (const IndexShape& shape : kIndexShapes) {
+    shapes.emplace_back(shape, RandomEntries(shape.points, shape.centers,
+                                             shape.rungs, shape.density, rng));
+  }
+  std::vector<AnnulusEntry> crafted;
+  const auto add = [&crafted](uint32_t center, uint32_t rank, uint32_t from,
+                              uint32_t to) {
+    for (uint32_t p = from; p < to; ++p) crafted.push_back({p, center, rank});
+  };
+  add(0, 1, 0, 600);
+  add(0, 3, 600, 900);
+  add(2, 0, 0, 255);
+  add(2, 1, 255, 256);
+  add(2, 2, 256, 767);
+  add(3, 3, 0, 1200);
+  rng->Shuffle(crafted.begin(), crafted.end());
+  shapes.emplace_back(IndexShape{1200, 4, 4, 0.0}, std::move(crafted));
+  return shapes;
+}
+
+// The wide walk of every tier, at plane counts around the byte-group and
+// register boundaries, equals the entry oracle plane by plane: each plane
+// of random mask words (plane 0 all ones, so its lanes fill to the flush
+// limit), written with a stride wider than a row, and the rows of planes at
+// and above the count left untouched.
+TEST(AnnulusIndex, WideWalkMatchesEntryOracleOnEveryTier) {
+  Rng rng(75);
+  constexpr size_t kPlaneCounts[] = {1, 7, 8, 9, 31, 32, 33, 63, 64};
+  for (const auto& [shape, entries] : WalkShapes(&rng)) {
+    const AnnulusIndex index(shape.points, shape.centers, shape.rungs,
+                             entries);
+    const size_t regions = index.num_regions();
+    const size_t stride = regions + 3;
+    std::vector<uint64_t> masks(shape.points);
+    for (uint64_t& m : masks) m = rng.Next() | 1u;
+    std::vector<std::vector<uint64_t>> want(AnnulusIndex::kMaxPlanes);
+    for (size_t p = 0; p < AnnulusIndex::kMaxPlanes; ++p) {
+      std::vector<uint8_t> plane(shape.points);
+      for (size_t i = 0; i < shape.points; ++i) plane[i] = (masks[i] >> p) & 1;
+      want[p] = OracleCounts(entries, shape.centers, shape.rungs, plane);
+    }
+    for (const spatial::PopcountKernel tier : testing::kTiers) {
+      const testing::ScopedTier scoped(tier);
+      for (const size_t planes : kPlaneCounts) {
+        SCOPED_TRACE(::testing::Message()
+                     << spatial::PopcountKernelName(
+                            spatial::ActiveSamplerKernel())
+                     << " points=" << shape.points << " rungs=" << shape.rungs
+                     << " planes=" << planes);
+        std::vector<uint32_t> out(AnnulusIndex::kMaxPlanes * stride, ~0u);
+        index.CountPlanes(masks.data(), planes, out.data(), stride);
+        for (size_t p = 0; p < AnnulusIndex::kMaxPlanes; ++p) {
+          const auto row = out.begin() + p * stride;
+          if (p < planes) {
+            ASSERT_EQ(std::vector<uint64_t>(row, row + regions), want[p])
+                << "plane " << p;
+          }
+          const auto untouched = p < planes ? row + regions : row;
+          ASSERT_TRUE(std::all_of(untouched, row + stride,
+                                  [](uint32_t v) { return v == ~0u; }))
+              << "plane " << p;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------ family vs reference family ---
 
 /// A family under test and the geometry-built member-list family it must
@@ -451,7 +525,7 @@ void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
     }
     for (const Labels& l : batch_labels) batch_ptrs.push_back(l.bytes().data());
     const auto count_planes = [](const RegionFamily& family) {
-      return [&family](const uint8_t* masks, size_t planes, uint64_t* out,
+      return [&family](const uint64_t* masks, size_t planes, uint32_t* out,
                        size_t out_stride) {
         family.CountPlanes(masks, planes, out, out_stride);
       };

@@ -45,14 +45,47 @@ std::vector<uint8_t> LowLanes(std::vector<uint8_t> masks, size_t worlds) {
   return masks;
 }
 
+/// Runs sample(words) on mask word arrays of n words each, prefilled with
+/// 0xAA bytes, that holds mask bytes [byte, byte + planes), and returns those
+/// bytes plane-major (plane c's n bytes at c·n, byte b of the words being
+/// bits 8b … 8b + 7 of word array b / 8). Every other byte must keep 0xAA.
+template <typename Sample>
+std::vector<uint8_t> SampledPlaneBytes(size_t n, size_t byte, size_t planes,
+                                       Sample sample) {
+  const size_t arrays = (byte + planes + kMaskBytes - 1) / kMaskBytes;
+  std::vector<uint64_t> words(std::max<size_t>(1, arrays * n),
+                              0xAAAAAAAAAAAAAAAAULL);
+  sample(words.data());
+  std::vector<uint8_t> out(planes * n);
+  bool others_untouched = true;
+  for (size_t a = 0; a < arrays; ++a) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t k = 0; k < kMaskBytes; ++k) {
+        const size_t b = a * kMaskBytes + k;
+        const auto value = static_cast<uint8_t>(words[a * n + i] >> (8 * k));
+        if (b >= byte && b < byte + planes) {
+          out[(b - byte) * n + i] = value;
+        } else {
+          others_untouched &= value == 0xAA;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(others_untouched) << "a byte outside [" << byte << ", "
+                                << byte + planes << ") changed";
+  return out;
+}
+
 TEST(LaneSampler, ForcedTiersClampToTheSamplersOwnSupport) {
   for (const PopcountKernel tier : kTiers) {
     const ScopedTier scoped(tier);
     const PopcountKernel active = spatial::ActiveSamplerKernel();
     EXPECT_LE(static_cast<int>(active), static_cast<int>(tier));
-    // The sampler needs no more than the popcount arm of the same tier.
+    // Both need AVX2 for their AVX2 arm; at AVX-512 the sampler tier needs
+    // BW and the popcount VPOPCNTDQ, so neither bounds the other there.
     EXPECT_GE(static_cast<int>(active),
-              static_cast<int>(spatial::ActivePopcountKernel()));
+              std::min(static_cast<int>(spatial::ActivePopcountKernel()),
+                       static_cast<int>(PopcountKernel::kAvx2)));
   }
 }
 
@@ -95,10 +128,14 @@ TEST(LaneSampler, BernoulliLanesMatchLabelsResampleOnEveryTier) {
           for (size_t w = 0; w < worlds; ++w) {
             rngs.push_back(WorldRng(n + 17, w));
           }
-          std::vector<uint8_t> masks(n, 0xAA);
+          // Each world count writes a different byte of the mask words.
+          const size_t byte = worlds % kMaskBytes;
           std::vector<uint64_t> positives(worlds, ~0ULL);
-          SampleBernoulliLanes(rho, n, worlds, rngs.data(), masks.data(),
-                               positives.data());
+          const std::vector<uint8_t> masks =
+              SampledPlaneBytes(n, byte, 1, [&](uint64_t* words) {
+                SampleBernoulliLanes(rho, n, worlds, rngs.data(), words, byte,
+                                     positives.data());
+              });
           ASSERT_EQ(masks, LowLanes(all_worlds, worlds));
           for (size_t w = 0; w < worlds; ++w) {
             EXPECT_EQ(positives[w], expected[w].positive_count())
@@ -168,10 +205,16 @@ TEST(LaneSampler, CategoricalLanesMatchFloatingPointOracleOnEveryTier) {
             for (size_t w = 0; w < worlds; ++w) {
               rngs.push_back(WorldRng(k * 1000 + n, w));
             }
-            std::vector<uint8_t> masks(counted * n, 0xAA);
+            // Class bytes start at a different byte per world count, so
+            // K > 8 − byte spills into further word arrays.
+            const size_t byte = worlds % kMaskBytes;
             std::vector<uint64_t> got_totals(worlds * k, 0);
-            SampleCategoricalLanes(draw.thresholds(), n, worlds, rngs.data(),
-                                   masks.data(), got_totals.data());
+            const std::vector<uint8_t> masks =
+                SampledPlaneBytes(n, byte, counted, [&](uint64_t* words) {
+                  SampleCategoricalLanes(draw.thresholds(), n, worlds,
+                                         rngs.data(), words, byte,
+                                         got_totals.data());
+                });
             ASSERT_EQ(masks, LowLanes(all_worlds, worlds));
             for (size_t w = 0; w < worlds; ++w) {
               EXPECT_EQ(std::vector<uint64_t>(got_totals.begin() + w * k,
@@ -216,10 +259,12 @@ TEST(LaneSampler, ThresholdTiesCountAtOrAbove) {
     SCOPED_TRACE(spatial::PopcountKernelName(spatial::ActiveSamplerKernel()));
     std::vector<Rng> rngs;
     for (size_t w = 0; w < kLaneWorlds; ++w) rngs.push_back(WorldRng(99, w));
-    std::vector<uint8_t> masks(thresholds.size() * n);
     std::vector<uint64_t> totals(kLaneWorlds * k, 0);
-    SampleCategoricalLanes(thresholds, n, kLaneWorlds, rngs.data(),
-                           masks.data(), totals.data());
+    const std::vector<uint8_t> masks = SampledPlaneBytes(
+        n, 0, thresholds.size(), [&](uint64_t* words) {
+          SampleCategoricalLanes(thresholds, n, kLaneWorlds, rngs.data(),
+                                 words, 0, totals.data());
+        });
     EXPECT_EQ(masks, expected);
     EXPECT_EQ(totals, expected_totals);
   }
@@ -314,10 +359,14 @@ void ExpectPermutationLanesMatch(size_t n, uint64_t positives,
   const std::vector<uint8_t> want =
       ReferencePermutationMasks(n, positives, &want_rngs);
   std::vector<Rng> rngs = start;
-  std::vector<uint8_t> masks(n, 0xA5);  // the call clears them
   std::vector<uint32_t> ids(kLaneWorlds * n, 0xDEADBEEF);
-  SamplePermutationLanes(n, positives, rngs.size(), rngs.data(), ids.data(),
-                         masks.data());
+  // The call clears its byte of the words first; the others keep theirs.
+  const size_t byte = (rngs.size() + n) % kMaskBytes;
+  const std::vector<uint8_t> masks =
+      SampledPlaneBytes(n, byte, 1, [&](uint64_t* words) {
+        SamplePermutationLanes(n, positives, rngs.size(), rngs.data(),
+                               ids.data(), words, byte);
+      });
   ASSERT_EQ(masks, want);
   for (size_t w = 0; w < rngs.size(); ++w) {
     EXPECT_TRUE(rngs[w] == want_rngs[w]) << "world " << w;
@@ -400,9 +449,9 @@ TEST(LaneSampler, CategoricalTotalsAccumulate) {
   // Totals are added to, as CategoricalDraw::Draw adds to them.
   const internal::CategoricalDraw draw({0.2, 0.5, 0.3});
   Rng rng = WorldRng(5, 0);
-  std::vector<uint8_t> masks(2 * 100);
+  std::vector<uint64_t> masks(100);
   std::vector<uint64_t> totals = {1, 2, 3};
-  SampleCategoricalLanes(draw.thresholds(), 100, 1, &rng, masks.data(),
+  SampleCategoricalLanes(draw.thresholds(), 100, 1, &rng, masks.data(), 0,
                          totals.data());
   EXPECT_EQ(totals[0] + totals[1] + totals[2], 106u);
 }

@@ -164,7 +164,8 @@ TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
     const NullDistribution baseline = Simulate(*family, mc);
     mc.engine = McEngine::kBatched;
     for (bool parallel : {false, true}) {
-      for (uint32_t batch_size : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
+      for (uint32_t batch_size :
+           {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u, 128u, 999u}) {
         mc.parallel = parallel;
         mc.batch_size = batch_size;
         const NullDistribution run = Simulate(*family, mc);
@@ -177,49 +178,55 @@ TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
 }
 
 // CountPlanes is integer-exact against scalar CountPositives for every
-// family (including the tuned overrides), in a partial and a full plane
-// group and with an output stride wider than a row.
+// family (the tuned overrides, the cell scatters and the default of the
+// member-list references), on every tier, in a full 64-plane call and a
+// partial one, and with an output stride wider than a row.
 TEST(McEngineEquivalence, PlaneCountingMatchesScalarCounting) {
   const auto families = AllFamilies();
   Rng rng(77);
-  constexpr size_t kWorlds = 15;  // one full 8-plane group, one of 7
+  constexpr size_t kWorlds = 71;  // one full 64-plane call, one of 7
+  constexpr size_t kPlanes = RegionFamily::kMaxPlanes;
   std::vector<Labels> labels;
   std::vector<const uint8_t*> ptrs;
   for (size_t b = 0; b < kWorlds; ++b) {
-    labels.push_back(Labels::SampleBernoulli(kPoints, 0.37, &rng));
+    labels.push_back(Labels::SampleBernoulli(kPoints, 0.1 + 0.01 * b, &rng));
   }
   for (const auto& label : labels) ptrs.push_back(label.bytes().data());
-  for (const auto& [name, family] : families) {
-    const std::vector<uint64_t> batched = testing::CountByPlanes(
-        [&family = *family](const uint8_t* masks, size_t planes, uint64_t* out,
-                            size_t stride) {
-          family.CountPlanes(masks, planes, out, stride);
-        },
-        ptrs, kPoints, family->num_regions());
-    // A stride of 3 rows puts plane b at row 3b and leaves the rows between
-    // untouched.
-    const size_t regions = family->num_regions();
-    const std::vector<uint8_t> masks = testing::PackPlaneBytes(
-        std::vector<const uint8_t*>(ptrs.begin(), ptrs.begin() + 8), kPoints);
-    std::vector<uint64_t> strided(3 * 8 * regions, ~0ULL);
-    family->CountPlanes(masks.data(), 8, strided.data(), 3 * regions);
-    for (size_t b = 0; b < 8; ++b) {
-      EXPECT_TRUE(std::equal(batched.begin() + b * regions,
-                             batched.begin() + (b + 1) * regions,
-                             strided.begin() + 3 * b * regions))
-          << name << " plane " << b;
-      EXPECT_TRUE(std::all_of(strided.begin() + (3 * b + 1) * regions,
-                              strided.begin() + (3 * b + 3) * regions,
-                              [](uint64_t v) { return v == ~0ULL; }))
-          << name << " plane " << b;
-    }
-    for (size_t b = 0; b < kWorlds; ++b) {
-      std::vector<uint64_t> scalar;
-      family->CountPositives(labels[b], &scalar);
-      const std::vector<uint64_t> row(
-          batched.begin() + b * family->num_regions(),
-          batched.begin() + (b + 1) * family->num_regions());
-      EXPECT_EQ(row, scalar) << name << " world " << b;
+  const std::vector<uint64_t> masks = testing::PackPlaneWords(
+      std::vector<const uint8_t*>(ptrs.begin(), ptrs.begin() + kPlanes),
+      kPoints);
+  for (const spatial::PopcountKernel tier : testing::kTiers) {
+    const testing::ScopedTier scoped(tier);
+    for (const auto& [name, family] : families) {
+      const size_t regions = family->num_regions();
+      const std::vector<uint64_t> batched = testing::CountByPlanes(
+          [&family = *family](const uint64_t* words, size_t planes,
+                              uint32_t* out, size_t stride) {
+            family.CountPlanes(words, planes, out, stride);
+          },
+          ptrs, kPoints, regions);
+      // A stride of 3 rows puts plane p at row 3p and leaves the rows
+      // between untouched.
+      std::vector<uint32_t> strided(3 * kPlanes * regions, ~0u);
+      family->CountPlanes(masks.data(), kPlanes, strided.data(), 3 * regions);
+      for (size_t p = 0; p < kPlanes; ++p) {
+        EXPECT_TRUE(std::equal(batched.begin() + p * regions,
+                               batched.begin() + (p + 1) * regions,
+                               strided.begin() + 3 * p * regions))
+            << name << " plane " << p;
+        EXPECT_TRUE(std::all_of(strided.begin() + (3 * p + 1) * regions,
+                                strided.begin() + (3 * p + 3) * regions,
+                                [](uint32_t v) { return v == ~0u; }))
+            << name << " plane " << p;
+      }
+      for (size_t b = 0; b < kWorlds; ++b) {
+        std::vector<uint64_t> scalar;
+        family->CountPositives(labels[b], &scalar);
+        const std::vector<uint64_t> row(batched.begin() + b * regions,
+                                        batched.begin() + (b + 1) * regions);
+        EXPECT_EQ(row, scalar) << name << " world " << b << " tier "
+                               << spatial::PopcountKernelName(tier);
+      }
     }
   }
 }
@@ -306,7 +313,9 @@ void ExpectGroupedMaxEqualsPerRegionMaxExhaustively() {
               per_region = std::max(
                   per_region,
                   stats::BernoulliLogLikelihoodRatio(counts, direction, table));
-              const uint64_t positives[3] = {(lo + hi) / 2, hi, lo};
+              const uint32_t positives[3] = {
+                  static_cast<uint32_t>((lo + hi) / 2),
+                  static_cast<uint32_t>(hi), static_cast<uint32_t>(lo)};
               ASSERT_EQ(plan.Max(positives, total_p, direction, table),
                         per_region)
                   << "N=" << total_n << " P=" << total_p << " n=" << n
@@ -363,8 +372,8 @@ TEST(LlrMaxPlan, ReducesOnlyGroupsOfThreeOrMoreBelowTheBound) {
                                           counts, direction, table));
       }
       EXPECT_GT(expected, 0.0);
-      EXPECT_EQ(plan.Max(positives.data(), total_p, direction, table),
-                expected)
+      const std::vector<uint32_t> rows(positives.begin(), positives.end());
+      EXPECT_EQ(plan.Max(rows.data(), total_p, direction, table), expected)
           << "N=" << total_n << " " << stats::ScanDirectionToString(direction);
     }
   };
@@ -454,13 +463,13 @@ TEST(LlrMaxPlan, EveryTierMatchesTheScalarArmBitForBit) {
                                : world == 1 ? c.total_n
                                             : rng.NextUint64(c.total_n + 1);
       // Any count p with p <= n, p <= P and n − p <= N − P is feasible.
-      std::vector<uint64_t> positives(sizes.size());
+      std::vector<uint32_t> positives(sizes.size());
       for (size_t r = 0; r < sizes.size(); ++r) {
         const uint64_t lo = total_p + sizes[r] > c.total_n
                                 ? total_p + sizes[r] - c.total_n
                                 : 0;
         const uint64_t hi = std::min(sizes[r], total_p);
-        positives[r] = lo + rng.NextUint64(hi - lo + 1);
+        positives[r] = static_cast<uint32_t>(lo + rng.NextUint64(hi - lo + 1));
       }
       for (const ScanDirection direction :
            {ScanDirection::kTwoSided, ScanDirection::kHigh,

@@ -208,8 +208,8 @@ std::vector<std::unique_ptr<core::RegionFamily>> MakeAllFamilies(
 // K−1 indicator construction (testing::ReferenceClassCounts, per-class
 // indicator labels through CountPositives) element for element:
 // CountClassesBatch's (world, class) planes packed in ClassCountRowOffset
-// order, and the lane sampler's layout — one plane per class with bit w =
-// world w — counted by CountPlanes with an output stride of (K−1) rows.
+// order, and the lane sampler's layout — one mask byte per class, bit
+// 8c + w = world w has class c — counted by one CountPlanes call.
 // Both null-model draw styles (iid categorical and shuffled fixed multiset)
 // are exercised.
 TEST(CountClassesBatch, MatchesIndicatorPathForAllFamilies) {
@@ -240,14 +240,14 @@ TEST(CountClassesBatch, MatchesIndicatorPathForAllFamilies) {
     }
     for (const auto& world : class_worlds) class_ptrs.push_back(world.data());
 
-    // Class-major planes: plane c, bit w = world w has class c.
-    std::vector<std::vector<uint8_t>> class_planes(
-        counted, std::vector<uint8_t>(pts.size(), 0));
+    // Class-major bytes: plane 8c + w = world w has class c.
+    std::vector<uint64_t> class_planes(pts.size(), 0);
     for (uint32_t c = 0; c < counted; ++c) {
       for (size_t w = 0; w < worlds; ++w) {
         for (size_t i = 0; i < pts.size(); ++i) {
-          class_planes[c][i] |=
-              static_cast<uint8_t>((class_worlds[w][i] == c ? 1u : 0u) << w);
+          class_planes[i] |= static_cast<uint64_t>(
+                                 class_worlds[w][i] == c ? 1u : 0u)
+                             << (8 * c + w);
         }
       }
     }
@@ -260,11 +260,15 @@ TEST(CountClassesBatch, MatchesIndicatorPathForAllFamilies) {
       std::vector<uint64_t> expected(size, ~0ULL);
       family->CountClassesBatch(class_ptrs.data(), worlds, num_classes,
                                 got.data());
+      std::vector<uint32_t> rows(8 * counted * stride, ~0u);
+      family->CountPlanes(class_planes.data(), 8 * counted, rows.data(),
+                          stride);
       for (uint32_t c = 0; c < counted; ++c) {
-        family->CountPlanes(
-            class_planes[c].data(), worlds,
-            strided.data() + core::ClassCountRowOffset(0, c, counted, stride),
-            core::ClassCountRowOffset(1, 0, counted, stride));
+        for (size_t w = 0; w < worlds; ++w) {
+          std::copy_n(rows.begin() + (8 * c + w) * stride, stride,
+                      strided.begin() +
+                          core::ClassCountRowOffset(w, c, counted, stride));
+        }
       }
       core::testing::ReferenceClassCounts(*family, class_ptrs.data(), worlds,
                                           num_classes, expected.data());

@@ -388,5 +388,42 @@ TEST(MakeScanStatistic, ValidatesOutcomeModel) {
   EXPECT_FALSE(SimulateNull(too_many_classes, **family, mc).ok());
 }
 
+/// A family that reports `num_points` points and one region without holding
+/// any of them: the point count alone is what the boundary checks read.
+class ReportedSizeFamily : public RegionFamily {
+ public:
+  explicit ReportedSizeFamily(size_t num_points) : num_points_(num_points) {}
+  size_t num_regions() const override { return 1; }
+  size_t num_points() const override { return num_points_; }
+  RegionDescriptor Describe(size_t) const override { return {}; }
+  uint64_t PointCount(size_t) const override { return num_points_; }
+  void CountPositives(const Labels&,
+                      std::vector<uint64_t>* out) const override {
+    out->assign(1, 0);
+  }
+  std::string Name() const override { return "reported-size stub"; }
+
+ private:
+  size_t num_points_;
+};
+
+// Count rows are uint32: a family of 2³² or more points is rejected before
+// any scan or world, by both statistics and by the shared boundary check.
+TEST(ScanStatistic, RejectsFamiliesOfTwoToTheThirtyTwoPoints) {
+  constexpr uint64_t kTooMany = uint64_t{1} << 32;
+  EXPECT_TRUE(RequireCountablePoints(kTooMany - 1).ok());
+  EXPECT_TRUE(RequireCountablePoints(kTooMany).IsInvalidArgument());
+  const ReportedSizeFamily family(kTooMany);
+  const BernoulliScanStatistic bernoulli(stats::ScanDirection::kTwoSided,
+                                         kTooMany, kTooMany / 2);
+  EXPECT_TRUE(bernoulli.ValidateForFamily(family).IsInvalidArgument());
+  const MultinomialScanStatistic multinomial(
+      {kTooMany / 2, kTooMany / 4, kTooMany / 4});
+  EXPECT_TRUE(multinomial.ValidateForFamily(family).IsInvalidArgument());
+  MonteCarloOptions mc;
+  mc.num_worlds = 9;
+  EXPECT_TRUE(SimulateNull(bernoulli, family, mc).status().IsInvalidArgument());
+}
+
 }  // namespace
 }  // namespace sfa::core

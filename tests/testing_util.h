@@ -207,15 +207,15 @@ inline void ReferenceCategoricalDraw(const std::vector<double>& q, Rng* rng,
   }
 }
 
-/// Mask bytes of up to RegionFamily::kMaxPlanes planes over `n` points: bit
-/// b of byte i is set when planes[b][i] is nonzero.
-inline std::vector<uint8_t> PackPlaneBytes(
+/// Mask words of up to RegionFamily::kMaxPlanes planes over `n` points: bit
+/// p of word i is set when planes[p][i] is nonzero.
+inline std::vector<uint64_t> PackPlaneWords(
     const std::vector<const uint8_t*>& planes, size_t n) {
   SFA_CHECK(planes.size() <= RegionFamily::kMaxPlanes);
-  std::vector<uint8_t> masks(n, 0);
-  for (size_t b = 0; b < planes.size(); ++b) {
+  std::vector<uint64_t> masks(n, 0);
+  for (size_t p = 0; p < planes.size(); ++p) {
     for (size_t i = 0; i < n; ++i) {
-      masks[i] |= static_cast<uint8_t>((planes[b][i] != 0 ? 1u : 0u) << b);
+      masks[i] |= static_cast<uint64_t>(planes[p][i] != 0 ? 1u : 0u) << p;
     }
   }
   return masks;
@@ -223,23 +223,24 @@ inline std::vector<uint8_t> PackPlaneBytes(
 
 /// Counts 0/1 byte planes over `n` points, RegionFamily::kMaxPlanes per
 /// count_planes(masks, num_planes, out, out_stride) call (a family's or an
-/// annulus index's CountPlanes). Row p (num_regions counts) is plane p's.
+/// annulus index's CountPlanes). Row p (num_regions counts, widened) is
+/// plane p's.
 template <typename CountPlanesFn>
 std::vector<uint64_t> CountByPlanes(CountPlanesFn count_planes,
                                     const std::vector<const uint8_t*>& planes,
                                     size_t n, size_t num_regions) {
-  std::vector<uint64_t> out(planes.size() * num_regions, ~0ULL);
-  for (size_t g = 0; g < planes.size(); g += RegionFamily::kMaxPlanes) {
-    const size_t count =
-        std::min(RegionFamily::kMaxPlanes, planes.size() - g);
-    const std::vector<uint8_t> masks = PackPlaneBytes(
+  constexpr size_t kPerCall = RegionFamily::kMaxPlanes;
+  std::vector<uint32_t> rows(planes.size() * num_regions, ~0u);
+  for (size_t g = 0; g < planes.size(); g += kPerCall) {
+    const size_t count = std::min(kPerCall, planes.size() - g);
+    const std::vector<uint64_t> masks = PackPlaneWords(
         std::vector<const uint8_t*>(planes.begin() + g,
                                     planes.begin() + g + count),
         n);
-    count_planes(masks.data(), count, out.data() + g * num_regions,
+    count_planes(masks.data(), count, rows.data() + g * num_regions,
                  num_regions);
   }
-  return out;
+  return std::vector<uint64_t>(rows.begin(), rows.end());
 }
 
 /// The K−1 indicator oracle of multi-class counting: for every world and

@@ -431,7 +431,8 @@ BENCHMARK_CAPTURE(BM_LlrMaxPlan, avx512/squares,
 // at the family's tile width (core::WorldTile): Bernoulli(0.54) worlds on
 // squares and kNN, and on squares_k3 the K = 3 tile's (world, class) planes,
 // 2 per world, with class mix {0.5, 0.3, 0.2}. items_per_second is
-// worlds/s. A tier the CPU lacks is skipped.
+// worlds/s. A tier the CPU lacks is skipped. The walk has no AVX-512 arm:
+// the AVX-512 tier runs the AVX2 walk.
 enum class AnnulusShape { kSquares, kKnn, kSquaresK3 };
 
 void BM_AnnulusCountPlanes(benchmark::State& state,
@@ -467,7 +468,7 @@ void BM_AnnulusCountPlanes(benchmark::State& state,
   }
   const uint32_t counted = shape == AnnulusShape::kSquaresK3 ? 2 : 1;
   const size_t regions = family->num_regions();
-  const size_t worlds = core::WorldTile(regions, counted);
+  const size_t worlds = core::WorldTile(n, regions, counted);
   const size_t planes = worlds * counted;
   const core::internal::CategoricalDraw categorical({0.5, 0.3, 0.2});
   std::vector<uint64_t> masks(n);
@@ -508,12 +509,6 @@ BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx2/knn,
                   spatial::PopcountKernel::kAvx2, AnnulusShape::kKnn);
 BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx2/squares_k3,
                   spatial::PopcountKernel::kAvx2, AnnulusShape::kSquaresK3);
-BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx512/squares,
-                  spatial::PopcountKernel::kAvx512, AnnulusShape::kSquares);
-BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx512/knn,
-                  spatial::PopcountKernel::kAvx512, AnnulusShape::kKnn);
-BENCHMARK_CAPTURE(BM_AnnulusCountPlanes, avx512/squares_k3,
-                  spatial::PopcountKernel::kAvx512, AnnulusShape::kSquaresK3);
 
 // Cell-scatter counting of the grid and partitioning families: 8 Bernoulli
 // label worlds (the grid's tile, and the permutation null's path) on

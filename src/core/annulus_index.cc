@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 
 #include "common/macros.h"
@@ -138,51 +139,51 @@ void AnnulusIndex::CountPositives(const uint8_t* labels, uint64_t* out) const {
 
 namespace {
 
-/// The scalar arm: per 8-plane byte group, the group's byte of every mask
-/// word is copied into a contiguous byte array (N bytes, which stay in L1
-/// where the N words do not), then one WalkLadders pass adds each entry's
-/// spread-table word.
-void ScalarCountPlanes(const spatial::Csr32& csr, size_t num_points,
-                       size_t num_centers, size_t num_rungs,
-                       const uint64_t* masks, size_t num_planes, uint32_t* out,
-                       size_t stride) {
+/// The scalar arm for one 8-plane group: bytes[kStride * i] is point i's
+/// group byte, and one WalkLadders pass adds each entry's spread-table word.
+/// Plane shift + b's row is out + b * stride.
+template <size_t kStride>
+void ScalarCountGroup(const spatial::Csr32& csr, size_t num_centers,
+                      size_t num_rungs, const uint8_t* bytes, size_t planes,
+                      uint32_t* out, size_t stride) {
   using Totals = std::array<uint32_t, 8>;
-  static thread_local std::vector<uint8_t> group_bytes;
-  group_bytes.resize(num_points);
-  uint8_t* bytes = group_bytes.data();
-  for (size_t shift = 0; shift < num_planes; shift += 8) {
-    const size_t planes = std::min<size_t>(8, num_planes - shift);
-    for (size_t i = 0; i < num_points; ++i) {
-      bytes[i] = static_cast<uint8_t>(masks[i] >> shift);
-    }
-    uint32_t* group_out = out + shift * stride;
-    // Byte lane b of the chunk sum counts plane shift + b; a chunk of at
-    // most kLaneCapacity entries cannot overflow it.
-    WalkLadders<Totals>(
-        csr, num_centers, num_rungs,
-        [bytes](uint32_t id) { return kSpread[bytes[id]]; },
-        [](Totals* carried, uint64_t lanes) {
-          for (size_t b = 0; b < 8; ++b) {
-            (*carried)[b] += static_cast<uint32_t>((lanes >> (8 * b)) & 0xFF);
-          }
-        },
-        [group_out, stride, planes](size_t slot, const Totals& carried,
-                                    uint64_t lanes) {
-          for (size_t b = 0; b < planes; ++b) {
-            group_out[b * stride + slot] =
-                carried[b] + static_cast<uint32_t>((lanes >> (8 * b)) & 0xFF);
-          }
-        });
+  // Byte lane b of the chunk sum counts plane b; a chunk of at most
+  // kLaneCapacity entries cannot overflow it.
+  WalkLadders<Totals>(
+      csr, num_centers, num_rungs,
+      [bytes](uint32_t id) { return kSpread[bytes[kStride * size_t{id}]]; },
+      [](Totals* carried, uint64_t lanes) {
+        for (size_t b = 0; b < 8; ++b) {
+          (*carried)[b] += static_cast<uint32_t>((lanes >> (8 * b)) & 0xFF);
+        }
+      },
+      [out, stride, planes](size_t slot, const Totals& carried,
+                            uint64_t lanes) {
+        for (size_t b = 0; b < planes; ++b) {
+          out[b * stride + slot] =
+              carried[b] + static_cast<uint32_t>((lanes >> (8 * b)) & 0xFF);
+        }
+      });
+}
+
+/// The scalar arm on mask words: one group walk per 8-plane byte group, each
+/// reading its byte of every word in place.
+void ScalarCountPlanes(const spatial::Csr32& csr, size_t num_centers,
+                       size_t num_rungs, const uint64_t* masks,
+                       size_t num_planes, uint32_t* out, size_t stride) {
+  for (size_t group = 0; group * 8 < num_planes; ++group) {
+    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(masks) +
+                           (std::endian::native == std::endian::little
+                                ? group
+                                : 7 - group);
+    ScalarCountGroup<sizeof(uint64_t)>(
+        csr, num_centers, num_rungs, bytes,
+        std::min<size_t>(8, num_planes - 8 * group), out + 8 * group * stride,
+        stride);
   }
 }
 
 #if defined(SFA_X86_SIMD)
-
-// GCC's avx512fintrin.h trips -W(maybe-)uninitialized on its own internal
-// _mm512_undefined temporaries; the warning is in the system header.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 /// The rung-end counts of a run of up to 8 consecutive region slots,
 /// world-minor (slot first + k's plane p at counts[k][p]) until the run is
@@ -197,8 +198,7 @@ struct SlotRun {
 };
 
 /// Writes out and empties a run: plane p's counts are one 8-lane gather
-/// (stride 64) and one masked store. Both SIMD arms share it; a 16-slot run
-/// with 16-lane gathers measured no faster on AVX-512.
+/// (stride 64) and one masked store.
 __attribute__((target("avx2"))) void WriteRun(SlotRun* run,
                                               size_t num_planes,
                                               uint32_t* out, size_t stride) {
@@ -217,65 +217,6 @@ __attribute__((target("avx2"))) void WriteRun(SlotRun* run,
   }
   run->first += run->filled;
   run->filled = 0;
-}
-
-// The SIMD arms walk rung by rung: 64 byte lanes (lane p = plane p) absorb
-// each entry's mask, fold into 32-bit totals before any lane can have taken
-// kLaneCapacity entries, and every rung end emits totals + lanes.
-
-/// sums[q] = totals[q] + byte lanes 16q … 16q + 15 of `lanes`, widened.
-__attribute__((target("avx512bw"))) inline void AddQuarters(
-    __m512i lanes, const __m512i* totals, __m512i* sums) {
-  const __m128i quarters[4] = {_mm512_extracti32x4_epi32(lanes, 0),
-                               _mm512_extracti32x4_epi32(lanes, 1),
-                               _mm512_extracti32x4_epi32(lanes, 2),
-                               _mm512_extracti32x4_epi32(lanes, 3)};
-  for (int q = 0; q < 4; ++q) {
-    sums[q] = _mm512_add_epi32(totals[q], _mm512_cvtepu8_epi32(quarters[q]));
-  }
-}
-
-/// 64 byte lanes in one register, one masked byte add per entry.
-__attribute__((target("avx512bw"))) void Avx512CountPlanes(
-    const spatial::Csr32& csr, size_t num_centers, size_t num_rungs,
-    const uint64_t* masks, size_t num_planes, uint32_t* out, size_t stride) {
-  const uint32_t* offsets = csr.offsets.data();
-  const uint32_t* ids = csr.values.data();
-  const __m512i one = _mm512_set1_epi8(1);
-  SlotRun run;
-  for (size_t c = 0; c < num_centers; ++c) {
-    __m512i totals[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
-                         _mm512_setzero_si512(), _mm512_setzero_si512()};
-    __m512i lanes = _mm512_setzero_si512();
-    size_t room = kLaneCapacity;  // entries the lanes can still take
-    size_t slot = c * num_rungs;
-    size_t j = offsets[slot];
-    for (const size_t last = slot + num_rungs; slot < last; ++slot) {
-      const size_t end = offsets[slot + 1];
-      for (;;) {
-        const size_t stop = std::min<size_t>(end, j + room);
-        room -= stop - j;
-        for (; j < stop; ++j) {
-          lanes = _mm512_mask_add_epi8(lanes, _cvtu64_mask64(masks[ids[j]]),
-                                       lanes, one);
-        }
-        if (j == end) break;
-        AddQuarters(lanes, totals, totals);
-        lanes = _mm512_setzero_si512();
-        room = kLaneCapacity;
-      }
-      __m512i rung[4];
-      AddQuarters(lanes, totals, rung);
-      uint32_t* counts = run.counts[run.filled];
-      for (size_t q = 0; q * 16 < num_planes; ++q) {
-        _mm512_store_si512(counts + 16 * q, rung[q]);
-      }
-      if (++run.filled == SlotRun::kSlots) {
-        WriteRun(&run, num_planes, out, stride);
-      }
-    }
-  }
-  WriteRun(&run, num_planes, out, stride);
 }
 
 /// One entry's mask as 32 byte lanes of 0 or 0xFF: byte lane b of half h
@@ -305,7 +246,9 @@ __attribute__((target("avx2"))) inline void FoldLanes32(__m256i lanes,
 }
 
 /// 32 (kWide: 64) byte lanes in one (two) registers; each entry's mask
-/// becomes bytes through a broadcast, vpshufb and vpcmpeqb.
+/// becomes bytes through a broadcast, vpshufb and vpcmpeqb. The lanes absorb
+/// each entry, fold into 32-bit totals before any lane can have taken
+/// kLaneCapacity entries, and every rung end emits totals + lanes.
 template <bool kWide>
 __attribute__((target("avx2"))) void Avx2CountPlanes(
     const spatial::Csr32& csr, size_t num_centers, size_t num_rungs,
@@ -363,8 +306,6 @@ __attribute__((target("avx2"))) void Avx2CountPlanes(
   WriteRun(&run, num_planes, out, stride);
 }
 
-#pragma GCC diagnostic pop
-
 #endif  // SFA_X86_SIMD
 
 }  // namespace
@@ -374,34 +315,33 @@ void AnnulusIndex::CountPlanes(const uint64_t* masks, size_t num_planes,
   SFA_CHECK((masks != nullptr || num_points_ == 0) && out != nullptr);
   SFA_CHECK(num_planes >= 1 && num_planes <= kMaxPlanes);
   SFA_CHECK(out_stride >= num_regions());
-  // One byte group walks fastest on its bytes: the wide walks read whole
-  // words, whose N·8 bytes do not stay in L1.
-  const spatial::PopcountKernel tier =
-      num_planes <= 8 ? spatial::PopcountKernel::kScalar
-                      : spatial::ActiveSamplerKernel();
-  switch (tier) {
+  // Calls of up to 8 planes take the scalar walk on every tier: it reads
+  // one byte of each word, where the AVX2 walk broadcasts and spreads it.
+  const bool simd =
+      num_planes > 8 &&
+      spatial::ActiveSamplerKernel() != spatial::PopcountKernel::kScalar;
 #if defined(SFA_X86_SIMD)
-    case spatial::PopcountKernel::kAvx512:
-      // Up to 32 planes, one AVX2 register per entry walks faster than the
-      // 64 AVX-512 lanes (measured on squares and K = 3 squares tiles).
-      if (num_planes > 32) {
-        return Avx512CountPlanes(csr_, num_centers_, num_rungs_, masks,
+  if (simd && num_planes > 32) {
+    return Avx2CountPlanes<true>(csr_, num_centers_, num_rungs_, masks,
                                  num_planes, out, out_stride);
-      }
-      return Avx2CountPlanes<false>(csr_, num_centers_, num_rungs_, masks,
-                                    num_planes, out, out_stride);
-    case spatial::PopcountKernel::kAvx2:
-      if (num_planes > 32) {
-        return Avx2CountPlanes<true>(csr_, num_centers_, num_rungs_, masks,
-                                     num_planes, out, out_stride);
-      }
-      return Avx2CountPlanes<false>(csr_, num_centers_, num_rungs_, masks,
-                                    num_planes, out, out_stride);
-#endif
-    default:
-      return ScalarCountPlanes(csr_, num_points_, num_centers_, num_rungs_,
-                               masks, num_planes, out, out_stride);
   }
+  if (simd) {
+    return Avx2CountPlanes<false>(csr_, num_centers_, num_rungs_, masks,
+                                  num_planes, out, out_stride);
+  }
+#endif
+  (void)simd;
+  ScalarCountPlanes(csr_, num_centers_, num_rungs_, masks, num_planes, out,
+                    out_stride);
+}
+
+void AnnulusIndex::CountPlaneBytes(const uint8_t* bytes, size_t num_planes,
+                                   uint32_t* out, size_t out_stride) const {
+  SFA_CHECK((bytes != nullptr || num_points_ == 0) && out != nullptr);
+  SFA_CHECK(num_planes >= 1 && num_planes <= kBytePlanes);
+  SFA_CHECK(out_stride >= num_regions());
+  ScalarCountGroup<1>(csr_, num_centers_, num_rungs_, bytes, num_planes, out,
+                      out_stride);
 }
 
 }  // namespace sfa::core

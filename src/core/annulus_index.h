@@ -22,19 +22,20 @@
 //
 // CountPlanes counts up to 64 planes per walk from one 64-bit mask word per
 // point (bit p = plane p's label), the format the null-world lane sampler
-// writes (core/lane_sampler.h), into uint32 rows. It has three arms, picked
-// by spatial::ActiveSamplerKernel():
+// writes (core/lane_sampler.h), into uint32 rows. It has two arms:
 //
-//   AVX-512BW  64 byte lanes in one register: each entry moves its mask
-//              word into a mask register (kmovq) and adds 1 to the byte
-//              lanes of its set bits (masked vpaddb); calls of at most 32
-//              planes take the AVX2 walk, which is faster there;
-//   AVX2       32 byte lanes per register (two for more than 32 planes):
-//              the word is broadcast, vpshufb spreads each mask byte over 8
-//              lanes, and vpcmpeqb against the lane's bit gives 0 or −1;
-//   scalar     one walk per 8-plane byte group, each entry adding a
-//              256-entry spread-table word that carries bit b of its mask
-//              byte into byte lane b.
+//   AVX2       on the AVX2 and AVX-512 sampler tiers
+//              (spatial::ActiveSamplerKernel()), for calls of more than 8
+//              planes: 32 byte lanes per register (two for more than 32
+//              planes); the word is broadcast, vpshufb spreads each mask
+//              byte over 8 lanes, and vpcmpeqb against the lane's bit gives
+//              0 or −1;
+//   scalar     every other call: one walk per 8-plane byte group, each
+//              entry adding a 256-entry spread-table word that carries bit b
+//              of its mask word's group byte, read in place, into byte lane
+//              b. A call of at most 8 planes is one such walk, and
+//              CountPlaneBytes runs it on one byte per point (the few-plane
+//              calls of observed scans and fingerprints).
 //
 // Byte lanes fold into 32-bit totals every 255 entries, before they can
 // overflow, and every rank end emits totals + lanes into plane p's row at
@@ -78,6 +79,8 @@ class AnnulusIndex {
   /// Planes (worlds, or (world, class) indicators) one CountPlanes walk
   /// counts: one per bit of a mask word.
   static constexpr size_t kMaxPlanes = 64;
+  /// Planes one CountPlaneBytes call counts: one per bit of a byte.
+  static constexpr size_t kBytePlanes = 8;
 
   AnnulusIndex() = default;
 
@@ -111,6 +114,12 @@ class AnnulusIndex {
   /// both families.
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const;
+
+  /// CountPlanes for 1..kBytePlanes planes from one byte per point (bit p
+  /// of bytes[i] is plane p): the scalar walk, on N bytes that stay in L1.
+  /// The body of RegionFamily::CountPlaneBytes for both families.
+  void CountPlaneBytes(const uint8_t* bytes, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const;
 
  private:
   spatial::Csr32 csr_;  // row = center * num_rungs + rank, value = point id

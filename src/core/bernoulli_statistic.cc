@@ -99,12 +99,12 @@ class BernoulliSimulation : public StatisticSimulation {
       const size_t num_cells = samplers_->num_cells();
       const bool direct = cells_->cells_are_regions;
       const size_t region_bytes = direct ? 0 : num_regions * sizeof(uint32_t);
-      std::byte* block = LocalBatchBlock(
-          region_bytes + kLaneWorlds * num_cells * sizeof(uint32_t));
+      const BatchBlock block(region_bytes +
+                             kLaneWorlds * num_cells * sizeof(uint32_t));
       uint32_t* region_counts =
-          direct ? nullptr : new (block) uint32_t[num_regions];
+          direct ? nullptr : new (block.data()) uint32_t[num_regions];
       uint32_t* cell_rows =
-          new (block + region_bytes) uint32_t[kLaneWorlds * num_cells];
+          new (block.data() + region_bytes) uint32_t[kLaneWorlds * num_cells];
       for (size_t g = w_lo; g < w_hi; g += kLaneWorlds) {
         const size_t lanes = std::min(kLaneWorlds, w_hi - g);
         Rng rngs[kLaneWorlds];
@@ -130,14 +130,14 @@ class BernoulliSimulation : public StatisticSimulation {
     // The count rows share their storage with the shuffle ids, which are
     // dead before CountPlanes writes the counts.
     const bool permutation = options_.null_model != NullModel::kBernoulli;
-    const size_t tile = WorldTile(num_regions, 1);
+    const size_t tile = WorldTile(total_n, num_regions, 1);
     const size_t mask_bytes = total_n * sizeof(uint64_t);
     const size_t rows_bytes =
         std::max(tile * num_regions * sizeof(uint32_t),
                  permutation ? kLaneWorlds * total_n * sizeof(uint32_t) : 0);
-    std::byte* block = LocalBatchBlock(mask_bytes + rows_bytes);
-    uint64_t* masks = new (block) uint64_t[total_n];
-    std::byte* rows = block + mask_bytes;
+    const BatchBlock block(mask_bytes + rows_bytes);
+    uint64_t* masks = new (block.data()) uint64_t[total_n];
+    std::byte* rows = block.data() + mask_bytes;
     for (size_t t = w_lo; t < w_hi; t += tile) {
       const size_t worlds = std::min(tile, w_hi - t);
       uint64_t positives[RegionFamily::kMaxPlanes];

@@ -14,8 +14,8 @@
 //                    mask words and counted by one RegionFamily::CountPlanes
 //                    call per tile, or permutation worlds shuffled straight
 //                    into those words (SamplePermutationLanes). A tile is
-//                    WorldTile(regions, 1) worlds, so its uint32 count rows
-//                    stay within 256 KiB;
+//                    WorldTile(N, regions, 1) worlds, so its mask words and
+//                    uint32 count rows stay within 320 KiB;
 //                    per-world RNG substreams Rng::Split(w) from
 //                    options.seed (core/mc_engine.h's cost levers); each
 //                    world's max Λ comes from the

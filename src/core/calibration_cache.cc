@@ -57,8 +57,8 @@ uint64_t FamilyFingerprint(const RegionFamily& family) {
   // worlds. The null distribution of max Λ is a functional of how region
   // counts respond to random labelings, so probing with deterministic label
   // worlds fingerprints exactly the structure that shapes it; the three
-  // probes cost one 3-plane CountPlanes pass, noise against the W-1 worlds a
-  // key collision would wrongly share.
+  // probes cost one 3-plane CountPlaneBytes pass, noise against the W-1
+  // worlds a key collision would wrongly share.
   uint64_t fp = 0x5fa0c0de5fa0c0deULL;
   const std::string name = family.Name();
   fp = MixBytes(fp, name.data(), name.size());
@@ -75,22 +75,22 @@ uint64_t FamilyFingerprint(const RegionFamily& family) {
   {
     // Fixed probe seed, unrelated to any Monte Carlo stream: the probes are
     // structural identity, not simulation randomness. They draw one after
-    // another from that generator; plane p of the mask words holds probe p.
+    // another from that generator; plane p of the mask bytes holds probe p.
     constexpr size_t kProbes = 3;
     Rng probe_rng(0x9d0be5fa0c0de001ULL);
     const size_t n = family.num_points();
     const size_t num_regions = family.num_regions();
-    std::vector<uint64_t> masks(n, 0);
+    std::vector<uint8_t> masks(n, 0);
     Labels labels;
     for (size_t probe = 0; probe < kProbes; ++probe) {
       labels.ResampleBernoulli(n, 0.5, &probe_rng);
       const std::vector<uint8_t>& bytes = labels.bytes();
       for (size_t i = 0; i < n; ++i) {
-        masks[i] |= static_cast<uint64_t>(bytes[i]) << probe;
+        masks[i] |= static_cast<uint8_t>(bytes[i] << probe);
       }
     }
     std::vector<uint32_t> counts(kProbes * num_regions);
-    family.CountPlanes(masks.data(), kProbes, counts.data(), num_regions);
+    family.CountPlaneBytes(masks.data(), kProbes, counts.data(), num_regions);
     // Each count is hashed as the 64-bit value it always was.
     for (uint32_t c : counts) fp = Mix(fp, uint64_t{c});
   }

@@ -73,8 +73,10 @@ void GridPartitionFamily::CountPositives(const Labels& labels,
   }
 }
 
-void GridPartitionFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
-                                      uint32_t* out, size_t out_stride) const {
+template <typename Mask>
+void GridPartitionFamily::CountMaskPlanes(const Mask* masks, size_t num_planes,
+                                          uint32_t* out,
+                                          size_t out_stride) const {
   SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
   SFA_CHECK(out_stride >= num_regions());
   // Regions are the cells; points outside the extent (kInvalidCell) count
@@ -82,6 +84,17 @@ void GridPartitionFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
   const std::vector<uint32_t>& cells = index_.cell_assignments();
   internal::CountCellPlanes(cells.data(), cells.size(), num_regions(), masks,
                             num_planes, out, out_stride);
+}
+
+void GridPartitionFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
+                                      uint32_t* out, size_t out_stride) const {
+  CountMaskPlanes(masks, num_planes, out, out_stride);
+}
+
+void GridPartitionFamily::CountPlaneBytes(const uint8_t* bytes,
+                                          size_t num_planes, uint32_t* out,
+                                          size_t out_stride) const {
+  CountMaskPlanes(bytes, num_planes, out, out_stride);
 }
 
 std::string GridPartitionFamily::Name() const {

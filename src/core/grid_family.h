@@ -37,6 +37,8 @@ class GridPartitionFamily : public RegionFamily {
   /// One cell scatter over the point assignments per 8-plane byte group.
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override;
+  void CountPlaneBytes(const uint8_t* bytes, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const override;
   /// Regions ARE the cells (cells_are_regions): the decomposition is exact,
   /// enabling closed-form Binomial null sampling in O(cells) per world, and
   /// a world's cell row is its region row.
@@ -49,6 +51,11 @@ class GridPartitionFamily : public RegionFamily {
  private:
   GridPartitionFamily(const geo::GridSpec& grid,
                       const std::vector<geo::Point>& points);
+
+  /// CountPlanes on mask words or (at most 8 planes) bytes.
+  template <typename Mask>
+  void CountMaskPlanes(const Mask* masks, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const;
 
   spatial::GridIndex index_;
   CellDecomposition cells_;

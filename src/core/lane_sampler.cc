@@ -478,8 +478,7 @@ __attribute__((target("avx2"))) void Avx2Permutation(
 
 // ----------------------------------------------------------------- AVX-512 ---
 // 8 lanes in one register; AVX-512F alone has the rotate, the unsigned
-// compare into a lane mask (which is the mask byte) and the masked add. The
-// tier also requires AVX-512BW, which the wide annulus walk uses.
+// compare into a lane mask (which is the mask byte) and the masked add.
 
 struct Xoshiro256x8 {
   __m512i s0, s1, s2, s3;
@@ -805,26 +804,52 @@ void SamplePermutationLanes(size_t n, uint64_t positives, size_t num_worlds,
   }
 }
 
-size_t WorldTile(size_t num_regions, uint32_t counted) {
-  constexpr size_t kRowBytes = size_t{256} << 10;
-  const size_t row_bytes =
-      sizeof(uint32_t) * std::max<size_t>(1, num_regions) * counted;
-  const size_t fits = kRowBytes / row_bytes / kLaneWorlds * kLaneWorlds;
-  return std::clamp(fits, kLaneWorlds, kLaneWorlds * kMaskBytes);
+size_t WorldTile(size_t num_points, size_t num_regions, uint32_t counted) {
+  const auto block_bytes = [&](size_t worlds) {
+    const size_t words = (worlds * counted + 63) / 64;
+    return words * num_points * sizeof(uint64_t) +
+           worlds * counted * num_regions * sizeof(uint32_t);
+  };
+  size_t tile = kLaneWorlds * kMaskBytes;
+  while (tile > kLaneWorlds && block_bytes(tile) > kTileBlockBytes) {
+    tile -= kLaneWorlds;
+  }
+  return tile;
 }
 
-std::byte* LocalBatchBlock(size_t bytes) {
-  struct Block {
-    std::unique_ptr<std::byte[]> data;
-    size_t bytes = 0;
-  };
-  static thread_local Block block;
-  if (block.data == nullptr || bytes > block.bytes) {
-    block.data.reset();  // free the old block first: the two never coexist
-    block.data.reset(new std::byte[bytes]);
-    block.bytes = bytes;
+namespace {
+
+struct PooledBlock {
+  std::unique_ptr<std::byte[]> data;
+  size_t bytes = 0;
+  bool held = false;
+};
+
+PooledBlock& LocalPooledBlock() {
+  static thread_local PooledBlock block;
+  return block;
+}
+
+}  // namespace
+
+BatchBlock::BatchBlock(size_t bytes) {
+  PooledBlock& pooled = LocalPooledBlock();
+  if (pooled.held) {
+    own_.reset(new std::byte[bytes]);
+    data_ = own_.get();
+    return;
   }
-  return block.data.get();
+  if (pooled.data == nullptr || bytes > pooled.bytes) {
+    pooled.data.reset();  // free the old block first: the two never coexist
+    pooled.data.reset(new std::byte[bytes]);
+    pooled.bytes = bytes;
+  }
+  pooled.held = true;
+  data_ = pooled.data.get();
+}
+
+BatchBlock::~BatchBlock() {
+  if (own_ == nullptr) LocalPooledBlock().held = false;
 }
 
 }  // namespace sfa::core

@@ -40,9 +40,7 @@
 //   scalar   one world at a time; the portable reference;
 //   AVX2     two groups of 4 64-bit lanes, rotates as shift pairs;
 //   AVX-512  8 lanes, one-instruction rotates, unsigned compares straight
-//            into the mask byte, gathers and scatters (AVX-512F; the tier
-//            also requires AVX-512BW for the annulus walk of the same tier,
-//            core/annulus_index.h).
+//            into the mask byte, gathers and scatters (AVX-512F).
 //
 // Every arm produces the same mask bits or cell counts, per-world totals and
 // final generator states (tests/test_lane_sampler.cc pins them against the
@@ -53,6 +51,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -102,23 +101,43 @@ void SamplePermutationLanes(size_t n, uint64_t positives, size_t num_worlds,
                             Rng* rngs, uint32_t* ids, uint64_t* masks,
                             size_t byte);
 
-/// The calling thread's pooled block of at least `bytes` bytes, aligned for
-/// uint64_t: the storage both statistics carve a batch's mask words, count
-/// rows, cell rows and shuffle ids from, and the packing adapters
-/// (RegionFamily::CountPositivesBatch, CountClassesBatch) their mask words
-/// and rows, so that a worker thread keeps one block, the largest any of
-/// them asked for. Callers start their arrays' lifetimes in it with
-/// placement new, which does no work for these trivial types; the contents
-/// do not survive the next call.
-std::byte* LocalBatchBlock(size_t bytes);
+/// A hold on the calling thread's pooled block of at least `bytes` bytes,
+/// aligned for uint64_t: the storage both statistics carve a batch's mask
+/// words, count rows, cell rows and shuffle ids from, and the packing
+/// adapters (RegionFamily::CountPositivesBatch, CountClassesBatch) their mask
+/// words and rows, so that a thread keeps one block, the largest any of them
+/// asked for. A hold taken while another is live on the same thread (say, a
+/// custom family's CountPositives calling an adapter inside an engine batch)
+/// gets a block of its own, freed when it ends, so no hold ever sees another
+/// one's storage. Callers start their arrays' lifetimes in it with placement
+/// new, which does no work for these trivial types; the contents do not
+/// survive the hold.
+class BatchBlock {
+ public:
+  explicit BatchBlock(size_t bytes);
+  ~BatchBlock();
+  BatchBlock(const BatchBlock&) = delete;
+  BatchBlock& operator=(const BatchBlock&) = delete;
 
-/// Worlds per tile of the batched engine's point worlds: the most (at most
-/// kLaneWorlds·kMaskBytes = 64, a multiple of kLaneWorlds, at least
-/// kLaneWorlds) whose uint32 count rows, `counted` classes × num_regions per
-/// world, fit in 256 KiB. So a tile's rows plus its mask words stay within a
-/// worker's pooled block (squares and kNN count 32 and 64 worlds per walk,
-/// the 5,000-cell grid 8).
-size_t WorldTile(size_t num_regions, uint32_t counted);
+  std::byte* data() const { return data_; }
+
+ private:
+  std::unique_ptr<std::byte[]> own_;  // a nested hold's block
+  std::byte* data_ = nullptr;
+};
+
+/// Bytes of one thread's pooled block a tile may fill, mask words and count
+/// rows together.
+inline constexpr size_t kTileBlockBytes = size_t{320} << 10;
+
+/// Worlds per tile of the batched engine's point worlds: the most (a
+/// multiple of kLaneWorlds, at most kLaneWorlds·kMaskBytes = 64) whose mask
+/// words, one 64-bit word per point per 64 of the tile's `counted`·worlds
+/// planes, and uint32 count rows, `counted` classes × num_regions per world,
+/// fit in kTileBlockBytes; kLaneWorlds when none does. At N = 8,192 points
+/// the mask words take 64 KiB of it: 100-center kNN counts 64 worlds per
+/// walk, 2,000 squares 32, K = 3 squares 16 and the 5,000-cell grid 8.
+size_t WorldTile(size_t num_points, size_t num_regions, uint32_t counted);
 
 /// The alias tables of a closed-form Bernoulli cell world, as
 /// CellSamplerBank builds and owns them: one column arena holding every table

@@ -95,7 +95,7 @@ void DrawMultinomial(uint64_t n, const std::vector<double>& q, Rng* rng,
 /// per-cell class draws and the reference oracle's buffers — after a
 /// worker's first batch (or reference world) the steady state allocates
 /// nothing. The batched strategy's count rows and mask words live in the
-/// block the Bernoulli statistic's rows use too (LocalBatchBlock,
+/// block the Bernoulli statistic's rows use too (BatchBlock,
 /// core/lane_sampler.h).
 struct MultinomialArena {
   std::vector<uint8_t> classes;        // one world's per-point class draws
@@ -227,8 +227,8 @@ class MultinomialSimulation : public StatisticSimulation {
       arena.cell_class.resize(num_cells * (num_classes - 1));
       arena.cell_draw.resize(num_classes);
       const size_t row_entries = num_regions * (num_classes - 1);
-      uint32_t* region_counts = new (LocalBatchBlock(
-          row_entries * sizeof(uint32_t))) uint32_t[row_entries];
+      const BatchBlock block(row_entries * sizeof(uint32_t));
+      uint32_t* region_counts = new (block.data()) uint32_t[row_entries];
       for (size_t w = w_lo; w < w_hi; ++w) {
         Rng rng = root_.Split(w);
         uint64_t* world_totals =
@@ -267,7 +267,7 @@ class MultinomialSimulation : public StatisticSimulation {
     const uint32_t counted = num_classes - 1;
     const size_t points = static_cast<size_t>(total_n);
     if (options_.null_model == NullModel::kBernoulli) {
-      const size_t tile = WorldTile(num_regions, counted);
+      const size_t tile = WorldTile(points, num_regions, counted);
       // i.i.d. point worlds, a tile at a time: lane group g (worlds
       // t + 8g … t + 8g + 7) writes its class c plane bytes to mask byte
       // b = g·(K−1) + c, so the plane of (world t + 8g + j, class c) is
@@ -278,10 +278,10 @@ class MultinomialSimulation : public StatisticSimulation {
       const size_t words = (tile_bytes + kMaskBytes - 1) / kMaskBytes;
       const size_t mask_bytes = words * points * sizeof(uint64_t);
       const size_t count_entries = tile * counted * num_regions;
-      std::byte* block =
-          LocalBatchBlock(mask_bytes + count_entries * sizeof(uint32_t));
-      uint64_t* masks = new (block) uint64_t[words * points];
-      uint32_t* counts = new (block + mask_bytes) uint32_t[count_entries];
+      const BatchBlock block(mask_bytes + count_entries * sizeof(uint32_t));
+      uint64_t* masks = new (block.data()) uint64_t[words * points];
+      uint32_t* counts =
+          new (block.data() + mask_bytes) uint32_t[count_entries];
       for (size_t t = w_lo; t < w_hi; t += tile) {
         const size_t worlds = std::min(tile, w_hi - t);
         const size_t groups = (worlds + kLaneWorlds - 1) / kLaneWorlds;
@@ -325,11 +325,11 @@ class MultinomialSimulation : public StatisticSimulation {
     // (world, class) planes are packed in ClassCountRowOffset order
     // (internal::PackClassPlanes) and counted up to 64 per walk.
     const size_t count_entries = kLaneWorlds * counted * num_regions;
-    std::byte* block = LocalBatchBlock(points * sizeof(uint64_t) +
-                                       count_entries * sizeof(uint32_t));
-    uint64_t* masks = new (block) uint64_t[points];
+    const BatchBlock block(points * sizeof(uint64_t) +
+                           count_entries * sizeof(uint32_t));
+    uint64_t* masks = new (block.data()) uint64_t[points];
     uint32_t* counts =
-        new (block + points * sizeof(uint64_t)) uint32_t[count_entries];
+        new (block.data() + points * sizeof(uint64_t)) uint32_t[count_entries];
     arena.class_worlds.resize(kLaneWorlds * points);
     arena.class_world_ptrs.resize(kLaneWorlds);
     for (size_t t = w_lo; t < w_hi; t += kLaneWorlds) {

@@ -28,8 +28,8 @@
 //                  counting path: the lane sampler writes one mask byte
 //                  per (8-world group, counted class) (the last class is
 //                  derived from n(R)), so one 64-bit mask word holds every
-//                  (world, class) plane of a tile of WorldTile(regions,
-//                  K−1) worlds, and one RegionFamily::CountPlanes walk
+//                  (world, class) plane of a tile of WorldTile(N,
+//                  regions, K−1) worlds, and one RegionFamily::CountPlanes walk
 //                  counts them all into uint32 rows; permutation worlds
 //                  pack their class codes into planes
 //                  (internal::PackClassPlanes) and the observed scan

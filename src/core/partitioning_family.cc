@@ -82,10 +82,11 @@ void PartitioningCollectionFamily::CountPositives(const Labels& labels,
   }
 }
 
-void PartitioningCollectionFamily::CountPlanes(const uint64_t* masks,
-                                               size_t num_planes,
-                                               uint32_t* out,
-                                               size_t out_stride) const {
+template <typename Mask>
+void PartitioningCollectionFamily::CountMaskPlanes(const Mask* masks,
+                                                   size_t num_planes,
+                                                   uint32_t* out,
+                                                   size_t out_stride) const {
   SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
   SFA_CHECK(out_stride >= total_regions_);
   // Partitioning t's partitions are its cells, at region offset offsets_[t].
@@ -94,6 +95,20 @@ void PartitioningCollectionFamily::CountPlanes(const uint64_t* masks,
                               offsets_[t + 1] - offsets_[t], masks, num_planes,
                               out + offsets_[t], out_stride);
   }
+}
+
+void PartitioningCollectionFamily::CountPlanes(const uint64_t* masks,
+                                               size_t num_planes,
+                                               uint32_t* out,
+                                               size_t out_stride) const {
+  CountMaskPlanes(masks, num_planes, out, out_stride);
+}
+
+void PartitioningCollectionFamily::CountPlaneBytes(const uint8_t* bytes,
+                                                   size_t num_planes,
+                                                   uint32_t* out,
+                                                   size_t out_stride) const {
+  CountMaskPlanes(bytes, num_planes, out, out_stride);
 }
 
 std::string PartitioningCollectionFamily::Name() const {

@@ -33,6 +33,8 @@ class PartitioningCollectionFamily : public RegionFamily {
   /// One cell scatter per partitioning and 8-plane byte group.
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override;
+  void CountPlaneBytes(const uint8_t* bytes, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const override;
   /// Non-null only for a single partitioning: its partitions then tile the
   /// points and closed-form Binomial sampling applies. With several
   /// partitionings the same point feeds regions of every partitioning, so
@@ -58,6 +60,11 @@ class PartitioningCollectionFamily : public RegionFamily {
  private:
   PartitioningCollectionFamily(const std::vector<geo::Point>& points,
                                std::vector<geo::Partitioning> partitionings);
+
+  /// CountPlanes on mask words or (at most 8 planes) bytes.
+  template <typename Mask>
+  void CountMaskPlanes(const Mask* masks, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const;
 
   std::vector<geo::Partitioning> partitionings_;
   // assignment_[t][i]: partition id of point i in partitioning t.

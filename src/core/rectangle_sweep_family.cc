@@ -128,8 +128,10 @@ void RectangleSweepFamily::CountPositives(const Labels& labels,
   FoldPrefixIntoRegions(positive_prefix, out->data());
 }
 
-void RectangleSweepFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
-                                       uint32_t* out, size_t out_stride) const {
+template <typename Mask>
+void RectangleSweepFamily::CountMaskPlanes(const Mask* masks, size_t num_planes,
+                                           uint32_t* out,
+                                           size_t out_stride) const {
   SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
   SFA_CHECK(out_stride >= num_regions_);
   const size_t num_cells = grid().num_cells();
@@ -145,6 +147,17 @@ void RectangleSweepFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
                          plane_cells.data() + p * num_cells);
     FoldPrefixIntoRegions(plane_prefix, out + p * out_stride);
   }
+}
+
+void RectangleSweepFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
+                                       uint32_t* out, size_t out_stride) const {
+  CountMaskPlanes(masks, num_planes, out, out_stride);
+}
+
+void RectangleSweepFamily::CountPlaneBytes(const uint8_t* bytes,
+                                           size_t num_planes, uint32_t* out,
+                                           size_t out_stride) const {
+  CountMaskPlanes(bytes, num_planes, out, out_stride);
 }
 
 void RectangleSweepFamily::CountPositivesFromCells(const uint32_t* cell_positives,

@@ -46,6 +46,8 @@ class RectangleSweepFamily : public RegionFamily {
   /// counts, then one prefix-sum rebuild + O(1)-per-rectangle fold per plane.
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override;
+  void CountPlaneBytes(const uint8_t* bytes, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const override;
   /// Every rectangle aggregates base-grid cells, so per-cell positives
   /// determine all region counts: the base cells form the decomposition and
   /// closed-form Binomial sampling applies.
@@ -66,6 +68,11 @@ class RectangleSweepFamily : public RegionFamily {
  private:
   RectangleSweepFamily(const geo::GridSpec& grid,
                        const std::vector<geo::Point>& points);
+
+  /// CountPlanes on mask words or (at most 8 planes) bytes.
+  template <typename Mask>
+  void CountMaskPlanes(const Mask* masks, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const;
 
   /// O(1)-per-rectangle fold of a per-cell summed-area table into the
   /// canonical region order (uint64 for CountPositives, uint32 rows

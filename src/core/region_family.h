@@ -31,6 +31,9 @@
 //                        goes to out + p·stride, so the (world, class) planes
 //                        of a K-class batch land in whatever rows the caller
 //                        lays out;
+//   CountPlaneBytes      CountPlanes for at most 8 planes from one byte per
+//                        point, for few-plane calls: N bytes stay in cache
+//                        where N words do not;
 //   cell_decomposition   declares that p(R) is a pure function of positive
 //                        counts over a disjoint cell partition of the
 //                        points, letting the engine draw per-cell positives
@@ -41,8 +44,9 @@
 //                        they are.
 //
 // CountPositivesBatch and CountClassesBatch pack Labels or class-code worlds
-// into planes, call CountPlanes and widen the counts to uint64_t; the
-// observed multinomial scan counts through CountClassesBatch.
+// into planes, call CountPlaneBytes (up to 8 planes) or CountPlanes, and
+// widen the counts to uint64_t; the observed multinomial scan counts through
+// CountClassesBatch.
 #ifndef SFA_CORE_REGION_FAMILY_H_
 #define SFA_CORE_REGION_FAMILY_H_
 
@@ -138,8 +142,22 @@ class RegionFamily {
   /// Planes one CountPlanes call counts at most: one per bit of a mask word.
   static constexpr size_t kMaxPlanes = 64;
 
-  /// p(R) for `num_worlds` label worlds, packed kMaxPlanes per CountPlanes
-  /// call and widened. `out` is a row-major [num_worlds x num_regions()]
+  /// CountPlanes for 1..kBytePlanes planes from one byte per point: bit p of
+  /// bytes[i] is point i's label in plane p (higher bits are ignored). The
+  /// packing adapters' calls of at most 8 planes (one world's observed
+  /// K-class scan) and the fingerprint probes count through it. The default
+  /// widens the bytes into mask words for CountPlanes; the annulus families
+  /// walk the N bytes, which stay in L1 where N mask words do not. Same
+  /// contract as CountPlanes.
+  virtual void CountPlaneBytes(const uint8_t* bytes, size_t num_planes,
+                               uint32_t* out, size_t out_stride) const;
+
+  /// Planes one CountPlaneBytes call counts at most.
+  static constexpr size_t kBytePlanes = 8;
+
+  /// p(R) for `num_worlds` label worlds, packed up to kMaxPlanes per
+  /// CountPlanes call (core::WorldTile's planes for the family's shape) and
+  /// widened. `out` is a row-major [num_worlds x num_regions()]
   /// caller-owned buffer.
   void CountPositivesBatch(const Labels* const* batch, size_t num_worlds,
                            uint64_t* out) const;
@@ -149,7 +167,7 @@ class RegionFamily {
   /// (other codes count in no class). Only classes 0..num_classes-2 are
   /// counted (the last is n(R) minus the others). The (world, class)
   /// indicator planes are packed in output order (internal::PackClassPlanes),
-  /// kMaxPlanes per CountPlanes call, and widened; `out` is a row-major
+  /// as many per CountPlanes call as CountPositivesBatch, and widened; `out` is a row-major
   /// [num_worlds x (num_classes−1) x num_regions()] caller-owned buffer with
   /// the rows of ClassCountRowOffset.
   void CountClassesBatch(const uint8_t* const* class_worlds,
@@ -184,6 +202,10 @@ namespace internal {
 void CountCellPlanes(const uint32_t* cell_of_point, size_t n, size_t num_cells,
                      const uint64_t* masks, size_t num_planes, uint32_t* out,
                      size_t out_stride);
+/// The same on one byte per point, for at most 8 planes (CountPlaneBytes).
+void CountCellPlanes(const uint32_t* cell_of_point, size_t n, size_t num_cells,
+                     const uint8_t* masks, size_t num_planes, uint32_t* out,
+                     size_t out_stride);
 
 /// Packs the (world, class) indicator planes [first_plane, first_plane +
 /// num_planes) of K-class code worlds into bits 0..num_planes−1 of masks[i]
@@ -194,6 +216,10 @@ void CountCellPlanes(const uint32_t* cell_of_point, size_t n, size_t num_cells,
 void PackClassPlanes(const uint8_t* const* class_worlds, size_t first_plane,
                      size_t num_planes, uint32_t counted, size_t n,
                      uint64_t* masks);
+/// The same into one byte per point, for at most 8 planes.
+void PackClassPlanes(const uint8_t* const* class_worlds, size_t first_plane,
+                     size_t num_planes, uint32_t counted, size_t n,
+                     uint8_t* masks);
 
 }  // namespace internal
 

@@ -127,8 +127,9 @@ struct MonteCarloOptions {
   bool parallel = true;
   McEngine engine = McEngine::kBatched;
   /// Worlds per batch in the kBatched engine: the unit of work a pool
-  /// worker takes, which the engine counts in tiles of up to 64 worlds
-  /// (core/lane_sampler.h's WorldTile). On a parallel run a batch is also
+  /// worker takes, which the engine counts in tiles of up to 64 worlds whose
+  /// mask words and count rows fit one worker's block (core/lane_sampler.h's
+  /// WorldTile). On a parallel run a batch is also
   /// capped near range / workers (a multiple of 8), so that a short range,
   /// such as one adaptive check_every chunk, still spreads over the pool.
   /// Affects performance only, never results — on every family counting

@@ -65,6 +65,10 @@ class SquareScanFamily : public RegionFamily {
                    size_t out_stride) const override {
     annulus_.CountPlanes(masks, num_planes, out, out_stride);
   }
+  void CountPlaneBytes(const uint8_t* bytes, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const override {
+    annulus_.CountPlaneBytes(bytes, num_planes, out, out_stride);
+  }
   std::string Name() const override;
 
   size_t num_centers() const { return centers_.size(); }

@@ -112,27 +112,26 @@ constexpr KernelTable kAvx512Table = {PopcountKernel::kAvx512,
                                       Avx512AndPopcount};
 #endif
 
-/// The best popcount tier (`sampler` false: AVX-512 needs VPOPCNTDQ) or lane
-/// sampler tier (true: AVX-512 needs BW) the CPU and build can run.
-PopcountKernel BestSupportedKernel(bool sampler = false) {
+/// The best popcount tier (`needs_vpopcntdq`) or lane sampler tier (not)
+/// the CPU and build can run.
+PopcountKernel BestSupportedKernel(bool needs_vpopcntdq = true) {
 #if defined(SFA_X86_SIMD)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f") &&
-      (sampler ? __builtin_cpu_supports("avx512bw")
-               : __builtin_cpu_supports("avx512vpopcntdq"))) {
+      (!needs_vpopcntdq || __builtin_cpu_supports("avx512vpopcntdq"))) {
     return PopcountKernel::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return PopcountKernel::kAvx2;
 #endif
-  (void)sampler;
+  (void)needs_vpopcntdq;
   return PopcountKernel::kScalar;
 }
 
 // Unsupported requests clamp DOWN to the best tier the CPU (and build) can
 // actually run, never up — forcing "avx512" on an AVX2-only host yields avx2.
 PopcountKernel ClampToSupported(PopcountKernel requested,
-                                bool sampler = false) {
-  const PopcountKernel best = BestSupportedKernel(sampler);
+                                bool needs_vpopcntdq = true) {
+  const PopcountKernel best = BestSupportedKernel(needs_vpopcntdq);
   return static_cast<uint8_t>(requested) <= static_cast<uint8_t>(best)
              ? requested
              : best;
@@ -169,7 +168,7 @@ std::atomic<const KernelTable*> g_active{nullptr};
 std::atomic<PopcountKernel> g_sampler{PopcountKernel::kScalar};
 
 void Apply(PopcountKernel requested) {
-  g_sampler.store(ClampToSupported(requested, /*sampler=*/true),
+  g_sampler.store(ClampToSupported(requested, /*needs_vpopcntdq=*/false),
                   std::memory_order_relaxed);
   g_active.store(TableFor(requested), std::memory_order_release);
 }

@@ -17,11 +17,12 @@
 //
 // The same request also sets the sampler tier: the null-world lane sampler
 // (core/lane_sampler.h), the wide annulus walk (core/annulus_index.h) and
-// the LLR max (core/bernoulli_statistic.h) run it. Each family clamps the
-// request to what its own arms need: the popcount's kAvx512 needs AVX-512F
-// plus VPOPCNTDQ, the sampler tier's AVX-512F plus BW, so a CPU with one
-// extension but not the other runs AVX2 for the family that lacks it. All
-// are bit-identical to their scalar arms on every tier.
+// the LLR max (core/bernoulli_statistic.h) run it. Each clamps the request
+// to what its own arms need: the popcount's kAvx512 needs AVX-512F plus
+// VPOPCNTDQ, the sampler tier's only AVX-512F (the walk has no AVX-512 arm
+// and runs AVX2 there), so on a CPU with AVX-512F but no VPOPCNTDQ `auto`
+// runs the AVX2 popcount and the AVX-512 sampler. All are bit-identical to
+// their scalar arms on every tier.
 //
 // Kernels compiled with __attribute__((target(...))) function multiversioning,
 // so no per-file -mavx* flags leak into the rest of the build; non-x86 builds
@@ -46,9 +47,8 @@ PopcountKernel ActivePopcountKernel();
 /// Forces a specific kernel; clamps to the best supported tier at or below
 /// `kernel` and returns the previously active kernel (so tests can restore).
 /// It sets the sampler tier too. Restoring with the returned kernel
-/// restores both, except on a CPU whose popcount tier is below its sampler
-/// tier (AVX-512BW but no VPOPCNTDQ), where the sampler then stays at AVX2
-/// (a speed, never a result, difference).
+/// restores both, except on a CPU with AVX-512F but no VPOPCNTDQ, where the
+/// sampler then stays at AVX2 (a speed, never a result, difference).
 PopcountKernel ForcePopcountKernel(PopcountKernel kernel);
 
 /// The tier the lane sampler runs: the active request (env or the last

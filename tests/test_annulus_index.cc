@@ -155,6 +155,10 @@ class IndexFamily : public RegionFamily {
                    size_t out_stride) const override {
     index_.CountPlanes(masks, num_planes, out, out_stride);
   }
+  void CountPlaneBytes(const uint8_t* bytes, size_t num_planes, uint32_t* out,
+                       size_t out_stride) const override {
+    index_.CountPlaneBytes(bytes, num_planes, out, out_stride);
+  }
   std::string Name() const override { return "bare annulus index"; }
 
  private:
@@ -412,7 +416,8 @@ std::vector<std::pair<IndexShape, std::vector<AnnulusEntry>>> WalkShapes(
 // register boundaries, equals the entry oracle plane by plane: each plane
 // of random mask words (plane 0 all ones, so its lanes fill to the flush
 // limit), written with a stride wider than a row, and the rows of planes at
-// and above the count left untouched.
+// and above the count left untouched. Up to 8 planes, the byte walk on the
+// words' low bytes must match too.
 TEST(AnnulusIndex, WideWalkMatchesEntryOracleOnEveryTier) {
   Rng rng(75);
   constexpr size_t kPlaneCounts[] = {1, 7, 8, 9, 31, 32, 33, 63, 64};
@@ -423,6 +428,7 @@ TEST(AnnulusIndex, WideWalkMatchesEntryOracleOnEveryTier) {
     const size_t stride = regions + 3;
     std::vector<uint64_t> masks(shape.points);
     for (uint64_t& m : masks) m = rng.Next() | 1u;
+    const std::vector<uint8_t> low_bytes(masks.begin(), masks.end());
     std::vector<std::vector<uint64_t>> want(AnnulusIndex::kMaxPlanes);
     for (size_t p = 0; p < AnnulusIndex::kMaxPlanes; ++p) {
       std::vector<uint8_t> plane(shape.points);
@@ -437,18 +443,26 @@ TEST(AnnulusIndex, WideWalkMatchesEntryOracleOnEveryTier) {
                             spatial::ActiveSamplerKernel())
                      << " points=" << shape.points << " rungs=" << shape.rungs
                      << " planes=" << planes);
-        std::vector<uint32_t> out(AnnulusIndex::kMaxPlanes * stride, ~0u);
-        index.CountPlanes(masks.data(), planes, out.data(), stride);
-        for (size_t p = 0; p < AnnulusIndex::kMaxPlanes; ++p) {
-          const auto row = out.begin() + p * stride;
-          if (p < planes) {
-            ASSERT_EQ(std::vector<uint64_t>(row, row + regions), want[p])
-                << "plane " << p;
+        for (const bool bytes : {false, true}) {
+          if (bytes && planes > AnnulusIndex::kBytePlanes) continue;
+          std::vector<uint32_t> out(AnnulusIndex::kMaxPlanes * stride, ~0u);
+          if (bytes) {
+            index.CountPlaneBytes(low_bytes.data(), planes, out.data(),
+                                  stride);
+          } else {
+            index.CountPlanes(masks.data(), planes, out.data(), stride);
           }
-          const auto untouched = p < planes ? row + regions : row;
-          ASSERT_TRUE(std::all_of(untouched, row + stride,
-                                  [](uint32_t v) { return v == ~0u; }))
-              << "plane " << p;
+          for (size_t p = 0; p < AnnulusIndex::kMaxPlanes; ++p) {
+            const auto row = out.begin() + p * stride;
+            if (p < planes) {
+              ASSERT_EQ(std::vector<uint64_t>(row, row + regions), want[p])
+                  << "plane " << p << " bytes=" << bytes;
+            }
+            const auto untouched = p < planes ? row + regions : row;
+            ASSERT_TRUE(std::all_of(untouched, row + stride,
+                                    [](uint32_t v) { return v == ~0u; }))
+                << "plane " << p << " bytes=" << bytes;
+          }
         }
       }
     }

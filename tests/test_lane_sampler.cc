@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -76,16 +77,35 @@ std::vector<uint8_t> SampledPlaneBytes(size_t n, size_t byte, size_t planes,
   return out;
 }
 
+/// The top sampler tier this CPU and build run: AVX-512 needs AVX-512F,
+/// AVX2 needs AVX2. A build without the SIMD arms runs the popcount's AVX2
+/// request as scalar, and then the sampler's too.
+PopcountKernel SupportedSamplerTier() {
+  bool simd_build = false;
+  {
+    const ScopedTier avx2(PopcountKernel::kAvx2);
+    simd_build = spatial::ActivePopcountKernel() == PopcountKernel::kAvx2;
+  }
+  if (!simd_build) return PopcountKernel::kScalar;
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return PopcountKernel::kAvx512;
+#endif
+  return PopcountKernel::kAvx2;
+}
+
 TEST(LaneSampler, ForcedTiersClampToTheSamplersOwnSupport) {
+  const PopcountKernel supported = SupportedSamplerTier();
   for (const PopcountKernel tier : kTiers) {
     const ScopedTier scoped(tier);
-    const PopcountKernel active = spatial::ActiveSamplerKernel();
-    EXPECT_LE(static_cast<int>(active), static_cast<int>(tier));
-    // Both need AVX2 for their AVX2 arm; at AVX-512 the sampler tier needs
-    // BW and the popcount VPOPCNTDQ, so neither bounds the other there.
-    EXPECT_GE(static_cast<int>(active),
-              std::min(static_cast<int>(spatial::ActivePopcountKernel()),
-                       static_cast<int>(PopcountKernel::kAvx2)));
+    const PopcountKernel expected =
+        static_cast<int>(tier) <= static_cast<int>(supported) ? tier
+                                                              : supported;
+    EXPECT_EQ(spatial::ActiveSamplerKernel(), expected)
+        << "forced " << spatial::PopcountKernelName(tier);
+    // The sampler needs no more than the popcount arm of the same tier.
+    EXPECT_GE(static_cast<int>(spatial::ActiveSamplerKernel()),
+              static_cast<int>(spatial::ActivePopcountKernel()));
   }
 }
 
@@ -454,6 +474,61 @@ TEST(LaneSampler, CategoricalTotalsAccumulate) {
   SampleCategoricalLanes(draw.thresholds(), 100, 1, &rng, masks.data(), 0,
                          totals.data());
   EXPECT_EQ(totals[0] + totals[1] + totals[2], 106u);
+}
+
+TEST(WorldTile, MaskWordsAndRowsFitTheBlockBudget) {
+  // At N = 8,192 the mask words are 64 KiB of the budget.
+  EXPECT_EQ(WorldTile(8192, 700, 1), 64u);   // 100-center kNN
+  EXPECT_EQ(WorldTile(8192, 192, 1), 64u);
+  EXPECT_EQ(WorldTile(8192, 2000, 1), 32u);  // 2,000 squares
+  EXPECT_EQ(WorldTile(8192, 2000, 2), 16u);  // K = 3 squares
+  EXPECT_EQ(WorldTile(8192, 5000, 1), 8u);   // 5,000-cell grid
+  // Mask words alone over budget: the narrowest tile.
+  EXPECT_EQ(WorldTile(size_t{1} << 16, 10, 1), 8u);
+  // A K-class tile past 64 planes needs a second word array, which 24,576
+  // points' words do not leave room for.
+  EXPECT_EQ(WorldTile(24576, 10, 2), 32u);
+  EXPECT_EQ(WorldTile(16384, 10, 2), 64u);
+  for (const size_t n : {0, 1, 8192, 40000}) {
+    for (const size_t regions : {1, 192, 700, 2000, 5000, 100000}) {
+      for (const uint32_t counted : {1u, 2u, 3u}) {
+        const size_t tile = WorldTile(n, regions, counted);
+        EXPECT_EQ(tile % kLaneWorlds, 0u);
+        EXPECT_GE(tile, kLaneWorlds);
+        EXPECT_LE(tile, kLaneWorlds * kMaskBytes);
+        const auto block = [&](size_t worlds) {
+          return (worlds * counted + 63) / 64 * n * sizeof(uint64_t) +
+                 worlds * counted * regions * sizeof(uint32_t);
+        };
+        if (tile > kLaneWorlds) {
+          EXPECT_LE(block(tile), kTileBlockBytes);
+        }
+        if (tile < kLaneWorlds * kMaskBytes) {
+          EXPECT_GT(block(tile + kLaneWorlds), kTileBlockBytes)
+              << n << " points, " << regions << " regions, " << counted;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchBlock, NestedHoldsNeverShareStorage) {
+  std::byte* pooled = nullptr;
+  {
+    const BatchBlock outer(64);
+    pooled = outer.data();
+    std::fill(outer.data(), outer.data() + 64, std::byte{0x5A});
+    {
+      const BatchBlock inner(4096);
+      EXPECT_NE(inner.data(), outer.data());
+      std::fill(inner.data(), inner.data() + 4096, std::byte{0xC3});
+    }
+    EXPECT_TRUE(std::all_of(outer.data(), outer.data() + 64,
+                            [](std::byte b) { return b == std::byte{0x5A}; }));
+  }
+  // Released, the pooled block is handed out again while it is big enough.
+  const BatchBlock again(64);
+  EXPECT_EQ(again.data(), pooled);
 }
 
 }  // namespace

@@ -177,10 +177,59 @@ TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
   }
 }
 
+/// Counts each world through another family's CountPositivesBatch: its
+/// default CountPlanes unpacks each plane into CountPositives, so an engine
+/// batch runs a packing adapter while it holds its own pooled block.
+class AdapterCountingFamily : public RegionFamily {
+ public:
+  explicit AdapterCountingFamily(const RegionFamily& inner) : inner_(inner) {}
+
+  size_t num_regions() const override { return inner_.num_regions(); }
+  size_t num_points() const override { return inner_.num_points(); }
+  RegionDescriptor Describe(size_t r) const override {
+    return inner_.Describe(r);
+  }
+  uint64_t PointCount(size_t r) const override { return inner_.PointCount(r); }
+  void CountPositives(const Labels& labels,
+                      std::vector<uint64_t>* out) const override {
+    out->resize(num_regions());
+    const Labels* batch[] = {&labels};
+    inner_.CountPositivesBatch(batch, 1, out->data());
+  }
+  std::string Name() const override { return "adapter:" + inner_.Name(); }
+
+ private:
+  const RegionFamily& inner_;
+};
+
+// An adapter called inside an engine batch gets storage of its own: the
+// batch's mask words and rows survive it.
+TEST(McEngineEquivalence, AdaptersInsideAnEngineBatchKeepTheBatchBlock) {
+  const auto families = AllFamilies();
+  for (const auto& [name, family] : families) {
+    const AdapterCountingFamily wrapped(*family);
+    for (NullModel null_model :
+         {NullModel::kBernoulli, NullModel::kPermutation}) {
+      MonteCarloOptions mc;
+      mc.num_worlds = 30;
+      mc.seed = 11;
+      mc.null_model = null_model;
+      mc.parallel = false;
+      mc.engine = McEngine::kReference;
+      const NullDistribution reference = Simulate(wrapped, mc);
+      mc.engine = McEngine::kBatched;
+      EXPECT_EQ(Simulate(wrapped, mc).MaximaVector(),
+                reference.MaximaVector())
+          << name << " / " << NullModelToString(null_model);
+    }
+  }
+}
+
 // CountPlanes is integer-exact against scalar CountPositives for every
 // family (the tuned overrides, the cell scatters and the default of the
 // member-list references), on every tier, in a full 64-plane call and a
-// partial one, and with an output stride wider than a row.
+// partial one, and with an output stride wider than a row; so is
+// CountPlaneBytes at 1 to 8 planes.
 TEST(McEngineEquivalence, PlaneCountingMatchesScalarCounting) {
   const auto families = AllFamilies();
   Rng rng(77);
@@ -218,6 +267,14 @@ TEST(McEngineEquivalence, PlaneCountingMatchesScalarCounting) {
                                 strided.begin() + (3 * p + 3) * regions,
                                 [](uint32_t v) { return v == ~0u; }))
             << name << " plane " << p;
+      }
+      const std::vector<uint8_t> low_bytes(masks.begin(), masks.end());
+      for (size_t planes = 1; planes <= RegionFamily::kBytePlanes; ++planes) {
+        std::vector<uint32_t> rows(planes * regions);
+        family->CountPlaneBytes(low_bytes.data(), planes, rows.data(),
+                                regions);
+        EXPECT_TRUE(std::equal(rows.begin(), rows.end(), batched.begin()))
+            << name << " CountPlaneBytes, " << planes << " planes";
       }
       for (size_t b = 0; b < kWorlds; ++b) {
         std::vector<uint64_t> scalar;

@@ -553,7 +553,6 @@ BENCHMARK(BM_StoreLoadCopy)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_StoreLoadMmap(benchmark::State& state) {
   const StoreLoadWorkload& wl = SharedStoreLoad();
-  SFA_CHECK(wl.store->mmap_enabled());
   size_t loads = 0;
   for (auto _ : state) {
     for (const CalibrationKey& key : wl.keys) {

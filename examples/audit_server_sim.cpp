@@ -66,8 +66,9 @@
 // The driver reports per-shard throughput, queue-wait/assembly p50/p90/p99,
 // and store/mmap hit rates as JSON, asserts the recovery sweep leaves zero
 // debris, and proves the mmap path byte-identical to the copy path by
-// re-serving every key through both (SFA_STORE_MMAP toggled) with zero
-// recomputes on either side.
+// re-serving every key through both (the copy side with the `store.mmap`
+// failpoint armed, so every hit is a read) with zero recomputes on either
+// side.
 //
 // With a fault flag set, per-request failures are tolerated and reported (the
 // exit criteria relax to: no replay failures, no payload mismatch among
@@ -789,8 +790,9 @@ bool ReadReplayShardStats(const std::filesystem::path& path,
 /// The million-request replay driver: forks the shard workers over one
 /// shared store, aggregates their metrics, asserts zero recovery debris,
 /// and proves the zero-copy path byte-identical to the copy path by
-/// re-serving every key through BOTH (SFA_STORE_MMAP toggled between two
-/// persisted-warm pipelines) and comparing full payloads.
+/// re-serving every key through BOTH (two persisted-warm pipelines, the
+/// copy one run with mapping failed by the `store.mmap` failpoint) and
+/// comparing full payloads.
 int RunReplayDriver(const SimConfig& config) {
   const std::filesystem::path work_dir =
       std::filesystem::temp_directory_path() /
@@ -839,28 +841,33 @@ int RunReplayDriver(const SimConfig& config) {
   }
 
   // Byte-identity: the same persisted-warm key population served through
-  // the copy path (SFA_STORE_MMAP=0) and the mmap path must produce
-  // identical full payloads with ZERO recomputes on either side.
+  // the copy path (every mapping failed by the `store.mmap` failpoint) and
+  // the mmap path must produce identical full payloads with ZERO recomputes
+  // on either side — and the copy side must have served no mapping at all,
+  // or the check would compare mmap against mmap.
   const ReplayWorld rw = BuildReplayWorld();
   size_t identity_mismatches = 0;
   PipelineManifest copy_manifest, mmap_manifest;
+  uint64_t copy_mmap_loads = 0;
   {
-    ::setenv("SFA_STORE_MMAP", "0", 1);
     auto copy_store = CalibrationStore::Open(
         {.directory = store_dir.string(), .create_if_missing = false});
-    ::setenv("SFA_STORE_MMAP", "1", 1);
     auto mmap_store = CalibrationStore::Open(
         {.directory = store_dir.string(), .create_if_missing = false});
-    ::unsetenv("SFA_STORE_MMAP");
     SFA_CHECK_OK(copy_store.status());
     SFA_CHECK_OK(mmap_store.status());
+    auto copy_handle =
+        std::shared_ptr<CalibrationStore>(std::move(*copy_store));
     AuditPipeline copy_pipeline, mmap_pipeline;
-    copy_pipeline.cache().AttachStore(
-        std::shared_ptr<CalibrationStore>(std::move(*copy_store)));
+    copy_pipeline.cache().AttachStore(copy_handle);
     mmap_pipeline.cache().AttachStore(
         std::shared_ptr<CalibrationStore>(std::move(*mmap_store)));
+    SFA_CHECK_OK(sfa::Failpoints::Instance().Arm(
+        "store.mmap", "always:error(IOError,copy side of the identity check)"));
     auto copied = copy_pipeline.Run(rw.templates, &copy_manifest);
+    sfa::Failpoints::Instance().Disarm("store.mmap");
     auto mapped = mmap_pipeline.Run(rw.templates, &mmap_manifest);
+    copy_mmap_loads = copy_handle->stats().mmap_loads;
     SFA_CHECK_OK(copied.status());
     SFA_CHECK_OK(mapped.status());
     for (size_t k = 0; k < rw.templates.size(); ++k) {
@@ -934,7 +941,8 @@ int RunReplayDriver(const SimConfig& config) {
       "\"assemble_p99_ms\":%.4f,\"store_hit_rate\":%.6f,"
       "\"mmap_hit_rate\":%.6f},"
       "\"identity\":{\"compared\":%zu,\"mismatches\":%zu,"
-      "\"copy_path_computed\":%llu,\"mmap_path_computed\":%llu},"
+      "\"copy_path_computed\":%llu,\"mmap_path_computed\":%llu,"
+      "\"copy_path_mmap_loads\":%llu},"
       "\"leftover_files\":%zu,\"shard_exits\":[%s]}}",
       config.replay, total_served, config.shards, kReplayKeys,
       kReplayZipfExponent, per_shard_json.c_str(), sum_rps, max_qw_p99,
@@ -942,14 +950,15 @@ int RunReplayDriver(const SimConfig& config) {
       identity_mismatches,
       static_cast<unsigned long long>(copy_manifest.calibrations_computed),
       static_cast<unsigned long long>(mmap_manifest.calibrations_computed),
-      leftovers, exits_json.c_str());
+      static_cast<unsigned long long>(copy_mmap_loads), leftovers,
+      exits_json.c_str());
   std::printf("== replay summary (machine-readable) ==\n%s\n", summary.c_str());
 
   std::filesystem::remove_all(work_dir);
   bool ok = stats_ok && leftovers == 0 && identity_mismatches == 0 &&
             total_failed == 0 && total_served > 0 &&
             copy_manifest.calibrations_computed == 0 &&
-            mmap_manifest.calibrations_computed == 0;
+            mmap_manifest.calibrations_computed == 0 && copy_mmap_loads == 0;
   for (const int e : exits) {
     if (e != 0) ok = false;
   }

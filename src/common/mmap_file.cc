@@ -1,9 +1,6 @@
 #include "common/mmap_file.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -13,35 +10,12 @@
 
 namespace sfa {
 
-Result<MmapFile> MmapFile::Map(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    const int err = errno;
-    if (err == ENOENT) {
-      return Status::NotFound(StrFormat("'%s' does not exist", path.c_str()));
-    }
-    return Status::IOError(StrFormat("cannot open '%s' for mmap: %s",
-                                     path.c_str(), std::strerror(err)));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::IOError(StrFormat("cannot stat '%s' for mmap: %s",
-                                     path.c_str(), std::strerror(err)));
-  }
-  const auto size = static_cast<size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    return MmapFile(nullptr, 0);
-  }
+Result<MmapFile> MmapFile::Map(int fd, size_t size) {
+  if (size == 0) return MmapFile(nullptr, 0);
   void* data = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
-  const int map_err = errno;
-  ::close(fd);  // the mapping pins the inode; the fd is no longer needed
   if (data == MAP_FAILED) {
-    return Status::IOError(StrFormat("cannot mmap '%s' (%zu bytes): %s",
-                                     path.c_str(), size,
-                                     std::strerror(map_err)));
+    return Status::IOError(StrFormat("cannot mmap %zu bytes: %s", size,
+                                     std::strerror(errno)));
   }
   return MmapFile(data, size);
 }

@@ -8,21 +8,21 @@
 #define SFA_COMMON_MMAP_FILE_H_
 
 #include <cstddef>
-#include <string>
 
 #include "common/status.h"
 
 namespace sfa {
 
 /// A read-only mmap of a whole file. Move-only; the mapping is released in
-/// the destructor. An empty file maps to a valid object with size() == 0
+/// the destructor. A zero size maps to a valid object with size() == 0
 /// and data() == nullptr (mmap of zero bytes is unspecified, so it is
 /// skipped outright).
 class MmapFile {
  public:
-  /// Maps `path` read-only (PROT_READ, MAP_SHARED). The file descriptor is
-  /// closed before returning — the mapping keeps the inode alive on its own.
-  static Result<MmapFile> Map(const std::string& path);
+  /// Maps the first `size` bytes of the open descriptor `fd` read-only
+  /// (PROT_READ, MAP_SHARED). The caller keeps owning `fd` and may close it
+  /// right away — the mapping keeps the inode alive on its own.
+  static Result<MmapFile> Map(int fd, size_t size);
 
   MmapFile() = default;
   ~MmapFile();

@@ -1,20 +1,26 @@
 #include "core/calibration_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <span>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/macros.h"
 #include "common/process_util.h"
 #include "common/string_util.h"
 
@@ -132,6 +138,43 @@ bool FrameChecksumOk(const char* data, size_t size) {
   return Fnv1a(data, size - sizeof checksum) == checksum;
 }
 
+/// Closes a file descriptor on scope exit.
+struct FdCloser {
+  int fd;
+  ~FdCloser() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+/// A stat timestamp on the filesystem clock — the value
+/// std::filesystem::last_write_time reports for the same file, so fstat
+/// signatures compare equal to the directory-listing ones BuildIndex seeds.
+std::filesystem::file_time_type FileTime(const struct timespec& ts) {
+  return std::chrono::file_clock::from_sys(
+      std::chrono::sys_time<std::chrono::nanoseconds>(
+          std::chrono::seconds(ts.tv_sec) +
+          std::chrono::nanoseconds(ts.tv_nsec)));
+}
+
+/// Reads up to `size` bytes of `fd` into `out`; a file that shrank since
+/// its fstat yields the shorter prefix (the frame parse rejects it). False
+/// on a read error.
+bool ReadFully(int fd, size_t size, std::string* out) {
+  out->resize(size);
+  size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::read(fd, out->data() + got, size - got);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    got += static_cast<size_t>(n);
+  }
+  out->resize(got);
+  return true;
+}
+
 /// Writer pid embedded in a temp name "<frame>.tmp.<pid>.<ptr>.<nonce>";
 /// 0 when the name doesn't parse (foreign temps are then judged on age).
 int TempWriterPid(const std::string& filename) {
@@ -150,16 +193,82 @@ double FileAgeMs(const std::filesystem::path& path, std::error_code& ec) {
   return ms < 0.0 ? 0.0 : ms;
 }
 
+/// A file an oldest-first trim may delete.
+struct AgedFile {
+  std::filesystem::path path;
+  uint64_t size = 0;
+  std::filesystem::file_time_type mtime;
+};
+
+/// The regular files of `dir` whose names end in `suffix` ("" = all), with
+/// their sizes and mtimes; files that vanish mid-listing are skipped. `ec`
+/// reports a directory that cannot be listed.
+std::vector<AgedFile> ListAgedFiles(const std::string& dir,
+                                    std::string_view suffix,
+                                    std::error_code& ec) {
+  std::vector<AgedFile> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (!entry.path().native().ends_with(suffix)) continue;
+    std::error_code entry_ec;
+    if (!entry.is_regular_file(entry_ec) || entry_ec) continue;
+    AgedFile file;
+    file.path = entry.path();
+    file.size = entry.file_size(entry_ec);
+    if (entry_ec) continue;  // raced a concurrent eviction/rename
+    file.mtime = entry.last_write_time(entry_ec);
+    if (entry_ec) continue;
+    files.push_back(std::move(file));
+  }
+  return files;
+}
+
+/// What an oldest-first trim deleted.
+struct TrimResult {
+  uint64_t files = 0;
+  uint64_t bytes = 0;
+  std::vector<std::string> names;
+};
+
+/// Deletes `files` oldest mtime first — name breaks ties, so the order is
+/// deterministic on filesystems with coarse timestamps — until their total
+/// size fits `budget_bytes`.
+TrimResult TrimOldestFirst(std::vector<AgedFile> files, uint64_t budget_bytes) {
+  uint64_t total_bytes = 0;
+  for (const AgedFile& file : files) total_bytes += file.size;
+  std::sort(files.begin(), files.end(),
+            [](const AgedFile& a, const AgedFile& b) {
+              if (a.mtime != b.mtime) return a.mtime < b.mtime;
+              return a.path.native() < b.path.native();
+            });
+  TrimResult result;
+  for (const AgedFile& file : files) {
+    if (total_bytes <= budget_bytes) break;
+    std::error_code remove_ec;
+    if (std::filesystem::remove(file.path, remove_ec) && !remove_ec) {
+      ++result.files;
+      result.bytes += file.size;
+      result.names.push_back(file.path.filename().string());
+    }
+    // A failed or raced removal still reduces the accounted total: the goal
+    // is a bounded directory, and the next sweep re-measures from disk.
+    total_bytes -= file.size;
+  }
+  return result;
+}
+
+/// The file stem a key maps to, shared by its frame and its lease. Hash +
+/// debug-hash: CalibrationKey equality compares both fields, so keys that
+/// collide on the content hash alone still map to distinct files.
+std::string KeyStem(const CalibrationKey& key) {
+  const uint64_t debug_hash = Fnv1a(key.debug.data(), key.debug.size());
+  return StrFormat("%016llx-%016llx", static_cast<unsigned long long>(key.hash),
+                   static_cast<unsigned long long>(debug_hash));
+}
+
 }  // namespace
 
 CalibrationStore::CalibrationStore(Options options)
-    : options_(std::move(options)), backoff_rng_(options_.backoff_seed) {
-  // SFA_STORE_MMAP=0 is the operational escape hatch: flip the whole fleet
-  // back to the copy path without a rebuild (results stay bit-identical).
-  const char* env = std::getenv("SFA_STORE_MMAP");
-  mmap_enabled_ =
-      options_.use_mmap && !(env != nullptr && env[0] == '0' && env[1] == '\0');
-}
+    : options_(std::move(options)), backoff_rng_(options_.backoff_seed) {}
 
 void CalibrationStore::BuildIndex() const {
   std::error_code ec;
@@ -177,14 +286,18 @@ void CalibrationStore::BuildIndex() const {
   }
 }
 
+void CalibrationStore::RetireMappingLocked(IndexEntry* entry) const {
+  if (entry->mapped == nullptr) return;
+  --stats_.mmap_frames;
+  stats_.mmap_bytes -= entry->mapped->file.size();
+  entry->mapped.reset();
+}
+
 void CalibrationStore::ForgetIndexEntryLocked(
     const std::string& filename) const {
   auto it = index_.find(filename);
   if (it == index_.end()) return;
-  if (it->second.mapped != nullptr) {
-    --stats_.mmap_frames;
-    stats_.mmap_bytes -= it->second.mapped->file.size();
-  }
+  RetireMappingLocked(&it->second);
   index_.erase(it);
 }
 
@@ -219,16 +332,6 @@ void CalibrationStore::TouchForLru(const std::string& path) const {
   ++stats_.touch_failures;
   auto it = index_.find(filename);
   if (it != index_.end()) it->second.last_used = now;
-}
-
-NullDistributionView CalibrationStore::ViewOf(
-    const std::shared_ptr<const MappedFrame>& frame) {
-  // The aliasing shared_ptr pins the whole mapping for the view's lifetime;
-  // POSIX keeps the pages valid even after the path is unlinked or renamed
-  // over, so eviction/re-Store can never invalidate an outstanding view.
-  return NullDistributionView(
-      frame->maxima, std::shared_ptr<const void>(frame, frame.get()),
-      frame->worlds_requested, frame->stop_reason);
 }
 
 Result<std::unique_ptr<CalibrationStore>> CalibrationStore::Open(
@@ -284,27 +387,9 @@ Result<uint64_t> CalibrationStore::EvictToBudget(uint64_t budget_bytes) const {
   // killed between fopen and rename leaked its .tmp.* forever); reap them
   // first, and keep quarantine/ inside its own budget after the frame sweep.
   SweepOrphanTemps();
-  struct Frame {
-    std::filesystem::path path;
-    uint64_t size = 0;
-    std::filesystem::file_time_type mtime;
-  };
-  std::vector<Frame> frames;
-  uint64_t total_bytes = 0;
   std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.directory, ec)) {
-    if (entry.path().extension() != ".nulldist") continue;
-    std::error_code entry_ec;
-    Frame frame;
-    frame.path = entry.path();
-    frame.size = entry.file_size(entry_ec);
-    if (entry_ec) continue;  // raced a concurrent eviction/rename
-    frame.mtime = entry.last_write_time(entry_ec);
-    if (entry_ec) continue;
-    total_bytes += frame.size;
-    frames.push_back(std::move(frame));
-  }
+  std::vector<AgedFile> frames =
+      ListAgedFiles(options_.directory, ".nulldist", ec);
   if (ec) {
     return Status::IOError(
         StrFormat("cannot list calibration store directory '%s': %s",
@@ -316,7 +401,7 @@ Result<uint64_t> CalibrationStore::EvictToBudget(uint64_t budget_bytes) const {
   // as stale. file_time_type on both sides keeps the clocks comparable.
   {
     std::unique_lock<std::mutex> lock(mu_);
-    for (Frame& frame : frames) {
+    for (AgedFile& frame : frames) {
       auto it = index_.find(frame.path.filename().string());
       if (it != index_.end() && it->second.last_used > frame.mtime) {
         frame.mtime = it->second.last_used;
@@ -324,38 +409,17 @@ Result<uint64_t> CalibrationStore::EvictToBudget(uint64_t budget_bytes) const {
     }
   }
 
-  // Oldest mtime first; name breaks ties so the sweep order is deterministic
-  // on filesystems with coarse timestamps.
-  std::sort(frames.begin(), frames.end(), [](const Frame& a, const Frame& b) {
-    if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.path.native() < b.path.native();
-  });
-
-  uint64_t deleted = 0;
-  uint64_t reclaimed = 0;
-  std::vector<std::string> deleted_names;
-  for (const Frame& frame : frames) {
-    if (total_bytes <= budget_bytes) break;
-    std::error_code remove_ec;
-    if (std::filesystem::remove(frame.path, remove_ec) && !remove_ec) {
-      ++deleted;
-      reclaimed += frame.size;
-      deleted_names.push_back(frame.path.filename().string());
-    }
-    // A failed or raced removal still reduces the accounted total: the goal
-    // is a bounded directory, and the next sweep re-measures from disk.
-    total_bytes -= frame.size;
-  }
-  if (deleted > 0) {
+  const TrimResult trimmed = TrimOldestFirst(std::move(frames), budget_bytes);
+  if (trimmed.files > 0) {
     std::unique_lock<std::mutex> lock(mu_);
-    stats_.evicted_files += deleted;
-    stats_.evicted_bytes += reclaimed;
+    stats_.evicted_files += trimmed.files;
+    stats_.evicted_bytes += trimmed.bytes;
     // Outstanding views over evicted frames stay valid (their shared backing
     // pins the pages); only the index forgets them.
-    for (const std::string& name : deleted_names) ForgetIndexEntryLocked(name);
+    for (const std::string& name : trimmed.names) ForgetIndexEntryLocked(name);
   }
   EnforceQuarantineBudget();
-  return deleted;
+  return trimmed.files;
 }
 
 void CalibrationStore::SweepOrphanTemps() const {
@@ -389,47 +453,15 @@ void CalibrationStore::SweepOrphanTemps() const {
 
 void CalibrationStore::EnforceQuarantineBudget() const {
   if (options_.quarantine_max_bytes == 0) return;
-  struct Entry {
-    std::filesystem::path path;
-    uint64_t size = 0;
-    std::filesystem::file_time_type mtime;
-  };
-  std::vector<Entry> entries;
-  uint64_t total_bytes = 0;
   std::error_code ec;
-  for (const auto& item :
-       std::filesystem::directory_iterator(QuarantineDir(), ec)) {
-    std::error_code item_ec;
-    if (!item.is_regular_file(item_ec) || item_ec) continue;
-    Entry e;
-    e.path = item.path();
-    e.size = item.file_size(item_ec);
-    if (item_ec) continue;
-    e.mtime = item.last_write_time(item_ec);
-    if (item_ec) continue;
-    total_bytes += e.size;
-    entries.push_back(std::move(e));
-  }
+  std::vector<AgedFile> entries = ListAgedFiles(QuarantineDir(), "", ec);
   if (ec) return;  // missing/unreadable quarantine dir: nothing to bound
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.path.native() < b.path.native();
-  });
-  uint64_t deleted = 0;
-  uint64_t reclaimed = 0;
-  for (const Entry& e : entries) {
-    if (total_bytes <= options_.quarantine_max_bytes) break;
-    std::error_code rm_ec;
-    if (std::filesystem::remove(e.path, rm_ec) && !rm_ec) {
-      ++deleted;
-      reclaimed += e.size;
-    }
-    total_bytes -= e.size;
-  }
-  if (deleted > 0) {
+  const TrimResult trimmed =
+      TrimOldestFirst(std::move(entries), options_.quarantine_max_bytes);
+  if (trimmed.files > 0) {
     std::unique_lock<std::mutex> lock(mu_);
-    stats_.quarantine_evicted_files += deleted;
-    stats_.quarantine_evicted_bytes += reclaimed;
+    stats_.quarantine_evicted_files += trimmed.files;
+    stats_.quarantine_evicted_bytes += trimmed.bytes;
   }
 }
 
@@ -444,13 +476,8 @@ void CalibrationStore::RecoverySweep() const {
 }
 
 std::string CalibrationStore::FilePathFor(const CalibrationKey& key) const {
-  // Hash + debug-hash: CalibrationKey equality compares both fields, so keys
-  // that collide on the content hash alone still map to distinct files.
-  const uint64_t debug_hash = Fnv1a(key.debug.data(), key.debug.size());
   return (std::filesystem::path(options_.directory) /
-          StrFormat("%016llx-%016llx.nulldist",
-                    static_cast<unsigned long long>(key.hash),
-                    static_cast<unsigned long long>(debug_hash)))
+          (KeyStem(key) + ".nulldist"))
       .string();
 }
 
@@ -464,11 +491,7 @@ std::string CalibrationStore::LeaseDir() const {
 
 std::string CalibrationStore::LeasePathFor(const CalibrationKey& key) const {
   // Same stem as FilePathFor so a lease maps 1:1 to the frame it guards.
-  const uint64_t debug_hash = Fnv1a(key.debug.data(), key.debug.size());
-  return (std::filesystem::path(LeaseDir()) /
-          StrFormat("%016llx-%016llx.lease",
-                    static_cast<unsigned long long>(key.hash),
-                    static_cast<unsigned long long>(debug_hash)))
+  return (std::filesystem::path(LeaseDir()) / (KeyStem(key) + ".lease"))
       .string();
 }
 
@@ -514,7 +537,16 @@ bool CalibrationStore::QuarantineFrame(const std::string& path) const {
 
 Result<NullDistribution> CalibrationStore::Load(
     const CalibrationKey& key) const {
-  SFA_FAILPOINT("store.load");
+  return ReadFrame(key, /*want_view=*/false);
+}
+
+Result<NullDistributionView> CalibrationStore::LoadView(
+    const CalibrationKey& key) const {
+  return ReadFrame(key, /*want_view=*/true);
+}
+
+Result<NullDistribution> CalibrationStore::ReadFrame(const CalibrationKey& key,
+                                                     bool want_view) const {
   const std::string path = FilePathFor(key);
   const std::string filename = std::filesystem::path(path).filename().string();
 
@@ -529,242 +561,165 @@ Result<NullDistribution> CalibrationStore::Load(
       return Status::NotFound("calibration store circuit breaker is open");
     }
   }
-
-  std::string bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      std::unique_lock<std::mutex> lock(mu_);
-      ForgetIndexEntryLocked(filename);  // evicted/quarantined by a peer
-      ++stats_.load_misses;
-      return Status::NotFound("no persisted calibration for key");
-    }
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error) {
-      return Status::IOError(
-          StrFormat("failed reading calibration frame '%s'", path.c_str()));
-    }
-  }
-  std::error_code sig_ec;
-  const auto mtime = std::filesystem::last_write_time(path, sig_ec);
-
-  // Validation failures all land here: quarantine the defective frame so it
-  // is parsed (and rejected) at most once, count the rejection, and report
-  // NotFound so the caller falls back to recompute.
-  const auto reject = [&](const char* why) -> Status {
-    const bool moved =
-        options_.quarantine_rejects ? QuarantineFrame(path) : false;
-    std::unique_lock<std::mutex> lock(mu_);
-    ForgetIndexEntryLocked(filename);
-    ++stats_.load_rejected;
-    if (moved) ++stats_.quarantined;
-    return Status::NotFound(
-        StrFormat("persisted calibration '%s' rejected: %s", path.c_str(), why));
-  };
-
-  ParsedFrame frame;
-  if (const char* why =
-          ParseFrameStructure(bytes.data(), bytes.size(), key, &frame)) {
-    return reject(why);
-  }
-
-  // Warm-hit revalidation gating: a frame this process already fully
-  // validated, unchanged per its (size, mtime) index signature, skips the
-  // O(n) re-checksum (the structural parse above stays — it is O(header)).
-  // Any signature drift — a foreign rewrite — earns a full re-validation.
-  bool checksum_needed = true;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = index_.find(filename);
-    if (it != index_.end() && it->second.validated && !sig_ec &&
-        it->second.size == bytes.size() && it->second.mtime == mtime) {
-      checksum_needed = false;
-      ++stats_.index_hits;
-    }
-  }
-  if (checksum_needed && !FrameChecksumOk(bytes.data(), bytes.size())) {
-    return reject("checksum mismatch");
-  }
-
-  std::vector<double> maxima(frame.num_worlds);
-  if (frame.num_worlds > 0) {
-    std::memcpy(maxima.data(), bytes.data() + frame.maxima_offset,
-                static_cast<size_t>(frame.num_worlds) * sizeof(double));
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++stats_.load_hits;
-    IndexEntry& entry = index_[filename];
-    const bool sig_changed =
-        entry.size != bytes.size() || (!sig_ec && entry.mtime != mtime);
-    if (sig_changed && entry.mapped != nullptr) {
-      // The mapping belongs to an older generation of this frame.
-      --stats_.mmap_frames;
-      stats_.mmap_bytes -= entry.mapped->file.size();
-      entry.mapped.reset();
-    }
-    entry.size = bytes.size();
-    if (!sig_ec) entry.mtime = mtime;
-    entry.validated = !sig_ec;  // no mtime, no signature to vouch with
-  }
-  // LRU touch (best-effort): a served frame counts as recently used, so
-  // EvictToBudget's mtime ordering approximates true LRU, not FIFO.
-  TouchForLru(path);
-  // The ctor re-sorts descending — a no-op for a well-formed frame, and it
-  // restores the class invariant even if a hand-edited file reordered values.
-  return NullDistribution(std::move(maxima), frame.worlds_requested,
-                          static_cast<McStopReason>(frame.stop_reason_raw));
-}
-
-Result<NullDistributionView> CalibrationStore::LoadView(
-    const CalibrationKey& key) const {
-  if (!mmap_enabled_) return Load(key);
-  const std::string path = FilePathFor(key);
-  const std::string filename = std::filesystem::path(path).filename().string();
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (breaker_open_) {
-      ++stats_.breaker_fast_fails;
-      ++stats_.load_misses;
-      return Status::NotFound("calibration store circuit breaker is open");
-    }
-  }
-
-  // The copy path's read-failure injection covers this path too: an armed
-  // `store.load` error makes the zero-copy hit fail exactly like a failed
-  // read would, so callers exercise the same recompute fallback.
   SFA_FAILPOINT("store.load");
 
-  // One stat is the whole disk cost of the warm path: it refreshes the
-  // (size, mtime) signature that detects foreign-process rewrites.
-  std::error_code size_ec;
-  std::error_code mtime_ec;
-  const uint64_t size = std::filesystem::file_size(path, size_ec);
-  const auto mtime = std::filesystem::last_write_time(path, mtime_ec);
-  if (size_ec || mtime_ec) {
+  // One open is the whole disk cost of a warm hit: fstat of the same
+  // descriptor yields the (size, mtime) signature that detects
+  // foreign-process rewrites, and any bytes still owed come from it too.
+  const FdCloser fd{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  if (fd.fd < 0) {
     std::unique_lock<std::mutex> lock(mu_);
     ForgetIndexEntryLocked(filename);  // evicted/quarantined by a peer
     ++stats_.load_misses;
     return Status::NotFound("no persisted calibration for key");
   }
+  struct stat st;
+  if (::fstat(fd.fd, &st) != 0) {
+    return Status::IOError(StrFormat("cannot stat calibration frame '%s': %s",
+                                     path.c_str(), std::strerror(errno)));
+  }
+  const auto size = static_cast<uint64_t>(st.st_size);
+  const auto mtime = FileTime(st.st_mtim);
 
+  // Warm-hit gating: a frame this process already fully validated and whose
+  // signature is unchanged is vouched for by the index. A vouched mapping
+  // serves a view as is (no read, no checksum, no copy); a vouched read
+  // skips the O(n) checksum. Signature drift retires the stale mapping —
+  // outstanding views keep their pages.
   std::shared_ptr<const MappedFrame> frame;
+  bool vouched = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     auto it = index_.find(filename);
-    if (it != index_.end() && it->second.mapped != nullptr) {
+    if (it != index_.end()) {
       IndexEntry& entry = it->second;
-      if (entry.validated && entry.size == size && entry.mtime == mtime) {
-        // Zero-copy warm hit: no read, no checksum, no allocation beyond
-        // the view's control-block bump.
+      vouched = entry.validated && entry.size == size && entry.mtime == mtime;
+      if (entry.mapped != nullptr && !vouched) {
+        if (want_view) ++stats_.remap_races;
+        RetireMappingLocked(&entry);
+      } else if (entry.mapped != nullptr && want_view) {
         frame = entry.mapped;
         ++stats_.index_hits;
         ++stats_.mmap_loads;
         ++stats_.load_hits;
-      } else {
-        // A peer rewrote the frame since we mapped it: retire the stale
-        // mapping (outstanding views keep their pages) and remap below.
-        ++stats_.remap_races;
-        --stats_.mmap_frames;
-        stats_.mmap_bytes -= entry.mapped->file.size();
-        entry.mapped.reset();
-        entry.validated = false;
       }
     }
   }
-  if (frame != nullptr) {
-    TouchForLru(path);
-    return ViewOf(frame);
-  }
 
-  // Cold (or remap) path. Mapping failures — injected via the `store.mmap`
-  // failpoint or real (exotic filesystems, mapping limits) — degrade to the
-  // copy path, which serves identical bytes.
-  SFA_FAILPOINT_WITH("store.mmap", {
-    if (fp_action.kind == FailpointActionKind::kError) return Load(key);
-  });
-  auto mapped = MmapFile::Map(path);
-  if (!mapped.ok()) {
-    if (mapped.status().IsNotFound()) {
+  std::vector<double> copy;
+  uint64_t worlds_requested = 0;
+  McStopReason stop_reason = McStopReason::kNone;
+  if (frame == nullptr) {
+    // The bytes: a fresh mapping when a view is wanted, else — or when
+    // mapping fails, injected via `store.mmap` or real (exotic filesystems,
+    // mapping limits) — a read buffer holding identical bytes.
+    MmapFile mapping;
+    std::string buffer;
+    if (want_view) {
+      bool map = true;
+      SFA_FAILPOINT_WITH("store.mmap", {
+        if (fp_action.kind == FailpointActionKind::kError) map = false;
+      });
+      if (map) {
+        auto mapped = MmapFile::Map(fd.fd, size);
+        if (mapped.ok()) mapping = std::move(*mapped);
+      }
+    }
+    if (!mapping.mapped() && !ReadFully(fd.fd, size, &buffer)) {
+      return Status::IOError(
+          StrFormat("failed reading calibration frame '%s'", path.c_str()));
+    }
+    const char* data = mapping.mapped() ? mapping.data() : buffer.data();
+    const size_t data_size = mapping.mapped() ? mapping.size() : buffer.size();
+
+    // Validation failures all land here: quarantine the defective frame so
+    // it is parsed (and rejected) at most once, count the rejection, and
+    // report NotFound so the caller falls back to recompute.
+    const auto reject = [&](const char* why) -> Status {
+      const bool moved =
+          options_.quarantine_rejects ? QuarantineFrame(path) : false;
       std::unique_lock<std::mutex> lock(mu_);
       ForgetIndexEntryLocked(filename);
-      ++stats_.load_misses;
-      return Status::NotFound("no persisted calibration for key");
+      ++stats_.load_rejected;
+      if (moved) ++stats_.quarantined;
+      return Status::NotFound(StrFormat(
+          "persisted calibration '%s' rejected: %s", path.c_str(), why));
+    };
+    ParsedFrame parsed;
+    if (const char* why =
+            ParseFrameStructure(data, data_size, key, &parsed)) {
+      return reject(why);
     }
-    return Load(key);
-  }
-
-  const auto reject = [&](const char* why) -> Status {
-    const bool moved =
-        options_.quarantine_rejects ? QuarantineFrame(path) : false;
-    std::unique_lock<std::mutex> lock(mu_);
-    ForgetIndexEntryLocked(filename);
-    ++stats_.load_rejected;
-    if (moved) ++stats_.quarantined;
-    return Status::NotFound(
-        StrFormat("persisted calibration '%s' rejected: %s", path.c_str(), why));
-  };
-
-  // One-time validation of this mapped generation: structure, key identity,
-  // checksum. Subsequent hits are vouched for by the index signature.
-  ParsedFrame parsed;
-  if (const char* why =
-          ParseFrameStructure(mapped->data(), mapped->size(), key, &parsed)) {
-    return reject(why);
-  }
-  if (!FrameChecksumOk(mapped->data(), mapped->size())) {
-    return reject("checksum mismatch");
-  }
-  if (parsed.maxima_offset % alignof(double) != 0) {
-    // Cannot happen for a frame this version wrote (the pad aligns the
-    // array), but a forged length field could; the copy path is immune.
-    return Load(key);
-  }
-  const auto* maxima =
-      reinterpret_cast<const double*>(mapped->data() + parsed.maxima_offset);
-  for (uint64_t i = 1; i < parsed.num_worlds; ++i) {
-    if (maxima[i - 1] < maxima[i]) {
-      // The mapping is read-only, so the copy path's defensive re-sort is
-      // impossible here; hand-reordered frames take the copy path instead,
-      // which yields the same (re-sorted) distribution.
-      return Load(key);
+    // A fresh mapping serves every later hit on the index's word, so it
+    // earns one full checksum even when a read already vouched for it.
+    const bool checksum_needed = !vouched || mapping.mapped();
+    if (checksum_needed && !FrameChecksumOk(data, data_size)) {
+      return reject("checksum mismatch");
     }
-  }
+    // The key check pins the offset at 32 + debug_len + pad: 8-aligned.
+    SFA_CHECK(parsed.maxima_offset % alignof(double) == 0);
+    worlds_requested = parsed.worlds_requested;
+    stop_reason = static_cast<McStopReason>(parsed.stop_reason_raw);
+    std::span<const double> maxima;
+    if (mapping.mapped()) {
+      maxima = {reinterpret_cast<const double*>(data + parsed.maxima_offset),
+                static_cast<size_t>(parsed.num_worlds)};
+    }
+    // The mapping is read-only, so a hand-reordered frame cannot be
+    // re-sorted in place; it is served as an owned copy instead, which the
+    // NullDistribution ctor re-sorts.
+    if (mapping.mapped() &&
+        std::is_sorted(maxima.begin(), maxima.end(), std::greater<>())) {
+      auto owned = std::make_shared<MappedFrame>();
+      owned->maxima = maxima;
+      owned->worlds_requested = worlds_requested;
+      owned->stop_reason = stop_reason;
+      owned->file = std::move(mapping);
+      frame = std::move(owned);
+    } else {
+      copy.resize(parsed.num_worlds);
+      if (!copy.empty()) {
+        std::memcpy(copy.data(), data + parsed.maxima_offset,
+                    copy.size() * sizeof(double));
+      }
+    }
 
-  auto owned = std::make_shared<MappedFrame>();
-  owned->maxima = std::span<const double>(maxima, parsed.num_worlds);
-  owned->worlds_requested = parsed.worlds_requested;
-  owned->stop_reason = static_cast<McStopReason>(parsed.stop_reason_raw);
-  owned->file = std::move(*mapped);
-  frame = owned;
-
-  {
     std::unique_lock<std::mutex> lock(mu_);
     IndexEntry& entry = index_[filename];
-    if (entry.mapped != nullptr) {
-      // A concurrent LoadView won the remap race; serve its mapping (both
-      // validated the same generation) and drop ours.
-      frame = entry.mapped;
-    } else {
-      entry.mapped = frame;
-      entry.size = frame->file.size();
-      entry.mtime = mtime;
-      entry.validated = true;
-      ++entry.generation;
-      ++stats_.mmap_frames;
-      stats_.mmap_bytes += frame->file.size();
+    if (entry.size != size || entry.mtime != mtime) {
+      RetireMappingLocked(&entry);  // mapped from another generation
     }
-    ++stats_.mmap_loads;
+    entry.size = size;
+    entry.mtime = mtime;
+    entry.validated = true;
     ++stats_.load_hits;
+    if (!checksum_needed) ++stats_.index_hits;
+    if (frame != nullptr) {
+      ++stats_.mmap_loads;
+      if (entry.mapped != nullptr) {
+        frame = entry.mapped;  // a concurrent view mapped it first
+      } else {
+        entry.mapped = frame;
+        ++stats_.mmap_frames;
+        stats_.mmap_bytes += frame->file.size();
+      }
+    }
   }
+
+  // LRU touch (best-effort): a served frame counts as recently used, so
+  // EvictToBudget's mtime ordering approximates true LRU, not FIFO.
   TouchForLru(path);
-  return ViewOf(frame);
+  if (frame == nullptr) {
+    // The ctor re-sorts descending — a no-op for a well-formed frame, and it
+    // restores the class invariant if a hand-edited file reordered values.
+    return NullDistribution(std::move(copy), worlds_requested, stop_reason);
+  }
+  // The aliasing shared_ptr pins the whole mapping for the view's lifetime;
+  // POSIX keeps the pages valid even after the path is unlinked or renamed
+  // over, so eviction/re-Store can never invalidate an outstanding view.
+  return NullDistributionView(
+      frame->maxima, std::shared_ptr<const void>(frame, frame.get()),
+      frame->worlds_requested, frame->stop_reason);
 }
 
 Status CalibrationStore::Store(const CalibrationKey& key,
@@ -832,12 +787,7 @@ Status CalibrationStore::Store(const CalibrationKey& key,
       const std::string filename =
           std::filesystem::path(FilePathFor(key)).filename().string();
       IndexEntry& entry = index_[filename];
-      if (entry.mapped != nullptr) {
-        --stats_.mmap_frames;
-        stats_.mmap_bytes -= entry.mapped->file.size();
-        entry.mapped.reset();
-      }
-      ++entry.generation;
+      RetireMappingLocked(&entry);
       entry.validated = false;
     } else {
       ++stats_.store_failures;

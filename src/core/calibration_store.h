@@ -146,12 +146,6 @@ class CalibrationStore {
     /// How long a non-owner sleeps between store re-checks while a live
     /// foreign process holds the key's lease.
     double lease_wait_poll_ms = 5.0;
-    /// Serve LoadView hits as zero-copy views over an mmap'd frame (one
-    /// validation per mapped generation, no heap copy). Also gated by the
-    /// `SFA_STORE_MMAP=0` environment escape hatch, checked at Open; when
-    /// either disables mmap, LoadView degrades to the copy path (Load),
-    /// which stays bit-identical.
-    bool use_mmap = true;
   };
 
   /// Cumulative counters (monotone over the store's lifetime; thread-safe).
@@ -188,28 +182,29 @@ class CalibrationStore {
 
   const std::string& directory() const { return options_.directory; }
 
-  /// Loads the calibration persisted for `key`. NotFound when the key has no
-  /// file OR its file fails any validation (truncation, corruption, version
-  /// or key mismatch; the defective frame is quarantined) OR the circuit
-  /// breaker is open — the caller recomputes either way. IOError only for
-  /// filesystem-level read failures of an existing file.
+  /// Loads the calibration persisted for `key` as an owned copy (never
+  /// zero_copy(); the maxima are re-sorted descending, a no-op for a
+  /// well-formed frame). NotFound when the key has no file OR its file fails
+  /// any validation (truncation, corruption, version or key mismatch; the
+  /// defective frame is quarantined) OR the circuit breaker is open — the
+  /// caller recomputes either way. IOError only for filesystem-level read
+  /// failures of an existing file. A warm hit on a frame this process
+  /// already validated, unchanged per its index signature, skips the
+  /// checksum.
   Result<NullDistribution> Load(const CalibrationKey& key) const;
 
   /// Zero-copy warm path: like Load, but a hit is served as a
   /// NullDistributionView over an mmap'd read-only frame. The frame is
   /// validated (magic/version/checksum/key/sortedness) ONCE per mapped
-  /// generation; subsequent hits cost one stat (foreign-writer detection via
-  /// the index's size/mtime/generation signature) and zero copies. Eviction
-  /// and re-Store are safe against outstanding views: POSIX keeps unlinked
-  /// pages alive until the last view drops, and a signature change triggers
-  /// a remap (counted in stats().remap_races) so new hits see the new
-  /// generation. When mmap is disabled (Options::use_mmap == false or
-  /// SFA_STORE_MMAP=0) or the mapping fails (`store.mmap` failpoint, exotic
-  /// filesystems), degrades to the copy path with identical results.
+  /// generation; subsequent hits cost one open + fstat (foreign-writer
+  /// detection via the index's size/mtime signature) and zero copies.
+  /// Eviction and re-Store are safe against outstanding views: POSIX keeps
+  /// unlinked pages alive until the last view drops, and a signature change
+  /// triggers a remap (counted in stats().remap_races) so new hits see the
+  /// new generation. When the mapping fails (`store.mmap` failpoint, exotic
+  /// filesystems) or the frame's maxima are not sorted, the hit is served as
+  /// Load serves it: an owned, re-sorted copy with identical results.
   Result<NullDistributionView> LoadView(const CalibrationKey& key) const;
-
-  /// Whether LoadView actually serves mmap'd views (option AND env gate).
-  bool mmap_enabled() const { return mmap_enabled_; }
 
   /// Persists `distribution` for `key` (atomic rename; replaces any previous
   /// frame for the key). Transient IOError failures are retried per the
@@ -278,14 +273,12 @@ class CalibrationStore {
   };
 
   /// Per-frame in-memory index entry (keyed by frame filename). The
-  /// (size, mtime, generation) triple is the warm-hit signature: one stat
-  /// per hit detects foreign-process rewrites, and the locally-bumped
-  /// generation guards the ABA case of a rewrite landing within the mtime
-  /// granularity.
+  /// (size, mtime) pair is the warm-hit signature: one fstat per hit
+  /// detects foreign-process rewrites. A local Store clears `validated`, so
+  /// a rewrite landing within the mtime granularity is still re-validated.
   struct IndexEntry {
     uint64_t size = 0;
     std::filesystem::file_time_type mtime{};
-    uint64_t generation = 0;
     bool validated = false;  ///< frame passed full validation this process
     /// In-memory recency fallback: set when the LRU mtime touch fails
     /// (read-only directory); EvictToBudget orders by max(mtime, last_used).
@@ -295,6 +288,15 @@ class CalibrationStore {
         std::filesystem::file_time_type::min();
     std::shared_ptr<const MappedFrame> mapped;  ///< null on the copy path
   };
+
+  /// The one frame read behind Load (`want_view` false: always an owned
+  /// copy) and LoadView (true: the mapping when possible). In order: the
+  /// breaker gate, the `store.load` failpoint, one open + fstat for the
+  /// signature, the bytes (an existing or fresh mapping, or a read buffer),
+  /// the structural parse, the checksum unless the index vouches for a read,
+  /// reject + quarantine, then the index update and the LRU touch.
+  Result<NullDistribution> ReadFrame(const CalibrationKey& key,
+                                     bool want_view) const;
 
   /// One frame-build + temp-write + rename attempt (no retry, no breaker).
   Status WriteFrameOnce(const CalibrationKey& key,
@@ -315,6 +317,10 @@ class CalibrationStore {
   /// retry on the hit path.
   void TouchForLru(const std::string& path) const;
 
+  /// Releases `entry`'s mapping (and its gauges), if any; outstanding views
+  /// keep their pages via their shared backing.
+  void RetireMappingLocked(IndexEntry* entry) const;
+
   /// Drops `filename` from the index (releasing its mapping gauge-wise);
   /// outstanding views keep their pages via their shared backing.
   void ForgetIndexEntryLocked(const std::string& filename) const;
@@ -323,12 +329,7 @@ class CalibrationStore {
   /// validated = false — the first load of each frame still validates it).
   void BuildIndex() const;
 
-  /// A view whose backing aliases `frame`, pinning the mapping.
-  static NullDistributionView ViewOf(
-      const std::shared_ptr<const MappedFrame>& frame);
-
   Options options_;
-  bool mmap_enabled_ = true;  ///< options_.use_mmap AND env SFA_STORE_MMAP!=0
   mutable std::mutex mu_;  ///< guards stats_, breaker state, rng, temp
                            ///< counter, and index_
   mutable Stats stats_;

@@ -17,10 +17,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -282,53 +284,125 @@ TEST(CalibrationStore, RejectsForeignFormatVersion) {
   EXPECT_EQ(store->stats().load_rejected, 1u);
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  SFA_CHECK(out.good());
+}
+
+/// The frame trailer's checksum: FNV-1a over every byte before it.
+uint64_t FrameChecksum(const std::string& frame) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i + sizeof(uint64_t) < frame.size(); ++i) {
+    h ^= static_cast<unsigned char>(frame[i]);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+using LoadEntryPoint =
+    Result<NullDistribution> (CalibrationStore::*)(const CalibrationKey&) const;
+
+constexpr std::pair<const char*, LoadEntryPoint> kLoadEntryPoints[] = {
+    {"Load", &CalibrationStore::Load},
+    {"LoadView", &CalibrationStore::LoadView},
+};
+
+// The mutation drill over one small valid v4 frame (short key debug string,
+// 16 worlds): every single-bit flip, every truncation and one appended byte
+// must be rejected by both entry points — NotFound with the frame
+// quarantined, never a served result.
 TEST(CalibrationStore, RejectsTruncatedAndCorruptedFrames) {
   TempStoreDir dir("corrupt");
   auto store = dir.OpenOrDie();
-  StoreBatch b;
-  const CalibrationKey key = KeyFor(b, b.requests[0]);
-  NullDistribution dist(std::vector<double>{5.5, 4.5, 3.5, 2.5});
+  CalibrationKey key;
+  key.hash = 0x5fa0c0ffee5eedULL;
+  key.debug = "k3";
+  std::vector<double> maxima(16);
+  for (size_t i = 0; i < maxima.size(); ++i) maxima[i] = 9.5 - 0.375 * i;
+  const NullDistribution dist(maxima);
   ASSERT_TRUE(store->Store(key, dist).ok());
   const std::string path = store->FilePathFor(key);
-  const auto full_size = std::filesystem::file_size(path);
+  const std::string frame = ReadFileBytes(path);
+  ASSERT_GT(frame.size(), 16 * sizeof(double));
 
-  // Truncation at several byte lengths, including mid-header and mid-payload.
-  for (uintmax_t keep : {uintmax_t{0}, uintmax_t{5}, uintmax_t{19},
-                         full_size / 2, full_size - 1}) {
+  uint64_t cases = 0;
+  const auto expect_rejected = [&](const std::string& mutated,
+                                   const std::string& what) {
+    for (const auto& [name, load] : kLoadEntryPoints) {
+      // Store resets the index vouch, so this first load checksums.
+      ASSERT_TRUE(store->Store(key, dist).ok());
+      WriteFileBytes(path, mutated);
+      auto loaded = (store.get()->*load)(key);
+      ASSERT_TRUE(loaded.status().IsNotFound())
+          << name << " on " << what << ": " << loaded.status();
+      ASSERT_FALSE(std::filesystem::exists(path)) << name << " on " << what;
+      ++cases;
+    }
+  };
+  for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    std::string flipped = frame;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    expect_rejected(flipped, "bit flip " + std::to_string(bit));
+  }
+  for (size_t keep = 0; keep < frame.size(); ++keep) {
+    expect_rejected(frame.substr(0, keep),
+                    "truncation to " + std::to_string(keep));
+  }
+  expect_rejected(frame + '\0', "one trailing byte");
+
+  CalibrationStore::Stats stats = store->stats();
+  EXPECT_EQ(stats.load_rejected, cases);
+  EXPECT_EQ(stats.quarantined, stats.load_rejected);
+  EXPECT_EQ(stats.load_hits, 0u);
+
+  // Maxima stored ascending under a recomputed checksum form a valid frame
+  // that a read-only mapping cannot serve: both entry points serve an owned
+  // copy, re-sorted and bit-identical to the stored distribution.
+  std::string reversed = frame;
+  const size_t maxima_offset = frame.size() - sizeof(uint64_t) -
+                               sizeof(uint32_t) - sizeof(uint64_t) -
+                               maxima.size() * sizeof(double);
+  std::vector<double> ascending(maxima.rbegin(), maxima.rend());
+  std::memcpy(reversed.data() + maxima_offset, ascending.data(),
+              ascending.size() * sizeof(double));
+  const uint64_t checksum = FrameChecksum(reversed);
+  std::memcpy(reversed.data() + reversed.size() - sizeof checksum, &checksum,
+              sizeof checksum);
+  for (const auto& [name, load] : kLoadEntryPoints) {
     ASSERT_TRUE(store->Store(key, dist).ok());
-    std::filesystem::resize_file(path, keep);
-    auto loaded = store->Load(key);
-    EXPECT_FALSE(loaded.ok()) << "kept " << keep << " bytes";
-    EXPECT_TRUE(loaded.status().IsNotFound());
+    WriteFileBytes(path, reversed);
+    for (int hit = 0; hit < 2; ++hit) {
+      auto loaded = (store.get()->*load)(key);
+      ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status();
+      EXPECT_FALSE(loaded->zero_copy()) << name;
+      const std::vector<double> got = loaded->MaximaVector();
+      ASSERT_EQ(got.size(), maxima.size()) << name;
+      EXPECT_EQ(std::memcmp(got.data(), maxima.data(),
+                            maxima.size() * sizeof(double)),
+                0)
+          << name;
+      EXPECT_EQ(loaded->worlds_requested(), dist.worlds_requested()) << name;
+      EXPECT_EQ(loaded->stop_reason(), dist.stop_reason()) << name;
+    }
   }
-
-  // Bit-flip in the payload: the checksum trailer catches it.
-  ASSERT_TRUE(store->Store(key, dist).ok());
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(-16, std::ios::end);  // inside the last double, before the trailer
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(-16, std::ios::end);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.write(&byte, 1);
-  }
-  auto loaded = store->Load(key);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsNotFound());
-  EXPECT_GE(store->stats().load_rejected, 6u);
-
-  // Every reject above also quarantined its frame: the defective bytes moved
-  // aside, so by now the key is a clean miss (a fresh-handle load_misses, not
-  // another parse-and-reject).
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_EQ(store->stats().quarantined, store->stats().load_rejected);
+  stats = store->stats();
+  EXPECT_EQ(stats.load_rejected, cases);
+  EXPECT_EQ(stats.mmap_loads, 0u);
 
   // And the pipeline-level fallback: a corrupt store never poisons results —
   // the calibration is recomputed and responses match a store-less run.
-  ASSERT_TRUE(store->Store(key, dist).ok());
-  std::filesystem::resize_file(path, full_size / 3);
+  StoreBatch b;
+  const CalibrationKey batch_key = KeyFor(b, b.requests[0]);
+  ASSERT_TRUE(store->Store(batch_key, dist).ok());
+  const std::string batch_path = store->FilePathFor(batch_key);
+  std::filesystem::resize_file(batch_path,
+                               std::filesystem::file_size(batch_path) / 3);
   AuditPipeline clean, fallback;
   PipelineManifest manifest;
   fallback.cache().AttachStore(store);

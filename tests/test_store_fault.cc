@@ -312,6 +312,33 @@ TEST_F(StoreFaultTest, LoadInjectionFallsBackToRecomputeNotFailure) {
   }
 }
 
+TEST_F(StoreFaultTest, DegradedLoadViewEvaluatesStoreLoadOnce) {
+  TempStoreDir dir("degraded_view");
+  auto store = dir.OpenOrDie();
+  FaultFixture f;
+  ASSERT_TRUE(store->Store(f.Key(), f.Calibration()).ok());
+
+  // Mapping broken, every second read broken: a LoadView that degrades to
+  // the copy path is still ONE read, so it evaluates `store.load` once and
+  // exactly every second call fails.
+  ASSERT_TRUE(fp().Arm("store.mmap", "always:error(IOError)").ok());
+  ASSERT_TRUE(fp().Arm("store.load", "every(2):error(IOError)").ok());
+  int failed = 0;
+  for (int call = 0; call < 4; ++call) {
+    auto view = store->LoadView(f.Key());
+    if (!view.ok()) {
+      EXPECT_TRUE(view.status().IsIOError()) << view.status();
+      ++failed;
+    } else {
+      EXPECT_FALSE(view->zero_copy());
+    }
+  }
+  EXPECT_EQ(failed, 2);
+  EXPECT_EQ(fp().HitCount("store.load"), 4u);
+  EXPECT_EQ(store->stats().load_hits, 2u);
+  EXPECT_EQ(store->stats().mmap_loads, 0u);
+}
+
 TEST_F(StoreFaultTest, LostWriteBehindPersistIsAbsorbedAndRecomputedLater) {
   TempStoreDir dir("writebehind");
   FaultFixture f;

@@ -3,17 +3,16 @@
 // re-Stores unlink or rewrite the frames under them (POSIX keeps mapped
 // pages alive until the last munmap); the in-memory index must answer warm
 // hits without re-validating unchanged frames and must detect foreign
-// rewrites by signature; and every way the mmap path can be unavailable —
-// the SFA_STORE_MMAP=0 escape hatch, an injected `store.mmap` failure —
-// must degrade to the copy path with bit-identical results. Run under TSan
-// in CI alongside the other store suites.
+// rewrites by signature; and when a mapping fails — injected through the
+// `store.mmap` failpoint — LoadView must serve the copy Load serves, with
+// bit-identical results. Run under TSan in CI alongside the other store
+// suites.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -196,43 +195,6 @@ TEST_F(StoreMmapTest, ForeignRewriteIsDetectedAndRemapped) {
   EXPECT_EQ(local->stats().remap_races, 1u);
   // The pinned old view is unaffected.
   EXPECT_EQ(view_a->MaximaVector(), gen_a.MaximaVector());
-}
-
-TEST_F(StoreMmapTest, EnvVarEscapeHatchFallsBackToIdenticalCopyPath) {
-  TempStoreDir dir("env_gate");
-  const CalibrationKey key = MakeKey(6);
-  const NullDistribution dist = MakeDistribution(60);
-  ASSERT_TRUE(dir.OpenOrDie()->Store(key, dist).ok());
-
-  ::setenv("SFA_STORE_MMAP", "0", 1);
-  auto store = dir.OpenOrDie();
-  ::unsetenv("SFA_STORE_MMAP");
-
-  EXPECT_FALSE(store->mmap_enabled());
-  auto view = store->LoadView(key);
-  ASSERT_TRUE(view.ok()) << view.status();
-  EXPECT_FALSE(view->zero_copy());
-  EXPECT_EQ(view->MaximaVector(), dist.MaximaVector());
-  EXPECT_EQ(store->stats().mmap_loads, 0u);
-  EXPECT_EQ(store->stats().mmap_frames, 0u);
-  EXPECT_EQ(store->stats().load_hits, 1u);
-}
-
-TEST_F(StoreMmapTest, OptionGateDisablesMmapToo) {
-  TempStoreDir dir("opt_gate");
-  const CalibrationKey key = MakeKey(7);
-  const NullDistribution dist = MakeDistribution(70);
-  ASSERT_TRUE(dir.OpenOrDie()->Store(key, dist).ok());
-
-  CalibrationStore::Options no_mmap;
-  no_mmap.use_mmap = false;
-  auto store = dir.OpenOrDie(no_mmap);
-  EXPECT_FALSE(store->mmap_enabled());
-  auto view = store->LoadView(key);
-  ASSERT_TRUE(view.ok()) << view.status();
-  EXPECT_FALSE(view->zero_copy());
-  EXPECT_EQ(view->MaximaVector(), dist.MaximaVector());
-  EXPECT_EQ(store->stats().mmap_loads, 0u);
 }
 
 TEST_F(StoreMmapTest, MmapFailpointDegradesToIdenticalCopyPath) {

@@ -194,27 +194,11 @@ BENCHMARK(BM_MonteCarloEndToEndPointLevel)
     ->Arg(199)
     ->Unit(benchmark::kMillisecond);
 
-void BM_MonteCarloEndToEndReference(benchmark::State& state) {
-  // Per-world reference strategy with point-level sampling: the pre-engine
-  // baseline (fresh buffers every world, scalar counting).
-  core::MonteCarloOptions mc;
-  mc.engine = core::McEngine::kReference;
-  mc.closed_form_cells = false;
-  RunMonteCarloBench(state, mc);
-}
-BENCHMARK(BM_MonteCarloEndToEndReference)
-    ->Arg(99)
-    ->Arg(199)
-    ->Unit(benchmark::kMillisecond);
-
 void RunOverlappingFamilyBench(benchmark::State& state,
                                const core::RegionFamily& family, size_t n) {
-  // Overlapping-family calibration: batched (range 1) vs reference (range 0)
-  // engines.
+  // Overlapping-family calibration of 49 worlds.
   core::MonteCarloOptions mc;
   mc.num_worlds = 49;
-  mc.engine = state.range(0) == 0 ? core::McEngine::kReference
-                                  : core::McEngine::kBatched;
   const core::BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
                                                n, n * 62 / 100);
   for (auto _ : state) {
@@ -262,7 +246,7 @@ void BM_MonteCarloSquareFamily(benchmark::State& state) {
   }
   RunOverlappingFamilyBench(state, *family, n);
 }
-BENCHMARK(BM_MonteCarloSquareFamily)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MonteCarloSquareFamily)->Unit(benchmark::kMillisecond);
 
 void BM_MonteCarloKnnFamily(benchmark::State& state) {
   // 700 kNN circles (100 centers x 7-rung SaTScan ladder) at N = 2^15,
@@ -275,7 +259,7 @@ void BM_MonteCarloKnnFamily(benchmark::State& state) {
   }
   RunOverlappingFamilyBench(state, *family, n);
 }
-BENCHMARK(BM_MonteCarloKnnFamily)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MonteCarloKnnFamily)->Unit(benchmark::kMillisecond);
 
 // The null-world layers the Bernoulli LLR max and the K-class draw dominate,
 // at N = 8,192 uniform points on a 10 x 10 domain.

@@ -30,10 +30,11 @@
 // calibrations were computed fresh, served from a warm in-memory cache, or
 // loaded from a persistent CalibrationStore written by an earlier process.
 // This holds because (a) every per-request computation depends only on that
-// request's inputs, (b) the world engine is bit-identical across execution
-// strategies, and (c) cache keys (core/calibration_cache.h) hash every
-// draw-relevant simulation input, so a hit — memory or disk — substitutes a
-// value the request's own simulation would have produced bit-for-bit.
+// request's inputs, (b) the world engine is bit-identical across batch
+// sizes and thread counts, and (c) cache keys (core/calibration_cache.h)
+// hash every draw-relevant simulation input, so a hit — memory or disk —
+// substitutes a value the request's own simulation would have produced
+// bit-for-bit.
 // Timing/caching/admission metadata on the response (cache_hit,
 // milliseconds, queue depth/wait) is diagnostic and exempt.
 #ifndef SFA_CORE_AUDIT_PIPELINE_H_

@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/cell_sampler_bank.h"
-#include "core/labels.h"
 #include "core/lane_sampler.h"
 #include "spatial/simd_popcount.h"
 
@@ -59,33 +58,6 @@ class BernoulliSimulation : public StatisticSimulation {
     if (cells_ != nullptr) {
       samplers_ = std::make_unique<CellSamplerBank>(*cells_, rho_);
     }
-  }
-
-  /// The reference strategy: one world at a time, fresh buffers per world,
-  /// the family's scalar counting interface. Kept as the semantic baseline
-  /// the batched strategy must match bit-for-bit.
-  double RunWorldReference(size_t w) const override {
-    Rng rng = root_.Split(w);
-    const size_t num_regions = family_.num_regions();
-    const uint64_t total_n = family_.num_points();
-    if (cells_ != nullptr) {
-      std::vector<uint32_t> cell_positives(cells_->cell_counts.size());
-      const uint64_t total_p =
-          samplers_->Draw(&rng, cell_positives.data());
-      std::vector<uint32_t> counts(num_regions);
-      family_.CountPositivesFromCells(cell_positives.data(), counts.data());
-      return plan_.Max(counts.data(), total_p, direction_, table_);
-    }
-    const Labels labels =
-        options_.null_model == NullModel::kBernoulli
-            ? Labels::SampleBernoulli(total_n, rho_, &rng)
-            : Labels::SamplePermutation(total_n, total_positives_, &rng);
-    std::vector<uint64_t> counts;
-    family_.CountPositives(labels, &counts);
-    // Counts are at most N <= kMaxFamilyPoints.
-    const std::vector<uint32_t> rows(counts.begin(), counts.end());
-    return plan_.Max(rows.data(), labels.positive_count(), direction_,
-                     table_);
   }
 
   void RunWorldBatch(size_t w_lo, size_t w_hi, double* out) const override {

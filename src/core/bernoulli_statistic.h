@@ -77,9 +77,9 @@ class BernoulliScanStatistic : public ScanStatistic {
 
 namespace internal {
 
-/// The max Λ over a family's regions in one Bernoulli null world — the only
-/// LLR max of both engine strategies — computed from the regions' sizes n(R)
-/// grouped once at construction.
+/// The max Λ over a family's regions in one Bernoulli null world — the
+/// engine's only LLR max — computed from the regions' sizes n(R) grouped
+/// once at construction.
 ///
 /// Fix N, P and n. Then Λ(p) = t(p) + t(n−p) + t(P−p) + t(N−n−P+p) + const,
 /// t(x) = x·log x, is convex in p with minimum 0 at p* = nP/N. So among the

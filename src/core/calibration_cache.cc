@@ -113,8 +113,8 @@ CalibrationKey MakeCalibrationKey(const RegionFamily& family,
   const std::string name = family.Name();
   const std::string stat_fp = statistic.Fingerprint();
 
-  // Draw-relevant inputs. engine / batch_size / parallel are intentionally
-  // absent: the world engine is bit-identical across them (core/mc_engine.h).
+  // Draw-relevant inputs. batch_size / parallel are intentionally absent:
+  // the world engine is bit-identical across them (core/mc_engine.h).
   // The statistic fingerprint carries everything statistic-specific that
   // shapes the draws or the arithmetic (kind, direction/class config, view
   // totals beyond N).

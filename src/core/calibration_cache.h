@@ -11,10 +11,10 @@
 // request. This cache keys calibrations by a content hash of exactly those
 // inputs and shares the resulting NullDistribution across requests.
 //
-// Keys deliberately EXCLUDE the execution-only Monte Carlo knobs (engine,
-// batch_size, parallel): the world engine guarantees bit-identical maxima
-// across all of them (core/mc_engine.h), so requests differing only there
-// still share one calibration. Everything that can shift a drawn value —
+// Keys deliberately EXCLUDE the execution-only Monte Carlo knobs
+// (batch_size, parallel): the world engine guarantees bit-identical maxima
+// across them (core/mc_engine.h), so requests differing only there still
+// share one calibration. Everything that can shift a drawn value —
 // num_worlds, null model, seed, closed_form_cells (different RNG stream) —
 // is hashed, and so is the ScanStatistic's Fingerprint(): the statistic's
 // kind, configuration (direction / class count), and view totals beyond N

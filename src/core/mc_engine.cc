@@ -52,24 +52,21 @@ struct RangeOutcome {
   Status stop_cause;
 };
 
-/// Runs worlds [w_lo, w_hi) into max_llrs[w_lo..w_hi) with the batched /
-/// reference strategy and optional pool fan-out. When `stoppable`, polls the
-/// stop controls at batch boundaries and truncates to the contiguous
-/// completed prefix exactly like the full-run entry point (worlds draw from
-/// per-world substreams, so a range is positionally identical to the same
-/// indices of a full run).
+/// Runs worlds [w_lo, w_hi) into max_llrs[w_lo..w_hi) in batches, with
+/// optional pool fan-out. When `stoppable`, polls the stop controls at batch
+/// boundaries and truncates to the contiguous completed prefix exactly like
+/// the full-run entry point (worlds draw from per-world substreams, so a
+/// range is positionally identical to the same indices of a full run).
 RangeOutcome RunWorldRange(const StatisticSimulation& simulation,
                            const MonteCarloOptions& options, size_t w_lo,
                            size_t w_hi, double* max_llrs, bool stoppable) {
   const size_t num_range = w_hi - w_lo;
-  // The reference engine is "batches" of one world; the batched engine works
-  // in batch_size chunks, on a parallel run at most about one worker's share
-  // of the range (rounded up to whole 8-world lane groups), so a short range
-  // still spreads over the pool. Either way the stop poll happens before a
-  // chunk starts, never inside one, so a completed chunk is always whole.
-  size_t batch_size = options.engine == McEngine::kReference
-                          ? 1
-                          : std::max<uint32_t>(1, options.batch_size);
+  // Batches of batch_size worlds, on a parallel run at most about one
+  // worker's share of the range (rounded up to whole 8-world lane groups),
+  // so a short range still spreads over the pool. The stop poll happens
+  // before a batch starts, never inside one, so a completed batch is always
+  // whole.
+  size_t batch_size = std::max<uint32_t>(1, options.batch_size);
   if (options.parallel && batch_size > 1) {
     constexpr size_t kLaneGroup = 8;
     const size_t workers =
@@ -82,14 +79,8 @@ RangeOutcome RunWorldRange(const StatisticSimulation& simulation,
 
   auto run_batch = [&](size_t g) {
     const size_t b_lo = w_lo + g * batch_size;
-    const size_t b_hi = std::min(w_hi, b_lo + batch_size);
-    if (options.engine == McEngine::kReference) {
-      for (size_t w = b_lo; w < b_hi; ++w) {
-        max_llrs[w] = simulation.RunWorldReference(w);
-      }
-    } else {
-      simulation.RunWorldBatch(b_lo, b_hi, max_llrs);
-    }
+    simulation.RunWorldBatch(b_lo, std::min(w_hi, b_lo + batch_size),
+                             max_llrs);
   };
 
   StopState stop;

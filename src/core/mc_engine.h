@@ -20,13 +20,14 @@
 // StatisticSimulation implementations (core/bernoulli_statistic.cc,
 // core/multinomial_statistic.cc).
 //
-// Both execution strategies — the batched engine and the plain per-world
-// reference — draw each world's randomness from the same per-world RNG
-// substream (Rng::Split(world)) inside the simulation, so their
-// NullDistributions are bit-identical for a fixed seed, independent of
-// batch size, thread count, and parallel on/off (test_mc_engine.cc enforces
-// this for Bernoulli across every bundled family and both null models;
-// test_scan_statistic.cc for multinomial).
+// Each world draws its randomness from its own RNG substream
+// (Rng::Split(world)) inside the simulation, so a NullDistribution is
+// bit-identical for a fixed seed, independent of batch size, thread count,
+// and parallel on/off. The tests hold every engine run to a per-world
+// oracle that evaluates every region's Λ from scalar counts
+// (testing::ReferenceNullMaxima in tests/testing_util.h): test_mc_engine.cc
+// for Bernoulli across every bundled family and both null models,
+// test_scan_statistic.cc and test_annulus_index.cc for multinomial.
 #ifndef SFA_CORE_MC_ENGINE_H_
 #define SFA_CORE_MC_ENGINE_H_
 

@@ -73,8 +73,7 @@ double WorldNullTerm(const uint64_t* world_totals, uint32_t num_classes,
 /// Draws Multinomial(n, q) by chained binomials: class k gets
 /// Binomial(remaining, q_k / rest-mass), the last class the remainder. Cell
 /// and class order are fixed, so for a given per-world RNG the draw is
-/// identical in every engine strategy. Writes K counts to `out` and returns
-/// nothing beyond them.
+/// identical in every batch. Writes K counts to `out`.
 void DrawMultinomial(uint64_t n, const std::vector<double>& q, Rng* rng,
                      uint64_t* out) {
   const uint32_t num_classes = static_cast<uint32_t>(q.size());
@@ -91,23 +90,16 @@ void DrawMultinomial(uint64_t n, const std::vector<double>& q, Rng* rng,
   out[num_classes - 1] = remaining;
 }
 
-/// Thread-local buffer pool of both engine strategies: packed class worlds,
-/// per-cell class draws and the reference oracle's buffers — after a
-/// worker's first batch (or reference world) the steady state allocates
-/// nothing. The batched strategy's count rows and mask words live in the
-/// block the Bernoulli statistic's rows use too (BatchBlock,
-/// core/lane_sampler.h).
+/// Thread-local buffer pool of the engine's batches: packed class worlds
+/// and per-cell class draws — after a worker's first batch the steady state
+/// allocates nothing. The count rows and mask words live in the block the
+/// Bernoulli statistic's rows use too (BatchBlock, core/lane_sampler.h).
 struct MultinomialArena {
-  std::vector<uint8_t> classes;        // one world's per-point class draws
-  std::vector<uint8_t> indicator;      // one class's 0/1 bytes (reference)
-  Labels ref_labels;                   // pooled indicator Labels (reference)
   std::vector<uint8_t> class_worlds;   // tile × N permutation class codes
   std::vector<const uint8_t*> class_world_ptrs;
   std::vector<uint64_t> world_totals;  // worlds × K
   std::vector<uint32_t> cell_class;    // one world's per-cell draws, one class
   std::vector<uint64_t> cell_draw;     // one cell's K draws
-  std::vector<uint32_t> region_counts; // (K-1) × regions (reference)
-  std::vector<uint64_t> scalar_counts; // CountPositives output row (reference)
   std::vector<const uint32_t*> class_ptrs;
 };
 
@@ -142,72 +134,6 @@ class MultinomialSimulation : public StatisticSimulation {
       if (n == 0 || n == total_n) continue;
       regions_.push_back({r, n, table_.klogk(n), table_.klogk(total_n - n)});
     }
-  }
-
-  double RunWorldReference(size_t w) const override {
-    Rng rng = root_.Split(w);
-    const uint32_t num_classes = static_cast<uint32_t>(q_.size());
-    const size_t num_regions = family_.num_regions();
-    const uint64_t total_n = family_.num_points();
-    std::vector<uint64_t> world_totals(num_classes, 0);
-
-    if (cells_ != nullptr) {
-      // Closed-form: one Multinomial(n_c, q) per cell (plus the outside
-      // points, which shift world totals only), folded to per-region counts
-      // through the family's cell mapping — never labeling a point.
-      const size_t num_cells = cells_->cell_counts.size();
-      std::vector<uint32_t> cell_class(num_cells * (num_classes - 1));
-      std::vector<uint64_t> draw(num_classes);
-      for (size_t c = 0; c < num_cells; ++c) {
-        DrawMultinomial(cells_->cell_counts[c], q_, &rng, draw.data());
-        for (uint32_t k = 0; k < num_classes; ++k) world_totals[k] += draw[k];
-        for (uint32_t k = 0; k + 1 < num_classes; ++k) {
-          cell_class[static_cast<size_t>(k) * num_cells + c] =
-              static_cast<uint32_t>(draw[k]);
-        }
-      }
-      if (cells_->num_outside > 0) {
-        DrawMultinomial(cells_->num_outside, q_, &rng, draw.data());
-        for (uint32_t k = 0; k < num_classes; ++k) world_totals[k] += draw[k];
-      }
-      std::vector<uint32_t> counts(num_regions * (num_classes - 1));
-      std::vector<const uint32_t*> class_ptrs(num_classes - 1);
-      for (uint32_t k = 0; k + 1 < num_classes; ++k) {
-        family_.CountPositivesFromCells(
-            cell_class.data() + static_cast<size_t>(k) * num_cells,
-            counts.data() + static_cast<size_t>(k) * num_regions);
-        class_ptrs[k] = counts.data() + static_cast<size_t>(k) * num_regions;
-      }
-      return MaxLlr(class_ptrs.data(), world_totals.data(), num_classes,
-                    total_n);
-    }
-
-    // Reference oracle of the label-world path: K−1 indicator passes through
-    // the scalar binary counting interface — the construction the batched
-    // class planes must reproduce exactly. All O(N)/O(regions) buffers
-    // (including the indicator Labels) live in the thread-local arena, so
-    // reference worlds allocate nothing in steady state and stay timing-
-    // comparable with the batched strategy.
-    MultinomialArena& arena = LocalArena();
-    arena.classes.resize(total_n);
-    arena.indicator.resize(total_n);
-    arena.region_counts.resize(num_regions * (num_classes - 1));
-    arena.class_ptrs.resize(num_classes - 1);
-    DrawPointClasses(&rng, arena.classes.data(), total_n, world_totals.data());
-    for (uint32_t k = 0; k + 1 < num_classes; ++k) {
-      for (size_t i = 0; i < total_n; ++i) {
-        arena.indicator[i] = arena.classes[i] == k ? 1 : 0;
-      }
-      arena.ref_labels.AssignBytes(arena.indicator.data(), total_n);
-      family_.CountPositives(arena.ref_labels, &arena.scalar_counts);
-      std::copy(arena.scalar_counts.begin(), arena.scalar_counts.end(),
-                arena.region_counts.begin() +
-                    static_cast<size_t>(k) * num_regions);
-      arena.class_ptrs[k] =
-          arena.region_counts.data() + static_cast<size_t>(k) * num_regions;
-    }
-    return MaxLlr(arena.class_ptrs.data(), world_totals.data(), num_classes,
-                  total_n);
   }
 
   void RunWorldBatch(size_t w_lo, size_t w_hi, double* out) const override {

@@ -20,12 +20,12 @@
 //                      persistent store.
 //
 // Implementations must uphold the engine's determinism contract: for a fixed
-// seed, a simulation's maxima are bit-identical across engine strategy
-// (batched/reference), batch size, thread count, and parallel on/off. They
-// achieve this the same way the Bernoulli statistic does — per-world RNG
-// substreams (Rng::Split(world)) and a shared k·log k log-likelihood table
-// so observed and null worlds with identical counts produce bit-identical
-// statistics (exact tie semantics for the rank p-value).
+// seed, a simulation's maxima are bit-identical across batch size, thread
+// count, and parallel on/off. They achieve this the same way the Bernoulli
+// statistic does — per-world RNG substreams (Rng::Split(world)) and a shared
+// k·log k log-likelihood table so observed and null worlds with identical
+// counts produce bit-identical statistics (exact tie semantics for the rank
+// p-value).
 #ifndef SFA_CORE_SCAN_STATISTIC_H_
 #define SFA_CORE_SCAN_STATISTIC_H_
 
@@ -111,13 +111,9 @@ class StatisticSimulation {
  public:
   virtual ~StatisticSimulation() = default;
 
-  /// Max statistic of null world `w` — the reference strategy: fresh buffers,
-  /// scalar counting. The semantic baseline RunWorldBatch must match
-  /// bit-for-bit.
-  virtual double RunWorldReference(size_t w) const = 0;
-
   /// Max statistics of worlds [w_lo, w_hi) into out[w_lo..w_hi), through
   /// pooled thread-local buffers and the family's batched counting paths.
+  /// World w's value depends on w alone, never on the range it came in.
   virtual void RunWorldBatch(size_t w_lo, size_t w_hi, double* out) const = 0;
 };
 

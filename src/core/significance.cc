@@ -19,16 +19,6 @@ const char* NullModelToString(NullModel model) {
   return "?";
 }
 
-const char* McEngineToString(McEngine engine) {
-  switch (engine) {
-    case McEngine::kBatched:
-      return "batched";
-    case McEngine::kReference:
-      return "per-world reference";
-  }
-  return "?";
-}
-
 const char* SignificanceMethodToString(SignificanceMethod method) {
   switch (method) {
     case SignificanceMethod::kEmpirical:
@@ -54,7 +44,11 @@ const char* McStopReasonToString(McStopReason reason) {
 }
 
 void NullDistribution::AdoptOwned(std::vector<double> max_llrs) {
-  std::sort(max_llrs.begin(), max_llrs.end(), std::greater<double>());
+  // Store frames arrive sorted; only world-order maxima need the sort.
+  if (!std::is_sorted(max_llrs.begin(), max_llrs.end(),
+                      std::greater<double>())) {
+    std::sort(max_llrs.begin(), max_llrs.end(), std::greater<double>());
+  }
   // The vector's heap buffer is address-stable behind the shared_ptr, so the
   // span survives copies/moves of this object without custom copy control.
   auto owned = std::make_shared<const std::vector<double>>(std::move(max_llrs));

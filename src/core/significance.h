@@ -31,22 +31,6 @@ enum class NullModel {
 
 const char* NullModelToString(NullModel model);
 
-/// Execution strategy of the world engine. Both strategies produce
-/// bit-identical NullDistributions for the same options (per-world RNG
-/// substreams + shared log-table LLR); kReference exists as the semantic
-/// baseline and for A/B benchmarking.
-enum class McEngine {
-  /// Worlds in batches of batch_size, drawn 8 at a time into mask words
-  /// and counted a tile of up to 64 at a time through
-  /// RegionFamily::CountPlanes, all per-world buffers pooled in thread-local
-  /// arenas (the default).
-  kBatched,
-  /// One world at a time, fresh buffers, scalar CountPositives.
-  kReference,
-};
-
-const char* McEngineToString(McEngine engine);
-
 /// How a p-value (and the advisory critical value) is derived from the
 /// simulated null distribution.
 enum class SignificanceMethod : uint8_t {
@@ -125,13 +109,12 @@ struct MonteCarloOptions {
   /// Worlds are simulated on the default thread pool when true; results are
   /// identical either way (per-world substreams).
   bool parallel = true;
-  McEngine engine = McEngine::kBatched;
-  /// Worlds per batch in the kBatched engine: the unit of work a pool
-  /// worker takes, which the engine counts in tiles of up to 64 worlds whose
-  /// mask words and count rows fit one worker's block (core/lane_sampler.h's
-  /// WorldTile). On a parallel run a batch is also
-  /// capped near range / workers (a multiple of 8), so that a short range,
-  /// such as one adaptive check_every chunk, still spreads over the pool.
+  /// Worlds per batch: the unit of work a pool worker takes, which the
+  /// engine counts in tiles of up to 64 worlds whose mask words and count
+  /// rows fit one worker's block (core/lane_sampler.h's WorldTile). On a
+  /// parallel run a batch is also capped near range / workers (a multiple
+  /// of 8), so that a short range, such as one adaptive check_every chunk,
+  /// still spreads over the pool.
   /// Affects performance only, never results — on every family counting
   /// path (partition/closed-form cells, the overlapping families' annulus
   /// walk) counts are exact integers, so batch boundaries cannot shift the

@@ -64,6 +64,8 @@ double BernoulliLogLikelihoodRatio(const ScanCounts& c, ScanDirection direction)
 }
 
 LogLikelihoodTable::LogLikelihoodTable(uint64_t max_count) {
+  SFA_CHECK_MSG(max_count <= UINT32_MAX,
+                "k log k table of " << max_count << " counts exceeds 2^32 - 1");
   klogk_.resize(max_count + 1);
   klogk_[0] = 0.0;
   for (uint64_t k = 1; k <= max_count; ++k) {
@@ -81,9 +83,10 @@ double BernoulliLogLikelihoodRatio(const ScanCounts& c, ScanDirection direction,
   if (c.n == 0 || n_out == 0) return 0.0;
 
   // rate_in vs rate_out as exact integer cross-products: p/n <=> p_out/n_out
-  // iff p*n_out <=> p_out*n. 128-bit products cannot overflow for any N.
-  const auto lhs = static_cast<unsigned __int128>(c.p) * n_out;
-  const auto rhs = static_cast<unsigned __int128>(p_out) * c.n;
+  // iff p*n_out <=> p_out*n. The table caps N below 2^32, so each product is
+  // at most n*(N-n) <= N^2/4 < 2^62 and 64 bits hold it exactly.
+  const uint64_t lhs = c.p * n_out;
+  const uint64_t rhs = p_out * c.n;
   if (lhs == rhs) return 0.0;
   switch (direction) {
     case ScanDirection::kTwoSided:

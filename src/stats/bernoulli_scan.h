@@ -79,7 +79,8 @@ double BernoulliLogLikelihoodRatio(const ScanCounts& counts,
 /// the table for every world so null distributions are internally exact.
 class LogLikelihoodTable {
  public:
-  /// Builds t[k] = k log k for k in [0, max_count].
+  /// Builds t[k] = k log k for k in [0, max_count]; max_count must be at
+  /// most UINT32_MAX (a family holds fewer than 2^32 points).
   explicit LogLikelihoodTable(uint64_t max_count);
 
   uint64_t max_count() const { return klogk_.size() - 1; }

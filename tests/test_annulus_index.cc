@@ -4,9 +4,10 @@
 // geometry-built member-list reference family (testing::MemberListFamily)
 // and a hand-rolled scalar loop, across random seeds, all three
 // ScanDirections, and degenerate ladders (L=1, duplicate centers, empty
-// regions); the families' Monte Carlo null distributions must be
-// bit-identical to the reference family's for both null models, any batch
-// size, and parallel on/off. Also covers the CSR builder, the annulus
+// regions); the families' Monte Carlo null maxima must be bit-identical to
+// the per-world oracle over the reference family (testing::
+// ReferenceNullMaxima) for both null models, any batch size, and parallel
+// on/off. Also covers the CSR builder, the annulus
 // collapse helper, the ladder dedup both families report in Name(), and the
 // index's membership memory against one dense bit vector per region.
 #include "core/annulus_index.h"
@@ -22,6 +23,7 @@
 #include "core/bernoulli_statistic.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
+#include "core/mc_engine.h"
 #include "core/multinomial_statistic.h"
 #include "core/scan.h"
 #include "core/scan_statistic.h"
@@ -856,16 +858,9 @@ TEST(AnnulusBackend, ClassCountsCoverDegenerateShapes) {
 
 // ------------------------------------- bit-identical null distributions ---
 
-NullDistribution MustSimulate(const RegionFamily& family,
-                              const MonteCarloOptions& mc) {
-  // ρ = 246/600, the double 0.41.
-  const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
-                                         family.num_points(), 246);
-  auto dist = SimulateNull(statistic, family, mc);
-  EXPECT_TRUE(dist.ok());
-  return *dist;
-}
-
+// The annulus-backed families' engine maxima must equal the per-world
+// oracle run over their member-list references, world by world, under both
+// null models, parallel on/off and batch sizes that split lane groups.
 TEST(AnnulusBackend, NullDistributionBitIdenticalToReference) {
   const auto pts = Cloud(600, 41);
   SquareScanOptions sq_opts;
@@ -877,6 +872,9 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToReference) {
   std::vector<std::pair<std::string, FamilyPair>> pairs;
   pairs.emplace_back("square", MakeSquarePair(pts, sq_opts));
   pairs.emplace_back("knn-circle", MakeKnnPair(pts, knn_opts));
+  // ρ = 246/600, the double 0.41.
+  const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                         pts.size(), 246);
 
   for (const auto& [name, pair] : pairs) {
     for (NullModel null_model :
@@ -885,22 +883,17 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToReference) {
       mc.num_worlds = 40;
       mc.seed = 777;
       mc.null_model = null_model;
-      mc.parallel = false;
-      mc.engine = McEngine::kReference;
-      const NullDistribution reference = MustSimulate(*pair.reference, mc);
-
+      const std::vector<double> oracle =
+          testing::ReferenceNullMaxima(statistic, *pair.reference, mc);
       for (bool parallel : {false, true}) {
-        for (McEngine engine : {McEngine::kBatched, McEngine::kReference}) {
-          for (uint32_t batch_size : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
-            mc.parallel = parallel;
-            mc.engine = engine;
-            mc.batch_size = batch_size;
-            const NullDistribution sparse_run = MustSimulate(*pair.sparse, mc);
-            EXPECT_EQ(sparse_run.MaximaVector(), reference.MaximaVector())
-                << name << " / " << NullModelToString(null_model) << " / "
-                << McEngineToString(engine) << " / parallel=" << parallel
-                << " / batch=" << batch_size;
-          }
+        for (uint32_t batch_size : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
+          mc.parallel = parallel;
+          mc.batch_size = batch_size;
+          EXPECT_EQ(RunMonteCarloWorlds(
+                        *statistic.MakeSimulation(*pair.sparse, mc), mc),
+                    oracle)
+              << name << " / " << NullModelToString(null_model)
+              << " / parallel=" << parallel << " / batch=" << batch_size;
         }
       }
     }
@@ -910,8 +903,9 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToReference) {
 TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToReference) {
   // The K-class calibration path: lane-sampled class planes counted by
   // CountPlanes under the multinomial statistic, 3 classes, across batch
-  // sizes, parallel on/off and both null models, against the reference
-  // family's per-world reference engine.
+  // sizes, parallel on/off and both null models, on the annulus family and
+  // its member-list reference, against the per-world oracle over the
+  // reference.
   const auto pts = Cloud(600, 91);
   SquareScanOptions sq_opts;
   sq_opts.centers = RandomCenters(9, 92);
@@ -931,20 +925,17 @@ TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToReference) {
       mc.num_worlds = 40;
       mc.seed = 778;
       mc.null_model = null_model;
-      mc.parallel = false;
-      mc.engine = McEngine::kReference;
-      auto reference = SimulateNull(statistic, *pair.reference, mc);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-      mc.engine = McEngine::kBatched;
+      const std::vector<double> oracle =
+          testing::ReferenceNullMaxima(statistic, *pair.reference, mc);
       for (bool parallel : {false, true}) {
         for (uint32_t batch_size : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
           mc.parallel = parallel;
           mc.batch_size = batch_size;
           for (const RegionFamily* family :
                {pair.sparse.get(), pair.reference.get()}) {
-            auto run = SimulateNull(statistic, *family, mc);
-            ASSERT_TRUE(run.ok()) << run.status().ToString();
-            EXPECT_EQ(run->MaximaVector(), reference->MaximaVector())
+            EXPECT_EQ(
+                RunMonteCarloWorlds(*statistic.MakeSimulation(*family, mc), mc),
+                oracle)
                 << name << " / " << family->Name() << " / "
                 << NullModelToString(null_model) << " / parallel=" << parallel
                 << " / batch=" << batch_size;

@@ -75,15 +75,16 @@ struct Batch {
       r.options = base(alpha);
       requests.push_back(r);
     }
-    // Same audit through the reference engine: excluded from the key, so it
-    // must share the calibration AND produce identical results.
+    // Same audit with other execution-only knobs: excluded from the key, so
+    // it must share the calibration AND produce identical results.
     {
       AuditRequest r;
-      r.id = "a-sp-reference-engine";
+      r.id = "a-sp-execution-knobs";
       r.dataset = &city_a;
       r.family = family_a.get();
       r.options = base(0.01);
-      r.options.monte_carlo.engine = McEngine::kReference;
+      r.options.monte_carlo.batch_size = 3;
+      r.options.monte_carlo.parallel = false;
       requests.push_back(r);
     }
     // City A, equal opportunity (view rebuilt by the pipeline) — distinct
@@ -199,7 +200,7 @@ TEST(AuditPipeline, SharesCalibrationsAndReportsThem) {
   PipelineManifest manifest;
   RunOrDie(pipeline, b.requests, &manifest);
 
-  // 9 requests, 5 unique calibrations: a-sp (3 α's + reference engine share
+  // 9 requests, 5 unique calibrations: a-sp (3 α's + execution knobs share
   // one), a-eo, a-sp-permutation, b-sp (2 α's share one), b-sp-low.
   EXPECT_EQ(manifest.num_requests, 9u);
   EXPECT_EQ(manifest.num_failed, 0u);
@@ -223,7 +224,7 @@ TEST(AuditPipeline, SharesCalibrationsAndReportsThem) {
     return std::string();
   };
   EXPECT_EQ(key_of("a-sp-0.050000"), key_of("a-sp-0.010000"));
-  EXPECT_EQ(key_of("a-sp-0.010000"), key_of("a-sp-reference-engine"));
+  EXPECT_EQ(key_of("a-sp-0.010000"), key_of("a-sp-execution-knobs"));
   EXPECT_NE(key_of("a-sp-0.010000"), key_of("a-sp-permutation"));
   EXPECT_NE(key_of("a-sp-0.010000"), key_of("a-eo"));
   EXPECT_NE(key_of("b-sp-0.050000"), key_of("b-sp-low"));
@@ -296,11 +297,10 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
   };
   const CalibrationKey base = key(mc);
 
-  MonteCarloOptions engine = mc;
-  engine.engine = McEngine::kReference;
-  engine.batch_size = 3;
-  engine.parallel = false;
-  EXPECT_EQ(base, key(engine)) << "execution-only knobs must not split keys";
+  MonteCarloOptions execution = mc;
+  execution.batch_size = 3;
+  execution.parallel = false;
+  EXPECT_EQ(base, key(execution)) << "execution-only knobs must not split keys";
 
   // Repeat the execution-only sweep over every counting path (grid cells,
   // and the annulus gather of squares and kNN circles) on every forced SIMD
@@ -333,7 +333,7 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
       SCOPED_TRACE(
           spatial::PopcountKernelName(spatial::ActiveSamplerKernel()));
       EXPECT_EQ(family_base, family_key(mc)) << family->Name();
-      EXPECT_EQ(family_base, family_key(engine)) << family->Name();
+      EXPECT_EQ(family_base, family_key(execution)) << family->Name();
     }
     spatial::ForcePopcountKernel(previous);
     EXPECT_EQ(spatial::ActivePopcountKernel(), previous);

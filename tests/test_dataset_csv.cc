@@ -7,6 +7,7 @@
 
 #include "data/csv.h"
 #include "data/dataset.h"
+#include "testing_util.h"
 
 namespace sfa::data {
 namespace {
@@ -195,6 +196,32 @@ TEST_F(CsvTest, ReadRejectsShortRows) {
   out << "lon,lat,predicted\n1,2\n";
   out.close();
   EXPECT_TRUE(ReadCsv(path()).status().IsParseError());
+}
+
+// Every byte mutant of a small valid file either reads or fails with
+// ParseError / InvalidArgument, never aborts.
+TEST_F(CsvTest, ByteMutantsReadOrFailCleanly) {
+  const std::string seed =
+      "lon,lat,predicted,actual\n-80.1,25.7,1,0\n\"-80.2\",2.5e1,0,1\r\n";
+  const auto read = [&](const std::string& bytes) {
+    std::ofstream(path(), std::ios::binary | std::ios::trunc) << bytes;
+    return ReadCsv(path());
+  };
+  auto original = read(seed);
+  ASSERT_TRUE(original.ok()) << original.status();
+  ASSERT_EQ(original->size(), 2u);
+  size_t checked = 0;
+  for (const std::string& bytes : core::testing::ByteMutants(seed)) {
+    const auto loaded = read(bytes);
+    const Status& s = loaded.status();
+    EXPECT_TRUE(s.ok() || s.IsParseError() || s.IsInvalidArgument())
+        << "mutant of " << bytes.size() << " bytes: " << s.ToString();
+    if (loaded.ok()) {
+      EXPECT_LE(loaded->size(), 2u);
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 800u);
 }
 
 TEST(Csv, ReadMissingFileIsIOError) {

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "testing_util.h"
+
 namespace sfa {
 namespace {
 
@@ -147,6 +149,37 @@ TEST_F(FailpointTest, MalformedSpecsAreRejected) {
   EXPECT_TRUE(fp().Arm("", "delay(1)").IsInvalidArgument());
   // Nothing half-armed by the rejected rules.
   EXPECT_FALSE(Failpoints::AnyArmed());
+}
+
+// Every byte mutant of specs that together use each trigger and action
+// either arms or fails with ParseError / InvalidArgument, never aborts, and
+// DisarmAll leaves nothing armed. Nothing is evaluated, so a mutated delay
+// never sleeps.
+TEST_F(FailpointTest, ByteMutantsOfSpecsArmOrFailCleanly) {
+  const char* const kSeeds[] = {
+      "store.write=always:error(IOError,disk full)",
+      "a.b=once:delay(25)",
+      "c=times(3):truncate(16)",
+      "d=every(2):corrupt",
+      "e=prob(0.5,7):off",
+      "f=error(DeadlineExceeded);g=every(3):truncate(0);",
+  };
+  size_t checked = 0;
+  for (const std::string seed : kSeeds) {
+    ASSERT_TRUE(fp().ArmFromSpec(seed).ok()) << seed;
+    fp().DisarmAll();
+    for (const std::string& spec : core::testing::ByteMutants(seed)) {
+      const Status s = fp().ArmFromSpec(spec);
+      EXPECT_TRUE(s.ok() || s.IsParseError() || s.IsInvalidArgument())
+          << "spec of " << spec.size() << " bytes, mutant of '" << seed
+          << "': " << s.ToString();
+      fp().DisarmAll();
+      ASSERT_FALSE(Failpoints::AnyArmed());
+      ASSERT_TRUE(fp().armed().empty());
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 2000u);
 }
 
 TEST_F(FailpointTest, SpecStopsAtFirstBadEntryKeepingEarlierOnes) {

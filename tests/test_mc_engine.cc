@@ -1,12 +1,13 @@
-// Equivalence suite for the batched Monte Carlo world engine: the batched
-// strategy must reproduce the per-world reference bit-for-bit — same
-// NullDistribution for the same seed — across every bundled region family,
-// both null models, any batch size, and parallel on/off. Also checks the
-// batch counting interface against scalar counting directly, the engine's
-// size-grouped LLR max against the stats layer (per world, and exhaustively
-// at small N, on every SIMD tier) and each tier's LLR max against the scalar
-// arm bit for bit, the closed-form cell sampler's distributional agreement with
-// point-level labeling, and a table of null maxima pinned as constants.
+// Equivalence suite for the batched Monte Carlo world engine: its maxima
+// must equal the per-world oracle testing::ReferenceNullMaxima (scalar
+// samplers, scalar counting, every region's Λ) bit-for-bit, world by world,
+// across every bundled region family, both null models, every scan
+// direction, any batch size, and parallel on/off. Also checks the batch
+// counting interface against scalar counting directly, the size-grouped LLR
+// max against the per-region definition exhaustively at small N on every
+// SIMD tier and each tier's LLR max against the scalar arm bit for bit, the
+// closed-form cell sampler's distributional agreement with point-level
+// labeling, and a table of null maxima pinned as constants.
 #include "core/mc_engine.h"
 
 #include <gtest/gtest.h>
@@ -122,8 +123,8 @@ NullDistribution Simulate(const RegionFamily& family, const MonteCarloOptions& m
   return *dist;
 }
 
-// The batched engine must equal the per-world reference exactly — same
-// maxima, double-for-double — for every family, both null models, and
+// The engine must equal the oracle exactly — same maxima in the same world
+// order, double-for-double — for every family, both null models, and
 // parallel on/off.
 TEST(McEngineEquivalence, BatchedMatchesReferenceExactly) {
   const auto families = AllFamilies();
@@ -133,43 +134,38 @@ TEST(McEngineEquivalence, BatchedMatchesReferenceExactly) {
       mc.num_worlds = 60;
       mc.seed = 2024;
       mc.null_model = null_model;
-      mc.parallel = false;
-      mc.engine = McEngine::kReference;
-      const NullDistribution reference = Simulate(*family, mc);
-
+      const std::vector<double> oracle =
+          testing::ReferenceNullMaxima(Statistic(), *family, mc);
       for (bool parallel : {false, true}) {
-        for (McEngine engine : {McEngine::kBatched, McEngine::kReference}) {
-          mc.parallel = parallel;
-          mc.engine = engine;
-          const NullDistribution run = Simulate(*family, mc);
-          EXPECT_EQ(run.MaximaVector(), reference.MaximaVector())
-              << name << " / " << NullModelToString(null_model) << " / "
-              << McEngineToString(engine) << " / parallel=" << parallel;
-        }
+        mc.parallel = parallel;
+        EXPECT_EQ(
+            RunMonteCarloWorlds(*Statistic().MakeSimulation(*family, mc), mc),
+            oracle)
+            << name << " / " << NullModelToString(null_model)
+            << " / parallel=" << parallel;
       }
     }
   }
 }
 
 // Batch size is a performance knob, never a semantic one: every batch size,
-// including partial 8-world lane groups, matches the per-world reference.
+// including partial 8-world lane groups, matches the oracle.
 TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
   const auto families = AllFamilies();
   for (const auto& [name, family] : families) {
     MonteCarloOptions mc;
     mc.num_worlds = 45;
     mc.seed = 5;
-    mc.engine = McEngine::kReference;
-    mc.parallel = false;
-    const NullDistribution baseline = Simulate(*family, mc);
-    mc.engine = McEngine::kBatched;
+    const std::vector<double> oracle =
+        testing::ReferenceNullMaxima(Statistic(), *family, mc);
     for (bool parallel : {false, true}) {
       for (uint32_t batch_size :
            {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u, 128u, 999u}) {
         mc.parallel = parallel;
         mc.batch_size = batch_size;
-        const NullDistribution run = Simulate(*family, mc);
-        EXPECT_EQ(run.MaximaVector(), baseline.MaximaVector())
+        EXPECT_EQ(
+            RunMonteCarloWorlds(*Statistic().MakeSimulation(*family, mc), mc),
+            oracle)
             << name << " batch_size=" << batch_size
             << " parallel=" << parallel;
       }
@@ -203,7 +199,9 @@ class AdapterCountingFamily : public RegionFamily {
 };
 
 // An adapter called inside an engine batch gets storage of its own: the
-// batch's mask words and rows survive it.
+// batch's mask words and rows survive it. The wrapper hides the cell
+// decomposition, so its worlds are point-level; the oracle counts them
+// through the inner family's scalar CountPositives.
 TEST(McEngineEquivalence, AdaptersInsideAnEngineBatchKeepTheBatchBlock) {
   const auto families = AllFamilies();
   for (const auto& [name, family] : families) {
@@ -215,11 +213,10 @@ TEST(McEngineEquivalence, AdaptersInsideAnEngineBatchKeepTheBatchBlock) {
       mc.seed = 11;
       mc.null_model = null_model;
       mc.parallel = false;
-      mc.engine = McEngine::kReference;
-      const NullDistribution reference = Simulate(wrapped, mc);
-      mc.engine = McEngine::kBatched;
-      EXPECT_EQ(Simulate(wrapped, mc).MaximaVector(),
-                reference.MaximaVector())
+      mc.closed_form_cells = false;
+      EXPECT_EQ(
+          RunMonteCarloWorlds(*Statistic().MakeSimulation(wrapped, mc), mc),
+          testing::ReferenceNullMaxima(Statistic(), *family, mc))
           << name << " / " << NullModelToString(null_model);
     }
   }
@@ -288,50 +285,39 @@ TEST(McEngineEquivalence, PlaneCountingMatchesScalarCounting) {
   }
 }
 
-// With closed-form sampling off, every family's per-world engine maxima must
-// equal two oracles exactly, in every scan direction: a hand-rolled one
-// (sample the same labels, count with the scalar interface, evaluate every
-// region through the stats-layer table LLR) and the observed-world scan,
-// ScanAllRegions. The first pins the size-grouped LLR max against the
-// per-region definition; the second pins the rank p-value's tie contract: an
-// observed world and a null world with the same labels produce the same
-// double.
+// Every family's engine maxima must equal two oracles exactly, in every
+// scan direction, from closed-form and point-level worlds: the per-world
+// oracle, which pins the size-grouped LLR max against the per-region
+// definition, and — for point-level worlds — the observed-world scan,
+// ScanAllRegions, which pins the rank p-value's tie contract: an observed
+// world and a null world with the same labels produce the same double.
 TEST(McEngineEquivalence, EngineMatchesStatsLayerOracle) {
-  MonteCarloOptions mc;
-  mc.num_worlds = 25;
-  mc.seed = 99;
-  mc.closed_form_cells = false;
   const stats::LogLikelihoodTable table(kPoints);
   const auto families = AllFamilies();
   for (const stats::ScanDirection direction :
        {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
         stats::ScanDirection::kLow}) {
     const BernoulliScanStatistic statistic(direction, kPoints, kPositives);
+    const char* dir = stats::ScanDirectionToString(direction);
     for (const auto& [name, family] : families) {
-      const std::vector<double> engine =
-          RunMonteCarloWorlds(*statistic.MakeSimulation(*family, mc), mc);
-      ASSERT_EQ(engine.size(), mc.num_worlds) << name;
-      Rng root(mc.seed);
-      for (size_t w = 0; w < mc.num_worlds; ++w) {
-        Rng rng = root.Split(w);
-        const Labels labels = Labels::SampleBernoulli(kPoints, kRho, &rng);
-        std::vector<uint64_t> positives;
-        family->CountPositives(labels, &positives);
-        double max_llr = 0.0;
-        for (size_t r = 0; r < family->num_regions(); ++r) {
-          stats::ScanCounts counts;
-          counts.n = family->PointCount(r);
-          counts.p = positives[r];
-          counts.total_n = kPoints;
-          counts.total_p = labels.positive_count();
-          max_llr = std::max(max_llr, stats::BernoulliLogLikelihoodRatio(
-                                          counts, direction, table));
+      for (const bool closed_form : {true, false}) {
+        MonteCarloOptions mc;
+        mc.num_worlds = 25;
+        mc.seed = 99;
+        mc.closed_form_cells = closed_form;
+        const std::vector<double> engine =
+            RunMonteCarloWorlds(*statistic.MakeSimulation(*family, mc), mc);
+        EXPECT_EQ(engine, testing::ReferenceNullMaxima(statistic, *family, mc))
+            << name << " / " << dir << " / cells=" << closed_form;
+        if (closed_form) continue;
+        Rng root(mc.seed);
+        for (size_t w = 0; w < mc.num_worlds; ++w) {
+          Rng rng = root.Split(w);
+          const Labels labels = Labels::SampleBernoulli(kPoints, kRho, &rng);
+          EXPECT_EQ(engine[w],
+                    ScanAllRegions(*family, labels, direction, table).max_llr)
+              << name << " / " << dir << " world " << w;
         }
-        const char* dir = stats::ScanDirectionToString(direction);
-        EXPECT_EQ(engine[w], max_llr) << name << " / " << dir << " world " << w;
-        EXPECT_EQ(engine[w],
-                  ScanAllRegions(*family, labels, direction, table).max_llr)
-            << name << " / " << dir << " world " << w;
       }
     }
   }
@@ -449,6 +435,13 @@ TEST(LlrMaxPlan, ReducesOnlyGroupsOfThreeOrMoreBelowTheBound) {
         {1100, 2100, 900, 1000, 1900, 1024, 1023, 2300, 1200, 1600}, 10000,
         5000, 3);
   }
+}
+
+// The k·log k table serves at most 2^32 − 1 points, which keeps the rate
+// gate's cross-products p·n_out and p_out·n within 64 bits.
+TEST(LogLikelihoodTable, RejectsMoreThan32BitCounts) {
+  EXPECT_DEATH(stats::LogLikelihoodTable(uint64_t{UINT32_MAX} + 1),
+               "exceeds");
 }
 
 /// Region sizes shaped like one of the engine's families at N points, with
@@ -618,11 +611,12 @@ TEST(McEngine, Reproducible) {
   }
 }
 
-// Null maxima pinned as constants. The equivalence tests above compare one
-// engine against the other, so a change that moves both engines together
-// (the LLR max, the class draw, the samplers) would pass them; only these
-// values catch such drift. Each row holds the first kPinnedWorlds maxima of
-// one configuration and must hold for both engines. The partitioning and
+// Null maxima pinned as constants. The equivalence tests above compare the
+// engine against the oracle, which shares the samplers and the family
+// counting with it, so a change that moves both together (a sampler's draw
+// order, the class draw) would pass them; only these values catch such
+// drift. Each row holds the first kPinnedWorlds maxima of one configuration
+// and must hold for the engine and for the oracle. The partitioning and
 // rectangle-sweep rows cover the closed-form cell draws of every
 // cell-decomposed family; the K = 2 and K = 5 multinomial rows cover the
 // class counts the K-class max is specialized on and its general fallback.
@@ -745,24 +739,26 @@ TEST(McEngine, NullMaximaArePinned) {
     }
     ASSERT_NE(family, nullptr) << pin.family;
     const auto statistic = PinnedStatistic(pin.statistic);
-    for (McEngine engine : {McEngine::kBatched, McEngine::kReference}) {
-      MonteCarloOptions mc;
-      mc.num_worlds = kPinnedWorlds;
-      mc.seed = 1234;
-      mc.null_model = pin.null_model;
-      mc.closed_form_cells = pin.closed_form_cells;
-      mc.engine = engine;
-      mc.parallel = false;
-      const std::vector<double> maxima =
-          RunMonteCarloWorlds(*statistic->MakeSimulation(*family, mc), mc);
-      ASSERT_EQ(maxima.size(), kPinnedWorlds);
-      for (size_t w = 0; w < kPinnedWorlds; ++w) {
-        EXPECT_EQ(maxima[w], pin.maxima[w])
-            << pin.family << " / " << pin.statistic << " / "
-            << NullModelToString(pin.null_model)
-            << " / cells=" << pin.closed_form_cells << " / "
-            << McEngineToString(engine) << " / world " << w;
-      }
+    MonteCarloOptions mc;
+    mc.num_worlds = kPinnedWorlds;
+    mc.seed = 1234;
+    mc.null_model = pin.null_model;
+    mc.closed_form_cells = pin.closed_form_cells;
+    mc.parallel = false;
+    const std::vector<double> engine =
+        RunMonteCarloWorlds(*statistic->MakeSimulation(*family, mc), mc);
+    const std::vector<double> oracle =
+        testing::ReferenceNullMaxima(*statistic, *family, mc);
+    ASSERT_EQ(engine.size(), kPinnedWorlds);
+    ASSERT_EQ(oracle.size(), kPinnedWorlds);
+    for (size_t w = 0; w < kPinnedWorlds; ++w) {
+      const std::string context =
+          std::string(pin.family) + " / " + pin.statistic + " / " +
+          NullModelToString(pin.null_model) +
+          " / cells=" + std::to_string(pin.closed_form_cells) + " / world " +
+          std::to_string(w);
+      EXPECT_EQ(engine[w], pin.maxima[w]) << "engine: " << context;
+      EXPECT_EQ(oracle[w], pin.maxima[w]) << "oracle: " << context;
     }
   }
 }

@@ -6,13 +6,16 @@
 //     (or differently-configured instances of one statistic) over the SAME
 //     family, N, and Monte Carlo options never collide;
 //   * the multinomial statistic: observed Λ matches the brute-force
-//     std::log evaluation, class counts are consistent, the engine
-//     strategies are bit-identical across batch size and parallelism for
-//     both null models, and it runs over non-grid families.
+//     std::log evaluation, class counts are consistent, the engine's null
+//     maxima equal the per-world oracle (testing::ReferenceNullMaxima) bit
+//     for bit from closed-form and point-level worlds, under both null
+//     models, on every SIMD tier, across batch size and parallelism, and it
+//     runs over non-grid families.
 #include "core/scan_statistic.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "core/calibration_cache.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
+#include "core/mc_engine.h"
 #include "core/multinomial_statistic.h"
 #include "core/scan.h"
 #include "core/significance.h"
@@ -275,7 +279,7 @@ TEST(MultinomialStatistic, CategoricalDrawMatchesFloatingPointOracle) {
   }
 }
 
-TEST(MultinomialStatistic, EngineStrategiesBitIdentical) {
+TEST(MultinomialStatistic, EngineMatchesOracleBitIdentical) {
   auto city = MakeMulticlassCity(33, 900, {0.4, 0.35, 0.25});
   auto family = GridPartitionFamily::Create(city.locations, 5, 4);
   ASSERT_TRUE(family.ok());
@@ -286,28 +290,29 @@ TEST(MultinomialStatistic, EngineStrategiesBitIdentical) {
   for (const NullModel null_model :
        {NullModel::kBernoulli, NullModel::kPermutation}) {
     for (const bool closed_form : {true, false}) {
-      MonteCarloOptions reference;
-      reference.num_worlds = 80;
-      reference.seed = 404;
-      reference.null_model = null_model;
-      reference.closed_form_cells = closed_form;
-      reference.engine = McEngine::kReference;
-      reference.parallel = false;
-      auto baseline = SimulateNull(**statistic, **family, reference);
-      ASSERT_TRUE(baseline.ok());
-      EXPECT_GT(baseline->sorted_max().front(), 0.0);
+      MonteCarloOptions mc;
+      mc.num_worlds = 80;
+      mc.seed = 404;
+      mc.null_model = null_model;
+      mc.closed_form_cells = closed_form;
+      const std::vector<double> oracle =
+          testing::ReferenceNullMaxima(**statistic, **family, mc);
+      EXPECT_GT(*std::max_element(oracle.begin(), oracle.end()), 0.0);
 
-      for (const uint32_t batch_size : {1u, 3u, 16u}) {
-        for (const bool parallel : {false, true}) {
-          MonteCarloOptions batched = reference;
-          batched.engine = McEngine::kBatched;
-          batched.batch_size = batch_size;
-          batched.parallel = parallel;
-          auto got = SimulateNull(**statistic, **family, batched);
-          ASSERT_TRUE(got.ok());
-          EXPECT_EQ(got->MaximaVector(), baseline->MaximaVector())
-              << NullModelToString(null_model) << " cf=" << closed_form
-              << " batch=" << batch_size << " parallel=" << parallel;
+      for (const spatial::PopcountKernel tier : testing::kTiers) {
+        const testing::ScopedTier scoped(tier);
+        for (const uint32_t batch_size : {1u, 3u, 16u}) {
+          for (const bool parallel : {false, true}) {
+            mc.batch_size = batch_size;
+            mc.parallel = parallel;
+            EXPECT_EQ(RunMonteCarloWorlds(
+                          *(*statistic)->MakeSimulation(**family, mc), mc),
+                      oracle)
+                << NullModelToString(null_model) << " cf=" << closed_form
+                << " tier="
+                << spatial::PopcountKernelName(spatial::ActiveSamplerKernel())
+                << " batch=" << batch_size << " parallel=" << parallel;
+          }
         }
       }
     }

@@ -50,6 +50,17 @@ TEST(NullDistribution, UnattainableAlphaGivesInfinity) {
 TEST(NullDistribution, SortsInput) {
   NullDistribution dist({3.0, 1.0, 2.0});
   EXPECT_EQ(dist.MaximaVector(), (std::vector<double>{3.0, 2.0, 1.0}));
+  // Already-descending input skips the sort; every order ends the same,
+  // ties included.
+  const std::vector<double> descending = {4.0, 3.0, 3.0, 2.0, 0.5, 0.0};
+  for (const std::vector<double>& input :
+       {descending, std::vector<double>(descending.rbegin(), descending.rend()),
+        std::vector<double>{2.0, 0.0, 3.0, 4.0, 0.5, 3.0}}) {
+    const NullDistribution sorted(input);
+    EXPECT_EQ(std::vector<double>(sorted.sorted_max().begin(),
+                                  sorted.sorted_max().end()),
+              descending);
+  }
 }
 
 TEST(NullDistribution, MetadataConstructorCarriesStopState) {
@@ -318,17 +329,10 @@ TEST(NullModelToString, Names) {
                "conditional permutation");
 }
 
-TEST(McEngineToString, Names) {
-  EXPECT_STREQ(McEngineToString(McEngine::kBatched), "batched");
-  EXPECT_STREQ(McEngineToString(McEngine::kReference), "per-world reference");
-}
-
 TEST(EnumToString, NamesAreDistinct) {
   // Reports embed these strings; two enum values must never render alike.
   EXPECT_STRNE(NullModelToString(NullModel::kBernoulli),
                NullModelToString(NullModel::kPermutation));
-  EXPECT_STRNE(McEngineToString(McEngine::kBatched),
-               McEngineToString(McEngine::kReference));
 }
 
 }  // namespace

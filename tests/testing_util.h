@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,10 +23,15 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/audit.h"
+#include "core/bernoulli_statistic.h"
+#include "core/cell_sampler_bank.h"
 #include "core/knn_circle_family.h"
+#include "core/multinomial_statistic.h"
 #include "core/partitioning_family.h"
 #include "data/dataset.h"
 #include "core/region_family.h"
+#include "core/scan_statistic.h"
+#include "core/significance.h"
 #include "core/square_family.h"
 #include "geo/partitioning.h"
 #include "geo/rect.h"
@@ -271,6 +277,27 @@ inline void ReferenceClassCounts(const RegionFamily& family,
   }
 }
 
+/// The byte mutants of `seed` a parser of untrusted bytes must survive:
+/// every truncation, every single-byte deletion, and at every position each
+/// substitution from "(),;:=.-09e", 0x00 and 0xFF that changes the byte.
+inline std::vector<std::string> ByteMutants(const std::string& seed) {
+  static constexpr char kSubstitutes[] = {'(', ')', ',', ';', ':',
+                                          '=', '.', '-', '0', '9',
+                                          'e', '\0', '\xff'};
+  std::vector<std::string> mutants;
+  for (size_t i = 0; i < seed.size(); ++i) {
+    mutants.push_back(seed.substr(0, i));
+    mutants.push_back(seed.substr(0, i) + seed.substr(i + 1));
+    for (const char c : kSubstitutes) {
+      if (seed[i] == c) continue;
+      std::string mutant = seed;
+      mutant[i] = c;
+      mutants.push_back(std::move(mutant));
+    }
+  }
+  return mutants;
+}
+
 /// Reference sparse view: the ascending ids of the set bytes.
 inline std::vector<uint32_t> ReferencePositiveIndices(
     const std::vector<uint8_t>& bytes) {
@@ -398,6 +425,154 @@ class MemberListFamily : public RegionFamily {
   std::vector<RegionDescriptor> descriptors_;
   std::vector<std::vector<uint32_t>> members_;
 };
+
+/// The null-world oracle of the Monte Carlo engine: options.num_worlds
+/// maxima of Λ over `family`, in world order, for a Bernoulli or multinomial
+/// `statistic`. World w draws from Rng(options.seed).Split(w) with the
+/// scalar samplers the engine's lane paths must match draw for draw:
+/// closed-form cells (CellSamplerBank::Draw, or chained Rng::Binomial per
+/// cell and then the outside points for K classes) when
+/// options.closed_form_cells, the null is Bernoulli and the family has a
+/// cell decomposition; otherwise Labels::SampleBernoulli/SamplePermutation,
+/// or internal::CategoricalDraw::Draw and the shuffled class codes. It
+/// counts through CountPositivesFromCells, CountPositives or
+/// ReferenceClassCounts and evaluates every region's Λ: through
+/// stats::BernoulliLogLikelihoodRatio for Bernoulli, in RegionLlrFromTable's
+/// operation order for K classes. No size groups, no region skip list, no
+/// lanes, no batches.
+inline std::vector<double> ReferenceNullMaxima(
+    const ScanStatistic& statistic, const RegionFamily& family,
+    const MonteCarloOptions& options) {
+  const uint64_t total_n = family.num_points();
+  const size_t num_regions = family.num_regions();
+  const stats::LogLikelihoodTable table(total_n);
+  const CellDecomposition* cells =
+      options.closed_form_cells && options.null_model == NullModel::kBernoulli
+          ? family.cell_decomposition()
+          : nullptr;
+  const Rng root(options.seed);
+  std::vector<double> maxima(options.num_worlds, 0.0);
+
+  if (const auto* bernoulli =
+          dynamic_cast<const BernoulliScanStatistic*>(&statistic)) {
+    std::optional<CellSamplerBank> bank;
+    if (cells != nullptr) bank.emplace(*cells, bernoulli->rho());
+    for (size_t w = 0; w < maxima.size(); ++w) {
+      Rng rng = root.Split(w);
+      std::vector<uint64_t> positives;
+      uint64_t total_p = 0;
+      if (bank.has_value()) {
+        std::vector<uint32_t> cell_positives(cells->cell_counts.size());
+        total_p = bank->Draw(&rng, cell_positives.data());
+        std::vector<uint32_t> rows(num_regions);
+        family.CountPositivesFromCells(cell_positives.data(), rows.data());
+        positives.assign(rows.begin(), rows.end());
+      } else {
+        const Labels labels =
+            options.null_model == NullModel::kBernoulli
+                ? Labels::SampleBernoulli(total_n, bernoulli->rho(), &rng)
+                : Labels::SamplePermutation(total_n, bernoulli->total_p(),
+                                            &rng);
+        family.CountPositives(labels, &positives);
+        total_p = labels.positive_count();
+      }
+      for (size_t r = 0; r < num_regions; ++r) {
+        stats::ScanCounts counts;
+        counts.n = family.PointCount(r);
+        counts.p = positives[r];
+        counts.total_n = total_n;
+        counts.total_p = total_p;
+        maxima[w] = std::max(maxima[w], stats::BernoulliLogLikelihoodRatio(
+                                            counts, bernoulli->direction(),
+                                            table));
+      }
+    }
+    return maxima;
+  }
+
+  const auto* multinomial =
+      dynamic_cast<const MultinomialScanStatistic*>(&statistic);
+  SFA_CHECK_MSG(multinomial != nullptr, "no oracle for " << statistic.Name());
+  const uint32_t num_classes = multinomial->num_classes();
+  const uint32_t counted = num_classes - 1;
+  const std::vector<double> q = multinomial->ClassDistribution();
+  const internal::CategoricalDraw categorical(q);
+  for (size_t w = 0; w < maxima.size(); ++w) {
+    Rng rng = root.Split(w);
+    std::vector<uint64_t> totals(num_classes, 0);
+    std::vector<uint64_t> counts(counted * num_regions);
+    if (cells != nullptr) {
+      // Multinomial(n_c, q) per cell, then one for the outside points, which
+      // shift the totals only, by chained binomials: class k gets
+      // Binomial(remaining, q_k / rest).
+      const size_t num_cells = cells->cell_counts.size();
+      std::vector<uint32_t> cell_class(counted * num_cells);
+      const auto draw_cell = [&](uint64_t remaining, size_t c) {
+        double rest = 1.0;
+        for (uint32_t k = 0; k < counted; ++k) {
+          const double p = rest > 0.0 ? std::min(1.0, q[k] / rest) : 1.0;
+          const uint64_t draw = remaining > 0 ? rng.Binomial(remaining, p) : 0;
+          totals[k] += draw;
+          if (c < num_cells) {
+            cell_class[k * num_cells + c] = static_cast<uint32_t>(draw);
+          }
+          remaining -= draw;
+          rest -= q[k];
+        }
+        totals[counted] += remaining;
+      };
+      for (size_t c = 0; c < num_cells; ++c) draw_cell(cells->cell_counts[c], c);
+      if (cells->num_outside > 0) draw_cell(cells->num_outside, num_cells);
+      std::vector<uint32_t> rows(num_regions);
+      for (uint32_t k = 0; k < counted; ++k) {
+        family.CountPositivesFromCells(cell_class.data() + k * num_cells,
+                                       rows.data());
+        std::copy(rows.begin(), rows.end(), counts.begin() + k * num_regions);
+      }
+    } else {
+      std::vector<uint8_t> classes(total_n);
+      if (options.null_model == NullModel::kBernoulli) {
+        categorical.Draw(&rng, classes.data(), total_n, totals.data());
+      } else {
+        totals = multinomial->class_totals();
+        size_t at = 0;
+        for (uint32_t k = 0; k < num_classes; ++k) {
+          std::fill_n(classes.begin() + at, totals[k], static_cast<uint8_t>(k));
+          at += totals[k];
+        }
+        rng.Shuffle(classes.data(), classes.data() + total_n);
+      }
+      const uint8_t* world = classes.data();
+      ReferenceClassCounts(family, &world, 1, num_classes, counts.data());
+    }
+    double null_term = 0.0;
+    for (uint32_t k = 0; k < num_classes; ++k) {
+      null_term += table.klogk(totals[k]);
+    }
+    null_term -= table.klogk(total_n);
+    for (size_t r = 0; r < num_regions; ++r) {
+      const uint64_t n = family.PointCount(r);
+      const uint64_t m = total_n - n;
+      if (n == 0 || m == 0) continue;  // Λ = 0
+      double t_in = 0.0;
+      double t_out = 0.0;
+      uint64_t in_counted = 0;
+      for (uint32_t k = 0; k < counted; ++k) {
+        const uint64_t c = counts[k * num_regions + r];
+        in_counted += c;
+        t_in += table.klogk(c);
+        t_out += table.klogk(totals[k] - c);
+      }
+      const uint64_t c_last = n - in_counted;
+      t_in += table.klogk(c_last);
+      t_out += table.klogk(totals[counted] - c_last);
+      const double llr = (t_in - table.klogk(n)) +
+                         (t_out - table.klogk(m)) - null_term;
+      maxima[w] = std::max(maxima[w], llr);
+    }
+  }
+  return maxima;
+}
 
 }  // namespace sfa::core::testing
 

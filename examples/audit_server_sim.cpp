@@ -196,16 +196,13 @@ World BuildWorld(size_t city_points, uint32_t num_worlds, size_t num_requests) {
 /// (same fingerprint + statistic + options path), so sharding by
 /// hash % shards puts every request of one calibration on one shard.
 std::vector<uint64_t> RequestKeyHashes(const World& world) {
-  std::map<const RegionFamily*, uint64_t> fingerprints;
   std::vector<uint64_t> hashes;
   hashes.reserve(world.requests.size());
   for (const AuditRequest& req : world.requests) {
-    auto [it, inserted] = fingerprints.emplace(req.family, 0);
-    if (inserted) it->second = FamilyFingerprint(*req.family);
     auto statistic = MakeScanStatistic(req.options, *req.dataset);
     SFA_CHECK_OK(statistic.status());
-    const CalibrationKey key = MakeCalibrationKey(
-        *req.family, it->second, **statistic, req.options.monte_carlo);
+    const CalibrationKey key = MakeCalibrationKey(*req.family, **statistic,
+                                                  req.options.monte_carlo);
     hashes.push_back(key.hash);
   }
   return hashes;
@@ -609,7 +606,6 @@ ReplayWorld BuildReplayWorld() {
   ReplayWorld rw;
   rw.cities.push_back(MakeCity("replayville", 55, 4000, 0.42));
   const City& city = rw.cities.front();
-  const uint64_t fingerprint = FamilyFingerprint(*city.sp_family);
   rw.templates.reserve(kReplayKeys);
   rw.hashes.reserve(kReplayKeys);
   for (size_t k = 0; k < kReplayKeys; ++k) {
@@ -624,8 +620,8 @@ ReplayWorld BuildReplayWorld() {
     req.options.monte_carlo.seed = 40'000 + static_cast<uint64_t>(k);
     auto statistic = MakeScanStatistic(req.options, *req.dataset);
     SFA_CHECK_OK(statistic.status());
-    const CalibrationKey key = MakeCalibrationKey(
-        *req.family, fingerprint, **statistic, req.options.monte_carlo);
+    const CalibrationKey key = MakeCalibrationKey(*req.family, **statistic,
+                                                  req.options.monte_carlo);
     rw.hashes.push_back(key.hash);
     rw.templates.push_back(std::move(req));
   }

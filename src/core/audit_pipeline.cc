@@ -62,8 +62,7 @@ struct UniqueCalibration {
   Status status = Status::OK();
 };
 
-void PrepareRequest(const AuditRequest& req, uint64_t family_fingerprint,
-                    Prep* prep) {
+void PrepareRequest(const AuditRequest& req, Prep* prep) {
   if (req.dataset_is_view ||
       req.options.measure == FairnessMeasure::kStatisticalParity) {
     // Statistical parity audits every individual on the prediction bit —
@@ -123,8 +122,7 @@ void PrepareRequest(const AuditRequest& req, uint64_t family_fingerprint,
     prep->mc.adaptive.observed = observed.max_llr;
     prep->mc.adaptive.alpha = req.options.alpha;
   }
-  prep->key = MakeCalibrationKey(*req.family, family_fingerprint,
-                                 *prep->statistic, prep->mc);
+  prep->key = MakeCalibrationKey(*req.family, *prep->statistic, prep->mc);
 }
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
@@ -300,26 +298,11 @@ Result<std::vector<AuditResponse>> AuditPipeline::Run(
     }
   };
 
-  // Phase 1 — prepare: family fingerprints (once per distinct family — the
-  // probe worlds are the expensive part of a key and depend only on the
-  // immutable family), then per-request measure views, totals, and keys.
-  std::unordered_map<const RegionFamily*, uint64_t> fingerprints;
-  std::vector<const RegionFamily*> distinct_families;
-  for (const AuditRequest& req : batch) {
-    if (fingerprints.emplace(req.family, 0).second) {
-      distinct_families.push_back(req.family);
-    }
-  }
-  for_each(distinct_families.size(), [&](size_t f) {
-    // Distinct keys: concurrent writes touch distinct, pre-inserted map
-    // slots; the map's structure is frozen here (find, never insert).
-    fingerprints.find(distinct_families[f])->second =
-        FamilyFingerprint(*distinct_families[f]);
-  });
+  // Phase 1 — prepare: per-request measure views, totals, and keys (each
+  // family fingerprints itself once, on its first key).
   std::vector<Prep> preps(batch.size());
-  for_each(batch.size(), [&](size_t i) {
-    PrepareRequest(batch[i], fingerprints.at(batch[i].family), &preps[i]);
-  });
+  for_each(batch.size(),
+           [&](size_t i) { PrepareRequest(batch[i], &preps[i]); });
 
   // Phase 2 — calibrate: dedupe keys (first-occurrence order, so manifests
   // are stable), serve warm entries from the cache, simulate (or load from
@@ -872,28 +855,8 @@ AuditResponse AuditPipeline::ExecuteStreamRequest(Stream* s,
     return response;
   }
 
-  // Fingerprint memo: the probe-world pass is the expensive part of a key
-  // and depends only on the immutable family. Racing workers may both
-  // compute a missing entry — the value is identical, the second insert is
-  // a no-op.
-  uint64_t fingerprint = 0;
-  bool have_fingerprint = false;
-  {
-    std::unique_lock<std::mutex> lock(s->mu);
-    auto it = s->fingerprints.find(request.family);
-    if (it != s->fingerprints.end()) {
-      fingerprint = it->second;
-      have_fingerprint = true;
-    }
-  }
-  if (!have_fingerprint) {
-    fingerprint = FamilyFingerprint(*request.family);
-    std::unique_lock<std::mutex> lock(s->mu);
-    s->fingerprints.emplace(request.family, fingerprint);
-  }
-
   Prep prep;
-  PrepareRequest(request, fingerprint, &prep);
+  PrepareRequest(request, &prep);
   if (!prep.status.ok()) {
     response.status = prep.status;
     return response;

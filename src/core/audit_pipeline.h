@@ -48,7 +48,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -409,7 +408,7 @@ class AuditPipeline {
     BoundedPriorityQueue<StreamEntry> queue;
     std::vector<std::thread> workers;
     CancellationToken cancel;
-    /// Guards paused, accepting, inflight_submits, stats, fingerprints —
+    /// Guards paused, accepting, inflight_submits, stats —
     /// and the cancel token's transition, which doubles as a CV predicate
     /// for the worker dispatch gate (a CV predicate must change under the
     /// mutex or the wakeup can be lost).
@@ -425,11 +424,6 @@ class AuditPipeline {
     /// for zero before snapshotting stats.
     size_t inflight_submits = 0;
     StreamStats stats;
-    /// Session-scoped FamilyFingerprint memo (the expensive part of a
-    /// calibration key, a pure function of the immutable family). Keyed by
-    /// pointer: families must outlive the session and must not be destroyed
-    /// and reallocated mid-session.
-    std::unordered_map<const RegionFamily*, uint64_t> fingerprints;
   };
 
   void StreamWorkerLoop(Stream* stream);

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -97,11 +98,16 @@ uint64_t FamilyFingerprint(const RegionFamily& family) {
   return fp;
 }
 
+uint64_t RegionFamily::Fingerprint() const {
+  std::call_once(fingerprint_once_,
+                 [this] { fingerprint_ = FamilyFingerprint(*this); });
+  return fingerprint_;
+}
+
 CalibrationKey MakeCalibrationKey(const RegionFamily& family,
                                   const ScanStatistic& statistic,
                                   const MonteCarloOptions& options) {
-  return MakeCalibrationKey(family, FamilyFingerprint(family), statistic,
-                            options);
+  return MakeCalibrationKey(family, family.Fingerprint(), statistic, options);
 }
 
 CalibrationKey MakeCalibrationKey(const RegionFamily& family,

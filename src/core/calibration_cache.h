@@ -62,20 +62,20 @@ struct CalibrationKey {
 };
 
 /// The family-only part of the key: Name(), size profiles, and the probe
-/// worlds. This walks every region and runs three CountPositives passes, so
-/// batch executors computing keys for many requests against one family
-/// should compute it once per family and use the fingerprint overload below
-/// (the fingerprint is a pure function of the immutable family).
+/// worlds. This walks every region and counts the three probe worlds in one
+/// 3-plane CountPlaneBytes pass, on every call: RegionFamily::Fingerprint()
+/// is the cached value the keys read.
 uint64_t FamilyFingerprint(const RegionFamily& family);
 
 /// Builds the calibration key for `statistic` (which carries the view totals
 /// and its own fingerprint; statistic.total_n() must equal
-/// family.num_points()) simulated over `family` with `options`.
+/// family.num_points()) simulated over `family` with `options`, from
+/// family.Fingerprint().
 CalibrationKey MakeCalibrationKey(const RegionFamily& family,
                                   const ScanStatistic& statistic,
                                   const MonteCarloOptions& options);
 
-/// Same, with a precomputed FamilyFingerprint(family).
+/// Same, with a given FamilyFingerprint(family).
 CalibrationKey MakeCalibrationKey(const RegionFamily& family,
                                   uint64_t fingerprint,
                                   const ScanStatistic& statistic,

@@ -37,6 +37,16 @@
 //   identity       "multinomial K=<K> C=<c0,c1,...>" — the class totals are
 //                  part of the calibration identity, so a multinomial
 //                  calibration can never collide with a Bernoulli one.
+//
+// At K = 2 (class 1 as "positive") Λ(R) equals the two-sided Bernoulli Λ bit
+// for bit in every region whose inside and outside rates differ: both sum
+// the same three table differences, t[c0]+t[c1]−t[n] inside, the same
+// outside and Σ_k t[C_k]−t[N], in the same order up to commuting the two
+// addends of each sum, which IEEE addition does exactly. Regions whose rates
+// tie (p·m = (P−p)·n) differ: the Bernoulli statistic gates them to exactly
+// 0 on that integer comparison before any arithmetic, while this statistic
+// has no gate and returns the table sum's residue, up to ~1e-12 at N ≤ 4096
+// (MultinomialStatistic.TwoClassCaseTracksBernoulliTau).
 #ifndef SFA_CORE_MULTINOMIAL_STATISTIC_H_
 #define SFA_CORE_MULTINOMIAL_STATISTIC_H_
 

@@ -51,6 +51,7 @@
 #define SFA_CORE_REGION_FAMILY_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,11 @@ struct CellDecomposition {
 
 class RegionFamily {
  public:
+  RegionFamily() = default;
+  /// A family is bound to its object: it is neither copied nor moved, so its
+  /// cached Fingerprint() always describes the object it is read from.
+  RegionFamily(const RegionFamily&) = delete;
+  RegionFamily& operator=(const RegionFamily&) = delete;
   virtual ~RegionFamily() = default;
 
   /// Number of regions scanned.
@@ -189,6 +195,18 @@ class RegionFamily {
 
   /// Human-readable one-liner for reports.
   virtual std::string Name() const = 0;
+
+  /// The family's calibration identity, FamilyFingerprint(*this)
+  /// (core/calibration_cache.h): computed on the first call, then cached in
+  /// this object, once for any number of concurrent callers. Every calibration
+  /// key of the family reads it, so a family is fingerprinted once per object
+  /// however many audits, batches or stream sessions key against it; a
+  /// different family built later at the same address has its own.
+  uint64_t Fingerprint() const;
+
+ private:
+  mutable std::once_flag fingerprint_once_;
+  mutable uint64_t fingerprint_ = 0;
 };
 
 namespace internal {

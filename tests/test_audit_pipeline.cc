@@ -319,8 +319,11 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
   const std::vector<const RegionFamily*> families = {
       b.family_a.get(), squares->get(), knn->get()};
   for (const RegionFamily* family : families) {
+    // Keys from the uncached FamilyFingerprint, so every tier reruns the
+    // probe counts instead of reading the first tier's cached value.
     const auto family_key = [&](const MonteCarloOptions& m) {
-      return MakeCalibrationKey(*family, statistic, m);
+      return MakeCalibrationKey(*family, FamilyFingerprint(*family), statistic,
+                                m);
     };
     const CalibrationKey family_base = family_key(mc);
     const spatial::PopcountKernel previous = spatial::ActivePopcountKernel();
@@ -334,6 +337,8 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
           spatial::PopcountKernelName(spatial::ActiveSamplerKernel()));
       EXPECT_EQ(family_base, family_key(mc)) << family->Name();
       EXPECT_EQ(family_base, family_key(execution)) << family->Name();
+      EXPECT_EQ(FamilyFingerprint(*family), family->Fingerprint())
+          << family->Name();
     }
     spatial::ForcePopcountKernel(previous);
     EXPECT_EQ(spatial::ActivePopcountKernel(), previous);

@@ -14,8 +14,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -759,6 +761,157 @@ TEST(McEngine, NullMaximaArePinned) {
           std::to_string(w);
       EXPECT_EQ(engine[w], pin.maxima[w]) << "engine: " << context;
       EXPECT_EQ(oracle[w], pin.maxima[w]) << "oracle: " << context;
+    }
+  }
+}
+
+/// One degenerate input of the sweep: points plus binary outcomes and K = 3
+/// class codes over them.
+struct DegenerateInput {
+  std::string name;
+  std::vector<geo::Point> points;
+  std::vector<uint8_t> binary;
+  std::vector<uint8_t> classes;
+};
+
+std::vector<DegenerateInput> DegenerateInputs() {
+  std::vector<DegenerateInput> inputs;
+  const auto mixed = [](DegenerateInput input) {
+    for (size_t i = 0; i < input.points.size(); ++i) {
+      input.binary.push_back(static_cast<uint8_t>(i % 2));
+      input.classes.push_back(static_cast<uint8_t>(i % 3));
+    }
+    return input;
+  };
+  std::vector<geo::Point> cloud = Cloud(43);
+  cloud.resize(60);
+  // P = 0 and P = N: every point in one class.
+  inputs.push_back({"P=0", cloud, std::vector<uint8_t>(cloud.size(), 0),
+                    std::vector<uint8_t>(cloud.size(), 0)});
+  inputs.push_back({"P=N", cloud, std::vector<uint8_t>(cloud.size(), 1),
+                    std::vector<uint8_t>(cloud.size(), 2)});
+  inputs.push_back({"N=1", {{4.0, 6.0}}, {1}, {1}});
+  // Duplicates: a rectangle holds all the points or none; a kNN circle holds
+  // k of them, chosen by the k-d tree's tie order.
+  inputs.push_back(
+      mixed({"one location", std::vector<geo::Point>(40, {4.0, 6.0}), {}, {}}));
+  // Two far corners: the grid, the partitionings, the sweep rectangles and
+  // the squares between them hold no point.
+  DegenerateInput corners{"empty cells", {}, {}, {}};
+  Rng rng(47);
+  for (int i = 0; i < 30; ++i) {
+    corners.points.push_back({rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)});
+    corners.points.push_back({rng.Uniform(9.0, 10.0), rng.Uniform(9.0, 10.0)});
+  }
+  inputs.push_back(mixed(std::move(corners)));
+  return inputs;
+}
+
+/// Every bundled family over `points`, or the status its Create returned.
+std::vector<std::pair<std::string, Result<std::unique_ptr<RegionFamily>>>>
+BundledFamilies(const std::vector<geo::Point>& points) {
+  std::vector<std::pair<std::string, Result<std::unique_ptr<RegionFamily>>>>
+      out;
+  const auto add = [&](const char* name, auto created) {
+    if (created.ok()) {
+      out.emplace_back(name, std::unique_ptr<RegionFamily>(
+                                 std::move(created).value()));
+    } else {
+      out.emplace_back(name, created.status());
+    }
+  };
+  add("grid", GridPartitionFamily::Create(points, 8, 6));
+  Rng prng(7);
+  auto partitionings = geo::MakeRandomPartitionings(
+      geo::Rect::BoundingBox(points), 3, 2, 5, &prng);
+  if (partitionings.ok()) {
+    add("partitioning-collection",
+        PartitioningCollectionFamily::Create(points,
+                                             std::move(*partitionings)));
+  } else {
+    out.emplace_back("partitioning-collection", partitionings.status());
+  }
+  const std::vector<geo::Point> centers = {
+      {0.5, 0.5}, {4.0, 6.0}, {5.0, 5.0}, {9.5, 9.5}, {2.0, 8.0}};
+  SquareScanOptions square_opts;
+  square_opts.centers = centers;
+  square_opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
+  add("square", SquareScanFamily::Create(points, square_opts));
+  KnnCircleOptions knn_opts;
+  knn_opts.centers = centers;
+  add("knn-circle", KnnCircleFamily::Create(points, knn_opts));
+  add("rectangle-sweep", RectangleSweepFamily::Create(points, 6, 5));
+  return out;
+}
+
+// Degenerate inputs through every bundled family, both statistics and both
+// null models: each case is either refused with InvalidArgument (by a
+// Create or by ValidateForFamily) or simulated exactly as the per-world
+// oracle does, with a finite observed max that is 0 when one class holds
+// every point.
+TEST(McEngine, DegenerateInputsAreRejectedOrMatchTheOracle) {
+  for (const DegenerateInput& input : DegenerateInputs()) {
+    const size_t n = input.points.size();
+    uint64_t positives = 0;
+    for (const uint8_t y : input.binary) positives += y;
+    const bool one_binary_class = positives == 0 || positives == n;
+    const bool one_class =
+        std::all_of(input.classes.begin(), input.classes.end(),
+                    [&](uint8_t c) { return c == input.classes[0]; });
+    std::vector<std::pair<std::string, Result<std::unique_ptr<ScanStatistic>>>>
+        statistics;
+    statistics.emplace_back(
+        "bernoulli", std::make_unique<BernoulliScanStatistic>(
+                         stats::ScanDirection::kTwoSided, n, positives));
+    auto multinomial =
+        MultinomialScanStatistic::FromOutcomes(input.classes.data(), n, 3);
+    if (multinomial.ok()) {
+      statistics.emplace_back("multinomial-k3", std::move(*multinomial));
+    } else {
+      statistics.emplace_back("multinomial-k3", multinomial.status());
+    }
+    for (auto& [family_name, family] : BundledFamilies(input.points)) {
+      for (const auto& [statistic_name, statistic] : statistics) {
+        const std::string context =
+            input.name + " / " + family_name + " / " + statistic_name;
+        SCOPED_TRACE(context);
+        if (!family.ok()) {
+          EXPECT_TRUE(family.status().IsInvalidArgument()) << family.status();
+          continue;
+        }
+        if (!statistic.ok()) {
+          EXPECT_TRUE(statistic.status().IsInvalidArgument())
+              << statistic.status();
+          continue;
+        }
+        const Status valid = (*statistic)->ValidateForFamily(**family);
+        if (!valid.ok()) {
+          EXPECT_TRUE(valid.IsInvalidArgument()) << valid;
+          continue;
+        }
+        const bool bernoulli = statistic_name == "bernoulli";
+        const std::vector<uint8_t>& outcomes =
+            bernoulli ? input.binary : input.classes;
+        AuditScratch scratch;
+        const ScanResult observed =
+            (*statistic)->ScanObserved(**family, outcomes.data(), n, &scratch);
+        EXPECT_TRUE(std::isfinite(observed.max_llr)) << observed.max_llr;
+        if (bernoulli ? one_binary_class : one_class) {
+          EXPECT_EQ(observed.max_llr, 0.0);
+        }
+        for (const NullModel null_model :
+             {NullModel::kBernoulli, NullModel::kPermutation}) {
+          MonteCarloOptions mc;
+          mc.num_worlds = 19;
+          mc.seed = 77;
+          mc.null_model = null_model;
+          EXPECT_EQ(
+              RunMonteCarloWorlds(*(*statistic)->MakeSimulation(**family, mc),
+                                  mc),
+              testing::ReferenceNullMaxima(**statistic, **family, mc))
+              << NullModelToString(null_model);
+        }
+      }
     }
   }
 }

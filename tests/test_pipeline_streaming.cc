@@ -12,19 +12,23 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
+#include "core/audit.h"
 #include "core/audit_pipeline.h"
+#include "core/calibration_cache.h"
 #include "core/calibration_store.h"
 #include "core/grid_family.h"
 #include "testing_util.h"
@@ -525,6 +529,98 @@ TEST(PipelineStreaming, LifecycleMisuseIsRejected) {
   ASSERT_TRUE(pipeline.StartStream({}).ok());
   ASSERT_TRUE(pipeline.FinishStream().ok());
   EXPECT_TRUE(pipeline.Run(requests).ok());
+}
+
+/// Eight equal-count stripes of the points, ranked along x or along y: the
+/// two orientations share Name(), N and every n(R) and differ only in
+/// membership, so only the probe counts of the fingerprint tell them apart.
+class StripeFamily : public RegionFamily {
+ public:
+  static constexpr size_t kStripes = 8;
+
+  StripeFamily(const std::vector<geo::Point>& points, bool along_y)
+      : stripe_of_point_(points.size()) {
+    std::vector<uint32_t> order(points.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<uint32_t>(i);
+    }
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return along_y ? points[a].y < points[b].y : points[a].x < points[b].x;
+    });
+    for (size_t rank = 0; rank < order.size(); ++rank) {
+      const size_t stripe = rank * kStripes / order.size();
+      stripe_of_point_[order[rank]] = static_cast<uint32_t>(stripe);
+      ++counts_[stripe];
+    }
+  }
+
+  size_t num_regions() const override { return kStripes; }
+  size_t num_points() const override { return stripe_of_point_.size(); }
+  RegionDescriptor Describe(size_t r) const override {
+    RegionDescriptor desc;
+    desc.label = "stripe " + std::to_string(r);
+    desc.group = static_cast<uint32_t>(r);
+    return desc;
+  }
+  uint64_t PointCount(size_t r) const override { return counts_[r]; }
+  void CountPositives(const Labels& labels,
+                      std::vector<uint64_t>* out) const override {
+    const std::vector<uint8_t>& bytes = labels.bytes();
+    out->assign(kStripes, 0);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      (*out)[stripe_of_point_[i]] += bytes[i];
+    }
+  }
+  std::string Name() const override { return "8 equal-count stripes"; }
+
+ private:
+  std::vector<uint32_t> stripe_of_point_;
+  std::array<uint64_t, kStripes> counts_{};
+};
+
+// A calibration may only be shared between audits of the same family. Here
+// one family is destroyed mid-session and a different one, with the same
+// Name(), N and n(R), is built at the same address: its audit must be keyed
+// and calibrated as its own, exactly as a fresh Auditor would.
+TEST(PipelineStreaming, FamilyRebuiltAtTheSameAddressGetsItsOwnCalibration) {
+  const data::OutcomeDataset city =
+      MakePlantedCity(333, 1600, 0.40, 0.60, "same-address");
+  AuditRequest request;
+  request.dataset = &city;
+  request.options.monte_carlo.num_worlds = 99;
+  request.options.monte_carlo.seed = 5;
+
+  alignas(StripeFamily) unsigned char buffer[sizeof(StripeFamily)];
+  AuditPipeline pipeline;
+  ASSERT_TRUE(pipeline.StartStream({.num_workers = 1}).ok());
+
+  auto* by_x = new (buffer) StripeFamily(city.locations(), /*along_y=*/false);
+  request.id = "by-x";
+  request.family = by_x;
+  auto first = pipeline.Submit(request);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE((*first)->Get().status.ok()) << (*first)->Get().status;
+  by_x->~StripeFamily();
+
+  auto* by_y = new (buffer) StripeFamily(city.locations(), /*along_y=*/true);
+  request.id = "by-y";
+  request.family = by_y;
+  auto second = pipeline.Submit(request);
+  ASSERT_TRUE(second.ok()) << second.status();
+  const AuditResponse& response = (*second)->Get();
+  ASSERT_TRUE(response.status.ok()) << response.status;
+
+  auto statistic = MakeScanStatistic(request.options, city);
+  ASSERT_TRUE(statistic.ok()) << statistic.status();
+  EXPECT_EQ(response.calibration_key,
+            MakeCalibrationKey(*by_y, **statistic, request.options.monte_carlo)
+                .debug);
+  auto fresh = Auditor(request.options).Audit(city, *by_y);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(ResultsBitIdentical(response.result, *fresh));
+
+  ASSERT_TRUE(pipeline.FinishStream().ok());
+  by_y->~StripeFamily();
 }
 
 }  // namespace

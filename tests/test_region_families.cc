@@ -4,8 +4,11 @@
 
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
+#include "core/calibration_cache.h"
 #include "core/grid_family.h"
 #include "core/partitioning_family.h"
 #include "core/rectangle_sweep_family.h"
@@ -334,6 +337,28 @@ TEST_P(FamilyAgreementSweep, AllFamiliesMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FamilyAgreementSweep,
                          ::testing::Values(1, 10, 100, 700));
+
+// Fingerprint() computes FamilyFingerprint once per object and caches it:
+// callers racing on a fresh family (the stream workers and batch preparers
+// keying one family) all get the value, and the cache is data-race free
+// (rerun under TSan in CI).
+TEST(RegionFamily, FingerprintIsComputedOnceForConcurrentCallers) {
+  const TestCloud cloud = MakeCloud(2000, 31);
+  SquareScanOptions options;
+  options.centers = {{3.0, 7.0}, {5.0, 5.0}, {8.0, 2.0}};
+  options.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 4.0, 6);
+  auto family = SquareScanFamily::Create(cloud.points, options);
+  ASSERT_TRUE(family.ok()) << family.status();
+  constexpr size_t kCallers = 64;
+  std::vector<uint64_t> fingerprints(kCallers, 0);
+  DefaultThreadPool().ParallelFor(kCallers, [&](size_t i) {
+    fingerprints[i] = (*family)->Fingerprint();
+  });
+  const uint64_t expected = FamilyFingerprint(**family);
+  for (size_t i = 0; i < kCallers; ++i) {
+    EXPECT_EQ(fingerprints[i], expected) << "caller " << i;
+  }
+}
 
 }  // namespace
 }  // namespace sfa::core

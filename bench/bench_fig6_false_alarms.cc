@@ -73,21 +73,17 @@ int Main() {
   const stats::LogLikelihoodTable table(kOutcomes);
   for (int w = 0; w < worlds; ++w) {
     const core::Labels labels = core::Labels::SampleBernoulli(kOutcomes, kRho, &rng);
+    const core::ScanResult scan = core::ScanAllRegions(
+        **family, labels, stats::ScanDirection::kTwoSided, table);
     // (1) Does a >=5-negative, 0-positive region exist?
-    std::vector<uint64_t> positives;
-    (*family)->CountPositives(labels, &positives);
     bool found = false;
     for (size_t r = 0; r < (*family)->num_regions() && !found; ++r) {
       const uint64_t n = (*family)->PointCount(r);
-      found = n >= 5 && positives[r] == 0;
+      found = n >= 5 && scan.positives[r] == 0;
     }
     with_cluster += found;
     // (2) Does the audit (correctly) decline to call the world unfair?
-    const double tau =
-        core::ScanAllRegions(**family, labels, stats::ScanDirection::kTwoSided,
-                             table)
-            .max_llr;
-    if (null_dist->PValue(tau) <= bench::kAlpha) ++audit_rejections;
+    if (null_dist->PValue(scan.max_llr) <= bench::kAlpha) ++audit_rejections;
   }
 
   std::printf("\n");

@@ -21,7 +21,6 @@
 #include "core/significance.h"
 #include "core/square_family.h"
 #include "geo/partitioning.h"
-#include "spatial/bitvector.h"
 #include "spatial/kdtree.h"
 #include "spatial/simd_popcount.h"
 #include "stats/bernoulli_scan.h"
@@ -80,22 +79,6 @@ void BM_NaiveRangeCount(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NaiveRangeCount)->Range(1000, 1 << 18);
-
-void BM_BitVectorAndPopcount(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  Rng rng(7);
-  spatial::BitVector a(n), b(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.3)) a.Set(i);
-    if (rng.Bernoulli(0.6)) b.Set(i);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spatial::BitVector::AndPopcount(a, b));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n / 8));
-}
-BENCHMARK(BM_BitVectorAndPopcount)->Range(1 << 10, 1 << 20);
 
 void BM_GridFamilyWorld(benchmark::State& state) {
   // One Monte Carlo world against a 100x50 grid family: label generation +
@@ -374,9 +357,9 @@ void BM_LlrMaxPlan(benchmark::State& state, spatial::PopcountKernel tier,
   uint64_t total_p[core::kLaneWorlds];
   for (size_t j = 0; j < core::kLaneWorlds; ++j) {
     const core::Labels labels = core::Labels::SampleBernoulli(n, 0.54, &rng);
-    std::vector<uint64_t> wide;
-    family->CountPositives(labels, &wide);
-    counts[j].assign(wide.begin(), wide.end());
+    counts[j].resize(family->num_regions());
+    family->CountPlaneBytes(labels.bytes().data(), 1, counts[j].data(),
+                            family->num_regions());
     total_p[j] = labels.positive_count();
   }
   const spatial::PopcountKernel previous = spatial::ForcePopcountKernel(tier);
@@ -543,6 +526,58 @@ void BM_CellCountBatch(benchmark::State& state, CellShape shape) {
 }
 BENCHMARK_CAPTURE(BM_CellCountBatch, grid, CellShape::kGrid);
 BENCHMARK_CAPTURE(BM_CellCountBatch, partitionings, CellShape::kPartitionings);
+
+// The observed Bernoulli scan (core::ScanAllRegions: one CountPlaneBytes
+// plane of the labels' bytes, widened, then every region's Λ) on the
+// warm-path shapes of the end-to-end benchmark: N = 8,192 uniform points, a
+// 50 x 25 grid, and 100 centers with 20 square sides or the default kNN
+// ladder. Each iteration scans one of 8 pre-drawn Bernoulli(0.54) worlds
+// through one shared log table. items_per_second is scans/s.
+enum class ScanShape { kGrid, kSquares, kKnn };
+
+void BM_ObservedScan(benchmark::State& state, ScanShape shape) {
+  const size_t n = 8192;
+  Rng rng(41);
+  const auto pts = UniformCloud(n, &rng);
+  const auto centers = UniformCloud(100, &rng);
+  std::unique_ptr<core::RegionFamily> family;
+  if (shape == ScanShape::kGrid) {
+    auto grid = core::GridPartitionFamily::Create(pts, 50, 25);
+    if (grid.ok()) family = std::move(*grid);
+  } else if (shape == ScanShape::kSquares) {
+    core::SquareScanOptions opts;
+    opts.centers = centers;
+    opts.side_lengths = core::SquareScanOptions::DefaultSideLengths();
+    auto squares = core::SquareScanFamily::Create(pts, opts);
+    if (squares.ok()) family = std::move(*squares);
+  } else {
+    core::KnnCircleOptions opts;
+    opts.centers = centers;
+    auto knn = core::KnnCircleFamily::Create(pts, opts);
+    if (knn.ok()) family = std::move(*knn);
+  }
+  if (!family) {
+    state.SkipWithError("family creation failed");
+    return;
+  }
+  std::vector<core::Labels> worlds;
+  for (size_t w = 0; w < core::kLaneWorlds; ++w) {
+    worlds.push_back(core::Labels::SampleBernoulli(n, 0.54, &rng));
+  }
+  const stats::LogLikelihoodTable table(n);
+  size_t w = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::ScanAllRegions(*family, worlds[w],
+                             stats::ScanDirection::kTwoSided, table)
+            .max_llr);
+    w = (w + 1) % worlds.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_ObservedScan, grid, ScanShape::kGrid);
+BENCHMARK_CAPTURE(BM_ObservedScan, squares, ScanShape::kSquares);
+BENCHMARK_CAPTURE(BM_ObservedScan, knn, ScanShape::kKnn);
 
 void BM_RngBinomial(benchmark::State& state) {
   // One-off Binomial draws across regimes: small n·p (CDF inversion) and

@@ -3,6 +3,13 @@
 // long as you can enumerate memberships. This example defines a family of
 // CIRCULAR regions and runs the standard audit over it — nothing in the
 // auditor knows or cares that the regions are not rectangles.
+//
+// A family implements one counting method, CountPlanes: up to 64 label
+// worlds arrive packed into one 64-bit mask word per point (bit p = the
+// point's label in world p), and the family writes each world's p(R) for
+// every region. Everything else — the observed scan, the Monte Carlo worlds,
+// the calibration fingerprint — counts through it.
+#include <bit>
 #include <cstdio>
 
 #include "common/macros.h"
@@ -11,13 +18,12 @@
 #include "core/audit.h"
 #include "core/report.h"
 #include "data/dataset.h"
-#include "spatial/bitvector.h"
 
 namespace {
 
-/// A circle-based region family. Membership bit vectors are built once at
-/// construction; per-world positive counts are AND+popcounts, identical in
-/// cost to the built-in SquareScanFamily.
+/// A circle-based region family. Each region's member ids are listed once
+/// at construction; a CountPlanes call walks every list once and adds each
+/// member's set mask bits into per-plane totals.
 class CircleFamily final : public sfa::core::RegionFamily {
  public:
   CircleFamily(const std::vector<sfa::geo::Point>& points,
@@ -27,17 +33,18 @@ class CircleFamily final : public sfa::core::RegionFamily {
         num_points_(points.size()) {
     for (const auto& center : centers_) {
       for (double radius : radii_) {
-        sfa::spatial::BitVector membership(points.size());
+        std::vector<uint32_t> members;
         for (size_t i = 0; i < points.size(); ++i) {
-          if (points[i].DistanceTo(center) <= radius) membership.Set(i);
+          if (points[i].DistanceTo(center) <= radius) {
+            members.push_back(static_cast<uint32_t>(i));
+          }
         }
-        counts_.push_back(membership.Popcount());
-        memberships_.push_back(std::move(membership));
+        members_.push_back(std::move(members));
       }
     }
   }
 
-  size_t num_regions() const override { return memberships_.size(); }
+  size_t num_regions() const override { return members_.size(); }
   size_t num_points() const override { return num_points_; }
 
   sfa::core::RegionDescriptor Describe(size_t r) const override {
@@ -53,14 +60,24 @@ class CircleFamily final : public sfa::core::RegionFamily {
     return desc;
   }
 
-  uint64_t PointCount(size_t r) const override { return counts_[r]; }
+  uint64_t PointCount(size_t r) const override { return members_[r].size(); }
 
-  void CountPositives(const sfa::core::Labels& labels,
-                      std::vector<uint64_t>* out) const override {
-    out->resize(num_regions());
-    for (size_t r = 0; r < memberships_.size(); ++r) {
-      (*out)[r] =
-          sfa::spatial::BitVector::AndPopcount(memberships_[r], labels.bits());
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
+                   size_t out_stride) const override {
+    // Bits at and above num_planes are not this call's planes.
+    const uint64_t live = num_planes == kMaxPlanes
+                              ? ~uint64_t{0}
+                              : (uint64_t{1} << num_planes) - 1;
+    for (size_t r = 0; r < members_.size(); ++r) {
+      uint32_t totals[kMaxPlanes] = {};
+      for (const uint32_t id : members_[r]) {
+        for (uint64_t bits = masks[id] & live; bits != 0; bits &= bits - 1) {
+          ++totals[std::countr_zero(bits)];
+        }
+      }
+      for (size_t p = 0; p < num_planes; ++p) {
+        out[p * out_stride + r] = totals[p];
+      }
     }
   }
 
@@ -72,8 +89,7 @@ class CircleFamily final : public sfa::core::RegionFamily {
  private:
   std::vector<sfa::geo::Point> centers_;
   std::vector<double> radii_;
-  std::vector<sfa::spatial::BitVector> memberships_;
-  std::vector<uint64_t> counts_;
+  std::vector<std::vector<uint32_t>> members_;
   size_t num_points_;
 };
 

@@ -126,17 +126,6 @@ std::vector<uint64_t> AnnulusIndex::region_point_counts() const {
   return counts;
 }
 
-void AnnulusIndex::CountPositives(const uint8_t* labels, uint64_t* out) const {
-  SFA_CHECK(labels != nullptr && out != nullptr);
-  WalkLadders<uint64_t>(
-      csr_, num_centers_, num_rungs_,
-      [labels](uint32_t id) -> uint64_t { return labels[id]; },
-      [](uint64_t* carried, uint64_t sum) { *carried += sum; },
-      [out](size_t slot, uint64_t carried, uint64_t sum) {
-        out[slot] = carried + sum;
-      });
-}
-
 namespace {
 
 /// The scalar arm for one 8-plane group: bytes[kStride * i] is point i's

@@ -35,16 +35,18 @@
 //              of its mask word's group byte, read in place, into byte lane
 //              b. A call of at most 8 planes is one such walk, and
 //              CountPlaneBytes runs it on one byte per point (the few-plane
-//              calls of observed scans and fingerprints).
+//              calls of observed scans and fingerprints; an observed
+//              Bernoulli scan is one plane).
 //
 // Byte lanes fold into 32-bit totals every 255 entries, before they can
 // overflow, and every rank end emits totals + lanes into plane p's row at
 // out + p·stride (the row layout the LLR max reads). All arms give the same
 // counts (tests/test_annulus_index.cc).
 //
-// O(entries) per 64 worlds, no dense label bits, no per-region AND+popcount
-// pass. This is the only counting path of both families; the test suites
-// check it against a reference family built from the geometry.
+// O(entries) per 64 worlds, no dense label bits, no per-region pass. These
+// two calls are the only counting path of both families; the test suites
+// check them against member lists built from the geometry alone
+// (testing::MemberListFamily).
 #ifndef SFA_CORE_ANNULUS_INDEX_H_
 #define SFA_CORE_ANNULUS_INDEX_H_
 
@@ -102,10 +104,6 @@ class AnnulusIndex {
 
   /// n(R) for every region, read off the CSR rank boundaries.
   std::vector<uint64_t> region_point_counts() const;
-
-  /// p(R) for one world given its 0/1 label bytes (num_points() of them).
-  /// `out` is caller-owned with num_regions() slots. Thread-safe.
-  void CountPositives(const uint8_t* labels, uint64_t* out) const;
 
   /// Counts `num_planes` (1..kMaxPlanes) worlds in one walk: bit p of
   /// masks[i] is point i's label in plane p (higher bits are ignored).

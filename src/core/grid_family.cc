@@ -59,20 +59,6 @@ RegionDescriptor GridPartitionFamily::Describe(size_t r) const {
   return desc;
 }
 
-void GridPartitionFamily::CountPositives(const Labels& labels,
-                                         std::vector<uint64_t>* out) const {
-  SFA_CHECK(out != nullptr);
-  SFA_CHECK_MSG(labels.size() == num_points(),
-                "labels " << labels.size() << " != points " << num_points());
-  out->assign(num_regions(), 0);
-  const std::vector<uint32_t>& cells = index_.cell_assignments();
-  const std::vector<uint8_t>& bytes = labels.bytes();
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const uint32_t cell = cells[i];
-    if (cell != geo::GridSpec::kInvalidCell && bytes[i]) ++(*out)[cell];
-  }
-}
-
 template <typename Mask>
 void GridPartitionFamily::CountMaskPlanes(const Mask* masks, size_t num_planes,
                                           uint32_t* out,

@@ -32,8 +32,6 @@ class GridPartitionFamily : public RegionFamily {
   uint64_t PointCount(size_t r) const override {
     return cells_.cell_counts[r];
   }
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override;
   /// One cell scatter over the point assignments per 8-plane byte group.
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override;

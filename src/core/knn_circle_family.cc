@@ -24,37 +24,37 @@ KnnCircleFamily::KnnCircleFamily(const std::vector<geo::Point>& points,
       num_points_(points.size()) {
   const size_t num_centers = centers_.size();
   const size_t num_rungs = ladder_.size();
-  const size_t total = num_centers * num_rungs;
-  point_counts_.assign(total, 0);
-  radii_.assign(total, 0.0);
+  radii_.assign(num_centers * num_rungs, 0.0);
 
   const spatial::KdTree tree(points);
   const size_t max_k = ladder_.back();
-  // One kNN query at the largest k serves every rung: position i of the
-  // nearest list has annulus rank = index of the first ladder value > i
-  // (prefixes of the list ARE the rungs). Every rung is strictly larger than
-  // its predecessor (ladder k values are deduped), so no annulus is empty.
+  // Rung ℓ is the closed ball out to its k_ℓ-th nearest point: every point
+  // at distance² <= reach[ℓ], the k_ℓ-th smallest distance² in the
+  // expression the tree ranks by, so points tied with the k_ℓ-th all join.
+  // One kNN query at the largest k gives every reach, and one ball visit at
+  // the largest reach gives every member; a member's annulus rank is the
+  // first rung whose reach covers it, where its tie starts. Rungs whose
+  // reaches coincide at a center leave empty annuli there.
   std::vector<std::vector<AnnulusEntry>> per_center(num_centers);
   DefaultThreadPool().ParallelFor(num_centers, [&](size_t c) {
-    const std::vector<uint32_t> nearest = tree.KNearest(centers_[c], max_k);
+    const geo::Point& center = centers_[c];
+    const std::vector<uint32_t> nearest = tree.KNearest(center, max_k);
+    std::vector<double> reach(num_rungs);
+    for (size_t rung = 0; rung < num_rungs; ++rung) {
+      reach[rung] =
+          center.DistanceSquaredTo(points[nearest[ladder_[rung] - 1]]);
+      radii_[c * num_rungs + rung] = std::sqrt(reach[rung]);
+    }
     std::vector<AnnulusEntry>& out = per_center[c];
     out.reserve(max_k);
-    for (size_t i = 0; i < max_k; ++i) {
-      const size_t rank = static_cast<size_t>(
-          std::upper_bound(ladder_.begin(), ladder_.end(), i) -
-          ladder_.begin());
-      out.push_back({nearest[i], static_cast<uint32_t>(c),
-                     static_cast<uint32_t>(rank)});
-    }
-    for (size_t rung = 0; rung < num_rungs; ++rung) {
-      const size_t r = c * num_rungs + rung;
-      const size_t k = ladder_[rung];
-      point_counts_[r] = k;
-      radii_[r] = centers_[c].DistanceTo(points[nearest[k - 1]]);
-    }
+    tree.VisitBall(center, reach.back(), [&](uint32_t id) {
+      const double d = center.DistanceSquaredTo(points[id]);
+      const auto rank = static_cast<uint32_t>(
+          std::lower_bound(reach.begin(), reach.end(), d) - reach.begin());
+      out.push_back({id, static_cast<uint32_t>(c), rank});
+    });
   });
   std::vector<AnnulusEntry> entries;
-  entries.reserve(num_centers * max_k);
   for (std::vector<AnnulusEntry>& chunk : per_center) {
     entries.insert(entries.end(), chunk.begin(), chunk.end());
     chunk.clear();
@@ -62,6 +62,7 @@ KnnCircleFamily::KnnCircleFamily(const std::vector<geo::Point>& points,
   }
 
   annulus_ = AnnulusIndex(num_points_, num_centers, num_rungs, entries);
+  point_counts_ = annulus_.region_point_counts();
 }
 
 Result<std::unique_ptr<KnnCircleFamily>> KnnCircleFamily::Create(
@@ -101,21 +102,14 @@ RegionDescriptor KnnCircleFamily::Describe(size_t r) const {
   RegionDescriptor desc;
   // The enclosing square of the circle, for overlap tests and rendering.
   desc.rect = geo::Rect::CenteredSquare(centers_[c], 2.0 * radii_[r]);
-  desc.label =
-      StrFormat("knn-circle(center %zu at (%.3f, %.3f), k=%llu, radius %.3f)", c,
-                centers_[c].x, centers_[c].y,
-                static_cast<unsigned long long>(point_counts_[r]), radii_[r]);
+  // k is the rung's ladder value; n, the points of the closed ball, exceeds
+  // it when points tie with the k-th nearest.
+  desc.label = StrFormat(
+      "knn-circle(center %zu at (%.3f, %.3f), k=%zu, n=%llu, radius %.3f)", c,
+      centers_[c].x, centers_[c].y, ladder_[r % ladder_.size()],
+      static_cast<unsigned long long>(point_counts_[r]), radii_[r]);
   desc.group = static_cast<uint32_t>(c);
   return desc;
-}
-
-void KnnCircleFamily::CountPositives(const Labels& labels,
-                                     std::vector<uint64_t>* out) const {
-  SFA_CHECK(out != nullptr);
-  SFA_CHECK_MSG(labels.size() == num_points_,
-                "labels " << labels.size() << " != points " << num_points_);
-  out->resize(num_regions());
-  annulus_.CountPositives(labels.bytes().data(), out->data());
 }
 
 std::string KnnCircleFamily::Name() const {

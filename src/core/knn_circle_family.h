@@ -5,11 +5,21 @@
 // adapt their AREA to the local density so each holds a controlled share of
 // the population, which the paper's fixed-side squares do not.
 //
-// Per center the ladder is nested by construction (the k nearest are a
-// prefix of the (k+1) nearest): one kNN query per center serves every rung,
-// the nearest list is stored once as a center-major CSR of annulus member
-// ids (core/annulus_index.h), and worlds are counted by walking each ladder
-// once, 8 packed worlds per walk.
+// Region (center c, rung k) is the closed ball around c out to its k-th
+// nearest observation: every point whose distance² to c (Point::
+// DistanceSquaredTo, the expression the k-d tree ranks by) is at most the
+// k-th smallest one. Points tied with the k-th nearest all belong, so a
+// region holds at least k points, and exactly k when no tie straddles its
+// edge; a tie is never split by the tree's arbitrary order, and 40
+// co-located points form one region of all 40 rather than an arbitrary k of
+// them. PointCount(r) and RadiusOfRegion(r) describe that closed ball.
+//
+// Per center the balls are nested by construction: one kNN query at the
+// largest k gives every rung's reach, one ball visit gives every member,
+// the members are stored once as a center-major CSR of annulus member ids
+// (core/annulus_index.h), and worlds are counted by walking each ladder
+// once. Rungs whose reaches coincide at a center (ties spanning both k
+// values) have an empty annulus there and count the same points.
 //
 // Duplicate ladder entries (fractions mapping to the same k) are collapsed
 // at Create; the dedup is reported by Name().
@@ -29,8 +39,9 @@ namespace sfa::core {
 struct KnnCircleOptions {
   /// Scan centers (typically k-means centers or a sample of observations).
   std::vector<geo::Point> centers;
-  /// Population ladder: each entry is a fraction of N; the region holds
-  /// ceil(fraction * N) nearest observations. Entries in (0, max_fraction].
+  /// Population ladder: each entry is a fraction of N; the region is the
+  /// closed ball out to the k = ceil(fraction * N)-th nearest observation
+  /// (k nearest, plus any tied with the k-th). Entries in (0, 1].
   std::vector<double> population_fractions = DefaultPopulationFractions();
 
   /// SaTScan-like default ladder up to 10% of the population.
@@ -46,8 +57,6 @@ class KnnCircleFamily : public RegionFamily {
   size_t num_points() const override { return num_points_; }
   RegionDescriptor Describe(size_t r) const override;
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override;
   /// Up to 64 planes per walk of the annulus CSR.
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override {

@@ -1,12 +1,13 @@
-// Dual-representation label sets for the Monte Carlo loop.
+// A binary label world: one 0/1 byte per point, the authoritative view.
 //
-// Different region families want different label layouts: grid-aligned
-// families accumulate per-cell counts from a byte array in one O(N) pass,
-// while memoized square-scan families intersect a label *bit vector* with
-// per-region membership bit vectors via popcount. A Labels instance keeps the
-// byte view authoritative and materializes the bit view lazily (word-packed,
-// not bit-by-bit) on first use, so audits whose families never touch bits —
-// e.g. grid-only audits — never pay for it.
+// Families count the bytes, not a Labels: the observed Bernoulli scan hands
+// bytes() to RegionFamily::CountPlaneBytes as one plane, and the packing
+// adapters (CountPositivesBatch) pack several worlds' bytes into mask words.
+// Two derived views are built lazily on first access and cached until the
+// next resample, for callers that want them: bits(), the packed BitVector,
+// and positive_indices(), the ascending ids of the positive points. No
+// counting path reads either, so a world that never asks never pays for
+// them.
 #ifndef SFA_CORE_LABELS_H_
 #define SFA_CORE_LABELS_H_
 
@@ -88,8 +89,7 @@ class Labels {
 
   /// The bit view, built word-at-a-time on first access and cached until the
   /// next resample. NOT thread-safe for the *first* call on a shared
-  /// instance; materialize before sharing across threads (the Monte Carlo
-  /// engine's label pools are thread-local, so worlds never race here).
+  /// instance; materialize before sharing across threads.
   const spatial::BitVector& bits() const {
     if (!bits_valid_) BuildBits();
     return bits_;
@@ -98,8 +98,8 @@ class Labels {
   /// The sparse view: ascending ids of the positive points, built from the
   /// byte view on first access in one branch-free pass, cached until the
   /// next resample and reusing its capacity across resamples on pooled
-  /// instances. No counting path needs it (the annulus gather reads the
-  /// bytes); it serves callers that want the positive ids themselves.
+  /// instances. No counting path needs it; it serves callers that want the
+  /// positive ids themselves.
   /// Same thread-safety contract as bits(): pre-materialize before sharing one
   /// instance across threads.
   const std::vector<uint32_t>& positive_indices() const {

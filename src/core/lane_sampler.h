@@ -107,7 +107,7 @@ void SamplePermutationLanes(size_t n, uint64_t positives, size_t num_worlds,
 /// adapters (RegionFamily::CountPositivesBatch, CountClassesBatch) their mask
 /// words and rows, so that a thread keeps one block, the largest any of them
 /// asked for. A hold taken while another is live on the same thread (say, a
-/// custom family's CountPositives calling an adapter inside an engine batch)
+/// custom family's CountPlanes calling an adapter inside an engine batch)
 /// gets a block of its own, freed when it ends, so no hold ever sees another
 /// one's storage. Callers start their arrays' lifetimes in it with placement
 /// new, which does no work for these trivial types; the contents do not

@@ -66,22 +66,6 @@ RegionDescriptor PartitioningCollectionFamily::Describe(size_t r) const {
   return desc;
 }
 
-void PartitioningCollectionFamily::CountPositives(const Labels& labels,
-                                                  std::vector<uint64_t>* out) const {
-  SFA_CHECK(out != nullptr);
-  SFA_CHECK_MSG(labels.size() == num_points_,
-                "labels " << labels.size() << " != points " << num_points_);
-  out->assign(total_regions_, 0);
-  const std::vector<uint8_t>& bytes = labels.bytes();
-  for (size_t t = 0; t < partitionings_.size(); ++t) {
-    const std::vector<uint32_t>& assignment = assignment_[t];
-    uint64_t* counts = out->data() + offsets_[t];
-    for (size_t i = 0; i < assignment.size(); ++i) {
-      counts[assignment[i]] += bytes[i];
-    }
-  }
-}
-
 template <typename Mask>
 void PartitioningCollectionFamily::CountMaskPlanes(const Mask* masks,
                                                    size_t num_planes,

@@ -28,8 +28,6 @@ class PartitioningCollectionFamily : public RegionFamily {
   size_t num_points() const override { return num_points_; }
   RegionDescriptor Describe(size_t r) const override;
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override;
   /// One cell scatter per partitioning and 8-plane byte group.
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override;

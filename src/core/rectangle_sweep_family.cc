@@ -111,23 +111,6 @@ uint64_t RectangleSweepFamily::PointCount(size_t r) const {
   return point_counts_[r];
 }
 
-void RectangleSweepFamily::CountPositives(const Labels& labels,
-                                          std::vector<uint64_t>* out) const {
-  SFA_CHECK(out != nullptr);
-  SFA_CHECK_MSG(labels.size() == num_points(),
-                "labels " << labels.size() << " != points " << num_points());
-  // One O(N) pass for per-cell positives, then a prefix sum, then O(1) per
-  // rectangle. The cell buffer and summed-area table are thread-local pools:
-  // after each worker thread's first world, recounting allocates nothing.
-  static thread_local std::vector<uint32_t> positives_per_cell;
-  static thread_local spatial::PrefixSum2D positive_prefix;
-  positives_per_cell.resize(grid().num_cells());
-  index_.AccumulateLabelCounts(labels.bytes(), &positives_per_cell);
-  positive_prefix.Rebuild(grid().nx(), grid().ny(), positives_per_cell.data());
-  out->resize(num_regions_);
-  FoldPrefixIntoRegions(positive_prefix, out->data());
-}
-
 template <typename Mask>
 void RectangleSweepFamily::CountMaskPlanes(const Mask* masks, size_t num_planes,
                                            uint32_t* out,
@@ -136,7 +119,10 @@ void RectangleSweepFamily::CountMaskPlanes(const Mask* masks, size_t num_planes,
   SFA_CHECK(out_stride >= num_regions_);
   const size_t num_cells = grid().num_cells();
   const std::vector<uint32_t>& cells = index_.cell_assignments();
-  // Thread-local pools, as in CountPositives.
+  // One pass for per-cell positives of every plane, then per plane a prefix
+  // sum and O(1) per rectangle. The cell rows and summed-area table are
+  // thread-local pools: after each thread's first call, counting allocates
+  // nothing.
   static thread_local std::vector<uint32_t> plane_cells;
   static thread_local spatial::PrefixSum2D plane_prefix;
   plane_cells.resize(num_planes * num_cells);
@@ -167,11 +153,10 @@ void RectangleSweepFamily::CountPositivesFromCells(const uint32_t* cell_positive
   FoldPrefixIntoRegions(positive_prefix, out);
 }
 
-template <typename Count>
 void RectangleSweepFamily::FoldPrefixIntoRegions(
-    const spatial::PrefixSum2D& positive_prefix, Count* out) const {
+    const spatial::PrefixSum2D& positive_prefix, uint32_t* out) const {
   // Enumerated in the same canonical order DecodeRegion uses. A sum counts
-  // at most N <= kMaxFamilyPoints points, so it fits either width.
+  // at most N <= kMaxFamilyPoints points, so it fits a uint32_t.
   const uint32_t nx = grid().nx();
   const uint32_t ny = grid().ny();
   size_t r = 0;
@@ -179,8 +164,8 @@ void RectangleSweepFamily::FoldPrefixIntoRegions(
     for (uint32_t y1 = y0 + 1; y1 <= ny; ++y1) {
       for (uint32_t x0 = 0; x0 < nx; ++x0) {
         for (uint32_t x1 = x0 + 1; x1 <= nx; ++x1) {
-          out[r++] = static_cast<Count>(
-              positive_prefix.SumRange(x0, y0, x1, y1));
+          out[r++] =
+              static_cast<uint32_t>(positive_prefix.SumRange(x0, y0, x1, y1));
         }
       }
     }

@@ -40,8 +40,6 @@ class RectangleSweepFamily : public RegionFamily {
   size_t num_points() const override { return index_.num_points(); }
   RegionDescriptor Describe(size_t r) const override;
   uint64_t PointCount(size_t r) const override;
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override;
   /// One cell scatter per 8-plane byte group fills every plane's per-cell
   /// counts, then one prefix-sum rebuild + O(1)-per-rectangle fold per plane.
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
@@ -74,12 +72,10 @@ class RectangleSweepFamily : public RegionFamily {
   void CountMaskPlanes(const Mask* masks, size_t num_planes, uint32_t* out,
                        size_t out_stride) const;
 
-  /// O(1)-per-rectangle fold of a per-cell summed-area table into the
-  /// canonical region order (uint64 for CountPositives, uint32 rows
-  /// otherwise).
-  template <typename Count>
+  /// O(1)-per-rectangle fold of a per-cell summed-area table into one row in
+  /// the canonical region order.
   void FoldPrefixIntoRegions(const spatial::PrefixSum2D& positive_prefix,
-                             Count* out) const;
+                             uint32_t* out) const;
 
   spatial::GridIndex index_;
   spatial::PrefixSum2D count_prefix_;  // point counts (fixed)

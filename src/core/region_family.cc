@@ -132,9 +132,9 @@ void CountCellPlanesOf(const uint32_t* cell_of_point, size_t n,
                        uint32_t* out, size_t out_stride) {
   SFA_CHECK(num_planes >= 1 && num_planes <= 8 * sizeof(Mask));
   // Two words of 16-bit lanes per cell (a byte group's planes 0–3, 4–7),
-  // plus one dump cell for points outside every cell.
-  static thread_local std::vector<uint64_t> lanes;
-  lanes.assign(2 * (num_cells + 1), 0);
+  // plus one dump cell for points outside every cell. The lanes live for
+  // one call, so a thread that scans keeps no buffer between scans.
+  std::vector<uint64_t> lanes(2 * (num_cells + 1), 0);
   uint64_t* cell_lanes = lanes.data();
   for (size_t p = 0; p < num_planes; ++p) {
     std::fill(out + p * out_stride, out + p * out_stride + num_cells, 0u);
@@ -165,26 +165,6 @@ void CountCellPlanesOf(const uint32_t* cell_of_point, size_t n,
 }
 
 }  // namespace
-
-void RegionFamily::CountPlanes(const uint64_t* masks, size_t num_planes,
-                               uint32_t* out, size_t out_stride) const {
-  SFA_CHECK((masks != nullptr || num_points() == 0) && out != nullptr);
-  SFA_CHECK(num_planes >= 1 && num_planes <= kMaxPlanes);
-  SFA_CHECK(out_stride >= num_regions());
-  // Reference path: each plane unpacked into labels and counted through the
-  // scalar interface.
-  const size_t n = num_points();
-  std::vector<uint8_t> bytes(n);
-  Labels labels;
-  std::vector<uint64_t> scratch;
-  for (size_t p = 0; p < num_planes; ++p) {
-    for (size_t i = 0; i < n; ++i) bytes[i] = (masks[i] >> p) & 1u;
-    labels.AssignBytes(bytes.data(), n);
-    CountPositives(labels, &scratch);
-    // Counts are at most N <= kMaxFamilyPoints.
-    std::copy(scratch.begin(), scratch.end(), out + p * out_stride);
-  }
-}
 
 void RegionFamily::CountPlaneBytes(const uint8_t* bytes, size_t num_planes,
                                    uint32_t* out, size_t out_stride) const {

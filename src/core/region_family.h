@@ -4,17 +4,18 @@
 // A family is bound to a fixed point set at construction. Point counts
 // n(R) never change; positive counts p(R) depend on the label assignment
 // and are re-evaluated once per Monte Carlo world, so implementations
-// precompute whatever geometry lets CountPositives run in (near) linear
-// time:
+// precompute whatever geometry lets CountPlanes run in (near) linear time:
 //
-//   GridPartitionFamily        cells of one regular grid       O(N) / world
+//   GridPartitionFamily        cells of one regular grid       O(N) / 8 planes
 //   PartitioningCollectionFamily  all partitions of many
-//                              rectangular partitionings       O(T·N) / world
+//                              rectangular partitionings       O(T·N) / 8 planes
+//   RectangleSweepFamily       all grid-aligned rectangles     O(N) / 8 planes
+//                                                              + O(R) / plane
 //   SquareScanFamily,          nested per-center ladders,
 //   KnnCircleFamily            counted by the annulus walk     O(entries) /
-//                              (core/annulus_index.h)          64 worlds
+//                              (core/annulus_index.h)          64 planes
 //
-// Batch counting has one currency, packed planes: up to 64 label worlds (or
+// Counting has one currency, packed planes: up to 64 label worlds (or
 // (world, class) indicators) ride in one 64-bit mask word per point, bit p =
 // plane p's label, and every count is a uint32_t (families hold N < 2³²
 // points, checked at Create). The null-world lane sampler
@@ -22,18 +23,20 @@
 // the batched Monte Carlo engine draws and counts i.i.d. point worlds without
 // label arrays:
 //
-//   CountPlanes          counts up to 64 planes per pass over the family's
-//                        geometry (one annulus walk for squares and kNN
-//                        circles; a cell scatter per 8-plane byte group, with
-//                        a spread-table word add, for the grid, partitioning
-//                        and rectangle-sweep families; the default unpacks
-//                        each plane and calls CountPositives). Plane p's row
-//                        goes to out + p·stride, so the (world, class) planes
-//                        of a K-class batch land in whatever rows the caller
-//                        lays out;
+//   CountPlanes          the one counting method a family must implement:
+//                        up to 64 planes per pass over the family's geometry
+//                        (one annulus walk for squares and kNN circles; a
+//                        cell scatter per 8-plane byte group, with a
+//                        spread-table word add, for the grid, partitioning
+//                        and rectangle-sweep families). Plane p's row goes
+//                        to out + p·stride, so the (world, class) planes of a
+//                        K-class batch land in whatever rows the caller lays
+//                        out;
 //   CountPlaneBytes      CountPlanes for at most 8 planes from one byte per
 //                        point, for few-plane calls: N bytes stay in cache
-//                        where N words do not;
+//                        where N words do not. The default widens the bytes
+//                        into words for CountPlanes; every bundled family
+//                        overrides it;
 //   cell_decomposition   declares that p(R) is a pure function of positive
 //                        counts over a disjoint cell partition of the
 //                        points, letting the engine draw per-cell positives
@@ -43,6 +46,8 @@
 //                        the engine hands the cell rows to the LLR max as
 //                        they are.
 //
+// Every other count goes through these. The observed Bernoulli scan
+// (core/scan.h) counts its labels' bytes as one CountPlaneBytes plane;
 // CountPositivesBatch and CountClassesBatch pack Labels or class-code worlds
 // into planes, call CountPlaneBytes (up to 8 planes) or CountPlanes, and
 // widen the counts to uint64_t; the observed multinomial scan counts through
@@ -123,38 +128,26 @@ class RegionFamily {
   /// n(R): number of bound points inside region `r`.
   virtual uint64_t PointCount(size_t r) const = 0;
 
-  /// p(R) for every region under `labels` (labels.size() == num_points()).
-  /// `out` is resized to num_regions(). Must be thread-safe for concurrent
-  /// calls with distinct `out` buffers AND distinct (or bit-materialized)
-  /// Labels: the bit view of Labels is built lazily on first access, so
-  /// sharing one Labels instance across threads requires calling
-  /// labels.bits() once beforehand. The Monte Carlo engine's label pools are
-  /// thread-local, satisfying this by construction.
-  virtual void CountPositives(const Labels& labels,
-                              std::vector<uint64_t>* out) const = 0;
-
   /// p(R) for `num_planes` (1..kMaxPlanes) label worlds in one pass: bit p
   /// of masks[i] is point i's label in plane p (bits at and above num_planes
   /// are ignored), and plane p's num_regions() counts go to
   /// out + p * out_stride (out_stride >= num_regions(); caller-owned). The
-  /// one batch-counting entry point: the default unpacks each plane and
-  /// calls CountPositives, and families override it to count all planes in
-  /// one pass over their geometry. Counts are integers, so overrides must
-  /// equal the default exactly (test_mc_engine.cc, test_annulus_index.cc).
-  /// Same thread-safety contract as CountPositives.
+  /// family's one counting entry point: families count all planes in one
+  /// pass over their geometry. Must be thread-safe for concurrent calls with
+  /// distinct `out` buffers; `masks` is only read.
   virtual void CountPlanes(const uint64_t* masks, size_t num_planes,
-                           uint32_t* out, size_t out_stride) const;
+                           uint32_t* out, size_t out_stride) const = 0;
 
   /// Planes one CountPlanes call counts at most: one per bit of a mask word.
   static constexpr size_t kMaxPlanes = 64;
 
   /// CountPlanes for 1..kBytePlanes planes from one byte per point: bit p of
   /// bytes[i] is point i's label in plane p (higher bits are ignored). The
-  /// packing adapters' calls of at most 8 planes (one world's observed
-  /// K-class scan) and the fingerprint probes count through it. The default
-  /// widens the bytes into mask words for CountPlanes; the annulus families
-  /// walk the N bytes, which stay in L1 where N mask words do not. Same
-  /// contract as CountPlanes.
+  /// observed Bernoulli scan (one plane), the packing adapters' calls of at
+  /// most 8 planes (one world's observed K-class scan) and the fingerprint
+  /// probes count through it. The default widens the bytes into mask words for
+  /// CountPlanes; the bundled families count the N bytes directly, which
+  /// stay in L1 where N mask words do not. Same contract as CountPlanes.
   virtual void CountPlaneBytes(const uint8_t* bytes, size_t num_planes,
                                uint32_t* out, size_t out_stride) const;
 
@@ -216,7 +209,8 @@ namespace internal {
 /// out[p * out_stride + cell], for cell < num_cells (points of other cells
 /// count nowhere). Per 8-plane byte group of the mask words, each point adds
 /// two 16-entry spread-table words into 16-bit lanes of its cell, 4 planes
-/// per word, so one pass over the points counts the group's planes.
+/// per word, so one pass over the points counts the group's planes. The
+/// lanes are allocated per call.
 void CountCellPlanes(const uint32_t* cell_of_point, size_t n, size_t num_cells,
                      const uint64_t* masks, size_t num_planes, uint32_t* out,
                      size_t out_stride);

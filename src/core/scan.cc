@@ -1,5 +1,7 @@
 #include "core/scan.h"
 
+#include <vector>
+
 #include "common/macros.h"
 
 namespace sfa::core {
@@ -23,12 +25,20 @@ ScanResult ScanAllRegions(const RegionFamily& family, const Labels& labels,
                           stats::ScanDirection direction,
                           const stats::LogLikelihoodTable& table) {
   SFA_DCHECK(table.max_count() == labels.size());
+  SFA_CHECK_MSG(labels.size() == family.num_points(),
+                "labels " << labels.size() << " != points "
+                          << family.num_points());
   ScanResult result;
   result.total_n = labels.size();
   result.total_p = labels.positive_count();
-  family.CountPositives(labels, &result.positives);
-  result.llr.resize(family.num_regions());
-  for (size_t r = 0; r < family.num_regions(); ++r) {
+  // The labels' 0/1 bytes are one byte plane; its uint32 row widens into
+  // the result.
+  const size_t num_regions = family.num_regions();
+  std::vector<uint32_t> row(num_regions);
+  family.CountPlaneBytes(labels.bytes().data(), 1, row.data(), num_regions);
+  result.positives.assign(row.begin(), row.end());
+  result.llr.resize(num_regions);
+  for (size_t r = 0; r < num_regions; ++r) {
     const stats::ScanCounts counts =
         MakeCounts(family, r, result.positives[r], result.total_n, result.total_p);
     const double llr = stats::BernoulliLogLikelihoodRatio(counts, direction, table);

@@ -121,15 +121,6 @@ RegionDescriptor SquareScanFamily::Describe(size_t r) const {
   return desc;
 }
 
-void SquareScanFamily::CountPositives(const Labels& labels,
-                                      std::vector<uint64_t>* out) const {
-  SFA_CHECK(out != nullptr);
-  SFA_CHECK_MSG(labels.size() == num_points_,
-                "labels " << labels.size() << " != points " << num_points_);
-  out->resize(num_regions());
-  annulus_.CountPositives(labels.bytes().data(), out->data());
-}
-
 std::string SquareScanFamily::Name() const {
   std::string dedup =
       num_sides() == num_requested_sides_

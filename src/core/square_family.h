@@ -57,8 +57,6 @@ class SquareScanFamily : public RegionFamily {
   size_t num_points() const override { return num_points_; }
   RegionDescriptor Describe(size_t r) const override;
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override;
   /// Up to 64 planes per walk of the annulus CSR.
   static_assert(AnnulusIndex::kMaxPlanes == kMaxPlanes);
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,

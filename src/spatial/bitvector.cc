@@ -3,9 +3,6 @@
 #include <bit>
 #include <cstring>
 
-#include "common/macros.h"
-#include "spatial/simd_popcount.h"
-
 namespace sfa::spatial {
 
 BitVector::BitVector(size_t size) : size_(size), words_((size + 63) / 64, 0ULL) {}
@@ -53,46 +50,6 @@ size_t BitVector::Popcount() const {
   size_t total = 0;
   for (uint64_t w : words_) total += static_cast<size_t>(std::popcount(w));
   return total;
-}
-
-size_t BitVector::AndPopcount(const BitVector& a, const BitVector& b) {
-  SFA_DCHECK(a.size_ == b.size_);
-  return static_cast<size_t>(
-      AndPopcountWords(a.words_.data(), b.words_.data(), a.words_.size()));
-}
-
-size_t BitVector::AndNotPopcount(const BitVector& a, const BitVector& b) {
-  SFA_DCHECK(a.size_ == b.size_);
-  size_t total = 0;
-  const size_t n = a.words_.size();
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<size_t>(std::popcount(a.words_[i] & ~b.words_[i]));
-  }
-  return total;
-}
-
-void BitVector::OrWith(const BitVector& other) {
-  SFA_DCHECK(size_ == other.size_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
-void BitVector::AndWith(const BitVector& other) {
-  SFA_DCHECK(size_ == other.size_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-}
-
-std::vector<uint32_t> BitVector::ToIndices() const {
-  std::vector<uint32_t> out;
-  out.reserve(Popcount());
-  for (size_t w = 0; w < words_.size(); ++w) {
-    uint64_t word = words_[w];
-    while (word != 0) {
-      const int bit = std::countr_zero(word);
-      out.push_back(static_cast<uint32_t>(w * 64 + static_cast<size_t>(bit)));
-      word &= word - 1;
-    }
-  }
-  return out;
 }
 
 }  // namespace sfa::spatial

@@ -1,9 +1,8 @@
-// Dynamic fixed-length bit vector with hardware popcount.
+// Dynamic fixed-length bit vector: one bit per point, packed 64 to a word.
 //
-// User-defined region families can memoize a region's membership as a
-// BitVector over point ids and count a world through Labels::bits():
-// p(R) = AndPopcount(membership, labels) — one AND + POPCNT per 64 points,
-// through the runtime-dispatched kernel of spatial/simd_popcount.h.
+// Labels::bits() is a label world's BitVector view, for callers that want
+// the packed bits themselves; no region family counts through it (counting
+// goes through RegionFamily::CountPlanes on mask words).
 #ifndef SFA_SPATIAL_BITVECTOR_H_
 #define SFA_SPATIAL_BITVECTOR_H_
 
@@ -51,21 +50,6 @@ class BitVector {
 
   /// Number of set bits.
   size_t Popcount() const;
-
-  /// Number of positions set in both `a` and `b`. Sizes must match.
-  static size_t AndPopcount(const BitVector& a, const BitVector& b);
-
-  /// Number of positions set in `a` but not in `b`. Sizes must match.
-  static size_t AndNotPopcount(const BitVector& a, const BitVector& b);
-
-  /// In-place OR with `other` (sizes must match).
-  void OrWith(const BitVector& other);
-
-  /// In-place AND with `other` (sizes must match).
-  void AndWith(const BitVector& other);
-
-  /// Indices of all set bits, ascending.
-  std::vector<uint32_t> ToIndices() const;
 
   bool operator==(const BitVector& other) const {
     return size_ == other.size_ && words_ == other.words_;

@@ -44,20 +44,4 @@ std::vector<uint32_t> GridIndex::CountsPerCell() const {
   return counts;
 }
 
-void GridIndex::AccumulateLabelCounts(const std::vector<uint8_t>& labels,
-                                      std::vector<uint32_t>* out) const {
-  SFA_CHECK(out != nullptr);
-  SFA_CHECK_MSG(labels.size() == cell_of_point_.size(),
-                "labels size " << labels.size() << " != points "
-                               << cell_of_point_.size());
-  SFA_CHECK(out->size() == grid_.num_cells());
-  std::fill(out->begin(), out->end(), 0u);
-  for (uint32_t i = 0; i < cell_of_point_.size(); ++i) {
-    const uint32_t cell = cell_of_point_[i];
-    if (cell != geo::GridSpec::kInvalidCell && labels[i] != 0) {
-      ++(*out)[cell];
-    }
-  }
-}
-
 }  // namespace sfa::spatial

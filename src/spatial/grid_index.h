@@ -1,8 +1,8 @@
 // Uniform grid index: bins point ids by grid cell for O(1) cell lookups and
-// fast per-cell aggregation. This is the counting backbone for grid-aligned
-// region families: per Monte Carlo world, positive counts per cell are
-// accumulated in one O(N) pass and partitions aggregate cells (optionally via
-// PrefixSum2D).
+// per-cell point counts. The grid-aligned region families count label
+// planes over its cell_assignments() (internal::CountCellPlanes in
+// core/region_family.h) and aggregate cells, via PrefixSum2D for the
+// rectangle sweep.
 #ifndef SFA_SPATIAL_GRID_INDEX_H_
 #define SFA_SPATIAL_GRID_INDEX_H_
 
@@ -36,12 +36,6 @@ class GridIndex {
 
   /// Number of points per cell (length num_cells()).
   std::vector<uint32_t> CountsPerCell() const;
-
-  /// Accumulates per-cell counts of points whose `labels[i]` is non-zero.
-  /// `out` must have grid().num_cells() entries; it is zeroed first.
-  /// Thread-safe: touches only `out`.
-  void AccumulateLabelCounts(const std::vector<uint8_t>& labels,
-                             std::vector<uint32_t>* out) const;
 
  private:
   geo::GridSpec grid_;

@@ -1,8 +1,8 @@
 // Static 2-d KD-tree over a point set, supporting rectangle range counting,
-// range reporting, and nearest-neighbor queries. The tree is built once
-// (median splits, O(n log n)) and is immutable afterwards; subtree sizes are
-// stored so fully-covered subtrees count in O(1), giving the O(sqrt(n) + k)
-// classic range-search bound.
+// range reporting, closed-ball reporting and nearest-neighbor queries. The
+// tree is built once (median splits, O(n log n)) and is immutable
+// afterwards; subtree sizes are stored so fully-covered subtrees count in
+// O(1), giving the O(sqrt(n) + k) classic range-search bound.
 //
 // Rectangle semantics are half-open (geo::Rect::Contains).
 #ifndef SFA_SPATIAL_KDTREE_H_
@@ -48,6 +48,15 @@ class KdTree {
   /// (ties broken arbitrarily). Requires 1 <= k <= size().
   std::vector<uint32_t> KNearest(const geo::Point& query, size_t k) const;
 
+  /// Invokes visitor(id) for every point p with
+  /// query.DistanceSquaredTo(p) <= radius_sq, the closed ball in the
+  /// expression KNearest ranks by, in unspecified order.
+  template <typename Visitor>
+  void VisitBall(const geo::Point& query, double radius_sq,
+                 Visitor&& visitor) const {
+    if (!nodes_.empty()) VisitBallRecursive(0, query, radius_sq, visitor);
+  }
+
  private:
   struct Node {
     // Children are at 2i+1 / 2i+2 in an implicit layout only for a perfectly
@@ -87,6 +96,25 @@ class KdTree {
     }
     if (node.left >= 0) VisitRecursive(node.left, left_bounds, query, visitor);
     if (node.right >= 0) VisitRecursive(node.right, right_bounds, query, visitor);
+  }
+
+  template <typename Visitor>
+  void VisitBallRecursive(int32_t node_index, const geo::Point& query,
+                          double radius_sq, Visitor&& visitor) const {
+    const Node& node = nodes_[static_cast<size_t>(node_index)];
+    const geo::Point& p = points_[node.split_id];
+    if (query.DistanceSquaredTo(p) <= radius_sq) visitor(node.split_id);
+    // Every point of the far subtree is at least |delta| away on the split
+    // axis, so its distance² is at least delta², also after rounding.
+    const double delta = node.axis == 0 ? query.x - p.x : query.y - p.y;
+    const int32_t near_child = delta < 0 ? node.left : node.right;
+    const int32_t far_child = delta < 0 ? node.right : node.left;
+    if (near_child >= 0) {
+      VisitBallRecursive(near_child, query, radius_sq, visitor);
+    }
+    if (far_child >= 0 && delta * delta <= radius_sq) {
+      VisitBallRecursive(far_child, query, radius_sq, visitor);
+    }
   }
 
   void NearestRecursive(int32_t node_index, const geo::Point& query,

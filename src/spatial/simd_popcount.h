@@ -1,32 +1,32 @@
-// Runtime-dispatched AND+popcount kernels over 64-bit word arrays.
+// Runtime SIMD tier selection for the vector kernels.
 //
-// This is the instruction-level layer under BitVector::AndPopcount, the
-// counting primitive of user-defined region families that memoize bit-vector
-// memberships (examples/custom_regions.cpp). Three implementations share one
-// contract and are bit-identical (popcounts are integer-exact, so "identical"
-// here is a hard guarantee, not a tolerance):
+// One request picks the tier of every vector kernel: the null-world lane
+// sampler (core/lane_sampler.h), the wide annulus walk (core/annulus_index.h)
+// and the LLR max (core/bernoulli_statistic.h) run it through
+// ActiveSamplerKernel(). Three tiers share one contract, bit-identical
+// results (counts and draws are integer-exact, so "identical" here is a hard
+// guarantee, not a tolerance):
 //
-//   kScalar  — portable std::popcount loop, 4 accumulators (the reference).
-//   kAvx2    — 256-bit AND + vpshufb nibble-LUT popcount + psadbw reduce.
-//   kAvx512  — 512-bit AND + native vpopcntq (AVX-512 VPOPCNTDQ).
+//   kScalar  — portable loops (the reference arms).
+//   kAvx2    — 256-bit arms.
+//   kAvx512  — 512-bit arms.
 //
 // Dispatch is resolved once per process from CPUID, overridable two ways:
 //   * env  SFA_SIMD_POPCOUNT = scalar | avx2 | avx512 | auto   (read at first
 //     use — this is the CI A/B escape hatch; unsupported tiers clamp down),
-//   * code ForcePopcountKernel(k) — used by the fuzz tests to pin each arm.
+//   * code ForcePopcountKernel(k) — used by the tests to pin each arm.
 //
-// The same request also sets the sampler tier: the null-world lane sampler
-// (core/lane_sampler.h), the wide annulus walk (core/annulus_index.h) and
-// the LLR max (core/bernoulli_statistic.h) run it. Each clamps the request
-// to what its own arms need: the popcount's kAvx512 needs AVX-512F plus
-// VPOPCNTDQ, the sampler tier's only AVX-512F (the walk has no AVX-512 arm
-// and runs AVX2 there), so on a CPU with AVX-512F but no VPOPCNTDQ `auto`
-// runs the AVX2 popcount and the AVX-512 sampler. All are bit-identical to
-// their scalar arms on every tier.
+// The request is reported two ways, each clamped to what the CPU supports:
+// ActivePopcountKernel() clamps kAvx512 to AVX-512F plus VPOPCNTDQ (the
+// "popcount tier" tools print), ActiveSamplerKernel() to AVX-512F alone (the
+// walk has no AVX-512 arm and runs AVX2 there), so on a CPU with AVX-512F
+// but no VPOPCNTDQ `auto` reports the AVX2 popcount tier and runs the
+// AVX-512 sampler.
 //
-// Kernels compiled with __attribute__((target(...))) function multiversioning,
-// so no per-file -mavx* flags leak into the rest of the build; non-x86 builds
-// (or toolchains failing the CMake probe) compile the scalar path only.
+// Kernels are compiled with __attribute__((target(...))) function
+// multiversioning, so no per-file -mavx* flags leak into the rest of the
+// build; non-x86 builds (or toolchains failing the CMake probe) compile the
+// scalar arms only.
 #ifndef SFA_SPATIAL_SIMD_POPCOUNT_H_
 #define SFA_SPATIAL_SIMD_POPCOUNT_H_
 
@@ -41,7 +41,8 @@ enum class PopcountKernel : uint8_t {
   kAvx512 = 2,
 };
 
-/// The kernel currently in effect (after env override and CPUID clamping).
+/// The requested tier after env override and CPUID clamping, kAvx512
+/// needing AVX-512F and VPOPCNTDQ.
 PopcountKernel ActivePopcountKernel();
 
 /// Forces a specific kernel; clamps to the best supported tier at or below
@@ -57,9 +58,6 @@ PopcountKernel ActiveSamplerKernel();
 
 /// Human-readable kernel name ("scalar" / "avx2" / "avx512").
 const char* PopcountKernelName(PopcountKernel kernel);
-
-/// sum_i popcount(a[i] & b[i]) over `n` words, via the active kernel.
-uint64_t AndPopcountWords(const uint64_t* a, const uint64_t* b, size_t n);
 
 }  // namespace sfa::spatial
 

@@ -78,6 +78,15 @@ TEST(Csr32, EmptyInputs) {
 
 // ---------------------------------------------------------- annulus index ---
 
+/// One world of 0/1 label bytes through the index's CountPlaneBytes,
+/// widened.
+std::vector<uint64_t> CountOnePlane(const AnnulusIndex& index,
+                                    const uint8_t* labels) {
+  std::vector<uint32_t> row(index.num_regions());
+  index.CountPlaneBytes(labels, 1, row.data(), row.size());
+  return std::vector<uint64_t>(row.begin(), row.end());
+}
+
 TEST(AnnulusIndex, HandExampleCountsAllRungsAtOnce) {
   // 2 centers, 3 rungs. Center 0: point 0 in rung 0, points 1,2 enter at
   // rung 1, point 3 at rung 2. Center 1: point 2 in rung 0, point 4 at rung 2.
@@ -90,15 +99,14 @@ TEST(AnnulusIndex, HandExampleCountsAllRungsAtOnce) {
             (std::vector<uint64_t>{1, 3, 4, 1, 1, 2}));
 
   const std::vector<uint8_t> labels = {0, 0, 1, 1, 1, 0};  // positives 2,3,4
-  std::vector<uint64_t> out(index.num_regions());
-  index.CountPositives(labels.data(), out.data());
+  std::vector<uint64_t> out = CountOnePlane(index, labels.data());
   // Center 0: rung0 {0} -> 0, rung1 {0,1,2} -> 1, rung2 {0..3} -> 2.
   // Center 1: rung0 {2} -> 1, rung1 same -> 1, rung2 {2,4} -> 2.
   EXPECT_EQ(out, (std::vector<uint64_t>{0, 1, 2, 1, 1, 2}));
 
   // No positives.
   const std::vector<uint8_t> none(6, 0);
-  index.CountPositives(none.data(), out.data());
+  out = CountOnePlane(index, none.data());
   EXPECT_EQ(out, (std::vector<uint64_t>{0, 0, 0, 0, 0, 0}));
 }
 
@@ -148,11 +156,6 @@ class IndexFamily : public RegionFamily {
   size_t num_points() const override { return index_.num_points(); }
   RegionDescriptor Describe(size_t) const override { return {}; }
   uint64_t PointCount(size_t r) const override { return point_counts_[r]; }
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override {
-    out->resize(num_regions());
-    index_.CountPositives(labels.bytes().data(), out->data());
-  }
   void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
                    size_t out_stride) const override {
     index_.CountPlanes(masks, num_planes, out, out_stride);
@@ -250,7 +253,6 @@ TEST(AnnulusIndex, GatherMatchesEntryOracleForEveryBatchSize) {
       std::vector<const uint8_t*> ptrs;
       for (const Labels& l : worlds) ptrs.push_back(l.bytes().data());
       const std::vector<uint64_t> out = GatherWorlds(index, ptrs);
-      std::vector<uint64_t> one(stride, ~0ULL);
       for (size_t w = 0; w < batch; ++w) {
         const auto expected = OracleCounts(entries, shape.centers, shape.rungs,
                                            worlds[w].bytes());
@@ -258,8 +260,8 @@ TEST(AnnulusIndex, GatherMatchesEntryOracleForEveryBatchSize) {
                                         out.begin() + (w + 1) * stride),
                   expected)
             << "world " << w;
-        index.CountPositives(worlds[w].bytes().data(), one.data());
-        ASSERT_EQ(one, expected) << "world " << w;
+        ASSERT_EQ(CountOnePlane(index, worlds[w].bytes().data()), expected)
+            << "world " << w;
       }
     }
   }
@@ -477,7 +479,7 @@ TEST(AnnulusIndex, WideWalkMatchesEntryOracleOnEveryTier) {
 /// match count for count.
 struct FamilyPair {
   std::unique_ptr<RegionFamily> sparse;
-  std::unique_ptr<RegionFamily> reference;
+  std::unique_ptr<testing::MemberListFamily> reference;
 };
 
 FamilyPair MakeSquarePair(const std::vector<geo::Point>& points,
@@ -485,7 +487,7 @@ FamilyPair MakeSquarePair(const std::vector<geo::Point>& points,
   auto sparse = SquareScanFamily::Create(points, opts);
   EXPECT_TRUE(sparse.ok());
   FamilyPair pair;
-  pair.reference = testing::MemberListFamily::Squares(points, **sparse);
+  pair.reference = testing::MemberListFamily::Of(points, **sparse);
   pair.sparse = std::move(*sparse);
   return pair;
 }
@@ -495,8 +497,8 @@ FamilyPair MakeKnnPair(const std::vector<geo::Point>& points,
   auto sparse = KnnCircleFamily::Create(points, opts);
   EXPECT_TRUE(sparse.ok());
   FamilyPair pair;
+  pair.reference = testing::MemberListFamily::Of(points, **sparse, &opts);
   pair.sparse = std::move(*sparse);
-  pair.reference = testing::MemberListFamily::KnnCircles(points, opts);
   return pair;
 }
 
@@ -506,7 +508,7 @@ FamilyPair MakeKnnPair(const std::vector<geo::Point>& points,
 void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
                            uint64_t seed) {
   const RegionFamily& sparse = *pair.sparse;
-  const RegionFamily& reference = *pair.reference;
+  const testing::MemberListFamily& reference = *pair.reference;
   ASSERT_EQ(sparse.num_regions(), reference.num_regions());
   ASSERT_EQ(sparse.num_points(), reference.num_points());
   for (size_t r = 0; r < sparse.num_regions(); ++r) {
@@ -522,15 +524,14 @@ void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
   }
   for (const Labels& l : labels) ptrs.push_back(&l);
 
-  std::vector<uint64_t> from_sparse, from_reference;
   for (size_t w = 0; w < worlds; ++w) {
-    sparse.CountPositives(labels[w], &from_sparse);
-    reference.CountPositives(labels[w], &from_reference);
-    ASSERT_EQ(from_sparse, from_reference) << "world " << w;
+    ASSERT_EQ(testing::PositivesOf(sparse, labels[w]),
+              reference.Count(labels[w].bytes().data()))
+        << "world " << w;
   }
 
   // Plane-packed, across batch sizes: the gather's planes == the reference's
-  // base-class planes, and every row == the reference's one-world count.
+  // planes, and every row == the reference's one-world count.
   const size_t stride = sparse.num_regions();
   for (const size_t batch : kBatchSizes) {
     std::vector<Labels> batch_labels;
@@ -552,10 +553,9 @@ void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
         count_planes(reference), batch_ptrs, sparse.num_points(), stride);
     ASSERT_EQ(batch_sparse, batch_reference) << "batch " << batch;
     for (size_t w = 0; w < batch; ++w) {
-      reference.CountPositives(batch_labels[w], &from_reference);
       ASSERT_EQ(std::vector<uint64_t>(batch_sparse.begin() + w * stride,
                                       batch_sparse.begin() + (w + 1) * stride),
-                from_reference)
+                reference.Count(batch_labels[w].bytes().data()))
           << "batch " << batch << " world " << w;
     }
   }
@@ -575,9 +575,9 @@ void CheckMatchesReference(const FamilyPair& pair, size_t worlds,
   }
 }
 
-// The reference families are the scalar counters promoted into
-// testing_util.h: squares count the points each Describe(r).rect contains,
-// kNN circles count prefixes of one KNearest list per center.
+// The reference families are the member-list oracles of testing_util.h:
+// squares hold the points each Describe(r).rect contains, kNN circles the
+// brute-force closed ball out to the k-th smallest distance².
 TEST(AnnulusBackend, SquareCountsMatchReference) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const auto pts = Cloud(400 + 150 * seed, seed);
@@ -932,7 +932,8 @@ TEST(AnnulusBackend, MultinomialNullDistributionBitIdenticalToReference) {
           mc.parallel = parallel;
           mc.batch_size = batch_size;
           for (const RegionFamily* family :
-               {pair.sparse.get(), pair.reference.get()}) {
+               {pair.sparse.get(),
+                static_cast<RegionFamily*>(pair.reference.get())}) {
             EXPECT_EQ(
                 RunMonteCarloWorlds(*statistic.MakeSimulation(*family, mc), mc),
                 oracle)

@@ -1,5 +1,5 @@
-// Tests for the popcount BitVector, including the cross-word boundaries the
-// Monte Carlo counting path exercises.
+// Tests for BitVector, the packed view behind Labels::bits(), including the
+// cross-word boundaries of its byte packing.
 #include "spatial/bitvector.h"
 
 #include <gtest/gtest.h>
@@ -59,46 +59,6 @@ TEST(BitVector, FromBools) {
   EXPECT_TRUE(bv.Get(3));
 }
 
-TEST(BitVector, AndPopcountAcrossWordBoundary) {
-  BitVector a(200), b(200);
-  for (size_t i = 0; i < 200; i += 2) a.Set(i);     // evens
-  for (size_t i = 0; i < 200; i += 3) b.Set(i);     // multiples of 3
-  // Intersection = multiples of 6 in [0, 200): 34 values (0, 6, ..., 198).
-  EXPECT_EQ(BitVector::AndPopcount(a, b), 34u);
-}
-
-TEST(BitVector, AndNotPopcount) {
-  BitVector a(10), b(10);
-  a.Set(1);
-  a.Set(2);
-  a.Set(3);
-  b.Set(2);
-  EXPECT_EQ(BitVector::AndNotPopcount(a, b), 2u);  // bits 1 and 3
-  EXPECT_EQ(BitVector::AndNotPopcount(b, a), 0u);
-}
-
-TEST(BitVector, OrAndWith) {
-  BitVector a(65), b(65);
-  a.Set(0);
-  b.Set(64);
-  a.OrWith(b);
-  EXPECT_TRUE(a.Get(0));
-  EXPECT_TRUE(a.Get(64));
-  BitVector mask(65);
-  mask.Set(64);
-  a.AndWith(mask);
-  EXPECT_FALSE(a.Get(0));
-  EXPECT_TRUE(a.Get(64));
-}
-
-TEST(BitVector, ToIndicesAscending) {
-  BitVector bv(130);
-  bv.Set(127);
-  bv.Set(3);
-  bv.Set(64);
-  EXPECT_EQ(bv.ToIndices(), (std::vector<uint32_t>{3, 64, 127}));
-}
-
 TEST(BitVector, EqualityIncludesSize) {
   BitVector a(10), b(10), c(11);
   EXPECT_TRUE(a == b);
@@ -111,31 +71,22 @@ TEST(BitVector, EmptyVector) {
   BitVector bv(0);
   EXPECT_EQ(bv.size(), 0u);
   EXPECT_EQ(bv.Popcount(), 0u);
-  EXPECT_TRUE(bv.ToIndices().empty());
 }
 
-// Property sweep: AndPopcount agrees with a naive bit-by-bit count on random
+// Property sweep: Popcount agrees with a naive bit-by-bit count on random
 // vectors of assorted sizes (word-aligned and not).
 class BitVectorRandomSweep : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(BitVectorRandomSweep, AndPopcountMatchesNaive) {
+TEST_P(BitVectorRandomSweep, PopcountMatchesNaive) {
   const size_t n = GetParam();
   sfa::Rng rng(n * 13 + 1);
-  BitVector a(n), b(n);
+  BitVector a(n);
   for (size_t i = 0; i < n; ++i) {
     if (rng.Bernoulli(0.4)) a.Set(i);
-    if (rng.Bernoulli(0.6)) b.Set(i);
   }
-  size_t expected_and = 0, expected_andnot = 0, expected_pop = 0;
-  for (size_t i = 0; i < n; ++i) {
-    expected_and += a.Get(i) && b.Get(i);
-    expected_andnot += a.Get(i) && !b.Get(i);
-    expected_pop += a.Get(i);
-  }
-  EXPECT_EQ(BitVector::AndPopcount(a, b), expected_and);
-  EXPECT_EQ(BitVector::AndNotPopcount(a, b), expected_andnot);
+  size_t expected_pop = 0;
+  for (size_t i = 0; i < n; ++i) expected_pop += a.Get(i);
   EXPECT_EQ(a.Popcount(), expected_pop);
-  EXPECT_EQ(a.ToIndices().size(), expected_pop);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BitVectorRandomSweep,

@@ -1,4 +1,4 @@
-// Tests for GridIndex (CSR binning + label accumulation) and PrefixSum2D.
+// Tests for GridIndex (CSR binning) and PrefixSum2D.
 #include "spatial/grid_index.h"
 
 #include <gtest/gtest.h>
@@ -47,27 +47,6 @@ TEST(GridIndex, OutsidePointsAreUnassigned) {
   EXPECT_EQ(index.num_unassigned(), 2u);
   EXPECT_EQ(index.CellOfPoint(1), geo::GridSpec::kInvalidCell);
   EXPECT_EQ(index.CountsPerCell()[0], 1u);
-}
-
-TEST(GridIndex, AccumulateLabelCounts) {
-  const geo::GridSpec grid = MakeGrid(2, 1);
-  const std::vector<geo::Point> pts = {{1, 5}, {2, 5}, {6, 5}, {7, 5}, {8, 5}};
-  GridIndex index(grid, pts);
-  std::vector<uint32_t> out(grid.num_cells());
-  index.AccumulateLabelCounts({1, 0, 1, 1, 0}, &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{1, 2}));
-  // Re-use zeroes the buffer first.
-  index.AccumulateLabelCounts({0, 0, 0, 0, 0}, &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{0, 0}));
-}
-
-TEST(GridIndex, AccumulateSkipsUnassigned) {
-  const geo::GridSpec grid = MakeGrid(1, 1);
-  const std::vector<geo::Point> pts = {{5, 5}, {50, 50}};
-  GridIndex index(grid, pts);
-  std::vector<uint32_t> out(1);
-  index.AccumulateLabelCounts({1, 1}, &out);
-  EXPECT_EQ(out[0], 1u);
 }
 
 TEST(PrefixSum2D, SingleCell) {
@@ -142,8 +121,10 @@ TEST(GridIndexPrefixSum, EndToEndBlockCounts) {
     labels[i] = rng.Bernoulli(0.37) ? 1 : 0;
   }
   GridIndex index(grid, pts);
-  std::vector<uint32_t> pos_per_cell(grid.num_cells());
-  index.AccumulateLabelCounts(labels, &pos_per_cell);
+  std::vector<uint32_t> pos_per_cell(grid.num_cells(), 0);
+  for (uint32_t i = 0; i < pts.size(); ++i) {
+    pos_per_cell[index.CellOfPoint(i)] += labels[i];
+  }
   PrefixSum2D ps(grid.nx(), grid.ny(), pos_per_cell);
 
   // Check a handful of blocks against brute force.

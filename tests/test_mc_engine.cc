@@ -61,6 +61,22 @@ struct NamedFamily {
   std::unique_ptr<RegionFamily> family;
 };
 
+/// The options of AllFamilies()' squares and kNN circles, whose centers are
+/// drawn from one generator.
+std::pair<SquareScanOptions, KnnCircleOptions> OverlappingOptions() {
+  SquareScanOptions square_opts;
+  Rng crng(13);
+  for (int i = 0; i < 12; ++i) {
+    square_opts.centers.push_back({crng.Uniform(0, 10), crng.Uniform(0, 10)});
+  }
+  square_opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
+  KnnCircleOptions knn_opts;
+  for (int i = 0; i < 10; ++i) {
+    knn_opts.centers.push_back({crng.Uniform(0, 10), crng.Uniform(0, 10)});
+  }
+  return {square_opts, knn_opts};
+}
+
 std::vector<NamedFamily> AllFamilies() {
   const auto pts = Cloud(41);
   std::vector<NamedFamily> out;
@@ -85,33 +101,31 @@ std::vector<NamedFamily> AllFamilies() {
 
   // The overlapping families ride through the whole engine equivalence
   // suite, each next to its geometry-built member-list reference.
-  SquareScanOptions square_opts;
-  Rng crng(13);
-  for (int i = 0; i < 12; ++i) {
-    square_opts.centers.push_back({crng.Uniform(0, 10), crng.Uniform(0, 10)});
-  }
-  square_opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
+  const auto [square_opts, knn_opts] = OverlappingOptions();
   auto square = SquareScanFamily::Create(pts, square_opts);
   EXPECT_TRUE(square.ok());
-  auto square_reference = testing::MemberListFamily::Squares(pts, **square);
+  auto square_reference = testing::MemberListFamily::Of(pts, **square);
   out.push_back({"square", std::move(*square)});
   out.push_back({"square-reference", std::move(square_reference)});
 
-  KnnCircleOptions knn_opts;
-  for (int i = 0; i < 10; ++i) {
-    knn_opts.centers.push_back({crng.Uniform(0, 10), crng.Uniform(0, 10)});
-  }
   auto knn = KnnCircleFamily::Create(pts, knn_opts);
   EXPECT_TRUE(knn.ok());
+  auto knn_reference = testing::MemberListFamily::Of(pts, **knn, &knn_opts);
   out.push_back({"knn-circle", std::move(*knn)});
-  out.push_back({"knn-circle-reference",
-                 testing::MemberListFamily::KnnCircles(pts, knn_opts)});
+  out.push_back({"knn-circle-reference", std::move(knn_reference)});
 
   auto sweep = RectangleSweepFamily::Create(pts, 6, 5);
   EXPECT_TRUE(sweep.ok());
   out.push_back({"rectangle-sweep", std::move(*sweep)});
 
   return out;
+}
+
+/// The member-list oracle of one of AllFamilies(), built from the same
+/// cloud's geometry.
+std::unique_ptr<testing::MemberListFamily> Oracle(const RegionFamily& family) {
+  const KnnCircleOptions knn_opts = OverlappingOptions().second;
+  return testing::MemberListFamily::Of(Cloud(41), family, &knn_opts);
 }
 
 BernoulliScanStatistic Statistic() {
@@ -137,7 +151,7 @@ TEST(McEngineEquivalence, BatchedMatchesReferenceExactly) {
       mc.seed = 2024;
       mc.null_model = null_model;
       const std::vector<double> oracle =
-          testing::ReferenceNullMaxima(Statistic(), *family, mc);
+          testing::ReferenceNullMaxima(Statistic(), *Oracle(*family), mc);
       for (bool parallel : {false, true}) {
         mc.parallel = parallel;
         EXPECT_EQ(
@@ -159,7 +173,7 @@ TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
     mc.num_worlds = 45;
     mc.seed = 5;
     const std::vector<double> oracle =
-        testing::ReferenceNullMaxima(Statistic(), *family, mc);
+        testing::ReferenceNullMaxima(Statistic(), *Oracle(*family), mc);
     for (bool parallel : {false, true}) {
       for (uint32_t batch_size :
            {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u, 128u, 999u}) {
@@ -175,9 +189,9 @@ TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
   }
 }
 
-/// Counts each world through another family's CountPositivesBatch: its
-/// default CountPlanes unpacks each plane into CountPositives, so an engine
-/// batch runs a packing adapter while it holds its own pooled block.
+/// Counts each plane through another family's CountPositivesBatch, one
+/// unpacked world at a time, so an engine batch runs a packing adapter while
+/// it holds its own pooled block.
 class AdapterCountingFamily : public RegionFamily {
  public:
   explicit AdapterCountingFamily(const RegionFamily& inner) : inner_(inner) {}
@@ -188,11 +202,17 @@ class AdapterCountingFamily : public RegionFamily {
     return inner_.Describe(r);
   }
   uint64_t PointCount(size_t r) const override { return inner_.PointCount(r); }
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override {
-    out->resize(num_regions());
-    const Labels* batch[] = {&labels};
-    inner_.CountPositivesBatch(batch, 1, out->data());
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
+                   size_t out_stride) const override {
+    std::vector<uint8_t> bytes(num_points());
+    std::vector<uint64_t> row(num_regions());
+    for (size_t p = 0; p < num_planes; ++p) {
+      for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = (masks[i] >> p) & 1;
+      const Labels labels = Labels::FromBytes(bytes);
+      const Labels* batch[] = {&labels};
+      inner_.CountPositivesBatch(batch, 1, row.data());
+      std::copy(row.begin(), row.end(), out + p * out_stride);
+    }
   }
   std::string Name() const override { return "adapter:" + inner_.Name(); }
 
@@ -202,8 +222,8 @@ class AdapterCountingFamily : public RegionFamily {
 
 // An adapter called inside an engine batch gets storage of its own: the
 // batch's mask words and rows survive it. The wrapper hides the cell
-// decomposition, so its worlds are point-level; the oracle counts them
-// through the inner family's scalar CountPositives.
+// decomposition, so its worlds are point-level; the oracle counts them over
+// the inner family's member lists.
 TEST(McEngineEquivalence, AdaptersInsideAnEngineBatchKeepTheBatchBlock) {
   const auto families = AllFamilies();
   for (const auto& [name, family] : families) {
@@ -218,16 +238,16 @@ TEST(McEngineEquivalence, AdaptersInsideAnEngineBatchKeepTheBatchBlock) {
       mc.closed_form_cells = false;
       EXPECT_EQ(
           RunMonteCarloWorlds(*Statistic().MakeSimulation(wrapped, mc), mc),
-          testing::ReferenceNullMaxima(Statistic(), *family, mc))
+          testing::ReferenceNullMaxima(Statistic(), *Oracle(*family), mc))
           << name << " / " << NullModelToString(null_model);
     }
   }
 }
 
-// CountPlanes is integer-exact against scalar CountPositives for every
-// family (the tuned overrides, the cell scatters and the default of the
-// member-list references), on every tier, in a full 64-plane call and a
-// partial one, and with an output stride wider than a row; so is
+// CountPlanes is integer-exact against the member-list oracle, built from
+// geometry alone, for every family (the annulus walks, the cell scatters
+// and the oracle's own plane count), on every tier, in a full 64-plane call
+// and a partial one, and with an output stride wider than a row; so is
 // CountPlaneBytes at 1 to 8 planes.
 TEST(McEngineEquivalence, PlaneCountingMatchesScalarCounting) {
   const auto families = AllFamilies();
@@ -247,6 +267,7 @@ TEST(McEngineEquivalence, PlaneCountingMatchesScalarCounting) {
     const testing::ScopedTier scoped(tier);
     for (const auto& [name, family] : families) {
       const size_t regions = family->num_regions();
+      const auto oracle = Oracle(*family);
       const std::vector<uint64_t> batched = testing::CountByPlanes(
           [&family = *family](const uint64_t* words, size_t planes,
                               uint32_t* out, size_t stride) {
@@ -276,8 +297,8 @@ TEST(McEngineEquivalence, PlaneCountingMatchesScalarCounting) {
             << name << " CountPlaneBytes, " << planes << " planes";
       }
       for (size_t b = 0; b < kWorlds; ++b) {
-        std::vector<uint64_t> scalar;
-        family->CountPositives(labels[b], &scalar);
+        const std::vector<uint64_t> scalar =
+            oracle->Count(labels[b].bytes().data());
         const std::vector<uint64_t> row(batched.begin() + b * regions,
                                         batched.begin() + (b + 1) * regions);
         EXPECT_EQ(row, scalar) << name << " world " << b << " tier "
@@ -309,7 +330,8 @@ TEST(McEngineEquivalence, EngineMatchesStatsLayerOracle) {
         mc.closed_form_cells = closed_form;
         const std::vector<double> engine =
             RunMonteCarloWorlds(*statistic.MakeSimulation(*family, mc), mc);
-        EXPECT_EQ(engine, testing::ReferenceNullMaxima(statistic, *family, mc))
+        EXPECT_EQ(engine,
+                  testing::ReferenceNullMaxima(statistic, *Oracle(*family), mc))
             << name << " / " << dir << " / cells=" << closed_form;
         if (closed_form) continue;
         Rng root(mc.seed);
@@ -750,7 +772,7 @@ TEST(McEngine, NullMaximaArePinned) {
     const std::vector<double> engine =
         RunMonteCarloWorlds(*statistic->MakeSimulation(*family, mc), mc);
     const std::vector<double> oracle =
-        testing::ReferenceNullMaxima(*statistic, *family, mc);
+        testing::ReferenceNullMaxima(*statistic, *Oracle(*family), mc);
     ASSERT_EQ(engine.size(), kPinnedWorlds);
     ASSERT_EQ(oracle.size(), kPinnedWorlds);
     for (size_t w = 0; w < kPinnedWorlds; ++w) {
@@ -791,8 +813,8 @@ std::vector<DegenerateInput> DegenerateInputs() {
   inputs.push_back({"P=N", cloud, std::vector<uint8_t>(cloud.size(), 1),
                     std::vector<uint8_t>(cloud.size(), 2)});
   inputs.push_back({"N=1", {{4.0, 6.0}}, {1}, {1}});
-  // Duplicates: a rectangle holds all the points or none; a kNN circle holds
-  // k of them, chosen by the k-d tree's tie order.
+  // Duplicates: a rectangle holds all the points or none, and so does a kNN
+  // circle, whose closed ball takes every point tied with its k-th nearest.
   inputs.push_back(
       mixed({"one location", std::vector<geo::Point>(40, {4.0, 6.0}), {}, {}}));
   // Two far corners: the grid, the partitionings, the sweep rectangles and
@@ -805,6 +827,14 @@ std::vector<DegenerateInput> DegenerateInputs() {
   }
   inputs.push_back(mixed(std::move(corners)));
   return inputs;
+}
+
+/// The kNN options of BundledFamilies(); its squares share the centers.
+KnnCircleOptions BundledKnnOptions() {
+  KnnCircleOptions knn_opts;
+  knn_opts.centers = {
+      {0.5, 0.5}, {4.0, 6.0}, {5.0, 5.0}, {9.5, 9.5}, {2.0, 8.0}};
+  return knn_opts;
 }
 
 /// Every bundled family over `points`, or the status its Create returned.
@@ -831,14 +861,11 @@ BundledFamilies(const std::vector<geo::Point>& points) {
   } else {
     out.emplace_back("partitioning-collection", partitionings.status());
   }
-  const std::vector<geo::Point> centers = {
-      {0.5, 0.5}, {4.0, 6.0}, {5.0, 5.0}, {9.5, 9.5}, {2.0, 8.0}};
+  const KnnCircleOptions knn_opts = BundledKnnOptions();
   SquareScanOptions square_opts;
-  square_opts.centers = centers;
+  square_opts.centers = knn_opts.centers;
   square_opts.side_lengths = SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
   add("square", SquareScanFamily::Create(points, square_opts));
-  KnnCircleOptions knn_opts;
-  knn_opts.centers = centers;
   add("knn-circle", KnnCircleFamily::Create(points, knn_opts));
   add("rectangle-sweep", RectangleSweepFamily::Create(points, 6, 5));
   return out;
@@ -850,6 +877,7 @@ BundledFamilies(const std::vector<geo::Point>& points) {
 // oracle does, with a finite observed max that is 0 when one class holds
 // every point.
 TEST(McEngine, DegenerateInputsAreRejectedOrMatchTheOracle) {
+  const KnnCircleOptions knn_opts = BundledKnnOptions();
   for (const DegenerateInput& input : DegenerateInputs()) {
     const size_t n = input.points.size();
     uint64_t positives = 0;
@@ -896,7 +924,10 @@ TEST(McEngine, DegenerateInputsAreRejectedOrMatchTheOracle) {
         const ScanResult observed =
             (*statistic)->ScanObserved(**family, outcomes.data(), n, &scratch);
         EXPECT_TRUE(std::isfinite(observed.max_llr)) << observed.max_llr;
-        if (bernoulli ? one_binary_class : one_class) {
+        // One class, or one location (every region holds all the points or
+        // none): no region's mix departs from the whole's.
+        if ((bernoulli ? one_binary_class : one_class) ||
+            input.name == "one location") {
           EXPECT_EQ(observed.max_llr, 0.0);
         }
         for (const NullModel null_model :
@@ -908,7 +939,11 @@ TEST(McEngine, DegenerateInputsAreRejectedOrMatchTheOracle) {
           EXPECT_EQ(
               RunMonteCarloWorlds(*(*statistic)->MakeSimulation(**family, mc),
                                   mc),
-              testing::ReferenceNullMaxima(**statistic, **family, mc))
+              testing::ReferenceNullMaxima(
+                  **statistic,
+                  *testing::MemberListFamily::Of(input.points, **family,
+                                                 &knn_opts),
+                  mc))
               << NullModelToString(null_model);
         }
       }

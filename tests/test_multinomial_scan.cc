@@ -163,8 +163,10 @@ TEST(MulticlassAudit, BinaryCaseAgreesWithBinaryAuditDirectionally) {
 /// tier-1 but covering every CountPlanes override (grid scatter,
 /// per-partitioning scatter, prefix-sum fold, and the annulus gather), plus
 /// the geometry-built member-list references of the two overlapping families.
+/// `*knn` receives the kNN family's options, which its oracle is built from.
 std::vector<std::unique_ptr<core::RegionFamily>> MakeAllFamilies(
-    const std::vector<geo::Point>& pts, Rng* rng) {
+    const std::vector<geo::Point>& pts, Rng* rng,
+    core::KnnCircleOptions* knn) {
   std::vector<std::unique_ptr<core::RegionFamily>> families;
   auto grid = core::GridPartitionFamily::Create(pts, 6, 5);
   EXPECT_TRUE(grid.ok());
@@ -189,24 +191,25 @@ std::vector<std::unique_ptr<core::RegionFamily>> MakeAllFamilies(
   sq.side_lengths = core::SquareScanOptions::DefaultSideLengths(0.5, 3.0, 5);
   auto square = core::SquareScanFamily::Create(pts, sq);
   EXPECT_TRUE(square.ok());
-  auto square_reference =
-      core::testing::MemberListFamily::Squares(pts, **square);
+  auto square_reference = core::testing::MemberListFamily::Of(pts, **square);
   families.push_back(std::move(*square));
   families.push_back(std::move(square_reference));
 
-  core::KnnCircleOptions knn;
-  knn.centers = centers;
-  knn.population_fractions = {0.01, 0.04, 0.10};
-  auto circles = core::KnnCircleFamily::Create(pts, knn);
+  knn->centers = centers;
+  knn->population_fractions = {0.01, 0.04, 0.10};
+  auto circles = core::KnnCircleFamily::Create(pts, *knn);
   EXPECT_TRUE(circles.ok());
+  auto circle_reference =
+      core::testing::MemberListFamily::Of(pts, **circles, knn);
   families.push_back(std::move(*circles));
-  families.push_back(core::testing::MemberListFamily::KnnCircles(pts, knn));
+  families.push_back(std::move(circle_reference));
   return families;
 }
 
 // For every family, both plane layouts of K-class counting must equal the
 // K−1 indicator construction (testing::ReferenceClassCounts, per-class
-// indicator labels through CountPositives) element for element:
+// indicator labels summed over the family's geometry-built member lists)
+// element for element:
 // CountClassesBatch's (world, class) planes packed in ClassCountRowOffset
 // order, and the lane sampler's layout — one mask byte per class, bit
 // 8c + w = world w has class c — counted by one CountPlanes call.
@@ -216,7 +219,8 @@ TEST(CountClassesBatch, MatchesIndicatorPathForAllFamilies) {
   Rng rng(4242);
   std::vector<geo::Point> pts(700);
   for (auto& p : pts) p = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
-  const auto families = MakeAllFamilies(pts, &rng);
+  core::KnnCircleOptions knn;
+  const auto families = MakeAllFamilies(pts, &rng, &knn);
 
   const std::vector<double> mix = {0.45, 0.3, 0.15, 0.1};
   const auto num_classes = static_cast<uint32_t>(mix.size());
@@ -270,8 +274,9 @@ TEST(CountClassesBatch, MatchesIndicatorPathForAllFamilies) {
                           core::ClassCountRowOffset(w, c, counted, stride));
         }
       }
-      core::testing::ReferenceClassCounts(*family, class_ptrs.data(), worlds,
-                                          num_classes, expected.data());
+      core::testing::ReferenceClassCounts(
+          *core::testing::MemberListFamily::Of(pts, *family, &knn),
+          class_ptrs.data(), worlds, num_classes, expected.data());
       ASSERT_EQ(got, expected) << family->Name() << " permute=" << permute;
       ASSERT_EQ(strided, expected) << family->Name() << " permute=" << permute;
     }

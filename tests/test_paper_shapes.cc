@@ -18,6 +18,7 @@
 #include "data/lar_sim.h"
 #include "data/synth.h"
 #include "stats/kmeans.h"
+#include "testing_util.h"
 
 namespace sfa {
 namespace {
@@ -253,8 +254,8 @@ TEST(PaperShapes, Fig6ExtremeClustersAreNotEvidence) {
   const stats::LogLikelihoodTable table(1000);
   for (int w = 0; w < worlds; ++w) {
     const core::Labels labels = core::Labels::SampleBernoulli(1000, 0.5, &rng);
-    std::vector<uint64_t> positives;
-    (*family)->CountPositives(labels, &positives);
+    const std::vector<uint64_t> positives =
+        core::testing::PositivesOf(**family, labels);
     for (size_t r = 0; r < (*family)->num_regions(); ++r) {
       if ((*family)->PointCount(r) >= 5 && positives[r] == 0) {
         ++with_cluster;

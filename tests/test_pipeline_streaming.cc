@@ -563,12 +563,14 @@ class StripeFamily : public RegionFamily {
     return desc;
   }
   uint64_t PointCount(size_t r) const override { return counts_[r]; }
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override {
-    const std::vector<uint8_t>& bytes = labels.bytes();
-    out->assign(kStripes, 0);
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      (*out)[stripe_of_point_[i]] += bytes[i];
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
+                   size_t out_stride) const override {
+    for (size_t p = 0; p < num_planes; ++p) {
+      uint32_t* row = out + p * out_stride;
+      std::fill_n(row, kStripes, 0u);
+      for (size_t i = 0; i < stripe_of_point_.size(); ++i) {
+        row[stripe_of_point_[i]] += (masks[i] >> p) & 1u;
+      }
     }
   }
   std::string Name() const override { return "8 equal-count stripes"; }

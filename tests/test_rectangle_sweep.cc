@@ -8,6 +8,7 @@
 #include "core/audit.h"
 #include "core/grid_family.h"
 #include "core/scan.h"
+#include "testing_util.h"
 
 namespace sfa::core {
 namespace {
@@ -69,8 +70,8 @@ TEST(RectangleSweepFamily, CountsMatchBruteForce) {
   auto family = RectangleSweepFamily::Create(cloud.points, 6, 5);
   ASSERT_TRUE(family.ok());
   const Labels labels = Labels::FromBytes(cloud.labels);
-  std::vector<uint64_t> positives;
-  (*family)->CountPositives(labels, &positives);
+  const std::vector<uint64_t> positives =
+      testing::PositivesOf(**family, labels);
   ASSERT_EQ(positives.size(), (*family)->num_regions());
   for (size_t r = 0; r < (*family)->num_regions(); ++r) {
     const geo::Rect rect = (*family)->Describe(r).rect;
@@ -92,9 +93,8 @@ TEST(RectangleSweepFamily, SingleCellRectanglesMatchGridFamily) {
   auto grid = GridPartitionFamily::Create(cloud.points, 5, 5);
   ASSERT_TRUE(sweep.ok() && grid.ok());
   const Labels labels = Labels::FromBytes(cloud.labels);
-  std::vector<uint64_t> sweep_p, grid_p;
-  (*sweep)->CountPositives(labels, &sweep_p);
-  (*grid)->CountPositives(labels, &grid_p);
+  const std::vector<uint64_t> sweep_p = testing::PositivesOf(**sweep, labels);
+  const std::vector<uint64_t> grid_p = testing::PositivesOf(**grid, labels);
   // For every grid cell find the sweep region with the same rect.
   for (size_t c = 0; c < (*grid)->num_regions(); ++c) {
     const geo::Rect cell = (*grid)->Describe(c).rect;
@@ -181,14 +181,14 @@ TEST(RectangleSweepFamily, WorksWithAuditor) {
 class SweepShapeSweep
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>> {};
 
-TEST_P(SweepShapeSweep, CanonicalOrderMatchesCountPositives) {
+TEST_P(SweepShapeSweep, CanonicalOrderMatchesObservedCounts) {
   const auto [gx, gy] = GetParam();
   const Cloud cloud = MakeCloud(200, gx * 31 + gy);
   auto family = RectangleSweepFamily::Create(cloud.points, gx, gy);
   ASSERT_TRUE(family.ok());
   const Labels labels = Labels::FromBytes(cloud.labels);
-  std::vector<uint64_t> positives;
-  (*family)->CountPositives(labels, &positives);
+  const std::vector<uint64_t> positives =
+      testing::PositivesOf(**family, labels);
   // Spot-check a pseudo-random subset of regions against brute force.
   Rng rng(99);
   for (int trial = 0; trial < 40; ++trial) {
@@ -211,7 +211,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Regression: Rebuild with transposed dimensions keeps the same table size
 // ((nx+1)*(ny+1) unchanged), so the reuse path must still refill — stale
 // interior sums would otherwise alias the new layout's zero row/column.
-// Matters in production because CountPositives pools its summed-area table
+// Matters in production because CountPlanes pools its summed-area table
 // thread-locally across families.
 TEST(PrefixSum2DRebuild, TransposedDimensionsRefillCompletely) {
   const std::vector<uint32_t> ones(6, 1);
@@ -233,10 +233,9 @@ TEST(RectangleSweep, InterleavedTransposedFamiliesCountIndependently) {
   auto wide = RectangleSweepFamily::Create(pts, 9, 4);
   ASSERT_TRUE(tall.ok() && wide.ok());
   const Labels labels = Labels::SampleBernoulli(pts.size(), 0.5, &rng);
-  std::vector<uint64_t> tall_before, wide_counts, tall_after;
-  (*tall)->CountPositives(labels, &tall_before);
-  (*wide)->CountPositives(labels, &wide_counts);
-  (*tall)->CountPositives(labels, &tall_after);
+  const auto tall_before = testing::PositivesOf(**tall, labels);
+  const auto wide_counts = testing::PositivesOf(**wide, labels);
+  const auto tall_after = testing::PositivesOf(**tall, labels);
   EXPECT_EQ(tall_before, tall_after);
   // The full-extent rectangle of each family sees every positive.
   const auto full_extent_count = [&](const RectangleSweepFamily& family,

@@ -1,7 +1,9 @@
-// Tests for the three region-family implementations: counts must agree with
-// brute-force geometry for both n(R) and p(R), across label assignments.
+// Tests for the bundled region families: counts must agree with brute-force
+// geometry for both n(R) and p(R), across label assignments, and every
+// family's plane counting with its member-list oracle on every tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -10,10 +12,13 @@
 #include "common/thread_pool.h"
 #include "core/calibration_cache.h"
 #include "core/grid_family.h"
+#include "core/knn_circle_family.h"
 #include "core/partitioning_family.h"
 #include "core/rectangle_sweep_family.h"
 #include "core/square_family.h"
+#include "spatial/simd_popcount.h"
 #include "stats/kmeans.h"
+#include "testing_util.h"
 
 namespace sfa::core {
 namespace {
@@ -43,8 +48,7 @@ TestCloud MakeCloud(size_t n, uint64_t seed) {
 void CheckFamilyAgainstBruteForce(const RegionFamily& family,
                                   const TestCloud& cloud) {
   const Labels labels = Labels::FromBytes(cloud.labels);
-  std::vector<uint64_t> positives;
-  family.CountPositives(labels, &positives);
+  const std::vector<uint64_t> positives = testing::PositivesOf(family, labels);
   ASSERT_EQ(positives.size(), family.num_regions());
   for (size_t r = 0; r < family.num_regions(); ++r) {
     const geo::Rect rect = family.Describe(r).rect;
@@ -337,6 +341,95 @@ TEST_P(FamilyAgreementSweep, AllFamiliesMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FamilyAgreementSweep,
                          ::testing::Values(1, 10, 100, 700));
+
+// Every bundled family's CountPlanes (a full 64-plane call, a partial one,
+// and 1 to 8 planes) and CountPlaneBytes (1 to 8 planes) equal its
+// member-list oracle, built from the geometry alone, on every tier. The
+// cloud has points on grid and split lines, on the extent's max edges and
+// outside an explicit extent, so the oracle's edge conventions are
+// exercised too.
+TEST(RegionFamily, EveryFamilyCountsLikeItsMemberListOracle) {
+  TestCloud cloud = MakeCloud(600, 17);
+  for (int x = 0; x <= 10; x += 2) {
+    for (int y = 0; y <= 10; y += 5) {
+      cloud.points.push_back({double(x), double(y)});
+    }
+  }
+  cloud.points.push_back({12.0, -1.0});
+  const std::vector<geo::Point>& points = cloud.points;
+  sfa::Rng rng(18);
+
+  std::vector<std::unique_ptr<RegionFamily>> families;
+  const auto add = [&families](auto created) {
+    ASSERT_TRUE(created.ok()) << created.status();
+    families.push_back(std::move(created).value());
+  };
+  add(GridPartitionFamily::Create(points, 5, 4));
+  add(GridPartitionFamily::CreateWithExtent(points, geo::Rect(0, 0, 10, 10),
+                                            5, 5));
+  auto random_parts = geo::MakeRandomPartitionings(
+      geo::Rect::BoundingBox(points), 3, 2, 6, &rng);
+  ASSERT_TRUE(random_parts.ok());
+  add(PartitioningCollectionFamily::Create(points, *random_parts));
+  auto regular = geo::Partitioning::Regular(geo::Rect(0, 0, 10, 10), 5, 2);
+  ASSERT_TRUE(regular.ok());
+  add(PartitioningCollectionFamily::Create(points, {*regular}));
+  add(RectangleSweepFamily::Create(points, 5, 4));
+  SquareScanOptions square_opts;
+  square_opts.centers = {{2, 2}, {5, 5}, {8, 3}};
+  square_opts.side_lengths = {1.0, 2.0, 4.0};
+  add(SquareScanFamily::Create(points, square_opts));
+  KnnCircleOptions knn_opts;
+  knn_opts.centers = square_opts.centers;
+  add(KnnCircleFamily::Create(points, knn_opts));
+
+  constexpr size_t kWorlds = 71;  // one full 64-plane call, one of 7
+  std::vector<Labels> worlds;
+  std::vector<const uint8_t*> planes;
+  for (size_t w = 0; w < kWorlds; ++w) {
+    worlds.push_back(Labels::SampleBernoulli(
+        points.size(), static_cast<double>(w % 11) / 10.0, &rng));
+  }
+  for (const Labels& labels : worlds) planes.push_back(labels.bytes().data());
+  const std::vector<uint64_t> masks = testing::PackPlaneWords(
+      std::vector<const uint8_t*>(planes.begin(), planes.begin() + 8),
+      points.size());
+  const std::vector<uint8_t> low_bytes(masks.begin(), masks.end());
+
+  for (const auto& family : families) {
+    SCOPED_TRACE(family->Name());
+    const auto oracle =
+        testing::MemberListFamily::Of(points, *family, &knn_opts);
+    const size_t regions = family->num_regions();
+    std::vector<uint64_t> expected;
+    for (const Labels& labels : worlds) {
+      const std::vector<uint64_t> row = oracle->Count(labels.bytes().data());
+      expected.insert(expected.end(), row.begin(), row.end());
+    }
+    for (const spatial::PopcountKernel tier : testing::kTiers) {
+      const testing::ScopedTier scoped(tier);
+      SCOPED_TRACE(spatial::PopcountKernelName(tier));
+      EXPECT_EQ(testing::CountByPlanes(
+                    [&family](const uint64_t* words, size_t num_planes,
+                              uint32_t* out, size_t stride) {
+                      family->CountPlanes(words, num_planes, out, stride);
+                    },
+                    planes, points.size(), regions),
+                expected);
+      for (size_t num_planes = 1; num_planes <= RegionFamily::kBytePlanes;
+           ++num_planes) {
+        std::vector<uint32_t> rows(num_planes * regions);
+        family->CountPlaneBytes(low_bytes.data(), num_planes, rows.data(),
+                                regions);
+        EXPECT_TRUE(std::equal(rows.begin(), rows.end(), expected.begin()))
+            << num_planes << " byte planes";
+        family->CountPlanes(masks.data(), num_planes, rows.data(), regions);
+        EXPECT_TRUE(std::equal(rows.begin(), rows.end(), expected.begin()))
+            << num_planes << " word planes";
+      }
+    }
+  }
+}
 
 // Fingerprint() computes FamilyFingerprint once per object and caches it:
 // callers racing on a fresh family (the stream workers and batch preparers

@@ -307,8 +307,9 @@ TEST(MultinomialStatistic, EngineMatchesOracleBitIdentical) {
       mc.seed = 404;
       mc.null_model = null_model;
       mc.closed_form_cells = closed_form;
-      const std::vector<double> oracle =
-          testing::ReferenceNullMaxima(**statistic, **family, mc);
+      const std::vector<double> oracle = testing::ReferenceNullMaxima(
+          **statistic, *testing::MemberListFamily::Of(city.locations, **family),
+          mc);
       EXPECT_GT(*std::max_element(oracle.begin(), oracle.end()), 0.0);
 
       for (const spatial::PopcountKernel tier : testing::kTiers) {
@@ -414,9 +415,9 @@ class ReportedSizeFamily : public RegionFamily {
   size_t num_points() const override { return num_points_; }
   RegionDescriptor Describe(size_t) const override { return {}; }
   uint64_t PointCount(size_t) const override { return num_points_; }
-  void CountPositives(const Labels&,
-                      std::vector<uint64_t>* out) const override {
-    out->assign(1, 0);
+  void CountPlanes(const uint64_t*, size_t num_planes, uint32_t* out,
+                   size_t out_stride) const override {
+    for (size_t p = 0; p < num_planes; ++p) out[p * out_stride] = 0;
   }
   std::string Name() const override { return "reported-size stub"; }
 

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,17 +26,18 @@
 #include "core/audit.h"
 #include "core/bernoulli_statistic.h"
 #include "core/cell_sampler_bank.h"
+#include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/multinomial_statistic.h"
 #include "core/partitioning_family.h"
-#include "data/dataset.h"
+#include "core/rectangle_sweep_family.h"
 #include "core/region_family.h"
 #include "core/scan_statistic.h"
 #include "core/significance.h"
 #include "core/square_family.h"
+#include "data/dataset.h"
 #include "geo/partitioning.h"
 #include "geo/rect.h"
-#include "spatial/kdtree.h"
 #include "spatial/simd_popcount.h"
 #include "stats/distributions.h"
 
@@ -249,34 +251,6 @@ std::vector<uint64_t> CountByPlanes(CountPlanesFn count_planes,
   return std::vector<uint64_t>(rows.begin(), rows.end());
 }
 
-/// The K−1 indicator oracle of multi-class counting: for every world and
-/// class c < K−1, the indicator labels of class c counted through the scalar
-/// CountPositives, into the ClassCountRowOffset rows of `out`. Codes at or
-/// above `num_classes` count in no class.
-inline void ReferenceClassCounts(const RegionFamily& family,
-                                 const uint8_t* const* class_worlds,
-                                 size_t num_worlds, uint32_t num_classes,
-                                 uint64_t* out) {
-  SFA_CHECK(num_classes >= 2);
-  const uint32_t counted = num_classes - 1;
-  const size_t n = family.num_points();
-  const size_t stride = family.num_regions();
-  std::vector<uint8_t> indicator(n);
-  Labels labels;
-  std::vector<uint64_t> scratch;
-  for (size_t w = 0; w < num_worlds; ++w) {
-    for (uint32_t k = 0; k < counted; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        indicator[i] = class_worlds[w][i] == k ? 1 : 0;
-      }
-      labels.AssignBytes(indicator.data(), n);
-      family.CountPositives(labels, &scratch);
-      std::copy(scratch.begin(), scratch.end(),
-                out + ClassCountRowOffset(w, k, counted, stride));
-    }
-  }
-}
-
 /// The byte mutants of `seed` a parser of untrusted bytes must survive:
 /// every truncation, every single-byte deletion, and at every position each
 /// substitution from "(),;:=.-09e", 0x00 and 0xFF that changes the byte.
@@ -338,83 +312,218 @@ class ReferenceCellSamplers {
   stats::FixedBinomialSampler outside_;
 };
 
-/// Reference counter for the overlapping families: one explicit member-id
-/// list per region, built straight from the geometry, counted by summing
-/// label bytes. It keeps the RegionFamily base-class CountPlanes, which
-/// unpacks each plane into CountPositives, so it shares no counting code
-/// with the annulus gather.
+/// p(R) of one label world through the family's CountPlaneBytes (the
+/// labels' bytes as one plane), widened: the observed-scan count.
+inline std::vector<uint64_t> PositivesOf(const RegionFamily& family,
+                                         const Labels& labels) {
+  SFA_CHECK(labels.size() == family.num_points());
+  std::vector<uint32_t> row(family.num_regions());
+  family.CountPlaneBytes(labels.bytes().data(), 1, row.data(), row.size());
+  return std::vector<uint64_t>(row.begin(), row.end());
+}
+
+/// The counting oracle of the bundled families: one explicit member-id list
+/// per region, built from the geometry alone, never from a RegionFamily
+/// counting call, and counted by summing label bits per list. Of() builds
+/// it for
+///
+///   grid, rectangle sweep  the points Describe(r).rect contains, half-open,
+///                          except that a side on the grid extent's max edge
+///                          is closed (the grid covers its closed extent) and
+///                          points outside the extent belong nowhere;
+///   partitionings          the points Describe(r).rect contains, with its
+///                          sides on the partitioning's extent pushed out to
+///                          infinity (outside points clamp into the boundary
+///                          partitions);
+///   squares                the points Describe(r).rect contains;
+///   kNN circles            brute-force closed balls, from the options the
+///                          family was created with (`knn_options`): for
+///                          each center and each k = ceil(fraction * N)
+///                          (clamped to [1, N], ascending, deduped), the
+///                          points whose DistanceSquaredTo the center is at
+///                          most the k-th smallest such distance²;
+///   member lists           the same lists.
+///
+/// Of() checks that every region's list holds PointCount(r) points, and the
+/// oracle answers cell_decomposition() and CountPositivesFromCells with the
+/// source family's, so ReferenceNullMaxima draws the same closed-form worlds
+/// the engine does. CountPlanes sums mask bits per member list, so the
+/// oracle also runs through the engine as a family of its own.
 class MemberListFamily : public RegionFamily {
  public:
-  /// Region r of `family` holds the points family.Describe(r).rect contains.
-  static std::unique_ptr<MemberListFamily> Squares(
-      const std::vector<geo::Point>& points, const SquareScanFamily& family) {
+  static std::unique_ptr<MemberListFamily> Of(
+      const std::vector<geo::Point>& points, const RegionFamily& family,
+      const KnnCircleOptions* knn_options = nullptr) {
+    SFA_CHECK(points.size() == family.num_points());
     auto ref = std::unique_ptr<MemberListFamily>(new MemberListFamily(points));
-    for (size_t r = 0; r < family.num_regions(); ++r) {
-      const RegionDescriptor desc = family.Describe(r);
-      std::vector<uint32_t> members;
-      for (size_t i = 0; i < points.size(); ++i) {
-        if (desc.rect.Contains(points[i])) {
-          members.push_back(static_cast<uint32_t>(i));
+    if (const auto* lists = dynamic_cast<const MemberListFamily*>(&family)) {
+      ref->members_ = lists->members_;
+      ref->descriptors_ = lists->descriptors_;
+      ref->source_ = lists->source_;
+      return ref;
+    }
+    if (family.cell_decomposition() != nullptr) ref->source_ = &family;
+    if (const auto* grid = dynamic_cast<const GridPartitionFamily*>(&family)) {
+      const uint32_t nx = grid->grid().nx();
+      const uint32_t ny = grid->grid().ny();
+      for (size_t r = 0; r < family.num_regions(); ++r) {
+        const auto cx = static_cast<uint32_t>(r % nx);
+        const auto cy = static_cast<uint32_t>(r / nx);
+        ref->AddGridRect(points, family.Describe(r), grid->grid().extent(),
+                         cx + 1 == nx, cy + 1 == ny);
+      }
+    } else if (const auto* sweep =
+                   dynamic_cast<const RectangleSweepFamily*>(&family)) {
+      for (size_t r = 0; r < family.num_regions(); ++r) {
+        const RectangleSweepFamily::CellRange range = sweep->DecodeRegion(r);
+        ref->AddGridRect(points, family.Describe(r), sweep->grid().extent(),
+                         range.x1 == sweep->grid().nx(),
+                         range.y1 == sweep->grid().ny());
+      }
+    } else if (const auto* parts =
+                   dynamic_cast<const PartitioningCollectionFamily*>(
+                       &family)) {
+      for (size_t r = 0; r < family.num_regions(); ++r) {
+        const RegionDescriptor desc = family.Describe(r);
+        const geo::Rect& extent =
+            parts->partitioning(parts->Locate(r).first).extent();
+        geo::Rect rect = desc.rect;
+        if (rect.min_x == extent.min_x) rect.min_x = -kInf;
+        if (rect.min_y == extent.min_y) rect.min_y = -kInf;
+        if (rect.max_x == extent.max_x) rect.max_x = kInf;
+        if (rect.max_y == extent.max_y) rect.max_y = kInf;
+        ref->Add(desc, Select(points, [&rect](const geo::Point& p) {
+                   return rect.Contains(p);
+                 }));
+      }
+    } else if (dynamic_cast<const SquareScanFamily*>(&family) != nullptr) {
+      for (size_t r = 0; r < family.num_regions(); ++r) {
+        const RegionDescriptor desc = family.Describe(r);
+        ref->Add(desc, Select(points, [&desc](const geo::Point& p) {
+                   return desc.rect.Contains(p);
+                 }));
+      }
+    } else if (dynamic_cast<const KnnCircleFamily*>(&family) != nullptr) {
+      if (knn_options == nullptr) {
+        ADD_FAILURE() << "the kNN oracle needs the family's options";
+        return ref;
+      }
+      std::vector<size_t> ladder;
+      for (const double fraction : knn_options->population_fractions) {
+        ladder.push_back(std::clamp<size_t>(
+            static_cast<size_t>(
+                std::ceil(fraction * static_cast<double>(points.size()))),
+            1, points.size()));
+      }
+      std::sort(ladder.begin(), ladder.end());
+      ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
+      for (const geo::Point& center : knn_options->centers) {
+        std::vector<double> distances(points.size());
+        for (size_t i = 0; i < points.size(); ++i) {
+          distances[i] = center.DistanceSquaredTo(points[i]);
+        }
+        std::vector<double> sorted = distances;
+        std::sort(sorted.begin(), sorted.end());
+        for (const size_t k : ladder) {
+          const double reach = sorted[k - 1];
+          std::vector<uint32_t> members;
+          for (size_t i = 0; i < points.size(); ++i) {
+            if (distances[i] <= reach) {
+              members.push_back(static_cast<uint32_t>(i));
+            }
+          }
+          ref->Add(family.Describe(ref->members_.size()), std::move(members));
         }
       }
-      ref->Add(desc, std::move(members));
+    } else {
+      ADD_FAILURE() << "no member-list oracle for " << family.Name();
+      return ref;
     }
+    SFA_CHECK(ref->members_.size() == family.num_regions());
+    size_t mismatched = 0;
+    for (size_t r = 0; r < family.num_regions(); ++r) {
+      if (ref->members_[r].size() != family.PointCount(r) &&
+          mismatched++ == 0) {
+        ADD_FAILURE() << family.Name() << " region " << r << " holds "
+                      << family.PointCount(r) << " points, its member list "
+                      << ref->members_[r].size();
+      }
+    }
+    EXPECT_EQ(mismatched, 0u) << family.Name();
     return ref;
   }
 
-  /// Region (center c, rung l) holds the first k_l ids of one
-  /// KdTree::KNearest(c, largest k) query, with the ladder k_l = ceil(f * N)
-  /// of `options.population_fractions`, clamped to [1, N], sorted, deduped.
-  static std::unique_ptr<MemberListFamily> KnnCircles(
-      const std::vector<geo::Point>& points, const KnnCircleOptions& options) {
-    auto ref = std::unique_ptr<MemberListFamily>(new MemberListFamily(points));
-    std::vector<size_t> ladder;
-    const auto n = static_cast<double>(points.size());
-    for (double f : options.population_fractions) {
-      ladder.push_back(std::clamp<size_t>(static_cast<size_t>(std::ceil(f * n)),
-                                          1, points.size()));
+  /// Region r's member ids, ascending.
+  const std::vector<uint32_t>& members(size_t r) const { return members_[r]; }
+
+  /// p(R) of every region for one world of 0/1 label bytes.
+  std::vector<uint64_t> Count(const uint8_t* labels) const {
+    std::vector<uint64_t> out(members_.size(), 0);
+    for (size_t r = 0; r < members_.size(); ++r) {
+      for (const uint32_t id : members_[r]) out[r] += labels[id];
     }
-    std::sort(ladder.begin(), ladder.end());
-    ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
-    const spatial::KdTree tree(points);
-    for (size_t c = 0; c < options.centers.size(); ++c) {
-      const geo::Point& center = options.centers[c];
-      const std::vector<uint32_t> nearest =
-          tree.KNearest(center, ladder.back());
-      for (const size_t k : ladder) {
-        RegionDescriptor desc;
-        desc.rect = geo::Rect::CenteredSquare(
-            center, 2.0 * center.DistanceTo(points[nearest[k - 1]]));
-        desc.label = "reference knn(center " + std::to_string(c) + ", k=" +
-                     std::to_string(k) + ")";
-        desc.group = static_cast<uint32_t>(c);
-        ref->Add(std::move(desc),
-                 std::vector<uint32_t>(nearest.begin(), nearest.begin() + k));
-      }
-    }
-    return ref;
+    return out;
   }
 
   size_t num_regions() const override { return members_.size(); }
   size_t num_points() const override { return num_points_; }
   RegionDescriptor Describe(size_t r) const override { return descriptors_[r]; }
   uint64_t PointCount(size_t r) const override { return members_[r].size(); }
-  void CountPositives(const Labels& labels,
-                      std::vector<uint64_t>* out) const override {
-    SFA_CHECK(labels.size() == num_points_);
-    const std::vector<uint8_t>& bytes = labels.bytes();
-    out->assign(members_.size(), 0);
+  void CountPlanes(const uint64_t* masks, size_t num_planes, uint32_t* out,
+                   size_t out_stride) const override {
+    SFA_CHECK(num_planes >= 1 && num_planes <= kMaxPlanes);
     for (size_t r = 0; r < members_.size(); ++r) {
-      for (const uint32_t id : members_[r]) (*out)[r] += bytes[id];
+      for (size_t p = 0; p < num_planes; ++p) {
+        uint32_t total = 0;
+        for (const uint32_t id : members_[r]) total += (masks[id] >> p) & 1u;
+        out[p * out_stride + r] = total;
+      }
     }
+  }
+  const CellDecomposition* cell_decomposition() const override {
+    return source_ == nullptr ? nullptr : source_->cell_decomposition();
+  }
+  void CountPositivesFromCells(const uint32_t* cell_positives,
+                               uint32_t* out) const override {
+    SFA_CHECK(source_ != nullptr);
+    source_->CountPositivesFromCells(cell_positives, out);
   }
   std::string Name() const override {
     return std::to_string(members_.size()) + " member-list reference regions";
   }
 
  private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
   explicit MemberListFamily(const std::vector<geo::Point>& points)
       : num_points_(points.size()) {}
+
+  template <typename Contains>
+  static std::vector<uint32_t> Select(const std::vector<geo::Point>& points,
+                                      Contains contains) {
+    std::vector<uint32_t> ids;
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (contains(points[i])) ids.push_back(static_cast<uint32_t>(i));
+    }
+    return ids;
+  }
+
+  /// A grid-aligned rect's members: half-open, but a side on the extent's
+  /// max edge (`closed_x`, `closed_y`) is closed at the extent, and points
+  /// outside the extent belong nowhere.
+  void AddGridRect(const std::vector<geo::Point>& points,
+                   RegionDescriptor desc, const geo::Rect& extent,
+                   bool closed_x, bool closed_y) {
+    const geo::Rect rect = desc.rect;
+    std::vector<uint32_t> ids = Select(points, [&](const geo::Point& p) {
+      const bool in_x = p.x >= rect.min_x &&
+                        (closed_x ? p.x <= extent.max_x : p.x < rect.max_x);
+      const bool in_y = p.y >= rect.min_y &&
+                        (closed_y ? p.y <= extent.max_y : p.y < rect.max_y);
+      return in_x && in_y;
+    });
+    Add(std::move(desc), std::move(ids));
+  }
 
   void Add(RegionDescriptor desc, std::vector<uint32_t> members) {
     descriptors_.push_back(std::move(desc));
@@ -422,26 +531,53 @@ class MemberListFamily : public RegionFamily {
   }
 
   size_t num_points_;
+  const RegionFamily* source_ = nullptr;  // cell decomposition, if any
   std::vector<RegionDescriptor> descriptors_;
   std::vector<std::vector<uint32_t>> members_;
 };
 
+/// The K−1 indicator oracle of multi-class counting: for every world and
+/// class c < K−1, the indicator labels of class c counted over the oracle's
+/// member lists, into the ClassCountRowOffset rows of `out`. Codes at or
+/// above `num_classes` count in no class.
+inline void ReferenceClassCounts(const MemberListFamily& oracle,
+                                 const uint8_t* const* class_worlds,
+                                 size_t num_worlds, uint32_t num_classes,
+                                 uint64_t* out) {
+  SFA_CHECK(num_classes >= 2);
+  const uint32_t counted = num_classes - 1;
+  const size_t n = oracle.num_points();
+  const size_t stride = oracle.num_regions();
+  std::vector<uint8_t> indicator(n);
+  for (size_t w = 0; w < num_worlds; ++w) {
+    for (uint32_t k = 0; k < counted; ++k) {
+      for (size_t i = 0; i < n; ++i) {
+        indicator[i] = class_worlds[w][i] == k ? 1 : 0;
+      }
+      const std::vector<uint64_t> counts = oracle.Count(indicator.data());
+      std::copy(counts.begin(), counts.end(),
+                out + ClassCountRowOffset(w, k, counted, stride));
+    }
+  }
+}
+
 /// The null-world oracle of the Monte Carlo engine: options.num_worlds
-/// maxima of Λ over `family`, in world order, for a Bernoulli or multinomial
-/// `statistic`. World w draws from Rng(options.seed).Split(w) with the
-/// scalar samplers the engine's lane paths must match draw for draw:
-/// closed-form cells (CellSamplerBank::Draw, or chained Rng::Binomial per
-/// cell and then the outside points for K classes) when
+/// maxima of Λ over `family` (the member-list oracle of the family the
+/// engine runs, MemberListFamily::Of), in world order, for a Bernoulli or
+/// multinomial `statistic`. World w draws from Rng(options.seed).Split(w)
+/// with the scalar samplers the engine's lane paths must match draw for
+/// draw: closed-form cells (CellSamplerBank::Draw, or chained Rng::Binomial
+/// per cell and then the outside points for K classes) when
 /// options.closed_form_cells, the null is Bernoulli and the family has a
 /// cell decomposition; otherwise Labels::SampleBernoulli/SamplePermutation,
 /// or internal::CategoricalDraw::Draw and the shuffled class codes. It
-/// counts through CountPositivesFromCells, CountPositives or
-/// ReferenceClassCounts and evaluates every region's Λ: through
-/// stats::BernoulliLogLikelihoodRatio for Bernoulli, in RegionLlrFromTable's
-/// operation order for K classes. No size groups, no region skip list, no
-/// lanes, no batches.
+/// counts through the source family's CountPositivesFromCells, or sums
+/// member lists (MemberListFamily::Count, ReferenceClassCounts), and
+/// evaluates every region's Λ: through stats::BernoulliLogLikelihoodRatio
+/// for Bernoulli, in RegionLlrFromTable's operation order for K classes. No
+/// size groups, no region skip list, no lanes, no batches.
 inline std::vector<double> ReferenceNullMaxima(
-    const ScanStatistic& statistic, const RegionFamily& family,
+    const ScanStatistic& statistic, const MemberListFamily& family,
     const MonteCarloOptions& options) {
   const uint64_t total_n = family.num_points();
   const size_t num_regions = family.num_regions();
@@ -473,7 +609,7 @@ inline std::vector<double> ReferenceNullMaxima(
                 ? Labels::SampleBernoulli(total_n, bernoulli->rho(), &rng)
                 : Labels::SamplePermutation(total_n, bernoulli->total_p(),
                                             &rng);
-        family.CountPositives(labels, &positives);
+        positives = family.Count(labels.bytes().data());
         total_p = labels.positive_count();
       }
       for (size_t r = 0; r < num_regions; ++r) {
